@@ -4,15 +4,16 @@
 GO ?= go
 # Benchmarks the CI smoke job tracks across commits (and the bench gate
 # compares against BENCH_baseline.json). PipelineDay, PipelineStream,
-# SimilarityGraph, Louvain, GenerateDay, TraceIndex and Extract carry
-# workers={1,4,N} sub-benches, so each run records the parallel speedup
-# ratios too (GenerateDay also matches the day-level GenerateDays fan-out
-# benches). TraceIndex covers the shared columnar index build, Extract the
+# SimilarityGraph, GenerateDay and Extract carry workers={1,4,N}
+# sub-benches, so each run records the parallel speedup ratios too
+# (GenerateDay also matches the day-level GenerateDays fan-out benches).
+# TraceIndex (the shared columnar index build, trace.NewIndex) and Louvain
+# are one row each: both stages are sequential. Extract covers the
 # posting-list alarm extraction, and PipelineStream the segmented streaming
 # path (per-segment seal + detect, sliding-window labeling). Ingest compares
-# the fused pcap→Index decode against the two-pass reference (its fused
-# sub-bench allocs/op is the steady-state serving cost), and HoughSparse
-# tracks the sparse Hough voting per tuning.
+# the fused pcap→Index decode (its allocs/op is the steady-state serving
+# cost) against ReadTrace+NewIndex, and HoughSparse tracks the sparse Hough
+# voting per tuning.
 BENCH_PATTERN ?= PipelineDay|PipelineStream|Detectors|Louvain|SimilarityGraph|GenerateDay|TraceIndex|Extract|Ingest|HoughSparse
 # Total-coverage floor for `make cover`, in percent. Set from the measured
 # coverage at the last raise (85.1% when the golden-fixture and fuzz tests
@@ -57,10 +58,10 @@ test:
 # The race job covers the whole module: the root package (pipeline +
 # benches compile in, including the RunStream engine and its
 # TestStreamMatchesBatch / TestStreamDeterminismMatrix / cancellation
-# tests), every internal package where the concurrency lives — trace
-# (segment sealing + index builds), mawigen (windowed background
-# generation + injection fan-out), parallel (the pool itself), graphx
-# (partition-parallel Louvain), simgraph (keyed-shard similarity graph),
+# tests, and TestSealedIndexesSurvivePoolChurn's arena-pool churn), every
+# internal package where the concurrency lives — trace (the pooled index
+# arenas), mawigen (windowed background generation + injection fan-out),
+# parallel (the pool itself), simgraph (keyed-shard similarity graph),
 # serve (the daemon's engine admission/drain paths, lock-free histograms
 # and graceful-shutdown tests) — plus the cmd binaries' black-box tests
 # (mawilabd's serve smoke spawns the real daemon) and examples. ./... so
@@ -125,12 +126,14 @@ lint:
 	$(GO) run ./cmd/mawilint ./...
 
 # Short fuzzing smoke over the committed seed corpora plus FUZZTIME of fresh
-# exploration per target: the IPv4 parser invariants, the pcap write→read
-# round trip, and the fused-vs-reference ingest differential. A crash writes
-# its reproducer into the package's testdata/fuzz corpus — commit it with
-# the fix.
+# exploration per target: the IPv4 parser invariants, the index builder
+# against the map-based reference in internal/trace's tests, the pcap
+# write→read round trip, and the decode-streaming vs decode-materialized
+# ingest differential. A crash writes its reproducer into the package's
+# testdata/fuzz corpus — commit it with the fix.
 fuzz:
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzParseIPv4$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzIndexBuilder$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/pcap -run '^$$' -fuzz '^FuzzRoundTrip$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/pcap -run '^$$' -fuzz '^FuzzDecodeIndex$$' -fuzztime $(FUZZTIME)
 

@@ -382,26 +382,17 @@ func detectAllForBench(ix *trace.Index) ([]core.Alarm, map[string]int, error) {
 
 // BenchmarkTraceIndex measures the shared columnar index build — columns,
 // canonical flow table with packet runs, posting lists and time buckets —
-// at several worker-pool sizes. workers=1 is the sequential reference path
-// and the index is bitwise-identical across sub-benches (trace's
-// TestIndexParallelismDeterminism), so the ns/op ratio is the pure sharding
-// speedup the CI bench gate tracks.
+// from a materialized trace: trace.NewIndex, the detached IndexBuilder path
+// Run, SealTrace and the figure harnesses pay once per day. The builder is
+// sequential, so there is one row.
 func BenchmarkTraceIndex(b *testing.B) {
 	b.ReportAllocs()
 	tr := benchTrace(b)
-	for _, workers := range benchWorkerCounts() {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				ix, err := trace.BuildIndex(context.Background(), tr, workers)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if ix.Len() != tr.Len() {
-					b.Fatal("bad index")
-				}
-			}
-		})
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if ix := trace.NewIndex(tr); ix.Len() != tr.Len() {
+			b.Fatal("bad index")
+		}
 	}
 }
 
@@ -495,11 +486,8 @@ func BenchmarkSCANN(b *testing.B) {
 	}
 }
 
-// BenchmarkLouvain times community mining on a planted-partition graph at
-// several worker-pool sizes. workers=1 is the sequential reference path and
-// the assignment is byte-identical across sub-benches (graphx's
-// TestLouvainParallelismDeterminism), so the ns/op ratio is the pure
-// propose/commit parallelization speedup the CI bench gate tracks.
+// BenchmarkLouvain times community mining on a planted-partition graph — one
+// row: Louvain is a single sequential sweep.
 func BenchmarkLouvain(b *testing.B) {
 	b.ReportAllocs()
 	g := graphx.New(400)
@@ -517,29 +505,25 @@ func BenchmarkLouvain(b *testing.B) {
 			g.AddEdge(base, base-1, 0.1)
 		}
 	}
-	for _, workers := range benchWorkerCounts() {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			var communities float64
-			for i := 0; i < b.N; i++ {
-				comm, err := g.LouvainContext(context.Background(), workers)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(comm) != 400 {
-					b.Fatal("bad assignment")
-				}
-				nc := 0
-				for _, c := range comm {
-					if c+1 > nc {
-						nc = c + 1
-					}
-				}
-				communities = float64(nc)
+	var communities float64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		comm, err := g.LouvainContext(context.Background(), 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(comm) != 400 {
+			b.Fatal("bad assignment")
+		}
+		nc := 0
+		for _, c := range comm {
+			if c+1 > nc {
+				nc = c + 1
 			}
-			b.ReportMetric(communities, "communities")
-		})
+		}
+		communities = float64(nc)
 	}
+	b.ReportMetric(communities, "communities")
 }
 
 // BenchmarkApriori times rule mining over a realistic community.
@@ -763,9 +747,9 @@ func BenchmarkCondorcet(b *testing.B) {
 
 // BenchmarkIngest compares the two pcap→Index ingest paths on identical
 // bytes: the fused single-pass DecodeIndex (pooled arena, released each
-// iteration — the steady-state serving path) against the two-pass
-// ReadTrace+BuildIndex reference at each worker count. allocs/op on the
-// fused sub-bench is the serving path's steady-state allocation cost.
+// iteration — the steady-state serving path) against the materializing
+// ReadTrace+NewIndex the batch CLI pays. allocs/op on the fused sub-bench is
+// the serving path's steady-state allocation cost.
 func BenchmarkIngest(b *testing.B) {
 	b.ReportAllocs()
 	var buf bytes.Buffer
@@ -793,21 +777,19 @@ func BenchmarkIngest(b *testing.B) {
 			ix.Release()
 		}
 	})
-	for _, workers := range benchWorkerCounts() {
-		b.Run(fmt.Sprintf("reference/workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			b.SetBytes(int64(len(data)))
-			for i := 0; i < b.N; i++ {
-				tr, err := pcap.ReadTrace(bytes.NewReader(data))
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := trace.BuildIndex(context.Background(), tr, workers); err != nil {
-					b.Fatal(err)
-				}
+	b.Run("reference", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(data)))
+		for i := 0; i < b.N; i++ {
+			tr, err := pcap.ReadTrace(bytes.NewReader(data))
+			if err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+			if ix := trace.NewIndex(tr); ix.Len() != tr.Len() {
+				b.Fatal("bad index")
+			}
+		}
+	})
 }
 
 // BenchmarkHoughSparse times the sparse Hough detector per tuning over the

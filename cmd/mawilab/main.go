@@ -135,7 +135,7 @@ func runStream(p *mawilab.Pipeline, in, dateStr string, seed int64, format, name
 	for w := range s.Windows() {
 		nwin++
 		fmt.Fprintf(os.Stderr, "mawilab: window %d [%g,%gs): %d segments, %d packets, %d alarms, %d communities, %d anomalous\n",
-			w.Window, w.Start, w.End, len(w.Segments), w.Trace.Len(),
+			w.Window, w.Start, w.End, len(w.Segments), w.Index.Len(),
 			len(w.Labeling.Alarms), len(w.Labeling.Reports), len(w.Labeling.Anomalies()))
 		if verbose {
 			for _, rep := range w.Labeling.Reports {
@@ -143,7 +143,7 @@ func runStream(p *mawilab.Pipeline, in, dateStr string, seed int64, format, name
 			}
 		}
 		fmt.Printf("# window %d [%g,%g)\n", w.Window, w.Start, w.End)
-		emit(w.Labeling, w.Trace, format, fmt.Sprintf("%s/window-%d", name, w.Window))
+		emit(w.Labeling, w.Index, format, fmt.Sprintf("%s/window-%d", name, w.Window))
 	}
 	if err := s.Wait(); err != nil {
 		fatal("pipeline: %v", err)
@@ -194,17 +194,17 @@ func generatedDay(dateStr string, seed int64) *mawilab.Trace {
 	return mawilab.NewArchive(seed).Day(date).Trace
 }
 
-// emit writes one labeling to stdout in the selected format. tr supplies the
-// admd time bounds: the whole input trace in batch mode, the window's trace
-// in -stream mode.
-func emit(l *mawilab.Labeling, tr *mawilab.Trace, format, name string) {
+// emit writes one labeling to stdout in the selected format. span supplies
+// the admd time bounds: the whole input trace in batch mode, the window's
+// index in -stream mode.
+func emit(l *mawilab.Labeling, span mawilab.TimeSpan, format, name string) {
 	switch format {
 	case "csv":
 		if err := l.WriteCSV(os.Stdout); err != nil {
 			fatal("writing csv: %v", err)
 		}
 	case "admd":
-		if err := l.WriteADMD(os.Stdout, name, tr); err != nil {
+		if err := l.WriteADMD(os.Stdout, name, span); err != nil {
 			fatal("writing admd: %v", err)
 		}
 	}

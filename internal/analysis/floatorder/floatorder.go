@@ -4,7 +4,7 @@
 // or across map iterations. Float addition is not associative, so
 // unordered accumulation yields bitwise-different sums from run to run —
 // the invariant behind simgraph's "integer merge before any float
-// accumulation" design (PR 2) and the propose/commit Louvain (PR 3).
+// accumulation" design (PR 2) and Louvain's sorted-adjacency sums (PR 3).
 //
 // Accumulators declared inside the unordered region (a per-slot shard, a
 // per-iteration subtotal) are fine: whatever builds locally is merged

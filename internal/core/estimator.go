@@ -123,12 +123,10 @@ func (r *Result) Index() *trace.Index { return r.extractor.Index() }
 // the caller already holds (a sealed segment's, a streaming window's, or
 // trace.SealTrace's canonical whole-trace index; the same index the
 // detector fan-out consumed, built once per trace). The per-alarm traffic
-// extraction, the similarity-graph build (sharded in internal/simgraph),
-// the Louvain community mining (partition-parallel local-move proposals
-// with a sequential index-ordered commit, see graphx.LouvainContext) and
-// the per-community traffic unions all fan out across up to `workers`
-// goroutines (<= 1 runs inline). The result is identical at every worker
-// count.
+// extraction, the similarity-graph build (sharded in internal/simgraph) and
+// the per-community traffic unions fan out across up to `workers`
+// goroutines (<= 1 runs inline); Louvain community mining is sequential.
+// The result is identical at every worker count.
 func EstimateContext(ctx context.Context, ix *trace.Index, alarms []Alarm, cfg EstimatorConfig, workers int) (*Result, error) {
 	if cfg.MinSimilarity < 0 || cfg.MinSimilarity > 1 {
 		return nil, fmt.Errorf("core: MinSimilarity %f out of [0,1]", cfg.MinSimilarity)
@@ -156,7 +154,7 @@ func EstimateContext(ctx context.Context, ix *trace.Index, alarms []Alarm, cfg E
 	var assignment []int
 	switch cfg.Algo {
 	case Louvain:
-		assignment, err = g.LouvainContext(ctx, workers)
+		assignment, err = g.LouvainContext(ctx, 1) // the int is ignored; see LouvainContext
 		if err != nil {
 			return nil, err
 		}

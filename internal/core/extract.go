@@ -57,29 +57,17 @@ func (e *Extractor) FlowKey(i int) trace.FlowKey { return e.ix.Flow(i) }
 // The slice aliases the index and must not be mutated.
 func (e *Extractor) FlowPackets(i int) []int32 { return e.ix.FlowPackets(i) }
 
-// Extract resolves alarm a to its TrafficSet, prefiltering each filter
-// through the index's posting lists.
-func (e *Extractor) Extract(a *Alarm) *TrafficSet { return e.extract(a, true) }
-
-// extractScan is the reference path: every filter scans the whole flow
-// table. It exists to pin the posting-list prefilter's equivalence
-// (TestExtractIndexedMatchesScan) and has no production callers.
-func (e *Extractor) extractScan(a *Alarm) *TrafficSet { return e.extract(a, false) }
-
-// extract resolves the alarm, visiting for each filter either its posting
-// list candidates (ascending flow ids, a superset of the matching flows) or
-// the full flow table. Both paths visit matching flows in the same
-// ascending order, so the output is identical.
-func (e *Extractor) extract(a *Alarm, usePostings bool) *TrafficSet {
+// Extract resolves alarm a to its TrafficSet. For each filter it visits the
+// index's posting-list candidates (ascending flow ids, a superset of the
+// matching flows), or the whole flow table when the filter constrains no
+// posted field. Either way matching flows are visited in ascending order —
+// the full-table scan in extract_test.go pins the equivalence.
+func (e *Extractor) Extract(a *Alarm) *TrafficSet {
 	ts := &TrafficSet{IDs: make(map[uint64]struct{})}
 	flowSeen := make(map[int]struct{})
 	pktSeen := make(map[int]struct{})
 	for _, f := range a.Filters {
-		candidates, pruned := []int32(nil), false
-		if usePostings {
-			candidates, pruned = e.ix.CandidateFlows(f)
-		}
-		if pruned {
+		if candidates, pruned := e.ix.CandidateFlows(f); pruned {
 			for _, fi := range candidates {
 				e.matchFlow(f, int(fi), ts, flowSeen, pktSeen)
 			}

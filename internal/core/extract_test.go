@@ -259,7 +259,25 @@ func randomFilter(rng *rand.Rand, ix *trace.Index) trace.Filter {
 	return f
 }
 
-// TestExtractIndexedMatchesScan pins the posting-list prefilter to the old
+// extractScan is the reference the posting-list prefilter is pinned against:
+// every filter scans the whole flow table.
+func (e *Extractor) extractScan(a *Alarm) *TrafficSet {
+	ts := &TrafficSet{IDs: make(map[uint64]struct{})}
+	flowSeen := make(map[int]struct{})
+	pktSeen := make(map[int]struct{})
+	for _, f := range a.Filters {
+		for fi := 0; fi < e.ix.Flows(); fi++ {
+			e.matchFlow(f, fi, ts, flowSeen, pktSeen)
+		}
+	}
+	ts.FlowRefs = sortedKeys(flowSeen)
+	if e.gran == trace.GranPacket {
+		ts.PacketIdx = sortedKeys(pktSeen)
+	}
+	return ts
+}
+
+// TestExtractIndexedMatchesScan pins the posting-list prefilter to the
 // full-table reference scan: over randomized multi-filter alarms at all
 // three granularities, both paths must produce identical traffic sets.
 func TestExtractIndexedMatchesScan(t *testing.T) {

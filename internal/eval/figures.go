@@ -52,10 +52,11 @@ func Fig3(ctx context.Context, r *Runner, dates []time.Time) (*Fig3Result, error
 			gen := r.Archive.Day(dates[di])
 			// One shared index per (granularity, day) pipeline, same
 			// build-once-share-everywhere rule as Runner.day.
-			ix, err := trace.BuildIndex(ctx, gen.Trace, 1)
+			seg, err := trace.SealTrace(ctx, gen.Trace)
 			if err != nil {
 				return dayPartial{}, err
 			}
+			ix := seg.Index
 			alarms, _, err := detectors.DetectAllContext(ctx, ix, r.Detectors, 1)
 			if err != nil {
 				return dayPartial{}, err

@@ -109,7 +109,7 @@ func (r *Runner) day(ctx context.Context, date time.Time, workers int) (*DayResu
 	// the detector fan-out, the estimator's traffic extraction and the
 	// labeling heuristics — no per-stage flow-table rebuilds, and the same
 	// lifecycle the streaming pipeline gives every sealed segment.
-	seg, err := trace.SealTrace(ctx, gen.Trace, workers)
+	seg, err := trace.SealTrace(ctx, gen.Trace)
 	if err != nil {
 		return nil, err
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sort"
 )
 
 // Local-move defaults (see LouvainOptions).
@@ -29,11 +30,6 @@ var ErrMaxPasses = errors.New("graphx: Louvain local move hit MaxPasses before c
 
 // LouvainOptions tunes the Louvain run.
 type LouvainOptions struct {
-	// Workers bounds the proposal/aggregation fan-out: 1 runs every stage
-	// inline — the fused sequential reference path — and <= 0 selects
-	// every core (parallel.Clamp), like the Workers knobs elsewhere in the
-	// pipeline. The assignment is byte-identical at every setting.
-	Workers int
 	// MaxPasses caps local-move passes per level; 0 means DefaultMaxPasses.
 	MaxPasses int
 	// MinDeltaQ is the per-pass modularity-gain convergence threshold;
@@ -65,12 +61,15 @@ type LouvainResult struct {
 // largest gain) and aggregation (each community collapses into one node,
 // with internal weight becoming a self-loop).
 //
-// Louvain is the sequential wrapper: it runs every stage inline and always
-// returns an assignment, keeping the legacy contract. Use LouvainContext
-// for cancellation and a worker pool, or LouvainWith to observe the
-// convergence telemetry instead of failing on a MaxPasses overrun.
+// The whole method is one sequential sweep, by design: at the graph sizes
+// the pipeline builds (a few hundred alarms, tens of communities) fanning
+// the local move out costs more than it saves.
+//
+// Louvain always returns an assignment, keeping the legacy contract. Use
+// LouvainContext for cancellation, or LouvainWith to observe the convergence
+// telemetry instead of failing on a MaxPasses overrun.
 func (g *Graph) Louvain() []int {
-	res, err := g.LouvainWith(context.Background(), LouvainOptions{Workers: 1})
+	res, err := g.LouvainWith(context.Background(), LouvainOptions{})
 	if err != nil {
 		// Unreachable: the background context is never cancelled and
 		// LouvainWith has no other failure mode.
@@ -79,16 +78,14 @@ func (g *Graph) Louvain() []int {
 	return res.Assignment
 }
 
-// LouvainContext is Louvain with cancellation and a bounded worker pool:
-// the local-move proposal phase, the adjacency snapshot and the aggregation
-// fold fan out across up to `workers` goroutines (see louvain_parallel.go),
-// while the commit pass stays sequential and index-ordered — so the
-// assignment is byte-identical at every worker count, workers == 1 being
-// the exact sequential reference path. A partition that failed to converge
-// within DefaultMaxPasses is reported as ErrMaxPasses rather than returned
-// silently half-optimized.
-func (g *Graph) LouvainContext(ctx context.Context, workers int) ([]int, error) {
-	res, err := g.LouvainWith(ctx, LouvainOptions{Workers: workers})
+// LouvainContext is Louvain with cancellation, checked between local-move
+// passes and aggregation levels. A partition that failed to converge within
+// DefaultMaxPasses is reported as ErrMaxPasses rather than returned silently
+// half-optimized. The int parameter (once a worker count) is ignored: it
+// stays only because cmd/mawibench, frozen for this change, compiles against
+// this signature; the next benchmark PR drops it.
+func (g *Graph) LouvainContext(ctx context.Context, _ int) ([]int, error) {
+	res, err := g.LouvainWith(ctx, LouvainOptions{})
 	if err != nil {
 		return nil, err
 	}
@@ -136,10 +133,7 @@ func (g *Graph) LouvainWith(ctx context.Context, opts LouvainOptions) (*LouvainR
 		for i := range assignment {
 			assignment[i] = comm[assignment[i]]
 		}
-		next, err := cur.aggregate(ctx, comm, opts.Workers)
-		if err != nil {
-			return nil, err
-		}
+		next := cur.aggregate(comm)
 		if next.n == cur.n {
 			break // no aggregation progress
 		}
@@ -147,6 +141,198 @@ func (g *Graph) LouvainWith(ctx context.Context, opts LouvainOptions) (*LouvainR
 	}
 	res.Assignment = compactIDs(assignment)
 	return res, nil
+}
+
+// louvainLevel is the frozen per-level state of local moving: the sorted
+// adjacency snapshot, weighted degrees and 2m.
+type louvainLevel struct {
+	m2   float64 // 2m
+	nbrV [][]int
+	nbrW [][]float64
+	deg  []float64
+}
+
+// newLouvainLevel builds the level snapshot. Iterating the adjacency maps
+// directly would visit neighbors in a different order every run, reordering
+// the floating-point sums in bestMove and flipping near-tied gain
+// comparisons — run-to-run nondeterminism the pipeline's
+// byte-identical-output guarantee cannot tolerate; sorting fixes the order
+// once per level.
+func newLouvainLevel(g *Graph) *louvainLevel {
+	lv := &louvainLevel{
+		m2:   2 * g.total,
+		nbrV: make([][]int, g.n),
+		nbrW: make([][]float64, g.n),
+		deg:  make([]float64, g.n),
+	}
+	for u := 0; u < g.n; u++ {
+		vs := make([]int, 0, len(g.adj[u]))
+		for v := range g.adj[u] {
+			vs = append(vs, v)
+		}
+		sort.Ints(vs)
+		ws := make([]float64, len(vs))
+		d := 2 * g.self[u]
+		for i, v := range vs {
+			ws[i] = g.adj[u][v]
+			d += ws[i]
+		}
+		lv.nbrV[u], lv.nbrW[u] = vs, ws
+		lv.deg[u] = d
+	}
+	return lv
+}
+
+// moveScratch is the reusable state of bestMove: neighWeight accumulates
+// k_{i,in} per candidate community, cands lists the keys so candidates can
+// be scanned in sorted order.
+type moveScratch struct {
+	neighWeight map[int]float64
+	cands       []int
+}
+
+// bestMove computes node u's greedy decision against the live community
+// assignment and community totals, without mutating either, and returns the
+// chosen community plus the move's modularity gain in raw gain units (ΔQ·m;
+// zero when u stays).
+func (lv *louvainLevel) bestMove(u int, comm []int, tot []float64, sc *moveScratch) (bestC int, delta float64) {
+	// Hoist the hot fields out of the pointers: this body runs once per
+	// node per pass and the indirections are measurable.
+	nw := sc.neighWeight
+	for _, c := range sc.cands {
+		delete(nw, c)
+	}
+	cands := sc.cands[:0]
+	nbrV, nbrW := lv.nbrV[u], lv.nbrW[u]
+	for i, v := range nbrV {
+		c := comm[v]
+		if _, ok := nw[c]; !ok {
+			cands = append(cands, c)
+		}
+		nw[c] += nbrW[i]
+	}
+	sort.Ints(cands)
+	sc.cands = cands
+	// Gain of joining community c (up to constants):
+	// k_{i,in}(c) − sumTot[c]·k_i/(2m), with u removed from its own
+	// community for the comparison.
+	cu := comm[u]
+	deg, m2 := lv.deg[u], lv.m2
+	stay := nw[cu] - (tot[cu]-deg)*deg/m2
+	bestC = cu
+	bestGain := stay
+	for _, c := range cands {
+		if c == cu {
+			continue
+		}
+		gain := nw[c] - tot[c]*deg/m2
+		// Strict improvement only; candidates ascend, so ties keep the
+		// current community, then the smallest id.
+		if gain > bestGain+1e-12 {
+			bestGain = gain
+			bestC = c
+		}
+	}
+	return bestC, bestGain - stay
+}
+
+// localMoveResult is one level's local-move outcome.
+type localMoveResult struct {
+	comm   []int
+	moved  bool // any node changed community
+	capped bool // MaxPasses fired before the convergence criterion
+	passes int
+}
+
+// localMove sweeps the nodes in index order, each taking its best move
+// against the state every earlier decision left behind, and repeats until a
+// pass moves no node, the pass's total modularity gain drops below
+// opts.MinDeltaQ, or opts.MaxPasses fires (reported via capped, never
+// silent). The context is checked between passes.
+func (g *Graph) localMove(ctx context.Context, opts LouvainOptions) (localMoveResult, error) {
+	n := g.n
+	out := localMoveResult{comm: make([]int, n)}
+	for i := range out.comm {
+		out.comm[i] = i
+	}
+	if 2*g.total == 0 {
+		return out, ctx.Err()
+	}
+	lv := newLouvainLevel(g)
+	comm := out.comm
+	sumTot := append([]float64(nil), lv.deg...) // total degree per community
+	sc := &moveScratch{neighWeight: make(map[int]float64), cands: make([]int, 0, 16)}
+
+	for pass := 0; ; pass++ {
+		if err := ctx.Err(); err != nil {
+			return out, err
+		}
+		if pass == opts.MaxPasses {
+			out.capped = true
+			break
+		}
+		passMoved := false
+		passDelta := 0.0
+		for u := 0; u < n; u++ {
+			cu := comm[u]
+			bestC, delta := lv.bestMove(u, comm, sumTot, sc)
+			// Remove-and-reinsert even when u stays: the (x−d)+d rounding
+			// is part of the state later nodes observe, and the golden
+			// modularity fixtures pin it.
+			sumTot[cu] -= lv.deg[u]
+			sumTot[bestC] += lv.deg[u]
+			passDelta += delta
+			if bestC != cu {
+				comm[u] = bestC
+				passMoved = true
+				out.moved = true
+			}
+		}
+		out.passes++
+		if !passMoved {
+			break
+		}
+		// Modularity-delta criterion: passDelta is in raw gain units
+		// (ΔQ·m), so compare against MinDeltaQ·m.
+		if opts.MinDeltaQ > 0 && passDelta < opts.MinDeltaQ*g.total {
+			break
+		}
+	}
+	return out, nil
+}
+
+// aggregate collapses each community of comm (dense ids) into a single
+// node. Original nodes are walked in index order, each emitting its
+// self-loop first and then its kept (v >= u, each undirected edge once)
+// neighbors in sorted order — one canonical AddEdge order, so the aggregated
+// graph's floating-point weight sums stay bit-reproducible (see
+// newLouvainLevel).
+func (g *Graph) aggregate(comm []int) *Graph {
+	nc := 0
+	for _, c := range comm {
+		if c+1 > nc {
+			nc = c + 1
+		}
+	}
+	out := New(nc)
+	vs := make([]int, 0, 16)
+	for u := 0; u < g.n; u++ {
+		cu := comm[u]
+		if g.self[u] > 0 {
+			out.AddEdge(cu, cu, g.self[u])
+		}
+		vs = vs[:0]
+		for v := range g.adj[u] {
+			if v >= u {
+				vs = append(vs, v)
+			}
+		}
+		sort.Ints(vs)
+		for _, v := range vs {
+			out.AddEdge(cu, comm[v], g.adj[u][v])
+		}
+	}
+	return out
 }
 
 // compactIDs renumbers arbitrary community ids densely, in order of first

@@ -115,44 +115,23 @@ func louvainTestGraphs() map[string]*Graph {
 	return out
 }
 
-// TestLouvainParallelismDeterminism is the acceptance gate of the parallel
-// Louvain: LouvainContext must produce byte-identical community assignments
-// at workers 1, 2, 4 and 8 — and across repeated runs — with workers = 1
-// exactly reproducing the sequential Louvain output, on every fixture.
-func TestLouvainParallelismDeterminism(t *testing.T) {
-	for name, g := range louvainTestGraphs() {
-		ref := g.Louvain()
-		for _, workers := range []int{1, 2, 4, 8} {
-			for run := 0; run < 2; run++ {
-				got, err := g.LouvainContext(context.Background(), workers)
-				if err != nil {
-					t.Fatalf("%s workers=%d: %v", name, workers, err)
-				}
-				if !reflect.DeepEqual(got, ref) {
-					t.Fatalf("%s workers=%d run=%d: assignment diverges from sequential Louvain", name, workers, run)
-				}
-			}
-		}
-	}
-}
-
 // TestLouvainWithTelemetry: a converged run reports Converged with sane
-// level/pass counts, identical at every worker count.
+// level/pass counts, and repeats them exactly.
 func TestLouvainWithTelemetry(t *testing.T) {
 	g := louvainTestGraphs()["planted"]
-	ref, err := g.LouvainWith(context.Background(), LouvainOptions{Workers: 1})
+	ref, err := g.LouvainWith(context.Background(), LouvainOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !ref.Converged || ref.Levels < 1 || ref.Passes < ref.Levels {
 		t.Fatalf("telemetry = %+v", ref)
 	}
-	par, err := g.LouvainWith(context.Background(), LouvainOptions{Workers: 4})
+	again, err := g.LouvainWith(context.Background(), LouvainOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if par.Levels != ref.Levels || par.Passes != ref.Passes || !reflect.DeepEqual(par.Assignment, ref.Assignment) {
-		t.Fatalf("parallel telemetry %+v diverges from sequential %+v", par, ref)
+	if !reflect.DeepEqual(again, ref) {
+		t.Fatalf("rerun telemetry %+v diverges from %+v", again, ref)
 	}
 }
 
@@ -161,14 +140,14 @@ func TestLouvainWithTelemetry(t *testing.T) {
 // the modularity-delta criterion converges and matches Louvain().
 func TestLouvainMaxPassesCap(t *testing.T) {
 	g := louvainTestGraphs()["planted"]
-	res, err := g.LouvainWith(context.Background(), LouvainOptions{Workers: 1, MaxPasses: 1})
+	res, err := g.LouvainWith(context.Background(), LouvainOptions{MaxPasses: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Converged {
 		t.Fatal("MaxPasses=1 on the planted partition must report a capped run")
 	}
-	res, err = g.LouvainWith(context.Background(), LouvainOptions{Workers: 1})
+	res, err = g.LouvainWith(context.Background(), LouvainOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +161,7 @@ func TestLouvainMaxPassesCap(t *testing.T) {
 
 // countdownCtx reports cancellation after its Err budget is spent — a
 // deterministic way to cancel in the middle of a local-move pass, where the
-// sequential reference path polls Err between work items.
+// sweep polls Err between passes and levels.
 type countdownCtx struct {
 	context.Context
 	n int32
@@ -201,14 +180,14 @@ func TestLouvainCancellation(t *testing.T) {
 	g := louvainTestGraphs()["random"]
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := g.LouvainContext(ctx, 4); !errors.Is(err, context.Canceled) {
+	if _, err := g.LouvainContext(ctx, 0); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-cancelled err = %v, want context.Canceled", err)
 	}
-	// Mid-run: let a few Err polls through, then cancel. Workers = 1 keeps
-	// every poll on the calling goroutine, so the cut lands deterministically
-	// at a local-move pass boundary inside the first level.
+	// Mid-run: let a few Err polls through, then cancel. Every poll is on the
+	// calling goroutine, so the cut lands deterministically at a local-move
+	// pass boundary inside the first level.
 	mid := &countdownCtx{Context: context.Background(), n: 3}
-	if _, err := g.LouvainContext(mid, 1); !errors.Is(err, context.Canceled) {
+	if _, err := g.LouvainContext(mid, 0); !errors.Is(err, context.Canceled) {
 		t.Fatalf("mid-pass err = %v, want context.Canceled", err)
 	}
 }

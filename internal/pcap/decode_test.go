@@ -19,11 +19,14 @@ func pcapBytes(t testing.TB, packets []trace.Packet) []byte {
 	return buf.Bytes()
 }
 
-// checkDecodeEquivalence runs the fused DecodeIndex and the two-pass
-// ReadTrace+BuildIndex reference over the same byte stream and asserts they
-// agree. The one sanctioned divergence: a stream whose packets decode but
-// arrive out of timestamp order is accepted by the reference (which never
-// checks) and rejected by the fused path with trace.ErrUnsorted.
+// checkDecodeEquivalence runs the streaming DecodeIndex and the materialized
+// ReadTrace+NewIndex over the same byte stream and asserts they agree:
+// decode-streaming ≡ decode-materialized. Both now end in the one
+// IndexBuilder (internal/trace's FuzzIndexBuilder pins that to the map-based
+// reference), so what this checks is the decoder feeding it. The one
+// sanctioned divergence: a stream whose packets decode but arrive out of
+// timestamp order is accepted by ReadTrace (which never checks) and rejected
+// by DecodeIndex with trace.ErrUnsorted.
 func checkDecodeEquivalence(t testing.TB, data []byte) {
 	ref, refErr := ReadTrace(bytes.NewReader(data))
 	ix, err := DecodeIndex(bytes.NewReader(data))
@@ -42,7 +45,7 @@ func checkDecodeEquivalence(t testing.TB, data []byte) {
 	defer ix.Release()
 	want := trace.NewIndex(ref)
 	if !trace.EqualIndexes(ix, want) {
-		t.Fatalf("fused index differs from two-pass reference (%d packets)", ref.Len())
+		t.Fatalf("streamed index differs from the materialized one (%d packets)", ref.Len())
 	}
 	if got := ix.Digest(); got != ref.Digest() {
 		t.Fatalf("digest mismatch: fused %s, trace %s", got, ref.Digest())
@@ -71,7 +74,7 @@ func TestDecodeIndexRejectsUnsorted(t *testing.T) {
 	}
 	data := pcapBytes(t, []trace.Packet{p(2_000_000), p(1_000_000), p(3_000_000)})
 	if _, err := ReadTrace(bytes.NewReader(data)); err != nil {
-		t.Fatalf("reference should accept unsorted streams: %v", err)
+		t.Fatalf("ReadTrace should accept unsorted streams: %v", err)
 	}
 	if _, err := DecodeIndex(bytes.NewReader(data)); !errors.Is(err, trace.ErrUnsorted) {
 		t.Fatalf("DecodeIndex on unsorted stream: got %v, want ErrUnsorted", err)

@@ -349,11 +349,12 @@ func ReadTrace(r io.Reader) (*trace.Trace, error) {
 // what makes steady-state serving allocate ~nothing per upload.
 //
 // The result is structurally identical to ReadTrace followed by
-// trace.BuildIndex at any worker count (the reference two-pass path, pinned
-// by differential and fuzz tests), with one deliberate exception: streams
+// trace.NewIndex (pinned by differential and fuzz tests) — this is the only
+// pooled use of the index builder, everything else builds detached. Streams
 // whose rebased timestamps violate the sorted trace model are rejected with
-// trace.ErrUnsorted instead of being accepted as an unsorted Trace, because
-// the columns are final as they stream in.
+// trace.ErrUnsorted, because the columns are final as they stream in;
+// ReadTrace accepts them as an unsorted Trace, which trace.SealTrace and
+// Pipeline.Run then reject with the same error.
 func DecodeIndex(r io.Reader) (*trace.Index, error) {
 	pr, err := NewReader(r)
 	if err != nil {

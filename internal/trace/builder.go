@@ -135,10 +135,13 @@ func resize32(s *[]int32, n int) []int32 {
 // (NewIndexBuilder) draws every buffer from a recycled arena, so the
 // steady-state serving path allocates almost nothing per trace.
 //
-// The result is structurally identical to ReadTrace+BuildIndex — the
-// two-pass reference path, which stays pinned by differential tests at every
-// worker count — and bitwise-independent of scheduling (the builder is
-// purely sequential).
+// IndexBuilder is the only code that constructs an Index: pcap.DecodeIndex
+// feeds it records as it decodes them, SegmentWriter feeds it every appended
+// packet, NewIndex/SealTrace feed it a materialized trace and WindowIndex
+// feeds it the sealed segments of a window. It is purely sequential, so the
+// result is bitwise-independent of scheduling; the map-based two-pass build
+// it replaced survives in index_test.go as the reference the differential
+// tests and FuzzIndexBuilder pin it against.
 //
 // Packets must arrive in non-decreasing timestamp order with non-negative
 // timestamps; Add rejects violations with ErrUnsorted. Abandon a partial
@@ -161,10 +164,26 @@ func NewIndexBuilder() *IndexBuilder {
 }
 
 // newDetachedBuilder returns a builder whose finished index owns its buffers
-// outright (Release is a no-op): the segment-sealing path hands indexes to
-// window consumers of unknown lifetime, so recycling would be unsound.
-func newDetachedBuilder() *IndexBuilder {
-	a := new(indexArena)
+// outright (Release is a no-op). Everything the engine builds itself — sealed
+// segments, window indexes, NewIndex/SealTrace — is detached: those indexes
+// flow to consumers of unknown lifetime, so recycling would be unsound. n is
+// a capacity hint: feeds that know their packet count up front pass it so the
+// per-packet columns are allocated once instead of grown by doubling (which
+// allocates more bytes than the pre-sized map-based build did); SegmentWriter
+// cannot know and passes 0.
+func newDetachedBuilder(n int) *IndexBuilder {
+	a := &indexArena{
+		ts:      make([]int64, 0, n),
+		seconds: make([]float64, 0, n),
+		src:     make([]IPv4, 0, n),
+		dst:     make([]IPv4, 0, n),
+		srcPort: make([]uint16, 0, n),
+		dstPort: make([]uint16, 0, n),
+		pktLen:  make([]uint16, 0, n),
+		proto:   make([]Proto, 0, n),
+		flags:   make([]TCPFlags, 0, n),
+		flowSeq: make([]int32, 0, n),
+	}
 	a.reset()
 	return &IndexBuilder{a: a, lastTS: -1}
 }
@@ -267,19 +286,12 @@ func (b *IndexBuilder) Discard() {
 // become immutable. The builder rejects further use. A pooled builder's
 // Index holds its arena until Index.Release returns it for reuse.
 func (b *IndexBuilder) Finish() *Index {
-	return b.finish(nil)
-}
-
-// finish implements Finish; tr, when non-nil, is attached as the index's
-// backing trace (the segment-sealing path keeps its materialized packets).
-func (b *IndexBuilder) finish(tr *Trace) *Index {
 	a := b.a
 	n := len(a.ts)
 	nf := len(a.keys)
 
 	// Canonical flow order: sort the provisional ids by key, then rank maps
-	// provisional → canonical. This is the counting-sort analogue of the
-	// reference path's map-collect-then-sort.
+	// provisional → canonical.
 	order := resize32(&a.order, nf)
 	for i := range order {
 		order[i] = int32(i)
@@ -296,8 +308,7 @@ func (b *IndexBuilder) finish(tr *Trace) *Index {
 
 	// Packet runs: counting sort over the per-packet provisional ids. Each
 	// flow's run fills in ascending packet order because the single fill
-	// pass walks packets in order — the same ascending-run invariant the
-	// reference path gets from per-range merges in slot order.
+	// pass walks packets in order.
 	counts := resize32(&a.counts, nf)
 	for i := range counts {
 		counts[i] = 0
@@ -365,7 +376,7 @@ func (b *IndexBuilder) finish(tr *Trace) *Index {
 		a.byDstPort[k.DstPort] = append(p, int32(fi))
 	}
 
-	// Time buckets, exactly as the reference path lays them out.
+	// Time buckets: one offset per trace second, closed by the packet count.
 	nb := 0
 	if n > 0 {
 		nb = int(a.ts[n-1]/bucketTS) + 1
@@ -380,7 +391,6 @@ func (b *IndexBuilder) finish(tr *Trace) *Index {
 	}
 
 	ix := &Index{
-		tr:        tr,
 		TS:        a.ts,
 		Seconds:   a.seconds,
 		Src:       a.src,
@@ -408,8 +418,8 @@ func (b *IndexBuilder) finish(tr *Trace) *Index {
 }
 
 // Release returns a pooled index's buffers to the arena pool for the next
-// build and is a no-op on indexes built by the reference path or the
-// segment sealer. Only the owner may call it, and only once no other
+// build and is a no-op on every detached index (NewIndex, SealTrace, sealed
+// segments, window indexes). Only the owner may call it, and only once no other
 // reference to the index (or any slice it exposed) remains: the columns are
 // cleared to fail fast, but the recycled backing arrays will be overwritten
 // by a later build. The serving job path releases after the labeling is
@@ -421,7 +431,6 @@ func (ix *Index) Release() {
 		return
 	}
 	ix.arena = nil
-	ix.tr = nil
 	ix.TS, ix.Seconds = nil, nil
 	ix.Src, ix.Dst = nil, nil
 	ix.SrcPort, ix.DstPort, ix.PktLen = nil, nil, nil
@@ -434,10 +443,10 @@ func (ix *Index) Release() {
 
 // EqualIndexes reports whether two indexes are structurally identical:
 // same columns, canonical flow table, packet runs, posting lists and time
-// buckets. Nil and empty slices compare equal — the reference path
-// pre-sizes, the fused path appends. It backs the differential tests that
-// pin the fused builder to the two-pass reference, and the per-segment
-// seal-vs-rebuild checks.
+// buckets. Nil and empty slices compare equal. It backs the differential
+// tests that pin the builder to the map-based reference in index_test.go,
+// the decode-streaming vs decode-materialized checks in internal/pcap, and
+// the per-segment and per-window seal-vs-rebuild checks.
 func EqualIndexes(a, b *Index) bool {
 	if a.Len() != b.Len() || len(a.flows) != len(b.flows) {
 		return false

@@ -1,10 +1,8 @@
 package trace
 
 import (
-	"context"
 	"errors"
 	"math/rand"
-	"reflect"
 	"testing"
 )
 
@@ -20,25 +18,20 @@ func buildFused(t *testing.T, tr *Trace) *Index {
 	return b.Finish()
 }
 
-// TestBuilderMatchesReference pins the fused single-pass builder to the
-// two-pass reference at every worker count: identical structures
-// (EqualIndexes over columns, flows, runs, postings, buckets) and an
-// identical content digest, which must also equal the source trace's digest.
+// TestBuilderMatchesReference pins the single-pass builder to the map-based
+// reference: identical structures (EqualIndexes over columns, flows, runs,
+// postings, buckets) and an identical content digest, which must also equal
+// the source trace's digest.
 func TestBuilderMatchesReference(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 37, 4000} {
 		tr := indexTestTrace(int64(100+n), n)
 		fused := buildFused(t, tr)
-		for _, workers := range []int{1, 2, 4, 8} {
-			ref, err := BuildIndex(context.Background(), tr, workers)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !EqualIndexes(fused, ref) {
-				t.Fatalf("n=%d workers=%d: fused index differs from reference", n, workers)
-			}
-			if fused.Digest() != ref.Digest() {
-				t.Fatalf("n=%d workers=%d: digest mismatch", n, workers)
-			}
+		ref := BuildIndex(tr)
+		if !EqualIndexes(fused, ref) {
+			t.Fatalf("n=%d: built index differs from reference", n)
+		}
+		if fused.Digest() != ref.Digest() {
+			t.Fatalf("n=%d: digest mismatch", n)
 		}
 		if fused.Digest() != tr.Digest() {
 			t.Fatalf("n=%d: index digest %s != trace digest %s", n, fused.Digest(), tr.Digest())
@@ -58,7 +51,7 @@ func TestBuilderPoolReuse(t *testing.T) {
 		n := []int{3000, 10, 700, 1}[round%4] + rng.Intn(50)
 		tr := indexTestTrace(int64(round), n)
 		fused := buildFused(t, tr)
-		ref := NewIndex(tr)
+		ref := BuildIndex(tr)
 		if !EqualIndexes(fused, ref) {
 			t.Fatalf("round %d (n=%d): pooled rebuild differs from reference", round, n)
 		}
@@ -134,24 +127,32 @@ func TestReleaseFailsFast(t *testing.T) {
 	}
 }
 
-// TestDetachedBuilderDeepEqual: the detached (segment-sealing) build must be
-// DeepEqual-identical to the reference — not just EqualIndexes — because the
-// segment tests compare sealed indexes with reflect.DeepEqual.
-func TestDetachedBuilderDeepEqual(t *testing.T) {
+// TestNewIndexIsDetached: NewIndex goes through the one builder (so it
+// matches the reference), owns its buffers outright — Release must leave it
+// intact — and refuses a trace outside the sorted model.
+func TestNewIndexIsDetached(t *testing.T) {
 	tr := indexTestTrace(11, 600)
-	b := newDetachedBuilder()
-	for _, p := range tr.Packets {
-		if err := b.Add(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ix := b.finish(tr)
-	if !reflect.DeepEqual(ix, NewIndex(tr)) {
-		t.Fatal("detached fused build not DeepEqual to reference")
+	ix := NewIndex(tr)
+	if !EqualIndexes(ix, BuildIndex(tr)) {
+		t.Fatal("NewIndex differs from reference")
 	}
 	if ix.arena != nil {
-		t.Fatal("detached build must not hold a pooled arena")
+		t.Fatal("NewIndex must not hold a pooled arena")
 	}
+	ix.Release()
+	if ix.Len() != tr.Len() || ix.Digest() != tr.Digest() {
+		t.Fatal("Release must be a no-op on a detached index")
+	}
+
+	tr.Packets[0], tr.Packets[len(tr.Packets)-1] = tr.Packets[len(tr.Packets)-1], tr.Packets[0]
+	defer func() {
+		err, _ := recover().(error)
+		if !errors.Is(err, ErrUnsorted) {
+			t.Fatalf("NewIndex on an unsorted trace panicked with %v, want ErrUnsorted", err)
+		}
+	}()
+	NewIndex(tr)
+	t.Fatal("NewIndex accepted an unsorted trace")
 }
 
 // TestIndexDigestMatchesTrace locks the Index.Digest record layout to

@@ -1,6 +1,9 @@
 package trace
 
 import (
+	"context"
+	"encoding/binary"
+	"errors"
 	"strconv"
 	"strings"
 	"testing"
@@ -42,6 +45,71 @@ func FuzzParseIPv4(f *testing.F) {
 			if _, err := strconv.ParseUint(p, 10, 8); err != nil {
 				t.Fatalf("ParseIPv4(%q) accepted octet %q: %v", s, p, err)
 			}
+		}
+	})
+}
+
+// fuzzPackets decodes arbitrary bytes into packets, 20 bytes per record.
+// Timestamps are 32-bit microseconds: wide enough for collisions, disorder
+// and thousands of time buckets, narrow enough that the bucket table stays
+// small.
+func fuzzPackets(data []byte) []Packet {
+	const rec = 20
+	ps := make([]Packet, 0, len(data)/rec)
+	for ; len(data) >= rec; data = data[rec:] {
+		ps = append(ps, Packet{
+			TS:      int64(binary.LittleEndian.Uint32(data[0:])),
+			Src:     IPv4(binary.LittleEndian.Uint32(data[4:])),
+			Dst:     IPv4(binary.LittleEndian.Uint32(data[8:])),
+			SrcPort: binary.LittleEndian.Uint16(data[12:]),
+			DstPort: binary.LittleEndian.Uint16(data[14:]),
+			Len:     binary.LittleEndian.Uint16(data[16:]),
+			Proto:   Proto(data[18]),
+			Flags:   TCPFlags(data[19]),
+		})
+	}
+	return ps
+}
+
+// FuzzIndexBuilder is the differential that keeps the one production index
+// builder honest now that the map-based build lives only in index_test.go:
+// arbitrary bytes become packets; in arrival order the builder must accept
+// them exactly when they satisfy the sorted trace model (ErrUnsorted
+// otherwise); once sorted, the built index must be structurally identical to
+// the reference and share its digest — which is also the trace's.
+func FuzzIndexBuilder(f *testing.F) {
+	f.Add([]byte{})
+	f.Add(make([]byte, 20))
+	f.Add(make([]byte, 60)) // three packets of one flow at t=0
+	seed := indexTestTrace(3, 40)
+	var buf []byte
+	for _, p := range seed.Packets {
+		var r [20]byte
+		binary.LittleEndian.PutUint32(r[0:], uint32(p.TS))
+		binary.LittleEndian.PutUint32(r[4:], uint32(p.Src))
+		binary.LittleEndian.PutUint32(r[8:], uint32(p.Dst))
+		binary.LittleEndian.PutUint16(r[12:], p.SrcPort)
+		binary.LittleEndian.PutUint16(r[14:], p.DstPort)
+		binary.LittleEndian.PutUint16(r[16:], p.Len)
+		r[18], r[19] = byte(p.Proto), byte(p.Flags)
+		buf = append(buf, r[:]...)
+	}
+	f.Add(buf)
+	f.Add(append(buf[200:400:400], buf[:200]...)) // out of order
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tr := &Trace{Packets: fuzzPackets(data)}
+		_, err := SealTrace(context.Background(), tr)
+		if tr.Sorted() != (err == nil) || (err != nil && !errors.Is(err, ErrUnsorted)) {
+			t.Fatalf("arrival order sorted=%v, SealTrace error %v", tr.Sorted(), err)
+		}
+		tr.Sort()
+		ix := NewIndex(tr)
+		ref := BuildIndex(tr)
+		if !EqualIndexes(ix, ref) {
+			t.Fatalf("builder differs from reference over %d packets", tr.Len())
+		}
+		if ix.Digest() != ref.Digest() || ix.Digest() != tr.Digest() {
+			t.Fatal("digest mismatch between builder, reference and trace")
 		}
 	})
 }

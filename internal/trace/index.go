@@ -1,13 +1,10 @@
 package trace
 
 import (
-	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"sort"
-
-	"mawilab/internal/parallel"
 )
 
 // bucketTS is the fixed time-bucket width of the index, in microseconds.
@@ -15,26 +12,24 @@ import (
 // second) while narrowing every Window search to at most one bucket.
 const bucketTS = int64(1e6)
 
-// Index is an immutable, once-per-trace columnar view of a sorted Trace:
-// structure-of-arrays packet columns, a canonical sorted flow table with
-// packet-index runs, per-field posting lists (source IP, destination IP and
-// destination port → flow ids) and fixed one-second time-bucket offsets.
+// Index is the immutable columnar view of a sorted packet sequence — a whole
+// trace, one sealed segment or one window of segments: structure-of-arrays
+// packet columns, a canonical sorted flow table with packet-index runs,
+// per-field posting lists (source IP, destination IP and destination port →
+// flow ids) and fixed one-second time-bucket offsets. It is the only packet
+// representation the engine carries past ingest; consumers that need a row
+// call PacketAt.
 //
 // The pipeline builds the index once per trace and shares it across every
 // consumer — the detector fan-out, the similarity estimator's traffic
-// extractor, community labeling and the Table 1 heuristics — replacing the
-// per-consumer FlowIndex rebuilds and full-trace rescans. The column slices
-// are exported for hot loops; neither they nor the trace may be mutated
-// after Build.
+// extractor, community labeling and the Table 1 heuristics. The column
+// slices are exported for hot loops and must not be mutated.
 //
-// Determinism contract: the index is bitwise-identical at every worker
-// count (flow order, runs, postings, buckets), same as the rest of the
-// pipeline — range merges happen in slot order and the flow table is sorted
-// canonically, so no structure depends on goroutine scheduling.
+// Determinism contract: every Index is built by the sequential IndexBuilder
+// and its flow table is sorted canonically, so no structure (flow order,
+// runs, postings, buckets) depends on goroutine scheduling or worker count.
 type Index struct {
-	tr *Trace
-
-	// Packet columns, aligned with the trace's packet order.
+	// Packet columns, in packet (timestamp) order.
 	TS      []int64
 	Seconds []float64
 	Src     []IPv4
@@ -64,123 +59,36 @@ type Index struct {
 	// timestamps (the trace model).
 	bucketLo []int32
 
-	// arena, when non-nil, is the pooled backing storage of a fused
-	// IndexBuilder build; Release returns it for reuse. Reference-path and
-	// detached builds leave it nil.
+	// arena, when non-nil, is the pooled backing storage of a
+	// pcap.DecodeIndex build; Release returns it for reuse. Detached builds
+	// leave it nil.
 	arena *indexArena
 }
 
-// NewIndex builds the index sequentially — the reference path. It is the
-// convenience for tests and one-shot tools; pipelines use BuildIndex to
-// share the worker pool.
+// NewIndex builds the index of a materialized trace through a detached
+// IndexBuilder — the convenience for tests, tools and figure harnesses that
+// hold a *Trace. The trace must be sorted (Trace.Sort) with non-negative
+// timestamps; NewIndex has no error return, so it panics with an error
+// wrapping ErrUnsorted otherwise. Callers handling untrusted traces use
+// SealTrace, which returns that error. Release is a no-op on the result.
 func NewIndex(tr *Trace) *Index {
-	ix, err := BuildIndex(context.Background(), tr, 1)
+	ix, err := indexPackets(tr.Packets)
 	if err != nil {
-		// Unreachable: with a background context the sequential build has
-		// no failure mode.
-		panic("trace: sequential index build failed: " + err.Error())
+		panic(err)
 	}
 	return ix
 }
 
-// BuildIndex builds the index with up to `workers` goroutines on the shared
-// worker pool (<= 1 runs inline). The trace must be sorted (Trace.Sort) with
-// non-negative timestamps. The result is bitwise-identical at every worker
-// count.
-func BuildIndex(ctx context.Context, tr *Trace, workers int) (*Index, error) {
-	n := tr.Len()
-	ix := &Index{
-		tr:      tr,
-		TS:      make([]int64, n),
-		Seconds: make([]float64, n),
-		Src:     make([]IPv4, n),
-		Dst:     make([]IPv4, n),
-		SrcPort: make([]uint16, n),
-		DstPort: make([]uint16, n),
-		PktLen:  make([]uint16, n),
-		Proto:   make([]Proto, n),
-		Flags:   make([]TCPFlags, n),
-		flowOf:  make([]int32, n),
-	}
-
-	// Columns: index-addressed writes over contiguous ranges.
-	if err := parallel.ForEachRange(ctx, n, workers, func(_ context.Context, lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			p := &tr.Packets[i]
-			ix.TS[i] = p.TS
-			ix.Seconds[i] = p.Seconds()
-			ix.Src[i] = p.Src
-			ix.Dst[i] = p.Dst
-			ix.SrcPort[i] = p.SrcPort
-			ix.DstPort[i] = p.DstPort
-			ix.PktLen[i] = p.Len
-			ix.Proto[i] = p.Proto
-			ix.Flags[i] = p.Flags
-		}
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-
-	// Flow runs: per-range private maps, merged in range order so every
-	// flow's packet list stays ascending regardless of chunk boundaries.
-	partials, err := parallel.MapRanges(ctx, n, workers, func(_ context.Context, lo, hi int) (map[FlowKey][]int32, error) {
-		m := make(map[FlowKey][]int32)
-		for i := lo; i < hi; i++ {
-			k := tr.Packets[i].Flow()
-			m[k] = append(m[k], int32(i))
-		}
-		return m, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	merged := make(map[FlowKey][]int32)
-	for _, m := range partials {
-		for k, idxs := range m {
-			merged[k] = append(merged[k], idxs...) //mawilint:allow maprange — each flow key occurs at most once per partial, so every run list concatenates in ascending slot order; flow order itself is canonicalized below
+// indexPackets feeds a materialized packet slice through one detached
+// builder.
+func indexPackets(ps []Packet) (*Index, error) {
+	b := newDetachedBuilder(len(ps))
+	for i := range ps {
+		if err := b.Add(ps[i]); err != nil {
+			return nil, err
 		}
 	}
-
-	// Canonical flow order: sort by fields, the one flow order every
-	// consumer shares.
-	ix.flows = make([]FlowKey, 0, len(merged))
-	for k := range merged {
-		ix.flows = append(ix.flows, k)
-	}
-	sort.Slice(ix.flows, func(i, j int) bool { return flowLess(ix.flows[i], ix.flows[j]) })
-
-	ix.flowOff = make([]int32, len(ix.flows)+1)
-	ix.flowPkts = make([]int32, 0, n)
-	ix.bySrc = make(map[IPv4][]int32)
-	ix.byDst = make(map[IPv4][]int32)
-	ix.byDstPort = make(map[uint16][]int32)
-	for fi, k := range ix.flows {
-		run := merged[k]
-		ix.flowPkts = append(ix.flowPkts, run...)
-		ix.flowOff[fi+1] = int32(len(ix.flowPkts))
-		for _, pi := range run {
-			ix.flowOf[pi] = int32(fi)
-		}
-		ix.bySrc[k.Src] = append(ix.bySrc[k.Src], int32(fi))
-		ix.byDst[k.Dst] = append(ix.byDst[k.Dst], int32(fi))
-		ix.byDstPort[k.DstPort] = append(ix.byDstPort[k.DstPort], int32(fi))
-	}
-
-	// Time buckets: one offset per trace second, closed by the packet count.
-	nb := 0
-	if n > 0 {
-		nb = int(ix.TS[n-1]/bucketTS) + 1
-	}
-	ix.bucketLo = make([]int32, nb+1)
-	pi := 0
-	for b := 0; b <= nb; b++ {
-		for pi < n && ix.TS[pi] < int64(b)*bucketTS {
-			pi++
-		}
-		ix.bucketLo[b] = int32(pi)
-	}
-	return ix, nil
+	return b.Finish(), nil
 }
 
 // flowLess is the canonical flow-table order: by source, destination,
@@ -201,9 +109,6 @@ func flowLess(a, b FlowKey) bool {
 	return a.Proto < b.Proto
 }
 
-// Trace returns the indexed trace.
-func (ix *Index) Trace() *Trace { return ix.tr }
-
 // Len returns the number of indexed packets.
 func (ix *Index) Len() int { return len(ix.TS) }
 
@@ -217,9 +122,7 @@ func (ix *Index) Duration() float64 {
 }
 
 // PacketAt returns the full packet record at index i, for consumers that
-// need the row form (e.g. rule-mining transactions) rather than columns. The
-// row is synthesized from the columns, so it works on fused-built indexes
-// that never materialized a []Packet.
+// need the row form (e.g. rule-mining transactions) rather than columns.
 func (ix *Index) PacketAt(i int) Packet {
 	return Packet{
 		TS:      ix.TS[i],
@@ -235,7 +138,7 @@ func (ix *Index) PacketAt(i int) Packet {
 
 // Digest returns the index's canonical content digest — hex sha256 over the
 // packet columns in the exact fixed-width record layout of Trace.Digest, so
-// a fused-built index and the trace it decoded from always agree. The serve
+// an index and the trace it was built or decoded from always agree. The serve
 // path keys its label store and dedup on it.
 func (ix *Index) Digest() string {
 	h := sha256.New()

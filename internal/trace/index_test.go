@@ -1,9 +1,7 @@
 package trace
 
 import (
-	"context"
 	"math/rand"
-	"reflect"
 	"sort"
 	"testing"
 )
@@ -29,47 +27,89 @@ func indexTestTrace(seed int64, n int) *Trace {
 	return tr
 }
 
-// TestIndexParallelismDeterminism mirrors the repo's other determinism
-// matrices: the index built at workers 1, 2, 4 and 8 — and across repeated
-// runs — must be bitwise-identical in every structure: columns, flow order,
-// packet runs, postings and time buckets.
-func TestIndexParallelismDeterminism(t *testing.T) {
-	tr := indexTestTrace(7, 4000)
-	ref, err := BuildIndex(context.Background(), tr, 1)
-	if err != nil {
-		t.Fatal(err)
+// BuildIndex is the map-based two-pass reference build the production
+// IndexBuilder replaced: copy the columns, group packet indices per flow in a
+// map, sort the flow keys canonically, then lay out runs, postings and time
+// buckets. It shares no code with the builder beyond flowLess and bucketTS,
+// accepts any timestamp order (it never checks), and exists so the
+// differential tests and FuzzIndexBuilder have an independent oracle.
+func BuildIndex(tr *Trace) *Index {
+	n := tr.Len()
+	ix := &Index{
+		TS:      make([]int64, n),
+		Seconds: make([]float64, n),
+		Src:     make([]IPv4, n),
+		Dst:     make([]IPv4, n),
+		SrcPort: make([]uint16, n),
+		DstPort: make([]uint16, n),
+		PktLen:  make([]uint16, n),
+		Proto:   make([]Proto, n),
+		Flags:   make([]TCPFlags, n),
+		flowOf:  make([]int32, n),
 	}
-	for _, workers := range []int{1, 2, 4, 8} {
-		for run := 0; run < 3; run++ {
-			ix, err := BuildIndex(context.Background(), tr, workers)
-			if err != nil {
-				t.Fatalf("workers=%d run=%d: %v", workers, run, err)
-			}
-			if !reflect.DeepEqual(ix.flows, ref.flows) {
-				t.Fatalf("workers=%d run=%d: flow order differs", workers, run)
-			}
-			if !reflect.DeepEqual(ix.flowOff, ref.flowOff) || !reflect.DeepEqual(ix.flowPkts, ref.flowPkts) {
-				t.Fatalf("workers=%d run=%d: packet runs differ", workers, run)
-			}
-			if !reflect.DeepEqual(ix.flowOf, ref.flowOf) {
-				t.Fatalf("workers=%d run=%d: packet→flow mapping differs", workers, run)
-			}
-			if !reflect.DeepEqual(ix.bySrc, ref.bySrc) || !reflect.DeepEqual(ix.byDst, ref.byDst) ||
-				!reflect.DeepEqual(ix.byDstPort, ref.byDstPort) {
-				t.Fatalf("workers=%d run=%d: posting lists differ", workers, run)
-			}
-			if !reflect.DeepEqual(ix.bucketLo, ref.bucketLo) {
-				t.Fatalf("workers=%d run=%d: time buckets differ", workers, run)
-			}
-			if !reflect.DeepEqual(ix.TS, ref.TS) || !reflect.DeepEqual(ix.Seconds, ref.Seconds) ||
-				!reflect.DeepEqual(ix.Src, ref.Src) || !reflect.DeepEqual(ix.Dst, ref.Dst) ||
-				!reflect.DeepEqual(ix.SrcPort, ref.SrcPort) || !reflect.DeepEqual(ix.DstPort, ref.DstPort) ||
-				!reflect.DeepEqual(ix.PktLen, ref.PktLen) || !reflect.DeepEqual(ix.Proto, ref.Proto) ||
-				!reflect.DeepEqual(ix.Flags, ref.Flags) {
-				t.Fatalf("workers=%d run=%d: columns differ", workers, run)
-			}
+	runs := make(map[FlowKey][]int32)
+	for i := range tr.Packets {
+		p := &tr.Packets[i]
+		ix.TS[i] = p.TS
+		ix.Seconds[i] = p.Seconds()
+		ix.Src[i] = p.Src
+		ix.Dst[i] = p.Dst
+		ix.SrcPort[i] = p.SrcPort
+		ix.DstPort[i] = p.DstPort
+		ix.PktLen[i] = p.Len
+		ix.Proto[i] = p.Proto
+		ix.Flags[i] = p.Flags
+		runs[p.Flow()] = append(runs[p.Flow()], int32(i))
+	}
+
+	ix.flows = make([]FlowKey, 0, len(runs))
+	for k := range runs {
+		ix.flows = append(ix.flows, k)
+	}
+	sort.Slice(ix.flows, func(i, j int) bool { return flowLess(ix.flows[i], ix.flows[j]) })
+
+	ix.flowOff = make([]int32, len(ix.flows)+1)
+	ix.flowPkts = make([]int32, 0, n)
+	ix.bySrc = make(map[IPv4][]int32)
+	ix.byDst = make(map[IPv4][]int32)
+	ix.byDstPort = make(map[uint16][]int32)
+	for fi, k := range ix.flows {
+		run := runs[k]
+		ix.flowPkts = append(ix.flowPkts, run...)
+		ix.flowOff[fi+1] = int32(len(ix.flowPkts))
+		for _, pi := range run {
+			ix.flowOf[pi] = int32(fi)
 		}
+		ix.bySrc[k.Src] = append(ix.bySrc[k.Src], int32(fi))
+		ix.byDst[k.Dst] = append(ix.byDst[k.Dst], int32(fi))
+		ix.byDstPort[k.DstPort] = append(ix.byDstPort[k.DstPort], int32(fi))
 	}
+
+	nb := 0
+	if n > 0 {
+		nb = int(ix.TS[n-1]/bucketTS) + 1
+	}
+	ix.bucketLo = make([]int32, nb+1)
+	pi := 0
+	for b := 0; b <= nb; b++ {
+		for pi < n && ix.TS[pi] < int64(b)*bucketTS {
+			pi++
+		}
+		ix.bucketLo[b] = int32(pi)
+	}
+	return ix
+}
+
+// FlowIndex maps every unidirectional flow key in the trace to the indices
+// of its packets, in timestamp order — the simplest possible statement of
+// what the index's flow table must contain.
+func (t *Trace) FlowIndex() map[FlowKey][]int {
+	idx := make(map[FlowKey][]int)
+	for i := range t.Packets {
+		k := t.Packets[i].Flow()
+		idx[k] = append(idx[k], i)
+	}
+	return idx
 }
 
 // TestIndexMatchesFlowIndex: the canonical flow table must carry exactly
@@ -185,8 +225,5 @@ func TestIndexEmptyTrace(t *testing.T) {
 	}
 	if lo, hi := ix.Window(0, 10); lo != 0 || hi != 0 {
 		t.Fatalf("empty window = [%d,%d)", lo, hi)
-	}
-	if ix.Trace() == nil {
-		t.Fatal("trace accessor nil")
 	}
 }

@@ -8,14 +8,14 @@ import (
 	"math"
 )
 
-// Segment is one sealed, immutable span of a packet stream: the packets with
-// timestamps in [Start, End) seconds plus their own columnar Index, built on
-// the shared worker pool the moment the segment sealed. Segments are the
-// LSM-style unit of the streaming pipeline — packets accumulate in an open
-// segment, the segment seals when the stream crosses its upper boundary, and
-// from then on neither the trace nor the index may be mutated. Everything
-// downstream (per-segment detection, window labeling) consumes sealed
-// segments only.
+// Segment is one sealed, immutable span of a packet stream: the columnar
+// Index of the packets with timestamps in [Start, End) seconds. Segments are
+// index-only — no []Packet survives sealing; consumers that need rows call
+// Index.PacketAt. They are the LSM-style unit of the streaming pipeline:
+// packets accumulate in an open segment's IndexBuilder, the segment seals
+// when the stream crosses its upper boundary, and from then on the index may
+// not be mutated. Everything downstream (per-segment detection, window
+// labeling) consumes sealed segments only.
 type Segment struct {
 	// Seq is the 0-based seal order of the segment within its stream.
 	Seq int
@@ -23,26 +23,14 @@ type Segment struct {
 	// The canonical batch segment (SealTrace, or a SegmentWriter with
 	// seconds <= 0) is unbounded: Start 0, End +Inf.
 	Start, End float64
-	// Trace holds the segment's packets, sorted by timestamp. Timestamps
+	// Index holds the segment's packets, sorted by timestamp. Timestamps
 	// stay absolute (stream-relative), not segment-relative, so alarms and
 	// window labelings report stream time.
-	Trace *Trace
-	// Index is the segment's columnar view, built at seal time.
 	Index *Index
 }
 
-// Len returns the number of packets in the segment. Index-only segments
-// (the fused serving path wraps a built Index with no materialized Trace)
-// report their index's length.
-func (s *Segment) Len() int {
-	if s.Trace == nil {
-		if s.Index == nil {
-			return 0
-		}
-		return s.Index.Len()
-	}
-	return s.Trace.Len()
-}
+// Len returns the number of packets in the segment.
+func (s *Segment) Len() int { return s.Index.Len() }
 
 // String renders a short summary.
 func (s *Segment) String() string {
@@ -51,6 +39,12 @@ func (s *Segment) String() string {
 
 // ErrSegmentWriterClosed is returned by Append after Close.
 var ErrSegmentWriterClosed = errors.New("trace: segment writer is closed")
+
+// ErrSegmentLength rejects a segment length that is NaN, infinite, or too
+// large to count in int64 microseconds (>= ~9.2e12 s). NewSegmentWriter has
+// no error return, so the writer reports it from the first Append and
+// Segments yields it before reading a packet.
+var ErrSegmentLength = errors.New("trace: segment length must be finite and below 2^63 microseconds")
 
 // SegmentWriter accepts packets incrementally and seals immutable
 // fixed-duration segments as the stream crosses segment boundaries. The
@@ -63,17 +57,16 @@ var ErrSegmentWriterClosed = errors.New("trace: segment writer is closed")
 // because re-sorting inside a writer would make sealing depend on arrival
 // batching.
 //
-// The segment's Index is built incrementally by a fused IndexBuilder fed on
-// every Append, so sealing only canonicalizes — no second pass over the
-// packets. The result is structurally identical to BuildIndex over the
-// sealed trace at every worker count (pinned by the seal-vs-rebuild tests),
-// so the streaming path keeps the repo-wide determinism contract.
+// The segment's Index is built incrementally by an IndexBuilder fed on every
+// Append, so sealing only canonicalizes — no second pass over the packets
+// (the seal-vs-rebuild tests pin it to the reference build over the same
+// packets).
 type SegmentWriter struct {
 	ctx    context.Context
 	stepUS int64 // segment length in microseconds; 0 = one unbounded segment
+	err    error // ErrSegmentLength when the requested length is unusable
 
-	cur    *Trace
-	b      *IndexBuilder // fused column build of the open segment
+	b      *IndexBuilder // column build of the open segment; nil when none is open
 	bucket int64         // grid ordinal of the open segment
 	lastTS int64
 	seq    int
@@ -82,20 +75,18 @@ type SegmentWriter struct {
 
 // NewSegmentWriter returns a writer sealing segments of the given length in
 // seconds. seconds <= 0 selects the canonical batch boundary: one unbounded
-// segment, sealed only by Close — the chop Run/RunContext replay through.
-// workers is accepted for call-site compatibility but unused: the fused
-// per-Append build replaced the seal-time BuildIndex pass, and it is
-// sequential by construction (hence trivially deterministic).
-func NewSegmentWriter(ctx context.Context, seconds float64, workers int) *SegmentWriter {
-	_ = workers
-	stepUS := int64(0)
-	if seconds > 0 {
-		stepUS = int64(math.Round(seconds * 1e6))
-		if stepUS == 0 {
-			stepUS = 1
-		}
+// segment, sealed only by Close. Positive lengths below 1 µs clamp to 1 µs;
+// a non-finite or overflowing length makes every Append fail with
+// ErrSegmentLength.
+func NewSegmentWriter(ctx context.Context, seconds float64) *SegmentWriter {
+	w := &SegmentWriter{ctx: ctx, lastTS: -1}
+	switch us := math.Round(seconds * 1e6); {
+	case math.IsNaN(seconds) || math.IsInf(seconds, 0) || us >= math.MaxInt64:
+		w.err = fmt.Errorf("%w: got %v s", ErrSegmentLength, seconds)
+	case seconds > 0:
+		w.stepUS = max(int64(us), 1)
 	}
-	return &SegmentWriter{ctx: ctx, stepUS: stepUS, lastTS: -1}
+	return w
 }
 
 // Append adds one packet to the stream. When p crosses the open segment's
@@ -106,11 +97,17 @@ func (w *SegmentWriter) Append(p Packet) (*Segment, error) {
 	if w.closed {
 		return nil, ErrSegmentWriterClosed
 	}
+	if w.err != nil {
+		return nil, w.err
+	}
+	// The ordering checks span segment boundaries, so they cannot be left to
+	// the per-segment builder: a late packet would seal the open segment
+	// before a fresh builder accepted it.
 	if p.TS < 0 {
-		return nil, fmt.Errorf("trace: negative packet timestamp %d in segment stream", p.TS)
+		return nil, fmt.Errorf("%w: negative timestamp %d in segment stream", ErrUnsorted, p.TS)
 	}
 	if p.TS < w.lastTS {
-		return nil, fmt.Errorf("trace: out-of-order packet (TS %d after %d); segment streams require sorted arrival", p.TS, w.lastTS)
+		return nil, fmt.Errorf("%w: timestamp %d after %d in segment stream", ErrUnsorted, p.TS, w.lastTS)
 	}
 	w.lastTS = p.TS
 	bucket := int64(0)
@@ -118,20 +115,16 @@ func (w *SegmentWriter) Append(p Packet) (*Segment, error) {
 		bucket = p.TS / w.stepUS
 	}
 	var sealed *Segment
-	if w.cur != nil && bucket != w.bucket {
+	if w.b != nil && bucket != w.bucket {
 		var err error
 		if sealed, err = w.seal(); err != nil {
 			return nil, err
 		}
 	}
-	if w.cur == nil {
-		w.cur = &Trace{Name: fmt.Sprintf("segment-%d", w.seq)}
-		// Detached, not pooled: sealed segments flow to window consumers of
-		// unknown lifetime, so their index buffers are never recycled.
-		w.b = newDetachedBuilder()
+	if w.b == nil {
+		w.b = newDetachedBuilder(0)
 		w.bucket = bucket
 	}
-	w.cur.Append(p)
 	if err := w.b.Add(p); err != nil {
 		// Unreachable: the ordering checks above are the builder's own.
 		return nil, err
@@ -146,58 +139,88 @@ func (w *SegmentWriter) Close() (*Segment, error) {
 		return nil, ErrSegmentWriterClosed
 	}
 	w.closed = true
-	if w.cur == nil {
+	if w.b == nil {
 		return nil, nil
 	}
 	return w.seal()
 }
 
 // seal finalizes the open segment's incrementally-built index and hands the
-// segment off. The context check preserves the cancellation semantics the
-// pooled BuildIndex used to provide at seal time.
+// segment off; a cancelled context abandons it instead.
 func (w *SegmentWriter) seal() (*Segment, error) {
+	b := w.b
+	w.b = nil
 	if err := w.ctx.Err(); err != nil {
-		w.b.Discard()
-		w.cur, w.b = nil, nil
+		b.Discard()
 		return nil, err
 	}
-	ix := w.b.finish(w.cur)
 	start, end := 0.0, math.Inf(1)
 	if w.stepUS > 0 {
 		start = float64(w.bucket) * float64(w.stepUS) / 1e6
 		end = float64(w.bucket+1) * float64(w.stepUS) / 1e6
 	}
-	seg := &Segment{Seq: w.seq, Start: start, End: end, Trace: w.cur, Index: ix}
+	seg := &Segment{Seq: w.seq, Start: start, End: end, Index: b.Finish()}
 	w.seq++
-	w.cur, w.b = nil, nil
 	return seg, nil
 }
 
-// SealTrace wraps an already-materialized trace as the canonical single
-// sealed segment: the whole trace, unbounded span, index built on the pool.
-// This is the batch boundary — Pipeline.Run/RunContext chop a materialized
-// day at it and replay the result through the same engine the streaming
-// path uses, which is what keeps batch and stream outputs bit-for-bit
-// interchangeable. The trace must be sorted with non-negative timestamps
-// and must not be mutated afterwards.
-func SealTrace(ctx context.Context, tr *Trace, workers int) (*Segment, error) {
-	ix, err := BuildIndex(ctx, tr, workers)
+// SealTrace indexes an already-materialized trace as the canonical single
+// sealed segment: the whole trace, unbounded span. This is the batch
+// boundary — Pipeline.Run/RunContext chop a materialized day at it and
+// replay the result through the same engine the streaming path uses, which
+// is what keeps batch and stream outputs bit-for-bit interchangeable. A
+// trace that is not sorted, or carries a negative timestamp, is rejected
+// with an error wrapping ErrUnsorted. The segment does not alias tr.
+func SealTrace(ctx context.Context, tr *Trace) (*Segment, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	ix, err := indexPackets(tr.Packets)
 	if err != nil {
 		return nil, err
 	}
-	return &Segment{Start: 0, End: math.Inf(1), Trace: tr, Index: ix}, nil
+	return &Segment{Start: 0, End: math.Inf(1), Index: ix}, nil
+}
+
+// WindowIndex builds the index of a window of sealed segments, oldest first:
+// the segments' packets replayed in order through one detached builder — no
+// []Packet is materialized, and the result is structurally identical to
+// indexing the concatenated packets. (A one-segment window needs no build:
+// its index is the segment's.)
+func WindowIndex(ctx context.Context, segs []*Segment) (*Index, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	n := 0
+	for _, s := range segs {
+		n += s.Len()
+	}
+	b := newDetachedBuilder(n)
+	for _, s := range segs {
+		for i := 0; i < s.Index.Len(); i++ {
+			if err := b.Add(s.Index.PacketAt(i)); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return b.Finish(), nil
 }
 
 // Segments chops an in-order packet stream into sealed segments: the
 // iterator form of SegmentWriter, and the ingest substrate under
 // Pipeline.RunStream. It yields each segment as it seals (including the
 // final partial segment when the channel closes) and stops at the first
-// error — a cancelled context, or an out-of-order packet. Like all Go
+// error — an unusable segment length (ErrSegmentLength, before any packet is
+// read), a cancelled context, or an out-of-order packet. Like all Go
 // iterators it is single-use and pull-driven: sealing (and the index build
 // it implies) happens on the consumer's goroutine.
-func Segments(ctx context.Context, packets <-chan Packet, seconds float64, workers int) iter.Seq2[*Segment, error] {
+func Segments(ctx context.Context, packets <-chan Packet, seconds float64) iter.Seq2[*Segment, error] {
 	return func(yield func(*Segment, error) bool) {
-		w := NewSegmentWriter(ctx, seconds, workers)
+		w := NewSegmentWriter(ctx, seconds)
+		if w.err != nil {
+			yield(nil, w.err)
+			return
+		}
 		for {
 			select {
 			case <-ctx.Done():

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 )
@@ -35,7 +36,7 @@ func appendAll(t *testing.T, w *SegmentWriter, tr *Trace) []*Segment {
 func TestSegmentWriterSealsOnGrid(t *testing.T) {
 	// 400 packets at 1ms spacing: 0 .. 0.399s. Grid of 0.1s → 4 segments.
 	tr := buildTrace(400, 7)
-	w := NewSegmentWriter(context.Background(), 0.1, 1)
+	w := NewSegmentWriter(context.Background(), 0.1)
 	segs := appendAll(t, w, tr)
 	if len(segs) != 4 {
 		t.Fatalf("segments = %d, want 4", len(segs))
@@ -56,9 +57,9 @@ func TestSegmentWriterSealsOnGrid(t *testing.T) {
 			t.Errorf("segment %d has %d packets, want 100", i, s.Len())
 		}
 		lo := int64(s.Start * 1e6)
-		for _, p := range s.Trace.Packets {
-			if p.TS < lo || p.TS >= lo+100000 {
-				t.Fatalf("segment %d contains TS %d outside [%d,%d)", i, p.TS, lo, lo+100000)
+		for _, ts := range s.Index.TS {
+			if ts < lo || ts >= lo+100000 {
+				t.Fatalf("segment %d contains TS %d outside [%d,%d)", i, ts, lo, lo+100000)
 			}
 		}
 		total += s.Len()
@@ -75,7 +76,7 @@ func TestSegmentBoundaryExact(t *testing.T) {
 	tr.Append(Packet{TS: 0})
 	tr.Append(Packet{TS: 999_999})
 	tr.Append(Packet{TS: 1_000_000}) // exactly 1s: second segment
-	w := NewSegmentWriter(context.Background(), 1, 1)
+	w := NewSegmentWriter(context.Background(), 1)
 	segs := appendAll(t, w, tr)
 	if len(segs) != 2 || segs[0].Len() != 2 || segs[1].Len() != 1 {
 		t.Fatalf("segments = %+v, want 2 packets then 1", segs)
@@ -88,7 +89,7 @@ func TestSegmentWriterSkipsEmptySpans(t *testing.T) {
 	tr := &Trace{}
 	tr.Append(Packet{TS: 0})
 	tr.Append(Packet{TS: 5_500_000}) // skips spans [1,2)..[5,6) start
-	w := NewSegmentWriter(context.Background(), 1, 1)
+	w := NewSegmentWriter(context.Background(), 1)
 	segs := appendAll(t, w, tr)
 	if len(segs) != 2 {
 		t.Fatalf("segments = %d, want 2 (empty spans skipped)", len(segs))
@@ -102,20 +103,20 @@ func TestSegmentWriterSkipsEmptySpans(t *testing.T) {
 }
 
 func TestSegmentWriterRejectsOutOfOrder(t *testing.T) {
-	w := NewSegmentWriter(context.Background(), 1, 1)
+	w := NewSegmentWriter(context.Background(), 1)
 	if _, err := w.Append(Packet{TS: 1000}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.Append(Packet{TS: 999}); err == nil {
-		t.Fatal("out-of-order packet accepted")
+	if _, err := w.Append(Packet{TS: 999}); !errors.Is(err, ErrUnsorted) {
+		t.Fatalf("out-of-order packet: %v, want ErrUnsorted", err)
 	}
-	if _, err := w.Append(Packet{TS: -1}); err == nil {
-		t.Fatal("negative timestamp accepted")
+	if _, err := w.Append(Packet{TS: -1}); !errors.Is(err, ErrUnsorted) {
+		t.Fatalf("negative timestamp: %v, want ErrUnsorted", err)
 	}
 }
 
 func TestSegmentWriterClosed(t *testing.T) {
-	w := NewSegmentWriter(context.Background(), 1, 1)
+	w := NewSegmentWriter(context.Background(), 1)
 	if seg, err := w.Close(); err != nil || seg != nil {
 		t.Fatalf("empty Close = (%v, %v), want (nil, nil)", seg, err)
 	}
@@ -127,40 +128,168 @@ func TestSegmentWriterClosed(t *testing.T) {
 	}
 }
 
-// TestSegmentIndexMatchesDirectBuild: a sealed segment's index is the same
-// structure NewIndex would build over the segment's packets, at every worker
-// count — the per-segment face of the repo's determinism contract.
+// packetsOf materializes an index's rows, for comparison against the
+// reference build.
+func packetsOf(ix *Index) []Packet {
+	ps := make([]Packet, ix.Len())
+	for i := range ps {
+		ps[i] = ix.PacketAt(i)
+	}
+	return ps
+}
+
+// TestSegmentIndexMatchesDirectBuild: the sealed segments carry exactly the
+// stream's packets, in order, and each segment's index is the structure the
+// reference build produces over that segment's packets.
 func TestSegmentIndexMatchesDirectBuild(t *testing.T) {
 	tr := buildTrace(600, 11)
-	for _, workers := range []int{1, 2, 4, 8} {
-		w := NewSegmentWriter(context.Background(), 0.15, workers)
-		for _, s := range appendAll(t, w, tr) {
-			if !reflect.DeepEqual(s.Index, NewIndex(s.Trace)) {
-				t.Fatalf("workers=%d: segment %d index differs from direct sequential build", workers, s.Seq)
-			}
+	var all []Packet
+	for _, s := range appendAll(t, NewSegmentWriter(context.Background(), 0.15), tr) {
+		ps := packetsOf(s.Index)
+		if !EqualIndexes(s.Index, BuildIndex(&Trace{Packets: ps})) {
+			t.Fatalf("segment %d index differs from the reference build", s.Seq)
 		}
+		all = append(all, ps...)
+	}
+	if !reflect.DeepEqual(all, tr.Packets) {
+		t.Fatal("segments do not carry the stream's packets in order")
 	}
 }
 
 func TestSealTraceCanonical(t *testing.T) {
 	tr := buildTrace(200, 3)
-	seg, err := SealTrace(context.Background(), tr, 2)
+	seg, err := SealTrace(context.Background(), tr)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if seg.Trace != tr {
-		t.Error("canonical segment must alias the materialized trace, not copy it")
 	}
 	if seg.Start != 0 || !math.IsInf(seg.End, 1) {
 		t.Errorf("canonical segment spans [%g,%g), want [0,+Inf)", seg.Start, seg.End)
 	}
-	if !reflect.DeepEqual(seg.Index, NewIndex(tr)) {
-		t.Error("canonical segment index differs from the whole-trace index")
+	if !EqualIndexes(seg.Index, BuildIndex(tr)) {
+		t.Error("canonical segment index differs from the whole-trace reference")
+	}
+	if seg.Len() != tr.Len() || seg.Index.Digest() != tr.Digest() {
+		t.Error("canonical segment does not carry the trace's packets")
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := SealTrace(ctx, tr, 1); !errors.Is(err, context.Canceled) {
+	if _, err := SealTrace(ctx, tr); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled SealTrace: %v, want context.Canceled", err)
+	}
+}
+
+// TestSealTraceRejectsUnsorted: the one deliberate behaviour change of
+// routing SealTrace through the builder — a trace outside the sorted model is
+// an error, where the map-based build silently produced wrong time buckets.
+func TestSealTraceRejectsUnsorted(t *testing.T) {
+	for name, ps := range map[string][]Packet{
+		"out of order": {{TS: 2_000_000}, {TS: 1_000_000}},
+		"negative":     {{TS: -5}, {TS: 10}},
+	} {
+		if _, err := SealTrace(context.Background(), &Trace{Packets: ps}); !errors.Is(err, ErrUnsorted) {
+			t.Errorf("%s: SealTrace = %v, want ErrUnsorted", name, err)
+		}
+	}
+}
+
+// TestWindowIndexMatchesReference is the window-index differential: random
+// streams are chopped by the real SegmentWriter into 1-5 segments — with
+// empty grid spans between them and always one single-packet segment — and
+// the window index built from the segments' indexes must be structurally
+// identical to the reference build over the concatenated packets.
+func TestWindowIndexMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	for trial := 0; trial < 60; trial++ {
+		k := 1 + rng.Intn(5)
+		spans := rng.Perm(9)[:k] // occupied 1 s grid spans out of 9: gaps are the rule
+		single := rng.Intn(k)
+		tr := &Trace{}
+		for si, span := range spans {
+			n := 1
+			if si != single {
+				n = 2 + rng.Intn(300)
+			}
+			for i := 0; i < n; i++ {
+				tr.Append(Packet{
+					TS:      int64(span)*1e6 + int64(rng.Intn(1e6)),
+					Src:     MakeIPv4(10, 0, 0, byte(rng.Intn(12))),
+					Dst:     MakeIPv4(192, 168, 0, byte(rng.Intn(12))),
+					SrcPort: uint16(1024 + rng.Intn(8)),
+					DstPort: uint16(rng.Intn(4)*1111 + 80),
+					Len:     uint16(40 + rng.Intn(1460)),
+					Proto:   []Proto{TCP, UDP, ICMP}[rng.Intn(3)],
+					Flags:   TCPFlags(rng.Intn(256)),
+				})
+			}
+		}
+		tr.Sort()
+		segs := appendAll(t, NewSegmentWriter(context.Background(), 1), tr)
+		if len(segs) != k {
+			t.Fatalf("trial %d: sealed %d segments, want %d", trial, len(segs), k)
+		}
+		ix, err := WindowIndex(context.Background(), segs)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		if !EqualIndexes(ix, BuildIndex(tr)) {
+			t.Fatalf("trial %d (%d segments): window index differs from the reference over the concatenated packets", trial, k)
+		}
+		if ix.Digest() != tr.Digest() {
+			t.Fatalf("trial %d: window digest differs from the stream's", trial)
+		}
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	two := appendAll(t, NewSegmentWriter(context.Background(), 0.1), buildTrace(200, 3))[:2]
+	if _, err := WindowIndex(ctx, two); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled WindowIndex: %v, want context.Canceled", err)
+	}
+}
+
+// TestSegmentLengthValidation: NaN used to mean one silent unbounded segment
+// and +Inf / >= ~9.2e12 s overflowed the microsecond step to a negative
+// number (every packet in bucket 0, End < Start). Both the writer and the
+// iterator must refuse them; tiny, zero and negative lengths keep their
+// documented meaning.
+func TestSegmentLengthValidation(t *testing.T) {
+	for _, tc := range []struct {
+		seconds float64
+		bad     bool
+		end     float64 // End of the segment holding a packet at t=0
+	}{
+		{math.NaN(), true, 0},
+		{math.Inf(1), true, 0},
+		{math.Inf(-1), true, 0},
+		{1e13, true, 0},
+		{9e12, false, 9e12},
+		{1e-9, false, 1e-6}, // clamps to 1 µs
+		{0, false, math.Inf(1)},
+		{-3, false, math.Inf(1)},
+	} {
+		w := NewSegmentWriter(context.Background(), tc.seconds)
+		_, err := w.Append(Packet{TS: 0})
+		// An empty, closed stream: only a rejected length yields anything.
+		empty := make(chan Packet)
+		close(empty)
+		var iterErr error
+		for _, err := range Segments(context.Background(), empty, tc.seconds) {
+			iterErr = err
+		}
+		if tc.bad {
+			if !errors.Is(err, ErrSegmentLength) || !errors.Is(iterErr, ErrSegmentLength) {
+				t.Errorf("seconds=%v: Append = %v, Segments = %v, want ErrSegmentLength from both", tc.seconds, err, iterErr)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("seconds=%v: Append = %v", tc.seconds, err)
+			continue
+		}
+		seg, err := w.Close()
+		if err != nil || seg == nil || seg.Start != 0 || seg.End != tc.end {
+			t.Errorf("seconds=%v: sealed %v (err %v), want [0,%g)", tc.seconds, seg, err, tc.end)
+		}
 	}
 }
 
@@ -177,9 +306,9 @@ func replayChan(tr *Trace) <-chan Packet {
 
 func TestSegmentsIteratorMatchesWriter(t *testing.T) {
 	tr := buildTrace(500, 5)
-	want := appendAll(t, NewSegmentWriter(context.Background(), 0.12, 1), tr)
+	want := appendAll(t, NewSegmentWriter(context.Background(), 0.12), tr)
 	var got []*Segment
-	for seg, err := range Segments(context.Background(), replayChan(tr), 0.12, 1) {
+	for seg, err := range Segments(context.Background(), replayChan(tr), 0.12) {
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -196,7 +325,7 @@ func TestSegmentsIteratorCancellation(t *testing.T) {
 	// Channel left open and empty: only the context can end the iteration.
 	ch := make(chan Packet)
 	var sawErr error
-	for seg, err := range Segments(ctx, ch, 1, 1) {
+	for seg, err := range Segments(ctx, ch, 1) {
 		if seg != nil {
 			t.Fatal("segment yielded under a cancelled context")
 		}
@@ -212,7 +341,7 @@ func TestSegmentsIteratorPropagatesAppendError(t *testing.T) {
 	tr.Append(Packet{TS: 2000})
 	tr.Append(Packet{TS: 1000}) // out of order
 	var sawErr error
-	for _, err := range Segments(context.Background(), replayChan(tr), 1, 1) {
+	for _, err := range Segments(context.Background(), replayChan(tr), 1) {
 		if err != nil {
 			sawErr = err
 		}
@@ -228,7 +357,7 @@ func TestSegmentsIteratorPropagatesAppendError(t *testing.T) {
 func TestSegmentsIteratorEarlyBreak(t *testing.T) {
 	tr := buildTrace(400, 9)
 	n := 0
-	for _, err := range Segments(context.Background(), replayChan(tr), 0.1, 1) {
+	for _, err := range Segments(context.Background(), replayChan(tr), 0.1) {
 		if err != nil {
 			t.Fatal(err)
 		}

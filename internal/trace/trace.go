@@ -139,20 +139,6 @@ func (t *Trace) Digest() string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// FlowIndex maps every unidirectional flow key in the trace to the indices
-// of its packets, in timestamp order. It is a one-shot convenience for
-// ad-hoc tools and tests; pipeline consumers should share a trace.Index
-// instead, whose canonical sorted flow table and posting lists replace
-// every per-consumer FlowIndex rebuild.
-func (t *Trace) FlowIndex() map[FlowKey][]int {
-	idx := make(map[FlowKey][]int)
-	for i := range t.Packets {
-		k := t.Packets[i].Flow()
-		idx[k] = append(idx[k], i)
-	}
-	return idx
-}
-
 // String renders a short summary.
 func (t *Trace) String() string {
 	return fmt.Sprintf("trace %s: %d packets, %.1fs", t.Name, len(t.Packets), t.Duration())

@@ -34,12 +34,14 @@
 //	}
 //	if err := s.Wait(); err != nil { ... }
 //
-// Both paths run the same engine: the ingest is chopped into sealed
-// trace.Segments (each with its own columnar index), detectors run per
-// segment, and the estimator/combiner/labeler run per sliding window of
-// segments. Run is RunStream with the canonical batch boundary — the whole
-// trace as one sealed segment, one window — which is why a stream chopped at
-// that boundary reproduces the batch labeling bit-for-bit.
+// Both paths run the same engine: the ingest is chopped into sealed,
+// index-only trace.Segments (the columnar trace.Index is the one packet
+// representation past ingest, built by the one sequential
+// trace.IndexBuilder), detectors run per segment, and the
+// estimator/combiner/labeler run per sliding window of segments. Run is
+// RunStream with the canonical batch boundary — the whole trace as one
+// sealed segment, one window — which is why a stream chopped at that
+// boundary reproduces the batch labeling bit-for-bit.
 //
 // The subpackages under internal/ implement every substrate from scratch:
 // the four detectors (PCA, Gamma, Hough, KL), Louvain community mining,
@@ -81,13 +83,14 @@ type (
 	Filter = trace.Filter
 	// Granularity selects packet/uniflow/biflow traffic comparison.
 	Granularity = trace.Granularity
-	// Index is the immutable columnar view of a sorted trace — SoA packet
-	// columns, canonical flow table, posting lists and time buckets. The
-	// fused ingest path (DecodePcap) builds one straight from a pcap
-	// stream with no intermediate Trace.
+	// Index is the immutable columnar view of a sorted packet sequence —
+	// SoA packet columns, canonical flow table, posting lists and time
+	// buckets; rows on demand via PacketAt. The fused ingest path
+	// (DecodePcap) builds one straight from a pcap stream with no
+	// intermediate Trace.
 	Index = trace.Index
-	// Segment is one sealed, immutable span of a packet stream with its
-	// own columnar index — the unit of the streaming pipeline.
+	// Segment is one sealed, immutable span of a packet stream, held as its
+	// columnar index only — the unit of the streaming pipeline.
 	Segment = trace.Segment
 	// SegmentWriter accepts packets incrementally and seals fixed-duration
 	// segments as the stream crosses grid boundaries.
@@ -106,6 +109,9 @@ type (
 	CommunityReport = core.CommunityReport
 	// EstimatorConfig parameterizes the similarity estimator.
 	EstimatorConfig = core.EstimatorConfig
+	// TimeSpan supplies the duration admd time spans derive from; *Trace
+	// and *Index both satisfy it.
+	TimeSpan = admd.TimeSpan
 	// Archive is the synthetic MAWI archive model.
 	Archive = mawigen.Archive
 	// Event is a ground-truth anomaly record from the generator.
@@ -165,9 +171,10 @@ func WritePcap(w io.Writer, tr *Trace) error { return pcap.WriteTrace(w, tr) }
 
 // DecodePcap decodes a classic pcap stream straight into a columnar Index —
 // the fused single-pass ingest path, with no intermediate Trace and pooled
-// column buffers (call Index.Release when done to recycle them). It is
-// structurally identical to ReadPcap followed by index construction, except
-// that streams violating the sorted trace model are rejected with
+// column buffers (call Index.Release when done to recycle them; it is the
+// only constructor whose result Release recycles). It is structurally
+// identical to ReadPcap followed by index construction, and like every other
+// path it rejects streams violating the sorted trace model with
 // trace.ErrUnsorted. The daemon's upload path runs on it; see the README's
 // "Raw speed" section for the ownership rules.
 func DecodePcap(r io.Reader) (*Index, error) { return pcap.DecodeIndex(r) }
@@ -178,18 +185,23 @@ func EncodePcap(w io.Writer, ix *Index) error { return pcap.WriteIndex(w, ix) }
 
 // Segments chops an in-order packet stream into sealed trace segments of the
 // given length in seconds (<= 0 selects the canonical batch boundary: one
-// unbounded segment sealed at end of stream), building each segment's index
-// with up to `workers` goroutines. It is the ingest substrate RunStream is
-// built on, exposed for callers that want sealed segments without the
-// labeling stages.
+// unbounded segment sealed at end of stream; a NaN, infinite or overflowing
+// length yields trace.ErrSegmentLength). It is the ingest substrate
+// RunStream is built on, exposed for callers that want sealed segments
+// without the labeling stages. workers is ignored — each segment's index is
+// built sequentially as its packets arrive — and stays only because
+// cmd/mawibench, frozen for this change, compiles against it; the next
+// benchmark PR drops it.
 func Segments(ctx context.Context, packets <-chan Packet, seconds float64, workers int) iter.Seq2[*Segment, error] {
-	return trace.Segments(ctx, packets, seconds, workers)
+	return trace.Segments(ctx, packets, seconds)
 }
 
-// SealTrace wraps a materialized trace as the canonical single sealed
-// segment — the batch boundary Run chops at.
+// SealTrace indexes a materialized trace as the canonical single sealed
+// segment — the batch boundary Run chops at. An unsorted trace fails with
+// trace.ErrUnsorted. workers is ignored, and kept for the same reason as in
+// Segments.
 func SealTrace(ctx context.Context, tr *Trace, workers int) (*Segment, error) {
-	return trace.SealTrace(ctx, tr, workers)
+	return trace.SealTrace(ctx, tr)
 }
 
 // Pipeline is the ready-to-use MAWILab labeling pipeline.
@@ -207,9 +219,9 @@ type Pipeline struct {
 	// 0.2, the paper's s = 20%).
 	RuleSupport float64
 	// Workers bounds the goroutines used by the parallel pipeline
-	// stages (detector fan-out, the sharded similarity-graph build,
-	// Louvain community mining and community labeling). 0 or 1 selects
-	// the exact sequential reference path; any value produces
+	// stages (detector fan-out, the sharded similarity-graph build and
+	// community labeling; index construction and Louvain community mining
+	// are sequential). 0 or 1 runs every stage inline; any value produces
 	// byte-identical output — see Parallelism.
 	Workers int
 	// Stream configures the segmented ingest used by RunStream. The zero
@@ -315,7 +327,7 @@ func (p *Pipeline) Validate() error {
 // StreamConfig parameterizes segmented streaming ingest (Pipeline.RunStream).
 type StreamConfig struct {
 	// SegmentSeconds is the sealed-segment length: segment k spans
-	// [k*S, (k+1)*S) seconds of stream time, and its index is built the
+	// [k*S, (k+1)*S) seconds of stream time, and its index is complete the
 	// moment it seals. <= 0 selects the canonical batch boundary (one
 	// unbounded segment, sealed at end of stream).
 	SegmentSeconds float64
@@ -349,13 +361,14 @@ func (c StreamConfig) stride() int {
 }
 
 // Parallelism sets the pipeline's worker count and returns p for chaining.
-// n <= 0 selects runtime.GOMAXPROCS(0); n == 1 is the sequential reference
-// path. The four detectors and their per-configuration runs, the similarity
-// estimator (sharded graph build plus Louvain's partition-parallel local
-// moving) and the per-community labeling are dispatched across a bounded
-// worker pool, and their outputs are merged in a fixed (detector, config,
-// slot) order — or, for Louvain, committed by a sequential index-ordered
-// pass — so the labeling is byte-identical at every worker count.
+// n <= 0 selects runtime.GOMAXPROCS(0); n == 1 runs every stage inline. The
+// four detectors and their per-configuration runs, the similarity
+// estimator's sharded graph build and the per-community labeling are
+// dispatched across a bounded worker pool, and their outputs are merged in a
+// fixed (detector, config, slot) order, so the labeling is byte-identical at
+// every worker count. Index construction and Louvain community mining are
+// sequential at every setting: at the sizes this pipeline runs, fanning them
+// out costs more than it saves.
 func (p *Pipeline) Parallelism(n int) *Pipeline {
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
@@ -405,16 +418,17 @@ func (p *Pipeline) Run(tr *Trace) (*Labeling, error) {
 // community-labeling stage stop scheduling new work once ctx is cancelled.
 // It is a thin adapter over the streaming engine: the materialized trace is
 // chopped at the canonical batch boundary — one sealed segment spanning the
-// whole trace, indexed exactly once on the pipeline's worker pool — and
-// replayed through the same per-segment detect → per-window
-// estimate/combine/label path RunStream uses, as a single one-segment
-// window. Batch and stream therefore share one engine, and a stream chopped
-// at the canonical boundary reproduces this labeling bit-for-bit.
+// whole trace, indexed exactly once — and replayed through the same
+// per-segment detect → per-window estimate/combine/label path RunStream
+// uses, as a single one-segment window. Batch and stream therefore share one
+// engine, and a stream chopped at the canonical boundary reproduces this
+// labeling bit-for-bit. tr must be sorted by timestamp (Trace.Sort) with no
+// negative timestamps; otherwise the run fails with trace.ErrUnsorted.
 func (p *Pipeline) RunContext(ctx context.Context, tr *Trace) (*Labeling, error) {
 	var seg *Segment
 	err := p.observe(StageIngest, func() error {
 		var err error
-		seg, err = trace.SealTrace(ctx, tr, p.workers())
+		seg, err = trace.SealTrace(ctx, tr)
 		return err
 	})
 	if err != nil {
@@ -431,7 +445,7 @@ func (p *Pipeline) RunContext(ctx context.Context, tr *Trace) (*Labeling, error)
 // The caller keeps ownership of ix: release it, if pooled, only after the
 // labeling and anything derived from ix are no longer in use.
 func (p *Pipeline) RunIndex(ctx context.Context, ix *Index) (*Labeling, error) {
-	return p.runSealed(ctx, &Segment{Start: 0, End: math.Inf(1), Trace: ix.Trace(), Index: ix})
+	return p.runSealed(ctx, &Segment{Start: 0, End: math.Inf(1), Index: ix})
 }
 
 // runSealed replays one pre-sealed canonical segment through the streaming
@@ -470,11 +484,12 @@ type WindowLabeling struct {
 	Start, End float64
 	// Segments are the window's sealed segments, oldest first.
 	Segments []*Segment
-	// Trace holds the window's packets (the segments' packets
-	// concatenated; for a one-segment window it aliases the segment's
-	// trace). GroundTruthEval and WriteADMD take it where batch callers
-	// pass the day trace.
-	Trace *Trace
+	// Index holds the window's packets — the segments' packets in stream
+	// order; for a one-segment window it is the segment's own index. It is
+	// what the window's alarms were resolved against: Labeling packet
+	// indices point into it (rows via PacketAt), its Digest is the digest
+	// of the window's packets, and WriteADMD takes it as the time span.
+	Index *Index
 	// Labeling is the full pipeline output for the window.
 	Labeling *Labeling
 }
@@ -514,8 +529,8 @@ func (s *Stream) Err() error {
 
 // RunStream executes the pipeline over an unbounded, timestamp-sorted
 // packet stream, the production ingest path: packets accumulate in an open
-// segment, each segment seals (and builds its index on the worker pool)
-// when the stream crosses a p.Stream.SegmentSeconds grid boundary, the
+// segment's index builder, each segment seals when the stream crosses a
+// p.Stream.SegmentSeconds grid boundary, the
 // detector ensemble runs per sealed segment, and the similarity estimator,
 // combiner and labeler run over a sliding window of the last
 // p.Stream.WindowSegments segments, emitting a WindowLabeling each time the
@@ -537,7 +552,7 @@ func (p *Pipeline) RunStream(ctx context.Context, packets <-chan Packet) *Stream
 	go func() { //mawilint:allow baregoroutine — RunStream's single structured producer: window order is fixed by the channel FIFO, lifecycle by s.done and ctx
 		defer close(s.done)
 		defer close(s.windows)
-		segs := trace.Segments(ctx, packets, p.Stream.SegmentSeconds, p.workers())
+		segs := trace.Segments(ctx, packets, p.Stream.SegmentSeconds)
 		s.err = p.runSegments(ctx, segs, p.Stream.window(), p.Stream.stride(), func(w *WindowLabeling) error {
 			select {
 			case s.windows <- w:
@@ -612,43 +627,31 @@ func (p *Pipeline) runSegments(ctx context.Context, segs iter.Seq2[*Segment, err
 }
 
 // labelWindow runs estimate → combine → label over one window of sealed
-// segments. A one-segment window reuses the segment's trace and index
-// as-is — the canonical batch window is exactly the old whole-day path — a
-// multi-segment window concatenates the segments' packets (already in
-// stream order) and builds the window index on the pool.
+// segments. A one-segment window reuses the segment's index as-is — the
+// canonical batch window is exactly the whole-day path — a multi-segment
+// window gets trace.WindowIndex over its segments.
 func (p *Pipeline) labelWindow(ctx context.Context, wi int, runs []segmentRun, totals map[string]int) (*WindowLabeling, error) {
-	first, last := runs[0].seg, runs[len(runs)-1].seg
-	wtr, ix := first.Trace, first.Index
-	if len(runs) > 1 {
-		n := 0
-		for _, r := range runs {
-			n += r.seg.Len()
-		}
-		wtr = &Trace{Name: fmt.Sprintf("window-%d", wi), Packets: make([]Packet, 0, n)}
-		for _, r := range runs {
-			wtr.Packets = append(wtr.Packets, r.seg.Trace.Packets...)
-		}
+	segs := make([]*Segment, len(runs))
+	var alarms []Alarm
+	for i, r := range runs {
+		segs[i] = r.seg
+		alarms = append(alarms, r.alarms...)
+	}
+	ix := segs[0].Index
+	if len(segs) > 1 {
 		if err := p.observe(StageIngest, func() error {
 			var err error
-			ix, err = trace.BuildIndex(ctx, wtr, p.workers())
+			ix, err = trace.WindowIndex(ctx, segs)
 			return err
 		}); err != nil {
 			return nil, err
 		}
 	}
-	var alarms []Alarm
-	for _, r := range runs {
-		alarms = append(alarms, r.alarms...)
-	}
 	l, err := p.runAlarms(ctx, ix, alarms, totals)
 	if err != nil {
 		return nil, err
 	}
-	segs := make([]*Segment, len(runs))
-	for i, r := range runs {
-		segs[i] = r.seg
-	}
-	return &WindowLabeling{Window: wi, Start: first.Start, End: last.End, Segments: segs, Trace: wtr, Labeling: l}, nil
+	return &WindowLabeling{Window: wi, Start: segs[0].Start, End: segs[len(segs)-1].End, Segments: segs, Index: ix, Labeling: l}, nil
 }
 
 // RunAlarms executes the estimator+combiner+labeler on externally produced
@@ -663,7 +666,7 @@ func (p *Pipeline) RunAlarms(tr *Trace, alarms []Alarm, totals map[string]int) (
 // batch adapters it seals the trace as the canonical segment and resolves
 // the alarms against that segment's index.
 func (p *Pipeline) RunAlarmsContext(ctx context.Context, tr *Trace, alarms []Alarm, totals map[string]int) (*Labeling, error) {
-	seg, err := trace.SealTrace(ctx, tr, p.workers())
+	seg, err := trace.SealTrace(ctx, tr)
 	if err != nil {
 		return nil, err
 	}
@@ -725,15 +728,11 @@ func (l *Labeling) WriteCSV(w io.Writer) error {
 }
 
 // WriteADMD emits the labeling as an admd XML document, the format of the
-// published MAWILab database. tr supplies the trace time bounds and may be
-// nil. Like WriteCSV it encodes through the shared v1 wire schema.
-func (l *Labeling) WriteADMD(w io.Writer, traceName string, tr *Trace) error {
-	var span admd.TimeSpan
-	if tr != nil {
-		// A typed-nil *Trace inside the interface would defeat the encoder's
-		// nil check; only a non-nil trace becomes a span.
-		span = tr
-	}
+// published MAWILab database. span supplies the time bounds — the day's
+// *Trace in batch mode, the WindowLabeling's *Index in stream mode — and
+// may be nil to omit them (a nil interface, not a typed nil pointer). Like
+// WriteCSV it encodes through the shared v1 wire schema.
+func (l *Labeling) WriteADMD(w io.Writer, traceName string, span TimeSpan) error {
 	return wirev1.WriteADMD(w, traceName, span, l.Reports)
 }
 

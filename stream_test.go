@@ -9,7 +9,10 @@ import (
 	"errors"
 	"math"
 	"os"
+	"sync"
 	"testing"
+
+	"mawilab/internal/trace"
 )
 
 // streamTestDay regenerates the golden fixture's archive day — the same
@@ -87,8 +90,8 @@ func TestStreamMatchesBatch(t *testing.T) {
 		if w.Start != 0 || !math.IsInf(w.End, 1) {
 			t.Errorf("workers=%d: canonical window spans [%g,%g), want [0,+Inf)", workers, w.Start, w.End)
 		}
-		if w.Trace.Digest() != want.TraceSHA256 {
-			t.Errorf("workers=%d: window trace digest differs from the ingested day", workers)
+		if w.Index.Digest() != want.TraceSHA256 {
+			t.Errorf("workers=%d: window index digest differs from the ingested day", workers)
 		}
 		l := w.Labeling
 		if len(l.Alarms) != want.Alarms {
@@ -207,8 +210,8 @@ func TestStreamWindowSemantics(t *testing.T) {
 			seen++
 			npkts += seg.Len()
 		}
-		if w.Trace.Len() != npkts {
-			t.Errorf("window %d trace has %d packets, segments carry %d", i, w.Trace.Len(), npkts)
+		if w.Index.Len() != npkts {
+			t.Errorf("window %d index has %d packets, segments carry %d", i, w.Index.Len(), npkts)
 		}
 	}
 	if seen != nsegs {
@@ -279,21 +282,109 @@ func TestStreamCancelledBeforeStart(t *testing.T) {
 	}
 }
 
-// TestStreamOutOfOrderFails: segment streams require sorted arrival; an
-// out-of-order packet terminates the stream with an error instead of being
-// silently re-sorted.
-func TestStreamOutOfOrderFails(t *testing.T) {
-	tr := &Trace{}
-	tr.Append(Packet{TS: 2_000_000})
-	tr.Append(Packet{TS: 1_000_000})
-	s := NewPipeline().RunStream(context.Background(), replay(tr))
-	windows, err := drainStream(s)
-	if len(windows) != 0 {
-		t.Errorf("out-of-order stream emitted %d windows", len(windows))
+// TestUnsortedInputFails: every ingest shape enforces the sorted trace model
+// with the same typed error. RunStream always did; Run and SealTrace used to
+// accept an unsorted or negative-timestamp trace and silently build an index
+// with wrong time buckets.
+func TestUnsortedInputFails(t *testing.T) {
+	for name, tr := range map[string]*Trace{
+		"out of order": {Packets: []Packet{{TS: 2_000_000}, {TS: 1_000_000}}},
+		"negative":     {Packets: []Packet{{TS: -1}, {TS: 1_000_000}}},
+	} {
+		windows, err := drainStream(NewPipeline().RunStream(context.Background(), replay(tr)))
+		if len(windows) != 0 {
+			t.Errorf("%s: stream emitted %d windows", name, len(windows))
+		}
+		if !errors.Is(err, trace.ErrUnsorted) {
+			t.Errorf("%s: RunStream = %v, want trace.ErrUnsorted", name, err)
+		}
+		if _, err := NewPipeline().Run(tr); !errors.Is(err, trace.ErrUnsorted) {
+			t.Errorf("%s: Run = %v, want trace.ErrUnsorted", name, err)
+		}
+		if _, err := NewPipeline().RunAlarms(tr, nil, nil); !errors.Is(err, trace.ErrUnsorted) {
+			t.Errorf("%s: RunAlarms = %v, want trace.ErrUnsorted", name, err)
+		}
+		if _, err := SealTrace(context.Background(), tr, 1); !errors.Is(err, trace.ErrUnsorted) {
+			t.Errorf("%s: SealTrace = %v, want trace.ErrUnsorted", name, err)
+		}
 	}
-	if err == nil {
-		t.Fatal("out-of-order stream did not surface an error")
+}
+
+// TestSealedIndexesSurvivePoolChurn: the engine's indexes — sealed segments
+// and window indexes — are detached from the arena pool that DecodePcap
+// recycles, so a consumer may hold window labelings for as long as it likes.
+// Label a sliding stream and keep every window; then, while goroutines churn
+// the pool with DecodePcap+Release cycles of two differently sized traces,
+// keep re-deriving each held index's digest and compare it with the digest
+// of the same time span cut from the source day. Run under -race this also
+// proves no pooled buffer is shared with a held index.
+func TestSealedIndexesSurvivePoolChurn(t *testing.T) {
+	day := streamTestDay(t)
+	p := NewPipeline()
+	p.Stream = StreamConfig{SegmentSeconds: 5, WindowSegments: 3, WindowStride: 1}
+	windows, err := drainStream(p.RunStream(context.Background(), replay(day)))
+	if err != nil {
+		t.Fatal(err)
 	}
+	if len(windows) < 3 {
+		t.Fatalf("sliding stream emitted %d windows, want >= 3", len(windows))
+	}
+	spanDigest := func(from, to float64) string {
+		lo, hi := day.Window(from, to)
+		return (&Trace{Packets: day.Packets[lo:hi]}).Digest()
+	}
+	check := func(when string) {
+		for _, w := range windows {
+			if got := w.Index.Digest(); got != spanDigest(w.Start, w.End) {
+				t.Fatalf("%s: window %d index no longer holds the stream's packets in [%g,%g)", when, w.Window, w.Start, w.End)
+			}
+			for _, seg := range w.Segments {
+				if got := seg.Index.Digest(); got != spanDigest(seg.Start, seg.End) {
+					t.Fatalf("%s: segment %d index no longer holds the stream's packets in [%g,%g)", when, seg.Seq, seg.Start, seg.End)
+				}
+			}
+		}
+	}
+	check("before churn")
+
+	var full, half bytes.Buffer
+	if err := WritePcap(&full, day); err != nil {
+		t.Fatal(err)
+	}
+	if err := WritePcap(&half, &Trace{Packets: day.Packets[:day.Len()/2]}); err != nil {
+		t.Fatal(err)
+	}
+	const churners, cycles = 2, 100
+	var wg sync.WaitGroup
+	for c := 0; c < churners; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < cycles; i++ {
+				data := full.Bytes()
+				if i%2 == 1 {
+					data = half.Bytes()
+				}
+				ix, err := DecodePcap(bytes.NewReader(data))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				ix.Release()
+			}
+		}()
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	for churning := true; churning; {
+		select {
+		case <-done:
+			churning = false
+		default:
+		}
+		check("during churn")
+	}
+	check("after churn")
 }
 
 // TestStreamErrNonBlocking: Err returns nil while the stream is running.

@@ -3,18 +3,26 @@
 
 GO ?= go
 # Benchmarks the CI smoke job tracks across commits (and the bench gate
-# compares against BENCH_baseline.json). PipelineDay, PipelineStream,
-# SimilarityGraph, GenerateDay and Extract carry workers={1,4,N}
-# sub-benches, so each run records the parallel speedup ratios too
-# (GenerateDay also matches the day-level GenerateDays fan-out benches).
-# TraceIndex (the shared columnar index build, trace.NewIndex) and Louvain
-# are one row each: both stages are sequential. Extract covers the
-# posting-list alarm extraction, and PipelineStream the segmented streaming
-# path (per-segment seal + detect, sliding-window labeling). Ingest compares
-# the fused pcap→Index decode (its allocs/op is the steady-state serving
-# cost) against ReadTrace+NewIndex, and HoughSparse tracks the sparse Hough
-# voting per tuning.
-BENCH_PATTERN ?= PipelineDay|PipelineStream|Detectors|Louvain|SimilarityGraph|GenerateDay|TraceIndex|Extract|Ingest|HoughSparse
+# compares against BENCH_baseline.json), by layer of one labeling:
+#   Ingest, TraceIndex  the fused pcap→Index decode (its allocs/op is the
+#                       steady-state serving cost) against ReadTrace+NewIndex,
+#                       and trace.NewIndex alone
+#   Detectors,          the four detectors, and the sparse Hough voting per
+#   HoughSparse         tuning
+#   Extract,            the similarity estimator's stages — posting-list alarm
+#   SimilarityGraph,    extraction into sorted id slices, the CSR inverted
+#   Louvain, Estimate   index and row fan-out of internal/simgraph, community
+#                       mining — and the whole of core.EstimateContext
+#   SCANN, Apriori      the combine and label layers
+#   PipelineDay,        a batch day end to end, and the segmented streaming
+#   PipelineStream      path (per-segment seal + detect, sliding-window labeling)
+#   GenerateDay         the generator (also matches the day-level GenerateDays
+#                       fan-out benches)
+# PipelineDay, PipelineStream, Extract, SimilarityGraph and GenerateDay carry
+# workers={1,4,N} sub-benches, so each run records the parallel speedup
+# ratios too; the rest are one row each (TraceIndex and Louvain because the
+# stages are sequential, Estimate/SCANN/Apriori at workers=1).
+BENCH_PATTERN ?= PipelineDay|PipelineStream|Detectors|Louvain|SimilarityGraph|GenerateDay|TraceIndex|Extract|Ingest|HoughSparse|Estimate|SCANN|Apriori
 # Total-coverage floor for `make cover`, in percent. Set from the measured
 # coverage at the last raise (85.1% when the golden-fixture and fuzz tests
 # landed), rounded down; raise it as coverage grows, never lower it to make
@@ -61,7 +69,7 @@ test:
 # tests, and TestSealedIndexesSurvivePoolChurn's arena-pool churn), every
 # internal package where the concurrency lives — trace (the pooled index
 # arenas), mawigen (windowed background generation + injection fan-out),
-# parallel (the pool itself), simgraph (keyed-shard similarity graph),
+# parallel (the pool itself), simgraph (the similarity graph's row fan-out),
 # serve (the daemon's engine admission/drain paths, lock-free histograms
 # and graceful-shutdown tests) — plus the cmd binaries' black-box tests
 # (mawilabd's serve smoke spawns the real daemon) and examples. ./... so
@@ -128,14 +136,16 @@ lint:
 # Short fuzzing smoke over the committed seed corpora plus FUZZTIME of fresh
 # exploration per target: the IPv4 parser invariants, the index builder
 # against the map-based reference in internal/trace's tests, the pcap
-# write→read round trip, and the decode-streaming vs decode-materialized
-# ingest differential. A crash writes its reproducer into the package's
-# testdata/fuzz corpus — commit it with the fix.
+# write→read round trip, the decode-streaming vs decode-materialized
+# ingest differential, and the similarity-graph build against its quadratic
+# reference at workers 1 and 3. A crash writes its reproducer into the
+# package's testdata/fuzz corpus — commit it with the fix.
 fuzz:
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzParseIPv4$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzIndexBuilder$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/pcap -run '^$$' -fuzz '^FuzzRoundTrip$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/pcap -run '^$$' -fuzz '^FuzzDecodeIndex$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/simgraph -run '^$$' -fuzz '^FuzzBuild$$' -fuzztime $(FUZZTIME)
 
 # Black-box daemon smoke: build the real mawilabd binary, boot it on a
 # random port, upload the golden fixture day over HTTP, assert the served

@@ -429,13 +429,13 @@ func BenchmarkExtract(b *testing.B) {
 	}
 }
 
-// BenchmarkSimilarityGraph times the sharded similarity-graph build
-// (internal/simgraph) alone — inverted index, pair intersection and edge
-// weighting — on the full bench-trace detector ensemble, at several
-// worker-pool sizes. workers=1 is the sequential reference path and the
-// graph is byte-identical across sub-benches (TestBuildDeterminismAcross-
-// Workers), so the ns/op ratio is the pure sharding speedup the CI bench
-// gate tracks.
+// BenchmarkSimilarityGraph times the similarity-graph build
+// (internal/simgraph) alone — set validation, the CSR inverted index, the
+// per-alarm shared-id counts and edge weighting — on the full bench-trace
+// detector ensemble, at several worker-pool sizes. Only the row fan-out
+// varies with workers and the graph is byte-identical across sub-benches
+// (TestBuildDeterminismAcrossWorkers), so the ns/op ratio is the fan-out's
+// speedup the CI bench gate tracks.
 func BenchmarkSimilarityGraph(b *testing.B) {
 	b.ReportAllocs()
 	ix := benchIndex(b)

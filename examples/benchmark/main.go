@@ -79,7 +79,8 @@ func main() {
 	// candidate alarms join the graph; any community that mixes candidate
 	// alarms with reference-anomalous traffic is a hit.
 	// Reuse the index the pipeline already built — the build-once rule.
-	ext := core.NewExtractor(labeling.Result.Index(), trace.GranUniFlow)
+	ix := labeling.Result.Index()
+	ext := core.NewExtractor(ix, trace.GranUniFlow)
 	candSets := make([]*core.TrafficSet, len(candidate))
 	for i := range candidate {
 		candSets[i] = ext.Extract(&candidate[i])
@@ -92,7 +93,7 @@ func main() {
 		hit := false
 		for _, rep := range anomalies {
 			c := &labeling.Result.Communities[rep.Community]
-			if overlaps(cs, c, ext) {
+			if overlaps(cs, c, ix) {
 				hit = true
 				matchedAnomalies[rep.Community] = true
 			}
@@ -120,7 +121,7 @@ func main() {
 
 // overlaps reports whether a candidate traffic set shares at least 10% of
 // its flows with a reference community (Simpson-style containment).
-func overlaps(cs *core.TrafficSet, c *core.Community, ext *core.Extractor) bool {
+func overlaps(cs *core.TrafficSet, c *core.Community, ix *trace.Index) bool {
 	if cs.Size() == 0 {
 		return false
 	}
@@ -130,7 +131,7 @@ func overlaps(cs *core.TrafficSet, c *core.Community, ext *core.Extractor) bool 
 	}
 	common := 0
 	for _, fi := range cs.FlowRefs {
-		if ref[ext.FlowKey(fi)] {
+		if ref[ix.Flow(fi)] {
 			common++
 		}
 	}

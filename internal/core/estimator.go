@@ -122,14 +122,20 @@ func (r *Result) Index() *trace.Index { return r.extractor.Index() }
 // into communities — resolving all traffic against the shared trace.Index
 // the caller already holds (a sealed segment's, a streaming window's, or
 // trace.SealTrace's canonical whole-trace index; the same index the
-// detector fan-out consumed, built once per trace). The per-alarm traffic
-// extraction, the similarity-graph build (sharded in internal/simgraph) and
-// the per-community traffic unions fan out across up to `workers`
-// goroutines (<= 1 runs inline); Louvain community mining is sequential.
-// The result is identical at every worker count.
+// detector fan-out consumed, built once per trace). Traffic is identified by
+// that index's own exact ids throughout. The per-alarm traffic extraction,
+// the rows of the similarity graph (internal/simgraph) and the per-community
+// traffic unions fan out across up to `workers` goroutines (<= 1 runs
+// inline); Louvain community mining is sequential. The result is identical at
+// every worker count.
 func EstimateContext(ctx context.Context, ix *trace.Index, alarms []Alarm, cfg EstimatorConfig, workers int) (*Result, error) {
 	if cfg.MinSimilarity < 0 || cfg.MinSimilarity > 1 {
 		return nil, fmt.Errorf("core: MinSimilarity %f out of [0,1]", cfg.MinSimilarity)
+	}
+	switch cfg.Granularity {
+	case trace.GranPacket, trace.GranUniFlow, trace.GranBiFlow:
+	default:
+		return nil, fmt.Errorf("core: unknown granularity %d", cfg.Granularity)
 	}
 	ext := NewExtractor(ix, cfg.Granularity)
 	sets := make([]*TrafficSet, len(alarms))

@@ -2,8 +2,14 @@ package core
 
 import (
 	"context"
+	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
+	"time"
 
+	"mawilab/internal/graphx"
+	"mawilab/internal/mawigen"
 	"mawilab/internal/trace"
 )
 
@@ -194,6 +200,12 @@ func TestEstimateBadConfig(t *testing.T) {
 	if _, err := estimate(tr, []Alarm{scanAlarm("a", 0)}, cfg); err == nil {
 		t.Error("unknown algo accepted")
 	}
+	// An out-of-range granularity used to be labeled silently as biflow.
+	cfg = DefaultEstimatorConfig()
+	cfg.Granularity = trace.Granularity(7)
+	if _, err := estimate(tr, []Alarm{scanAlarm("a", 0)}, cfg); err == nil || !strings.Contains(err.Error(), "7") {
+		t.Errorf("granularity 7: err = %v, want an error naming the value", err)
+	}
 }
 
 func TestEstimateEmptyAlarms(t *testing.T) {
@@ -318,5 +330,117 @@ func TestDetectorsInSingleCommunity(t *testing.T) {
 	}
 	if dets := res.DetectorsIn(&Community{}); len(dets) != 0 {
 		t.Errorf("DetectorsIn(empty community) = %v, want none", dets)
+	}
+}
+
+// exactReferenceGraph is the similarity graph computed with none of the
+// production machinery: every alarm's traffic is found by matching every
+// packet of the trace against its filters and keyed in a Go map by the exact
+// unit — the packet index, the packet's FlowKey, or that key's Canonical()
+// form — and every pair of alarms is intersected directly, in pair order.
+func exactReferenceGraph(ix *trace.Index, alarms []Alarm, cfg EstimatorConfig) *graphx.Graph {
+	units := make([]map[any]struct{}, len(alarms))
+	for i := range alarms {
+		units[i] = make(map[any]struct{})
+		for pi := 0; pi < ix.Len(); pi++ {
+			p := ix.PacketAt(pi)
+			for _, f := range alarms[i].Filters {
+				if !f.Match(&p) {
+					continue
+				}
+				switch cfg.Granularity {
+				case trace.GranPacket:
+					units[i][pi] = struct{}{}
+				case trace.GranUniFlow:
+					units[i][p.Flow()] = struct{}{}
+				case trace.GranBiFlow:
+					units[i][p.Flow().Canonical()] = struct{}{}
+				}
+			}
+		}
+	}
+	g := graphx.New(len(alarms))
+	for a := range units {
+		for b := a + 1; b < len(units); b++ {
+			n := 0
+			for u := range units[a] {
+				if _, ok := units[b][u]; ok {
+					n++
+				}
+			}
+			if n == 0 {
+				continue
+			}
+			var w float64
+			switch cfg.Measure {
+			case Simpson:
+				w = float64(n) / float64(min(len(units[a]), len(units[b])))
+			case Jaccard:
+				w = float64(n) / float64(len(units[a])+len(units[b])-n)
+			case Constant:
+				w = 1
+			}
+			if w >= cfg.MinSimilarity && w > 0 {
+				g.AddEdge(a, b, w)
+			}
+		}
+	}
+	return g
+}
+
+// TestEstimateMatchesExactReference pins the id-slice representation at
+// every granularity and measure (the pipeline golden only exercises uniflow
+// Simpson): on a generated archive day, alarmed by its ground-truth events
+// plus random filters, and on the random filter trace, the estimator's graph
+// — edges, weights, float-accumulated total weight — equals the map-keyed
+// quadratic reference at workers 1 and 4.
+func TestEstimateMatchesExactReference(t *testing.T) {
+	arch := mawigen.NewArchive(7)
+	arch.Duration = 20
+	arch.BaseRate = 150
+	day := arch.Day(time.Date(2004, 5, 10, 0, 0, 0, 0, time.UTC))
+	dayIx := trace.NewIndex(day.Trace)
+	rng := rand.New(rand.NewSource(11))
+	var dayAlarms []Alarm
+	for _, ev := range day.Truth {
+		dayAlarms = append(dayAlarms, Alarm{Detector: "truth", Filters: ev.Filters})
+	}
+	for len(dayAlarms) < 60 {
+		dayAlarms = append(dayAlarms, Alarm{Detector: "rand", Filters: []trace.Filter{randomFilter(rng, dayIx)}})
+	}
+	randIx := trace.NewIndex(randomFilterTrace(31, 2000))
+	var randAlarms []Alarm
+	for i := 0; i < 60; i++ {
+		a := Alarm{Detector: "rand", Filters: []trace.Filter{randomFilter(rng, randIx)}}
+		if i%3 == 0 {
+			a.Filters = append(a.Filters, randomFilter(rng, randIx))
+		}
+		randAlarms = append(randAlarms, a)
+	}
+	cases := []struct {
+		name   string
+		ix     *trace.Index
+		alarms []Alarm
+	}{{"day", dayIx, dayAlarms}, {"random", randIx, randAlarms}}
+	for _, tc := range cases {
+		for _, gran := range []trace.Granularity{trace.GranPacket, trace.GranUniFlow, trace.GranBiFlow} {
+			for _, measure := range []Measure{Simpson, Jaccard, Constant} {
+				cfg := EstimatorConfig{Granularity: gran, Measure: measure, MinSimilarity: 0.1, Algo: Louvain}
+				want := exactReferenceGraph(tc.ix, tc.alarms, cfg)
+				if want.EdgeCount() == 0 {
+					t.Fatalf("%s %v %v: reference graph has no edges — the case tests nothing", tc.name, gran, measure)
+				}
+				for _, workers := range []int{1, 4} {
+					res, err := EstimateContext(context.Background(), tc.ix, tc.alarms, cfg, workers)
+					if err != nil {
+						t.Fatalf("%s %v %v workers=%d: %v", tc.name, gran, measure, workers, err)
+					}
+					if !reflect.DeepEqual(res.Graph, want) {
+						t.Errorf("%s %v %v workers=%d: graph differs from the exact reference (%d vs %d edges, total weight %v vs %v)",
+							tc.name, gran, measure, workers, res.Graph.EdgeCount(), want.EdgeCount(), res.Graph.TotalWeight(), want.TotalWeight())
+					}
+				}
+			}
+		}
 	}
 }

@@ -1,23 +1,27 @@
 package core
 
 import (
-	"sort"
+	"slices"
 
+	"mawilab/internal/simgraph"
 	"mawilab/internal/trace"
 )
 
 // TrafficSet is the traffic designated by one alarm at a given granularity
-// (§2.1.1): a set of opaque traffic-unit ids used for similarity, plus
-// references back to the matched flows/packets for labeling.
+// (§2.1.1), in the shared index's own exact ids: the traffic units compared
+// for similarity, plus the matched flows/packets for labeling. Every slice is
+// strictly ascending and must not be mutated.
 type TrafficSet struct {
-	// IDs identify the traffic units: packet indices (GranPacket), directed
-	// flow hashes (GranUniFlow) or canonical flow hashes (GranBiFlow).
-	IDs map[uint64]struct{}
+	// IDs identify the traffic units: it is PacketIdx at GranPacket, FlowRefs
+	// at GranUniFlow, and at GranBiFlow one conversation id per matched flow —
+	// the smaller of the flow's id and its reverse direction's, so both
+	// directions of a conversation share one id.
+	IDs simgraph.Set
 	// FlowRefs are indices into the shared flow table for every matched
-	// unidirectional flow, sorted ascending.
+	// unidirectional flow.
 	FlowRefs []int
 	// PacketIdx are the matched packet indices (populated only at
-	// GranPacket), sorted ascending.
+	// GranPacket).
 	PacketIdx []int
 }
 
@@ -47,81 +51,68 @@ func (e *Extractor) Granularity() trace.Granularity { return e.gran }
 // Index returns the shared trace index the extractor resolves against.
 func (e *Extractor) Index() *trace.Index { return e.ix }
 
-// Flows returns the number of distinct unidirectional flows indexed.
-func (e *Extractor) Flows() int { return e.ix.Flows() }
-
-// FlowKey returns the flow key at table index i.
-func (e *Extractor) FlowKey(i int) trace.FlowKey { return e.ix.Flow(i) }
-
-// FlowPackets returns the packet indices of flow table entry i, ascending.
-// The slice aliases the index and must not be mutated.
-func (e *Extractor) FlowPackets(i int) []int32 { return e.ix.FlowPackets(i) }
-
 // Extract resolves alarm a to its TrafficSet. For each filter it visits the
-// index's posting-list candidates (ascending flow ids, a superset of the
-// matching flows), or the whole flow table when the filter constrains no
-// posted field. Either way matching flows are visited in ascending order —
-// the full-table scan in extract_test.go pins the equivalence.
+// index's posting-list candidates (a superset of the matching flows), or the
+// whole flow table when the filter constrains no posted field — the
+// full-table scan in extract_test.go pins the equivalence. Overlapping
+// filters may match a flow or packet twice; sorting and compacting the
+// collected ids once at the end makes them sets.
 func (e *Extractor) Extract(a *Alarm) *TrafficSet {
-	ts := &TrafficSet{IDs: make(map[uint64]struct{})}
-	flowSeen := make(map[int]struct{})
-	pktSeen := make(map[int]struct{})
+	ts := &TrafficSet{}
 	for _, f := range a.Filters {
 		if candidates, pruned := e.ix.CandidateFlows(f); pruned {
 			for _, fi := range candidates {
-				e.matchFlow(f, int(fi), ts, flowSeen, pktSeen)
+				e.matchFlow(f, int(fi), ts)
 			}
 		} else {
 			for fi := 0; fi < e.ix.Flows(); fi++ {
-				e.matchFlow(f, fi, ts, flowSeen, pktSeen)
+				e.matchFlow(f, fi, ts)
 			}
 		}
 	}
-	ts.FlowRefs = sortedKeys(flowSeen)
-	if e.gran == trace.GranPacket {
-		ts.PacketIdx = sortedKeys(pktSeen)
+	ts.FlowRefs = sortedSet(ts.FlowRefs)
+	switch e.gran {
+	case trace.GranPacket:
+		ts.PacketIdx = sortedSet(ts.PacketIdx)
+		ts.IDs = ts.PacketIdx
+	case trace.GranUniFlow:
+		ts.IDs = ts.FlowRefs
+	default:
+		ids := make([]int, len(ts.FlowRefs))
+		for i, fi := range ts.FlowRefs {
+			ids[i] = fi
+			if ri, ok := e.ix.FlowID(e.ix.Flow(fi).Reverse()); ok {
+				ids[i] = min(fi, ri)
+			}
+		}
+		ts.IDs = sortedSet(ids)
 	}
 	return ts
 }
 
-// matchFlow folds flow fi into the traffic set if it satisfies filter f.
-func (e *Extractor) matchFlow(f trace.Filter, fi int, ts *TrafficSet, flowSeen, pktSeen map[int]struct{}) {
-	k := e.ix.Flow(fi)
-	if !f.MatchFlow(k) {
+// matchFlow appends flow fi — and, at packet granularity, its packets inside
+// the filter's interval — to the traffic set if it satisfies filter f.
+func (e *Extractor) matchFlow(f trace.Filter, fi int, ts *TrafficSet) {
+	if !f.MatchFlow(e.ix.Flow(fi)) {
 		return
 	}
-	switch e.gran {
-	case trace.GranPacket:
-		for _, pi32 := range e.ix.FlowPackets(fi) {
-			pi := int(pi32)
-			if f.TimeBounded() {
-				sec := e.ix.Seconds[pi]
-				if sec < f.From || sec >= f.To {
-					continue
-				}
-			}
-			if _, ok := pktSeen[pi]; ok {
+	if e.gran != trace.GranPacket {
+		if !f.TimeBounded() || e.anyPacketIn(fi, f.From, f.To) {
+			ts.FlowRefs = append(ts.FlowRefs, fi)
+		}
+		return
+	}
+	matched := len(ts.PacketIdx)
+	for _, pi := range e.ix.FlowPackets(fi) {
+		if f.TimeBounded() {
+			if sec := e.ix.Seconds[pi]; sec < f.From || sec >= f.To {
 				continue
 			}
-			pktSeen[pi] = struct{}{}
-			ts.IDs[uint64(pi)] = struct{}{}
-			if _, ok := flowSeen[fi]; !ok {
-				flowSeen[fi] = struct{}{}
-			}
 		}
-	default:
-		if f.TimeBounded() && !e.anyPacketIn(fi, f.From, f.To) {
-			return
-		}
-		if _, ok := flowSeen[fi]; ok {
-			return
-		}
-		flowSeen[fi] = struct{}{}
-		if e.gran == trace.GranUniFlow {
-			ts.IDs[k.DirectedHash()] = struct{}{}
-		} else {
-			ts.IDs[k.Canonical().FastHash()] = struct{}{}
-		}
+		ts.PacketIdx = append(ts.PacketIdx, int(pi))
+	}
+	if len(ts.PacketIdx) > matched {
+		ts.FlowRefs = append(ts.FlowRefs, fi)
 	}
 }
 
@@ -136,13 +127,10 @@ func (e *Extractor) anyPacketIn(fi int, from, to float64) bool {
 	return false
 }
 
-func sortedKeys(m map[int]struct{}) []int {
-	out := make([]int, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Ints(out)
-	return out
+// sortedSet sorts ids ascending and drops duplicates, in place.
+func sortedSet(ids []int) []int {
+	slices.Sort(ids)
+	return slices.Compact(ids)
 }
 
 // CommunityTraffic is the union of member alarms' traffic, materialized for
@@ -156,32 +144,23 @@ type CommunityTraffic struct {
 // At flow granularities the packets are all packets of the matched flows;
 // at packet granularity they are exactly the matched packets.
 func (e *Extractor) Union(sets []*TrafficSet) CommunityTraffic {
-	flowSeen := make(map[int]struct{})
+	var flowRefs, packets []int
 	for _, ts := range sets {
-		for _, fi := range ts.FlowRefs {
-			flowSeen[fi] = struct{}{}
-		}
+		flowRefs = append(flowRefs, ts.FlowRefs...)
+		packets = append(packets, ts.PacketIdx...)
 	}
-	flowRefs := sortedKeys(flowSeen)
+	flowRefs = sortedSet(flowRefs)
 	ct := CommunityTraffic{Flows: make([]trace.FlowKey, len(flowRefs))}
 	for i, fi := range flowRefs {
 		ct.Flows[i] = e.ix.Flow(fi)
 	}
-	if e.gran == trace.GranPacket {
-		pktSeen := make(map[int]struct{})
-		for _, ts := range sets {
-			for _, pi := range ts.PacketIdx {
-				pktSeen[pi] = struct{}{}
-			}
-		}
-		ct.Packets = sortedKeys(pktSeen)
-	} else {
+	if e.gran != trace.GranPacket {
 		for _, fi := range flowRefs {
 			for _, pi := range e.ix.FlowPackets(fi) {
-				ct.Packets = append(ct.Packets, int(pi))
+				packets = append(packets, int(pi))
 			}
 		}
-		sort.Ints(ct.Packets)
 	}
+	ct.Packets = sortedSet(packets)
 	return ct
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"mawilab/internal/trace"
@@ -67,8 +68,8 @@ func TestExtractFlowGranularityFig1(t *testing.T) {
 
 func intersect(a, b *TrafficSet) int {
 	n := 0
-	for id := range a.IDs {
-		if _, ok := b.IDs[id]; ok {
+	for _, id := range a.IDs {
+		if slices.Contains(b.IDs, id) {
 			n++
 		}
 	}
@@ -163,14 +164,14 @@ func TestExtractorAccessors(t *testing.T) {
 	if ext.Granularity() != trace.GranBiFlow {
 		t.Error("granularity accessor wrong")
 	}
-	if ext.Flows() != 1 {
-		t.Errorf("flows = %d, want 1", ext.Flows())
+	ix := ext.Index()
+	if ix.Flows() != 1 {
+		t.Errorf("flows = %d, want 1", ix.Flows())
 	}
-	if got := ext.FlowPackets(0); len(got) != 10 {
+	if got := ix.FlowPackets(0); len(got) != 10 {
 		t.Errorf("flow packets = %d", len(got))
 	}
-	k := ext.FlowKey(0)
-	if k.DstPort != 80 {
+	if k := ix.Flow(0); k.DstPort != 80 {
 		t.Errorf("flow key = %v", k)
 	}
 }
@@ -260,26 +261,81 @@ func randomFilter(rng *rand.Rand, ix *trace.Index) trace.Filter {
 }
 
 // extractScan is the reference the posting-list prefilter is pinned against:
-// every filter scans the whole flow table.
+// every filter scans the whole flow table, and every matched flow and packet
+// goes into a Go map, so it shares neither the candidate lists nor the
+// sort-and-compact set building with Extract.
 func (e *Extractor) extractScan(a *Alarm) *TrafficSet {
-	ts := &TrafficSet{IDs: make(map[uint64]struct{})}
 	flowSeen := make(map[int]struct{})
 	pktSeen := make(map[int]struct{})
+	idSeen := make(map[int]struct{})
 	for _, f := range a.Filters {
 		for fi := 0; fi < e.ix.Flows(); fi++ {
-			e.matchFlow(f, fi, ts, flowSeen, pktSeen)
+			k := e.ix.Flow(fi)
+			if !f.MatchFlow(k) {
+				continue
+			}
+			matched := false
+			for _, pi := range e.ix.FlowPackets(fi) {
+				if sec := e.ix.Seconds[pi]; f.TimeBounded() && (sec < f.From || sec >= f.To) {
+					continue
+				}
+				matched = true
+				if e.gran == trace.GranPacket {
+					pktSeen[int(pi)] = struct{}{}
+					idSeen[int(pi)] = struct{}{}
+				}
+			}
+			if !matched {
+				continue
+			}
+			flowSeen[fi] = struct{}{}
+			switch e.gran {
+			case trace.GranUniFlow:
+				idSeen[fi] = struct{}{}
+			case trace.GranBiFlow:
+				// The conversation's id: the lowest flow id with the same
+				// canonical key.
+				for fj := 0; fj < e.ix.Flows(); fj++ {
+					if e.ix.Flow(fj).Canonical() == k.Canonical() {
+						idSeen[fj] = struct{}{}
+						break
+					}
+				}
+			}
 		}
 	}
-	ts.FlowRefs = sortedKeys(flowSeen)
+	ts := &TrafficSet{IDs: sortedKeys(idSeen), FlowRefs: sortedKeys(flowSeen)}
 	if e.gran == trace.GranPacket {
 		ts.PacketIdx = sortedKeys(pktSeen)
 	}
 	return ts
 }
 
+// sortedKeys returns the set's members ascending.
+func sortedKeys(m map[int]struct{}) []int {
+	out := make([]int, 0, len(m))
+	for k := range m {
+		out = append(out, k)
+	}
+	slices.Sort(out)
+	return out
+}
+
+// strictlyAscending reports whether ids is sorted with no duplicates.
+func strictlyAscending(ids []int) bool {
+	for i := 1; i < len(ids); i++ {
+		if ids[i] <= ids[i-1] {
+			return false
+		}
+	}
+	return true
+}
+
 // TestExtractIndexedMatchesScan pins the posting-list prefilter to the
 // full-table reference scan: over randomized multi-filter alarms at all
-// three granularities, both paths must produce identical traffic sets.
+// three granularities, both paths must produce identical traffic sets, every
+// set strictly ascending, and IDs must be the index's own ids — FlowRefs at
+// uniflow, PacketIdx at packet granularity.
 func TestExtractIndexedMatchesScan(t *testing.T) {
 	tr := randomFilterTrace(23, 3000)
 	ix := trace.NewIndex(tr)
@@ -293,15 +349,82 @@ func TestExtractIndexedMatchesScan(t *testing.T) {
 			}
 			indexed := ext.Extract(&a)
 			scanned := ext.extractScan(&a)
-			if !reflect.DeepEqual(indexed.IDs, scanned.IDs) {
+			if !slices.Equal(indexed.IDs, scanned.IDs) {
 				t.Fatalf("%v alarm %d: IDs differ (%d indexed vs %d scanned)",
 					g, i, len(indexed.IDs), len(scanned.IDs))
 			}
-			if !reflect.DeepEqual(indexed.FlowRefs, scanned.FlowRefs) {
+			if !slices.Equal(indexed.FlowRefs, scanned.FlowRefs) {
 				t.Fatalf("%v alarm %d: FlowRefs differ", g, i)
 			}
-			if !reflect.DeepEqual(indexed.PacketIdx, scanned.PacketIdx) {
+			if !slices.Equal(indexed.PacketIdx, scanned.PacketIdx) {
 				t.Fatalf("%v alarm %d: PacketIdx differ", g, i)
+			}
+			if !strictlyAscending(indexed.IDs) || !strictlyAscending(indexed.FlowRefs) || !strictlyAscending(indexed.PacketIdx) {
+				t.Fatalf("%v alarm %d: a traffic set is not strictly ascending: %+v", g, i, indexed)
+			}
+			switch g {
+			case trace.GranUniFlow:
+				if !slices.Equal(indexed.IDs, indexed.FlowRefs) {
+					t.Fatalf("uniflow alarm %d: IDs are not FlowRefs", i)
+				}
+			case trace.GranPacket:
+				if !slices.Equal(indexed.IDs, indexed.PacketIdx) {
+					t.Fatalf("packet alarm %d: IDs are not PacketIdx", i)
+				}
+			}
+		}
+	}
+}
+
+// TestBiflowIDIsConversation: over a random index, two flows get the same
+// biflow id iff their canonical keys are equal, and a flow whose reverse
+// direction is absent from the trace keeps its own id.
+func TestBiflowIDIsConversation(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	tr := &trace.Trace{Name: "rand-biflow"}
+	for i := 0; i < 2000; i++ {
+		// One small host/port pool for both ends, so many flows have their
+		// reverse in the trace and many do not.
+		tr.Append(trace.Packet{
+			TS:      int64(i) * 1e3,
+			Src:     trace.MakeIPv4(10, 0, 0, byte(rng.Intn(6))),
+			Dst:     trace.MakeIPv4(10, 0, 0, byte(rng.Intn(6))),
+			SrcPort: uint16(80 + rng.Intn(3)),
+			DstPort: uint16(80 + rng.Intn(3)),
+			Proto:   []trace.Proto{trace.TCP, trace.UDP}[rng.Intn(2)],
+		})
+	}
+	ix := trace.NewIndex(tr)
+	ext := NewExtractor(ix, trace.GranBiFlow)
+	ids := make([]int, ix.Flows())
+	paired, alone := 0, 0
+	for fi := range ids {
+		k := ix.Flow(fi)
+		// A filter naming the whole 5-tuple resolves to exactly flow fi.
+		f := trace.NewFilter().WithSrc(k.Src).WithDst(k.Dst).WithSrcPort(k.SrcPort).WithDstPort(k.DstPort).WithProto(k.Proto)
+		ts := ext.Extract(&Alarm{Detector: "one", Filters: []trace.Filter{f}})
+		if !reflect.DeepEqual(ts.FlowRefs, []int{fi}) || len(ts.IDs) != 1 {
+			t.Fatalf("flow %d (%v): FlowRefs=%v IDs=%v, want exactly itself", fi, k, ts.FlowRefs, ts.IDs)
+		}
+		ids[fi] = ts.IDs[0]
+		if _, ok := ix.FlowID(k.Reverse()); !ok {
+			alone++
+			if ids[fi] != fi {
+				t.Fatalf("flow %d (%v) has no reverse in the trace but biflow id %d", fi, k, ids[fi])
+			}
+		} else if k != k.Reverse() {
+			paired++
+		}
+	}
+	if paired == 0 || alone == 0 {
+		t.Fatalf("degenerate trace: %d flows with a reverse, %d without", paired, alone)
+	}
+	for fi := range ids {
+		for fj := range ids {
+			same := ix.Flow(fi).Canonical() == ix.Flow(fj).Canonical()
+			if (ids[fi] == ids[fj]) != same {
+				t.Fatalf("flows %v (id %d) and %v (id %d): same id = %v, same conversation = %v",
+					ix.Flow(fi), ids[fi], ix.Flow(fj), ids[fj], ids[fi] == ids[fj], same)
 			}
 		}
 	}

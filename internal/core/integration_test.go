@@ -100,7 +100,7 @@ func TestCommunityTrafficSupersetInvariant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ext := res.Extractor()
+	ix := res.Index()
 	for _, c := range res.Communities {
 		flows := make(map[trace.FlowKey]bool, len(c.Traffic.Flows))
 		for _, k := range c.Traffic.Flows {
@@ -108,7 +108,7 @@ func TestCommunityTrafficSupersetInvariant(t *testing.T) {
 		}
 		for _, ai := range c.Alarms {
 			for _, fi := range res.Sets[ai].FlowRefs {
-				if !flows[ext.FlowKey(fi)] {
+				if !flows[ix.Flow(fi)] {
 					t.Fatalf("community %d missing flow of alarm %d", c.ID, ai)
 				}
 			}

@@ -1,13 +1,14 @@
 // Package parallel provides the bounded concurrency primitives used by the
-// labeling pipeline: a worker pool with context cancellation and first-error
-// propagation, plus fan-out/fan-in helpers that preserve deterministic,
-// index-ordered results.
+// labeling pipeline: Pool, a worker pool with context cancellation and
+// first-error propagation, and three helpers over it that preserve
+// deterministic, index-ordered results — ForEach (one call per item),
+// ForEachRange (one call per contiguous chunk) and Map (ForEach gathering
+// one result per item).
 //
 // Every helper takes a worker count; n <= 0 selects DefaultWorkers() and
-// n == 1 runs inline on the calling goroutine, which is the exact sequential
-// reference path. Parallel runs write results into index-addressed slots, so
-// output order never depends on goroutine scheduling — the property the
-// pipeline's determinism guarantee is built on.
+// n == 1 runs inline on the calling goroutine. Parallel runs write results
+// into index-addressed slots, so output order never depends on goroutine
+// scheduling — the property the pipeline's determinism guarantee is built on.
 package parallel
 
 import (
@@ -166,24 +167,6 @@ func ForEach(ctx context.Context, n, workers int, fn func(ctx context.Context, i
 	return poolErr
 }
 
-// Shards is the keyed-shard fan-out: it normalizes `workers` with Clamp and
-// runs fn(ctx, shard, shards) once per shard in [0, shards), one shard per
-// worker, gathering the per-shard results in shard order. fn must partition
-// its input by key — e.g. own exactly the keys with hash(key) % shards ==
-// shard — so shards never share writes and need no locks. workers == 1 runs
-// the single shard inline: the sequential reference path. Error semantics
-// match ForEach.
-//
-// Shard-count invariance is the caller's contract: merging the per-shard
-// results must be order-insensitive (integer sums, set unions, ...) so the
-// merged output is identical at every worker count.
-func Shards[T any](ctx context.Context, workers int, fn func(ctx context.Context, shard, shards int) (T, error)) ([]T, error) {
-	shards := Clamp(workers, 0)
-	return Map(ctx, shards, shards, func(ctx context.Context, i int) (T, error) {
-		return fn(ctx, i, shards)
-	})
-}
-
 // ForEachRange splits [0, n) into one contiguous chunk per worker (after
 // Clamp) and runs fn(ctx, lo, hi) once per non-empty chunk, one chunk per
 // goroutine. It is the fan-out for stages whose writes are index-addressed
@@ -197,23 +180,6 @@ func ForEachRange(ctx context.Context, n, workers int, fn func(ctx context.Conte
 	}
 	chunks := Clamp(workers, n)
 	return ForEach(ctx, chunks, chunks, func(ctx context.Context, c int) error {
-		return fn(ctx, c*n/chunks, (c+1)*n/chunks)
-	})
-}
-
-// MapRanges is ForEachRange gathering one result per chunk, in chunk order —
-// the fan-in for stages that emit a list per contiguous range and need the
-// concatenation to reproduce the full [0, n) order. Chunks are never empty:
-// Clamp caps the chunk count at n. Error semantics match ForEach.
-func MapRanges[T any](ctx context.Context, n, workers int, fn func(ctx context.Context, lo, hi int) (T, error)) ([]T, error) {
-	if n <= 0 {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		return nil, nil
-	}
-	chunks := Clamp(workers, n)
-	return Map(ctx, chunks, chunks, func(ctx context.Context, c int) (T, error) {
 		return fn(ctx, c*n/chunks, (c+1)*n/chunks)
 	})
 }

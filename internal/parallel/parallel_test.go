@@ -304,73 +304,6 @@ func TestForEachZeroItems(t *testing.T) {
 	}
 }
 
-func TestShardsPartitionCoversEveryKey(t *testing.T) {
-	// 1000 keys partitioned by key % shards: each shard keeps its own keys,
-	// the merged union must be exactly the key space, with no overlaps.
-	const nkeys = 1000
-	for _, workers := range []int{1, 2, 8} {
-		parts, err := Shards(context.Background(), workers, func(_ context.Context, shard, shards int) ([]int, error) {
-			var mine []int
-			for k := 0; k < nkeys; k++ {
-				if k%shards == shard {
-					mine = append(mine, k)
-				}
-			}
-			return mine, nil
-		})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if len(parts) != Clamp(workers, 0) {
-			t.Fatalf("workers=%d: %d shard results, want %d", workers, len(parts), Clamp(workers, 0))
-		}
-		seen := make(map[int]int)
-		for _, part := range parts {
-			for _, k := range part {
-				seen[k]++
-			}
-		}
-		if len(seen) != nkeys {
-			t.Errorf("workers=%d: union covers %d keys, want %d", workers, len(seen), nkeys)
-		}
-		for k, n := range seen {
-			if n != 1 {
-				t.Fatalf("workers=%d: key %d owned by %d shards", workers, k, n)
-			}
-		}
-	}
-}
-
-func TestShardsResultsInShardOrder(t *testing.T) {
-	out, err := Shards(context.Background(), 4, func(_ context.Context, shard, shards int) (int, error) {
-		if shards != 4 {
-			t.Errorf("shards = %d, want 4", shards)
-		}
-		return shard * 10, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range out {
-		if v != i*10 {
-			t.Fatalf("out[%d] = %d, want %d (shard order lost)", i, v, i*10)
-		}
-	}
-}
-
-func TestShardsError(t *testing.T) {
-	boom := errors.New("shard 2 failed")
-	_, err := Shards(context.Background(), 4, func(_ context.Context, shard, _ int) (int, error) {
-		if shard == 2 {
-			return 0, boom
-		}
-		return shard, nil
-	})
-	if !errors.Is(err, boom) {
-		t.Errorf("err = %v, want the shard failure", err)
-	}
-}
-
 func TestForEachRangeCoversEveryIndexOnce(t *testing.T) {
 	// Chunks must tile [0, n) exactly — every index written once, for worker
 	// counts below, at and above n.
@@ -417,53 +350,5 @@ func TestForEachRangeError(t *testing.T) {
 	})
 	if !errors.Is(err, boom) {
 		t.Errorf("err = %v, want the range failure", err)
-	}
-}
-
-func TestMapRangesConcatenationPreservesOrder(t *testing.T) {
-	// The chunk-ordered concatenation must reproduce [0, n) for any worker
-	// count — the property the graphx aggregation fold is built on.
-	const n = 53
-	for _, workers := range []int{1, 2, 4, 9} {
-		lists, err := MapRanges(context.Background(), n, workers, func(_ context.Context, lo, hi int) ([]int, error) {
-			out := make([]int, 0, hi-lo)
-			for i := lo; i < hi; i++ {
-				out = append(out, i)
-			}
-			return out, nil
-		})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		var flat []int
-		for _, l := range lists {
-			flat = append(flat, l...)
-		}
-		for i, v := range flat {
-			if v != i {
-				t.Fatalf("workers=%d: flat[%d] = %d (concatenation out of order)", workers, i, v)
-			}
-		}
-		if len(flat) != n {
-			t.Fatalf("workers=%d: %d items, want %d", workers, len(flat), n)
-		}
-	}
-}
-
-func TestMapRangesZeroAndCancelled(t *testing.T) {
-	out, err := MapRanges(context.Background(), 0, 4, func(context.Context, int, int) (int, error) {
-		t.Fatal("fn called for empty range")
-		return 0, nil
-	})
-	if err != nil || out != nil {
-		t.Fatalf("empty range: out=%v err=%v", out, err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := MapRanges(ctx, 0, 4, func(context.Context, int, int) (int, error) { return 0, nil }); !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled empty range err = %v, want context.Canceled", err)
-	}
-	if _, err := MapRanges(ctx, 10, 4, func(context.Context, int, int) (int, error) { return 0, nil }); !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled err = %v, want context.Canceled", err)
 	}
 }

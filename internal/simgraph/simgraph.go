@@ -1,30 +1,22 @@
 // Package simgraph builds the alarm-similarity graph of §2.1.2: given each
-// alarm's set of opaque traffic-unit ids, it weights every pair of alarms
-// with intersecting traffic (Simpson / Jaccard / Constant) and assembles the
-// weighted graph that community mining runs on.
+// alarm's traffic as a sorted slice of the trace index's exact ids, it
+// weights every pair of alarms with intersecting traffic (Simpson / Jaccard /
+// Constant) and assembles the weighted graph that community mining runs on.
 //
-// The build is sharded across the bounded worker pool in internal/parallel
-// while keeping the output byte-identical at every worker count:
+// There is one build path, byte-identical at every worker count:
 //
-//  1. bucket (parallel over alarms): each alarm's ids are partitioned into
-//     per-shard buckets by hashing the id, written into slots indexed by the
-//     alarm — no shared writes;
-//  2. intersect (parallel over shards): each shard owns a disjoint id
-//     subspace, builds its own inverted index (id → owning alarms, ascending
-//     because alarms are scanned in index order) and counts co-occurring
-//     pairs into a private map;
-//  3. merge + sort (sequential): per-shard pair counts are summed — integer
-//     addition, so the merged multiset is independent of shard count — and
-//     the pairs sorted into the one canonical order;
-//  4. weigh (parallel over contiguous pair ranges): edge weights are
-//     computed into slots aligned with the sorted pairs;
-//  5. insert (sequential): edges at or above MinSimilarity are inserted in
-//     sorted-pair order, so the graph's floating-point weight accumulation —
-//     and therefore Louvain's modularity comparisons downstream — never
-//     depends on the worker count.
-//
-// Workers == 1 runs every stage inline on the calling goroutine: the exact
-// sequential reference path.
+//  1. index (sequential): a counting sort over [0, max id] lays the inverted
+//     index id → owning alarms out as one CSR table; alarms are scanned in
+//     index order, so every owner list is ascending;
+//  2. rows (parallel over contiguous alarm ranges on the bounded pool in
+//     internal/parallel): for alarm a, walking the owner lists of its ids
+//     counts the ids it shares with every b > a into a scratch array reset
+//     through a touched list; the touched b's are sorted, weighed and emitted
+//     as row a — a slot indexed by a, no shared writes;
+//  3. insert (sequential): the rows concatenated are already in (a, b) order,
+//     and edges at or above MinSimilarity are inserted in that order, so the
+//     graph's floating-point weight accumulation — and therefore Louvain's
+//     modularity comparisons downstream — never depends on the worker count.
 package simgraph
 
 import (
@@ -65,9 +57,11 @@ func (m Measure) String() string {
 	}
 }
 
-// Set is one alarm's traffic: a set of opaque traffic-unit ids (packet
-// indices or flow hashes, depending on granularity).
-type Set = map[uint64]struct{}
+// Set is one alarm's traffic: the ids the trace index gives its traffic
+// units (packet, flow or conversation ids, depending on granularity),
+// strictly ascending and non-negative. Ids are dense — Build allocates one
+// table entry per id up to the largest.
+type Set = []int
 
 // Config parameterizes the similarity-graph build.
 type Config struct {
@@ -78,19 +72,10 @@ type Config struct {
 	// its weight is >= MinSimilarity and > 0; zero keeps every intersecting
 	// pair.
 	MinSimilarity float64
-	// Workers bounds the shard fan-out; <= 0 uses every core, 1 is the
-	// sequential reference path. The graph is identical at every setting.
+	// Workers bounds the row fan-out; <= 0 uses every core. The graph is
+	// identical at every setting.
 	Workers int
 }
-
-// pair packs an alarm-index pair a < b into one word: a in the high 32 bits.
-// Unsigned integer order on the packed value is exactly lexicographic
-// (a, b) order, and the single-word key keeps the intersection maps on the
-// runtime's fast 64-bit hash path.
-type pair uint64
-
-func packPair(a, b int32) pair    { return pair(uint64(uint32(a))<<32 | uint64(uint32(b))) }
-func (p pair) unpack() (a, b int) { return int(p >> 32), int(uint32(p)) }
 
 // Build constructs the similarity graph over len(sets) alarms: node i is
 // alarm i, and intersecting alarms are connected with the configured
@@ -104,172 +89,96 @@ func Build(ctx context.Context, sets []Set, cfg Config) (*graphx.Graph, error) {
 	default:
 		return nil, fmt.Errorf("simgraph: unknown measure %d", cfg.Measure)
 	}
-
-	g := graphx.New(len(sets))
-	pairs, counts, err := intersections(ctx, sets, cfg.Workers)
-	if err != nil {
-		return nil, err
-	}
-	weights, err := weigh(ctx, sets, pairs, counts, cfg)
-	if err != nil {
-		return nil, err
-	}
-	// Sequential insert in sorted pair order: the graph's total weight is a
-	// float accumulator, so insertion order must not vary with Workers.
-	edges := make([]graphx.Edge, 0, len(pairs))
-	for i, pr := range pairs {
-		if w := weights[i]; w >= cfg.MinSimilarity && w > 0 {
-			a, b := pr.unpack()
-			edges = append(edges, graphx.Edge{U: a, V: b, W: w})
-		}
-	}
-	g.AddEdges(edges)
-	return g, nil
-}
-
-// intersections returns every alarm pair with intersecting traffic and the
-// intersection cardinality, in sorted pair order. The inverted-index build
-// and the pair counting are sharded by hashing traffic ids into disjoint
-// per-worker id subspaces; the shard maps are then summed, which is exact
-// integer arithmetic, so the result is independent of the shard count.
-func intersections(ctx context.Context, sets []Set, workers int) ([]pair, []int, error) {
-	// Resolved once and passed explicitly below: Clamp(n, 0) with n > 0 is
-	// the identity, so stage 1's bucket layout and stage 2's fan-out always
-	// agree even if GOMAXPROCS (the workers <= 0 default) changes mid-build.
-	nshards := parallel.Clamp(workers, 0)
-
-	var shardCounts []map[pair]int
-	if nshards == 1 {
-		// Sequential reference path: one inverted index straight off the
-		// sets, no per-shard id copies kept alive.
-		if err := ctx.Err(); err != nil {
-			return nil, nil, err
-		}
-		owners := make(map[uint64][]int32)
-		for i, s := range sets {
-			for id := range s {
-				owners[id] = append(owners[id], int32(i)) //mawilint:allow maprange — each id occurs once per set, so every owner list collects i in ascending set order whatever the iteration order
+	// The sets come from another package: everything below relies on each
+	// being strictly ascending (distinct ids, ascending owner lists) and
+	// non-negative (ids index the offset table).
+	maxID := -1
+	for a, s := range sets {
+		prev := -1
+		for _, id := range s {
+			if id <= prev {
+				return nil, fmt.Errorf("simgraph: set %d is not a strictly ascending list of non-negative ids (%d after %d)", a, id, prev)
 			}
+			prev = id
 		}
-		shardCounts = []map[pair]int{countPairs(owners)}
-	} else {
-		// Stage 1: bucket each set's ids by owning shard. Parallel over
-		// sets, slot-ordered; the id order inside a bucket is map-iteration
-		// order and deliberately does not matter (see stage 2).
-		buckets := make([][][]uint64, len(sets))
-		err := parallel.ForEach(ctx, len(sets), nshards, func(_ context.Context, i int) error {
-			b := make([][]uint64, nshards)
-			for id := range sets[i] {
-				s := shardOf(id, nshards)
-				b[s] = append(b[s], id) //mawilint:allow maprange — bucket-internal order is discarded: stage 2 counts ids into per-shard maps and merges in sorted-pair order
-			}
-			buckets[i] = b
-			return nil
-		})
-		if err != nil {
-			return nil, nil, err
-		}
+		maxID = max(maxID, prev)
+	}
 
-		// Stage 2: per-shard inverted index and pair counts. Scanning
-		// alarms in index order keeps every owner list ascending, exactly
-		// as the sequential build produced it; the id order within a bucket
-		// only permutes which owner list is extended first, and the counts
-		// are integers, so the shard's pair map is deterministic as a set.
-		shardCounts, err = parallel.Shards(ctx, nshards, func(_ context.Context, shard, _ int) (map[pair]int, error) {
-			owners := make(map[uint64][]int32)
-			for i := range buckets {
-				for _, id := range buckets[i][shard] {
-					owners[id] = append(owners[id], int32(i))
+	// Inverted index as one CSR table: owners[off[id]:off[id+1]] are the
+	// alarms holding id, ascending. Offsets are int — at packet granularity
+	// the total can outgrow int32 long before the alarm count does.
+	off := make([]int, maxID+2)
+	for _, s := range sets {
+		for _, id := range s {
+			off[id+1]++
+		}
+	}
+	for id := 0; id <= maxID; id++ {
+		off[id+1] += off[id]
+	}
+	owners := make([]int32, off[maxID+1])
+	next := slices.Clone(off[:maxID+1])
+	for a, s := range sets {
+		for _, id := range s {
+			owners[next[id]] = int32(a)
+			next[id]++
+		}
+	}
+
+	rows := make([][]graphx.Edge, len(sets))
+	err := parallel.ForEachRange(ctx, len(sets), cfg.Workers, func(ctx context.Context, lo, hi int) error {
+		shared := make([]int32, len(sets)) // shared[b] = |sets[a] ∩ sets[b]|, zero outside touched
+		var touched []int
+		for a := lo; a < hi; a++ {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			for _, id := range sets[a] {
+				// Owner lists ascend, so the alarms above a are a suffix; a
+				// holds id itself, which ends the walk inside the list.
+				for j := off[id+1] - 1; int(owners[j]) > a; j-- {
+					b := int(owners[j])
+					if shared[b] == 0 {
+						touched = append(touched, b)
+					}
+					shared[b]++
 				}
 			}
-			return countPairs(owners), nil
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-
-	// Stage 3: merge (integer sums — shard-count invariant) and sort into
-	// the canonical pair order every downstream float accumulation uses
-	// (packed order == lexicographic (a, b) order).
-	merged := shardCounts[0]
-	for _, m := range shardCounts[1:] {
-		for pr, n := range m {
-			merged[pr] += n
-		}
-	}
-	pairs := make([]pair, 0, len(merged))
-	for pr := range merged {
-		pairs = append(pairs, pr)
-	}
-	slices.Sort(pairs)
-	counts := make([]int, len(pairs))
-	for i, pr := range pairs {
-		counts[i] = merged[pr]
-	}
-	return pairs, counts, nil
-}
-
-// countPairs counts the co-occurring alarm pairs of one inverted index.
-// Owner lists are ascending (alarms are always scanned in index order), so
-// packPair's a < b invariant holds without a swap.
-func countPairs(owners map[uint64][]int32) map[pair]int {
-	inter := make(map[pair]int)
-	for _, list := range owners {
-		for x := 0; x < len(list); x++ {
-			for y := x + 1; y < len(list); y++ {
-				inter[packPair(list[x], list[y])]++
-			}
-		}
-	}
-	return inter
-}
-
-// weigh computes the similarity weight of every sorted pair into a slot
-// aligned with it, fanning contiguous pair ranges out across the pool. Each
-// weight is a pure function of one pair, so slot order — not goroutine
-// schedule — fixes the result.
-func weigh(ctx context.Context, sets []Set, pairs []pair, counts []int, cfg Config) ([]float64, error) {
-	weights := make([]float64, len(pairs))
-	err := parallel.ForEachRange(ctx, len(pairs), cfg.Workers, func(_ context.Context, lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			n := counts[i]
-			if n == 0 {
-				continue
-			}
-			a, b := pairs[i].unpack()
-			sa, sb := len(sets[a]), len(sets[b])
-			switch cfg.Measure {
-			case Simpson:
-				m := sa
-				if sb < m {
-					m = sb
+			slices.Sort(touched)
+			row := make([]graphx.Edge, 0, len(touched))
+			for _, b := range touched {
+				w := weight(cfg.Measure, int(shared[b]), len(sets[a]), len(sets[b]))
+				shared[b] = 0
+				if w >= cfg.MinSimilarity && w > 0 {
+					row = append(row, graphx.Edge{U: a, V: b, W: w})
 				}
-				if m > 0 {
-					weights[i] = float64(n) / float64(m)
-				}
-			case Jaccard:
-				if union := sa + sb - n; union > 0 {
-					weights[i] = float64(n) / float64(union)
-				}
-			case Constant:
-				weights[i] = 1
 			}
+			rows[a] = row
+			touched = touched[:0]
 		}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return weights, nil
+	// Sequential insert in (a, b) order: the graph's total weight is a float
+	// accumulator, so insertion order must not vary with Workers.
+	g := graphx.New(len(sets))
+	for _, row := range rows {
+		g.AddEdges(row)
+	}
+	return g, nil
 }
 
-// shardOf maps a traffic id to its owning shard. Ids are mixed first
-// (splitmix64 finalizer) so structured id spaces — packet indices are
-// sequential integers — still spread evenly.
-func shardOf(id uint64, shards int) int {
-	id ^= id >> 33
-	id *= 0xff51afd7ed558ccd
-	id ^= id >> 33
-	return int(id % uint64(shards))
+// weight is the similarity of two alarms sharing n > 0 of their sa and sb
+// traffic units.
+func weight(m Measure, n, sa, sb int) float64 {
+	switch m {
+	case Simpson:
+		return float64(n) / float64(min(sa, sb))
+	case Jaccard:
+		return float64(n) / float64(sa+sb-n)
+	default:
+		return 1
+	}
 }

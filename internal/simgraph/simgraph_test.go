@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"mawilab/internal/graphx"
@@ -18,23 +19,24 @@ func syntheticSets(n, size, stride int) []Set {
 	sets := make([]Set, n)
 	for i := range sets {
 		s := make(Set, size)
-		for j := 0; j < size; j++ {
-			s[uint64(i*stride+j)] = struct{}{}
+		for j := range s {
+			s[j] = i*stride + j
 		}
 		sets[i] = s
 	}
 	return sets
 }
 
-// naiveBuild is the quadratic reference: every pair's intersection computed
-// directly, inserted in pair order. The sharded build must match it exactly.
+// naiveBuild is the quadratic reference: every pair's intersection counted
+// directly, id by id, and inserted in pair order. Build must match it
+// exactly.
 func naiveBuild(sets []Set, cfg Config) *graphx.Graph {
 	g := graphx.New(len(sets))
 	for a := 0; a < len(sets); a++ {
 		for b := a + 1; b < len(sets); b++ {
 			n := 0
-			for id := range sets[a] {
-				if _, ok := sets[b][id]; ok {
+			for _, id := range sets[a] {
+				if slices.Contains(sets[b], id) {
 					n++
 				}
 			}
@@ -72,7 +74,7 @@ func TestBuildMatchesNaiveReference(t *testing.T) {
 		}
 		want := naiveBuild(sets, cfg)
 		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%v: sharded build diverges from the quadratic reference (%d vs %d edges)",
+			t.Errorf("%v: build diverges from the quadratic reference (%d vs %d edges)",
 				m, got.EdgeCount(), want.EdgeCount())
 		}
 	}
@@ -93,7 +95,7 @@ func TestBuildDeterminismAcrossWorkers(t *testing.T) {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		if !reflect.DeepEqual(g, ref) {
-			t.Fatalf("workers=%d: graph differs from the sequential reference path", workers)
+			t.Fatalf("workers=%d: graph differs from workers=1", workers)
 		}
 		if g.TotalWeight() != ref.TotalWeight() {
 			t.Fatalf("workers=%d: total weight %v != %v (float accumulation order leaked)",
@@ -160,7 +162,7 @@ func TestBuildMinSimilarityZero(t *testing.T) {
 }
 
 func TestBuildEmptyAndSingle(t *testing.T) {
-	for _, sets := range [][]Set{nil, {make(Set)}, syntheticSets(1, 5, 1)} {
+	for _, sets := range [][]Set{nil, {nil}, {{}, {}}, syntheticSets(1, 5, 1)} {
 		g, err := Build(context.Background(), sets, Config{Measure: Simpson, MinSimilarity: 0.1, Workers: 4})
 		if err != nil {
 			t.Fatal(err)
@@ -204,21 +206,69 @@ func TestMeasureString(t *testing.T) {
 	}
 }
 
-// TestShardOfSpreads: sequential ids (the packet-granularity id space) must
-// not pile into one shard.
-func TestShardOfSpreads(t *testing.T) {
-	const shards = 8
-	var histo [shards]int
-	for id := uint64(0); id < 8000; id++ {
-		s := shardOf(id, shards)
-		if s < 0 || s >= shards {
-			t.Fatalf("shardOf(%d) = %d out of range", id, s)
-		}
-		histo[s]++
+// TestBuildRejectsMalformedSets: the sets arrive from another package, so a
+// set that is not a strictly ascending list of non-negative ids is an error
+// at every worker count — never a panic or a silently wrong graph.
+func TestBuildRejectsMalformedSets(t *testing.T) {
+	cases := []struct {
+		name string
+		sets []Set
+	}{
+		{"unsorted", []Set{{1, 2, 3}, {3, 1, 2}}},
+		{"duplicated", []Set{{1, 2, 2, 3}, {2, 3}}},
+		{"negative", []Set{{-1, 0, 1}, {0, 1}}},
+		{"only negative", []Set{{-5}}},
 	}
-	for s, n := range histo {
-		if n < 500 || n > 1500 {
-			t.Errorf("shard %d holds %d of 8000 sequential ids (want ≈1000)", s, n)
+	for _, tc := range cases {
+		for _, workers := range []int{1, 4} {
+			g, err := Build(context.Background(), tc.sets, Config{Measure: Simpson, Workers: workers})
+			if err == nil || g != nil {
+				t.Errorf("%s, workers=%d: graph=%v err=%v, want an error", tc.name, workers, g, err)
+			}
 		}
 	}
+}
+
+// setsFromBytes decodes fuzz input into well-formed sets: a 0xFF byte closes
+// the current set, any other byte adds id b%64 to it. Small ids make alarms
+// collide often; the sets are sorted and compacted because that is Build's
+// input contract (TestBuildRejectsMalformedSets covers the rest).
+func setsFromBytes(data []byte) []Set {
+	sets := []Set{nil}
+	for _, b := range data {
+		if b == 0xFF {
+			sets = append(sets, nil)
+			continue
+		}
+		last := &sets[len(sets)-1]
+		*last = append(*last, int(b%64))
+	}
+	for i, s := range sets {
+		slices.Sort(s)
+		sets[i] = slices.Compact(s)
+	}
+	return sets
+}
+
+// FuzzBuild: for arbitrary sets, every measure and a sequential and a
+// parallel fan-out, Build equals the quadratic reference — edges, weights
+// and the float-accumulated total weight.
+func FuzzBuild(f *testing.F) {
+	f.Add([]byte{}, uint8(0), uint8(0)) // the shaped seeds are in testdata/fuzz/FuzzBuild
+	f.Fuzz(func(t *testing.T, data []byte, measure, minSim uint8) {
+		sets := setsFromBytes(data)
+		cfg := Config{Measure: Measure(measure % 3), MinSimilarity: float64(minSim) / 255}
+		want := naiveBuild(sets, cfg)
+		for _, workers := range []int{1, 3} {
+			cfg.Workers = workers
+			got, err := Build(context.Background(), sets, cfg)
+			if err != nil {
+				t.Fatalf("workers=%d: %v", workers, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("workers=%d: build diverges from the quadratic reference on %v (%d vs %d edges)",
+					workers, sets, got.EdgeCount(), want.EdgeCount())
+			}
+		}
+	})
 }

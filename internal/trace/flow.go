@@ -25,60 +25,14 @@ func (k FlowKey) Reverse() FlowKey {
 
 // Canonical returns the bidirectional representative of the flow: of the two
 // directions, the lexicographically smaller (Src, SrcPort) endpoint comes
-// first. Both directions of a conversation map to the same canonical key,
-// which is how the similarity estimator implements the "bidirectional flow"
-// traffic granularity.
+// first. Both directions of a conversation map to the same canonical key —
+// the "bidirectional flow" of the paper's traffic granularities, which trace
+// summaries count by it.
 func (k FlowKey) Canonical() FlowKey {
 	if k.Src > k.Dst || (k.Src == k.Dst && k.SrcPort > k.DstPort) {
 		return k.Reverse()
 	}
 	return k
-}
-
-// fnv64 constants for FastHash.
-const (
-	fnvOffset = 14695981039346656037
-	fnvPrime  = 1099511628211
-)
-
-// FastHash returns a fast non-cryptographic hash of the flow key. Like
-// gopacket's Flow.FastHash, hashing a key and its Reverse yields the same
-// value, so a hash can shard bidirectional conversations consistently.
-func (k FlowKey) FastHash() uint64 {
-	// Combine the two directed endpoint hashes symmetrically (sum and xor),
-	// then mix. Sum+xor keeps directionality out while remaining sensitive
-	// to both endpoints.
-	a := endpointHash(k.Src, k.SrcPort)
-	b := endpointHash(k.Dst, k.DstPort)
-	h := uint64(fnvOffset)
-	h ^= a + b
-	h *= fnvPrime
-	h ^= a ^ b
-	h *= fnvPrime
-	h ^= uint64(k.Proto)
-	h *= fnvPrime
-	return h
-}
-
-// DirectedHash returns a fast hash that distinguishes flow direction.
-func (k FlowKey) DirectedHash() uint64 {
-	h := uint64(fnvOffset)
-	h ^= endpointHash(k.Src, k.SrcPort)
-	h *= fnvPrime
-	h ^= endpointHash(k.Dst, k.DstPort) << 1
-	h *= fnvPrime
-	h ^= uint64(k.Proto)
-	h *= fnvPrime
-	return h
-}
-
-func endpointHash(ip IPv4, port uint16) uint64 {
-	h := uint64(fnvOffset)
-	h ^= uint64(ip)
-	h *= fnvPrime
-	h ^= uint64(port)
-	h *= fnvPrime
-	return h
 }
 
 // String renders the flow key like "tcp 1.2.3.4:80>5.6.7.8:1234".

@@ -5,13 +5,6 @@ import (
 	"testing/quick"
 )
 
-func mkKey(srcOct byte, sp uint16, dstOct byte, dp uint16, proto Proto) FlowKey {
-	return FlowKey{
-		Src: MakeIPv4(10, 0, 0, srcOct), Dst: MakeIPv4(10, 0, 1, dstOct),
-		SrcPort: sp, DstPort: dp, Proto: proto,
-	}
-}
-
 func TestFlowReverseInvolution(t *testing.T) {
 	f := func(src, dst uint32, sp, dp uint16, proto uint8) bool {
 		k := FlowKey{Src: IPv4(src), Dst: IPv4(dst), SrcPort: sp, DstPort: dp, Proto: Proto(proto)}
@@ -41,40 +34,6 @@ func TestCanonicalIdempotent(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestFastHashSymmetric(t *testing.T) {
-	f := func(src, dst uint32, sp, dp uint16, proto uint8) bool {
-		k := FlowKey{Src: IPv4(src), Dst: IPv4(dst), SrcPort: sp, DstPort: dp, Proto: Proto(proto)}
-		return k.FastHash() == k.Reverse().FastHash()
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestDirectedHashDistinguishesDirection(t *testing.T) {
-	k := mkKey(1, 1234, 2, 80, TCP)
-	if k.DirectedHash() == k.Reverse().DirectedHash() {
-		t.Error("DirectedHash equal for both directions; expected distinct values")
-	}
-}
-
-func TestFastHashSpreads(t *testing.T) {
-	// With 10k distinct flows, collisions should be negligible.
-	seen := make(map[uint64]int)
-	n := 0
-	for s := byte(0); s < 100; s++ {
-		for d := byte(0); d < 100; d++ {
-			k := mkKey(s, uint16(1000+int(s)), d, 80, TCP)
-			seen[k.FastHash()]++
-			n++
-		}
-	}
-	collisions := n - len(seen)
-	if collisions > 2 {
-		t.Errorf("FastHash produced %d collisions over %d keys", collisions, n)
 	}
 }
 

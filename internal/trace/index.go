@@ -163,6 +163,13 @@ func (ix *Index) Flows() int { return len(ix.flows) }
 // Flow returns the flow key at flow-table index fi.
 func (ix *Index) Flow(fi int) FlowKey { return ix.flows[fi] }
 
+// FlowID returns the flow-table index of key k, and whether the trace
+// carries that flow: a binary search over the canonically sorted table.
+func (ix *Index) FlowID(k FlowKey) (int, bool) {
+	fi := sort.Search(len(ix.flows), func(i int) bool { return !flowLess(ix.flows[i], k) })
+	return fi, fi < len(ix.flows) && ix.flows[fi] == k
+}
+
 // FlowPackets returns flow fi's packet indices, ascending. The slice
 // aliases the index and must not be mutated.
 func (ix *Index) FlowPackets(fi int) []int32 {

@@ -219,10 +219,10 @@ type Pipeline struct {
 	// 0.2, the paper's s = 20%).
 	RuleSupport float64
 	// Workers bounds the goroutines used by the parallel pipeline
-	// stages (detector fan-out, the sharded similarity-graph build and
-	// community labeling; index construction and Louvain community mining
-	// are sequential). 0 or 1 runs every stage inline; any value produces
-	// byte-identical output — see Parallelism.
+	// stages (detector fan-out, alarm traffic extraction, the rows of the
+	// similarity graph and community labeling; index construction and
+	// Louvain community mining are sequential). 0 or 1 runs every stage
+	// inline; any value produces byte-identical output — see Parallelism.
 	Workers int
 	// Stream configures the segmented ingest used by RunStream. The zero
 	// value is the canonical batch boundary — one unbounded segment, one
@@ -363,12 +363,12 @@ func (c StreamConfig) stride() int {
 // Parallelism sets the pipeline's worker count and returns p for chaining.
 // n <= 0 selects runtime.GOMAXPROCS(0); n == 1 runs every stage inline. The
 // four detectors and their per-configuration runs, the similarity
-// estimator's sharded graph build and the per-community labeling are
-// dispatched across a bounded worker pool, and their outputs are merged in a
-// fixed (detector, config, slot) order, so the labeling is byte-identical at
-// every worker count. Index construction and Louvain community mining are
-// sequential at every setting: at the sizes this pipeline runs, fanning them
-// out costs more than it saves.
+// estimator's traffic extraction and graph rows and the per-community
+// labeling are dispatched across a bounded worker pool, and their outputs are
+// merged in a fixed (detector, config, slot) order, so the labeling is
+// byte-identical at every worker count. Index construction and Louvain
+// community mining are sequential at every setting: at the sizes this
+// pipeline runs, fanning them out costs more than it saves.
 func (p *Pipeline) Parallelism(n int) *Pipeline {
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)

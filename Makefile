@@ -7,8 +7,11 @@ GO ?= go
 #   Ingest, TraceIndex  the fused pcap→Index decode (its allocs/op is the
 #                       steady-state serving cost) against ReadTrace+NewIndex,
 #                       and trace.NewIndex alone
-#   Detectors,          the four detectors, and the sparse Hough voting per
-#   HoughSparse         tuning
+#   DetectAll,          the detector layer as the pipeline runs it (four
+#   Detectors,          prepares, twelve decisions; workers={1,4}); each detector's
+#   HoughSparse         whole Detect, its Prepare and its Decide halves (the
+#                       Detectors pattern matches DetectorsPrepare/DetectorsDecide
+#                       too); and one Hough Detect per tuning
 #   Extract,            the similarity estimator's stages — posting-list alarm
 #   SimilarityGraph,    extraction into sorted id slices, the CSR inverted
 #   Louvain, Estimate   index and row fan-out of internal/simgraph, community
@@ -19,10 +22,10 @@ GO ?= go
 #   GenerateDay         the generator (also matches the day-level GenerateDays
 #                       fan-out benches)
 # PipelineDay, PipelineStream, Extract, SimilarityGraph and GenerateDay carry
-# workers={1,4,N} sub-benches, so each run records the parallel speedup
-# ratios too; the rest are one row each (TraceIndex and Louvain because the
+# workers={1,4,N} sub-benches (DetectAll workers={1,4}), so each run records
+# the parallel speedup ratios too; the rest are one row each (TraceIndex and Louvain because the
 # stages are sequential, Estimate/SCANN/Apriori at workers=1).
-BENCH_PATTERN ?= PipelineDay|PipelineStream|Detectors|Louvain|SimilarityGraph|GenerateDay|TraceIndex|Extract|Ingest|HoughSparse|Estimate|SCANN|Apriori
+BENCH_PATTERN ?= PipelineDay|PipelineStream|DetectAll|Detectors|Louvain|SimilarityGraph|GenerateDay|TraceIndex|Extract|Ingest|HoughSparse|Estimate|SCANN|Apriori
 # Total-coverage floor for `make cover`, in percent. Set from the measured
 # coverage at the last raise (85.1% when the golden-fixture and fuzz tests
 # landed), rounded down; raise it as coverage grows, never lower it to make
@@ -69,7 +72,9 @@ test:
 # tests, and TestSealedIndexesSurvivePoolChurn's arena-pool churn), every
 # internal package where the concurrency lives — trace (the pooled index
 # arenas), mawigen (windowed background generation + injection fan-out),
-# parallel (the pool itself), simgraph (the similarity graph's row fan-out),
+# parallel (the pool itself), detectors (the prepare-then-decide fan-out of
+# DetectAllContext, and detectors/suite's TestDecideConcurrent: one Prepared
+# decided from eight goroutines), simgraph (the similarity graph's row fan-out),
 # serve (the daemon's engine admission/drain paths, lock-free histograms
 # and graceful-shutdown tests) — plus the cmd binaries' black-box tests
 # (mawilabd's serve smoke spawns the real daemon) and examples. ./... so

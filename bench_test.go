@@ -345,6 +345,75 @@ func BenchmarkDetectors(b *testing.B) {
 	}
 }
 
+// BenchmarkDetectAll times the detector layer as the pipeline runs it — the
+// twelve outputs of detectors.DetectAllContext over the shared bench index,
+// four prepares then twelve decisions — sequentially and on four workers.
+// The alarms are identical at every setting
+// (TestDetectAllMatchesPerConfigDetect), so the ns/op ratio is what the
+// prepare/decide fan-out buys.
+func BenchmarkDetectAll(b *testing.B) {
+	b.ReportAllocs()
+	ix := benchIndex(b)
+	dets := suite.Standard()
+	for _, workers := range []int{1, 4} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := detectors.DetectAllContext(context.Background(), ix, dets, workers); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkDetectorsPrepare times each standard detector's
+// configuration-independent half over the shared bench index: what
+// DetectAllContext pays once per detector per trace.
+func BenchmarkDetectorsPrepare(b *testing.B) {
+	b.ReportAllocs()
+	ix := benchIndex(b)
+	for _, d := range suite.Standard() {
+		p := d.(detectors.Preparer)
+		b.Run(d.Name(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := p.Prepare(ix); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkDetectorsDecide times each standard detector's per-configuration
+// half: all of its configurations decided from one prepared state (built
+// outside the timed loop). One op is 64 such rounds: for gamma and kl a
+// round is a threshold filter taking microseconds, which the bench gate's
+// -benchtime=5x could not tell from timer noise.
+func BenchmarkDetectorsDecide(b *testing.B) {
+	b.ReportAllocs()
+	ix := benchIndex(b)
+	for _, d := range suite.Standard() {
+		prepared, err := d.(detectors.Preparer).Prepare(ix)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(d.Name(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for round := 0; round < 64; round++ {
+					for c := 0; c < d.NumConfigs(); c++ {
+						if _, err := prepared.Decide(c); err != nil {
+							b.Fatal(err)
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkEstimate times the similarity estimator on a full ensemble
 // output.
 func BenchmarkEstimate(b *testing.B) {

@@ -3,14 +3,39 @@
 // multiresolution Gamma model, the Hough-transform pattern detector, and
 // the Kullback-Leibler histogram detector.
 //
-// Each detector runs unsupervised over one trace under one of its parameter
-// sets ("configurations": optimal, sensitive, conservative) and reports
-// core.Alarms. Detectors consume the trace through its shared columnar
-// trace.Index — built once per trace and fanned out to every (detector,
-// configuration) run — rather than rescanning raw packets. The similarity
-// estimator is what makes their heterogeneous granularities comparable, so
+// Each detector runs unsupervised over one trace under each of its
+// parameter sets ("configurations": optimal, sensitive, conservative) and
+// reports core.Alarms. Detectors consume the trace through its shared
+// columnar trace.Index, built once per trace. The similarity estimator is
+// what makes their heterogeneous granularities comparable, so
 // implementations are free to report hosts, flows, packets or feature
 // tuples.
+//
+// # Prepare once, decide per configuration
+//
+// A parameter set of the four standard detectors never changes what is
+// computed from the packets — it is a threshold, a subspace size, a cell
+// activation count — so the contract has two halves. A Preparer builds
+// everything that does not depend on the configuration in one Prepare(ix):
+// the sketch rasterizations, Gamma fits, per-bin histograms and KL series,
+// eigenvectors, rasterized Hough planes. The Prepared it returns answers
+// Decide(config) from that state alone. DetectAllContext calls Prepare once
+// per detector and Decide once per configuration; Detector.Detect(ix,
+// config) of a standard detector is Prepare followed by one Decide — the
+// same code, paying the whole preparation for one answer.
+//
+// A Prepared is scoped to the call that made it. It is read-only once
+// Prepare returns, so Decide may be called concurrently for different (or
+// the same) configurations; it reads the index it was prepared from, so it
+// is invalid once that index is released (trace.Index.Release); and nothing
+// in this package or in the standard detectors stores one — not on the
+// detector, not keyed by index — so there is nothing to size or to
+// invalidate.
+//
+// A custom detector needs none of this: one that implements only
+// Name/NumConfigs/Detect joins the ensemble as it always did, and
+// DetectAllContext calls its Detect once per configuration. Implementing
+// Preparer is worth it exactly when the configurations share work.
 package detectors
 
 import (
@@ -52,21 +77,66 @@ func (t Tuning) String() string {
 }
 
 // Detector is one unsupervised anomaly detector with a fixed set of
-// configurations.
+// configurations. It is the whole contract a custom detector must meet; a
+// detector whose configurations share work may also implement Preparer.
 type Detector interface {
 	// Name is the short identifier used in alarms ("pca", "gamma",
-	// "hough", "kl").
+	// "hough", "kl"). It keys the detector's votes, so it must be unique
+	// within an ensemble (see Totals).
 	Name() string
 	// NumConfigs returns how many parameter sets the detector offers.
 	NumConfigs() int
 	// Detect analyzes the indexed trace under parameter set config and
-	// returns the alarms raised. The index is shared across every
-	// (detector, config) run of a trace, so implementations must treat it
-	// as read-only. They must be deterministic for a given (index, config),
-	// and safe for concurrent Detect calls on the same receiver: the
-	// pipeline fans the twelve (detector, config) runs out across a worker
-	// pool.
+	// returns the alarms raised. The index is shared across every detector
+	// of a trace, so implementations must treat it as read-only. They must
+	// be deterministic for a given (index, config), and safe for
+	// concurrent Detect calls on the same receiver: the pipeline fans the
+	// (detector, config) runs out across a worker pool.
 	Detect(ix *trace.Index, config int) ([]core.Alarm, error)
+}
+
+// Preparer is the optional second half of the contract: a Detector that
+// computes its configuration-independent state once per trace. For every
+// config, Prepare(ix) followed by Decide(config) must return exactly what
+// Detect(ix, config) returns.
+type Preparer interface {
+	Detector
+	// Prepare makes one pass over the index and returns the state every
+	// configuration's decision reads. It must not keep the result on the
+	// receiver: concurrent Prepare calls over different indexes are
+	// independent.
+	Prepare(ix *trace.Index) (Prepared, error)
+}
+
+// Prepared is a detector's configuration-independent view of one index. It
+// is read-only after Prepare — Decide is safe for concurrent calls — and
+// valid only until the index it was prepared from is released.
+type Prepared interface {
+	// Decide returns the alarms of parameter set config.
+	Decide(config int) ([]core.Alarm, error)
+}
+
+// unprepared adapts a plain Detector: nothing is shared, every Decide is
+// one Detect.
+type unprepared struct {
+	d  Detector
+	ix *trace.Index
+}
+
+func (u unprepared) Decide(config int) ([]core.Alarm, error) { return u.d.Detect(u.ix, config) }
+
+// Totals returns the detector→configuration-count map core.Result.Confidences
+// needs. Alarms, votes and confidences are keyed by detector name, so two
+// detectors sharing one would be conflated silently; Totals rejects that.
+func Totals(dets []Detector) (map[string]int, error) {
+	totals := make(map[string]int, len(dets))
+	for _, d := range dets {
+		if _, dup := totals[d.Name()]; dup {
+			return nil, fmt.Errorf("detectors: duplicate detector name %q", d.Name())
+		}
+		totals[d.Name()] = d.NumConfigs()
+	}
+	return totals, nil
 }
 
 // DetectAllContext is the detection entry point: it runs every
@@ -75,30 +145,48 @@ type Detector interface {
 // trace's canonical index (trace.SealTrace) — and concatenates the alarms,
 // the "12 outputs of all the configurations" fed to the similarity
 // estimator in the paper's experiments. It also returns the per-detector
-// configuration totals needed for confidence scores.
+// configuration totals needed for confidence scores (see Totals; a repeated
+// detector name is an error).
 //
-// The (detector, config) runs are independent, so they fan out across up to
-// `workers` goroutines (<= 1 runs inline), all sharing the one trace.Index.
-// Each run's alarms land in a slot keyed by (detector index, config index)
-// and are concatenated in that order, so the output is byte-identical to the
-// sequential path regardless of worker count or scheduling.
+// It works in two fan-outs over up to `workers` goroutines (<= 1 runs
+// inline), all sharing the one trace.Index: first one Prepare per detector
+// — a detector that is not a Preparer has nothing to prepare — then one
+// Decide per (detector, config). Each decision's alarms land in a slot
+// keyed by (detector index, config index) and are concatenated in that
+// order, so the output is byte-identical to calling d.Detect(ix, c) in
+// (detector, config) order, regardless of worker count or scheduling. The
+// prepared state lives only inside this call; ix must not be released
+// before it returns.
 func DetectAllContext(ctx context.Context, ix *trace.Index, dets []Detector, workers int) ([]core.Alarm, map[string]int, error) {
-	type job struct {
-		d   Detector
-		cfg int
+	totals, err := Totals(dets)
+	if err != nil {
+		return nil, nil, err
 	}
+	prepared, err := parallel.Map(ctx, len(dets), workers, func(_ context.Context, i int) (Prepared, error) {
+		p, ok := dets[i].(Preparer)
+		if !ok {
+			return unprepared{dets[i], ix}, nil
+		}
+		pr, err := p.Prepare(ix)
+		if err != nil {
+			return nil, fmt.Errorf("detectors: %s: prepare: %w", p.Name(), err)
+		}
+		return pr, nil
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	type job struct{ det, cfg int }
 	var jobs []job
-	totals := make(map[string]int, len(dets))
-	for _, d := range dets {
-		totals[d.Name()] = d.NumConfigs()
+	for di, d := range dets {
 		for cfg := 0; cfg < d.NumConfigs(); cfg++ {
-			jobs = append(jobs, job{d, cfg})
+			jobs = append(jobs, job{di, cfg})
 		}
 	}
 	slots, err := parallel.Map(ctx, len(jobs), workers, func(_ context.Context, i int) ([]core.Alarm, error) {
-		out, err := jobs[i].d.Detect(ix, jobs[i].cfg)
+		out, err := prepared[jobs[i].det].Decide(jobs[i].cfg)
 		if err != nil {
-			return nil, fmt.Errorf("detectors: %s/%d: %w", jobs[i].d.Name(), jobs[i].cfg, err)
+			return nil, fmt.Errorf("detectors: %s/%d: %w", dets[jobs[i].det].Name(), jobs[i].cfg, err)
 		}
 		return out, nil
 	})

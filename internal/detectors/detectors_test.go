@@ -3,6 +3,9 @@ package detectors
 import (
 	"context"
 	"errors"
+	"reflect"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"mawilab/internal/core"
@@ -78,5 +81,82 @@ func TestTuningString(t *testing.T) {
 	}
 	if int(NumTunings) != 3 {
 		t.Errorf("NumTunings = %d", NumTunings)
+	}
+}
+
+func TestDetectAllRejectsDuplicateNames(t *testing.T) {
+	dets := []Detector{
+		&fakeDetector{name: "a", configs: 3},
+		&fakeDetector{name: "b", configs: 2},
+		&fakeDetector{name: "a", configs: 1},
+	}
+	if _, err := Totals(dets); err == nil || !strings.Contains(err.Error(), `"a"`) {
+		t.Errorf("Totals error = %v, want one naming the repeated detector", err)
+	}
+	alarms, totals, err := DetectAllContext(context.Background(), trace.NewIndex(&trace.Trace{}), dets, 1)
+	if err == nil || !strings.Contains(err.Error(), `"a"`) {
+		t.Fatalf("DetectAllContext error = %v, want one naming the repeated detector", err)
+	}
+	if alarms != nil || totals != nil {
+		t.Errorf("results returned beside the error: %v %v", alarms, totals)
+	}
+}
+
+// fakePreparer counts its Prepare calls and answers Decide from the
+// prepared value alone; Detect must never be reached through DetectAllContext.
+type fakePreparer struct {
+	fakeDetector
+	prepares   atomic.Int32
+	detects    atomic.Int32
+	prepareErr error
+}
+
+func (f *fakePreparer) Detect(ix *trace.Index, config int) ([]core.Alarm, error) {
+	f.detects.Add(1)
+	return f.fakeDetector.Detect(ix, config)
+}
+
+func (f *fakePreparer) Prepare(ix *trace.Index) (Prepared, error) {
+	f.prepares.Add(1)
+	if f.prepareErr != nil {
+		return nil, f.prepareErr
+	}
+	return unprepared{&f.fakeDetector, ix}, nil
+}
+
+func TestDetectAllMixesPreparersAndPlainDetectors(t *testing.T) {
+	ix := trace.NewIndex(&trace.Trace{})
+	for _, workers := range []int{1, 4} {
+		prep := &fakePreparer{fakeDetector: fakeDetector{name: "prep", configs: 3}}
+		plain := &fakeDetector{name: "plain", configs: 2}
+		alarms, totals, err := DetectAllContext(context.Background(), ix, []Detector{prep, plain}, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := prep.prepares.Load(); n != 1 {
+			t.Errorf("workers=%d: Prepare called %d times, want exactly 1", workers, n)
+		}
+		if n := prep.detects.Load(); n != 0 {
+			t.Errorf("workers=%d: a Preparer's Detect was called %d times", workers, n)
+		}
+		want := []core.Alarm{
+			{Detector: "prep", Config: 0}, {Detector: "prep", Config: 1}, {Detector: "prep", Config: 2},
+			{Detector: "plain", Config: 0}, {Detector: "plain", Config: 1},
+		}
+		if !reflect.DeepEqual(alarms, want) {
+			t.Errorf("workers=%d: alarms = %v, want %v", workers, alarms, want)
+		}
+		if totals["prep"] != 3 || totals["plain"] != 2 {
+			t.Errorf("workers=%d: totals = %v", workers, totals)
+		}
+	}
+
+	// A failing Prepare stops the run before any decision, wrapped with the
+	// detector's name.
+	boom := errors.New("boom")
+	bad := &fakePreparer{fakeDetector: fakeDetector{name: "bad", configs: 3}, prepareErr: boom}
+	_, _, err := DetectAllContext(context.Background(), ix, []Detector{&fakeDetector{name: "ok", configs: 1}, bad}, 1)
+	if !errors.Is(err, boom) || !strings.Contains(err.Error(), "bad") {
+		t.Errorf("error = %v, want boom wrapped with the detector's name", err)
 	}
 }

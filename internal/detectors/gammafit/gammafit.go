@@ -13,6 +13,7 @@ package gammafit
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"mawilab/internal/core"
@@ -60,132 +61,198 @@ func (d *Detector) Name() string { return "gamma" }
 // NumConfigs implements detectors.Detector.
 func (d *Detector) NumConfigs() int { return int(detectors.NumTunings) }
 
-// Detect implements detectors.Detector.
+// Detect implements detectors.Detector: one Prepare, one Decide.
 func (d *Detector) Detect(ix *trace.Index, config int) ([]core.Alarm, error) {
 	if err := detectors.CheckConfig(d, config); err != nil {
 		return nil, err
 	}
+	p, err := d.Prepare(ix)
+	if err != nil {
+		return nil, err
+	}
+	return p.Decide(config)
+}
+
+// prepared is the threshold-independent analysis of one index: per
+// direction, the robust distance of every fitted sketch bin from the
+// adaptive reference and, where any configuration can flag the bin, its
+// dominant hosts. It holds no reference to the index.
+type prepared struct {
+	d    *Detector
+	dirs [2][]binScore // [0] hashed on source, [1] on destination addresses
+}
+
+// binScore is one fitted sketch bin. hosts is filled only when dist exceeds
+// the smallest configured threshold.
+type binScore struct {
+	dist  float64
+	hosts []trace.IPv4
+}
+
+// Prepare implements detectors.Preparer: the sketch rasterization, the
+// per-resolution Gamma fits, the adaptive reference and every bin's summed
+// distance, for both directions. A configuration is one threshold on that
+// distance.
+func (d *Detector) Prepare(ix *trace.Index) (detectors.Prepared, error) {
+	p := &prepared{d: d}
 	if ix.Len() == 0 || ix.Duration() < 4*d.Resolutions[len(d.Resolutions)-1] {
-		return nil, nil
+		return p, nil
+	}
+	p.dirs[0] = d.prepareDirection(ix, false)
+	p.dirs[1] = d.prepareDirection(ix, true)
+	return p, nil
+}
+
+// Decide implements detectors.Prepared.
+func (p *prepared) Decide(config int) ([]core.Alarm, error) {
+	d := p.d
+	if err := detectors.CheckConfig(d, config); err != nil {
+		return nil, err
 	}
 	threshold := d.Thresholds[config]
 	var alarms []core.Alarm
-	alarms = append(alarms, d.detectDirection(ix, config, threshold, false)...)
-	alarms = append(alarms, d.detectDirection(ix, config, threshold, true)...)
+	for di, bins := range p.dirs {
+		dst := di == 1
+		first := len(alarms)
+		for _, b := range bins {
+			if b.dist <= threshold {
+				continue
+			}
+			for _, host := range b.hosts {
+				f := trace.NewFilter()
+				if dst {
+					f = f.WithDst(host)
+				} else {
+					f = f.WithSrc(host)
+				}
+				alarms = append(alarms, core.Alarm{
+					Detector: d.Name(),
+					Config:   config,
+					Filters:  []trace.Filter{f},
+					Score:    b.dist,
+					Note:     direction(dst) + " sketch bin",
+				})
+			}
+		}
+		// Deterministic order within a direction: by first filter host.
+		dir := alarms[first:]
+		sort.SliceStable(dir, func(i, j int) bool {
+			return filterHost(dir[i]) < filterHost(dir[j])
+		})
+	}
 	return alarms, nil
 }
 
-// detectDirection runs the sketch/Gamma analysis hashed on source (dst ==
+// prepareDirection runs the sketch/Gamma analysis hashed on source (dst ==
 // false) or destination addresses, scanning the index's address and
-// timestamp columns.
-func (d *Detector) detectDirection(ix *trace.Index, config int, threshold float64, dst bool) []core.Alarm {
+// timestamp columns. Bins come back in ascending bin order.
+func (d *Detector) prepareDirection(ix *trace.Index, dst bool) []binScore {
 	seed := d.Seed
 	if dst {
 		seed ^= 0xdeadbeef
 	}
 	sk := sketch.New(d.Bins, seed)
-	group := sketch.NewGroup(sk)
-
-	finest := d.Resolutions[0]
-	cells := int(math.Ceil(ix.Duration()/finest)) + 1
-	counts := make([][]float64, d.Bins)
-	for b := range counts {
-		counts[b] = make([]float64, cells)
-	}
 	addrs := ix.Src
 	if dst {
 		addrs = ix.Dst
 	}
-	for pi := 0; pi < ix.Len(); pi++ {
-		b := group.Observe(addrs[pi])
+
+	// One bins×cells slab of packet counts at the finest resolution.
+	finest := d.Resolutions[0]
+	cells := int(math.Ceil(ix.Duration()/finest)) + 1
+	counts := make([]float64, d.Bins*cells)
+	for pi, addr := range addrs {
 		c := int(ix.Seconds[pi] / finest)
 		if c >= cells {
 			c = cells - 1
 		}
-		counts[b][c]++
+		counts[sk.Bin(addr)*cells+c]++
 	}
 
-	// Per-resolution Gamma fits for every active bin.
-	type binFit struct {
-		bin  int
-		fits []stats.GammaParams // aligned with d.Resolutions
-	}
-	var fits []binFit
+	// Per-resolution Gamma fits for every active bin: fits holds nres
+	// entries per fitted bin, fitBin the bins in ascending order.
+	nres := len(d.Resolutions)
+	var (
+		fits   []stats.GammaParams
+		fitBin []int
+	)
+	sample := make([]float64, cells)
 	for b := 0; b < d.Bins; b++ {
+		row := counts[b*cells : (b+1)*cells]
 		total := 0.0
-		for _, v := range counts[b] {
+		for _, v := range row {
 			total += v
 		}
 		if total == 0 {
 			continue
 		}
-		bf := binFit{bin: b}
 		ok := true
-		for ri, res := range d.Resolutions {
-			sample := aggregate(counts[b], int(math.Round(res/finest)))
-			g, err := stats.FitGammaMoments(sample)
+		for _, res := range d.Resolutions {
+			g, err := stats.FitGammaMoments(aggregate(sample, row, int(math.Round(res/finest))))
 			if err != nil {
 				ok = false
 				break
 			}
-			_ = ri
-			bf.fits = append(bf.fits, g)
+			fits = append(fits, g)
 		}
 		if ok {
-			fits = append(fits, bf)
+			fitBin = append(fitBin, b)
+		} else {
+			fits = fits[:len(fitBin)*nres]
 		}
 	}
-	if len(fits) < 4 {
+	if len(fitBin) < 4 {
 		return nil // not enough populated bins for a reference
 	}
 
 	// Adaptive reference: per-resolution median and MAD of α and β.
-	nres := len(d.Resolutions)
 	refs := make([]stats.GammaParams, nres)
 	alphaMAD := make([]float64, nres)
 	betaMAD := make([]float64, nres)
+	alphas := make([]float64, len(fitBin))
+	betas := make([]float64, len(fitBin))
 	for ri := 0; ri < nres; ri++ {
-		alphas := make([]float64, len(fits))
-		betas := make([]float64, len(fits))
-		for i, bf := range fits {
-			alphas[i] = bf.fits[ri].Alpha
-			betas[i] = bf.fits[ri].Beta
+		for i := range fitBin {
+			alphas[i] = fits[i*nres+ri].Alpha
+			betas[i] = fits[i*nres+ri].Beta
 		}
 		refs[ri] = stats.GammaParams{Alpha: stats.Median(alphas), Beta: stats.Median(betas)}
 		alphaMAD[ri] = robustScale(stats.MAD(alphas), refs[ri].Alpha)
 		betaMAD[ri] = robustScale(stats.MAD(betas), refs[ri].Beta)
 	}
 
-	var alarms []core.Alarm
-	for _, bf := range fits {
+	// Distances, and the dominant hosts of every bin some configuration can
+	// flag: one more pass over the address column gathers their packets.
+	loosest := slices.Min(d.Thresholds[:])
+	scores := make([]binScore, len(fitBin))
+	scoreOf := make([]int32, d.Bins) // bin → index into scores, +1; 0 = not flagged
+	flagged := 0
+	for i, b := range fitBin {
 		dist := 0.0
 		for ri := 0; ri < nres; ri++ {
-			dist += stats.GammaDistance(bf.fits[ri], refs[ri], alphaMAD[ri], betaMAD[ri])
+			dist += stats.GammaDistance(fits[i*nres+ri], refs[ri], alphaMAD[ri], betaMAD[ri])
 		}
-		if dist <= threshold {
+		scores[i].dist = dist
+		if dist <= loosest {
 			continue
 		}
-		for _, host := range group.TopHosts(bf.bin, d.TopHosts) {
-			f := trace.NewFilter()
-			if dst {
-				f = f.WithDst(host)
-			} else {
-				f = f.WithSrc(host)
-			}
-			alarms = append(alarms, core.Alarm{
-				Detector: d.Name(),
-				Config:   config,
-				Filters:  []trace.Filter{f},
-				Score:    dist,
-				Note:     direction(dst) + " sketch bin",
-			})
+		scoreOf[b] = int32(i) + 1
+		flagged++
+	}
+	if flagged == 0 {
+		return scores
+	}
+	for _, addr := range addrs {
+		if i := scoreOf[sk.Bin(addr)]; i != 0 {
+			scores[i-1].hosts = append(scores[i-1].hosts, addr)
 		}
 	}
-	// Deterministic order: by first filter host.
-	sort.SliceStable(alarms, func(i, j int) bool {
-		return filterHost(alarms[i]) < filterHost(alarms[j])
-	})
-	return alarms
+	for i := range scores {
+		if len(scores[i].hosts) > 0 {
+			scores[i].hosts = sketch.TopHosts(scores[i].hosts, d.TopHosts)
+		}
+	}
+	return scores
 }
 
 func direction(dst bool) string {
@@ -206,19 +273,19 @@ func filterHost(a core.Alarm) trace.IPv4 {
 	return 0
 }
 
-// aggregate sums consecutive groups of `factor` cells.
-func aggregate(cells []float64, factor int) []float64 {
+// aggregate sums consecutive groups of factor cells into dst (which must
+// hold len(cells) entries) and returns the filled prefix; at factor <= 1 the
+// cells are the sample as they stand.
+func aggregate(dst, cells []float64, factor int) []float64 {
 	if factor <= 1 {
-		out := make([]float64, len(cells))
-		copy(out, cells)
-		return out
+		return cells
 	}
-	n := (len(cells) + factor - 1) / factor
-	out := make([]float64, n)
+	dst = dst[:(len(cells)+factor-1)/factor]
+	clear(dst)
 	for i, v := range cells {
-		out[i/factor] += v
+		dst[i/factor] += v
 	}
-	return out
+	return dst
 }
 
 // robustScale guards the MAD against collapsing to zero when more than half

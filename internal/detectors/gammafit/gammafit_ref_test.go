@@ -1,0 +1,280 @@
+package gammafit
+
+// This file keeps the pre-split, per-configuration Detect verbatim as the
+// reference implementation — map-based sketch group, [][]float64 cell
+// counts, one full analysis per config — and pins Prepare + Decide to it:
+// on randomized traces, for every config and for non-default tunings, the
+// two must emit reflect.DeepEqual alarms. Any divergence — ordering,
+// tie-breaking, float rounding — fails here before it can drift a golden
+// fixture.
+
+import (
+	"math"
+	"reflect"
+	"sort"
+	"testing"
+
+	"mawilab/internal/core"
+	"mawilab/internal/detectors"
+	"mawilab/internal/mawigen"
+	"mawilab/internal/sketch"
+	"mawilab/internal/stats"
+	"mawilab/internal/trace"
+)
+
+// refGroup is the map-based reverse index internal/sketch used to export as
+// Group: for one sketch, the addresses that fell into each bin.
+type refGroup struct {
+	sketch *sketch.Sketch
+	byBin  []map[trace.IPv4]int // address → packet count
+}
+
+func newRefGroup(s *sketch.Sketch) *refGroup {
+	g := &refGroup{sketch: s, byBin: make([]map[trace.IPv4]int, s.Bins)}
+	for i := range g.byBin {
+		g.byBin[i] = make(map[trace.IPv4]int)
+	}
+	return g
+}
+
+func (g *refGroup) Observe(ip trace.IPv4) int {
+	b := g.sketch.Bin(ip)
+	g.byBin[b][ip]++
+	return b
+}
+
+func (g *refGroup) TopHosts(b, k int) []trace.IPv4 {
+	type hc struct {
+		ip trace.IPv4
+		n  int
+	}
+	hosts := make([]hc, 0, len(g.byBin[b]))
+	for ip, n := range g.byBin[b] {
+		hosts = append(hosts, hc{ip, n})
+	}
+	sort.Slice(hosts, func(i, j int) bool {
+		if hosts[i].n != hosts[j].n {
+			return hosts[i].n > hosts[j].n
+		}
+		return hosts[i].ip < hosts[j].ip
+	})
+	if k > len(hosts) {
+		k = len(hosts)
+	}
+	out := make([]trace.IPv4, k)
+	for i := 0; i < k; i++ {
+		out[i] = hosts[i].ip
+	}
+	return out
+}
+
+// refDetect is the pre-split Detector.Detect, unchanged.
+func refDetect(d *Detector, ix *trace.Index, config int) ([]core.Alarm, error) {
+	if err := detectors.CheckConfig(d, config); err != nil {
+		return nil, err
+	}
+	if ix.Len() == 0 || ix.Duration() < 4*d.Resolutions[len(d.Resolutions)-1] {
+		return nil, nil
+	}
+	threshold := d.Thresholds[config]
+	var alarms []core.Alarm
+	alarms = append(alarms, refDetectDirection(d, ix, config, threshold, false)...)
+	alarms = append(alarms, refDetectDirection(d, ix, config, threshold, true)...)
+	return alarms, nil
+}
+
+// refDetectDirection is the pre-split detectDirection, unchanged.
+func refDetectDirection(d *Detector, ix *trace.Index, config int, threshold float64, dst bool) []core.Alarm {
+	seed := d.Seed
+	if dst {
+		seed ^= 0xdeadbeef
+	}
+	sk := sketch.New(d.Bins, seed)
+	group := newRefGroup(sk)
+
+	finest := d.Resolutions[0]
+	cells := int(math.Ceil(ix.Duration()/finest)) + 1
+	counts := make([][]float64, d.Bins)
+	for b := range counts {
+		counts[b] = make([]float64, cells)
+	}
+	addrs := ix.Src
+	if dst {
+		addrs = ix.Dst
+	}
+	for pi := 0; pi < ix.Len(); pi++ {
+		b := group.Observe(addrs[pi])
+		c := int(ix.Seconds[pi] / finest)
+		if c >= cells {
+			c = cells - 1
+		}
+		counts[b][c]++
+	}
+
+	// Per-resolution Gamma fits for every active bin.
+	type binFit struct {
+		bin  int
+		fits []stats.GammaParams // aligned with d.Resolutions
+	}
+	var fits []binFit
+	for b := 0; b < d.Bins; b++ {
+		total := 0.0
+		for _, v := range counts[b] {
+			total += v
+		}
+		if total == 0 {
+			continue
+		}
+		bf := binFit{bin: b}
+		ok := true
+		for ri, res := range d.Resolutions {
+			sample := refAggregate(counts[b], int(math.Round(res/finest)))
+			g, err := stats.FitGammaMoments(sample)
+			if err != nil {
+				ok = false
+				break
+			}
+			_ = ri
+			bf.fits = append(bf.fits, g)
+		}
+		if ok {
+			fits = append(fits, bf)
+		}
+	}
+	if len(fits) < 4 {
+		return nil // not enough populated bins for a reference
+	}
+
+	// Adaptive reference: per-resolution median and MAD of α and β.
+	nres := len(d.Resolutions)
+	refs := make([]stats.GammaParams, nres)
+	alphaMAD := make([]float64, nres)
+	betaMAD := make([]float64, nres)
+	for ri := 0; ri < nres; ri++ {
+		alphas := make([]float64, len(fits))
+		betas := make([]float64, len(fits))
+		for i, bf := range fits {
+			alphas[i] = bf.fits[ri].Alpha
+			betas[i] = bf.fits[ri].Beta
+		}
+		refs[ri] = stats.GammaParams{Alpha: stats.Median(alphas), Beta: stats.Median(betas)}
+		alphaMAD[ri] = robustScale(stats.MAD(alphas), refs[ri].Alpha)
+		betaMAD[ri] = robustScale(stats.MAD(betas), refs[ri].Beta)
+	}
+
+	var alarms []core.Alarm
+	for _, bf := range fits {
+		dist := 0.0
+		for ri := 0; ri < nres; ri++ {
+			dist += stats.GammaDistance(bf.fits[ri], refs[ri], alphaMAD[ri], betaMAD[ri])
+		}
+		if dist <= threshold {
+			continue
+		}
+		for _, host := range group.TopHosts(bf.bin, d.TopHosts) {
+			f := trace.NewFilter()
+			if dst {
+				f = f.WithDst(host)
+			} else {
+				f = f.WithSrc(host)
+			}
+			alarms = append(alarms, core.Alarm{
+				Detector: d.Name(),
+				Config:   config,
+				Filters:  []trace.Filter{f},
+				Score:    dist,
+				Note:     direction(dst) + " sketch bin",
+			})
+		}
+	}
+	// Deterministic order: by first filter host.
+	sort.SliceStable(alarms, func(i, j int) bool {
+		return filterHost(alarms[i]) < filterHost(alarms[j])
+	})
+	return alarms
+}
+
+// refAggregate is the pre-split aggregate: it sums consecutive groups of
+// `factor` cells into a fresh slice.
+func refAggregate(cells []float64, factor int) []float64 {
+	if factor <= 1 {
+		out := make([]float64, len(cells))
+		copy(out, cells)
+		return out
+	}
+	n := (len(cells) + factor - 1) / factor
+	out := make([]float64, n)
+	for i, v := range cells {
+		out[i/factor] += v
+	}
+	return out
+}
+
+// diffIndexes is the differential corpus: five seeds each of a quiet
+// background, a flood, a scan and an overlapping mix, plus an empty trace
+// and one shorter than the detector's minimum span.
+func diffIndexes() []*trace.Index {
+	mixes := [][]mawigen.Spec{
+		nil,
+		{{Kind: mawigen.KindICMPFlood, Start: 15, Duration: 20, Rate: 300}},
+		{{Kind: mawigen.KindPortScan, Start: 10, Duration: 25, Rate: 120}},
+		{
+			{Kind: mawigen.KindPortScan, Start: 5, Duration: 30, Rate: 90},
+			{Kind: mawigen.KindSYNFlood, Start: 20, Duration: 15, Rate: 250},
+			{Kind: mawigen.KindElephant, Start: 0, Duration: 40, Rate: 60},
+		},
+	}
+	var out []*trace.Index
+	for mi, anoms := range mixes {
+		for seed := int64(0); seed < 5; seed++ {
+			cfg := mawigen.DefaultConfig(1301 + 17*seed + int64(mi))
+			cfg.BackgroundRate = 200
+			cfg.Anomalies = anoms
+			out = append(out, trace.NewIndex(mawigen.Generate(cfg).Trace))
+		}
+	}
+	short := mawigen.DefaultConfig(1409)
+	short.Duration = 3
+	return append(out, trace.NewIndex(&trace.Trace{}), trace.NewIndex(mawigen.Generate(short).Trace))
+}
+
+// TestPrepareDecideMatchesReference pins Prepare + Decide (and Detect, which
+// is the two in sequence) to the pre-split reference for every config, under
+// the default tunings and under thresholds in a different order with
+// different sketch parameters.
+func TestPrepareDecideMatchesReference(t *testing.T) {
+	custom := New(11)
+	custom.Thresholds = [detectors.NumTunings]float64{12, 35, 20}
+	custom.Bins = 24
+	custom.TopHosts = 2
+	custom.Resolutions = []float64{0.25, 1}
+	raised := 0
+	for di, d := range []*Detector{New(7), custom} {
+		for ti, ix := range diffIndexes() {
+			p, err := d.Prepare(ix)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for c := 0; c < d.NumConfigs(); c++ {
+				want, err := refDetect(d, ix, c)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := p.Decide(c)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("detector %d trace %d config %d: Decide\n%v\nreference\n%v", di, ti, c, got, want)
+				}
+				if one, _ := d.Detect(ix, c); !reflect.DeepEqual(one, want) {
+					t.Fatalf("detector %d trace %d config %d: Detect differs from the reference", di, ti, c)
+				}
+				raised += len(want)
+			}
+		}
+	}
+	if raised == 0 {
+		t.Fatal("the corpus raised no alarm: the comparison is vacuous")
+	}
+}

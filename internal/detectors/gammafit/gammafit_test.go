@@ -1,6 +1,7 @@
 package gammafit
 
 import (
+	"reflect"
 	"testing"
 
 	"mawilab/internal/detectors"
@@ -112,18 +113,18 @@ func TestConfigValidationAndIdentity(t *testing.T) {
 
 func TestAggregate(t *testing.T) {
 	in := []float64{1, 2, 3, 4, 5}
-	out := aggregate(in, 2)
+	buf := []float64{9, 9, 9, 9, 9} // stale contents must not leak into the sums
+	out := aggregate(buf, in, 2)
 	if len(out) != 3 || out[0] != 3 || out[1] != 7 || out[2] != 5 {
 		t.Errorf("aggregate = %v", out)
 	}
-	same := aggregate(in, 1)
-	if len(same) != 5 || same[2] != 3 {
-		t.Errorf("factor-1 aggregate = %v", same)
+	if want := refAggregate(in, 2); !reflect.DeepEqual(out, want) {
+		t.Errorf("aggregate = %v, reference %v", out, want)
 	}
-	// factor 1 must copy, not alias.
-	same[0] = 99
-	if in[0] == 99 {
-		t.Error("aggregate aliased its input")
+	// factor 1 is the cells themselves: no copy, nothing written.
+	same := aggregate(buf, in, 1)
+	if len(same) != 5 || &same[0] != &in[0] {
+		t.Errorf("factor-1 aggregate = %v", same)
 	}
 }
 

@@ -9,6 +9,7 @@ package hough
 
 import (
 	"math"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -174,14 +175,14 @@ func densePlane(d *Detector, ix *trace.Index, config int, tn tuning, cols int, d
 		}
 		from := float64(minX) * d.TimeBin
 		to := float64(maxX+1) * d.TimeBin
-		for _, host := range topHosts(hostPkts, d.MaxFilters) {
+		for _, host := range denseTopHosts(hostPkts, d.MaxFilters) {
 			f := trace.NewFilter().WithInterval(from, to)
 			if dstPlane {
 				f = f.WithDst(host)
 			} else {
 				f = f.WithSrc(host)
 			}
-			if port, share := dominantPort(hostPorts[host]); share >= 0.6 {
+			if port, share := denseDominantPort(hostPorts[host]); share >= 0.6 {
 				f = f.WithDstPort(port)
 			}
 			alarm.Filters = append(alarm.Filters, f)
@@ -189,6 +190,50 @@ func densePlane(d *Detector, ix *trace.Index, config int, tn tuning, cols int, d
 		alarms = append(alarms, alarm)
 	}
 	return alarms
+}
+
+// denseDominantPort is the map-based dominantPort the dense path used.
+func denseDominantPort(ports map[uint16]int) (uint16, float64) {
+	total := 0
+	best := uint16(0)
+	bestN := -1
+	for p, n := range ports {
+		total += n
+		if n > bestN || (n == bestN && p < best) {
+			best, bestN = p, n
+		}
+	}
+	if total == 0 {
+		return 0, 0
+	}
+	return best, float64(bestN) / float64(total)
+}
+
+// denseTopHosts is the map-based host ranking the dense path used: up to k
+// hosts by descending packet count (ties broken by address).
+func denseTopHosts(counts map[trace.IPv4]int, k int) []trace.IPv4 {
+	type hc struct {
+		h trace.IPv4
+		n int
+	}
+	all := make([]hc, 0, len(counts))
+	for h, n := range counts {
+		all = append(all, hc{h, n})
+	}
+	sort.Slice(all, func(i, j int) bool {
+		if all[i].n != all[j].n {
+			return all[i].n > all[j].n
+		}
+		return all[i].h < all[j].h
+	})
+	if k > len(all) {
+		k = len(all)
+	}
+	out := make([]trace.IPv4, k)
+	for i := range out {
+		out[i] = all[i].h
+	}
+	return out
 }
 
 func denseLocalMax(acc [][]int32, a, rb int, v int32) bool {
@@ -214,11 +259,16 @@ func denseLocalMax(acc [][]int32, a, rb int, v int32) bool {
 	return true
 }
 
-// TestSparseMatchesDense pins the sparse detectPlane to the dense reference
-// on randomized traces across every tuning. Several seeds and anomaly mixes
-// exercise empty planes, single lines, overlapping lines, and the claimed
-// -cell dedup between lines; each Detect call also reuses the scratch pool,
-// so cross-call contamination would surface as a mismatch too.
+// TestSparseMatchesDense pins the sparse, prepared path to the dense
+// reference on randomized traces across every tuning: Detect, and one
+// Prepare answering every Decide, must both equal the dense alarms exactly.
+// Several seeds and anomaly mixes exercise empty planes, single lines,
+// overlapping lines, and the claimed-cell dedup between lines; an empty trace
+// and one below the minimum span exercise the unprepared plane; a second
+// detector has tunings whose cellMin is not the default order (and whose
+// loosest cellMin comes last), a different plot and fewer filters. Each
+// decision also reuses the scratch pool, so cross-call contamination would
+// surface as a mismatch too.
 func TestSparseMatchesDense(t *testing.T) {
 	specs := [][]mawigen.Spec{
 		nil, // background only
@@ -230,13 +280,36 @@ func TestSparseMatchesDense(t *testing.T) {
 			{Kind: mawigen.KindElephant, Start: 0, Duration: 40, Rate: 60},
 		},
 	}
-	for si, anoms := range specs {
-		for _, seed := range []int64{401, 877, 1229} {
+	var indexes []*trace.Index
+	for _, anoms := range specs {
+		for _, seed := range []int64{401, 877, 1229, 1601, 2003} {
 			cfg := mawigen.DefaultConfig(seed)
 			cfg.BackgroundRate = 200
 			cfg.Anomalies = anoms
-			ix := trace.NewIndex(mawigen.Generate(cfg).Trace)
-			d := New(5)
+			indexes = append(indexes, trace.NewIndex(mawigen.Generate(cfg).Trace))
+		}
+	}
+	short := mawigen.DefaultConfig(2411)
+	short.Duration = 2
+	indexes = append(indexes, trace.NewIndex(&trace.Trace{}), trace.NewIndex(mawigen.Generate(short).Trace))
+
+	custom := New(9)
+	custom.tunings = [detectors.NumTunings]tuning{
+		{cellMin: 5, voteShare: 0.25},
+		{cellMin: 3, voteShare: 0.40},
+		{cellMin: 2, voteShare: 0.15},
+	}
+	custom.Rows = 96
+	custom.Angles = 36
+	custom.MaxFilters = 4
+	custom.TimeBin = 1
+	for di, d := range []*Detector{New(5), custom} {
+		raised := 0
+		for ti, ix := range indexes {
+			p, err := d.Prepare(ix)
+			if err != nil {
+				t.Fatal(err)
+			}
 			for cfgID := 0; cfgID < d.NumConfigs(); cfgID++ {
 				want, err := denseDetect(d, ix, cfgID)
 				if err != nil {
@@ -246,17 +319,21 @@ func TestSparseMatchesDense(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if len(got) != len(want) {
-					t.Fatalf("spec %d seed %d config %d: sparse %d alarms, dense %d",
-						si, seed, cfgID, len(got), len(want))
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("detector %d trace %d config %d: Detect\n%v\ndense\n%v", di, ti, cfgID, got, want)
 				}
-				for i := range got {
-					if got[i].String() != want[i].String() {
-						t.Fatalf("spec %d seed %d config %d alarm %d:\nsparse %s\ndense  %s",
-							si, seed, cfgID, i, got[i].String(), want[i].String())
-					}
+				decided, err := p.Decide(cfgID)
+				if err != nil {
+					t.Fatal(err)
 				}
+				if !reflect.DeepEqual(decided, want) {
+					t.Fatalf("detector %d trace %d config %d: Decide\n%v\ndense\n%v", di, ti, cfgID, decided, want)
+				}
+				raised += len(want)
 			}
+		}
+		if raised == 0 {
+			t.Fatalf("detector %d: the corpus raised no alarm: the comparison is vacuous", di)
 		}
 	}
 }

@@ -13,6 +13,7 @@ package hough
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -67,38 +68,161 @@ func (d *Detector) Name() string { return "hough" }
 // NumConfigs implements detectors.Detector.
 func (d *Detector) NumConfigs() int { return int(detectors.NumTunings) }
 
-// Detect implements detectors.Detector.
+// Detect implements detectors.Detector: one Prepare, one Decide.
 func (d *Detector) Detect(ix *trace.Index, config int) ([]core.Alarm, error) {
 	if err := detectors.CheckConfig(d, config); err != nil {
 		return nil, err
 	}
-	cols := int(math.Ceil(ix.Duration()/d.TimeBin)) + 1
-	if ix.Len() == 0 || cols < 6 {
-		return nil, nil
+	p, err := d.Prepare(ix)
+	if err != nil {
+		return nil, err
 	}
-	tn := d.tunings[config]
+	return p.Decide(config)
+}
+
+// prepared is the tuning-independent rasterization of one index: the two
+// plots and the geometry of their shared Hough space. It copies what it
+// needs out of the index and holds no reference to it.
+type prepared struct {
+	d          *Detector
+	cols       int
+	diag       float64
+	rhoBins    int
+	sinT, cosT []float64
+	planes     []plane // destination plane first; empty for a too-short trace
+}
+
+// plane is one (time, address bucket) plot, kept sparsely: only the cells
+// some tuning can switch on, with their packets.
+type plane struct {
+	dst   bool
+	cells []cell   // in (x, y) order
+	pkts  []uint64 // the cells' packets, cell by cell: plane address<<16 | destination port
+	// lines holds, per configuration, the strongest accumulator peaks of
+	// the plane with that tuning's cells switched on.
+	lines [detectors.NumTunings][]line
+}
+
+// cell is one plot cell; its n packets are pkts[lo : lo+n].
+type cell struct {
+	x, y, n, lo int32
+}
+
+// line is one accumulator peak: angle index, ρ bin and votes.
+type line struct {
+	a, rb int
+	votes int32
+}
+
+// Prepare implements detectors.Preparer: both planes rasterized once — the
+// sparse list of cells reaching the smallest configured cellMin, each with
+// its packets — and voted once: the cells a tuning switches on nest (cells
+// holding ≥ 4 packets ⊂ ≥ 3 ⊂ ≥ 2), so one accumulator grown from the
+// strictest cellMin to the loosest serves every tuning's peak search. What
+// is left to a configuration is claiming the cells under its lines.
+func (d *Detector) Prepare(ix *trace.Index) (detectors.Prepared, error) {
+	p := &prepared{d: d}
+	p.cols = int(math.Ceil(ix.Duration()/d.TimeBin)) + 1
+	if ix.Len() == 0 || p.cols < 6 {
+		return p, nil
+	}
+	// Hough accumulator over (θ, ρ), ρ resolution = 1 cell.
+	p.diag = math.Hypot(float64(p.cols), float64(d.Rows))
+	p.rhoBins = 2*int(p.diag) + 1
+	p.sinT = make([]float64, d.Angles)
+	p.cosT = make([]float64, d.Angles)
+	for a := range p.sinT {
+		theta := math.Pi * float64(a) / float64(d.Angles)
+		p.sinT[a] = math.Sin(theta)
+		p.cosT[a] = math.Cos(theta)
+	}
+	cellMin := d.tunings[0].cellMin
+	for _, tn := range d.tunings[1:] {
+		cellMin = min(cellMin, tn.cellMin)
+	}
+	p.planes = []plane{d.rasterize(ix, cellMin, true), d.rasterize(ix, cellMin, false)}
+	for i := range p.planes {
+		p.findLines(&p.planes[i])
+	}
+	return p, nil
+}
+
+// rasterize builds one plane. Timestamps are sorted, so the time coordinate
+// x = Seconds/TimeBin is non-decreasing: each x-stripe is one contiguous
+// packet range. One Rows-sized counter array serves every stripe in turn;
+// flushing a stripe emits its cells holding at least cellMin packets —
+// already in (x, y) order — and deals the stripe's packets out to them, so
+// every address is hashed exactly once and a line later reads a cell's
+// packets as one contiguous run.
+func (d *Detector) rasterize(ix *trace.Index, cellMin int, dstPlane bool) plane {
+	sk := sketch.New(d.Rows, d.Seed^uint64(boolToInt(dstPlane))<<17)
+	addrs := ix.Src
+	if dstPlane {
+		addrs = ix.Dst
+	}
+	pl := plane{dst: dstPlane, pkts: make([]uint64, 0, len(addrs))}
+	rowCnt := make([]int32, d.Rows)
+	next := make([]int32, d.Rows) // per row, where its cell's next packet goes; -1 = cell off
+	var rows []int32              // the current stripe's packets' rows
+	flush := func(x, end int) {
+		for y, c := range rowCnt {
+			next[y] = -1
+			if int(c) >= cellMin {
+				next[y] = int32(len(pl.pkts))
+				pl.cells = append(pl.cells, cell{int32(x), int32(y), c, next[y]})
+				pl.pkts = pl.pkts[:len(pl.pkts)+int(c)]
+			}
+			rowCnt[y] = 0
+		}
+		for i, y := range rows {
+			if at := next[y]; at >= 0 {
+				pi := end - len(rows) + i
+				pl.pkts[at] = uint64(addrs[pi])<<16 | uint64(ix.DstPort[pi])
+				next[y]++
+			}
+		}
+		rows = rows[:0]
+	}
+	curX := 0
+	for pi, addr := range addrs {
+		if x := int(ix.Seconds[pi] / d.TimeBin); x != curX {
+			flush(curX, pi)
+			curX = x
+		}
+		y := sk.Bin(addr)
+		rows = append(rows, int32(y))
+		rowCnt[y]++
+	}
+	flush(curX, len(addrs))
+	return pl
+}
+
+// Decide implements detectors.Prepared.
+func (p *prepared) Decide(config int) ([]core.Alarm, error) {
+	if err := detectors.CheckConfig(p.d, config); err != nil {
+		return nil, err
+	}
 	var alarms []core.Alarm
-	alarms = append(alarms, d.detectPlane(ix, config, tn, cols, true)...)
-	alarms = append(alarms, d.detectPlane(ix, config, tn, cols, false)...)
+	for i := range p.planes {
+		alarms = append(alarms, p.decidePlane(&p.planes[i], config)...)
+	}
 	return alarms, nil
 }
 
-// scratch is the pooled working memory of one detectPlane call: the
-// per-stripe row counters, the sparse on-cell list and stripe offsets, the
-// flat Hough accumulator with its per-angle touched ρ sets, the per-line
-// claim marks, and the trig tables. Pooling makes steady-state detection
-// allocate only the per-line aggregation maps. Invariants on return to the
-// pool: rowCnt and acc are all-zero over their full lengths, every touched
-// list has length 0 — so reuse never needs a bulk clear.
+// scratch is the pooled working memory of the per-plane passes: for
+// findLines the flat Hough accumulator with its per-angle touched ρ sets,
+// for decidePlane the on-cell list, the per-line claim marks and the packets
+// gathered under a line. Pooling makes steady-state detection allocate only
+// the prepared planes and the alarms. Invariants on return to the pool: acc
+// is all-zero over its full length and every touched list has length 0 — so
+// reuse never needs a bulk clear.
 type scratch struct {
-	rowCnt   []int32
-	stripeLo []int32
-	on       []uint64
-	acc      []int32
-	touched  [][]int32
-	claimed  []bool
-	sinT     []float64
-	cosT     []float64
+	acc     []int32
+	touched [][]int32
+	on      []int32
+	claimed []bool
+	pkts    []uint64
+	hosts   []trace.IPv4
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
@@ -115,209 +239,178 @@ func grow[T any](s *[]T, n int) []T {
 	return *s
 }
 
-// detectPlane runs Hough line detection on one (time, address) plane.
+// findLines runs the Hough transform of one plane for every tuning and
+// records each tuning's lines.
 //
 // This is the sparse formulation: identical output to the dense
 // map-rasterized reference (kept verbatim in the package tests and pinned
 // by randomized equality tests across all tunings), without the per-packet
-// map work or the dense Angles×rhoBins accumulator sweep.
-func (d *Detector) detectPlane(ix *trace.Index, config int, tn tuning, cols int, dstPlane bool) []core.Alarm {
-	sk := sketch.New(d.Rows, d.Seed^uint64(boolToInt(dstPlane))<<17)
-	addrs := ix.Src
-	if dstPlane {
-		addrs = ix.Dst
-	}
-	n := ix.Len()
+// map work or the dense Angles×rhoBins accumulator sweep. The accumulator
+// is flat, with a per-angle touched set so peak finding and the reset walk
+// only nonzero ρ bins (acc itself stays dense so the local-max neighbourhood
+// test reads it directly).
+func (p *prepared) findLines(pl *plane) {
+	d := p.d
 	sc := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)
-
-	// Rasterize sparsely. Timestamps are sorted, so the time coordinate
-	// x = Seconds/TimeBin is non-decreasing: each x-stripe is one contiguous
-	// packet range. One Rows-sized counter array serves every stripe in
-	// turn, and flushing a stripe emits its on-cells — already in (x, y)
-	// order, exactly the order the dense path got from sorting — as packed
-	// (x<<32 | y) keys. stripeLo records each stripe's packet range so the
-	// surviving lines can re-scan their cells' packets later.
-	rowCnt := grow(&sc.rowCnt, d.Rows)
-	stripeLo := grow(&sc.stripeLo, cols+1)
-	on := sc.on[:0]
-	curX := 0
-	stripeLo[0] = 0
-	flush := func(x int) {
-		for y := 0; y < d.Rows; y++ {
-			if int(rowCnt[y]) >= tn.cellMin {
-				on = append(on, uint64(x)<<32|uint64(y))
-			}
-			rowCnt[y] = 0
-		}
-	}
-	for pi := 0; pi < n; pi++ {
-		x := int(ix.Seconds[pi] / d.TimeBin)
-		if x != curX {
-			flush(curX)
-			for xx := curX + 1; xx <= x; xx++ {
-				stripeLo[xx] = int32(pi)
-			}
-			curX = x
-		}
-		rowCnt[sk.Bin(addrs[pi])]++
-	}
-	flush(curX)
-	for xx := curX + 1; xx <= cols; xx++ {
-		stripeLo[xx] = int32(n)
-	}
-	sc.on = on // keep the grown capacity pooled
-	if len(on) == 0 {
-		return nil
-	}
-
-	// Hough accumulator over (θ, ρ), ρ resolution = 1 cell — flat, with a
-	// per-angle touched set so peak finding and the reset walk only nonzero
-	// ρ bins (acc itself stays dense so the local-max neighbourhood test
-	// reads it directly).
-	diag := math.Hypot(float64(cols), float64(d.Rows))
-	rhoBins := 2*int(diag) + 1
-	sinT := grow(&sc.sinT, d.Angles)
-	cosT := grow(&sc.cosT, d.Angles)
-	for a := 0; a < d.Angles; a++ {
-		theta := math.Pi * float64(a) / float64(d.Angles)
-		sinT[a] = math.Sin(theta)
-		cosT[a] = math.Cos(theta)
-	}
+	diag, rhoBins, sinT, cosT := p.diag, p.rhoBins, p.sinT, p.cosT
 	acc := grow(&sc.acc, d.Angles*rhoBins)
 	touched := growLists(&sc.touched, d.Angles)
-	for _, c := range on {
-		x := float64(int(c >> 32))
-		y := float64(int(uint32(c)))
-		for a := 0; a < d.Angles; a++ {
-			rho := x*cosT[a] + y*sinT[a]
-			rb := int(rho + diag)
-			if rb >= 0 && rb < rhoBins {
-				i := a*rhoBins + rb
-				if acc[i] == 0 {
-					touched[a] = append(touched[a], int32(rb))
-				}
-				acc[i]++
-			}
-		}
-	}
 
-	minVotes := int32(math.Max(4, tn.voteShare*float64(cols)))
-	type line struct {
-		a, rb int
-		votes int32
+	// Tunings from the strictest cellMin to the loosest: each one adds the
+	// cells it switches on beyond those already voted, so every cell votes
+	// once. Votes are counts, so the accumulator a tuning's peaks are read
+	// from is exactly what voting its cells alone would have built.
+	var order [detectors.NumTunings]int
+	for c := range order {
+		order[c] = c
 	}
-	var lines []line
-	for a := 0; a < d.Angles; a++ {
-		for _, rb32 := range touched[a] {
-			rb := int(rb32)
-			v := acc[a*rhoBins+rb]
-			if v < minVotes {
+	sort.SliceStable(order[:], func(i, j int) bool {
+		return d.tunings[order[i]].cellMin > d.tunings[order[j]].cellMin
+	})
+	voted := math.MaxInt // cells holding at least this many packets have voted
+	for _, config := range order {
+		tn := d.tunings[config]
+		for _, c := range pl.cells {
+			if n := int(c.n); n < tn.cellMin || n >= voted {
 				continue
 			}
-			// Local maximum over a small neighbourhood to avoid reporting
-			// the same line many times. Candidate order within an angle is
-			// first-touch, not ρ order, but the (votes, a, rb) sort below is
-			// a total order over distinct (a, rb), so the collection order
-			// never shows in the output.
-			if isLocalMax(acc, d.Angles, rhoBins, a, rb, v) {
-				lines = append(lines, line{a, rb, v})
+			x, y := float64(c.x), float64(c.y)
+			for a := range cosT {
+				rho := x*cosT[a] + y*sinT[a]
+				rb := int(rho + diag)
+				if rb >= 0 && rb < rhoBins {
+					i := a*rhoBins + rb
+					if acc[i] == 0 {
+						touched[a] = append(touched[a], int32(rb))
+					}
+					acc[i]++
+				}
 			}
 		}
+		voted = min(voted, tn.cellMin)
+
+		minVotes := int32(math.Max(4, tn.voteShare*float64(p.cols)))
+		var lines []line
+		for a := 0; a < d.Angles; a++ {
+			for _, rb32 := range touched[a] {
+				rb := int(rb32)
+				v := acc[a*rhoBins+rb]
+				if v < minVotes {
+					continue
+				}
+				// Local maximum over a small neighbourhood to avoid
+				// reporting the same line many times. Candidate order
+				// within an angle is first-touch, not ρ order, but the
+				// (votes, a, rb) sort below is a total order over distinct
+				// (a, rb), so the collection order never shows in the
+				// output.
+				if isLocalMax(acc, d.Angles, rhoBins, a, rb, v) {
+					lines = append(lines, line{a, rb, v})
+				}
+			}
+		}
+		sort.Slice(lines, func(i, j int) bool {
+			if lines[i].votes != lines[j].votes {
+				return lines[i].votes > lines[j].votes
+			}
+			if lines[i].a != lines[j].a {
+				return lines[i].a < lines[j].a
+			}
+			return lines[i].rb < lines[j].rb
+		})
+		if len(lines) > 8 {
+			lines = lines[:8] // strongest structures only
+		}
+		pl.lines[config] = lines
 	}
-	// Restore the pool invariant before any return: zero exactly the
-	// touched accumulator entries and empty the touched lists.
+	// Restore the pool invariant: zero exactly the touched accumulator
+	// entries and empty the touched lists.
 	for a := range touched {
 		for _, rb := range touched[a] {
 			acc[a*rhoBins+int(rb)] = 0
 		}
 		touched[a] = touched[a][:0]
 	}
+}
+
+// decidePlane turns one tuning's lines on one prepared plane into alarms.
+func (p *prepared) decidePlane(pl *plane, config int) []core.Alarm {
+	d := p.d
+	lines := pl.lines[config]
 	if len(lines) == 0 {
 		return nil
 	}
-	sort.Slice(lines, func(i, j int) bool {
-		if lines[i].votes != lines[j].votes {
-			return lines[i].votes > lines[j].votes
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+
+	// The cells this tuning switches on, as indices into pl.cells.
+	on := sc.on[:0]
+	for ci, c := range pl.cells {
+		if int(c.n) >= d.tunings[config].cellMin {
+			on = append(on, int32(ci))
 		}
-		if lines[i].a != lines[j].a {
-			return lines[i].a < lines[j].a
-		}
-		return lines[i].rb < lines[j].rb
-	})
-	if len(lines) > 8 {
-		lines = lines[:8] // strongest structures only
 	}
+	sc.on = on // keep the grown capacity pooled
+	diag, sinT, cosT := p.diag, p.sinT, p.cosT
 
 	var alarms []core.Alarm
 	claimed := grow(&sc.claimed, len(on))
-	for i := range claimed {
-		claimed[i] = false
-	}
+	clear(claimed)
 	for _, ln := range lines {
 		// Collect the on-cells lying near the line and aggregate per plane
 		// host: a scan is thousands of one-packet flows sharing a source,
 		// so attribution must go through the host the plane is keyed on,
-		// not through individual flows. A cell's packets are re-scanned
-		// from its stripe's contiguous range — a packet lies in cell (x, y)
-		// iff its plane address hashes to row y — and since flow keys copy
-		// packet header fields verbatim, per-packet attribution sums to
-		// exactly the per-flow totals the dense path aggregated.
-		hostPkts := make(map[trace.IPv4]int)
-		hostPorts := make(map[trace.IPv4]map[uint16]int)
+		// not through individual flows. A claimed cell hands over its
+		// packets as packed (host<<16 | destination port) keys; since flow
+		// keys copy packet header fields verbatim, per-packet attribution
+		// sums to exactly the per-flow totals the dense path aggregated.
+		pkts := sc.pkts[:0]
 		var minX, maxX = math.MaxInt32, -1
-		for i, c := range on {
+		for i, ci := range on {
 			if claimed[i] {
 				continue
 			}
-			cx := int(c >> 32)
-			cy := int(uint32(c))
-			rho := float64(cx)*cosT[ln.a] + float64(cy)*sinT[ln.a]
+			c := pl.cells[ci]
+			rho := float64(c.x)*cosT[ln.a] + float64(c.y)*sinT[ln.a]
 			if math.Abs(rho-(float64(ln.rb)-diag)) > 1.0 {
 				continue
 			}
 			claimed[i] = true
-			for pi := stripeLo[cx]; pi < stripeLo[cx+1]; pi++ {
-				if sk.Bin(addrs[pi]) != cy {
-					continue
-				}
-				host := addrs[pi]
-				hostPkts[host]++
-				pm := hostPorts[host]
-				if pm == nil {
-					pm = make(map[uint16]int)
-					hostPorts[host] = pm
-				}
-				pm[ix.DstPort[pi]]++
-			}
-			if cx < minX {
-				minX = cx
-			}
-			if cx > maxX {
-				maxX = cx
-			}
+			pkts = append(pkts, pl.pkts[c.lo:c.lo+c.n]...)
+			minX = min(minX, int(c.x))
+			maxX = max(maxX, int(c.x))
 		}
-		if len(hostPkts) == 0 {
+		sc.pkts = pkts
+		if len(pkts) == 0 {
 			continue
+		}
+		// Sorted, the keys group by host and, within a host, by port.
+		slices.Sort(pkts)
+		hosts := grow(&sc.hosts, len(pkts))
+		for i, k := range pkts {
+			hosts[i] = trace.IPv4(k >> 16)
 		}
 		alarm := core.Alarm{
 			Detector: d.Name(),
 			Config:   config,
 			Score:    float64(ln.votes),
-			Note:     planeName(dstPlane) + " line",
+			Note:     planeName(pl.dst) + " line",
 		}
 		from := float64(minX) * d.TimeBin
 		to := float64(maxX+1) * d.TimeBin
-		for _, host := range topHosts(hostPkts, d.MaxFilters) {
+		for _, host := range sketch.TopHosts(hosts, d.MaxFilters) {
 			f := trace.NewFilter().WithInterval(from, to)
-			if dstPlane {
+			if pl.dst {
 				f = f.WithDst(host)
 			} else {
 				f = f.WithSrc(host)
 			}
 			// Narrow to the dominant destination port when one stands out:
 			// the aggregated flow set then reads like <host, *, *, port>.
-			if port, share := dominantPort(hostPorts[host]); share >= 0.6 {
+			lo, _ := slices.BinarySearch(pkts, uint64(host)<<16)
+			hi, _ := slices.BinarySearch(pkts, (uint64(host)+1)<<16)
+			if port, share := dominantPort(pkts[lo:hi]); share >= 0.6 {
 				f = f.WithDstPort(port)
 			}
 			alarm.Filters = append(alarm.Filters, f)
@@ -343,48 +436,24 @@ func growLists(s *[][]int32, n int) [][]int32 {
 }
 
 // dominantPort returns the destination port carrying the largest packet
-// share for a host, with that share.
-func dominantPort(ports map[uint16]int) (uint16, float64) {
-	total := 0
-	best := uint16(0)
-	bestN := -1
-	for p, n := range ports {
-		total += n
-		if n > bestN || (n == bestN && p < best) {
-			best, bestN = p, n
+// share of one host's packets — sorted (host<<16 | port) keys, so equal ports
+// are adjacent — with that share; ties go to the smaller port.
+func dominantPort(pkts []uint64) (uint16, float64) {
+	best, bestN := uint16(0), 0
+	for i := 0; i < len(pkts); {
+		j := i + 1
+		for j < len(pkts) && pkts[j] == pkts[i] {
+			j++
 		}
+		if j-i > bestN {
+			best, bestN = uint16(pkts[i]), j-i
+		}
+		i = j
 	}
-	if total == 0 {
+	if bestN == 0 {
 		return 0, 0
 	}
-	return best, float64(bestN) / float64(total)
-}
-
-// topHosts returns up to k hosts by descending packet count (ties broken
-// by address).
-func topHosts(counts map[trace.IPv4]int, k int) []trace.IPv4 {
-	type hc struct {
-		h trace.IPv4
-		n int
-	}
-	all := make([]hc, 0, len(counts))
-	for h, n := range counts {
-		all = append(all, hc{h, n})
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].n != all[j].n {
-			return all[i].n > all[j].n
-		}
-		return all[i].h < all[j].h
-	})
-	if k > len(all) {
-		k = len(all)
-	}
-	out := make([]trace.IPv4, k)
-	for i := range out {
-		out[i] = all[i].h
-	}
-	return out
+	return best, float64(bestN) / float64(len(pkts))
 }
 
 func boolToInt(b bool) int {

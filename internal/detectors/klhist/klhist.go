@@ -15,7 +15,7 @@ package klhist
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"mawilab/internal/apriori"
 	"mawilab/internal/core"
@@ -86,43 +86,53 @@ func (d *Detector) Name() string { return "kl" }
 // NumConfigs implements detectors.Detector.
 func (d *Detector) NumConfigs() int { return int(detectors.NumTunings) }
 
-// Detect implements detectors.Detector.
+// Detect implements detectors.Detector: one Prepare, one Decide.
 func (d *Detector) Detect(ix *trace.Index, config int) ([]core.Alarm, error) {
 	if err := detectors.CheckConfig(d, config); err != nil {
 		return nil, err
 	}
+	p, err := d.Prepare(ix)
+	if err != nil {
+		return nil, err
+	}
+	return p.Decide(config)
+}
+
+// prepared is the threshold-independent analysis of one index: every time
+// bin some configuration can flag, in ascending order, with the rules mined
+// from its packets. A stricter threshold flags a subset of the bins a looser
+// one flags, and a bin's rules do not depend on the threshold. It holds no
+// reference to the index.
+type prepared struct {
+	d    *Detector
+	bins []changedBin
+}
+
+// changedBin is one time bin whose largest robust z over the four KL series
+// exceeds the smallest configured threshold.
+type changedBin struct {
+	z        float64
+	from, to float64
+	rules    []apriori.Rule // maximal, capped at MaxRulesPerBin, degree > 0
+}
+
+// Prepare implements detectors.Preparer: the per-(feature, bin) histograms,
+// the four KL series with their robust z-scores, and the association rules
+// of every bin the loosest threshold flags. A configuration is one threshold
+// on a bin's largest z.
+func (d *Detector) Prepare(ix *trace.Index) (detectors.Prepared, error) {
+	p := &prepared{d: d}
 	bins := int(math.Ceil(ix.Duration() / d.TimeBin))
 	if ix.Len() == 0 || bins < 4 {
-		return nil, nil
-	}
-	threshold := d.Thresholds[config]
-
-	// Build per-bin histograms for each feature from the index columns.
-	hists := make([][]*stats.Histogram, numFeatures)
-	for f := range hists {
-		hists[f] = make([]*stats.Histogram, bins)
-		for b := range hists[f] {
-			hists[f][b] = stats.NewHistogram()
-		}
-	}
-	for pi := 0; pi < ix.Len(); pi++ {
-		b := int(ix.Seconds[pi] / d.TimeBin)
-		if b >= bins {
-			b = bins - 1
-		}
-		hists[FeatSrcIP][b].Add(bucketIP(ix.Src[pi]), 1)
-		hists[FeatDstIP][b].Add(bucketIP(ix.Dst[pi]), 1)
-		hists[FeatSrcPort][b].Add(bucketPort(ix.SrcPort[pi]), 1)
-		hists[FeatDstPort][b].Add(bucketPort(ix.DstPort[pi]), 1)
+		return p, nil
 	}
 
-	// KL series per feature, then robust thresholding.
-	anomalousBins := make(map[int][]Feature)
-	for f := Feature(0); f < numFeatures; f++ {
-		series := make([]float64, 0, bins-1)
-		for b := 1; b < bins; b++ {
-			series = append(series, hists[f][b].KLDivergence(hists[f][b-1], 1e-6))
-		}
+	// Largest robust z per bin over the four KL series.
+	maxZ := make([]float64, bins)
+	for b := range maxZ {
+		maxZ[b] = math.Inf(-1)
+	}
+	for _, series := range d.klSeries(ix, bins) {
 		med := stats.Median(series)
 		mad := stats.MAD(series)
 		if mad < 1e-9 {
@@ -132,24 +142,19 @@ func (d *Detector) Detect(ix *trace.Index, config int) ([]core.Alarm, error) {
 			}
 		}
 		for i, v := range series {
-			if (v-med)/mad > threshold {
-				b := i + 1
-				anomalousBins[b] = append(anomalousBins[b], f)
+			if z := (v - med) / mad; z > maxZ[i+1] {
+				maxZ[i+1] = z
 			}
 		}
 	}
-	if len(anomalousBins) == 0 {
-		return nil, nil
-	}
 
-	binIDs := make([]int, 0, len(anomalousBins))
-	for b := range anomalousBins {
-		binIDs = append(binIDs, b)
-	}
-	sort.Ints(binIDs)
-
-	var alarms []core.Alarm
-	for _, b := range binIDs {
+	// The flag test stays the reference's "z > threshold", negated, here
+	// and in Decide: a NaN threshold then flags nothing, as it always did.
+	loosest := slices.Min(d.Thresholds[:])
+	for b, z := range maxZ {
+		if !(z > loosest) {
+			continue
+		}
 		from := float64(b) * d.TimeBin
 		to := from + d.TimeBin
 		lo, hi := ix.Window(from, to)
@@ -161,14 +166,29 @@ func (d *Detector) Detect(ix *trace.Index, config int) ([]core.Alarm, error) {
 		if len(rules) > d.MaxRulesPerBin {
 			rules = rules[:d.MaxRulesPerBin]
 		}
-		for _, rule := range rules {
-			if rule.Degree() == 0 {
-				continue
-			}
+		rules = slices.DeleteFunc(rules, func(r apriori.Rule) bool { return r.Degree() == 0 })
+		p.bins = append(p.bins, changedBin{z: z, from: from, to: to, rules: rules})
+	}
+	return p, nil
+}
+
+// Decide implements detectors.Prepared.
+func (p *prepared) Decide(config int) ([]core.Alarm, error) {
+	d := p.d
+	if err := detectors.CheckConfig(d, config); err != nil {
+		return nil, err
+	}
+	threshold := d.Thresholds[config]
+	var alarms []core.Alarm
+	for _, b := range p.bins {
+		if !(b.z > threshold) {
+			continue
+		}
+		for _, rule := range b.rules {
 			alarms = append(alarms, core.Alarm{
 				Detector: d.Name(),
 				Config:   config,
-				Filters:  []trace.Filter{ruleToFilter(rule, from, to)},
+				Filters:  []trace.Filter{ruleToFilter(rule, b.from, b.to)},
 				Score:    rule.Support,
 				Note:     "kl divergence: " + rule.String(),
 			})
@@ -177,12 +197,151 @@ func (d *Detector) Detect(ix *trace.Index, config int) ([]core.Alarm, error) {
 	return alarms, nil
 }
 
+// klSeries returns, per feature, the KL divergence of every time bin's
+// histogram against the previous bin's (entry i compares bin i+1 with bin
+// i). Timestamps are sorted, so a bin is one contiguous packet range: one
+// dense counter per feature serves every bin in turn, and flushing it yields
+// the bin's histogram as (key, count) runs in ascending key order — only the
+// current and the previous bin's runs are ever held.
+func (d *Detector) klSeries(ix *trace.Index, bins int) [numFeatures][]float64 {
+	var (
+		series    [numFeatures][]float64
+		counters  [numFeatures]*counter
+		cur, prev [numFeatures][]keyCount
+	)
+	for f := range series {
+		series[f] = make([]float64, bins-1)
+		domain := ipBuckets
+		if Feature(f) == FeatSrcPort || Feature(f) == FeatDstPort {
+			domain = portBuckets
+		}
+		counters[f] = &counter{n: make([]int32, domain)}
+	}
+	var curTotal, prevTotal float64
+	flush := func(b int) {
+		for f := range counters {
+			cur[f] = counters[f].flush(cur[f][:0])
+			if b > 0 {
+				series[f][b-1] = klDivergence(cur[f], prev[f], curTotal, prevTotal, 1e-6)
+			}
+		}
+		cur, prev = prev, cur
+		curTotal, prevTotal = 0, curTotal
+	}
+	at := 0
+	for pi, sec := range ix.Seconds {
+		b := int(sec / d.TimeBin)
+		if b >= bins {
+			b = bins - 1
+		}
+		for ; at < b; at++ {
+			flush(at)
+		}
+		counters[FeatSrcIP].add(uint32(bucketIP(ix.Src[pi])))
+		counters[FeatDstIP].add(uint32(bucketIP(ix.Dst[pi])))
+		counters[FeatSrcPort].add(uint32(bucketPort(ix.SrcPort[pi])))
+		counters[FeatDstPort].add(uint32(bucketPort(ix.DstPort[pi])))
+		curTotal++
+	}
+	for ; at < bins; at++ {
+		flush(at)
+	}
+	return series
+}
+
+// keyCount is one non-empty histogram bucket.
+type keyCount struct {
+	key uint32
+	n   int32
+}
+
+// counter is a dense histogram over a small key domain that remembers which
+// keys it touched, so flushing costs the distinct keys, not the domain.
+type counter struct {
+	n       []int32
+	touched []uint32
+}
+
+func (c *counter) add(key uint32) {
+	if c.n[key] == 0 {
+		c.touched = append(c.touched, key)
+	}
+	c.n[key]++
+}
+
+// flush appends the counted buckets to dst in ascending key order and
+// zeroes the counter.
+func (c *counter) flush(dst []keyCount) []keyCount {
+	slices.Sort(c.touched)
+	for _, key := range c.touched {
+		dst = append(dst, keyCount{key, c.n[key]})
+		c.n[key] = 0
+	}
+	c.touched = c.touched[:0]
+	return dst
+}
+
+// klDivergence returns D(p || q) in bits over the union of the two supports
+// with additive smoothing eps — stats.Histogram.KLDivergence on sorted
+// (key, count) runs: the same terms accumulated in the same ascending key
+// order, by merging the runs instead of sorting a union of map keys.
+func klDivergence(p, q []keyCount, pTotal, qTotal, eps float64) float64 {
+	if pTotal == 0 || qTotal == 0 {
+		return 0
+	}
+	support := len(p) + len(q)
+	for i, j := 0, 0; i < len(p) && j < len(q); {
+		switch {
+		case p[i].key < q[j].key:
+			i++
+		case p[i].key > q[j].key:
+			j++
+		default:
+			support--
+			i++
+			j++
+		}
+	}
+	pDen := pTotal + eps*float64(support)
+	qDen := qTotal + eps*float64(support)
+	d := 0.0
+	for i, j := 0, 0; i < len(p) || j < len(q); {
+		var pn, qn float64
+		switch {
+		case j == len(q) || (i < len(p) && p[i].key < q[j].key):
+			pn = float64(p[i].n)
+			i++
+		case i == len(p) || q[j].key < p[i].key:
+			qn = float64(q[j].n)
+			j++
+		default:
+			pn, qn = float64(p[i].n), float64(q[j].n)
+			i++
+			j++
+		}
+		pp := (pn + eps) / pDen
+		qq := (qn + eps) / qDen
+		d += pp * math.Log2(pp/qq)
+	}
+	if d < 0 {
+		d = 0 // guard tiny negative rounding
+	}
+	return d
+}
+
 // bucketIP folds an address onto its /16 prefix. Full-resolution IP
 // histograms on a backbone link barely overlap between intervals, giving a
 // noisy divergence baseline that buries real changes; prefix aggregation
 // keeps the supports comparable (Brauckhoff et al. likewise histogram over
 // coarsened feature spaces).
 func bucketIP(ip trace.IPv4) uint64 { return uint64(ip >> 16) }
+
+// ipBuckets and portBuckets bound bucketIP's and bucketPort's values: the
+// key domains of the dense per-bin counters.
+const (
+	ipBuckets   = 1 << 16
+	portBuckets = 1024 + (1<<16)/512
+)
 
 // bucketPort keeps well-known ports at full resolution and folds ephemeral
 // ports into 512-wide buckets.

@@ -1,0 +1,214 @@
+package klhist
+
+// This file keeps the pre-split, per-configuration Detect verbatim as the
+// reference implementation — 4×bins stats.Histogram maps, the four KL series
+// and the rule mining redone for every config — and pins Prepare + Decide to
+// it: on randomized traces, for every config and for thresholds in a
+// different order, the two must emit reflect.DeepEqual alarms. The KL sums
+// are compared bit for bit through the alarms they select.
+
+import (
+	"math"
+	"math/rand"
+	"reflect"
+	"sort"
+	"testing"
+
+	"mawilab/internal/apriori"
+	"mawilab/internal/core"
+	"mawilab/internal/detectors"
+	"mawilab/internal/mawigen"
+	"mawilab/internal/stats"
+	"mawilab/internal/trace"
+)
+
+// refDetect is the pre-split Detector.Detect, unchanged.
+func refDetect(d *Detector, ix *trace.Index, config int) ([]core.Alarm, error) {
+	if err := detectors.CheckConfig(d, config); err != nil {
+		return nil, err
+	}
+	bins := int(math.Ceil(ix.Duration() / d.TimeBin))
+	if ix.Len() == 0 || bins < 4 {
+		return nil, nil
+	}
+	threshold := d.Thresholds[config]
+
+	// Build per-bin histograms for each feature from the index columns.
+	hists := make([][]*stats.Histogram, numFeatures)
+	for f := range hists {
+		hists[f] = make([]*stats.Histogram, bins)
+		for b := range hists[f] {
+			hists[f][b] = stats.NewHistogram()
+		}
+	}
+	for pi := 0; pi < ix.Len(); pi++ {
+		b := int(ix.Seconds[pi] / d.TimeBin)
+		if b >= bins {
+			b = bins - 1
+		}
+		hists[FeatSrcIP][b].Add(bucketIP(ix.Src[pi]), 1)
+		hists[FeatDstIP][b].Add(bucketIP(ix.Dst[pi]), 1)
+		hists[FeatSrcPort][b].Add(bucketPort(ix.SrcPort[pi]), 1)
+		hists[FeatDstPort][b].Add(bucketPort(ix.DstPort[pi]), 1)
+	}
+
+	// KL series per feature, then robust thresholding.
+	anomalousBins := make(map[int][]Feature)
+	for f := Feature(0); f < numFeatures; f++ {
+		series := make([]float64, 0, bins-1)
+		for b := 1; b < bins; b++ {
+			series = append(series, hists[f][b].KLDivergence(hists[f][b-1], 1e-6))
+		}
+		med := stats.Median(series)
+		mad := stats.MAD(series)
+		if mad < 1e-9 {
+			mad = stats.Std(series)
+			if mad < 1e-9 {
+				continue
+			}
+		}
+		for i, v := range series {
+			if (v-med)/mad > threshold {
+				b := i + 1
+				anomalousBins[b] = append(anomalousBins[b], f)
+			}
+		}
+	}
+	if len(anomalousBins) == 0 {
+		return nil, nil
+	}
+
+	binIDs := make([]int, 0, len(anomalousBins))
+	for b := range anomalousBins {
+		binIDs = append(binIDs, b)
+	}
+	sort.Ints(binIDs)
+
+	var alarms []core.Alarm
+	for _, b := range binIDs {
+		from := float64(b) * d.TimeBin
+		to := from + d.TimeBin
+		lo, hi := ix.Window(from, to)
+		txs := make([]apriori.Transaction, 0, hi-lo)
+		for pi := lo; pi < hi; pi++ {
+			txs = append(txs, apriori.FromPacket(ix.PacketAt(pi)))
+		}
+		rules := apriori.Maximal(apriori.Mine(txs, d.RuleSupport))
+		if len(rules) > d.MaxRulesPerBin {
+			rules = rules[:d.MaxRulesPerBin]
+		}
+		for _, rule := range rules {
+			if rule.Degree() == 0 {
+				continue
+			}
+			alarms = append(alarms, core.Alarm{
+				Detector: d.Name(),
+				Config:   config,
+				Filters:  []trace.Filter{ruleToFilter(rule, from, to)},
+				Score:    rule.Support,
+				Note:     "kl divergence: " + rule.String(),
+			})
+		}
+	}
+	return alarms, nil
+}
+
+// diffIndexes is the differential corpus: five seeds each of a quiet
+// background, a flood, a scan and an overlapping mix, plus an empty trace
+// and one shorter than the detector's minimum span.
+func diffIndexes() []*trace.Index {
+	mixes := [][]mawigen.Spec{
+		nil,
+		{{Kind: mawigen.KindICMPFlood, Start: 15, Duration: 20, Rate: 300}},
+		{{Kind: mawigen.KindPortScan, Start: 10, Duration: 25, Rate: 120}},
+		{
+			{Kind: mawigen.KindPortScan, Start: 5, Duration: 30, Rate: 90},
+			{Kind: mawigen.KindSYNFlood, Start: 20, Duration: 15, Rate: 250},
+			{Kind: mawigen.KindElephant, Start: 0, Duration: 40, Rate: 60},
+		},
+	}
+	var out []*trace.Index
+	for mi, anoms := range mixes {
+		for seed := int64(0); seed < 5; seed++ {
+			cfg := mawigen.DefaultConfig(2203 + 17*seed + int64(mi))
+			cfg.BackgroundRate = 200
+			cfg.Anomalies = anoms
+			out = append(out, trace.NewIndex(mawigen.Generate(cfg).Trace))
+		}
+	}
+	short := mawigen.DefaultConfig(2309)
+	short.Duration = 12
+	return append(out, trace.NewIndex(&trace.Trace{}), trace.NewIndex(mawigen.Generate(short).Trace))
+}
+
+// TestPrepareDecideMatchesReference pins Prepare + Decide (and Detect, which
+// is the two in sequence) to the pre-split reference for every config, under
+// the default tunings and under Thresholds{9, 16, 6} — the loosest threshold
+// last, so the mined-bin superset cannot rely on where Optimal sits — with a
+// different time bin and rule cap.
+func TestPrepareDecideMatchesReference(t *testing.T) {
+	custom := New()
+	custom.Thresholds = [detectors.NumTunings]float64{9, 16, 6}
+	custom.TimeBin = 3
+	custom.MaxRulesPerBin = 2
+	custom.RuleSupport = 0.1
+	for di, d := range []*Detector{New(), custom} {
+		raised := [detectors.NumTunings]int{}
+		for ti, ix := range diffIndexes() {
+			p, err := d.Prepare(ix)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for c := 0; c < d.NumConfigs(); c++ {
+				want, err := refDetect(d, ix, c)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := p.Decide(c)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("detector %d trace %d config %d: Decide\n%v\nreference\n%v", di, ti, c, got, want)
+				}
+				if one, _ := d.Detect(ix, c); !reflect.DeepEqual(one, want) {
+					t.Fatalf("detector %d trace %d config %d: Detect differs from the reference", di, ti, c)
+				}
+				raised[c] += len(want)
+			}
+		}
+		// The configs must disagree somewhere, or the per-config filter was
+		// never exercised.
+		if raised[0] == 0 || raised[0] == raised[1] || raised[0] == raised[2] {
+			t.Fatalf("detector %d: alarms per config %v do not separate the thresholds", di, raised)
+		}
+	}
+}
+
+// TestKLDivergenceMatchesHistogram pins the run-merging divergence to
+// stats.Histogram.KLDivergence bit for bit, including disjoint supports and
+// an empty side.
+func TestKLDivergenceMatchesHistogram(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for round := 0; round < 300; round++ {
+		var runs [2][]keyCount
+		var hists [2]*stats.Histogram
+		var totals [2]float64
+		for s := range runs {
+			c := &counter{n: make([]int32, 40)}
+			hists[s] = stats.NewHistogram()
+			for i := rng.Intn(30); i > 0; i-- {
+				key := uint32(rng.Intn(20) + 20*s*rng.Intn(2))
+				c.add(key)
+				hists[s].Add(uint64(key), 1)
+				totals[s]++
+			}
+			runs[s] = c.flush(nil)
+		}
+		got := klDivergence(runs[0], runs[1], totals[0], totals[1], 1e-6)
+		want := hists[0].KLDivergence(hists[1], 1e-6)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("round %d: klDivergence = %v, Histogram.KLDivergence = %v", round, got, want)
+		}
+	}
+}

@@ -13,7 +13,7 @@ package pca
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"mawilab/internal/core"
 	"mawilab/internal/detectors"
@@ -74,71 +74,119 @@ func (d *Detector) Name() string { return "pca" }
 // NumConfigs implements detectors.Detector.
 func (d *Detector) NumConfigs() int { return int(detectors.NumTunings) }
 
-// Detect implements detectors.Detector.
+// Detect implements detectors.Detector: one Prepare, one Decide.
 func (d *Detector) Detect(ix *trace.Index, config int) ([]core.Alarm, error) {
 	if err := detectors.CheckConfig(d, config); err != nil {
 		return nil, err
 	}
-	tn := d.Tunings[config]
-	dur := ix.Duration()
-	t := int(math.Ceil(dur / d.TimeBin))
+	p, err := d.Prepare(ix)
+	if err != nil {
+		return nil, err
+	}
+	return p.Decide(config)
+}
+
+// prepared is the tuning-independent analysis of one index: per sketch, the
+// standardized traffic matrix and its principal components. Decide re-reads
+// the index's source column to recover hosts, so a prepared is valid only
+// until the index is released.
+type prepared struct {
+	d        *Detector
+	ix       *trace.Index
+	sketches []sketchSpace
+}
+
+// sketchSpace is one sketch's view of the trace.
+type sketchSpace struct {
+	sk *sketch.Sketch
+	// work is the (time bin × sketch bin) packet-count matrix, columns
+	// centred and scaled to unit variance.
+	work *linalg.Matrix
+	// comps holds the eigenvectors of work's covariance as rows, by
+	// descending eigenvalue; nil when the decomposition failed, in which
+	// case the sketch implicates nothing.
+	comps *linalg.Matrix
+}
+
+// Prepare implements detectors.Preparer: per sketch, the rasterized,
+// centred, standardized matrix and the eigenvectors of its covariance. A
+// configuration is a subspace size and a residual threshold over them.
+//
+// Column standardization matters: without it, a single intense sketch bin
+// dominates the covariance and its burst becomes a principal component —
+// the "normal subspace contamination" failure mode of PCA detectors
+// (Ringberg et al.), which at this scale would suppress detection
+// entirely. With unit-variance columns, the leading components capture the
+// correlated background fluctuation shared by all bins, and an isolated
+// burst stays in the residual.
+func (d *Detector) Prepare(ix *trace.Index) (detectors.Prepared, error) {
+	p := &prepared{d: d, ix: ix}
+	t := int(math.Ceil(ix.Duration() / d.TimeBin))
 	if t < 8 || ix.Len() == 0 {
-		return nil, nil // too short for a meaningful subspace
+		return p, nil // too short for a meaningful subspace
 	}
-
-	// votes[host] = set of sketches implicating the host at a time bin.
-	type hostBin struct {
-		host trace.IPv4
-		bin  int // time bin
-	}
-	votes := make(map[hostBin]int)
-
 	for si := 0; si < d.Sketches; si++ {
 		sk := sketch.New(d.Bins, d.Seed+uint64(si)*0x9e37)
-		x := linalg.NewMatrix(t, d.Bins)
-		for pi := 0; pi < ix.Len(); pi++ {
+		work := linalg.NewMatrix(t, d.Bins)
+		for pi, src := range ix.Src {
 			tb := int(ix.Seconds[pi] / d.TimeBin)
 			if tb >= t {
 				tb = t - 1
 			}
-			sb := sk.Bin(ix.Src[pi])
-			x.Set(tb, sb, x.At(tb, sb)+1)
+			work.Data[tb*d.Bins+sk.Bin(src)]++
 		}
-		anomalous := d.subspaceResiduals(x, tn)
-		for _, at := range anomalous {
+		work.CenterColumns()
+		standardizeColumns(work)
+		cov := work.Gram()
+		inv := 1.0 / float64(work.Rows-1)
+		for i := range cov.Data {
+			cov.Data[i] *= inv
+		}
+		sp := sketchSpace{sk: sk, work: work}
+		if _, vecs, err := linalg.EigenSym(cov); err == nil {
+			sp.comps = vecs.T()
+		}
+		p.sketches = append(p.sketches, sp)
+	}
+	return p, nil
+}
+
+// Decide implements detectors.Prepared.
+func (p *prepared) Decide(config int) ([]core.Alarm, error) {
+	d, ix := p.d, p.ix
+	if err := detectors.CheckConfig(d, config); err != nil {
+		return nil, err
+	}
+	tn := d.Tunings[config]
+
+	// One vote per (host, time bin) a sketch implicates, packed host-major
+	// so that sorting groups a host's bins in ascending order.
+	var votes []uint64
+	var cell []trace.IPv4
+	for _, sp := range p.sketches {
+		for _, at := range sp.residualCells(tn) {
 			// Recover hosts: rescan the window via the index's time
-			// buckets, count per suspicious bin.
+			// buckets, keep the packets hashed into the suspicious bin.
 			lo, hi := ix.Window(float64(at.bin)*d.TimeBin, float64(at.bin+1)*d.TimeBin)
-			counts := make(map[trace.IPv4]int)
-			for pi := lo; pi < hi; pi++ {
-				if sk.Bin(ix.Src[pi]) == at.sketchBin {
-					counts[ix.Src[pi]]++
+			cell = cell[:0]
+			for _, src := range ix.Src[lo:hi] {
+				if sp.sk.Bin(src) == at.sketchBin {
+					cell = append(cell, src)
 				}
 			}
-			for _, h := range topHosts(counts, 3) {
-				votes[hostBin{h, at.bin}]++
+			for _, h := range sketch.TopHosts(cell, 3) {
+				votes = append(votes, uint64(h)<<32|uint64(at.bin))
 			}
 		}
 	}
+	slices.Sort(votes)
 
 	// Hosts implicated by enough independent sketches become alarms; merge
 	// contiguous time bins per host.
-	perHost := make(map[trace.IPv4][]int)
-	for hb, n := range votes {
-		if n >= d.MinAgree {
-			perHost[hb.host] = append(perHost[hb.host], hb.bin)
-		}
-	}
-	hosts := make([]trace.IPv4, 0, len(perHost))
-	for h := range perHost {
-		hosts = append(hosts, h)
-	}
-	sort.Slice(hosts, func(i, j int) bool { return hosts[i] < hosts[j] })
-
 	var alarms []core.Alarm
-	for _, h := range hosts {
-		sort.Ints(perHost[h])
-		for _, iv := range mergeBins(perHost[h]) {
+	var bins []int
+	emit := func(h trace.IPv4) {
+		for _, iv := range mergeBins(bins) {
 			alarms = append(alarms, core.Alarm{
 				Detector: d.Name(),
 				Config:   config,
@@ -149,6 +197,21 @@ func (d *Detector) Detect(ix *trace.Index, config int) ([]core.Alarm, error) {
 				Note: "pca residual",
 			})
 		}
+		bins = bins[:0]
+	}
+	for i := 0; i < len(votes); {
+		j := i + 1
+		for j < len(votes) && votes[j] == votes[i] {
+			j++
+		}
+		h := trace.IPv4(votes[i] >> 32)
+		if j-i >= d.MinAgree {
+			bins = append(bins, int(uint32(votes[i])))
+		}
+		if j == len(votes) || trace.IPv4(votes[j]>>32) != h {
+			emit(h)
+		}
+		i = j
 	}
 	return alarms, nil
 }
@@ -159,61 +222,43 @@ type anomaly struct {
 	sketchBin int
 }
 
-// subspaceResiduals centers and standardizes x's columns, finds the top
-// principal components, and returns the (time bin, sketch bin) cells
-// driving residuals above a robust threshold (median + σ·1.4826·MAD).
-//
-// Column standardization matters: without it, a single intense sketch bin
-// dominates the covariance and its burst becomes a principal component —
-// the "normal subspace contamination" failure mode of PCA detectors
-// (Ringberg et al.), which at this scale would suppress detection
-// entirely. With unit-variance columns, the leading components capture the
-// correlated background fluctuation shared by all bins, and an isolated
-// burst stays in the residual.
-func (d *Detector) subspaceResiduals(x *linalg.Matrix, tn Tuning) []anomaly {
-	work := x.Clone()
-	work.CenterColumns()
-	standardizeColumns(work)
-	cov := work.Gram()
-	inv := 1.0 / float64(work.Rows-1)
-	for i := range cov.Data {
-		cov.Data[i] *= inv
-	}
-	_, vecs, err := linalg.EigenSym(cov)
-	if err != nil {
+// residualCells projects every row of the standardized matrix onto the top
+// tn.Subspace principal components and returns the (time bin, sketch bin)
+// cells whose residual exceeds a robust threshold (median + σ·1.4826·MAD),
+// by ascending sketch bin, then time bin.
+func (sp *sketchSpace) residualCells(tn Tuning) []anomaly {
+	if sp.comps == nil {
 		return nil
 	}
-	k := tn.Subspace
-	if k > work.Cols {
-		k = work.Cols
-	}
-	// Residual matrix after projecting each row onto the top-k subspace.
-	resVec := linalg.NewMatrix(work.Rows, work.Cols)
-	for i := 0; i < work.Rows; i++ {
-		row := work.Row(i)
-		proj := make([]float64, work.Cols)
+	rows, cols := sp.work.Rows, sp.work.Cols
+	k := min(tn.Subspace, cols)
+	// Residuals after removing each row's projection onto the top-k
+	// subspace, stored column-major: a sketch bin's series is contiguous.
+	res := make([]float64, rows*cols)
+	proj := make([]float64, cols)
+	for i := 0; i < rows; i++ {
+		row := sp.work.Row(i)
+		clear(proj)
 		for c := 0; c < k; c++ {
+			comp := sp.comps.Row(c)
 			var dot float64
-			for j := 0; j < work.Cols; j++ {
-				dot += row[j] * vecs.At(j, c)
+			for j, v := range row {
+				dot += v * comp[j]
 			}
-			for j := 0; j < work.Cols; j++ {
-				proj[j] += dot * vecs.At(j, c)
+			for j, v := range comp {
+				proj[j] += dot * v
 			}
 		}
-		for j := 0; j < work.Cols; j++ {
-			resVec.Set(i, j, row[j]-proj[j])
+		for j, v := range row {
+			res[j*rows+i] = v - proj[j]
 		}
 	}
 	// Score residuals per column: a burst confined to one sketch bin must
 	// not be diluted by the noise of the other 31 columns, so each bin's
 	// residual series is thresholded against its own robust statistics.
 	var out []anomaly
-	col := make([]float64, work.Rows)
-	for j := 0; j < work.Cols; j++ {
-		for i := 0; i < work.Rows; i++ {
-			col[i] = resVec.At(i, j)
-		}
+	for j := 0; j < cols; j++ {
+		col := res[j*rows : (j+1)*rows]
 		med := stats.Median(col)
 		scale := 1.4826 * stats.MAD(col)
 		if scale < 1e-9 {
@@ -222,8 +267,8 @@ func (d *Detector) subspaceResiduals(x *linalg.Matrix, tn Tuning) []anomaly {
 				continue
 			}
 		}
-		for i := 0; i < work.Rows; i++ {
-			if (col[i]-med)/scale > tn.Sigma {
+		for i, v := range col {
+			if (v-med)/scale > tn.Sigma {
 				out = append(out, anomaly{bin: i, sketchBin: j})
 			}
 		}
@@ -237,7 +282,7 @@ func standardizeColumns(m *linalg.Matrix) {
 	for j := 0; j < m.Cols; j++ {
 		var ss float64
 		for i := 0; i < m.Rows; i++ {
-			v := m.At(i, j)
+			v := m.Data[i*m.Cols+j]
 			ss += v * v
 		}
 		if ss < 1e-12 {
@@ -245,34 +290,9 @@ func standardizeColumns(m *linalg.Matrix) {
 		}
 		inv := 1 / math.Sqrt(ss/float64(m.Rows-1))
 		for i := 0; i < m.Rows; i++ {
-			m.Set(i, j, m.At(i, j)*inv)
+			m.Data[i*m.Cols+j] *= inv
 		}
 	}
-}
-
-func topHosts(counts map[trace.IPv4]int, k int) []trace.IPv4 {
-	type hc struct {
-		h trace.IPv4
-		n int
-	}
-	all := make([]hc, 0, len(counts))
-	for h, n := range counts {
-		all = append(all, hc{h, n})
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].n != all[j].n {
-			return all[i].n > all[j].n
-		}
-		return all[i].h < all[j].h
-	})
-	if k > len(all) {
-		k = len(all)
-	}
-	out := make([]trace.IPv4, k)
-	for i := range out {
-		out[i] = all[i].h
-	}
-	return out
 }
 
 // mergeBins merges sorted time-bin indices into contiguous [first,last]

@@ -1,0 +1,295 @@
+package pca
+
+// This file keeps the pre-split, per-configuration Detect verbatim as the
+// reference implementation — one rasterization, covariance and
+// eigendecomposition per sketch per config, map-based host votes — and pins
+// Prepare + Decide to it: on randomized traces, for every config and for
+// non-default tunings, the two must emit reflect.DeepEqual alarms.
+
+import (
+	"math"
+	"reflect"
+	"sort"
+	"testing"
+
+	"mawilab/internal/core"
+	"mawilab/internal/detectors"
+	"mawilab/internal/linalg"
+	"mawilab/internal/mawigen"
+	"mawilab/internal/sketch"
+	"mawilab/internal/stats"
+	"mawilab/internal/trace"
+)
+
+// refDetect is the pre-split Detector.Detect, unchanged.
+func refDetect(d *Detector, ix *trace.Index, config int) ([]core.Alarm, error) {
+	if err := detectors.CheckConfig(d, config); err != nil {
+		return nil, err
+	}
+	tn := d.Tunings[config]
+	dur := ix.Duration()
+	t := int(math.Ceil(dur / d.TimeBin))
+	if t < 8 || ix.Len() == 0 {
+		return nil, nil // too short for a meaningful subspace
+	}
+
+	// votes[host] = set of sketches implicating the host at a time bin.
+	type hostBin struct {
+		host trace.IPv4
+		bin  int // time bin
+	}
+	votes := make(map[hostBin]int)
+
+	for si := 0; si < d.Sketches; si++ {
+		sk := sketch.New(d.Bins, d.Seed+uint64(si)*0x9e37)
+		x := linalg.NewMatrix(t, d.Bins)
+		for pi := 0; pi < ix.Len(); pi++ {
+			tb := int(ix.Seconds[pi] / d.TimeBin)
+			if tb >= t {
+				tb = t - 1
+			}
+			sb := sk.Bin(ix.Src[pi])
+			x.Set(tb, sb, x.At(tb, sb)+1)
+		}
+		anomalous := refSubspaceResiduals(x, tn)
+		for _, at := range anomalous {
+			// Recover hosts: rescan the window via the index's time
+			// buckets, count per suspicious bin.
+			lo, hi := ix.Window(float64(at.bin)*d.TimeBin, float64(at.bin+1)*d.TimeBin)
+			counts := make(map[trace.IPv4]int)
+			for pi := lo; pi < hi; pi++ {
+				if sk.Bin(ix.Src[pi]) == at.sketchBin {
+					counts[ix.Src[pi]]++
+				}
+			}
+			for _, h := range refTopHosts(counts, 3) {
+				votes[hostBin{h, at.bin}]++
+			}
+		}
+	}
+
+	// Hosts implicated by enough independent sketches become alarms; merge
+	// contiguous time bins per host.
+	perHost := make(map[trace.IPv4][]int)
+	for hb, n := range votes {
+		if n >= d.MinAgree {
+			perHost[hb.host] = append(perHost[hb.host], hb.bin)
+		}
+	}
+	hosts := make([]trace.IPv4, 0, len(perHost))
+	for h := range perHost {
+		hosts = append(hosts, h)
+	}
+	sort.Slice(hosts, func(i, j int) bool { return hosts[i] < hosts[j] })
+
+	var alarms []core.Alarm
+	for _, h := range hosts {
+		sort.Ints(perHost[h])
+		for _, iv := range mergeBins(perHost[h]) {
+			alarms = append(alarms, core.Alarm{
+				Detector: d.Name(),
+				Config:   config,
+				Filters: []trace.Filter{
+					trace.NewFilter().WithSrc(h).
+						WithInterval(float64(iv[0])*d.TimeBin, float64(iv[1]+1)*d.TimeBin),
+				},
+				Note: "pca residual",
+			})
+		}
+	}
+	return alarms, nil
+}
+
+// refSubspaceResiduals is the pre-split subspaceResiduals, unchanged: it
+// centers and standardizes x's columns, finds the top principal components,
+// and returns the (time bin, sketch bin) cells driving residuals above a
+// robust threshold (median + σ·1.4826·MAD).
+//
+// Column standardization matters: without it, a single intense sketch bin
+// dominates the covariance and its burst becomes a principal component —
+// the "normal subspace contamination" failure mode of PCA detectors
+// (Ringberg et al.), which at this scale would suppress detection
+// entirely. With unit-variance columns, the leading components capture the
+// correlated background fluctuation shared by all bins, and an isolated
+// burst stays in the residual.
+func refSubspaceResiduals(x *linalg.Matrix, tn Tuning) []anomaly {
+	work := x.Clone()
+	work.CenterColumns()
+	refStandardizeColumns(work)
+	cov := work.Gram()
+	inv := 1.0 / float64(work.Rows-1)
+	for i := range cov.Data {
+		cov.Data[i] *= inv
+	}
+	_, vecs, err := linalg.EigenSym(cov)
+	if err != nil {
+		return nil
+	}
+	k := tn.Subspace
+	if k > work.Cols {
+		k = work.Cols
+	}
+	// Residual matrix after projecting each row onto the top-k subspace.
+	resVec := linalg.NewMatrix(work.Rows, work.Cols)
+	for i := 0; i < work.Rows; i++ {
+		row := work.Row(i)
+		proj := make([]float64, work.Cols)
+		for c := 0; c < k; c++ {
+			var dot float64
+			for j := 0; j < work.Cols; j++ {
+				dot += row[j] * vecs.At(j, c)
+			}
+			for j := 0; j < work.Cols; j++ {
+				proj[j] += dot * vecs.At(j, c)
+			}
+		}
+		for j := 0; j < work.Cols; j++ {
+			resVec.Set(i, j, row[j]-proj[j])
+		}
+	}
+	// Score residuals per column: a burst confined to one sketch bin must
+	// not be diluted by the noise of the other 31 columns, so each bin's
+	// residual series is thresholded against its own robust statistics.
+	var out []anomaly
+	col := make([]float64, work.Rows)
+	for j := 0; j < work.Cols; j++ {
+		for i := 0; i < work.Rows; i++ {
+			col[i] = resVec.At(i, j)
+		}
+		med := stats.Median(col)
+		scale := 1.4826 * stats.MAD(col)
+		if scale < 1e-9 {
+			scale = stats.Std(col)
+			if scale < 1e-9 {
+				continue
+			}
+		}
+		for i := 0; i < work.Rows; i++ {
+			if (col[i]-med)/scale > tn.Sigma {
+				out = append(out, anomaly{bin: i, sketchBin: j})
+			}
+		}
+	}
+	return out
+}
+
+// refStandardizeColumns is the pre-split standardizeColumns: it scales each
+// column to unit sample variance (columns with no variance are left
+// untouched).
+func refStandardizeColumns(m *linalg.Matrix) {
+	for j := 0; j < m.Cols; j++ {
+		var ss float64
+		for i := 0; i < m.Rows; i++ {
+			v := m.At(i, j)
+			ss += v * v
+		}
+		if ss < 1e-12 {
+			continue
+		}
+		inv := 1 / math.Sqrt(ss/float64(m.Rows-1))
+		for i := 0; i < m.Rows; i++ {
+			m.Set(i, j, m.At(i, j)*inv)
+		}
+	}
+}
+
+// refTopHosts is the map-based ranking the package used to carry.
+func refTopHosts(counts map[trace.IPv4]int, k int) []trace.IPv4 {
+	type hc struct {
+		h trace.IPv4
+		n int
+	}
+	all := make([]hc, 0, len(counts))
+	for h, n := range counts {
+		all = append(all, hc{h, n})
+	}
+	sort.Slice(all, func(i, j int) bool {
+		if all[i].n != all[j].n {
+			return all[i].n > all[j].n
+		}
+		return all[i].h < all[j].h
+	})
+	if k > len(all) {
+		k = len(all)
+	}
+	out := make([]trace.IPv4, k)
+	for i := range out {
+		out[i] = all[i].h
+	}
+	return out
+}
+
+// diffIndexes is the differential corpus: five seeds each of a quiet
+// background, a flood, a scan and an overlapping mix, plus an empty trace
+// and one shorter than the detector's minimum span.
+func diffIndexes() []*trace.Index {
+	mixes := [][]mawigen.Spec{
+		nil,
+		{{Kind: mawigen.KindICMPFlood, Start: 15, Duration: 20, Rate: 300}},
+		{{Kind: mawigen.KindPortScan, Start: 10, Duration: 25, Rate: 120}},
+		{
+			{Kind: mawigen.KindPortScan, Start: 5, Duration: 30, Rate: 90},
+			{Kind: mawigen.KindSYNFlood, Start: 20, Duration: 15, Rate: 250},
+			{Kind: mawigen.KindElephant, Start: 0, Duration: 40, Rate: 60},
+		},
+	}
+	var out []*trace.Index
+	for mi, anoms := range mixes {
+		for seed := int64(0); seed < 5; seed++ {
+			cfg := mawigen.DefaultConfig(3307 + 17*seed + int64(mi))
+			cfg.BackgroundRate = 200
+			cfg.Anomalies = anoms
+			out = append(out, trace.NewIndex(mawigen.Generate(cfg).Trace))
+		}
+	}
+	short := mawigen.DefaultConfig(3407)
+	short.Duration = 5
+	return append(out, trace.NewIndex(&trace.Trace{}), trace.NewIndex(mawigen.Generate(short).Trace))
+}
+
+// TestPrepareDecideMatchesReference pins Prepare + Decide (and Detect, which
+// is the two in sequence) to the pre-split reference for every config, under
+// the default tunings and under tunings whose subspace sizes and sigmas are
+// neither ordered nor within the sketch width, with fewer, narrower
+// sketches.
+func TestPrepareDecideMatchesReference(t *testing.T) {
+	custom := New(23)
+	custom.Tunings = [detectors.NumTunings]Tuning{
+		{Subspace: 5, Sigma: 2.5},
+		{Subspace: 0, Sigma: 6},
+		{Subspace: 40, Sigma: 1.5},
+	}
+	custom.Bins = 16
+	custom.Sketches = 3
+	custom.MinAgree = 2
+	custom.TimeBin = 2
+	for di, d := range []*Detector{New(7), custom} {
+		raised := 0
+		for ti, ix := range diffIndexes() {
+			p, err := d.Prepare(ix)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for c := 0; c < d.NumConfigs(); c++ {
+				want, err := refDetect(d, ix, c)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := p.Decide(c)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("detector %d trace %d config %d: Decide\n%v\nreference\n%v", di, ti, c, got, want)
+				}
+				if one, _ := d.Detect(ix, c); !reflect.DeepEqual(one, want) {
+					t.Fatalf("detector %d trace %d config %d: Detect differs from the reference", di, ti, c)
+				}
+				raised += len(want)
+			}
+		}
+		if raised == 0 {
+			t.Fatalf("detector %d: the corpus raised no alarm: the comparison is vacuous", di)
+		}
+	}
+}

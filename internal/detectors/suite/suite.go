@@ -25,13 +25,3 @@ func Standard() []detectors.Detector {
 		klhist.New(),
 	}
 }
-
-// Totals returns the detector→configuration-count map for a detector set,
-// as needed by core.Result.Confidences.
-func Totals(dets []detectors.Detector) map[string]int {
-	t := make(map[string]int, len(dets))
-	for _, d := range dets {
-		t[d.Name()] = d.NumConfigs()
-	}
-	return t
-}

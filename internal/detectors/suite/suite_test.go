@@ -2,7 +2,10 @@ package suite
 
 import (
 	"context"
+	"reflect"
+	"sync"
 	"testing"
+	"time"
 
 	"mawilab/internal/core"
 	"mawilab/internal/detectors"
@@ -29,7 +32,10 @@ func TestStandardSuiteShape(t *testing.T) {
 	if totalConfigs != 12 {
 		t.Errorf("total configurations = %d, want 12 (the paper's 4×3)", totalConfigs)
 	}
-	totals := Totals(dets)
+	totals, err := detectors.Totals(dets)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, d := range dets {
 		if totals[d.Name()] != d.NumConfigs() {
 			t.Errorf("totals[%s] = %d", d.Name(), totals[d.Name()])
@@ -140,5 +146,93 @@ func TestEndToEndPipeline(t *testing.T) {
 	}
 	if coveredEvents == 0 {
 		t.Errorf("no injected event covered by accepted communities (%d events)", len(gen.Truth))
+	}
+}
+
+// twoDays generates the two archive days the split tests run over: one from
+// the Sasser era and one quiet-season day, so the twelve outputs differ in
+// size and in which configurations fire.
+func twoDays(t *testing.T) []*trace.Index {
+	t.Helper()
+	arch := mawigen.NewArchive(77)
+	arch.Duration = 40
+	arch.BaseRate = 220
+	var out []*trace.Index
+	for _, date := range []time.Time{
+		time.Date(2004, 5, 10, 0, 0, 0, 0, time.UTC),
+		time.Date(2006, 2, 13, 0, 0, 0, 0, time.UTC),
+	} {
+		out = append(out, trace.NewIndex(arch.Day(date).Trace))
+	}
+	return out
+}
+
+// TestDetectAllMatchesPerConfigDetect pins the prepare/decide fan-out to the
+// contract it replaced: at every worker count DetectAllContext equals the
+// concatenation of d.Detect(ix, c) in (detector, config) order.
+func TestDetectAllMatchesPerConfigDetect(t *testing.T) {
+	for di, ix := range twoDays(t) {
+		var want []core.Alarm
+		for _, d := range Standard() {
+			for c := 0; c < d.NumConfigs(); c++ {
+				alarms, err := d.Detect(ix, c)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want = append(want, alarms...)
+			}
+		}
+		if len(want) == 0 {
+			t.Fatalf("day %d raised no alarm", di)
+		}
+		for _, workers := range []int{1, 2, 4, 8} {
+			got, _, err := detectors.DetectAllContext(context.Background(), ix, Standard(), workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("day %d workers=%d: DetectAllContext differs from the per-config Detect concatenation (%d vs %d alarms)",
+					di, workers, len(got), len(want))
+			}
+		}
+	}
+}
+
+// TestDecideConcurrent decides every configuration of one Prepared from
+// eight goroutines at once — a Prepared is read-only after Prepare, and the
+// race detector checks that it is — and compares each answer with the
+// sequential one.
+func TestDecideConcurrent(t *testing.T) {
+	ix := twoDays(t)[0]
+	for _, d := range Standard() {
+		prepared, err := d.(detectors.Preparer).Prepare(ix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := make([][]core.Alarm, d.NumConfigs())
+		for c := range want {
+			if want[c], err = prepared.Decide(c); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < d.NumConfigs(); i++ {
+					c := (i + g) % d.NumConfigs()
+					got, err := prepared.Decide(c)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if !reflect.DeepEqual(got, want[c]) {
+						t.Errorf("%s config %d: concurrent Decide differs from the sequential one", d.Name(), c)
+					}
+				}
+			}()
+		}
+		wg.Wait()
 	}
 }

@@ -9,7 +9,7 @@
 package sketch
 
 import (
-	"sort"
+	"slices"
 
 	"mawilab/internal/trace"
 )
@@ -49,57 +49,46 @@ func (s *Sketch) Bin(ip trace.IPv4) int {
 // (sketch depends on trace, never the reverse).
 func Mix64(x uint64) uint64 { return trace.Mix64(x) }
 
-// Group collects, for one sketch, the set of addresses that fell into each
-// bin — used to translate "bin b is anomalous" back into candidate hosts.
-type Group struct {
-	sketch *Sketch
-	byBin  []map[trace.IPv4]int // address → packet count
-}
-
-// NewGroup returns an empty reverse index for s.
-func NewGroup(s *Sketch) *Group {
-	g := &Group{sketch: s, byBin: make([]map[trace.IPv4]int, s.Bins)}
-	for i := range g.byBin {
-		g.byBin[i] = make(map[trace.IPv4]int)
+// TopHosts returns the k heaviest addresses of addrs — one entry per packet,
+// sorted in place — by descending packet count, ties to the smaller
+// address. It is the one "dominant hosts" ranking of the repo: the Gamma
+// detector's per-bin hosts, PCA's per-cell hosts and the hosts under a Hough
+// line all go through it.
+func TopHosts(addrs []trace.IPv4, k int) []trace.IPv4 {
+	if k <= 0 {
+		return nil
 	}
-	return g
-}
-
-// Observe records one packet from ip.
-func (g *Group) Observe(ip trace.IPv4) int {
-	b := g.sketch.Bin(ip)
-	g.byBin[b][ip]++
-	return b
-}
-
-// Hosts returns the addresses observed in bin b with their packet counts.
-func (g *Group) Hosts(b int) map[trace.IPv4]int { return g.byBin[b] }
-
-// TopHosts returns up to k addresses from bin b ordered by descending count
-// (ties broken by address for determinism).
-func (g *Group) TopHosts(b, k int) []trace.IPv4 {
-	type hc struct {
-		ip trace.IPv4
-		n  int
+	slices.Sort(addrs)
+	type hostCount struct {
+		host trace.IPv4
+		n    int
 	}
-	hosts := make([]hc, 0, len(g.byBin[b]))
-	for ip, n := range g.byBin[b] {
-		hosts = append(hosts, hc{ip, n})
-	}
-	// Total order (count desc, address asc), so the result is independent
-	// of the map-iteration order the slice was collected in.
-	sort.Slice(hosts, func(i, j int) bool {
-		if hosts[i].n != hosts[j].n {
-			return hosts[i].n > hosts[j].n
+	// Runs arrive in ascending address order, so inserting each one below
+	// every entry with a count at least as large keeps ties on the smaller
+	// address without comparing addresses.
+	top := make([]hostCount, 0, min(k, len(addrs)))
+	for i := 0; i < len(addrs); {
+		j := i + 1
+		for j < len(addrs) && addrs[j] == addrs[i] {
+			j++
 		}
-		return hosts[i].ip < hosts[j].ip
-	})
-	if k > len(hosts) {
-		k = len(hosts)
+		n := j - i
+		at := len(top)
+		for at > 0 && top[at-1].n < n {
+			at--
+		}
+		if at < k {
+			if len(top) < k {
+				top = append(top, hostCount{})
+			}
+			copy(top[at+1:], top[at:])
+			top[at] = hostCount{addrs[i], n}
+		}
+		i = j
 	}
-	out := make([]trace.IPv4, k)
-	for i := 0; i < k; i++ {
-		out[i] = hosts[i].ip
+	out := make([]trace.IPv4, len(top))
+	for i, hc := range top {
+		out[i] = hc.host
 	}
 	return out
 }

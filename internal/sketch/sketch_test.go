@@ -2,6 +2,9 @@ package sketch
 
 import (
 	"math"
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -70,52 +73,80 @@ func TestNewPanicsOnBadBins(t *testing.T) {
 	New(0, 1)
 }
 
-func TestGroupObserveAndHosts(t *testing.T) {
-	s := New(4, 5)
-	g := NewGroup(s)
-	ip := trace.MakeIPv4(10, 0, 0, 1)
-	b := g.Observe(ip)
-	g.Observe(ip)
-	hosts := g.Hosts(b)
-	if hosts[ip] != 2 {
-		t.Errorf("count = %d, want 2", hosts[ip])
-	}
-}
-
 func TestTopHostsOrdering(t *testing.T) {
-	s := New(1, 3) // single bin: everything collides
-	g := NewGroup(s)
 	heavy := trace.MakeIPv4(1, 1, 1, 1)
 	light := trace.MakeIPv4(2, 2, 2, 2)
-	for i := 0; i < 10; i++ {
-		g.Observe(heavy)
+	packets := func() []trace.IPv4 {
+		addrs := []trace.IPv4{light}
+		for i := 0; i < 10; i++ {
+			addrs = append(addrs, heavy)
+		}
+		return addrs
 	}
-	g.Observe(light)
-	top := g.TopHosts(0, 5)
+	top := TopHosts(packets(), 5)
 	if len(top) != 2 || top[0] != heavy || top[1] != light {
 		t.Errorf("TopHosts = %v", top)
 	}
-	if got := g.TopHosts(0, 1); len(got) != 1 || got[0] != heavy {
+	if got := TopHosts(packets(), 1); len(got) != 1 || got[0] != heavy {
 		t.Errorf("TopHosts k=1 = %v", got)
+	}
+	if got := TopHosts(packets(), 0); len(got) != 0 {
+		t.Errorf("TopHosts k=0 = %v", got)
+	}
+	if got := TopHosts(nil, 3); len(got) != 0 {
+		t.Errorf("TopHosts of nothing = %v", got)
 	}
 }
 
 func TestTopHostsDeterministicTies(t *testing.T) {
-	s := New(1, 3)
-	g := NewGroup(s)
-	for oct := byte(1); oct <= 20; oct++ {
-		g.Observe(trace.MakeIPv4(10, 0, 0, oct))
+	var addrs []trace.IPv4
+	for oct := byte(20); oct >= 1; oct-- {
+		addrs = append(addrs, trace.MakeIPv4(10, 0, 0, oct))
 	}
-	a := g.TopHosts(0, 20)
-	b := g.TopHosts(0, 20)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("TopHosts not deterministic")
-		}
+	a := TopHosts(slices.Clone(addrs), 20)
+	slices.Reverse(addrs)
+	b := TopHosts(addrs, 20)
+	if len(a) != 20 || !slices.Equal(a, b) {
+		t.Fatalf("TopHosts depends on input order: %v vs %v", a, b)
 	}
 	for i := 1; i < len(a); i++ {
 		if a[i] <= a[i-1] {
 			t.Fatal("equal-count hosts should be ordered by address")
+		}
+	}
+}
+
+// TestTopHostsMatchesFullSort pins the bounded insertion to the plain
+// definition — count every address, sort by (count desc, address asc), cut
+// at k — on random multisets, for k below, at and above the distinct count.
+func TestTopHostsMatchesFullSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for round := 0; round < 200; round++ {
+		addrs := make([]trace.IPv4, rng.Intn(60))
+		for i := range addrs {
+			addrs[i] = trace.IPv4(rng.Intn(12))
+		}
+		counts := map[trace.IPv4]int{}
+		for _, a := range addrs {
+			counts[a]++
+		}
+		var want []trace.IPv4
+		for a := range counts {
+			want = append(want, a)
+		}
+		sort.Slice(want, func(i, j int) bool {
+			if counts[want[i]] != counts[want[j]] {
+				return counts[want[i]] > counts[want[j]]
+			}
+			return want[i] < want[j]
+		})
+		k := rng.Intn(15)
+		if k < len(want) {
+			want = want[:k]
+		}
+		got := TopHosts(addrs, k)
+		if len(got) != len(want) || (len(want) > 0 && !slices.Equal(got, want)) {
+			t.Fatalf("round %d k=%d: got %v, want %v", round, k, got, want)
 		}
 	}
 }

@@ -97,8 +97,22 @@ type (
 	SegmentWriter = trace.SegmentWriter
 	// Alarm is one detector report.
 	Alarm = core.Alarm
-	// Detector is an anomaly detector with multiple configurations.
+	// Detector is an anomaly detector with multiple configurations:
+	// Name, NumConfigs and Detect(ix, config) are all a custom detector
+	// needs to join Pipeline.Detectors.
 	Detector = detectors.Detector
+	// Preparer is the optional second half of the detector contract: a
+	// Detector whose configurations share work computes it once per trace
+	// in Prepare(ix) and answers each configuration from the Prepared it
+	// returns. The pipeline then calls Prepare once and Decide once per
+	// configuration instead of Detect once per configuration; the four
+	// standard detectors do. A detector that does not implement it loses
+	// nothing but that sharing.
+	Preparer = detectors.Preparer
+	// Prepared is a Preparer's configuration-independent view of one
+	// Index: read-only after Prepare (Decide is safe for concurrent calls)
+	// and valid only until that Index is released.
+	Prepared = detectors.Prepared
 	// Strategy is a combination strategy.
 	Strategy = core.Strategy
 	// Decision is a combiner verdict for one community.
@@ -207,7 +221,9 @@ func SealTrace(ctx context.Context, tr *Trace, workers int) (*Segment, error) {
 // Pipeline is the ready-to-use MAWILab labeling pipeline.
 type Pipeline struct {
 	// Detectors is the ensemble to combine; defaults to
-	// StandardDetectors().
+	// StandardDetectors(). Names must be unique — alarms, votes and
+	// confidences are keyed by Detector.Name — and a repeated one fails
+	// the run before anything is detected.
 	Detectors []Detector
 	// Estimator configures the similarity estimator; defaults to the
 	// paper's retained settings (uniflow granularity, Simpson index,
@@ -219,7 +235,8 @@ type Pipeline struct {
 	// 0.2, the paper's s = 20%).
 	RuleSupport float64
 	// Workers bounds the goroutines used by the parallel pipeline
-	// stages (detector fan-out, alarm traffic extraction, the rows of the
+	// stages (the detectors' prepare and decide fan-outs, alarm traffic
+	// extraction, the rows of the
 	// similarity graph and community labeling; index construction and
 	// Louvain community mining are sequential). 0 or 1 runs every stage
 	// inline; any value produces byte-identical output — see Parallelism.
@@ -362,11 +379,11 @@ func (c StreamConfig) stride() int {
 
 // Parallelism sets the pipeline's worker count and returns p for chaining.
 // n <= 0 selects runtime.GOMAXPROCS(0); n == 1 runs every stage inline. The
-// four detectors and their per-configuration runs, the similarity
-// estimator's traffic extraction and graph rows and the per-community
-// labeling are dispatched across a bounded worker pool, and their outputs are
-// merged in a fixed (detector, config, slot) order, so the labeling is
-// byte-identical at every worker count. Index construction and Louvain
+// four detectors' prepares, then their twelve per-configuration decisions,
+// the similarity estimator's traffic extraction and graph rows and the
+// per-community labeling are dispatched across a bounded worker pool, and
+// their outputs are merged in a fixed (detector, config, slot) order, so the
+// labeling is byte-identical at every worker count. Index construction and Louvain
 // community mining are sequential at every setting: at the sizes this
 // pipeline runs, fanning them out costs more than it saves.
 func (p *Pipeline) Parallelism(n int) *Pipeline {
@@ -578,12 +595,13 @@ type segmentRun struct {
 // window's accumulated alarms and emits the labeling, then advances the
 // window by `stride` segments. When the segment stream ends with segments
 // no emitted window has covered, the final partial window is labeled too.
-// The first error — a detector failure, a cancelled context, an out-of-order
-// packet upstream — stops the engine and is returned unchanged.
+// The first error — a repeated detector name (before the first segment is
+// detected), a detector failure, a cancelled context, an out-of-order packet
+// upstream — stops the engine and is returned unchanged.
 func (p *Pipeline) runSegments(ctx context.Context, segs iter.Seq2[*Segment, error], window, stride int, emit func(*WindowLabeling) error) error {
-	totals := make(map[string]int, len(p.Detectors))
-	for _, d := range p.Detectors {
-		totals[d.Name()] = d.NumConfigs()
+	totals, err := detectors.Totals(p.Detectors)
+	if err != nil {
+		return err
 	}
 	var (
 		pending []segmentRun

@@ -5,7 +5,10 @@ import (
 	"context"
 	"errors"
 	"math"
+	"strings"
 	"testing"
+
+	"mawilab/internal/detectors/pca"
 )
 
 // TestStreamConfigValidate walks every boundary of the typed validation:
@@ -120,5 +123,47 @@ func TestObserveStages(t *testing.T) {
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Error("Observe hook changed the labeling bytes")
+	}
+}
+
+// TestRunRejectsDuplicateDetectorNames pins the ensemble's naming contract:
+// alarms, votes and confidences are keyed by detector name, so two detectors
+// sharing one (here a second PCA with another seed) used to be conflated
+// silently — totals["pca"] overwritten, both detectors' votes collapsed into
+// one. Run and RunStream now fail, naming the detector, before the first
+// segment is detected.
+func TestRunRejectsDuplicateDetectorNames(t *testing.T) {
+	arch := NewArchive(42)
+	arch.Duration = 30
+	arch.BaseRate = 200
+	day := arch.Day(Date(2004, 5, 10))
+
+	p := NewPipeline()
+	p.Detectors = append(StandardDetectors(), pca.New(2))
+	detected := 0
+	p.Observe = func(stage Stage, _ float64) {
+		if stage == StageDetect {
+			detected++
+		}
+	}
+	if _, err := p.Run(day.Trace); err == nil || !strings.Contains(err.Error(), `"pca"`) {
+		t.Fatalf("Run() error = %v, want one naming the repeated detector", err)
+	}
+
+	p.Stream = StreamConfig{SegmentSeconds: 10, WindowSegments: 2, WindowStride: 1}
+	packets := make(chan Packet, day.Trace.Len())
+	for _, pkt := range day.Trace.Packets {
+		packets <- pkt
+	}
+	close(packets)
+	s := p.RunStream(context.Background(), packets)
+	for range s.Windows() {
+		t.Error("a window was labeled by an ensemble with a repeated detector name")
+	}
+	if err := s.Wait(); err == nil || !strings.Contains(err.Error(), `"pca"`) {
+		t.Fatalf("RunStream Wait() = %v, want one naming the repeated detector", err)
+	}
+	if detected != 0 {
+		t.Errorf("the detector stage ran %d times before the error surfaced", detected)
 	}
 }

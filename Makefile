@@ -8,24 +8,32 @@ GO ?= go
 #                       steady-state serving cost) against ReadTrace+NewIndex,
 #                       and trace.NewIndex alone
 #   DetectAll,          the detector layer as the pipeline runs it (four
-#   Detectors,          prepares, twelve decisions; workers={1,4}); each detector's
-#   HoughSparse         whole Detect, its Prepare and its Decide halves (the
-#                       Detectors pattern matches DetectorsPrepare/DetectorsDecide
-#                       too); and one Hough Detect per tuning
+#   Detectors,          prepares, twelve decisions; workers={1,4}) — DetectAll
+#   HoughSparse,        also matches DetectAllSegment/seq={0,39}, the same layer
+#   EigenSym            on the first and last sealed 15 s segment of a streamed
+#                       600 s day, whose gap is the cost of a segment's position
+#                       in the stream; each detector's whole Detect, its Prepare
+#                       and its Decide halves (the Detectors pattern matches
+#                       DetectorsPrepare/DetectorsDecide too); one Hough Detect
+#                       per tuning; and PCA's eigensolver alone on a 32×32
+#                       covariance (rows={15,60}: one segment, one batch day)
 #   Extract,            the similarity estimator's stages — posting-list alarm
 #   SimilarityGraph,    extraction into sorted id slices, the CSR inverted
 #   Louvain, Estimate   index and row fan-out of internal/simgraph, community
 #                       mining — and the whole of core.EstimateContext
 #   SCANN, Apriori      the combine and label layers
-#   PipelineDay,        a batch day end to end, and the segmented streaming
-#   PipelineStream      path (per-segment seal + detect, sliding-window labeling)
+#   PipelineDay,        a batch day end to end, the segmented streaming path
+#   PipelineStream,     (per-segment seal + detect, sliding-window labeling), and
+#   WindowIndex         the index RunStream builds per stride from four sealed
+#                       segments (bulk column appends + one Finish)
 #   GenerateDay         the generator (also matches the day-level GenerateDays
 #                       fan-out benches)
 # PipelineDay, PipelineStream, Extract, SimilarityGraph and GenerateDay carry
 # workers={1,4,N} sub-benches (DetectAll workers={1,4}), so each run records
-# the parallel speedup ratios too; the rest are one row each (TraceIndex and Louvain because the
-# stages are sequential, Estimate/SCANN/Apriori at workers=1).
-BENCH_PATTERN ?= PipelineDay|PipelineStream|DetectAll|Detectors|Louvain|SimilarityGraph|GenerateDay|TraceIndex|Extract|Ingest|HoughSparse|Estimate|SCANN|Apriori
+# the parallel speedup ratios too; the rest are one row each (TraceIndex, WindowIndex,
+# EigenSym and Louvain because the stages are sequential, DetectAllSegment/
+# Estimate/SCANN/Apriori at workers=1).
+BENCH_PATTERN ?= PipelineDay|PipelineStream|DetectAll|Detectors|Louvain|SimilarityGraph|GenerateDay|TraceIndex|Extract|Ingest|HoughSparse|Estimate|SCANN|Apriori|EigenSym|WindowIndex
 # Total-coverage floor for `make cover`, in percent. Set from the measured
 # coverage at the last raise (85.1% when the golden-fixture and fuzz tests
 # landed), rounded down; raise it as coverage grows, never lower it to make
@@ -139,7 +147,8 @@ lint:
 	$(GO) run ./cmd/mawilint ./...
 
 # Short fuzzing smoke over the committed seed corpora plus FUZZTIME of fresh
-# exploration per target: the IPv4 parser invariants, the index builder
+# exploration per target: the IPv4 parser invariants, the index builder —
+# per packet, and by whole indexes appended at fuzz-chosen cut points —
 # against the map-based reference in internal/trace's tests, the pcap
 # write→read round trip, the decode-streaming vs decode-materialized
 # ingest differential, and the similarity-graph build against its quadratic

@@ -11,6 +11,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math/rand"
 	"runtime"
 	"testing"
 	"time"
@@ -22,6 +23,7 @@ import (
 	"mawilab/internal/eval"
 	"mawilab/internal/graphx"
 	"mawilab/internal/heuristics"
+	"mawilab/internal/linalg"
 	"mawilab/internal/mawigen"
 	"mawilab/internal/parallel"
 	"mawilab/internal/pcap"
@@ -360,6 +362,96 @@ func BenchmarkDetectAll(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, _, err := detectors.DetectAllContext(context.Background(), ix, dets, workers); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// benchStreamedSegments seals one 600 s archive day into the 15 s segments
+// RunStream would: 40 of them, each keeping stream time.
+func benchStreamedSegments(b *testing.B) []*trace.Segment {
+	b.Helper()
+	arch := mawigen.NewArchive(2010)
+	arch.Duration, arch.BaseRate = 600, 300
+	day := arch.Day(time.Date(2004, 5, 10, 0, 0, 0, 0, time.UTC))
+	w := trace.NewSegmentWriter(context.Background(), 15)
+	var segs []*trace.Segment
+	keep := func(seg *trace.Segment, err error) {
+		if err != nil {
+			b.Fatal(err)
+		}
+		if seg != nil {
+			segs = append(segs, seg)
+		}
+	}
+	for _, p := range day.Trace.Packets {
+		keep(w.Append(p))
+	}
+	keep(w.Close())
+	if len(segs) != 40 {
+		b.Fatalf("sealed %d segments, want 40", len(segs))
+	}
+	return segs
+}
+
+// BenchmarkDetectAllSegment times the detector layer on what RunStream feeds
+// it: the first and the last sealed 15 s segment of one streamed 600 s day,
+// sequentially. The two hold like packet counts; the gap between the rows is
+// the cost of a segment's position in the stream (every detector sizes its
+// time axis from the last timestamp, and a segment keeps stream time).
+func BenchmarkDetectAllSegment(b *testing.B) {
+	b.ReportAllocs()
+	segs := benchStreamedSegments(b)
+	dets := suite.Standard()
+	for _, seq := range []int{0, 39} {
+		ix := segs[seq].Index
+		b.Run(fmt.Sprintf("seq=%d", seq), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := detectors.DetectAllContext(context.Background(), ix, dets, 1); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkWindowIndex times the index of a four-segment window — what
+// RunStream builds once per stride — over the last four sealed segments of
+// the streamed day: four bulk appends and one Finish.
+func BenchmarkWindowIndex(b *testing.B) {
+	b.ReportAllocs()
+	segs := benchStreamedSegments(b)[36:]
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := trace.WindowIndex(context.Background(), segs); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkEigenSym times the symmetric eigensolver on the covariance PCA
+// hands it per sketch: 32 sketch bins over a 15-row (one segment, rank 14)
+// and a 60-row (one batch day) standardized matrix.
+func BenchmarkEigenSym(b *testing.B) {
+	b.ReportAllocs()
+	for _, rows := range []int{15, 60} {
+		rng := rand.New(rand.NewSource(int64(rows)))
+		m := linalg.NewMatrix(rows, 32)
+		for i := range m.Data {
+			m.Data[i] = float64(rng.Intn(40))
+		}
+		m.CenterColumns()
+		cov := m.Gram()
+		for i := range cov.Data {
+			cov.Data[i] /= float64(rows - 1)
+		}
+		b.Run(fmt.Sprintf("rows=%d", rows), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := linalg.EigenSym(cov); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -10,8 +10,9 @@
 package apriori
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"mawilab/internal/trace"
@@ -202,14 +203,14 @@ func Mine(txs []Transaction, minSupport float64) []Rule {
 	for i, s := range frequent {
 		rules[i] = Rule{Items: s.items, Count: s.count, Support: float64(s.count) / n}
 	}
-	sort.SliceStable(rules, func(i, j int) bool {
-		if rules[i].Degree() != rules[j].Degree() {
-			return rules[i].Degree() > rules[j].Degree()
+	slices.SortStableFunc(rules, func(a, b Rule) int {
+		if c := cmp.Compare(b.Degree(), a.Degree()); c != 0 {
+			return c
 		}
-		if rules[i].Count != rules[j].Count {
-			return rules[i].Count > rules[j].Count
+		if c := cmp.Compare(b.Count, a.Count); c != 0 {
+			return c
 		}
-		return lessItems(rules[i].Items, rules[j].Items)
+		return compareItems(a.Items, b.Items)
 	})
 	return rules
 }
@@ -221,19 +222,21 @@ type itemset struct {
 }
 
 func sortSets(sets []itemset) {
-	sort.SliceStable(sets, func(i, j int) bool { return lessItems(sets[i].items, sets[j].items) })
+	slices.SortStableFunc(sets, func(a, b itemset) int { return compareItems(a.items, b.items) })
 }
 
-func lessItems(a, b []Item) bool {
+// compareItems orders itemsets item by item — field, then value — with a
+// proper prefix before its extensions.
+func compareItems(a, b []Item) int {
 	for i := 0; i < len(a) && i < len(b); i++ {
-		if a[i].Field != b[i].Field {
-			return a[i].Field < b[i].Field
+		if c := cmp.Compare(a[i].Field, b[i].Field); c != 0 {
+			return c
 		}
-		if a[i].Value != b[i].Value {
-			return a[i].Value < b[i].Value
+		if c := cmp.Compare(a[i].Value, b[i].Value); c != 0 {
+			return c
 		}
 	}
-	return len(a) < len(b)
+	return cmp.Compare(len(a), len(b))
 }
 
 func samePrefix(a, b []Item) bool {

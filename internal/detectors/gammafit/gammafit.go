@@ -211,14 +211,17 @@ func (d *Detector) prepareDirection(ix *trace.Index, dst bool) []binScore {
 	betaMAD := make([]float64, nres)
 	alphas := make([]float64, len(fitBin))
 	betas := make([]float64, len(fitBin))
+	scratch := make([]float64, 2*len(fitBin))
 	for ri := 0; ri < nres; ri++ {
 		for i := range fitBin {
 			alphas[i] = fits[i*nres+ri].Alpha
 			betas[i] = fits[i*nres+ri].Beta
 		}
-		refs[ri] = stats.GammaParams{Alpha: stats.Median(alphas), Beta: stats.Median(betas)}
-		alphaMAD[ri] = robustScale(stats.MAD(alphas), refs[ri].Alpha)
-		betaMAD[ri] = robustScale(stats.MAD(betas), refs[ri].Beta)
+		alpha, aMAD := stats.MedianMAD(alphas, scratch)
+		beta, bMAD := stats.MedianMAD(betas, scratch)
+		refs[ri] = stats.GammaParams{Alpha: alpha, Beta: beta}
+		alphaMAD[ri] = robustScale(aMAD, alpha)
+		betaMAD[ri] = robustScale(bMAD, beta)
 	}
 
 	// Distances, and the dominant hosts of every bin some configuration can

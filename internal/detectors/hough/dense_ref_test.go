@@ -8,10 +8,12 @@ package hough
 // golden fixture.
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"sort"
 	"testing"
+	"time"
 
 	"mawilab/internal/core"
 	"mawilab/internal/detectors"
@@ -259,6 +261,35 @@ func denseLocalMax(acc [][]int32, a, rb int, v int32) bool {
 	return true
 }
 
+// streamedSegments returns the sealed 15 s segments seq 0, 20 and 39 of one
+// streamed 600 s day: the input RunStream hands a detector. A sealed segment
+// keeps stream time, so the last one spans [585 s, 600 s) and its time axis,
+// sized from the last timestamp, is 585 empty bins ahead of 15 occupied ones.
+func streamedSegments(t *testing.T) []*trace.Index {
+	t.Helper()
+	arch := mawigen.NewArchive(1)
+	arch.Duration, arch.BaseRate = 600, 300
+	day := arch.Day(time.Date(2004, 5, 10, 0, 0, 0, 0, time.UTC))
+	w := trace.NewSegmentWriter(context.Background(), 15)
+	var out []*trace.Index
+	keep := func(seg *trace.Segment, err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		if seg != nil && (seg.Seq == 0 || seg.Seq == 20 || seg.Seq == 39) {
+			out = append(out, seg.Index)
+		}
+	}
+	for _, p := range day.Trace.Packets {
+		keep(w.Append(p))
+	}
+	keep(w.Close())
+	if len(out) != 3 || out[2].Seconds[0] < 585 {
+		t.Fatalf("kept %d segments, want seq 0, 20 and 39 of a 600 s day", len(out))
+	}
+	return out
+}
+
 // TestSparseMatchesDense pins the sparse, prepared path to the dense
 // reference on randomized traces across every tuning: Detect, and one
 // Prepare answering every Decide, must both equal the dense alarms exactly.
@@ -292,6 +323,7 @@ func TestSparseMatchesDense(t *testing.T) {
 	short := mawigen.DefaultConfig(2411)
 	short.Duration = 2
 	indexes = append(indexes, trace.NewIndex(&trace.Trace{}), trace.NewIndex(mawigen.Generate(short).Trace))
+	indexes = append(indexes, streamedSegments(t)...)
 
 	custom := New(9)
 	custom.tunings = [detectors.NumTunings]tuning{

@@ -132,9 +132,9 @@ func (d *Detector) Prepare(ix *trace.Index) (detectors.Prepared, error) {
 	for b := range maxZ {
 		maxZ[b] = math.Inf(-1)
 	}
+	scratch := make([]float64, 2*(bins-1))
 	for _, series := range d.klSeries(ix, bins) {
-		med := stats.Median(series)
-		mad := stats.MAD(series)
+		med, mad := stats.MedianMAD(series, scratch)
 		if mad < 1e-9 {
 			mad = stats.Std(series)
 			if mad < 1e-9 {

@@ -8,11 +8,13 @@ package klhist
 // are compared bit for bit through the alarms they select.
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"reflect"
 	"sort"
 	"testing"
+	"time"
 
 	"mawilab/internal/apriori"
 	"mawilab/internal/core"
@@ -141,6 +143,35 @@ func diffIndexes() []*trace.Index {
 	return append(out, trace.NewIndex(&trace.Trace{}), trace.NewIndex(mawigen.Generate(short).Trace))
 }
 
+// streamedSegments returns the sealed 15 s segments seq 0, 20 and 39 of one
+// streamed 600 s day: the input RunStream hands a detector. A sealed segment
+// keeps stream time, so the last one spans [585 s, 600 s) and its time axis,
+// sized from the last timestamp, is 585 empty bins ahead of 15 occupied ones.
+func streamedSegments(t *testing.T) []*trace.Index {
+	t.Helper()
+	arch := mawigen.NewArchive(1)
+	arch.Duration, arch.BaseRate = 600, 300
+	day := arch.Day(time.Date(2004, 5, 10, 0, 0, 0, 0, time.UTC))
+	w := trace.NewSegmentWriter(context.Background(), 15)
+	var out []*trace.Index
+	keep := func(seg *trace.Segment, err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		if seg != nil && (seg.Seq == 0 || seg.Seq == 20 || seg.Seq == 39) {
+			out = append(out, seg.Index)
+		}
+	}
+	for _, p := range day.Trace.Packets {
+		keep(w.Append(p))
+	}
+	keep(w.Close())
+	if len(out) != 3 || out[2].Seconds[0] < 585 {
+		t.Fatalf("kept %d segments, want seq 0, 20 and 39 of a 600 s day", len(out))
+	}
+	return out
+}
+
 // TestPrepareDecideMatchesReference pins Prepare + Decide (and Detect, which
 // is the two in sequence) to the pre-split reference for every config, under
 // the default tunings and under Thresholds{9, 16, 6} — the loosest threshold
@@ -154,7 +185,7 @@ func TestPrepareDecideMatchesReference(t *testing.T) {
 	custom.RuleSupport = 0.1
 	for di, d := range []*Detector{New(), custom} {
 		raised := [detectors.NumTunings]int{}
-		for ti, ix := range diffIndexes() {
+		for ti, ix := range append(diffIndexes(), streamedSegments(t)...) {
 			p, err := d.Prepare(ix)
 			if err != nil {
 				t.Fatal(err)

@@ -12,6 +12,7 @@
 package pca
 
 import (
+	"fmt"
 	"math"
 	"slices"
 
@@ -24,16 +25,16 @@ import (
 )
 
 // Detector is the sketch+PCA detector. The zero value is not usable; call
-// New.
+// New. Prepare (and so Detect) rejects a field outside its stated range.
 type Detector struct {
-	// TimeBin is the aggregation interval in seconds.
+	// TimeBin is the aggregation interval in seconds, positive.
 	TimeBin float64
-	// Bins is the sketch width (buckets per sketch).
+	// Bins is the sketch width (buckets per sketch), 1 to 65536.
 	Bins int
-	// Sketches is the number of independent sketches.
+	// Sketches is the number of independent sketches, at least 1.
 	Sketches int
 	// MinAgree is how many sketches must implicate a host before it is
-	// reported.
+	// reported, 1 to Sketches.
 	MinAgree int
 	// Seed derives the sketch hash seeds.
 	Seed uint64
@@ -45,10 +46,11 @@ type Detector struct {
 // Tuning is one PCA parameter set.
 type Tuning struct {
 	// Subspace is the number of principal components spanning the normal
-	// subspace.
+	// subspace, not negative (0 thresholds the standardized counts
+	// themselves; more than Bins means all of them).
 	Subspace int
 	// Sigma is the residual threshold in robust standard deviations
-	// (median + Sigma·1.4826·MAD).
+	// (median + Sigma·1.4826·MAD), finite.
 	Sigma float64
 }
 
@@ -98,7 +100,10 @@ type prepared struct {
 
 // sketchSpace is one sketch's view of the trace.
 type sketchSpace struct {
-	sk *sketch.Sketch
+	// bins is every packet's sketch bin, kept from the rasterization so
+	// that Decide recovers a cell's hosts by comparing bins over the
+	// cell's time window instead of hashing every address again.
+	bins []uint16
 	// work is the (time bin × sketch bin) packet-count matrix, columns
 	// centred and scaled to unit variance.
 	work *linalg.Matrix
@@ -107,6 +112,34 @@ type sketchSpace struct {
 	// case the sketch implicates nothing.
 	comps *linalg.Matrix
 }
+
+// validate rejects a configuration that could only detect nothing, panic, or
+// threshold something other than a residual, naming the field at fault.
+func (d *Detector) validate() error {
+	switch {
+	case !(d.TimeBin > 0):
+		return fmt.Errorf("pca: TimeBin must be positive, got %v", d.TimeBin)
+	case d.Bins < 1 || d.Bins > maxBins:
+		return fmt.Errorf("pca: Bins must be in [1, %d], got %d", maxBins, d.Bins)
+	case d.Sketches < 1:
+		return fmt.Errorf("pca: Sketches must be at least 1, got %d", d.Sketches)
+	case d.MinAgree < 1 || d.MinAgree > d.Sketches:
+		return fmt.Errorf("pca: MinAgree must be in [1, Sketches = %d], got %d", d.Sketches, d.MinAgree)
+	}
+	for c, tn := range d.Tunings {
+		if tn.Subspace < 0 {
+			return fmt.Errorf("pca: Tunings[%d].Subspace must not be negative, got %d", c, tn.Subspace)
+		}
+		if math.IsNaN(tn.Sigma) || math.IsInf(tn.Sigma, 0) {
+			return fmt.Errorf("pca: Tunings[%d].Sigma must be finite, got %v", c, tn.Sigma)
+		}
+	}
+	return nil
+}
+
+// maxBins is the widest sketch a sketchSpace can cache: its per-packet bins
+// are uint16.
+const maxBins = math.MaxUint16 + 1
 
 // Prepare implements detectors.Preparer: per sketch, the rasterized,
 // centred, standardized matrix and the eigenvectors of its covariance. A
@@ -120,29 +153,34 @@ type sketchSpace struct {
 // correlated background fluctuation shared by all bins, and an isolated
 // burst stays in the residual.
 func (d *Detector) Prepare(ix *trace.Index) (detectors.Prepared, error) {
+	if err := d.validate(); err != nil {
+		return nil, err
+	}
 	p := &prepared{d: d, ix: ix}
 	t := int(math.Ceil(ix.Duration() / d.TimeBin))
 	if t < 8 || ix.Len() == 0 {
 		return p, nil // too short for a meaningful subspace
 	}
+	bins := make([]uint16, d.Sketches*ix.Len())
 	for si := 0; si < d.Sketches; si++ {
 		sk := sketch.New(d.Bins, d.Seed+uint64(si)*0x9e37)
-		work := linalg.NewMatrix(t, d.Bins)
+		sp := sketchSpace{bins: bins[si*ix.Len() : (si+1)*ix.Len()], work: linalg.NewMatrix(t, d.Bins)}
 		for pi, src := range ix.Src {
 			tb := int(ix.Seconds[pi] / d.TimeBin)
 			if tb >= t {
 				tb = t - 1
 			}
-			work.Data[tb*d.Bins+sk.Bin(src)]++
+			b := sk.Bin(src)
+			sp.bins[pi] = uint16(b)
+			sp.work.Data[tb*d.Bins+b]++
 		}
-		work.CenterColumns()
-		standardizeColumns(work)
-		cov := work.Gram()
-		inv := 1.0 / float64(work.Rows-1)
+		sp.work.CenterColumns()
+		standardizeColumns(sp.work)
+		cov := sp.work.Gram()
+		inv := 1.0 / float64(t-1)
 		for i := range cov.Data {
 			cov.Data[i] *= inv
 		}
-		sp := sketchSpace{sk: sk, work: work}
 		if _, vecs, err := linalg.EigenSym(cov); err == nil {
 			sp.comps = vecs.T()
 		}
@@ -163,15 +201,17 @@ func (p *prepared) Decide(config int) ([]core.Alarm, error) {
 	// so that sorting groups a host's bins in ascending order.
 	var votes []uint64
 	var cell []trace.IPv4
-	for _, sp := range p.sketches {
-		for _, at := range sp.residualCells(tn) {
+	var buf residualBuf
+	for si := range p.sketches {
+		sp := &p.sketches[si]
+		for _, at := range sp.residualCells(tn, &buf) {
 			// Recover hosts: rescan the window via the index's time
 			// buckets, keep the packets hashed into the suspicious bin.
 			lo, hi := ix.Window(float64(at.bin)*d.TimeBin, float64(at.bin+1)*d.TimeBin)
 			cell = cell[:0]
-			for _, src := range ix.Src[lo:hi] {
-				if sp.sk.Bin(src) == at.sketchBin {
-					cell = append(cell, src)
+			for i, b := range sp.bins[lo:hi] {
+				if int(b) == at.sketchBin {
+					cell = append(cell, ix.Src[lo+i])
 				}
 			}
 			for _, h := range sketch.TopHosts(cell, 3) {
@@ -222,20 +262,34 @@ type anomaly struct {
 	sketchBin int
 }
 
+// residualBuf is the memory one Decide reuses across its sketches, which all
+// share one shape.
+type residualBuf struct {
+	res     []float64 // rows×cols residuals, column-major
+	proj    []float64 // one row's projection onto the normal subspace
+	scratch []float64 // stats.MedianMAD's working copies of one column
+	cells   []anomaly
+}
+
 // residualCells projects every row of the standardized matrix onto the top
 // tn.Subspace principal components and returns the (time bin, sketch bin)
 // cells whose residual exceeds a robust threshold (median + σ·1.4826·MAD),
-// by ascending sketch bin, then time bin.
-func (sp *sketchSpace) residualCells(tn Tuning) []anomaly {
+// by ascending sketch bin, then time bin. The result aliases buf and is
+// valid until the next call with it.
+func (sp *sketchSpace) residualCells(tn Tuning, buf *residualBuf) []anomaly {
 	if sp.comps == nil {
 		return nil
 	}
 	rows, cols := sp.work.Rows, sp.work.Cols
+	if buf.res == nil {
+		buf.res = make([]float64, rows*cols)
+		buf.proj = make([]float64, cols)
+		buf.scratch = make([]float64, 2*rows)
+	}
 	k := min(tn.Subspace, cols)
 	// Residuals after removing each row's projection onto the top-k
 	// subspace, stored column-major: a sketch bin's series is contiguous.
-	res := make([]float64, rows*cols)
-	proj := make([]float64, cols)
+	res, proj := buf.res, buf.proj
 	for i := 0; i < rows; i++ {
 		row := sp.work.Row(i)
 		clear(proj)
@@ -256,11 +310,11 @@ func (sp *sketchSpace) residualCells(tn Tuning) []anomaly {
 	// Score residuals per column: a burst confined to one sketch bin must
 	// not be diluted by the noise of the other 31 columns, so each bin's
 	// residual series is thresholded against its own robust statistics.
-	var out []anomaly
+	out := buf.cells[:0]
 	for j := 0; j < cols; j++ {
 		col := res[j*rows : (j+1)*rows]
-		med := stats.Median(col)
-		scale := 1.4826 * stats.MAD(col)
+		med, mad := stats.MedianMAD(col, buf.scratch)
+		scale := 1.4826 * mad
 		if scale < 1e-9 {
 			scale = stats.Std(col)
 			if scale < 1e-9 {
@@ -273,6 +327,7 @@ func (sp *sketchSpace) residualCells(tn Tuning) []anomaly {
 			}
 		}
 	}
+	buf.cells = out
 	return out
 }
 

@@ -1,6 +1,9 @@
 package pca
 
 import (
+	"context"
+	"math"
+	"strings"
 	"testing"
 
 	"mawilab/internal/detectors"
@@ -157,5 +160,50 @@ func TestMergeBins(t *testing.T) {
 	}
 	if out := mergeBins(nil); len(out) != 0 {
 		t.Error("empty mergeBins should be empty")
+	}
+}
+
+// TestPrepareRejectsBadConfig: a misconfigured detector used to return no
+// alarms and no error (TimeBin <= 0, Sketches = 0, MinAgree > Sketches),
+// threshold raw counts (Subspace < 0) or panic inside sketch.New (Bins = 0).
+// Prepare names the field instead, so Detect and DetectAllContext — which
+// adds the detector's name — both refuse it.
+func TestPrepareRejectsBadConfig(t *testing.T) {
+	res, _ := burstTrace(t)
+	ix := trace.NewIndex(res.Trace)
+	for _, tc := range []struct {
+		field string
+		set   func(*Detector)
+	}{
+		{"TimeBin", func(d *Detector) { d.TimeBin = 0 }},
+		{"TimeBin", func(d *Detector) { d.TimeBin = -1 }},
+		{"TimeBin", func(d *Detector) { d.TimeBin = math.NaN() }},
+		{"Bins", func(d *Detector) { d.Bins = 0 }},
+		{"Bins", func(d *Detector) { d.Bins = 1<<16 + 1 }},
+		{"Sketches", func(d *Detector) { d.Sketches, d.MinAgree = 0, 0 }},
+		{"MinAgree", func(d *Detector) { d.MinAgree = 0 }},
+		{"MinAgree", func(d *Detector) { d.MinAgree = 9 }},
+		{"Tunings[1].Subspace", func(d *Detector) { d.Tunings[1].Subspace = -1 }},
+		{"Tunings[2].Sigma", func(d *Detector) { d.Tunings[2].Sigma = math.NaN() }},
+		{"Tunings[0].Sigma", func(d *Detector) { d.Tunings[0].Sigma = math.Inf(1) }},
+	} {
+		d := New(1)
+		tc.set(d)
+		if _, err := d.Prepare(ix); err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%s: Prepare = %v, want an error naming the field", tc.field, err)
+		}
+		if _, err := d.Detect(ix, 0); err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%s: Detect = %v, want an error naming the field", tc.field, err)
+		}
+		_, _, err := detectors.DetectAllContext(context.Background(), ix, []detectors.Detector{d}, 1)
+		if err == nil || !strings.Contains(err.Error(), tc.field) || !strings.Contains(err.Error(), "pca: prepare") {
+			t.Errorf("%s: DetectAllContext = %v, want the detector and the field named", tc.field, err)
+		}
+	}
+	// The widest sketch a uint16 bin can index is accepted.
+	wide := New(1)
+	wide.Bins = 1 << 16
+	if _, err := wide.Prepare(trace.NewIndex(&trace.Trace{})); err != nil {
+		t.Errorf("Bins = 65536: %v", err)
 	}
 }

@@ -10,8 +10,15 @@ import (
 // the cyclic Jacobi method. It returns eigenvalues in descending order and
 // the matching orthonormal eigenvectors as the columns of V.
 //
-// Jacobi is chosen over QR for its simplicity and unconditional stability on
-// the small (≤ 64×64) matrices this pipeline produces.
+// The rotations run on row slices of the working copy's backing array (the
+// column step strides through it), and the eigenvectors accumulate
+// transposed, so that a rotation touches two contiguous rows. The working
+// copy drifts bitwise-asymmetric inside each rotated 2×2 block (the column
+// step and the row step both pass over it), and later rotations read both
+// triangles, so the column step and the row step are both kept: every
+// floating-point operation and its order are those of the accessor-based
+// solver in eigen_ref_test.go, which TestEigenSymBitIdentical holds this
+// one to.
 func EigenSym(a *Matrix) (values []float64, v *Matrix, err error) {
 	n := a.Rows
 	if n != a.Cols {
@@ -20,38 +27,42 @@ func EigenSym(a *Matrix) (values []float64, v *Matrix, err error) {
 	// Verify symmetry within tolerance.
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			d := math.Abs(a.At(i, j) - a.At(j, i))
-			scale := math.Max(math.Abs(a.At(i, j)), math.Abs(a.At(j, i)))
+			aij, aji := a.Data[i*n+j], a.Data[j*n+i]
+			d := math.Abs(aij - aji)
+			scale := math.Max(math.Abs(aij), math.Abs(aji))
 			if d > 1e-8*(1+scale) {
-				return nil, nil, fmt.Errorf("linalg: matrix not symmetric at (%d,%d): %g vs %g", i, j, a.At(i, j), a.At(j, i))
+				return nil, nil, fmt.Errorf("linalg: matrix not symmetric at (%d,%d): %g vs %g", i, j, aij, aji)
 			}
 		}
 	}
-	w := a.Clone()
-	v = NewMatrix(n, n)
+	w := make([]float64, n*n)
+	copy(w, a.Data)
+	// vt holds the eigenvectors as rows: row p is column p of V.
+	vt := make([]float64, n*n)
 	for i := 0; i < n; i++ {
-		v.Set(i, i, 1)
+		vt[i*n+i] = 1
 	}
 	const maxSweeps = 100
 	for sweep := 0; sweep < maxSweeps; sweep++ {
 		off := 0.0
 		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				off += w.At(i, j) * w.At(i, j)
+			for _, x := range w[i*n+i+1 : (i+1)*n] {
+				off += x * x
 			}
 		}
 		if off < 1e-22 {
 			break
 		}
 		for p := 0; p < n-1; p++ {
+			wp := w[p*n : (p+1)*n]
+			vp := vt[p*n : (p+1)*n]
 			for q := p + 1; q < n; q++ {
-				apq := w.At(p, q)
+				apq := wp[q]
 				if math.Abs(apq) < 1e-300 {
 					continue
 				}
-				app := w.At(p, p)
-				aqq := w.At(q, q)
-				theta := (aqq - app) / (2 * apq)
+				wq := w[q*n : (q+1)*n]
+				theta := (wq[q] - wp[p]) / (2 * apq)
 				var t float64
 				if theta >= 0 {
 					t = 1 / (theta + math.Sqrt(1+theta*theta))
@@ -60,32 +71,31 @@ func EigenSym(a *Matrix) (values []float64, v *Matrix, err error) {
 				}
 				c := 1 / math.Sqrt(1+t*t)
 				s := t * c
-				// Apply rotation J(p,q,θ) on both sides of w.
-				for k := 0; k < n; k++ {
-					akp := w.At(k, p)
-					akq := w.At(k, q)
-					w.Set(k, p, c*akp-s*akq)
-					w.Set(k, q, s*akp+c*akq)
+				// Apply rotation J(p,q,θ) on both sides of w: columns p
+				// and q, then rows p and q.
+				for kp, kq := p, q; kq < len(w); kp, kq = kp+n, kq+n {
+					akp, akq := w[kp], w[kq]
+					w[kp] = c*akp - s*akq
+					w[kq] = s*akp + c*akq
 				}
-				for k := 0; k < n; k++ {
-					apk := w.At(p, k)
-					aqk := w.At(q, k)
-					w.Set(p, k, c*apk-s*aqk)
-					w.Set(q, k, s*apk+c*aqk)
+				for k, apk := range wp {
+					aqk := wq[k]
+					wp[k] = c*apk - s*aqk
+					wq[k] = s*apk + c*aqk
 				}
 				// Accumulate eigenvectors.
-				for k := 0; k < n; k++ {
-					vkp := v.At(k, p)
-					vkq := v.At(k, q)
-					v.Set(k, p, c*vkp-s*vkq)
-					v.Set(k, q, s*vkp+c*vkq)
+				vq := vt[q*n : (q+1)*n]
+				for k, vkp := range vp {
+					vkq := vq[k]
+					vp[k] = c*vkp - s*vkq
+					vq[k] = s*vkp + c*vkq
 				}
 			}
 		}
 	}
 	values = make([]float64, n)
 	for i := 0; i < n; i++ {
-		values[i] = w.At(i, i)
+		values[i] = w[i*n+i]
 	}
 	// Sort eigenpairs by descending eigenvalue.
 	order := make([]int, n)
@@ -97,8 +107,8 @@ func EigenSym(a *Matrix) (values []float64, v *Matrix, err error) {
 	sortedVecs := NewMatrix(n, n)
 	for newCol, oldCol := range order {
 		sortedVals[newCol] = values[oldCol]
-		for r := 0; r < n; r++ {
-			sortedVecs.Set(r, newCol, v.At(r, oldCol))
+		for r, x := range vt[oldCol*n : (oldCol+1)*n] {
+			sortedVecs.Data[r*n+newCol] = x
 		}
 	}
 	return sortedVals, sortedVecs, nil

@@ -5,7 +5,15 @@
 // The matrices in this pipeline are tall and skinny — sketch time series of
 // a few hundred rows by a few dozen columns, or community-vote tables of a
 // few thousand rows by ~24 columns — so an O(n³) Jacobi on the n×n Gram
-// matrix is both simple and fast enough.
+// matrix is both simple and fast enough: unconditionally stable on these
+// small (≤ 64×64) matrices, and run on flat row slices of the backing array.
+//
+// Why Jacobi and not QR or divide-and-conquer: a faster solver would round
+// differently, and the solver's bits are output. SCANN's score, which
+// ca.Analyze derives from these eigenvectors, is printed at full precision
+// in the ADMD file, and PCA's alarms sit behind a threshold on residuals
+// built from them. Any change to EigenSym must therefore stay bit-identical
+// to the reference in eigen_ref_test.go, not merely close.
 package linalg
 
 import (

@@ -5,7 +5,10 @@ import (
 	"errors"
 	"math/rand"
 	"testing"
+	"testing/iotest"
+	"time"
 
+	"mawilab/internal/mawigen"
 	"mawilab/internal/trace"
 )
 
@@ -49,6 +52,16 @@ func checkDecodeEquivalence(t testing.TB, data []byte) {
 	}
 	if got := ix.Digest(); got != ref.Digest() {
 		t.Fatalf("digest mismatch: fused %s, trace %s", got, ref.Digest())
+	}
+	// A reader that is not memory takes DecodeIndex's buffered path, here
+	// fed one byte per Read.
+	buffered, err := DecodeIndex(iotest.OneByteReader(bytes.NewReader(data)))
+	if err != nil {
+		t.Fatalf("buffered decode failed where the direct one succeeded: %v", err)
+	}
+	defer buffered.Release()
+	if !trace.EqualIndexes(buffered, want) {
+		t.Fatalf("buffered decode differs from the materialized index (%d packets)", ref.Len())
 	}
 }
 
@@ -125,4 +138,37 @@ func FuzzDecodeIndex(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkDecodeEquivalence(t, data)
 	})
+}
+
+// TestEncodedLenMatchesWriteIndex: EncodedLen is the byte count WriteIndex
+// produces, on three generated days — every protocol, header-only and
+// full-size packets — on packets shorter than their own headers and at the
+// 16-bit length limit, and on the empty index.
+func TestEncodedLenMatchesWriteIndex(t *testing.T) {
+	archive := mawigen.NewArchive(7)
+	ixs := []*trace.Index{
+		trace.NewIndex(&trace.Trace{}),
+		trace.NewIndex(&trace.Trace{Packets: []trace.Packet{
+			{TS: 1, Proto: trace.TCP, Len: 0},
+			{TS: 2, Proto: trace.UDP, Len: 27},
+			{TS: 3, Proto: trace.ICMP, Len: 0xffff},
+			{TS: 4, Proto: trace.Proto(47), Len: 19},
+		}}),
+	}
+	for _, date := range []string{"2003-02-01", "2004-05-10", "2008-11-03"} {
+		day, err := time.Parse("2006-01-02", date)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ixs = append(ixs, trace.NewIndex(archive.Day(day).Trace))
+	}
+	for i, ix := range ixs {
+		var buf bytes.Buffer
+		if err := WriteIndex(&buf, ix); err != nil {
+			t.Fatal(err)
+		}
+		if got := EncodedLen(ix); got != buf.Len() {
+			t.Errorf("index %d (%d packets): EncodedLen = %d, WriteIndex wrote %d bytes", i, ix.Len(), got, buf.Len())
+		}
+	}
 }

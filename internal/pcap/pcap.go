@@ -9,6 +9,8 @@
 package pcap
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -33,6 +35,8 @@ const (
 	tcpHeaderLen   = 20
 	udpHeaderLen   = 8
 	icmpHeaderLen  = 8
+
+	defaultSnaplen = 65535
 )
 
 // ErrNotPcap is returned when the global header magic is unrecognized.
@@ -50,7 +54,7 @@ type Writer struct {
 // selects a conventional 65535.
 func NewWriter(w io.Writer, snaplen uint32) (*Writer, error) {
 	if snaplen == 0 {
-		snaplen = 65535
+		snaplen = defaultSnaplen
 	}
 	hdr := make([]byte, globalHeaderLen)
 	le := binary.LittleEndian
@@ -94,10 +98,11 @@ func (w *Writer) WritePacket(p *trace.Packet) error {
 	return nil
 }
 
-// frame builds the Ethernet+IPv4+transport header bytes for p in w.buf.
-func (w *Writer) frame(p *trace.Packet) []byte {
-	transportLen := 0
-	switch p.Proto {
+// frameDims returns the transport header length of a packet of the given
+// protocol and IP length, the IP length its synthesized frame declares (at
+// least the headers), and the frame's captured length under snaplen.
+func frameDims(proto trace.Proto, pktLen uint16, snaplen uint32) (transportLen, ipLen, frameLen int) {
+	switch proto {
 	case trace.TCP:
 		transportLen = tcpHeaderLen
 	case trace.UDP:
@@ -105,14 +110,14 @@ func (w *Writer) frame(p *trace.Packet) []byte {
 	case trace.ICMP:
 		transportLen = icmpHeaderLen
 	}
-	ipLen := ipv4HeaderLen + transportLen
-	if int(p.Len) > ipLen {
-		ipLen = int(p.Len)
-	}
-	frameLen := etherHeaderLen + ipLen
-	if frameLen > int(w.snaplen) {
-		frameLen = int(w.snaplen)
-	}
+	ipLen = max(ipv4HeaderLen+transportLen, int(pktLen))
+	frameLen = min(etherHeaderLen+ipLen, int(snaplen))
+	return transportLen, ipLen, frameLen
+}
+
+// frame builds the Ethernet+IPv4+transport header bytes for p in w.buf.
+func (w *Writer) frame(p *trace.Packet) []byte {
+	transportLen, ipLen, frameLen := frameDims(p.Proto, p.Len, w.snaplen)
 	if cap(w.buf) < frameLen {
 		w.buf = make([]byte, frameLen)
 	}
@@ -180,6 +185,19 @@ func WriteIndex(w io.Writer, ix *trace.Index) error {
 		}
 	}
 	return nil
+}
+
+// EncodedLen returns the exact number of bytes WriteIndex writes for ix: the
+// global header plus, per packet, a record header and the captured frame. A
+// caller encoding into memory sizes its buffer with it once instead of
+// growing it by doubling.
+func EncodedLen(ix *trace.Index) int {
+	n := globalHeaderLen + recordHeaderLen*ix.Len()
+	for i, proto := range ix.Proto {
+		_, _, frameLen := frameDims(proto, ix.PktLen[i], defaultSnaplen)
+		n += frameLen
+	}
+	return n
 }
 
 // Reader decodes a classic pcap stream back into trace packets.
@@ -356,6 +374,13 @@ func ReadTrace(r io.Reader) (*trace.Trace, error) {
 // ReadTrace accepts them as an unsorted Trace, which trace.SealTrace and
 // Pipeline.Run then reject with the same error.
 func DecodeIndex(r io.Reader) (*trace.Index, error) {
+	// Reader.Next issues two small reads per packet; on anything that is not
+	// already memory (a request body, a file) each would be a system call.
+	switch r.(type) {
+	case *bufio.Reader, *bytes.Reader:
+	default:
+		r = bufio.NewReaderSize(r, 64<<10)
+	}
 	pr, err := NewReader(r)
 	if err != nil {
 		return nil, err

@@ -42,6 +42,7 @@ import (
 	"time"
 
 	"mawilab"
+	"mawilab/internal/pcap"
 	wirev1 "mawilab/internal/serve/v1"
 	"mawilab/internal/trace"
 )
@@ -288,11 +289,12 @@ func (s *Server) runJob(ctx context.Context, j *Job, payload any) error {
 	// Persist the (re-encoded) trace alongside the labels: the digest
 	// survives a pcap round trip, so flow-level queries can rebuild the
 	// index from the stored bytes without the original upload.
-	var pcap bytes.Buffer
-	if err := mawilab.EncodePcap(&pcap, ix); err != nil {
+	var enc bytes.Buffer
+	enc.Grow(pcap.EncodedLen(ix))
+	if err := mawilab.EncodePcap(&enc, ix); err != nil {
 		return err
 	}
-	return s.store.Put(meta, csv.Bytes(), admd.Bytes(), pcap.Bytes())
+	return s.store.Put(meta, csv.Bytes(), admd.Bytes(), enc.Bytes())
 }
 
 // uploadResponse is the POST /v1/traces wire representation.

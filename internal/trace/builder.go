@@ -3,7 +3,7 @@ package trace
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 )
 
@@ -28,8 +28,10 @@ func Mix64(x uint64) uint64 {
 }
 
 // flowHash mixes a flow key for the builder's open-addressing table. The
-// hash only steers probe order — flow ids are assigned in first-seen order
-// and canonicalized by sort at Finish — so determinism never depends on it.
+// hash only steers probe order, and the provisional ids the table hands out
+// — in first-seen order under Add, in the appended index's flow order under
+// AppendIndex — are canonicalized by sorting the distinct keys at Finish, so
+// determinism depends on neither.
 func flowHash(k FlowKey) uint64 {
 	hi := uint64(uint32(k.Src))<<32 | uint64(uint32(k.Dst))
 	lo := uint64(k.SrcPort)<<24 | uint64(k.DstPort)<<8 | uint64(k.Proto)
@@ -54,9 +56,10 @@ type indexArena struct {
 	flags   []TCPFlags
 
 	// Flow table and construction scratch.
-	keys    []FlowKey // first-seen order
+	keys    []FlowKey // by provisional id
 	slots   []int32   // open-addressing table over keys, -1 empty
-	flowSeq []int32   // per-packet provisional (first-seen) flow id
+	flowSeq []int32   // per-packet provisional flow id
+	remap   []int32   // AppendIndex: the appended index's flow id → provisional id
 	order   []int32   // canonical sort permutation of provisional ids
 	rank    []int32   // provisional id → canonical id
 	counts  []int32   // per-provisional-id packet counts
@@ -138,10 +141,10 @@ func resize32(s *[]int32, n int) []int32 {
 // IndexBuilder is the only code that constructs an Index: pcap.DecodeIndex
 // feeds it records as it decodes them, SegmentWriter feeds it every appended
 // packet, NewIndex/SealTrace feed it a materialized trace and WindowIndex
-// feeds it the sealed segments of a window. It is purely sequential, so the
-// result is bitwise-independent of scheduling; the map-based two-pass build
-// it replaced survives in index_test.go as the reference the differential
-// tests and FuzzIndexBuilder pin it against.
+// appends the sealed segments of a window to it whole (AppendIndex). It is
+// purely sequential, so the result is bitwise-independent of scheduling; the
+// map-based two-pass build it replaced survives in index_test.go as the
+// reference the differential tests and FuzzIndexBuilder pin it against.
 //
 // Packets must arrive in non-decreasing timestamp order with non-negative
 // timestamps; Add rejects violations with ErrUnsorted. Abandon a partial
@@ -222,6 +225,45 @@ func (b *IndexBuilder) Add(p Packet) error {
 	return nil
 }
 
+// AppendIndex appends every packet of a finished index, in order — the bulk
+// form of Add over ix.PacketAt(0..Len-1), and what WindowIndex feeds a
+// window's sealed segments through. The nine columns are copied whole and
+// each of ix's flows is interned once; the per-packet flow ids go through
+// that remap instead of one table probe per packet. ix's columns already
+// satisfy the sorted trace model, so the only check left is the seam: ix must
+// not start before the builder's last packet (ErrUnsorted).
+func (b *IndexBuilder) AppendIndex(ix *Index) error {
+	if b.finished {
+		return errFinished
+	}
+	n := ix.Len()
+	if n == 0 {
+		return nil
+	}
+	if ix.TS[0] < b.lastTS {
+		return fmt.Errorf("%w: timestamp %d after %d", ErrUnsorted, ix.TS[0], b.lastTS)
+	}
+	b.lastTS = ix.TS[n-1]
+	a := b.a
+	a.ts = append(a.ts, ix.TS...)
+	a.seconds = append(a.seconds, ix.Seconds...)
+	a.src = append(a.src, ix.Src...)
+	a.dst = append(a.dst, ix.Dst...)
+	a.srcPort = append(a.srcPort, ix.SrcPort...)
+	a.dstPort = append(a.dstPort, ix.DstPort...)
+	a.pktLen = append(a.pktLen, ix.PktLen...)
+	a.proto = append(a.proto, ix.Proto...)
+	a.flags = append(a.flags, ix.Flags...)
+	remap := resize32(&a.remap, len(ix.flows))
+	for fi, k := range ix.flows {
+		remap[fi] = b.flowID(k)
+	}
+	for _, fi := range ix.flowOf {
+		a.flowSeq = append(a.flowSeq, remap[fi])
+	}
+	return nil
+}
+
 // flowID interns k in the open-addressing flow table, assigning provisional
 // ids in first-seen order.
 func (b *IndexBuilder) flowID(k FlowKey) int32 {
@@ -296,7 +338,7 @@ func (b *IndexBuilder) Finish() *Index {
 	for i := range order {
 		order[i] = int32(i)
 	}
-	sort.Slice(order, func(i, j int) bool { return flowLess(a.keys[order[i]], a.keys[order[j]]) })
+	slices.SortFunc(order, func(x, y int32) int { return flowCompare(a.keys[x], a.keys[y]) })
 	rank := resize32(&a.rank, nf)
 	for ci, pid := range order {
 		rank[pid] = int32(ci)

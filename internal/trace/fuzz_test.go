@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -76,7 +77,9 @@ func fuzzPackets(data []byte) []Packet {
 // arbitrary bytes become packets; in arrival order the builder must accept
 // them exactly when they satisfy the sorted trace model (ErrUnsorted
 // otherwise); once sorted, the built index must be structurally identical to
-// the reference and share its digest — which is also the trace's.
+// the reference and share its digest — which is also the trace's — and so
+// must the index built by AppendIndex from the sorted trace cut at
+// fuzz-chosen points.
 func FuzzIndexBuilder(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(make([]byte, 20))
@@ -111,5 +114,21 @@ func FuzzIndexBuilder(f *testing.F) {
 		if ix.Digest() != ref.Digest() || ix.Digest() != tr.Digest() {
 			t.Fatal("digest mismatch between builder, reference and trace")
 		}
+
+		// The same bytes choose where to cut the sorted trace into pieces;
+		// the pieces' indexes appended whole must build the same index.
+		var cuts []int
+		for i := 0; i < len(data) && i < 4; i++ {
+			cuts = append(cuts, int(data[i])%(tr.Len()+1))
+		}
+		slices.Sort(cuts)
+		got, err := appendIndexes(splitIndexes(tr, cuts), len(data)%2 == 1)
+		if err != nil {
+			t.Fatalf("AppendIndex over a sorted trace cut at %v: %v", cuts, err)
+		}
+		if !EqualIndexes(got, ref) {
+			t.Fatalf("AppendIndex over %d packets cut at %v differs from reference", tr.Len(), cuts)
+		}
+		got.Release()
 	})
 }

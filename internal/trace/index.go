@@ -1,9 +1,11 @@
 package trace
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"slices"
 	"sort"
 )
 
@@ -91,22 +93,22 @@ func indexPackets(ps []Packet) (*Index, error) {
 	return b.Finish(), nil
 }
 
-// flowLess is the canonical flow-table order: by source, destination,
+// flowCompare is the canonical flow-table order: by source, destination,
 // source port, destination port, protocol.
-func flowLess(a, b FlowKey) bool {
-	if a.Src != b.Src {
-		return a.Src < b.Src
+func flowCompare(a, b FlowKey) int {
+	if c := cmp.Compare(a.Src, b.Src); c != 0 {
+		return c
 	}
-	if a.Dst != b.Dst {
-		return a.Dst < b.Dst
+	if c := cmp.Compare(a.Dst, b.Dst); c != 0 {
+		return c
 	}
-	if a.SrcPort != b.SrcPort {
-		return a.SrcPort < b.SrcPort
+	if c := cmp.Compare(a.SrcPort, b.SrcPort); c != 0 {
+		return c
 	}
-	if a.DstPort != b.DstPort {
-		return a.DstPort < b.DstPort
+	if c := cmp.Compare(a.DstPort, b.DstPort); c != 0 {
+		return c
 	}
-	return a.Proto < b.Proto
+	return cmp.Compare(a.Proto, b.Proto)
 }
 
 // Len returns the number of indexed packets.
@@ -166,8 +168,7 @@ func (ix *Index) Flow(fi int) FlowKey { return ix.flows[fi] }
 // FlowID returns the flow-table index of key k, and whether the trace
 // carries that flow: a binary search over the canonically sorted table.
 func (ix *Index) FlowID(k FlowKey) (int, bool) {
-	fi := sort.Search(len(ix.flows), func(i int) bool { return !flowLess(ix.flows[i], k) })
-	return fi, fi < len(ix.flows) && ix.flows[fi] == k
+	return slices.BinarySearchFunc(ix.flows, k, flowCompare)
 }
 
 // FlowPackets returns flow fi's packet indices, ascending. The slice

@@ -30,7 +30,7 @@ func indexTestTrace(seed int64, n int) *Trace {
 // BuildIndex is the map-based two-pass reference build the production
 // IndexBuilder replaced: copy the columns, group packet indices per flow in a
 // map, sort the flow keys canonically, then lay out runs, postings and time
-// buckets. It shares no code with the builder beyond flowLess and bucketTS,
+// buckets. It shares no code with the builder beyond flowCompare and bucketTS,
 // accepts any timestamp order (it never checks), and exists so the
 // differential tests and FuzzIndexBuilder have an independent oracle.
 func BuildIndex(tr *Trace) *Index {
@@ -66,7 +66,7 @@ func BuildIndex(tr *Trace) *Index {
 	for k := range runs {
 		ix.flows = append(ix.flows, k)
 	}
-	sort.Slice(ix.flows, func(i, j int) bool { return flowLess(ix.flows[i], ix.flows[j]) })
+	sort.Slice(ix.flows, func(i, j int) bool { return flowCompare(ix.flows[i], ix.flows[j]) < 0 })
 
 	ix.flowOff = make([]int32, len(ix.flows)+1)
 	ix.flowPkts = make([]int32, 0, n)
@@ -124,7 +124,7 @@ func TestIndexMatchesFlowIndex(t *testing.T) {
 	}
 	for fi := 0; fi < ix.Flows(); fi++ {
 		k := ix.Flow(fi)
-		if fi > 0 && !flowLess(ix.Flow(fi-1), k) {
+		if fi > 0 && flowCompare(ix.Flow(fi-1), k) >= 0 {
 			t.Fatalf("flow table not strictly sorted at %d", fi)
 		}
 		run := ix.FlowPackets(fi)

@@ -10,8 +10,8 @@ import (
 
 // Segment is one sealed, immutable span of a packet stream: the columnar
 // Index of the packets with timestamps in [Start, End) seconds. Segments are
-// index-only — no []Packet survives sealing; consumers that need rows call
-// Index.PacketAt. They are the LSM-style unit of the streaming pipeline:
+// index-only — no []Packet survives sealing; consumers that need a row ask
+// the Index for it. They are the LSM-style unit of the streaming pipeline:
 // packets accumulate in an open segment's IndexBuilder, the segment seals
 // when the stream crosses its upper boundary, and from then on the index may
 // not be mutated. Everything downstream (per-segment detection, window
@@ -183,10 +183,11 @@ func SealTrace(ctx context.Context, tr *Trace) (*Segment, error) {
 }
 
 // WindowIndex builds the index of a window of sealed segments, oldest first:
-// the segments' packets replayed in order through one detached builder — no
-// []Packet is materialized, and the result is structurally identical to
-// indexing the concatenated packets. (A one-segment window needs no build:
-// its index is the segment's.)
+// the segments' indexes appended in order to one detached builder — columns
+// copied whole, each segment's flows interned once — so no []Packet is
+// materialized, and the result is structurally identical to indexing the
+// concatenated packets. (A one-segment window needs no build: its index is
+// the segment's.)
 func WindowIndex(ctx context.Context, segs []*Segment) (*Index, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -197,10 +198,8 @@ func WindowIndex(ctx context.Context, segs []*Segment) (*Index, error) {
 	}
 	b := newDetachedBuilder(n)
 	for _, s := range segs {
-		for i := 0; i < s.Index.Len(); i++ {
-			if err := b.Add(s.Index.PacketAt(i)); err != nil {
-				return nil, err
-			}
+		if err := b.AppendIndex(s.Index); err != nil {
+			return nil, err
 		}
 	}
 	return b.Finish(), nil

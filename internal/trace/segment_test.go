@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -189,6 +190,138 @@ func TestSealTraceRejectsUnsorted(t *testing.T) {
 		if _, err := SealTrace(context.Background(), &Trace{Packets: ps}); !errors.Is(err, ErrUnsorted) {
 			t.Errorf("%s: SealTrace = %v, want ErrUnsorted", name, err)
 		}
+	}
+}
+
+// replayIndexes is the per-packet window build AppendIndex replaced, kept as
+// its reference: every packet of every index pushed through Add — one
+// PacketAt and one flow-table probe each.
+func replayIndexes(ixs []*Index) (*Index, error) {
+	n := 0
+	for _, ix := range ixs {
+		n += ix.Len()
+	}
+	b := newDetachedBuilder(n)
+	for _, ix := range ixs {
+		for i := 0; i < ix.Len(); i++ {
+			if err := b.Add(ix.PacketAt(i)); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return b.Finish(), nil
+}
+
+// appendIndexes is the same build through AppendIndex, on a detached or a
+// pooled builder.
+func appendIndexes(ixs []*Index, pooled bool) (*Index, error) {
+	b := newDetachedBuilder(0)
+	if pooled {
+		b = NewIndexBuilder()
+	}
+	for _, ix := range ixs {
+		if err := b.AppendIndex(ix); err != nil {
+			b.Discard()
+			return nil, err
+		}
+	}
+	return b.Finish(), nil
+}
+
+// splitIndexes indexes tr's packets in consecutive pieces ending at the
+// given ascending cut points (the last piece runs to the end).
+func splitIndexes(tr *Trace, cuts []int) []*Index {
+	var ixs []*Index
+	lo := 0
+	for _, hi := range append(cuts, tr.Len()) {
+		ixs = append(ixs, NewIndex(&Trace{Packets: tr.Packets[lo:hi]}))
+		lo = hi
+	}
+	return ixs
+}
+
+// TestAppendIndexMatchesReplay pins the bulk append to the per-packet replay
+// it replaced: a random trace cut at random points — repeated cuts give
+// empty pieces, and a cut may fall between packets of one flow or of one
+// timestamp — must build, piece by piece through AppendIndex, the index the
+// replay builds and the reference builds over the whole trace. Mixing Add
+// and AppendIndex on one builder is the same build too. The seam is checked:
+// a piece that starts before the builder's last packet is ErrUnsorted, and a
+// finished builder accepts nothing.
+func TestAppendIndexMatchesReplay(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	for trial := 0; trial < 80; trial++ {
+		tr := indexTestTrace(int64(500+trial), rng.Intn(900))
+		cuts := make([]int, rng.Intn(6))
+		for i := range cuts {
+			cuts[i] = rng.Intn(tr.Len() + 1)
+		}
+		slices.Sort(cuts)
+		if trial%4 == 0 && len(cuts) > 0 {
+			cuts = append(cuts, cuts[len(cuts)-1]) // always some empty pieces
+		}
+		ixs := splitIndexes(tr, cuts)
+		want, err := replayIndexes(ixs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !EqualIndexes(want, BuildIndex(tr)) {
+			t.Fatalf("trial %d: the replay differs from the reference build", trial)
+		}
+		for _, pooled := range []bool{false, true} {
+			got, err := appendIndexes(ixs, pooled)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !EqualIndexes(got, want) || got.Digest() != tr.Digest() {
+				t.Fatalf("trial %d (cuts %v, pooled %v): AppendIndex differs from the per-packet replay", trial, cuts, pooled)
+			}
+			got.Release()
+		}
+
+		// Packets and whole indexes through one builder.
+		b := newDetachedBuilder(0)
+		for i, ix := range ixs {
+			if i%2 == 0 {
+				err = b.AppendIndex(ix)
+			} else {
+				for pi := 0; pi < ix.Len() && err == nil; pi++ {
+					err = b.Add(ix.PacketAt(pi))
+				}
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !EqualIndexes(b.Finish(), want) {
+			t.Fatalf("trial %d: Add mixed with AppendIndex differs from the replay", trial)
+		}
+	}
+
+	early := NewIndex(&Trace{Packets: []Packet{{TS: 10}, {TS: 20}}})
+	late := NewIndex(&Trace{Packets: []Packet{{TS: 19}, {TS: 30}}})
+	b := newDetachedBuilder(0)
+	if err := b.AppendIndex(early); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.AppendIndex(late); !errors.Is(err, ErrUnsorted) {
+		t.Fatalf("overlapping append: %v, want ErrUnsorted", err)
+	}
+	if b.Len() != 2 {
+		t.Fatalf("a rejected append left %d packets, want 2", b.Len())
+	}
+	if _, err := replayIndexes([]*Index{early, late}); !errors.Is(err, ErrUnsorted) {
+		t.Fatalf("overlapping replay: %v, want ErrUnsorted", err)
+	}
+	if err := b.AppendIndex(NewIndex(&Trace{Packets: []Packet{{TS: 20}}})); err != nil {
+		t.Fatalf("a piece starting on the last timestamp is in order: %v", err)
+	}
+	b.Finish()
+	if err := b.AppendIndex(early); err == nil {
+		t.Fatal("AppendIndex after Finish must fail")
+	}
+	if err := b.AppendIndex(NewIndex(&Trace{})); err == nil {
+		t.Fatal("AppendIndex of an empty index after Finish must fail")
 	}
 }
 

@@ -17,7 +17,7 @@ GO ?= go
 #                       DetectorsPrepare/DetectorsDecide too); one Hough Detect
 #                       per tuning; and PCA's eigensolver alone on a 32×32
 #                       covariance (rows={15,60}: one segment, one batch day)
-#   Extract,            the similarity estimator's stages — posting-list alarm
+#   Extract,            the similarity estimator's stages — sorted-posting alarm
 #   SimilarityGraph,    extraction into sorted id slices, the CSR inverted
 #   Louvain, Estimate   index and row fan-out of internal/simgraph, community
 #                       mining — and the whole of core.EstimateContext
@@ -149,17 +149,22 @@ lint:
 # Short fuzzing smoke over the committed seed corpora plus FUZZTIME of fresh
 # exploration per target: the IPv4 parser invariants, the index builder —
 # per packet, and by whole indexes appended at fuzz-chosen cut points —
-# against the map-based reference in internal/trace's tests, the pcap
-# write→read round trip, the decode-streaming vs decode-materialized
-# ingest differential, and the similarity-graph build against its quadratic
-# reference at workers 1 and 3. A crash writes its reproducer into the
-# package's testdata/fuzz corpus — commit it with the fix.
+# against the map-based reference in internal/trace's tests (48-bit
+# timestamps: an index must not care how many years its packets span), the
+# pcap write→read round trip, the decode-streaming vs decode-materialized
+# ingest differential, the similarity-graph build against its quadratic
+# reference at workers 1 and 3, and the sorted-adjacency graphx.Graph against
+# the map-based refGraph in internal/graphx's tests — every weight, degree
+# and modularity by its float bits, components and the Louvain assignment
+# exactly, whatever order the edges arrive in. A crash writes its reproducer
+# into the package's testdata/fuzz corpus — commit it with the fix.
 fuzz:
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzParseIPv4$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzIndexBuilder$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/pcap -run '^$$' -fuzz '^FuzzRoundTrip$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/pcap -run '^$$' -fuzz '^FuzzDecodeIndex$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/simgraph -run '^$$' -fuzz '^FuzzBuild$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/graphx -run '^$$' -fuzz '^FuzzGraph$$' -fuzztime $(FUZZTIME)
 
 # Black-box daemon smoke: build the real mawilabd binary, boot it on a
 # random port, upload the golden fixture day over HTTP, assert the served

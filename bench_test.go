@@ -542,7 +542,7 @@ func detectAllForBench(ix *trace.Index) ([]core.Alarm, map[string]int, error) {
 }
 
 // BenchmarkTraceIndex measures the shared columnar index build — columns,
-// canonical flow table with packet runs, posting lists and time buckets —
+// canonical flow table with packet runs, the two sorted postings —
 // from a materialized trace: trace.NewIndex, the detached IndexBuilder path
 // Run, SealTrace and the figure harnesses pay once per day. The builder is
 // sequential, so there is one row.
@@ -558,7 +558,7 @@ func BenchmarkTraceIndex(b *testing.B) {
 }
 
 // BenchmarkExtract measures per-alarm traffic extraction through the
-// index's posting lists — the path that replaced the O(alarms × flows)
+// index's sorted postings — the path that replaced the O(alarms × flows)
 // full-table scan — fanning the ensemble's alarms out across several
 // worker-pool sizes, exactly as core.EstimateContext does.
 func BenchmarkExtract(b *testing.B) {

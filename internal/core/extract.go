@@ -30,7 +30,7 @@ func (ts *TrafficSet) Size() int { return len(ts.IDs) }
 
 // Extractor resolves alarms to TrafficSets against one trace through its
 // shared trace.Index: the index's canonical flow table replaces the
-// per-extractor flow map rebuild, and its posting lists prefilter each
+// per-extractor flow map rebuild, and its sorted postings prefilter each
 // alarm filter to the flows that can match, replacing the old
 // O(alarms × flows) full-table scan. This is the "traffic extractor /
 // oracle" of §2.1.1.
@@ -52,22 +52,17 @@ func (e *Extractor) Granularity() trace.Granularity { return e.gran }
 func (e *Extractor) Index() *trace.Index { return e.ix }
 
 // Extract resolves alarm a to its TrafficSet. For each filter it visits the
-// index's posting-list candidates (a superset of the matching flows), or the
-// whole flow table when the filter constrains no posted field — the
-// full-table scan in extract_test.go pins the equivalence. Overlapping
-// filters may match a flow or packet twice; sorting and compacting the
-// collected ids once at the end makes them sets.
+// index's candidate flows — a superset of the matching flows, the whole flow
+// table when the filter constrains no posted field; the full-table scan in
+// extract_test.go pins the equivalence. Overlapping filters may match a flow
+// or packet twice; sorting and compacting the collected ids once at the end
+// makes them sets.
 func (e *Extractor) Extract(a *Alarm) *TrafficSet {
 	ts := &TrafficSet{}
 	for _, f := range a.Filters {
-		if candidates, pruned := e.ix.CandidateFlows(f); pruned {
-			for _, fi := range candidates {
-				e.matchFlow(f, int(fi), ts)
-			}
-		} else {
-			for fi := 0; fi < e.ix.Flows(); fi++ {
-				e.matchFlow(f, fi, ts)
-			}
+		cands := e.ix.CandidateFlows(f)
+		for i, n := 0, cands.Len(); i < n; i++ {
+			e.matchFlow(f, cands.At(i), ts)
 		}
 	}
 	ts.FlowRefs = sortedSet(ts.FlowRefs)

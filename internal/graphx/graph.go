@@ -3,20 +3,29 @@
 // baseline, and the Louvain modularity method (Blondel et al. 2008) that
 // the paper selects for its speed and its ability to isolate small, locally
 // dense groups of alarms inside sparse similarity graphs.
+//
+// The graph is a sorted adjacency: every node keeps its neighbours as one
+// ascending slice. Ascending neighbour id is the canonical order of every
+// floating-point sum in the package, so storing the neighbours in that order
+// is what makes degrees, modularity and the Louvain assignment bit-identical
+// from run to run without sorting anything at the point of use.
 package graphx
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
 // Graph is an undirected weighted multigraph over nodes 0..N-1. Parallel
-// AddEdge calls between the same pair accumulate weight. Self-loops are
-// kept separately because modularity counts them differently from ordinary
-// edges.
+// AddEdge calls between the same pair accumulate weight. Each node's
+// neighbours are two parallel slices — ids, strictly ascending, and the
+// accumulated weights. Self-loops are kept separately because modularity
+// counts them differently from ordinary edges.
 type Graph struct {
 	n     int
-	adj   []map[int]float64
+	nbrV  [][]int     // per node: neighbour ids, ascending
+	nbrW  [][]float64 // per node: accumulated weight to nbrV's neighbour
 	self  []float64
 	total float64 // sum of all edge weights (self-loops once)
 }
@@ -26,8 +35,7 @@ func New(n int) *Graph {
 	if n < 0 {
 		panic("graphx: negative node count")
 	}
-	g := &Graph{n: n, adj: make([]map[int]float64, n), self: make([]float64, n)}
-	return g
+	return &Graph{n: n, nbrV: make([][]int, n), nbrW: make([][]float64, n), self: make([]float64, n)}
 }
 
 // N returns the number of nodes.
@@ -50,15 +58,35 @@ func (g *Graph) AddEdge(u, v int, w float64) {
 		g.total += w
 		return
 	}
-	if g.adj[u] == nil {
-		g.adj[u] = make(map[int]float64)
-	}
-	if g.adj[v] == nil {
-		g.adj[v] = make(map[int]float64)
-	}
-	g.adj[u][v] += w
-	g.adj[v][u] += w
+	g.addNeighbor(u, v, w)
+	g.addNeighbor(v, u, w)
 	g.total += w
+}
+
+// addNeighbor accumulates w onto u's entry for v, keeping u's neighbours
+// ascending. A v above u's last neighbour — every edge of an (a, b)-sorted
+// edge list, which is what the similarity estimator inserts — is an append;
+// anything else is a binary search and, for a new neighbour, an insert.
+func (g *Graph) addNeighbor(u, v int, w float64) {
+	vs := g.nbrV[u]
+	if vs == nil {
+		// Start at four: append's own 1, 2, 4 costs a sparse graph three
+		// allocations per slice before the typical node is full.
+		g.nbrV[u], g.nbrW[u] = append(make([]int, 0, 4), v), append(make([]float64, 0, 4), w)
+		return
+	}
+	if vs[len(vs)-1] < v {
+		g.nbrV[u] = append(vs, v)
+		g.nbrW[u] = append(g.nbrW[u], w)
+		return
+	}
+	i, found := slices.BinarySearch(vs, v)
+	if found {
+		g.nbrW[u][i] += w
+		return
+	}
+	g.nbrV[u] = slices.Insert(vs, i, v)
+	g.nbrW[u] = slices.Insert(g.nbrW[u], i, w)
 }
 
 // Edge is one weighted undirected edge, used for bulk insertion.
@@ -83,48 +111,40 @@ func (g *Graph) Weight(u, v int) float64 {
 	if u == v {
 		return g.self[u]
 	}
-	return g.adj[u][v]
+	if i, found := slices.BinarySearch(g.nbrV[u], v); found {
+		return g.nbrW[u][i]
+	}
+	return 0
 }
 
 // Degree returns the weighted degree of u; self-loops count twice, per the
-// modularity convention. Neighbors are summed in ascending id order so the
-// float accumulation is bit-identical from run to run even for fractional
-// similarity weights.
+// modularity convention. Neighbors are summed in ascending id order — the
+// order they are stored in — so the float accumulation is bit-identical from
+// run to run even for fractional similarity weights.
 func (g *Graph) Degree(u int) float64 {
 	d := 2 * g.self[u]
-	for _, v := range sortedNeighbors(g.adj[u]) {
-		d += g.adj[u][v]
+	for _, w := range g.nbrW[u] {
+		d += w
 	}
 	return d
-}
-
-// sortedNeighbors returns m's keys in ascending order, the canonical
-// iteration order wherever the accumulation is not exact.
-func sortedNeighbors(m map[int]float64) []int {
-	vs := make([]int, 0, len(m))
-	for v := range m {
-		vs = append(vs, v)
-	}
-	sort.Ints(vs)
-	return vs
 }
 
 // TotalWeight returns the sum of all edge weights, m (self-loops once).
 func (g *Graph) TotalWeight() float64 { return g.total }
 
-// Neighbors calls fn for every neighbor of u with the edge weight,
-// in unspecified order. Self-loops are not reported.
+// Neighbors calls fn for every neighbor of u with the edge weight, in
+// ascending neighbor id. Self-loops are not reported.
 func (g *Graph) Neighbors(u int, fn func(v int, w float64)) {
-	for v, w := range g.adj[u] {
-		fn(v, w)
+	for i, v := range g.nbrV[u] {
+		fn(v, g.nbrW[u][i])
 	}
 }
 
 // EdgeCount returns the number of distinct non-self edges.
 func (g *Graph) EdgeCount() int {
 	c := 0
-	for _, m := range g.adj {
-		c += len(m)
+	for _, vs := range g.nbrV {
+		c += len(vs)
 	}
 	return c / 2
 }
@@ -147,10 +167,10 @@ func (g *Graph) Components() []int {
 		for len(stack) > 0 {
 			u := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			for v := range g.adj[u] {
+			for _, v := range g.nbrV[u] {
 				if comp[v] == -1 {
 					comp[v] = next
-					stack = append(stack, v) //mawilint:allow maprange — DFS visit order cannot change the labeling: components are closed under reachability and ids follow the ascending start-node scan
+					stack = append(stack, v)
 				}
 			}
 		}
@@ -177,9 +197,9 @@ func (g *Graph) Modularity(comm []int) float64 {
 	for u := 0; u < g.n; u++ {
 		tot[comm[u]] += g.Degree(u)
 		in[comm[u]] += 2 * g.self[u]
-		for _, v := range sortedNeighbors(g.adj[u]) {
+		for i, v := range g.nbrV[u] {
 			if comm[u] == comm[v] {
-				in[comm[u]] += g.adj[u][v] // counted from both ends → 2×w total
+				in[comm[u]] += g.nbrW[u][i] // counted from both ends → 2×w total
 			}
 		}
 	}

@@ -143,8 +143,8 @@ func (g *Graph) LouvainWith(ctx context.Context, opts LouvainOptions) (*LouvainR
 	return res, nil
 }
 
-// louvainLevel is the frozen per-level state of local moving: the sorted
-// adjacency snapshot, weighted degrees and 2m.
+// louvainLevel is the frozen per-level state of local moving: the graph's
+// sorted adjacency, weighted degrees and 2m.
 type louvainLevel struct {
 	m2   float64 // 2m
 	nbrV [][]int
@@ -152,43 +152,25 @@ type louvainLevel struct {
 	deg  []float64
 }
 
-// newLouvainLevel builds the level snapshot. Iterating the adjacency maps
-// directly would visit neighbors in a different order every run, reordering
-// the floating-point sums in bestMove and flipping near-tied gain
-// comparisons — run-to-run nondeterminism the pipeline's
-// byte-identical-output guarantee cannot tolerate; sorting fixes the order
-// once per level.
+// newLouvainLevel reads the level off the graph. The adjacency is used as it
+// stands: ascending neighbor id is the one order in which bestMove's
+// floating-point sums — and so its near-tied gain comparisons — are the same
+// on every run, which the pipeline's byte-identical-output guarantee needs.
 func newLouvainLevel(g *Graph) *louvainLevel {
-	lv := &louvainLevel{
-		m2:   2 * g.total,
-		nbrV: make([][]int, g.n),
-		nbrW: make([][]float64, g.n),
-		deg:  make([]float64, g.n),
-	}
-	for u := 0; u < g.n; u++ {
-		vs := make([]int, 0, len(g.adj[u]))
-		for v := range g.adj[u] {
-			vs = append(vs, v)
-		}
-		sort.Ints(vs)
-		ws := make([]float64, len(vs))
-		d := 2 * g.self[u]
-		for i, v := range vs {
-			ws[i] = g.adj[u][v]
-			d += ws[i]
-		}
-		lv.nbrV[u], lv.nbrW[u] = vs, ws
-		lv.deg[u] = d
+	lv := &louvainLevel{m2: 2 * g.total, nbrV: g.nbrV, nbrW: g.nbrW, deg: make([]float64, g.n)}
+	for u := range lv.deg {
+		lv.deg[u] = g.Degree(u)
 	}
 	return lv
 }
 
-// moveScratch is the reusable state of bestMove: neighWeight accumulates
-// k_{i,in} per candidate community, cands lists the keys so candidates can
-// be scanned in sorted order.
+// moveScratch is the reusable state of bestMove: commW accumulates k_{i,in}
+// per community id (zero outside cands — edge weights are positive, so zero
+// also means "not a candidate yet"), cands lists the touched ids so they can
+// be scanned in sorted order and reset.
 type moveScratch struct {
-	neighWeight map[int]float64
-	cands       []int
+	commW []float64
+	cands []int
 }
 
 // bestMove computes node u's greedy decision against the live community
@@ -198,18 +180,18 @@ type moveScratch struct {
 func (lv *louvainLevel) bestMove(u int, comm []int, tot []float64, sc *moveScratch) (bestC int, delta float64) {
 	// Hoist the hot fields out of the pointers: this body runs once per
 	// node per pass and the indirections are measurable.
-	nw := sc.neighWeight
+	cw := sc.commW
 	for _, c := range sc.cands {
-		delete(nw, c)
+		cw[c] = 0
 	}
 	cands := sc.cands[:0]
 	nbrV, nbrW := lv.nbrV[u], lv.nbrW[u]
 	for i, v := range nbrV {
 		c := comm[v]
-		if _, ok := nw[c]; !ok {
+		if cw[c] == 0 {
 			cands = append(cands, c)
 		}
-		nw[c] += nbrW[i]
+		cw[c] += nbrW[i]
 	}
 	sort.Ints(cands)
 	sc.cands = cands
@@ -218,14 +200,14 @@ func (lv *louvainLevel) bestMove(u int, comm []int, tot []float64, sc *moveScrat
 	// community for the comparison.
 	cu := comm[u]
 	deg, m2 := lv.deg[u], lv.m2
-	stay := nw[cu] - (tot[cu]-deg)*deg/m2
+	stay := cw[cu] - (tot[cu]-deg)*deg/m2
 	bestC = cu
 	bestGain := stay
 	for _, c := range cands {
 		if c == cu {
 			continue
 		}
-		gain := nw[c] - tot[c]*deg/m2
+		gain := cw[c] - tot[c]*deg/m2
 		// Strict improvement only; candidates ascend, so ties keep the
 		// current community, then the smallest id.
 		if gain > bestGain+1e-12 {
@@ -261,7 +243,7 @@ func (g *Graph) localMove(ctx context.Context, opts LouvainOptions) (localMoveRe
 	lv := newLouvainLevel(g)
 	comm := out.comm
 	sumTot := append([]float64(nil), lv.deg...) // total degree per community
-	sc := &moveScratch{neighWeight: make(map[int]float64), cands: make([]int, 0, 16)}
+	sc := &moveScratch{commW: make([]float64, n), cands: make([]int, 0, 16)}
 
 	for pass := 0; ; pass++ {
 		if err := ctx.Err(); err != nil {
@@ -303,9 +285,9 @@ func (g *Graph) localMove(ctx context.Context, opts LouvainOptions) (localMoveRe
 
 // aggregate collapses each community of comm (dense ids) into a single
 // node. Original nodes are walked in index order, each emitting its
-// self-loop first and then its kept (v >= u, each undirected edge once)
-// neighbors in sorted order — one canonical AddEdge order, so the aggregated
-// graph's floating-point weight sums stay bit-reproducible (see
+// self-loop first and then its kept (v > u, each undirected edge once)
+// neighbors in ascending order — one canonical AddEdge order, so the
+// aggregated graph's floating-point weight sums stay bit-reproducible (see
 // newLouvainLevel).
 func (g *Graph) aggregate(comm []int) *Graph {
 	nc := 0
@@ -315,40 +297,33 @@ func (g *Graph) aggregate(comm []int) *Graph {
 		}
 	}
 	out := New(nc)
-	vs := make([]int, 0, 16)
 	for u := 0; u < g.n; u++ {
 		cu := comm[u]
 		if g.self[u] > 0 {
 			out.AddEdge(cu, cu, g.self[u])
 		}
-		vs = vs[:0]
-		for v := range g.adj[u] {
-			if v >= u {
-				vs = append(vs, v)
-			}
-		}
-		sort.Ints(vs)
-		for _, v := range vs {
-			out.AddEdge(cu, comm[v], g.adj[u][v])
+		vs, ws := g.nbrV[u], g.nbrW[u]
+		for i := sort.SearchInts(vs, u); i < len(vs); i++ {
+			out.AddEdge(cu, comm[vs[i]], ws[i])
 		}
 	}
 	return out
 }
 
-// compactIDs renumbers arbitrary community ids densely, in order of first
-// appearance, which keeps outputs deterministic across runs.
+// compactIDs renumbers community ids densely, in order of first appearance,
+// which keeps outputs deterministic across runs. The ids must lie in
+// [0, len(comm)), as every level's do: a node starts in its own community
+// and only ever joins another node's.
 func compactIDs(comm []int) []int {
 	next := 0
-	remap := make(map[int]int, len(comm))
+	dense := make([]int, len(comm)) // new id + 1; 0 marks an id not seen yet
 	out := make([]int, len(comm))
 	for i, c := range comm {
-		id, ok := remap[c]
-		if !ok {
-			id = next
-			remap[c] = id
+		if dense[c] == 0 {
 			next++
+			dense[c] = next
 		}
-		out[i] = id
+		out[i] = dense[c] - 1
 	}
 	return out
 }

@@ -76,10 +76,6 @@ type Config struct {
 	// full pass over the trace; the cache makes repeated queries against
 	// the same digest serve from memory (metrics: index_cache_hits/misses).
 	IndexCacheSize int
-	// Stream is validated at config-load time so a daemon misconfiguration
-	// fails at startup, not mid-job. The daemon labels whole uploads at the
-	// canonical batch boundary, which is the zero value.
-	Stream mawilab.StreamConfig
 	// NewPipeline overrides the per-job pipeline constructor — the test
 	// seam for injecting slow or failing detectors. nil selects
 	// mawilab.NewPipeline with PipelineWorkers applied.
@@ -95,9 +91,8 @@ var (
 )
 
 // Validate is the daemon's config loader check: its own fields, then the
-// pipeline-level validation (mawilab.ErrWorkers and the StreamConfig
-// sentinels pass through), so every invalid knob fails at startup with a
-// typed error.
+// pipeline-level validation (mawilab.ErrWorkers passes through), so every
+// invalid knob fails at startup with a typed error.
 func (c Config) Validate() error {
 	if c.StoreDir == "" {
 		return ErrNoStoreDir
@@ -111,7 +106,7 @@ func (c Config) Validate() error {
 	if c.MaxResident < 0 {
 		return fmt.Errorf("%w: got %d", ErrMaxResident, c.MaxResident)
 	}
-	p := &mawilab.Pipeline{Workers: c.PipelineWorkers, Stream: c.Stream}
+	p := &mawilab.Pipeline{Workers: c.PipelineWorkers}
 	return p.Validate()
 }
 
@@ -306,18 +301,31 @@ type uploadResponse struct {
 	JobURL string `json:"job_url,omitempty"`
 }
 
+// maxTraceSpan bounds the time a trace may cover, time zero to last packet.
+// The index's size is independent of it, but the four detectors size their
+// time axis from Index.Duration(), so a two-packet upload stamped years apart
+// would buy gigabytes of bins. A MAWI sample point is 15 minutes.
+const maxTraceSpan = 24 * time.Hour
+
+// errTraceSpan rejects a trace that decodes but covers more than maxTraceSpan.
+var errTraceSpan = errors.New("serve: trace span exceeds the admission limit")
+
 // admit runs the shared admission path for uploads and spool files: fused
-// decode straight into a pooled columnar index, digest, cache-check,
-// enqueue. The response captures the outcome; err is an admission rejection
-// (ErrQueueFull/ErrDraining) or a decode failure. Whenever the engine does
-// not adopt the index — cache hit, rejection, duplicate digest — its pooled
-// buffers are released here, so every admission outcome recycles exactly
-// once.
+// decode straight into a pooled columnar index, span check, digest,
+// cache-check, enqueue. The response captures the outcome; err is an
+// admission rejection (ErrQueueFull/ErrDraining), an over-long trace
+// (errTraceSpan) or a decode failure. Whenever the engine does not adopt the
+// index — cache hit, rejection, duplicate digest — its pooled buffers are
+// released here, so every admission outcome recycles exactly once.
 func (s *Server) admit(r io.Reader, name string) (*uploadResponse, error) {
 	start := time.Now()
 	ix, err := mawilab.DecodePcap(r)
 	if err != nil {
 		return nil, fmt.Errorf("decoding pcap: %w", err)
+	}
+	if span := ix.Duration(); span > maxTraceSpan.Seconds() {
+		ix.Release()
+		return nil, fmt.Errorf("%w: %.0f s, limit %v", errTraceSpan, span, maxTraceSpan)
 	}
 	s.stageSeconds.With(string(mawilab.StageIngest)).Observe(time.Since(start).Seconds())
 	s.uploads.Inc()
@@ -357,6 +365,9 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusServiceUnavailable)
 		return
 	case err != nil:
+		if errors.Is(err, errTraceSpan) {
+			s.rejected.With("span").Inc()
+		}
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
@@ -542,23 +553,13 @@ func communityFilter(c StoredCommunity) trace.Filter {
 }
 
 // matchedFlows returns up to limit flows matching the filter, in ascending
-// flow-table order: the index's posting lists prune when a constrained
-// field is posted, and the flow table is scanned otherwise.
+// flow-table order, out of the index's candidate flows for it (the whole
+// table when no constrained field is posted).
 func matchedFlows(ix *trace.Index, f trace.Filter, limit int) []string {
 	out := make([]string, 0, limit)
-	if ids, ok := ix.CandidateFlows(f); ok {
-		for _, fi := range ids {
-			if len(out) >= limit {
-				break
-			}
-			if k := ix.Flow(int(fi)); f.MatchFlow(k) {
-				out = append(out, flowString(k))
-			}
-		}
-		return out
-	}
-	for fi := 0; fi < ix.Flows() && len(out) < limit; fi++ {
-		if k := ix.Flow(fi); f.MatchFlow(k) {
+	cands := ix.CandidateFlows(f)
+	for i := 0; i < cands.Len() && len(out) < limit; i++ {
+		if k := ix.Flow(cands.At(i)); f.MatchFlow(k) {
 			out = append(out, flowString(k))
 		}
 	}

@@ -357,6 +357,65 @@ func TestAdmissionControlOverflow(t *testing.T) {
 	}
 }
 
+// TestAdmissionRejectsOverlongSpan pins the span bound: a valid two-packet
+// pcap whose timestamps lie two days apart is refused at admission — 400 and
+// rejected{span} over HTTP, failed/ from the spool — before any job exists.
+// The detectors size their time axis from the trace's duration, so admitting
+// it would let 164 bytes buy bins for every second of those two days.
+func TestAdmissionRejectsOverlongSpan(t *testing.T) {
+	spool := t.TempDir()
+	for _, d := range []string{"done", "failed"} {
+		if err := os.Mkdir(filepath.Join(spool, d), 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cfg, gate := gatedConfig(1, 4)
+	close(gate.release)
+	cfg.SpoolDir = spool
+	s, ts := newTestServer(t, cfg)
+
+	long := tinyTrace(2)
+	long.Packets[1].TS = (48 * time.Hour).Microseconds()
+	data := pcapBytes(t, long)
+	code, up, _ := upload(t, ts, data, "two-days")
+	if code != http.StatusBadRequest {
+		t.Fatalf("upload spanning two days = %d, want 400", code)
+	}
+	if up.JobID != "" {
+		t.Errorf("rejected upload carries job %s", up.JobID)
+	}
+	if v, ok := metricValue(t, ts, `mawilabd_uploads_rejected_total{reason="span"}`); !ok || v != "1" {
+		t.Errorf("rejected{span} = %q, want 1", v)
+	}
+
+	if err := os.WriteFile(filepath.Join(spool, "two-days.pcap"), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s.sweepSpool()
+	if _, err := os.Stat(filepath.Join(spool, "failed", "two-days.pcap")); err != nil {
+		t.Errorf("over-long spool file not moved to failed/: %v", err)
+	}
+
+	if _, active := s.Engine().Active(long.Digest()); active {
+		t.Error("a job was created for the rejected trace")
+	}
+	if d := s.Engine().Depth(); d != 0 {
+		t.Errorf("queue depth = %d, want 0", d)
+	}
+	if v, _ := metricValue(t, ts, "mawilabd_cache_misses_total"); v != "0" {
+		t.Errorf("cache_misses_total = %q, want 0: nothing may be scheduled", v)
+	}
+
+	// Exactly at the limit is still a trace.
+	long.Packets[1].TS = maxTraceSpan.Microseconds()
+	if code, _, _ := upload(t, ts, pcapBytes(t, long), "one-day"); code != http.StatusAccepted {
+		t.Errorf("upload spanning exactly the limit = %d, want 202", code)
+	}
+	if err := s.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestGracefulDrain pins the SIGTERM semantics end to end (the signal
 // handler calls exactly this Drain): mid-job drain finishes the in-flight
 // job, rejects new uploads with 503, flips readiness, and the store holds
@@ -550,7 +609,7 @@ func TestUploadBadPcap(t *testing.T) {
 }
 
 // TestConfigValidate covers the daemon config loader's typed errors,
-// including the pipeline/StreamConfig sentinels passing through.
+// including the pipeline's worker-count sentinel passing through.
 func TestConfigValidate(t *testing.T) {
 	cases := []struct {
 		name string
@@ -562,7 +621,6 @@ func TestConfigValidate(t *testing.T) {
 		{"negative queue", Config{StoreDir: "x", QueueDepth: -1}, ErrQueueDepth},
 		{"negative resident", Config{StoreDir: "x", MaxResident: -1}, ErrMaxResident},
 		{"negative pipeline workers", Config{StoreDir: "x", PipelineWorkers: -1}, mawilab.ErrWorkers},
-		{"bad stream config", Config{StoreDir: "x", Stream: mawilab.StreamConfig{SegmentSeconds: -1}}, mawilab.ErrSegmentSeconds},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

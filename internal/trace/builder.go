@@ -39,10 +39,10 @@ func flowHash(k FlowKey) uint64 {
 }
 
 // indexArena is the reusable backing storage of one fused index build: the
-// nine packet columns, the flow table and its construction scratch, the
-// posting slabs and maps, and the time buckets. Arenas cycle through
-// arenaPool so a steady-state server decodes day after day into the same
-// buffers — Index.Release returns them.
+// nine packet columns, the flow table and its construction scratch, and the
+// two postings with their sort scratch. Arenas cycle through arenaPool so a
+// steady-state server decodes day after day into the same buffers —
+// Index.Release returns them.
 type indexArena struct {
 	// Packet columns.
 	ts      []int64
@@ -70,26 +70,18 @@ type indexArena struct {
 	flowOff  []int32
 	flowPkts []int32
 	flowOf   []int32
-	bucketLo []int32
 
-	// Posting lists: per-key counts, one slab of flow ids per map, and the
-	// maps themselves (values are slab subslices, so a whole index's
-	// postings cost three allocations at most).
-	srcCnt    map[IPv4]int32
-	dstCnt    map[IPv4]int32
-	portCnt   map[uint16]int32
-	postSrc   []int32
-	postDst   []int32
-	postPort  []int32
-	bySrc     map[IPv4][]int32
-	byDst     map[IPv4][]int32
-	byDstPort map[uint16][]int32
+	// Postings: flow ids ordered by (Dst, id) and by (DstPort, id), and the
+	// key<<32|id words both are sorted through.
+	byDst     []int32
+	byDstPort []int32
+	sortKeys  []uint64
 }
 
 var arenaPool = sync.Pool{New: func() any { return new(indexArena) }}
 
-// reset readies a pooled arena for the next build: every slice keeps its
-// capacity at length zero and every map keeps its buckets empty.
+// reset readies a pooled arena for the next build: every slice an Add appends
+// to keeps its capacity at length zero (Finish resizes the rest).
 func (a *indexArena) reset() {
 	a.ts = a.ts[:0]
 	a.seconds = a.seconds[:0]
@@ -103,27 +95,12 @@ func (a *indexArena) reset() {
 	a.keys = a.keys[:0]
 	a.slots = a.slots[:0]
 	a.flowSeq = a.flowSeq[:0]
-	if a.srcCnt == nil {
-		a.srcCnt = make(map[IPv4]int32)
-		a.dstCnt = make(map[IPv4]int32)
-		a.portCnt = make(map[uint16]int32)
-		a.bySrc = make(map[IPv4][]int32)
-		a.byDst = make(map[IPv4][]int32)
-		a.byDstPort = make(map[uint16][]int32)
-		return
-	}
-	clear(a.srcCnt)
-	clear(a.dstCnt)
-	clear(a.portCnt)
-	clear(a.bySrc)
-	clear(a.byDst)
-	clear(a.byDstPort)
 }
 
-// resize32 returns s grown (or shrunk) to length n, reusing capacity.
-func resize32(s *[]int32, n int) []int32 {
+// resize returns s grown (or shrunk) to length n, reusing capacity.
+func resize[T any](s *[]T, n int) []T {
 	if cap(*s) < n {
-		*s = make([]int32, n)
+		*s = make([]T, n)
 	} else {
 		*s = (*s)[:n]
 	}
@@ -133,8 +110,9 @@ func resize32(s *[]int32, n int) []int32 {
 // IndexBuilder streams packets straight into the columnar Index — the fused
 // single-pass ingest path. Add appends one packet to the SoA columns and the
 // incremental flow table; Finish canonicalizes flow order, lays out the
-// packet runs, posting lists and time buckets, and seals the Index. No
-// intermediate []Packet is ever materialized, and a pooled builder
+// packet runs, sorts the two postings and seals the Index — work
+// proportional to the packets and flows, whatever span their timestamps
+// cover. No intermediate []Packet is ever materialized, and a pooled builder
 // (NewIndexBuilder) draws every buffer from a recycled arena, so the
 // steady-state serving path allocates almost nothing per trace.
 //
@@ -187,7 +165,6 @@ func newDetachedBuilder(n int) *IndexBuilder {
 		flags:   make([]TCPFlags, 0, n),
 		flowSeq: make([]int32, 0, n),
 	}
-	a.reset()
 	return &IndexBuilder{a: a, lastTS: -1}
 }
 
@@ -254,12 +231,12 @@ func (b *IndexBuilder) AppendIndex(ix *Index) error {
 	a.pktLen = append(a.pktLen, ix.PktLen...)
 	a.proto = append(a.proto, ix.Proto...)
 	a.flags = append(a.flags, ix.Flags...)
-	remap := resize32(&a.remap, len(ix.flows))
+	pids := resize(&a.remap, len(ix.flows))
 	for fi, k := range ix.flows {
-		remap[fi] = b.flowID(k)
+		pids[fi] = b.flowID(k)
 	}
 	for _, fi := range ix.flowOf {
-		a.flowSeq = append(a.flowSeq, remap[fi])
+		a.flowSeq = append(a.flowSeq, pids[fi])
 	}
 	return nil
 }
@@ -296,7 +273,7 @@ func (b *IndexBuilder) growSlots() {
 	if n < 512 {
 		n = 512
 	}
-	a.slots = resize32(&a.slots, n)
+	a.slots = resize(&a.slots, n)
 	for i := range a.slots {
 		a.slots[i] = -1
 	}
@@ -308,6 +285,16 @@ func (b *IndexBuilder) growSlots() {
 		}
 		a.slots[i] = int32(id)
 	}
+}
+
+// sortedPosting sorts the key<<32|id words and returns the ids in that order.
+func sortedPosting(post *[]int32, keys []uint64) []int32 {
+	slices.Sort(keys)
+	ids := resize(post, len(keys))
+	for i, k := range keys {
+		ids[i] = int32(uint32(k))
+	}
+	return ids
 }
 
 // Discard abandons the build, recycling a pooled builder's arena. The
@@ -323,10 +310,11 @@ func (b *IndexBuilder) Discard() {
 	b.finished = true
 }
 
-// Finish seals the index: flows are canonicalized into the sorted table,
-// packet runs, posting lists and time buckets are laid out, and the columns
-// become immutable. The builder rejects further use. A pooled builder's
-// Index holds its arena until Index.Release returns it for reuse.
+// Finish seals the index: flows are canonicalized into the sorted table, the
+// packet runs are laid out, the flow ids are sorted into the destination and
+// destination-port postings, and the columns become immutable. The builder
+// rejects further use. A pooled builder's Index holds its arena until
+// Index.Release returns it for reuse.
 func (b *IndexBuilder) Finish() *Index {
 	a := b.a
 	n := len(a.ts)
@@ -334,12 +322,12 @@ func (b *IndexBuilder) Finish() *Index {
 
 	// Canonical flow order: sort the provisional ids by key, then rank maps
 	// provisional → canonical.
-	order := resize32(&a.order, nf)
+	order := resize(&a.order, nf)
 	for i := range order {
 		order[i] = int32(i)
 	}
 	slices.SortFunc(order, func(x, y int32) int { return flowCompare(a.keys[x], a.keys[y]) })
-	rank := resize32(&a.rank, nf)
+	rank := resize(&a.rank, nf)
 	for ci, pid := range order {
 		rank[pid] = int32(ci)
 	}
@@ -351,22 +339,22 @@ func (b *IndexBuilder) Finish() *Index {
 	// Packet runs: counting sort over the per-packet provisional ids. Each
 	// flow's run fills in ascending packet order because the single fill
 	// pass walks packets in order.
-	counts := resize32(&a.counts, nf)
+	counts := resize(&a.counts, nf)
 	for i := range counts {
 		counts[i] = 0
 	}
 	for _, pid := range a.flowSeq {
 		counts[pid]++
 	}
-	flowOff := resize32(&a.flowOff, nf+1)
+	flowOff := resize(&a.flowOff, nf+1)
 	flowOff[0] = 0
 	for ci, pid := range order {
 		flowOff[ci+1] = flowOff[ci] + counts[pid]
 	}
-	cursor := resize32(&a.cursor, nf)
+	cursor := resize(&a.cursor, nf)
 	copy(cursor, flowOff[:nf])
-	flowPkts := resize32(&a.flowPkts, n)
-	flowOf := resize32(&a.flowOf, n)
+	flowPkts := resize(&a.flowPkts, n)
+	flowOf := resize(&a.flowOf, n)
 	for i, pid := range a.flowSeq {
 		ci := rank[pid]
 		flowPkts[cursor[ci]] = int32(i)
@@ -374,63 +362,18 @@ func (b *IndexBuilder) Finish() *Index {
 		flowOf[i] = ci
 	}
 
-	// Posting lists: count per key, then carve each key's value slice out
-	// of one shared slab and fill in canonical flow order, so every list is
-	// ascending and the whole structure costs three slab (re)uses.
-	clear(a.srcCnt)
-	clear(a.dstCnt)
-	clear(a.portCnt)
-	for i := range a.flows {
-		k := &a.flows[i]
-		a.srcCnt[k.Src]++
-		a.dstCnt[k.Dst]++
-		a.portCnt[k.DstPort]++
-	}
-	postSrc := resize32(&a.postSrc, nf)
-	postDst := resize32(&a.postDst, nf)
-	postPort := resize32(&a.postPort, nf)
-	clear(a.bySrc)
-	clear(a.byDst)
-	clear(a.byDstPort)
-	curS, curD, curP := 0, 0, 0
+	// Postings: flow ids in (Dst, id) and (DstPort, id) order. The id rides
+	// in the low half of each sort word, so one comparator-free sort orders
+	// the keys and leaves every key's ids ascending.
+	keys := resize(&a.sortKeys, nf)
 	for fi := range a.flows {
-		k := &a.flows[fi]
-		s, ok := a.bySrc[k.Src]
-		if !ok {
-			c := int(a.srcCnt[k.Src])
-			s = postSrc[curS : curS : curS+c]
-			curS += c
-		}
-		a.bySrc[k.Src] = append(s, int32(fi))
-		d, ok := a.byDst[k.Dst]
-		if !ok {
-			c := int(a.dstCnt[k.Dst])
-			d = postDst[curD : curD : curD+c]
-			curD += c
-		}
-		a.byDst[k.Dst] = append(d, int32(fi))
-		p, ok := a.byDstPort[k.DstPort]
-		if !ok {
-			c := int(a.portCnt[k.DstPort])
-			p = postPort[curP : curP : curP+c]
-			curP += c
-		}
-		a.byDstPort[k.DstPort] = append(p, int32(fi))
+		keys[fi] = uint64(a.flows[fi].Dst)<<32 | uint64(fi)
 	}
-
-	// Time buckets: one offset per trace second, closed by the packet count.
-	nb := 0
-	if n > 0 {
-		nb = int(a.ts[n-1]/bucketTS) + 1
+	byDst := sortedPosting(&a.byDst, keys)
+	for fi := range a.flows {
+		keys[fi] = uint64(a.flows[fi].DstPort)<<32 | uint64(fi)
 	}
-	bucketLo := resize32(&a.bucketLo, nb+1)
-	pi := 0
-	for bkt := 0; bkt <= nb; bkt++ {
-		for pi < n && a.ts[pi] < int64(bkt)*bucketTS {
-			pi++
-		}
-		bucketLo[bkt] = int32(pi)
-	}
+	byDstPort := sortedPosting(&a.byDstPort, keys)
 
 	ix := &Index{
 		TS:        a.ts,
@@ -446,10 +389,8 @@ func (b *IndexBuilder) Finish() *Index {
 		flowOff:   flowOff,
 		flowPkts:  flowPkts,
 		flowOf:    flowOf,
-		bySrc:     a.bySrc,
-		byDst:     a.byDst,
-		byDstPort: a.byDstPort,
-		bucketLo:  bucketLo,
+		byDst:     byDst,
+		byDstPort: byDstPort,
 	}
 	if b.pooled {
 		ix.arena = a
@@ -460,11 +401,12 @@ func (b *IndexBuilder) Finish() *Index {
 }
 
 // Release returns a pooled index's buffers to the arena pool for the next
-// build and is a no-op on every detached index (NewIndex, SealTrace, sealed
-// segments, window indexes). Only the owner may call it, and only once no other
-// reference to the index (or any slice it exposed) remains: the columns are
-// cleared to fail fast, but the recycled backing arrays will be overwritten
-// by a later build. The serving job path releases after the labeling is
+// build — columns, flow table, postings and sort scratch alike — and is a
+// no-op on every detached index (NewIndex, SealTrace, sealed segments, window
+// indexes). Only the owner may call it, and only once no other reference to
+// the index (or any slice it exposed) remains: the index's slices are cleared
+// to fail fast, but the recycled backing arrays will be overwritten by a
+// later build. The serving job path releases after the labeling is
 // persisted; the per-digest query cache never releases (cached indexes are
 // shared with in-flight readers).
 func (ix *Index) Release() {
@@ -478,17 +420,16 @@ func (ix *Index) Release() {
 	ix.SrcPort, ix.DstPort, ix.PktLen = nil, nil, nil
 	ix.Proto, ix.Flags = nil, nil
 	ix.flows, ix.flowOff, ix.flowPkts, ix.flowOf = nil, nil, nil, nil
-	ix.bySrc, ix.byDst, ix.byDstPort = nil, nil, nil
-	ix.bucketLo = nil
+	ix.byDst, ix.byDstPort = nil, nil
 	arenaPool.Put(a)
 }
 
 // EqualIndexes reports whether two indexes are structurally identical:
-// same columns, canonical flow table, packet runs, posting lists and time
-// buckets. Nil and empty slices compare equal. It backs the differential
-// tests that pin the builder to the map-based reference in index_test.go,
-// the decode-streaming vs decode-materialized checks in internal/pcap, and
-// the per-segment and per-window seal-vs-rebuild checks.
+// same columns, canonical flow table, packet runs and postings. Nil and empty
+// slices compare equal. It backs the differential tests that pin the builder
+// to the map-based reference in index_test.go, the decode-streaming vs
+// decode-materialized checks in internal/pcap, and the per-segment and
+// per-window seal-vs-rebuild checks.
 func EqualIndexes(a, b *Index) bool {
 	if a.Len() != b.Len() || len(a.flows) != len(b.flows) {
 		return false
@@ -508,32 +449,5 @@ func EqualIndexes(a, b *Index) bool {
 			return false
 		}
 	}
-	if len(a.bucketLo) != len(b.bucketLo) {
-		return false
-	}
-	for i := range a.bucketLo {
-		if a.bucketLo[i] != b.bucketLo[i] {
-			return false
-		}
-	}
-	return equalPostings(a.bySrc, b.bySrc) && equalPostings(a.byDst, b.byDst) && equalPostings(a.byDstPort, b.byDstPort)
-}
-
-// equalPostings compares two posting maps key by key.
-func equalPostings[K comparable](a, b map[K][]int32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, av := range a {
-		bv, ok := b[k]
-		if !ok || len(av) != len(bv) {
-			return false
-		}
-		for i := range av {
-			if av[i] != bv[i] {
-				return false
-			}
-		}
-	}
-	return true
+	return slices.Equal(a.byDst, b.byDst) && slices.Equal(a.byDstPort, b.byDstPort)
 }

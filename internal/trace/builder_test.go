@@ -20,7 +20,7 @@ func buildFused(t *testing.T, tr *Trace) *Index {
 
 // TestBuilderMatchesReference pins the single-pass builder to the map-based
 // reference: identical structures (EqualIndexes over columns, flows, runs,
-// postings, buckets) and an identical content digest, which must also equal
+// postings) and an identical content digest, which must also equal
 // the source trace's digest.
 func TestBuilderMatchesReference(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 37, 4000} {

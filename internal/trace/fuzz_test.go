@@ -50,26 +50,44 @@ func FuzzParseIPv4(f *testing.F) {
 	})
 }
 
-// fuzzPackets decodes arbitrary bytes into packets, 20 bytes per record.
-// Timestamps are 32-bit microseconds: wide enough for collisions, disorder
-// and thousands of time buckets, narrow enough that the bucket table stays
-// small.
+// fuzzRecord is the byte length of one fuzzPackets record.
+const fuzzRecord = 22
+
+// fuzzPackets decodes arbitrary bytes into packets, 22 bytes per record.
+// Timestamps are 48-bit microseconds — collisions, disorder, and spans of
+// years between neighbours, which an index must take in its stride.
 func fuzzPackets(data []byte) []Packet {
-	const rec = 20
-	ps := make([]Packet, 0, len(data)/rec)
-	for ; len(data) >= rec; data = data[rec:] {
+	ps := make([]Packet, 0, len(data)/fuzzRecord)
+	for ; len(data) >= fuzzRecord; data = data[fuzzRecord:] {
 		ps = append(ps, Packet{
-			TS:      int64(binary.LittleEndian.Uint32(data[0:])),
-			Src:     IPv4(binary.LittleEndian.Uint32(data[4:])),
-			Dst:     IPv4(binary.LittleEndian.Uint32(data[8:])),
-			SrcPort: binary.LittleEndian.Uint16(data[12:]),
-			DstPort: binary.LittleEndian.Uint16(data[14:]),
-			Len:     binary.LittleEndian.Uint16(data[16:]),
-			Proto:   Proto(data[18]),
-			Flags:   TCPFlags(data[19]),
+			TS:      int64(binary.LittleEndian.Uint64(data[0:]) & (1<<48 - 1)),
+			Src:     IPv4(binary.LittleEndian.Uint32(data[6:])),
+			Dst:     IPv4(binary.LittleEndian.Uint32(data[10:])),
+			SrcPort: binary.LittleEndian.Uint16(data[14:]),
+			DstPort: binary.LittleEndian.Uint16(data[16:]),
+			Len:     binary.LittleEndian.Uint16(data[18:]),
+			Proto:   Proto(data[20]),
+			Flags:   TCPFlags(data[21]),
 		})
 	}
 	return ps
+}
+
+// fuzzBytes is fuzzPackets' inverse, for seeding.
+func fuzzBytes(ps []Packet) []byte {
+	var buf []byte
+	for _, p := range ps {
+		var r [fuzzRecord]byte
+		binary.LittleEndian.PutUint64(r[0:], uint64(p.TS)) // top two bytes overwritten below
+		binary.LittleEndian.PutUint32(r[6:], uint32(p.Src))
+		binary.LittleEndian.PutUint32(r[10:], uint32(p.Dst))
+		binary.LittleEndian.PutUint16(r[14:], p.SrcPort)
+		binary.LittleEndian.PutUint16(r[16:], p.DstPort)
+		binary.LittleEndian.PutUint16(r[18:], p.Len)
+		r[20], r[21] = byte(p.Proto), byte(p.Flags)
+		buf = append(buf, r[:]...)
+	}
+	return buf
 }
 
 // FuzzIndexBuilder is the differential that keeps the one production index
@@ -82,23 +100,11 @@ func fuzzPackets(data []byte) []Packet {
 // fuzz-chosen points.
 func FuzzIndexBuilder(f *testing.F) {
 	f.Add([]byte{})
-	f.Add(make([]byte, 20))
-	f.Add(make([]byte, 60)) // three packets of one flow at t=0
-	seed := indexTestTrace(3, 40)
-	var buf []byte
-	for _, p := range seed.Packets {
-		var r [20]byte
-		binary.LittleEndian.PutUint32(r[0:], uint32(p.TS))
-		binary.LittleEndian.PutUint32(r[4:], uint32(p.Src))
-		binary.LittleEndian.PutUint32(r[8:], uint32(p.Dst))
-		binary.LittleEndian.PutUint16(r[12:], p.SrcPort)
-		binary.LittleEndian.PutUint16(r[14:], p.DstPort)
-		binary.LittleEndian.PutUint16(r[16:], p.Len)
-		r[18], r[19] = byte(p.Proto), byte(p.Flags)
-		buf = append(buf, r[:]...)
-	}
+	f.Add(make([]byte, fuzzRecord))
+	f.Add(make([]byte, 3*fuzzRecord)) // three packets of one flow at t=0
+	buf := fuzzBytes(indexTestTrace(3, 40).Packets)
 	f.Add(buf)
-	f.Add(append(buf[200:400:400], buf[:200]...)) // out of order
+	f.Add(append(buf[10*fuzzRecord:20*fuzzRecord:20*fuzzRecord], buf[:10*fuzzRecord]...)) // out of order
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr := &Trace{Packets: fuzzPackets(data)}
 		_, err := SealTrace(context.Background(), tr)

@@ -9,18 +9,15 @@ import (
 	"sort"
 )
 
-// bucketTS is the fixed time-bucket width of the index, in microseconds.
-// One-second buckets keep the offset table small (one entry per trace
-// second) while narrowing every Window search to at most one bucket.
-const bucketTS = int64(1e6)
-
 // Index is the immutable columnar view of a sorted packet sequence — a whole
 // trace, one sealed segment or one window of segments: structure-of-arrays
-// packet columns, a canonical sorted flow table with packet-index runs,
-// per-field posting lists (source IP, destination IP and destination port →
-// flow ids) and fixed one-second time-bucket offsets. It is the only packet
-// representation the engine carries past ingest; consumers that need a row
-// call PacketAt.
+// packet columns, a canonical sorted flow table with packet-index runs, and
+// two postings that re-sort the flow ids by destination IP and by
+// destination port. Sort order is the only lookup structure: a flow, a
+// source's flows, a destination's or a port's flows and a time window are
+// each a binary search, so the index's size follows its packets and flows,
+// never the span of its timestamps. It is the only packet representation the
+// engine carries past ingest; consumers that need a row call PacketAt.
 //
 // The pipeline builds the index once per trace and shares it across every
 // consumer — the detector fan-out, the similarity estimator's traffic
@@ -29,7 +26,7 @@ const bucketTS = int64(1e6)
 //
 // Determinism contract: every Index is built by the sequential IndexBuilder
 // and its flow table is sorted canonically, so no structure (flow order,
-// runs, postings, buckets) depends on goroutine scheduling or worker count.
+// runs, postings) depends on goroutine scheduling or worker count.
 type Index struct {
 	// Packet columns, in packet (timestamp) order.
 	TS      []int64
@@ -51,15 +48,11 @@ type Index struct {
 	flowPkts []int32
 	flowOf   []int32
 
-	// Posting lists: header-field value → ascending flow ids.
-	bySrc     map[IPv4][]int32
-	byDst     map[IPv4][]int32
-	byDstPort map[uint16][]int32
-
-	// bucketLo[b] is the first packet index with TS >= b*bucketTS; the
-	// final entry is the packet count. Requires non-negative, sorted
-	// timestamps (the trace model).
-	bucketLo []int32
+	// Postings: the flow ids ordered by (Dst, id) and by (DstPort, id), so
+	// one value's flows are a contiguous, ascending range of each. Source
+	// needs none: the flow table itself is sorted by Src first.
+	byDst     []int32
+	byDstPort []int32
 
 	// arena, when non-nil, is the pooled backing storage of a
 	// pcap.DecodeIndex build; Release returns it for reuse. Detached builds
@@ -180,49 +173,72 @@ func (ix *Index) FlowPackets(fi int) []int32 {
 // FlowIDOf returns the flow-table id of packet pi.
 func (ix *Index) FlowIDOf(pi int) int32 { return ix.flowOf[pi] }
 
-// CandidateFlows returns the posting list most selective for the filter's
-// constrained header fields — ascending flow ids guaranteed to contain
-// every flow the filter can match — and true. When the filter constrains
-// none of the posted fields (source IP, destination IP, destination port)
-// it returns false and the caller must scan the flow table. Candidates
-// still require a Filter.MatchFlow check; the list only prunes.
-func (ix *Index) CandidateFlows(f Filter) ([]int32, bool) {
-	var best []int32
-	found := false
-	consider := func(l []int32) {
-		if !found || len(l) < len(best) {
-			best, found = l, true
-		}
+// Candidates is an ascending run of flow ids: a range of the flow table, or a
+// stretch of one posting. It is a plain value — CandidateFlows allocates
+// nothing — walked with Len and At.
+type Candidates struct {
+	lo, hi int     // flow-table range, when ids is nil
+	ids    []int32 // posting stretch otherwise
+}
+
+// Len returns the number of candidate flows.
+func (c Candidates) Len() int {
+	if c.ids != nil {
+		return len(c.ids)
 	}
+	return c.hi - c.lo
+}
+
+// At returns the i-th candidate flow id; ids ascend with i.
+func (c Candidates) At(i int) int {
+	if c.ids != nil {
+		return int(c.ids[i])
+	}
+	return c.lo + i
+}
+
+// CandidateFlows returns the shortest run of flow ids guaranteed to contain
+// every flow the filter can match: the flow table's range for the filter's
+// source IP, the posting stretch for its destination IP or destination port,
+// or the whole table when it constrains none of the three. Candidates still
+// require a Filter.MatchFlow check; the run only prunes.
+func (ix *Index) CandidateFlows(f Filter) Candidates {
+	best := Candidates{hi: len(ix.flows)}
 	if f.Src != nil {
-		consider(ix.bySrc[*f.Src])
+		lo, hi := equalRange(len(ix.flows), func(i int) IPv4 { return ix.flows[i].Src }, *f.Src)
+		best = Candidates{lo: lo, hi: hi}
 	}
 	if f.Dst != nil {
-		consider(ix.byDst[*f.Dst])
+		lo, hi := equalRange(len(ix.byDst), func(i int) IPv4 { return ix.flows[ix.byDst[i]].Dst }, *f.Dst)
+		if hi-lo < best.Len() {
+			best = Candidates{ids: ix.byDst[lo:hi:hi]}
+		}
 	}
 	if f.DstPort != nil {
-		consider(ix.byDstPort[*f.DstPort])
+		lo, hi := equalRange(len(ix.byDstPort), func(i int) uint16 { return ix.flows[ix.byDstPort[i]].DstPort }, *f.DstPort)
+		if hi-lo < best.Len() {
+			best = Candidates{ids: ix.byDstPort[lo:hi:hi]}
+		}
 	}
-	return best, found
+	return best
+}
+
+// equalRange returns the positions [lo,hi) of [0,n) whose key equals v; key
+// must be non-decreasing.
+func equalRange[K cmp.Ordered](n int, key func(int) K, v K) (lo, hi int) {
+	lo = sort.Search(n, func(i int) bool { return key(i) >= v })
+	hi = lo + sort.Search(n-lo, func(i int) bool { return key(lo+i) > v })
+	return lo, hi
 }
 
 // Window returns the index range [lo,hi) of packets with timestamps in
-// [from,to) seconds — identical to Trace.Window, but the time buckets
-// narrow each boundary search to one bucket.
+// [from,to) seconds — identical to Trace.Window: one binary search per bound
+// over the sorted TS column.
 func (ix *Index) Window(from, to float64) (lo, hi int) {
 	return ix.searchTS(int64(from * 1e6)), ix.searchTS(int64(to * 1e6))
 }
 
 // searchTS returns the first packet index with TS >= ts.
 func (ix *Index) searchTS(ts int64) int {
-	n := len(ix.TS)
-	if n == 0 || ts <= 0 {
-		return 0
-	}
-	b := ts / bucketTS
-	if b >= int64(len(ix.bucketLo)-1) {
-		return n
-	}
-	lo, hi := int(ix.bucketLo[b]), int(ix.bucketLo[b+1])
-	return lo + sort.Search(hi-lo, func(i int) bool { return ix.TS[lo+i] >= ts })
+	return sort.Search(len(ix.TS), func(i int) bool { return ix.TS[i] >= ts })
 }

@@ -2,12 +2,14 @@ package trace
 
 import (
 	"math/rand"
+	"runtime"
+	"slices"
 	"sort"
 	"testing"
 )
 
 // indexTestTrace builds a seeded synthetic trace with enough flow reuse and
-// timestamp collisions to exercise runs, postings and buckets.
+// timestamp collisions to exercise runs, postings and window searches.
 func indexTestTrace(seed int64, n int) *Trace {
 	rng := rand.New(rand.NewSource(seed))
 	tr := &Trace{Name: "index-test"}
@@ -29,10 +31,11 @@ func indexTestTrace(seed int64, n int) *Trace {
 
 // BuildIndex is the map-based two-pass reference build the production
 // IndexBuilder replaced: copy the columns, group packet indices per flow in a
-// map, sort the flow keys canonically, then lay out runs, postings and time
-// buckets. It shares no code with the builder beyond flowCompare and bucketTS,
-// accepts any timestamp order (it never checks), and exists so the
-// differential tests and FuzzIndexBuilder have an independent oracle.
+// map, sort the flow keys canonically, lay out the runs, then state each
+// posting as what it is — the flow ids stably sorted by Dst, and by DstPort.
+// It shares no code with the builder beyond flowCompare, accepts any
+// timestamp order (it never checks), and exists so the differential tests
+// and FuzzIndexBuilder have an independent oracle.
 func BuildIndex(tr *Trace) *Index {
 	n := tr.Len()
 	ix := &Index{
@@ -70,9 +73,6 @@ func BuildIndex(tr *Trace) *Index {
 
 	ix.flowOff = make([]int32, len(ix.flows)+1)
 	ix.flowPkts = make([]int32, 0, n)
-	ix.bySrc = make(map[IPv4][]int32)
-	ix.byDst = make(map[IPv4][]int32)
-	ix.byDstPort = make(map[uint16][]int32)
 	for fi, k := range ix.flows {
 		run := runs[k]
 		ix.flowPkts = append(ix.flowPkts, run...)
@@ -80,23 +80,17 @@ func BuildIndex(tr *Trace) *Index {
 		for _, pi := range run {
 			ix.flowOf[pi] = int32(fi)
 		}
-		ix.bySrc[k.Src] = append(ix.bySrc[k.Src], int32(fi))
-		ix.byDst[k.Dst] = append(ix.byDst[k.Dst], int32(fi))
-		ix.byDstPort[k.DstPort] = append(ix.byDstPort[k.DstPort], int32(fi))
 	}
 
-	nb := 0
-	if n > 0 {
-		nb = int(ix.TS[n-1]/bucketTS) + 1
+	ix.byDst = make([]int32, len(ix.flows))
+	for fi := range ix.byDst {
+		ix.byDst[fi] = int32(fi)
 	}
-	ix.bucketLo = make([]int32, nb+1)
-	pi := 0
-	for b := 0; b <= nb; b++ {
-		for pi < n && ix.TS[pi] < int64(b)*bucketTS {
-			pi++
-		}
-		ix.bucketLo[b] = int32(pi)
-	}
+	ix.byDstPort = slices.Clone(ix.byDst)
+	sort.SliceStable(ix.byDst, func(i, j int) bool { return ix.flows[ix.byDst[i]].Dst < ix.flows[ix.byDst[j]].Dst })
+	sort.SliceStable(ix.byDstPort, func(i, j int) bool {
+		return ix.flows[ix.byDstPort[i]].DstPort < ix.flows[ix.byDstPort[j]].DstPort
+	})
 	return ix
 }
 
@@ -143,37 +137,79 @@ func TestIndexMatchesFlowIndex(t *testing.T) {
 	}
 }
 
-// TestIndexWindowMatchesTrace: the bucket-narrowed Window must agree with
-// Trace.Window on randomized (including negative and out-of-range) bounds.
+// TestIndexWindowMatchesTrace: Window must agree with Trace.Window and with a
+// linear scan of the timestamps — on randomized bounds, on bounds below zero,
+// exactly on packet timestamps and far past Duration(), over a dense trace
+// and over one whose second half sits 1e7 s after its first.
 func TestIndexWindowMatchesTrace(t *testing.T) {
-	tr := indexTestTrace(13, 1200)
-	ix := NewIndex(tr)
-	rng := rand.New(rand.NewSource(99))
-	for i := 0; i < 500; i++ {
-		from := rng.Float64()*40 - 5
-		to := from + rng.Float64()*10 - 2
-		wlo, whi := tr.Window(from, to)
-		ilo, ihi := ix.Window(from, to)
-		if wlo != ilo || whi != ihi {
-			t.Fatalf("Window(%v,%v) = [%d,%d), trace says [%d,%d)", from, to, ilo, ihi, wlo, whi)
-		}
+	dense := indexTestTrace(13, 1200)
+	gapped := indexTestTrace(14, 600)
+	for i := gapped.Len() / 2; i < gapped.Len(); i++ {
+		gapped.Packets[i].TS += 1e7 * 1e6
 	}
-	// Exact bucket boundaries.
-	for _, sec := range []float64{0, 1, 1.5, 29, 30, 31} {
-		wlo, whi := tr.Window(sec, sec+1)
-		ilo, ihi := ix.Window(sec, sec+1)
-		if wlo != ilo || whi != ihi {
-			t.Fatalf("Window(%v) = [%d,%d), want [%d,%d)", sec, ilo, ihi, wlo, whi)
+	for _, tc := range []struct {
+		name string
+		tr   *Trace
+	}{{"dense", dense}, {"gap", gapped}} {
+		name, tr := tc.name, tc.tr
+		ix := NewIndex(tr)
+		end := tr.Duration()
+		check := func(from, to float64) {
+			t.Helper()
+			wlo, whi := tr.Window(from, to)
+			slo, shi := 0, 0
+			for _, p := range tr.Packets {
+				if p.TS < int64(from*1e6) {
+					slo++
+				}
+				if p.TS < int64(to*1e6) {
+					shi++
+				}
+			}
+			if ilo, ihi := ix.Window(from, to); ilo != wlo || ihi != whi || ilo != slo || ihi != shi {
+				t.Fatalf("%s: Window(%v,%v) = [%d,%d), trace says [%d,%d), scan says [%d,%d)",
+					name, from, to, ilo, ihi, wlo, whi, slo, shi)
+			}
+		}
+		rng := rand.New(rand.NewSource(99))
+		for i := 0; i < 500; i++ {
+			from := rng.Float64()*(end+10) - 5
+			check(from, from+rng.Float64()*10-2)
+		}
+		// Whole-second boundaries, below zero and far past the last packet.
+		for _, sec := range []float64{-1e9, -3, -1e-6, 0, 1, 1.5, 29, 30, 31, end, end + 1, 1e7, 2e7, 1e12} {
+			check(sec, sec+1)
+			check(-5, sec)
+		}
+		// Bounds exactly on packet timestamps, and one microsecond either side.
+		for i := 0; i < 200; i++ {
+			at := ix.Seconds[rng.Intn(ix.Len())]
+			check(at, at+1e-6)
+			check(at-1e-6, at)
+			check(0, at)
+			check(at, end+1)
 		}
 	}
 }
 
-// TestIndexCandidateFlows: the posting lists must return a complete,
-// ascending candidate set for every constrained field, and decline filters
-// without a posted field.
+// TestIndexCandidateFlows: the candidates must be a complete, strictly
+// ascending run for every filter — a real prune (shorter than the table) when
+// the filter names a posted field, every flow when it names none, and none
+// when the named value is absent from the trace.
 func TestIndexCandidateFlows(t *testing.T) {
 	tr := indexTestTrace(17, 2000)
 	ix := NewIndex(tr)
+	flowIDs := func(f Filter) []int {
+		c := ix.CandidateFlows(f)
+		ids := make([]int, c.Len())
+		for i := range ids {
+			ids[i] = c.At(i)
+			if i > 0 && ids[i] <= ids[i-1] {
+				t.Fatalf("filter %v: candidates not strictly ascending at %d", f, i)
+			}
+		}
+		return ids
+	}
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < 200; i++ {
 		k := ix.Flow(rng.Intn(ix.Flows()))
@@ -188,32 +224,59 @@ func TestIndexCandidateFlows(t *testing.T) {
 		default:
 			f = NewFilter().WithSrc(k.Src).WithDst(k.Dst).WithDstPort(k.DstPort)
 		}
-		cands, ok := ix.CandidateFlows(f)
-		if !ok {
-			t.Fatalf("filter %v: posting lists declined", f)
-		}
-		if !sort.SliceIsSorted(cands, func(a, b int) bool { return cands[a] < cands[b] }) {
-			t.Fatalf("filter %v: candidates not ascending", f)
-		}
-		inCands := make(map[int32]struct{}, len(cands))
-		for _, fi := range cands {
-			inCands[fi] = struct{}{}
+		cands := flowIDs(f)
+		if len(cands) == 0 || len(cands) >= ix.Flows() {
+			t.Fatalf("filter %v: %d candidates of %d flows, want a proper non-empty prune", f, len(cands), ix.Flows())
 		}
 		for fi := 0; fi < ix.Flows(); fi++ {
-			if _, ok := inCands[int32(fi)]; !ok && f.MatchFlow(ix.Flow(fi)) {
+			if _, ok := slices.BinarySearch(cands, fi); !ok && f.MatchFlow(ix.Flow(fi)) {
 				t.Fatalf("filter %v: matching flow %d missing from candidates", f, fi)
 			}
 		}
 	}
-	if _, ok := ix.CandidateFlows(NewFilter()); ok {
-		t.Fatal("match-all filter should decline the prefilter")
+	// No posted field: every flow, in table order.
+	for _, f := range []Filter{NewFilter(), NewFilter().WithSrcPort(1030).WithProto(TCP)} {
+		cands := flowIDs(f)
+		if len(cands) != ix.Flows() || cands[0] != 0 {
+			t.Fatalf("filter %v: %d candidates, want all %d flows", f, len(cands), ix.Flows())
+		}
 	}
-	if _, ok := ix.CandidateFlows(NewFilter().WithSrcPort(1030).WithProto(TCP)); ok {
-		t.Fatal("srcPort/proto-only filter should decline the prefilter")
+	// Absent value in any posted field: no candidates, whatever else is set.
+	for _, f := range []Filter{
+		NewFilter().WithSrc(MakeIPv4(1, 2, 3, 4)),
+		NewFilter().WithDst(MakeIPv4(1, 2, 3, 4)),
+		NewFilter().WithDstPort(7),
+		NewFilter().WithSrc(ix.Flow(0).Src).WithDstPort(7),
+	} {
+		if n := ix.CandidateFlows(f).Len(); n != 0 {
+			t.Fatalf("filter %v: %d candidates for an absent value, want none", f, n)
+		}
 	}
-	// Absent value: prefilter accepts with zero candidates.
-	if cands, ok := ix.CandidateFlows(NewFilter().WithSrc(MakeIPv4(1, 2, 3, 4))); !ok || len(cands) != 0 {
-		t.Fatalf("unknown src: cands=%d ok=%v, want empty accept", len(cands), ok)
+}
+
+// TestIndexSpanIndependent: an index costs what its packets and flows cost,
+// not what the span of its timestamps does. Two packets 1e7 s apart took a
+// 40 MB one-entry-per-second table before the index went flat; 6e8 s apart
+// (a 2-packet upload stamped in 1970 and 1989) took 2.3 GB.
+func TestIndexSpanIndependent(t *testing.T) {
+	for _, span := range []int64{1e7, 6e8} {
+		tr := &Trace{Packets: []Packet{
+			{TS: 0, Src: 1, Dst: 2, Len: 40, Proto: TCP},
+			{TS: span * 1e6, Src: 2, Dst: 1, Len: 40, Proto: TCP},
+		}}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		ix := NewIndex(tr)
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; got > 64<<10 {
+			t.Errorf("span %d s: index allocated %d bytes, want under 64 KB", span, got)
+		}
+		if lo, hi := ix.Window(1, float64(span)); lo != 1 || hi != 1 {
+			t.Errorf("span %d s: Window between the packets = [%d,%d), want [1,1)", span, lo, hi)
+		}
+		if lo, hi := ix.Window(0, float64(span)+1); lo != 0 || hi != 2 {
+			t.Errorf("span %d s: Window over both = [%d,%d), want [0,2)", span, lo, hi)
+		}
 	}
 }
 

@@ -181,7 +181,7 @@ func TestSealTraceCanonical(t *testing.T) {
 
 // TestSealTraceRejectsUnsorted: the one deliberate behaviour change of
 // routing SealTrace through the builder — a trace outside the sorted model is
-// an error, where the map-based build silently produced wrong time buckets.
+// an error, where the map-based build silently produced a wrong index.
 func TestSealTraceRejectsUnsorted(t *testing.T) {
 	for name, ps := range map[string][]Packet{
 		"out of order": {{TS: 2_000_000}, {TS: 1_000_000}},

@@ -84,10 +84,10 @@ type (
 	// Granularity selects packet/uniflow/biflow traffic comparison.
 	Granularity = trace.Granularity
 	// Index is the immutable columnar view of a sorted packet sequence —
-	// SoA packet columns, canonical flow table, posting lists and time
-	// buckets; rows on demand via PacketAt. The fused ingest path
-	// (DecodePcap) builds one straight from a pcap stream with no
-	// intermediate Trace.
+	// SoA packet columns, the canonical sorted flow table and two sorted
+	// postings of its ids, every lookup a binary search; rows on demand via
+	// PacketAt. The fused ingest path (DecodePcap) builds one straight from
+	// a pcap stream with no intermediate Trace.
 	Index = trace.Index
 	// Segment is one sealed, immutable span of a packet stream, held as its
 	// columnar index only — the unit of the streaming pipeline.

@@ -4,9 +4,12 @@
 GO ?= go
 # Benchmarks the CI smoke job tracks across commits (and the bench gate
 # compares against BENCH_baseline.json), by layer of one labeling:
-#   Ingest, TraceIndex  the fused pcap→Index decode (its allocs/op is the
-#                       steady-state serving cost) against ReadTrace+NewIndex,
-#                       and trace.NewIndex alone
+#   Ingest, TraceIndex, the fused pcap→Index decode (its allocs/op is the
+#   EncodeIndex         steady-state serving cost) of a full-payload upload and
+#                       of the same day as the store keeps it, against
+#                       ReadTrace+NewIndex; trace.NewIndex alone; and the job's
+#                       re-encode of an index to that payload-stripped pcap
+#                       (one allocation, none per packet)
 #   DetectAll,          the detector layer as the pipeline runs it (four
 #   Detectors,          prepares, twelve decisions; workers={1,4}) — DetectAll
 #   HoughSparse,        also matches DetectAllSegment/seq={0,39}, the same layer
@@ -33,7 +36,7 @@ GO ?= go
 # the parallel speedup ratios too; the rest are one row each (TraceIndex, WindowIndex,
 # EigenSym and Louvain because the stages are sequential, DetectAllSegment/
 # Estimate/SCANN/Apriori at workers=1).
-BENCH_PATTERN ?= PipelineDay|PipelineStream|DetectAll|Detectors|Louvain|SimilarityGraph|GenerateDay|TraceIndex|Extract|Ingest|HoughSparse|Estimate|SCANN|Apriori|EigenSym|WindowIndex
+BENCH_PATTERN ?= PipelineDay|PipelineStream|DetectAll|Detectors|Louvain|SimilarityGraph|GenerateDay|TraceIndex|Extract|Ingest|HoughSparse|Estimate|SCANN|Apriori|EigenSym|WindowIndex|EncodeIndex
 # Total-coverage floor for `make cover`, in percent. Set from the measured
 # coverage at the last raise (85.1% when the golden-fixture and fuzz tests
 # landed), rounded down; raise it as coverage grows, never lower it to make
@@ -168,8 +171,9 @@ fuzz:
 
 # Black-box daemon smoke: build the real mawilabd binary, boot it on a
 # random port, upload the golden fixture day over HTTP, assert the served
-# CSV sha256 matches testdata/pipeline_golden.json, scrape /metrics, and
-# SIGTERM it expecting a graceful drain and exit 0. The in-process HTTP
+# CSV sha256 matches testdata/pipeline_golden.json and that the stored
+# trace.pcap is smaller than the upload, scrape /metrics, and SIGTERM it
+# expecting a graceful drain and exit 0. The in-process HTTP
 # tests live in ./internal/serve; this exercises the shipped binary.
 serve-smoke:
 	$(GO) test ./cmd/mawilabd -run '^TestServeSmoke$$' -v -count=1

@@ -907,37 +907,46 @@ func BenchmarkCondorcet(b *testing.B) {
 // --- Raw-speed benches: fused ingest and sparse Hough ---------------------
 
 // BenchmarkIngest compares the two pcap→Index ingest paths on identical
-// bytes: the fused single-pass DecodeIndex (pooled arena, released each
-// iteration — the steady-state serving path) against the materializing
-// ReadTrace+NewIndex the batch CLI pays. allocs/op on the fused sub-bench is
-// the serving path's steady-state allocation cost.
+// bytes — a full-payload day, what an upload is: the fused single-pass
+// DecodeIndex (pooled arena, released each iteration — the steady-state
+// serving path) against the materializing ReadTrace+NewIndex the batch CLI
+// pays. allocs/op on the fused sub-bench is the serving path's steady-state
+// allocation cost. stored is the same fused decode of the same day as the
+// daemon stores it (EncodeIndex: headers only) — what a flows query pays on
+// an index-cache miss; its MB/s is over the smaller file, so compare ns/op.
 func BenchmarkIngest(b *testing.B) {
 	b.ReportAllocs()
+	day := benchTrace(b)
 	var buf bytes.Buffer
-	if err := pcap.WriteTrace(&buf, benchTrace(b)); err != nil {
+	if err := pcap.WriteTrace(&buf, day); err != nil {
 		b.Fatal(err)
 	}
 	data := buf.Bytes()
-	b.Run("fused", func(b *testing.B) {
-		b.ReportAllocs()
-		b.SetBytes(int64(len(data)))
-		// One untimed decode warms the arena pool so the measurement is the
-		// steady-state serving cost at any -benchtime, including the 1x
-		// smoke run (allocs/op is gated; a cold pool would dominate it).
-		if ix, err := pcap.DecodeIndex(bytes.NewReader(data)); err != nil {
-			b.Fatal(err)
-		} else {
-			ix.Release()
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			ix, err := pcap.DecodeIndex(bytes.NewReader(data))
-			if err != nil {
+	fused := func(data []byte) func(*testing.B) {
+		return func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(data)))
+			// One untimed decode warms the arena pool so the measurement is
+			// the steady-state serving cost at any -benchtime, including the
+			// 1x smoke run (allocs/op is gated; a cold pool would dominate
+			// it).
+			if ix, err := pcap.DecodeIndex(bytes.NewReader(data)); err != nil {
 				b.Fatal(err)
+			} else {
+				ix.Release()
 			}
-			ix.Release()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ix, err := pcap.DecodeIndex(bytes.NewReader(data))
+				if err != nil {
+					b.Fatal(err)
+				}
+				ix.Release()
+			}
 		}
-	})
+	}
+	b.Run("fused", fused(data))
+	b.Run("stored", fused(pcap.EncodeIndex(trace.NewIndex(day))))
 	b.Run("reference", func(b *testing.B) {
 		b.ReportAllocs()
 		b.SetBytes(int64(len(data)))
@@ -951,6 +960,22 @@ func BenchmarkIngest(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkEncodeIndex times the job's re-encode: the bench day's index to
+// the payload-stripped pcap the store keeps, straight from the columns. MB/s
+// is over the bytes written; allocs/op is the result buffer and nothing per
+// packet.
+func BenchmarkEncodeIndex(b *testing.B) {
+	b.ReportAllocs()
+	ix := benchIndex(b)
+	b.SetBytes(int64(pcap.EncodedLen(ix)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if enc := pcap.EncodeIndex(ix); len(enc) == 0 {
+			b.Fatal("empty encoding")
+		}
+	}
 }
 
 // BenchmarkHoughSparse times the sparse Hough detector per tuning over the

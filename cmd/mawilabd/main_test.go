@@ -23,8 +23,9 @@ import (
 // TestServeSmoke is the black-box daemon check behind `make serve-smoke`: it
 // builds the real binary, boots it on a random port, uploads the golden
 // fixture day over HTTP, asserts the served CSV digest matches
-// testdata/pipeline_golden.json, scrapes /metrics, and SIGTERMs the process
-// expecting a clean drain and exit 0.
+// testdata/pipeline_golden.json and that the trace.pcap it stored is smaller
+// than the upload, scrapes /metrics, and SIGTERMs the process expecting a
+// clean drain and exit 0.
 func TestServeSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("exec-based smoke test skipped in -short mode")
@@ -152,6 +153,16 @@ func TestServeSmoke(t *testing.T) {
 	sum := sha256.Sum256(csv)
 	if got := hex.EncodeToString(sum[:]); got != golden.CSVSHA256 {
 		t.Fatalf("served CSV sha256 = %s, want golden %s", got, golden.CSVSHA256)
+	}
+
+	// The store keeps the upload's headers, not its payload: the persisted
+	// trace must be smaller than what was sent.
+	stored, err := os.Stat(filepath.Join(storeDir, up.Digest, "trace.pcap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stored.Size() >= int64(pcapBuf.Len()) {
+		t.Fatalf("stored trace.pcap is %d bytes, the upload was %d: payload not stripped", stored.Size(), pcapBuf.Len())
 	}
 
 	// /metrics exposes the daemon's counters.

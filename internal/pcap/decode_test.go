@@ -30,7 +30,12 @@ func pcapBytes(t testing.TB, packets []trace.Packet) []byte {
 // sanctioned divergence: a stream whose packets decode but arrive out of
 // timestamp order is accepted by ReadTrace (which never checks) and rejected
 // by DecodeIndex with trace.ErrUnsorted.
+//
+// Under both sits the one record reader, so the stream first goes through
+// checkReaderEquivalence (skipping Next ≡ copying Next); an accepted index
+// then goes through checkIndexRoundTrip (encode → decode).
 func checkDecodeEquivalence(t testing.TB, data []byte) {
+	checkReaderEquivalence(t, data)
 	ref, refErr := ReadTrace(bytes.NewReader(data))
 	ix, err := DecodeIndex(bytes.NewReader(data))
 	if refErr != nil {
@@ -63,6 +68,55 @@ func checkDecodeEquivalence(t testing.TB, data []byte) {
 	if !trace.EqualIndexes(buffered, want) {
 		t.Fatalf("buffered decode differs from the materialized index (%d packets)", ref.Len())
 	}
+	checkIndexRoundTrip(t, ix)
+}
+
+// checkIndexRoundTrip states what the stored form of an index guarantees.
+// EncodeIndex(ix) is the bytes of the per-packet Writer at the stripped
+// snaplen, EncodedLen(ix) of them, at most 24 + 70 per packet. Decoding them
+// gives back ix — EqualIndexes, same Digest — when ix is representable: it
+// starts in its first second (the reader rebases to that boundary; true of
+// every decoded index) and no packet is shorter than the headers the writer
+// synthesizes for it (the format stores no smaller length; true of
+// everything this package wrote). For any other ix the decoded index is
+// representable, so a second round trip is the identity.
+func checkIndexRoundTrip(t testing.TB, ix *trace.Index) {
+	t.Helper()
+	enc := EncodeIndex(ix)
+	var want bytes.Buffer
+	if err := refWriteIndex(&want, ix); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(enc, want.Bytes()) {
+		t.Fatalf("EncodeIndex differs from the per-packet Writer at snaplen %d (%d packets)", strippedSnaplen, ix.Len())
+	}
+	if n := EncodedLen(ix); n != len(enc) || n > globalHeaderLen+(recordHeaderLen+strippedSnaplen)*ix.Len() {
+		t.Fatalf("EncodedLen = %d, encoded %d bytes, %d packets", n, len(enc), ix.Len())
+	}
+	back, err := DecodeIndex(bytes.NewReader(enc))
+	if err != nil {
+		t.Fatalf("decoding EncodeIndex's own output: %v", err)
+	}
+	defer back.Release()
+	representable := ix.Len() == 0 || ix.TS[0] < 1e6
+	for i, proto := range ix.Proto {
+		_, minLen := headerDims(proto, 0)
+		representable = representable && int(ix.PktLen[i]) >= minLen
+	}
+	if representable {
+		if !trace.EqualIndexes(back, ix) || back.Digest() != ix.Digest() {
+			t.Fatalf("encode → decode changed a representable index (%d packets)", ix.Len())
+		}
+		return
+	}
+	again, err := DecodeIndex(bytes.NewReader(EncodeIndex(back)))
+	if err != nil {
+		t.Fatalf("second round trip: %v", err)
+	}
+	defer again.Release()
+	if !trace.EqualIndexes(again, back) || again.Digest() != back.Digest() {
+		t.Fatalf("encode → decode is not idempotent (%d packets)", ix.Len())
+	}
 }
 
 // TestDecodeIndexMatchesReference is the deterministic differential: random
@@ -94,22 +148,73 @@ func TestDecodeIndexRejectsUnsorted(t *testing.T) {
 	}
 }
 
-// TestWriteIndexMatchesWriteTrace: encoding an index must produce the exact
-// bytes of encoding the trace it was built from.
-func TestWriteIndexMatchesWriteTrace(t *testing.T) {
-	rng := rand.New(rand.NewSource(77))
-	tr := &trace.Trace{}
-	for i := 0; i < 500; i++ {
-		tr.Append(randomPacket(rng, i))
+// fixtureIndexes are the inputs the encoder tests share: three generated
+// days — every protocol, header-only and full-size packets — packets shorter
+// than their own headers, at the 16-bit length limit and of protocols the
+// writer synthesizes no transport header for, and the empty index.
+func fixtureIndexes(t testing.TB) []*trace.Index {
+	t.Helper()
+	archive := mawigen.NewArchive(7)
+	ixs := []*trace.Index{
+		trace.NewIndex(&trace.Trace{}),
+		trace.NewIndex(&trace.Trace{Packets: []trace.Packet{
+			{TS: 1, Proto: trace.TCP, Len: 0},
+			{TS: 2, Proto: trace.UDP, Len: 27, SrcPort: 53, DstPort: 1024},
+			{TS: 3, Proto: trace.ICMP, Len: 0xffff, SrcPort: 3, DstPort: 1},
+			{TS: 4, Proto: trace.Proto(47), Len: 19},
+			{TS: 5, Proto: trace.Proto(50), Len: 1400, SrcPort: 7, DstPort: 9, Flags: 0x3f},
+			{TS: 2_000_006, Proto: trace.TCP, Len: 39, Flags: 0x02},
+		}}),
 	}
-	tr.Sort()
-	want := pcapBytes(t, tr.Packets)
-	var got bytes.Buffer
-	if err := WriteIndex(&got, trace.NewIndex(tr)); err != nil {
+	for _, date := range []string{"2003-02-01", "2004-05-10", "2008-11-03"} {
+		day, err := time.Parse("2006-01-02", date)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ixs = append(ixs, trace.NewIndex(archive.Day(day).Trace))
+	}
+	return ixs
+}
+
+// TestWriteIndexMatchesStrippedWriter: an index encodes, from its columns,
+// to the exact bytes of the per-packet Writer at the stripped snaplen over
+// its rows — and decodes back (checkIndexRoundTrip). WriteIndex is one Write
+// of those bytes.
+func TestWriteIndexMatchesStrippedWriter(t *testing.T) {
+	for i, ix := range fixtureIndexes(t) {
+		checkIndexRoundTrip(t, ix)
+		var got bytes.Buffer
+		if err := WriteIndex(&got, ix); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), EncodeIndex(ix)) {
+			t.Errorf("index %d: WriteIndex wrote other bytes than EncodeIndex returns", i)
+		}
+	}
+}
+
+// TestWriteIndexStripsPayload: what the format change is for. A generated
+// day's index encodes to a fraction of the day's full-frame pcap, and the two
+// files decode to the same index.
+func TestWriteIndexStripsPayload(t *testing.T) {
+	day := mawigen.NewArchive(7).Day(time.Date(2004, 5, 10, 0, 0, 0, 0, time.UTC)).Trace
+	full := pcapBytes(t, day.Packets)
+	ix, err := DecodeIndex(bytes.NewReader(full))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got.Bytes(), want) {
-		t.Fatal("WriteIndex bytes differ from WriteTrace bytes")
+	defer ix.Release()
+	stripped := EncodeIndex(ix)
+	if len(stripped)*4 > len(full) {
+		t.Errorf("stripped encoding is %d bytes of a %d-byte capture; want under a quarter", len(stripped), len(full))
+	}
+	back, err := DecodeIndex(bytes.NewReader(stripped))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer back.Release()
+	if !trace.EqualIndexes(back, ix) || back.Digest() != day.Digest() {
+		t.Error("the stripped file does not decode to the upload's index and digest")
 	}
 }
 
@@ -135,40 +240,26 @@ func FuzzDecodeIndex(f *testing.F) {
 		{TS: 9_000_000, Proto: trace.ICMP, Len: ipv4HeaderLen + icmpHeaderLen},
 		{TS: 1_000_000, Proto: trace.ICMP, Len: ipv4HeaderLen + icmpHeaderLen},
 	}))
+	// What the daemon stores: header-only records.
+	f.Add(EncodeIndex(trace.NewIndex(sorted)))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkDecodeEquivalence(t, data)
 	})
 }
 
 // TestEncodedLenMatchesWriteIndex: EncodedLen is the byte count WriteIndex
-// produces, on three generated days — every protocol, header-only and
-// full-size packets — on packets shorter than their own headers and at the
-// 16-bit length limit, and on the empty index.
+// produces, and at most the global header plus 70 bytes per packet.
 func TestEncodedLenMatchesWriteIndex(t *testing.T) {
-	archive := mawigen.NewArchive(7)
-	ixs := []*trace.Index{
-		trace.NewIndex(&trace.Trace{}),
-		trace.NewIndex(&trace.Trace{Packets: []trace.Packet{
-			{TS: 1, Proto: trace.TCP, Len: 0},
-			{TS: 2, Proto: trace.UDP, Len: 27},
-			{TS: 3, Proto: trace.ICMP, Len: 0xffff},
-			{TS: 4, Proto: trace.Proto(47), Len: 19},
-		}}),
-	}
-	for _, date := range []string{"2003-02-01", "2004-05-10", "2008-11-03"} {
-		day, err := time.Parse("2006-01-02", date)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ixs = append(ixs, trace.NewIndex(archive.Day(day).Trace))
-	}
-	for i, ix := range ixs {
+	for i, ix := range fixtureIndexes(t) {
 		var buf bytes.Buffer
 		if err := WriteIndex(&buf, ix); err != nil {
 			t.Fatal(err)
 		}
 		if got := EncodedLen(ix); got != buf.Len() {
 			t.Errorf("index %d (%d packets): EncodedLen = %d, WriteIndex wrote %d bytes", i, ix.Len(), got, buf.Len())
+		}
+		if bound := 24 + 70*ix.Len(); buf.Len() > bound {
+			t.Errorf("index %d (%d packets): %d bytes encoded, bound %d", i, ix.Len(), buf.Len(), bound)
 		}
 	}
 }

@@ -47,7 +47,8 @@ func normalizePacket(src, dst uint32, sport, dport uint16, protoSel, flags byte,
 
 // FuzzRoundTrip writes a fuzz-shaped packet to a pcap stream and reads it
 // back: the write→read cycle must preserve every field of every
-// representable packet and must never panic or error on its own output.
+// representable packet and must never panic or error on its own output;
+// the same packets as an index must survive EncodeIndex → DecodeIndex.
 // A base packet at TS 0 precedes the fuzzed one so the reader's
 // first-packet timestamp rebase is exercised without erasing the fuzzed
 // timestamp.
@@ -76,6 +77,10 @@ func FuzzRoundTrip(f *testing.F) {
 		if q != p {
 			t.Fatalf("round trip mutated the packet:\n in: %+v\nout: %+v", p, q)
 		}
+
+		// The index leg: the same two packets as an index, through the
+		// payload-stripped encoding and back.
+		checkIndexRoundTrip(t, trace.NewIndex(in))
 
 		// The reader must also survive a truncated copy of the stream
 		// without panicking (errors are fine; corruption is pcap reality).

@@ -6,6 +6,11 @@
 // (non-ng) file format with Ethernet link type, and Ethernet/IPv4 framing of
 // TCP, UDP and ICMP. This matches the MAWI archive contents the paper
 // consumes (anonymized IPv4 headers, payloads stripped).
+//
+// Payload is never parsed, so it is neither kept nor copied: an index encodes
+// to a header-only file (EncodeIndex), and the Reader copies a record's
+// header prefix and skips the rest. WriteTrace alone writes whole frames —
+// what a generated capture looks like on the wire.
 package pcap
 
 import (
@@ -45,9 +50,23 @@ var ErrNotPcap = errors.New("pcap: bad magic number")
 // Writer serializes packets into a classic pcap stream. Create one with
 // NewWriter, which emits the global header immediately.
 type Writer struct {
-	w       io.Writer
+	w io.Writer
+	// buf holds one record — header, then frame — and is reused across
+	// packets, so WritePacket allocates only when a frame outgrows it.
 	buf     []byte
 	snaplen uint32
+}
+
+// putGlobalHeader fills the zeroed hdr[:globalHeaderLen] with the classic
+// pcap file header: microsecond timestamps, little-endian, Ethernet.
+func putGlobalHeader(hdr []byte, snaplen uint32) {
+	le := binary.LittleEndian
+	le.PutUint32(hdr[0:], magicMicros)
+	le.PutUint16(hdr[4:], versionMajor)
+	le.PutUint16(hdr[6:], versionMinor)
+	// thiszone, sigfigs = 0
+	le.PutUint32(hdr[16:], snaplen)
+	le.PutUint32(hdr[20:], linkTypeEther)
 }
 
 // NewWriter writes the pcap global header and returns a Writer. snaplen 0
@@ -56,18 +75,12 @@ func NewWriter(w io.Writer, snaplen uint32) (*Writer, error) {
 	if snaplen == 0 {
 		snaplen = defaultSnaplen
 	}
-	hdr := make([]byte, globalHeaderLen)
-	le := binary.LittleEndian
-	le.PutUint32(hdr[0:], magicMicros)
-	le.PutUint16(hdr[4:], versionMajor)
-	le.PutUint16(hdr[6:], versionMinor)
-	// thiszone, sigfigs = 0
-	le.PutUint32(hdr[16:], snaplen)
-	le.PutUint32(hdr[20:], linkTypeEther)
-	if _, err := w.Write(hdr); err != nil {
+	buf := make([]byte, globalHeaderLen, 128)
+	putGlobalHeader(buf, snaplen)
+	if _, err := w.Write(buf); err != nil {
 		return nil, fmt.Errorf("pcap: writing global header: %w", err)
 	}
-	return &Writer{w: w, buf: make([]byte, 0, 128), snaplen: snaplen}, nil
+	return &Writer{w: w, buf: buf, snaplen: snaplen}, nil
 }
 
 // WritePacket synthesizes an Ethernet/IPv4 frame for p and appends it as one
@@ -75,33 +88,23 @@ func NewWriter(w io.Writer, snaplen uint32) (*Writer, error) {
 // packet's IP length (truncated at snaplen), mirroring payload-stripped
 // MAWI data.
 func (w *Writer) WritePacket(p *trace.Packet) error {
-	frame := w.frame(p)
-	hdr := make([]byte, recordHeaderLen)
-	le := binary.LittleEndian
-	sec := uint32(p.TS / 1e6)
-	usec := uint32(p.TS % 1e6)
-	le.PutUint32(hdr[0:], sec)
-	le.PutUint32(hdr[4:], usec)
-	caplen := uint32(len(frame))
-	origlen := uint32(etherHeaderLen) + uint32(p.Len)
-	if origlen < caplen {
-		origlen = caplen
+	n := recordHeaderLen + frameLen(p.Proto, p.Len, w.snaplen)
+	if cap(w.buf) < n {
+		w.buf = make([]byte, n)
 	}
-	le.PutUint32(hdr[8:], caplen)
-	le.PutUint32(hdr[12:], origlen)
-	if _, err := w.w.Write(hdr); err != nil {
-		return fmt.Errorf("pcap: writing record header: %w", err)
-	}
-	if _, err := w.w.Write(frame); err != nil {
-		return fmt.Errorf("pcap: writing frame: %w", err)
+	rec := w.buf[:n]
+	clear(rec)
+	putRecord(rec, p.TS, p.Src, p.Dst, p.SrcPort, p.DstPort, p.Len, p.Proto, p.Flags)
+	if _, err := w.w.Write(rec); err != nil {
+		return fmt.Errorf("pcap: writing record: %w", err)
 	}
 	return nil
 }
 
-// frameDims returns the transport header length of a packet of the given
-// protocol and IP length, the IP length its synthesized frame declares (at
-// least the headers), and the frame's captured length under snaplen.
-func frameDims(proto trace.Proto, pktLen uint16, snaplen uint32) (transportLen, ipLen, frameLen int) {
+// headerDims returns the transport header length the writer synthesizes for
+// a packet of the given protocol, and the IP length its frame declares: the
+// packet's, but at least the headers.
+func headerDims(proto trace.Proto, pktLen uint16) (transportLen, ipLen int) {
 	switch proto {
 	case trace.TCP:
 		transportLen = tcpHeaderLen
@@ -110,53 +113,61 @@ func frameDims(proto trace.Proto, pktLen uint16, snaplen uint32) (transportLen, 
 	case trace.ICMP:
 		transportLen = icmpHeaderLen
 	}
-	ipLen = max(ipv4HeaderLen+transportLen, int(pktLen))
-	frameLen = min(etherHeaderLen+ipLen, int(snaplen))
-	return transportLen, ipLen, frameLen
+	return transportLen, max(ipv4HeaderLen+transportLen, int(pktLen))
 }
 
-// frame builds the Ethernet+IPv4+transport header bytes for p in w.buf.
-func (w *Writer) frame(p *trace.Packet) []byte {
-	transportLen, ipLen, frameLen := frameDims(p.Proto, p.Len, w.snaplen)
-	if cap(w.buf) < frameLen {
-		w.buf = make([]byte, frameLen)
-	}
-	b := w.buf[:frameLen]
-	for i := range b {
-		b[i] = 0
-	}
+// frameLen returns the captured length of that frame under snaplen.
+func frameLen(proto trace.Proto, pktLen uint16, snaplen uint32) int {
+	_, ipLen := headerDims(proto, pktLen)
+	return min(etherHeaderLen+ipLen, int(snaplen))
+}
+
+// putRecord fills rec — zeroed, recordHeaderLen plus frameLen bytes — with
+// one packet's pcap record: the record header, then the Ethernet, IPv4 and
+// transport headers. Only non-zero bytes are stored: MACs stay zero
+// (anonymized), and so does everything past the headers. It takes the fields
+// rather than a trace.Packet so that the index encoder feeds it straight from
+// the columns.
+func putRecord(rec []byte, ts int64, src, dst trace.IPv4, srcPort, dstPort, pktLen uint16, proto trace.Proto, flags trace.TCPFlags) {
+	transportLen, ipLen := headerDims(proto, pktLen)
+	le := binary.LittleEndian
+	caplen := uint32(len(rec) - recordHeaderLen)
+	le.PutUint32(rec[0:], uint32(ts/1e6))
+	le.PutUint32(rec[4:], uint32(ts%1e6))
+	le.PutUint32(rec[8:], caplen)
+	le.PutUint32(rec[12:], max(etherHeaderLen+uint32(pktLen), caplen))
+
 	be := binary.BigEndian
-	// Ethernet: zero MACs (anonymized), type IPv4.
+	b := rec[recordHeaderLen:]
 	be.PutUint16(b[12:], etherTypeIPv4)
 	ip := b[etherHeaderLen:]
 	ip[0] = 0x45 // version 4, IHL 5
-	be.PutUint16(ip[2:], uint16(min(ipLen, 0xffff)))
+	be.PutUint16(ip[2:], uint16(ipLen))
 	ip[8] = 64 // TTL
-	ip[9] = byte(p.Proto)
-	be.PutUint32(ip[12:], uint32(p.Src))
-	be.PutUint32(ip[16:], uint32(p.Dst))
+	ip[9] = byte(proto)
+	be.PutUint32(ip[12:], uint32(src))
+	be.PutUint32(ip[16:], uint32(dst))
 	if len(ip) < ipv4HeaderLen+transportLen {
-		return b // snaplen truncated the transport header away
+		return // snaplen truncated the transport header away
 	}
 	tp := ip[ipv4HeaderLen:]
-	switch p.Proto {
+	switch proto {
 	case trace.TCP:
-		be.PutUint16(tp[0:], p.SrcPort)
-		be.PutUint16(tp[2:], p.DstPort)
+		be.PutUint16(tp[0:], srcPort)
+		be.PutUint16(tp[2:], dstPort)
 		tp[12] = 5 << 4 // data offset
-		tp[13] = byte(p.Flags)
+		tp[13] = byte(flags)
 	case trace.UDP:
-		be.PutUint16(tp[0:], p.SrcPort)
-		be.PutUint16(tp[2:], p.DstPort)
-		be.PutUint16(tp[4:], uint16(min(ipLen-ipv4HeaderLen, 0xffff)))
+		be.PutUint16(tp[0:], srcPort)
+		be.PutUint16(tp[2:], dstPort)
+		be.PutUint16(tp[4:], uint16(ipLen-ipv4HeaderLen))
 	case trace.ICMP:
-		tp[0] = p.ICMPType()
-		tp[1] = p.ICMPCode()
+		tp[0] = uint8(srcPort) // type
+		tp[1] = uint8(dstPort) // code
 	}
-	return b
 }
 
-// WriteTrace writes every packet of tr to w as a pcap file.
+// WriteTrace writes every packet of tr to w as a pcap file, full frames.
 func WriteTrace(w io.Writer, tr *trace.Trace) error {
 	pw, err := NewWriter(w, 0)
 	if err != nil {
@@ -170,50 +181,81 @@ func WriteTrace(w io.Writer, tr *trace.Trace) error {
 	return nil
 }
 
-// WriteIndex writes every packet of ix to w as a pcap file, byte-identical
-// to WriteTrace over the trace the index was decoded from — the re-encode
-// half of the fused serving path, which never materializes a []Packet.
-func WriteIndex(w io.Writer, ix *trace.Index) error {
-	pw, err := NewWriter(w, 0)
-	if err != nil {
-		return err
-	}
-	for i, n := 0, ix.Len(); i < n; i++ {
-		p := ix.PacketAt(i)
-		if err := pw.WritePacket(&p); err != nil {
-			return fmt.Errorf("pcap: packet %d: %w", i, err)
-		}
-	}
-	return nil
-}
+// strippedSnaplen is the snaplen an index is encoded at: Ethernet, an
+// option-less IPv4 header and the longest transport header the writer
+// synthesizes — every byte decodeFrame reads of such a frame, and none of the
+// payload.
+const strippedSnaplen = etherHeaderLen + ipv4HeaderLen + tcpHeaderLen
 
-// EncodedLen returns the exact number of bytes WriteIndex writes for ix: the
-// global header plus, per packet, a record header and the captured frame. A
-// caller encoding into memory sizes its buffer with it once instead of
-// growing it by doubling.
+// EncodedLen returns the exact length of EncodeIndex(ix): the global header
+// plus, per packet, a record header and the frame captured at
+// strippedSnaplen — at most 24 + 70 bytes per packet.
 func EncodedLen(ix *trace.Index) int {
 	n := globalHeaderLen + recordHeaderLen*ix.Len()
 	for i, proto := range ix.Proto {
-		_, _, frameLen := frameDims(proto, ix.PktLen[i], defaultSnaplen)
-		n += frameLen
+		n += frameLen(proto, ix.PktLen[i], strippedSnaplen)
 	}
 	return n
 }
 
+// EncodeIndex returns ix as a payload-stripped classic pcap file: what a
+// Writer at snaplen strippedSnaplen produces from its packets, each record's
+// caplen capped at the headers and its origlen still the wire length —
+// MAWI's own published form. It is not the bytes WriteTrace writes, but it
+// decodes (DecodeIndex, ReadTrace) to an index equal to ix, with the same
+// Digest, exactly when WriteTrace's would: when ix starts within its first
+// second (the reader rebases to that boundary) and no packet is shorter than
+// the headers synthesized for it (the format stores no smaller length) —
+// true of every index decoded from a pcap this package wrote. The records go
+// straight from the columns into one buffer of EncodedLen(ix) bytes.
+func EncodeIndex(ix *trace.Index) []byte {
+	buf := make([]byte, EncodedLen(ix))
+	putGlobalHeader(buf, strippedSnaplen)
+	off := globalHeaderLen
+	for i, proto := range ix.Proto {
+		end := off + recordHeaderLen + frameLen(proto, ix.PktLen[i], strippedSnaplen)
+		putRecord(buf[off:end], ix.TS[i], ix.Src[i], ix.Dst[i], ix.SrcPort[i], ix.DstPort[i], ix.PktLen[i], proto, ix.Flags[i])
+		off = end
+	}
+	return buf
+}
+
+// WriteIndex writes EncodeIndex(ix) to w in one Write: the payload-stripped
+// file, which decodes to the same index and digest — not WriteTrace's bytes.
+func WriteIndex(w io.Writer, ix *trace.Index) error {
+	if _, err := w.Write(EncodeIndex(ix)); err != nil {
+		return fmt.Errorf("pcap: writing index: %w", err)
+	}
+	return nil
+}
+
+// maxHeaderLen is the most of a frame decodeFrame looks at: Ethernet, the
+// longest IPv4 header (IHL 15) and a TCP header.
+const maxHeaderLen = etherHeaderLen + 15*4 + tcpHeaderLen
+
 // Reader decodes a classic pcap stream back into trace packets.
 type Reader struct {
-	r         io.Reader
-	order     binary.ByteOrder
-	nanos     bool
-	baseTS    int64 // second boundary of the first packet, absolute micros
-	haveBase  bool
-	hdrBuf    [recordHeaderLen]byte
-	recordBuf []byte
+	r        io.Reader // a *bufio.Reader or a *bytes.Reader: what skip can skip on
+	order    binary.ByteOrder
+	nanos    bool
+	baseTS   int64 // second boundary of the first packet, absolute micros
+	haveBase bool
+	hdrBuf   [recordHeaderLen]byte
+	frameBuf [maxHeaderLen]byte
 }
 
 // NewReader validates the global header and returns a Reader. Both byte
-// orders and both microsecond/nanosecond magics are accepted.
+// orders and both microsecond/nanosecond magics are accepted. Unless r is
+// already memory (*bytes.Reader) or buffered (*bufio.Reader) the Reader
+// buffers it — Next issues two small reads and a skip per packet, each a
+// system call on a file or a request body — and so may consume r beyond the
+// records it has returned.
 func NewReader(r io.Reader) (*Reader, error) {
+	switch r.(type) {
+	case *bufio.Reader, *bytes.Reader:
+	default:
+		r = bufio.NewReaderSize(r, 64<<10)
+	}
 	hdr := make([]byte, globalHeaderLen)
 	if _, err := io.ReadFull(r, hdr); err != nil {
 		return nil, fmt.Errorf("pcap: reading global header: %w", err)
@@ -240,7 +282,27 @@ func NewReader(r io.Reader) (*Reader, error) {
 	if lt := order.Uint32(hdr[20:]); lt != linkTypeEther {
 		return nil, fmt.Errorf("pcap: unsupported link type %d (want Ethernet)", lt)
 	}
-	return &Reader{r: r, order: order, nanos: nanos, recordBuf: make([]byte, 0, 2048)}, nil
+	return &Reader{r: r, order: order, nanos: nanos}, nil
+}
+
+// skip moves past the next n bytes of the stream without copying them. A
+// stream that ends first is io.ErrUnexpectedEOF: skip only runs after part
+// of the record has been read.
+func (r *Reader) skip(n int) error {
+	switch s := r.r.(type) {
+	case *bufio.Reader:
+		_, err := s.Discard(n)
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		return err
+	case *bytes.Reader:
+		if s.Len() < n {
+			return io.ErrUnexpectedEOF
+		}
+		s.Seek(int64(n), io.SeekCurrent) // in bounds: cannot fail
+	}
+	return nil
 }
 
 // Next returns the next packet, or io.EOF at the end of the stream.
@@ -274,13 +336,13 @@ func (r *Reader) Next() (trace.Packet, error) {
 	if caplen < 0 || caplen > 1<<20 {
 		return p, fmt.Errorf("pcap: implausible caplen %d", caplen)
 	}
-	if cap(r.recordBuf) < caplen {
-		// Grow geometrically so a stream of slowly-increasing frame sizes
-		// reallocates O(log n) times, not per record.
-		r.recordBuf = make([]byte, max(caplen, 2*cap(r.recordBuf), 2048))
-	}
-	frame := r.recordBuf[:caplen]
+	// Only the headers are parsed, so only they are copied; the payload of a
+	// full-frame capture — nine bytes in ten — is skipped where it lies.
+	frame := r.frameBuf[:min(caplen, maxHeaderLen)]
 	if _, err := io.ReadFull(r.r, frame); err != nil {
+		return p, fmt.Errorf("pcap: truncated record: %w", err)
+	}
+	if err := r.skip(caplen - len(frame)); err != nil {
 		return p, fmt.Errorf("pcap: truncated record: %w", err)
 	}
 	p.TS = abs - r.baseTS
@@ -374,13 +436,6 @@ func ReadTrace(r io.Reader) (*trace.Trace, error) {
 // ReadTrace accepts them as an unsorted Trace, which trace.SealTrace and
 // Pipeline.Run then reject with the same error.
 func DecodeIndex(r io.Reader) (*trace.Index, error) {
-	// Reader.Next issues two small reads per packet; on anything that is not
-	// already memory (a request body, a file) each would be a system call.
-	switch r.(type) {
-	case *bufio.Reader, *bytes.Reader:
-	default:
-		r = bufio.NewReaderSize(r, 64<<10)
-	}
 	pr, err := NewReader(r)
 	if err != nil {
 		return nil, err

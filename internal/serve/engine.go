@@ -18,6 +18,23 @@ var (
 	ErrDraining = errors.New("serve: draining, not accepting jobs")
 )
 
+// Admission is what Enqueue did with an upload.
+type Admission int
+
+const (
+	// Rejected accompanies an error: no job, the payload stays with the
+	// caller.
+	Rejected Admission = iota
+	// Adopted: a new job was queued and owns the payload.
+	Adopted
+	// Duplicate: a queued or running job already covers the digest; Enqueue
+	// returned it and left the payload with the caller.
+	Duplicate
+	// Cached: the digest is already labeled and stored; there is no job and
+	// the payload stays with the caller.
+	Cached
+)
+
 // JobState is the lifecycle phase of a labeling job.
 type JobState string
 
@@ -74,6 +91,15 @@ type Engine struct {
 	// (done/failed) after the transition. Assigned once before the first
 	// Enqueue; must not call back into the engine.
 	Finished func(state JobState)
+	// Stored, when non-nil, reports whether a finished labeling of the digest
+	// is already persisted, in which case Enqueue starts no job. It is called
+	// under the engine's lock, in the same critical section as the
+	// active-job lookup: run persists a labeling before it returns and the
+	// job stays active until after run returned, so an upload whose twin has
+	// ever been admitted finds the job or the entry — never neither, which
+	// is what a check made before Enqueue could see. Assigned once before
+	// the first Enqueue; must not block or call back into the engine.
+	Stored func(digest string) bool
 }
 
 // NewEngine starts `workers` worker goroutines over a queue of `depth`
@@ -100,23 +126,28 @@ func NewEngine(workers, depth int, timeout time.Duration, run func(ctx context.C
 	return e
 }
 
-// Enqueue admits a new job for the decoded trace, or returns the active
-// (queued/running) job already covering the same digest — an upload racing
-// an identical upload never computes twice. adopted reports whether the
-// engine took ownership of payload: false on the duplicate-digest path, so
-// a caller holding pooled resources knows to release its copy. ErrQueueFull
-// and ErrDraining reject the admission (adopted false).
-func (e *Engine) Enqueue(digest, traceName string, packets int, payload any) (j *Job, adopted bool, err error) {
+// Enqueue admits a new job for the decoded trace (Adopted: the engine now
+// owns payload), or returns the active (queued/running) job already covering
+// the same digest (Duplicate), or finds the digest already labeled and
+// stored (Cached, nil job) — an upload racing an identical upload never
+// computes twice. On every outcome but Adopted a caller holding pooled
+// resources releases its copy. ErrDraining and ErrQueueFull reject what
+// would have been a new job; an upload that needs none is still answered
+// while draining.
+func (e *Engine) Enqueue(digest, traceName string, packets int, payload any) (*Job, Admission, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.draining {
-		return nil, false, ErrDraining
-	}
 	if j, ok := e.byDigest[digest]; ok {
-		return j.snapshot(), false, nil
+		return j.snapshot(), Duplicate, nil
+	}
+	if e.Stored != nil && e.Stored(digest) {
+		return nil, Cached, nil
+	}
+	if e.draining {
+		return nil, Rejected, ErrDraining
 	}
 	e.seq++
-	j = &Job{
+	j := &Job{
 		ID:         fmt.Sprintf("j-%d", e.seq),
 		Digest:     digest,
 		Trace:      traceName,
@@ -129,11 +160,11 @@ func (e *Engine) Enqueue(digest, traceName string, packets int, payload any) (j 
 	case e.queue <- j:
 	default:
 		e.seq--
-		return nil, false, ErrQueueFull
+		return nil, Rejected, ErrQueueFull
 	}
 	e.jobs[j.ID] = j
 	e.byDigest[digest] = j
-	return j.snapshot(), true, nil
+	return j.snapshot(), Adopted, nil
 }
 
 // Job returns a copy of the job's current state.
@@ -225,6 +256,7 @@ func (e *Engine) runOne(j *Job) {
 	e.mu.Lock()
 	j.FinishedAt = time.Now().UTC()
 	j.payload = nil
+	// Only now, with run's entry persisted: see Engine.Stored.
 	delete(e.byDigest, j.Digest)
 	if err != nil {
 		j.State = JobFailed

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"sync"
 	"testing"
 	"time"
 )
@@ -37,11 +38,11 @@ func TestEngineAdmissionControl(t *testing.T) {
 		return nil
 	})
 
-	j1, adopted, err := e.Enqueue("d1", "t1", 1, nil)
+	j1, outcome, err := e.Enqueue("d1", "t1", 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !adopted {
+	if outcome != Adopted {
 		t.Error("fresh enqueue should adopt the payload")
 	}
 	<-started // j1 is running, worker occupied
@@ -55,19 +56,19 @@ func TestEngineAdmissionControl(t *testing.T) {
 	}
 
 	// The queue (depth 1) is full: admission control rejects.
-	if _, _, err := e.Enqueue("d3", "t3", 1, nil); !errors.Is(err, ErrQueueFull) {
-		t.Fatalf("overflow = %v, want ErrQueueFull", err)
+	if _, outcome, err := e.Enqueue("d3", "t3", 1, nil); !errors.Is(err, ErrQueueFull) || outcome != Rejected {
+		t.Fatalf("overflow = %v (outcome %d), want ErrQueueFull, Rejected", err, outcome)
 	}
 
 	// Re-enqueueing an active digest dedups onto the existing job.
-	dup, adoptedDup, err := e.Enqueue("d2", "t2", 1, nil)
+	dup, outcome, err := e.Enqueue("d2", "t2", 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if dup.ID != j2.ID {
 		t.Errorf("dedup returned %s, want %s", dup.ID, j2.ID)
 	}
-	if adoptedDup {
+	if outcome != Duplicate {
 		t.Error("duplicate digest must not adopt the payload")
 	}
 
@@ -123,6 +124,10 @@ func TestEngineDrain(t *testing.T) {
 	if _, _, err := e.Enqueue("d3", "t", 1, nil); !errors.Is(err, ErrDraining) {
 		t.Fatalf("enqueue while draining = %v, want ErrDraining", err)
 	}
+	// Draining refuses new jobs, not uploads that need none.
+	if dup, outcome, err := e.Enqueue("d2", "t", 1, nil); err != nil || outcome != Duplicate || dup.ID != j2.ID {
+		t.Fatalf("duplicate of a queued job while draining = %v, outcome %d, want job %s", err, outcome, j2.ID)
+	}
 
 	close(release)
 	if err := <-drained; err != nil {
@@ -161,4 +166,80 @@ func TestEngineDrainDeadline(t *testing.T) {
 	if err := e.Drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestEngineStoredIsCheckedWithTheActiveJob pins the critical section that
+// closes the has-then-enqueue race: a job is active from Enqueue until after
+// run returned, run persists before it returns, and Enqueue looks for the
+// active job and asks Stored under one lock. So at every point of a job's
+// life an identical upload finds the job or the entry — here probed queued,
+// running, persisted-but-not-finished (run parked after its "Put"), and
+// finished — and exactly one job is ever created.
+func TestEngineStoredIsCheckedWithTheActiveJob(t *testing.T) {
+	var (
+		mu        sync.Mutex
+		persisted = map[string]bool{}
+	)
+	running := make(chan struct{})
+	persist := make(chan struct{})
+	put := make(chan struct{})
+	finish := make(chan struct{})
+	e := NewEngine(1, 2, 0, func(_ context.Context, j *Job, _ any) error {
+		close(running)
+		<-persist
+		mu.Lock()
+		persisted[j.Digest] = true
+		mu.Unlock()
+		close(put)
+		<-finish
+		return nil
+	})
+	e.Stored = func(digest string) bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return persisted[digest]
+	}
+
+	first, outcome, err := e.Enqueue("d", "t", 1, nil)
+	if err != nil || outcome != Adopted {
+		t.Fatalf("first enqueue: outcome %d, err %v", outcome, err)
+	}
+	again := func(phase string, want Admission) {
+		t.Helper()
+		j, outcome, err := e.Enqueue("d", "t", 1, nil)
+		if err != nil || outcome != want {
+			t.Fatalf("%s: outcome %d, err %v, want outcome %d", phase, outcome, err, want)
+		}
+		if want == Duplicate && j.ID != first.ID {
+			t.Fatalf("%s: joined job %s, want %s", phase, j.ID, first.ID)
+		}
+		if want == Cached && j != nil {
+			t.Fatalf("%s: a cached outcome carries no job, got %s", phase, j.ID)
+		}
+	}
+	again("queued or running", Duplicate)
+	<-running
+	again("running", Duplicate)
+	close(persist)
+	<-put
+	// The window the old check fell into from the other side: the entry is
+	// stored and the job has not finished. Both are visible; the job wins.
+	if _, active := e.Active("d"); !active || !e.Stored("d") {
+		t.Fatal("a persisted, unfinished job must be both active and stored")
+	}
+	again("persisted, not finished", Duplicate)
+	close(finish)
+	waitState(t, e, first.ID, JobDone)
+	again("finished", Cached)
+	if _, active := e.Active("d"); active {
+		t.Error("finished job still active")
+	}
+	if _, ok := e.Job("j-2"); ok {
+		t.Error("a second job was created")
+	}
+	if err := e.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	// Draining: still cached, no ErrDraining for an upload that needs no job.
+	again("draining", Cached)
 }

@@ -172,6 +172,7 @@ func New(cfg Config) (*Server, error) {
 	s.engine = NewEngine(cfg.JobWorkers, cfg.QueueDepth, cfg.JobTimeout, s.runJob)
 	s.engine.JobSeconds = s.jobSeconds
 	s.engine.Finished = func(state JobState) { s.jobsFinished.With(string(state)).Inc() }
+	s.engine.Stored = store.Has
 	s.reg.GaugeFunc("mawilabd_queue_depth", "labeling jobs admitted and waiting to run", func() int64 { return int64(s.engine.Depth()) })
 	s.reg.GaugeFunc("mawilabd_jobs_inflight", "labeling jobs currently running", func() int64 { return s.engine.Inflight() })
 	s.reg.GaugeFunc("mawilabd_store_entries", "completed labelings in the store", func() int64 { return int64(s.store.Len()) })
@@ -281,15 +282,10 @@ func (s *Server) runJob(ctx context.Context, j *Job, payload any) error {
 			Score:     rep.Decision.Score,
 		})
 	}
-	// Persist the (re-encoded) trace alongside the labels: the digest
-	// survives a pcap round trip, so flow-level queries can rebuild the
+	// Persist the trace alongside the labels, stripped to its headers: the
+	// digest survives that round trip, so flow-level queries can rebuild the
 	// index from the stored bytes without the original upload.
-	var enc bytes.Buffer
-	enc.Grow(pcap.EncodedLen(ix))
-	if err := mawilab.EncodePcap(&enc, ix); err != nil {
-		return err
-	}
-	return s.store.Put(meta, csv.Bytes(), admd.Bytes(), enc.Bytes())
+	return s.store.Put(meta, csv.Bytes(), admd.Bytes(), pcap.EncodeIndex(ix))
 }
 
 // uploadResponse is the POST /v1/traces wire representation.
@@ -311,12 +307,13 @@ const maxTraceSpan = 24 * time.Hour
 var errTraceSpan = errors.New("serve: trace span exceeds the admission limit")
 
 // admit runs the shared admission path for uploads and spool files: fused
-// decode straight into a pooled columnar index, span check, digest,
-// cache-check, enqueue. The response captures the outcome; err is an
-// admission rejection (ErrQueueFull/ErrDraining), an over-long trace
-// (errTraceSpan) or a decode failure. Whenever the engine does not adopt the
-// index — cache hit, rejection, duplicate digest — its pooled buffers are
-// released here, so every admission outcome recycles exactly once.
+// decode straight into a pooled columnar index, span check, digest, enqueue —
+// which is also the cache check, made together with the active-job lookup.
+// The response captures the outcome; err is an admission rejection
+// (ErrQueueFull/ErrDraining), an over-long trace (errTraceSpan) or a decode
+// failure. Whenever the engine does not adopt the index — cache hit,
+// rejection, duplicate digest — its pooled buffers are released here, so
+// every admission outcome recycles exactly once.
 func (s *Server) admit(r io.Reader, name string) (*uploadResponse, error) {
 	start := time.Now()
 	ix, err := mawilab.DecodePcap(r)
@@ -331,18 +328,16 @@ func (s *Server) admit(r io.Reader, name string) (*uploadResponse, error) {
 	s.uploads.Inc()
 	digest := ix.Digest()
 
-	if s.store.Has(digest) {
+	j, outcome, err := s.engine.Enqueue(digest, name, ix.Len(), ix)
+	if outcome != Adopted {
 		ix.Release()
-		s.cacheHits.Inc()
-		return &uploadResponse{Digest: digest, Cached: true, Labels: "/v1/labels/" + digest + ".csv"}, nil
 	}
-	j, adopted, err := s.engine.Enqueue(digest, name, ix.Len(), ix)
 	if err != nil {
-		ix.Release()
 		return nil, err
 	}
-	if !adopted {
-		ix.Release()
+	if outcome == Cached {
+		s.cacheHits.Inc()
+		return &uploadResponse{Digest: digest, Cached: true, Labels: "/v1/labels/" + digest + ".csv"}, nil
 	}
 	s.cacheMisses.Inc()
 	return &uploadResponse{Digest: digest, JobID: j.ID, JobURL: "/v1/jobs/" + j.ID}, nil

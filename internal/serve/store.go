@@ -180,9 +180,12 @@ func (s *Store) Len() int {
 // Put persists one labeling atomically: every file is written into a
 // tmp-prefixed sibling directory which is then renamed into place, so a
 // reader (or a crash) can never observe a partial entry. pcap, when
-// non-empty, is the encoded trace persisted alongside the labels so
+// non-empty, is the trace persisted alongside the labels as trace.pcap so
 // flow-level queries can rebuild the trace index without the original
-// upload. Re-putting an existing digest is an idempotent no-op.
+// upload: the daemon passes pcap.EncodeIndex's payload-stripped file, which
+// decodes to the same index and digest as the upload, and any pcap that does
+// — a full-frame one from an older store included — serves the same.
+// Re-putting an existing digest is an idempotent no-op.
 func (s *Store) Put(meta *EntryMeta, csv, admd, pcap []byte) error {
 	if meta.Digest == "" {
 		return fmt.Errorf("serve: store: empty digest")

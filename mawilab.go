@@ -193,8 +193,13 @@ func WritePcap(w io.Writer, tr *Trace) error { return pcap.WriteTrace(w, tr) }
 // "Raw speed" section for the ownership rules.
 func DecodePcap(r io.Reader) (*Index, error) { return pcap.DecodeIndex(r) }
 
-// EncodePcap serializes an Index as a classic pcap stream, byte-identical
-// to WritePcap over the trace the index was decoded from.
+// EncodePcap serializes an Index as a payload-stripped classic pcap stream:
+// every record captures at most the 54 header bytes a decoder reads (≤ 70
+// bytes per packet, 24 per file) and keeps the wire length as its original
+// length, the form MAWI publishes. It is not the bytes WritePcap writes — a
+// full-frame day is about eight times larger — but it decodes (DecodePcap,
+// ReadPcap) to the same index with the same Digest as the pcap ix was
+// decoded from. It is what the daemon stores per labeled trace.
 func EncodePcap(w io.Writer, ix *Index) error { return pcap.WriteIndex(w, ix) }
 
 // Segments chops an in-order packet stream into sealed trace segments of the

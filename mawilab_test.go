@@ -116,6 +116,62 @@ func TestPcapRoundTripThroughFacade(t *testing.T) {
 	}
 }
 
+// TestEncodePcapRoundTripCorpora: for every day mawibench's batch_day and
+// serve workloads upload (archive seed 1, their durations and rates), the
+// payload-stripped EncodePcap of the decoded index decodes to the upload's
+// digest and is at most the global header plus 70 bytes per packet.
+func TestEncodePcapRoundTripCorpora(t *testing.T) {
+	type corpus struct {
+		duration, rate float64
+		dates          []time.Time
+	}
+	for name, c := range map[string]corpus{
+		"batch_day": {60, 300, []time.Time{
+			Date(2001, 3, 6), Date(2002, 5, 14), Date(2003, 8, 20), Date(2004, 5, 10),
+			Date(2005, 7, 3), Date(2006, 11, 19), Date(2008, 2, 8), Date(2009, 9, 27),
+		}},
+		"serve": {30, 200, []time.Time{
+			Date(2001, 2, 5), Date(2001, 9, 17), Date(2002, 4, 8), Date(2002, 11, 25),
+			Date(2003, 3, 3), Date(2003, 10, 20), Date(2004, 1, 12), Date(2004, 6, 7),
+			Date(2005, 2, 14), Date(2005, 8, 1), Date(2006, 5, 22), Date(2006, 12, 4),
+			Date(2007, 4, 16), Date(2007, 10, 29), Date(2008, 6, 9), Date(2008, 12, 15),
+			Date(2009, 3, 9), // the warm-up day
+		}},
+	} {
+		arch := NewArchive(1)
+		arch.Duration, arch.BaseRate = c.duration, c.rate
+		for _, date := range c.dates {
+			day := arch.Day(date).Trace
+			var upload bytes.Buffer
+			if err := WritePcap(&upload, day); err != nil {
+				t.Fatal(err)
+			}
+			uploaded := upload.Len()
+			ix, err := DecodePcap(&upload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var stored bytes.Buffer
+			if err := EncodePcap(&stored, ix); err != nil {
+				t.Fatal(err)
+			}
+			digest, packets := ix.Digest(), ix.Len()
+			ix.Release()
+			if bound := 24 + 70*packets; stored.Len() > bound || stored.Len() >= uploaded {
+				t.Errorf("%s %s: stored %d bytes of a %d-byte upload, bound %d", name, day.Name, stored.Len(), uploaded, bound)
+			}
+			back, err := DecodePcap(&stored)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := back.Digest(); got != digest || got != day.Digest() {
+				t.Errorf("%s %s: stored trace decodes to digest %s, upload %s", name, day.Name, got, digest)
+			}
+			back.Release()
+		}
+	}
+}
+
 func TestFacadeHelpers(t *testing.T) {
 	ip, err := ParseIPv4("10.1.2.3")
 	if err != nil || ip != MakeIPv4(10, 1, 2, 3) {

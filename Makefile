@@ -24,7 +24,11 @@ GO ?= go
 #   SimilarityGraph,    extraction into sorted id slices, the CSR inverted
 #   Louvain, Estimate   index and row fan-out of internal/simgraph, community
 #                       mining — and the whole of core.EstimateContext
-#   SCANN, Apriori      the combine and label layers
+#   SCANN, Apriori,     the combine and label layers: SCANN's classification,
+#   BuildReports        the rule miner over 2 000 flow transactions, and the
+#                       whole labeling tail of a day (mine, one matching pass,
+#                       Table 1; workers={1,4}) — its allocs/op follows the
+#                       communities and their rules, never packets or flows
 #   PipelineDay,        a batch day end to end, the segmented streaming path
 #   PipelineStream,     (per-segment seal + detect, sliding-window labeling), and
 #   WindowIndex         the index RunStream builds per stride from four sealed
@@ -32,11 +36,11 @@ GO ?= go
 #   GenerateDay         the generator (also matches the day-level GenerateDays
 #                       fan-out benches)
 # PipelineDay, PipelineStream, Extract, SimilarityGraph and GenerateDay carry
-# workers={1,4,N} sub-benches (DetectAll workers={1,4}), so each run records
-# the parallel speedup ratios too; the rest are one row each (TraceIndex, WindowIndex,
-# EigenSym and Louvain because the stages are sequential, DetectAllSegment/
-# Estimate/SCANN/Apriori at workers=1).
-BENCH_PATTERN ?= PipelineDay|PipelineStream|DetectAll|Detectors|Louvain|SimilarityGraph|GenerateDay|TraceIndex|Extract|Ingest|HoughSparse|Estimate|SCANN|Apriori|EigenSym|WindowIndex|EncodeIndex
+# workers={1,4,N} sub-benches (DetectAll and BuildReports workers={1,4}), so
+# each run records the parallel speedup ratios too; the rest are one row each
+# (TraceIndex, WindowIndex, EigenSym and Louvain because the stages are
+# sequential, DetectAllSegment/Estimate/SCANN/Apriori at workers=1).
+BENCH_PATTERN ?= PipelineDay|PipelineStream|DetectAll|Detectors|Louvain|SimilarityGraph|GenerateDay|TraceIndex|Extract|Ingest|HoughSparse|Estimate|SCANN|Apriori|EigenSym|WindowIndex|EncodeIndex|BuildReports
 # Total-coverage floor for `make cover`, in percent. Set from the measured
 # coverage at the last raise (85.1% when the golden-fixture and fuzz tests
 # landed), rounded down; raise it as coverage grows, never lower it to make
@@ -156,11 +160,13 @@ lint:
 # timestamps: an index must not care how many years its packets span), the
 # pcap write→read round trip, the decode-streaming vs decode-materialized
 # ingest differential, the similarity-graph build against its quadratic
-# reference at workers 1 and 3, and the sorted-adjacency graphx.Graph against
+# reference at workers 1 and 3, the sorted-adjacency graphx.Graph against
 # the map-based refGraph in internal/graphx's tests — every weight, degree
 # and modularity by its float bits, components and the Louvain assignment
-# exactly, whatever order the edges arrive in. A crash writes its reproducer
-# into the package's testdata/fuzz corpus — commit it with the fix.
+# exactly, whatever order the edges arrive in — and the value-transaction
+# rule miner against the []Item one in internal/apriori's tests: same rules,
+# same order, same counts, supports by their float bits. A crash writes its
+# reproducer into the package's testdata/fuzz corpus — commit it with the fix.
 fuzz:
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzParseIPv4$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzIndexBuilder$$' -fuzztime $(FUZZTIME)
@@ -168,6 +174,7 @@ fuzz:
 	$(GO) test ./internal/pcap -run '^$$' -fuzz '^FuzzDecodeIndex$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/simgraph -run '^$$' -fuzz '^FuzzBuild$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/graphx -run '^$$' -fuzz '^FuzzGraph$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/apriori -run '^$$' -fuzz '^FuzzMine$$' -fuzztime $(FUZZTIME)
 
 # Black-box daemon smoke: build the real mawilabd binary, boot it on a
 # random port, upload the golden fixture day over HTTP, assert the served

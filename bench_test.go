@@ -316,14 +316,14 @@ func benchWorkerCounts() []int {
 }
 
 // benchTrace builds one fixed trace for detector benches.
-func benchTrace(b *testing.B) *trace.Trace {
+func benchTrace(b testing.TB) *trace.Trace {
 	b.Helper()
 	return benchArchive().Day(time.Date(2004, 5, 10, 0, 0, 0, 0, time.UTC)).Trace
 }
 
 // benchIndex builds the shared columnar index of the bench trace, as the
 // pipeline does once per day.
-func benchIndex(b *testing.B) *trace.Index {
+func benchIndex(b testing.TB) *trace.Index {
 	b.Helper()
 	return trace.NewIndex(benchTrace(b))
 }
@@ -699,6 +699,29 @@ func BenchmarkApriori(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		rules := apriori.Mine(txs, 0.2)
 		_ = apriori.Maximal(rules)
+	}
+}
+
+// BenchmarkBuildReports times the labeling tail alone — per community: rule
+// mining, the one pass that yields rule support and rule-covered packets, and
+// the Table 1 heuristics — over the bench day's estimate and decisions, built
+// outside the timer. Its allocs/op follows the communities and their rules,
+// never their packets or flows.
+func BenchmarkBuildReports(b *testing.B) {
+	b.ReportAllocs()
+	l, err := NewPipeline().Run(benchTrace(b))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, workers := range []int{1, 4} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := core.BuildReportsContext(context.Background(), l.Result, l.Decisions, core.DefaultReportOptions(), workers); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -7,6 +7,11 @@
 // destination IP, destination port — and the mined "rules" are the partial
 // 4-tuples (with wildcards) that describe the prominent trends of a
 // community's traffic, e.g. <IPA, 80, IPB, *>.
+//
+// A Transaction is a fixed four-slot value, one slot per Field: itemizing a
+// flow allocates nothing, "does this transaction contain these items" is one
+// indexed comparison per item, and the miner's only lookup structure is sort
+// order — a field's frequent values are the long runs of its sorted column.
 package apriori
 
 import (
@@ -63,22 +68,30 @@ func (it Item) String() string {
 	}
 }
 
-// Transaction is the itemized form of one traffic unit (packet or flow):
-// up to one item per field.
-type Transaction []Item
+// Transaction is the itemized form of one traffic unit (a flow, or a packet
+// through its flow): the value of every field, indexed by Field.
+type Transaction [numFields]uint64
 
-// FromFlow itemizes a flow key into the four 4-tuple items.
+// FromFlow itemizes a flow key into the four 4-tuple values.
 func FromFlow(k trace.FlowKey) Transaction {
 	return Transaction{
-		{FieldSrcIP, uint64(k.Src)},
-		{FieldSrcPort, uint64(k.SrcPort)},
-		{FieldDstIP, uint64(k.Dst)},
-		{FieldDstPort, uint64(k.DstPort)},
+		FieldSrcIP:   uint64(k.Src),
+		FieldSrcPort: uint64(k.SrcPort),
+		FieldDstIP:   uint64(k.Dst),
+		FieldDstPort: uint64(k.DstPort),
 	}
 }
 
-// FromPacket itemizes a packet.
-func FromPacket(p trace.Packet) Transaction { return FromFlow(p.Flow()) }
+// contains reports whether the transaction carries every item — the one
+// transaction-against-items test of the package.
+func contains(tx Transaction, items []Item) bool {
+	for _, it := range items {
+		if tx[it.Field] != it.Value {
+			return false
+		}
+	}
+	return true
+}
 
 // Rule is a frequent itemset: a partial 4-tuple with its support.
 type Rule struct {
@@ -92,21 +105,7 @@ type Rule struct {
 func (r Rule) Degree() int { return len(r.Items) }
 
 // Matches reports whether the transaction contains every item of the rule.
-func (r Rule) Matches(tx Transaction) bool {
-	for _, it := range r.Items {
-		found := false
-		for _, t := range tx {
-			if t == it {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return false
-		}
-	}
-	return true
-}
+func (r Rule) Matches(tx Transaction) bool { return contains(tx, r.Items) }
 
 // String renders the rule in the paper's notation <srcIP, srcPort, dstIP,
 // dstPort> with * wildcards.
@@ -122,14 +121,6 @@ func (r Rule) String() string {
 	}
 	return "<" + strings.Join(parts[:], ", ") + ">"
 }
-
-// itemKey is a compact comparable form of an Item for map indexing.
-type itemKey struct {
-	field Field
-	value uint64
-}
-
-func key(it Item) itemKey { return itemKey{it.Field, it.Value} }
 
 // Mine returns every itemset whose support is at least minSupport (a
 // fraction in (0,1], e.g. 0.2 for the paper's s=20%). Rules come back
@@ -147,24 +138,31 @@ func Mine(txs []Transaction, minSupport float64) []Rule {
 		minCount = 1
 	}
 
-	// L1: frequent single items.
-	counts := make(map[itemKey]int)
-	for _, tx := range txs {
-		for _, it := range tx {
-			counts[key(it)]++
-		}
-	}
-	var frequent []itemset
+	// L1: a field's frequent values are the runs of its sorted column at
+	// least minCount long, so the single items come out in itemset order.
 	var current []itemset
-	for k, c := range counts {
-		if c >= minCount {
-			current = append(current, itemset{items: []Item{{k.field, k.value}}, count: c}) //mawilint:allow maprange — sortSets canonicalizes current immediately below; the collect order never escapes
+	column := make([]uint64, len(txs))
+	for f := Field(0); f < numFields; f++ {
+		for i := range txs {
+			column[i] = txs[i][f]
+		}
+		slices.Sort(column)
+		for lo := 0; lo < len(column); {
+			hi := lo + 1
+			for hi < len(column) && column[hi] == column[lo] {
+				hi++
+			}
+			if hi-lo >= minCount {
+				current = append(current, itemset{items: []Item{{f, column[lo]}}, count: hi - lo})
+			}
+			lo = hi
 		}
 	}
-	sortSets(current)
-	frequent = append(frequent, current...)
+	frequent := slices.Clone(current)
 
-	// Iteratively join (k-1)-itemsets sharing a prefix, prune, count.
+	// Iteratively join (k-1)-itemsets sharing a prefix, prune, count. The
+	// join walks pairs of an ordered level in order, so every level is born
+	// in itemset order too.
 	for level := 2; level <= int(numFields) && len(current) > 0; level++ {
 		var candidates [][]Item
 		for i := 0; i < len(current); i++ {
@@ -193,7 +191,6 @@ func Mine(txs []Transaction, minSupport float64) []Rule {
 				next = append(next, itemset{items: cand, count: c})
 			}
 		}
-		sortSets(next)
 		frequent = append(frequent, next...)
 		current = next
 	}
@@ -219,10 +216,6 @@ func Mine(txs []Transaction, minSupport float64) []Rule {
 type itemset struct {
 	items []Item
 	count int
-}
-
-func sortSets(sets []itemset) {
-	slices.SortStableFunc(sets, func(a, b itemset) int { return compareItems(a.items, b.items) })
 }
 
 // compareItems orders itemsets item by item — field, then value — with a
@@ -259,21 +252,7 @@ func samePrefix(a, b []Item) bool {
 func countSupport(txs []Transaction, items []Item) int {
 	c := 0
 	for _, tx := range txs {
-		ok := true
-		for _, it := range items {
-			found := false
-			for _, t := range tx {
-				if t == it {
-					found = true
-					break
-				}
-			}
-			if !found {
-				ok = false
-				break
-			}
-		}
-		if ok {
+		if contains(tx, items) {
 			c++
 		}
 	}
@@ -318,24 +297,6 @@ func containsAll(super, sub []Item) bool {
 		}
 	}
 	return true
-}
-
-// Coverage returns the fraction of transactions matched by at least one of
-// the rules — the paper's "rule support of a community".
-func Coverage(txs []Transaction, rules []Rule) float64 {
-	if len(txs) == 0 {
-		return 0
-	}
-	covered := 0
-	for _, tx := range txs {
-		for _, r := range rules {
-			if r.Matches(tx) {
-				covered++
-				break
-			}
-		}
-	}
-	return float64(covered) / float64(len(txs))
 }
 
 // MeanDegree returns the average number of items per rule — the paper's

@@ -166,14 +166,26 @@ func TestCoverage(t *testing.T) {
 		flowTx(9, 9999, 9, 9999),
 	}
 	port80 := Rule{Items: []Item{{FieldDstPort, 80}}}
-	cov := Coverage(txs, []Rule{port80})
-	if cov < 0.66 || cov > 0.67 {
-		t.Errorf("coverage = %f, want 2/3", cov)
+	matched := 0
+	for _, tx := range txs {
+		if port80.Matches(tx) {
+			matched++
+		}
 	}
-	if Coverage(nil, []Rule{port80}) != 0 {
+	if matched != 2 {
+		t.Errorf("port-80 rule matches %d of 3 transactions, want 2", matched)
+	}
+	if (Rule{}).Matches(txs[2]) != true {
+		t.Error("the empty rule constrains nothing and must match")
+	}
+	cov := refCoverage(refItemizeAll(txs), []Rule{port80})
+	if cov != float64(matched)/float64(len(txs)) {
+		t.Errorf("reference coverage = %f, want 2/3", cov)
+	}
+	if refCoverage(nil, []Rule{port80}) != 0 {
 		t.Error("empty coverage should be 0")
 	}
-	if Coverage(txs, nil) != 0 {
+	if refCoverage(refItemizeAll(txs), nil) != 0 {
 		t.Error("no rules should cover nothing")
 	}
 }
@@ -216,14 +228,36 @@ func TestItemAndFieldString(t *testing.T) {
 	}
 }
 
-func TestFromPacketMatchesFlow(t *testing.T) {
-	p := trace.Packet{Src: trace.MakeIPv4(1, 1, 1, 1), Dst: trace.MakeIPv4(2, 2, 2, 2), SrcPort: 5, DstPort: 6, Proto: trace.UDP}
-	tx := FromPacket(p)
-	if len(tx) != 4 {
-		t.Fatalf("transaction has %d items", len(tx))
+func TestFromFlowFillsEverySlot(t *testing.T) {
+	k := trace.FlowKey{Src: trace.MakeIPv4(1, 1, 1, 1), Dst: trace.MakeIPv4(2, 2, 2, 2), SrcPort: 5, DstPort: 6, Proto: trace.UDP}
+	want := Transaction{FieldSrcIP: uint64(k.Src), FieldSrcPort: 5, FieldDstIP: uint64(k.Dst), FieldDstPort: 6}
+	if tx := FromFlow(k); tx != want {
+		t.Errorf("FromFlow = %v, want %v", tx, want)
 	}
-	if tx[0].Value != uint64(p.Src) || tx[3].Value != uint64(p.DstPort) {
-		t.Error("FromPacket fields wrong")
+}
+
+// TestMineAllocsIndependentOfTransactions pins that mining allocates per
+// frequent itemset, never per transaction: the same ten flows repeated 500
+// times mine the same rules from the same number of objects.
+func TestMineAllocsIndependentOfTransactions(t *testing.T) {
+	var few []Transaction
+	for i := 0; i < 10; i++ {
+		few = append(few, flowTx(byte(i%3), uint16(1024+i), 1, 80))
+	}
+	var many []Transaction
+	for i := 0; i < 500; i++ {
+		many = append(many, few...)
+	}
+	var rules []Rule
+	allocsFew := testing.AllocsPerRun(5, func() { rules = Mine(few, 0.2) })
+	nFew := len(rules)
+	allocsMany := testing.AllocsPerRun(5, func() { rules = Mine(many, 0.2) })
+	if len(rules) != nFew || nFew == 0 {
+		t.Fatalf("mined %d rules from 10 flows, %d from the same flows x500", nFew, len(rules))
+	}
+	if allocsMany != allocsFew {
+		t.Errorf("Mine allocated %v objects over %d transactions, %v over %d: allocation must not follow the transaction count",
+			allocsMany, len(many), allocsFew, len(few))
 	}
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"mawilab/internal/apriori"
 	"mawilab/internal/heuristics"
@@ -63,9 +64,6 @@ type ReportOptions struct {
 	// RuleSupport is Apriori's minimum support as a fraction; the paper
 	// fixes s = 20%.
 	RuleSupport float64
-	// MaxRules caps the rules kept per community (most specific first);
-	// 0 keeps all maximal rules.
-	MaxRules int
 }
 
 // DefaultReportOptions returns the paper's labeling parameters.
@@ -99,50 +97,82 @@ func (cr *CommunityReport) String() string {
 		cr.Community, cr.Label, cr.Class, cr.Category, rule)
 }
 
-// BuildReports labels every community of r given combiner decisions:
+// BuildReportsContext labels every community of r given combiner decisions:
 // association rules are mined from the community traffic (modified Apriori
 // with percentage support, §4.1.1), the rule metrics computed, and the
 // Table 1 heuristics applied for the evaluation figures. The traffic is
 // resolved through r's shared trace.Index — the same index the detectors
 // and the estimator consumed.
-func BuildReports(r *Result, decisions []Decision, opts ReportOptions) ([]CommunityReport, error) {
-	return BuildReportsContext(context.Background(), r, decisions, opts, 1)
-}
-
-// BuildReportsContext is BuildReports with cancellation and a bounded worker
-// pool: communities are labeled independently (rule mining dominates the
-// cost), so they fan out across up to `workers` goroutines (<= 1 runs
-// inline). Each report is written into its community's slot, so the output
-// is identical to the sequential path regardless of worker count.
+//
+// Communities are labeled independently (rule mining dominates the cost), so
+// they fan out across up to `workers` goroutines (<= 1 runs inline). Each
+// report is written into its community's slot, so the output is identical to
+// the sequential path regardless of worker count.
 func BuildReportsContext(ctx context.Context, r *Result, decisions []Decision, opts ReportOptions, workers int) ([]CommunityReport, error) {
 	if len(decisions) != len(r.Communities) {
 		return nil, fmt.Errorf("core: decisions (%d) != communities (%d)", len(decisions), len(r.Communities))
 	}
-	if opts.RuleSupport <= 0 || opts.RuleSupport > 1 {
+	if !(opts.RuleSupport > 0 && opts.RuleSupport <= 1) {
 		return nil, fmt.Errorf("core: rule support %f out of (0,1]", opts.RuleSupport)
 	}
 	ix := r.Index()
+	byPacket := r.cfg.Granularity == trace.GranPacket
 	reports := make([]CommunityReport, len(r.Communities))
 	err := parallel.ForEach(ctx, len(r.Communities), workers, func(_ context.Context, ci int) error {
 		c := &r.Communities[ci]
-		txs := communityTransactions(ix, r, c)
-		mined := apriori.Mine(txs, opts.RuleSupport)
-		rules := apriori.Maximal(mined)
-		if opts.MaxRules > 0 && len(rules) > opts.MaxRules {
-			rules = rules[:opts.MaxRules]
+		// One transaction per flow at flow granularities, one per packet —
+		// its flow's — at packet granularity: "the packets or flows
+		// corresponding to each community" (§4.1.1).
+		var txs []apriori.Transaction
+		if byPacket {
+			txs = make([]apriori.Transaction, len(c.Traffic.Packets))
+			for i, pi := range c.Traffic.Packets {
+				txs[i] = apriori.FromFlow(ix.Flow(int(ix.FlowIDOf(pi))))
+			}
+		} else {
+			txs = make([]apriori.Transaction, len(c.Traffic.Flows))
+			for i, k := range c.Traffic.Flows {
+				txs[i] = apriori.FromFlow(k)
+			}
 		}
-		// Heuristics inspect the traffic the community rules describe
-		// (§5 assigns labels "to the traffic described by the community
-		// rules"): a community mixing a 445-scan with incidental
-		// neighbour flows is still an SMB attack per its dominant rule.
-		cls, cat := heuristics.ClassifyPackets(ix, ruleCoveredPackets(ix, c.Traffic.Packets, rules))
+		rules := apriori.Maximal(apriori.Mine(txs, opts.RuleSupport))
+
+		// One pass over the transactions against the rules yields both the
+		// rule support and the traffic the heuristics inspect (§5 assigns
+		// labels "to the traffic described by the community rules": a
+		// community mixing a 445-scan with incidental neighbour flows is
+		// still an SMB attack per its dominant rule). A matched flow covers
+		// its whole packet run; Table 1 sums counts, so order is immaterial.
+		matched := 0
+		covered := make([]int, 0, len(c.Traffic.Packets))
+		for i, tx := range txs {
+			if !slices.ContainsFunc(rules, func(rule apriori.Rule) bool { return rule.Matches(tx) }) {
+				continue
+			}
+			matched++
+			if byPacket {
+				covered = append(covered, c.Traffic.Packets[i])
+				continue
+			}
+			fi, _ := ix.FlowID(c.Traffic.Flows[i]) // Union read the key from this index
+			for _, pi := range ix.FlowPackets(fi) {
+				covered = append(covered, int(pi))
+			}
+		}
+		ruleSupport := 0.0
+		if matched > 0 {
+			ruleSupport = float64(matched) / float64(len(txs))
+		} else {
+			covered = c.Traffic.Packets // no rule, no coverage: the whole community
+		}
+		cls, cat := heuristics.ClassifyPackets(ix, covered)
 		reports[ci] = CommunityReport{
 			Community:   ci,
 			Label:       AssignLabel(decisions[ci]),
 			Decision:    decisions[ci],
 			Rules:       rules,
 			RuleDegree:  apriori.MeanDegree(rules),
-			RuleSupport: apriori.Coverage(txs, rules),
+			RuleSupport: ruleSupport,
 			Class:       cls,
 			Category:    cat,
 			Packets:     len(c.Traffic.Packets),
@@ -154,45 +184,4 @@ func BuildReportsContext(ctx context.Context, r *Result, decisions []Decision, o
 		return nil, err
 	}
 	return reports, nil
-}
-
-// ruleCoveredPackets returns the subset of community packets matched by at
-// least one mined rule; with no rules (or no coverage) it falls back to the
-// whole community so the heuristics always see some traffic.
-func ruleCoveredPackets(ix *trace.Index, packets []int, rules []apriori.Rule) []int {
-	if len(rules) == 0 {
-		return packets
-	}
-	var out []int
-	for _, pi := range packets {
-		tx := apriori.FromPacket(ix.PacketAt(pi))
-		for _, rule := range rules {
-			if rule.Matches(tx) {
-				out = append(out, pi)
-				break
-			}
-		}
-	}
-	if len(out) == 0 {
-		return packets
-	}
-	return out
-}
-
-// communityTransactions itemizes the community traffic: one transaction per
-// flow at flow granularities, one per packet at packet granularity — "the
-// packets or flows corresponding to each community" (§4.1.1).
-func communityTransactions(ix *trace.Index, r *Result, c *Community) []apriori.Transaction {
-	if r.cfg.Granularity == trace.GranPacket {
-		txs := make([]apriori.Transaction, len(c.Traffic.Packets))
-		for i, pi := range c.Traffic.Packets {
-			txs[i] = apriori.FromPacket(ix.PacketAt(pi))
-		}
-		return txs
-	}
-	txs := make([]apriori.Transaction, len(c.Traffic.Flows))
-	for i, k := range c.Traffic.Flows {
-		txs[i] = apriori.FromFlow(k)
-	}
-	return txs
 }

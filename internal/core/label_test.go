@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"math"
 	"strings"
 	"testing"
 
@@ -46,7 +48,7 @@ func TestBuildReports(t *testing.T) {
 	for i := range decisions {
 		decisions[i] = Decision{Accepted: true, RelDistance: 1}
 	}
-	reports, err := BuildReports(res, decisions, DefaultReportOptions())
+	reports, err := BuildReportsContext(context.Background(), res, decisions, DefaultReportOptions(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +101,7 @@ func TestBuildReportsPingHeuristic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reports, err := BuildReports(res, []Decision{{Accepted: false, RelDistance: 2}}, DefaultReportOptions())
+	reports, err := BuildReportsContext(context.Background(), res, []Decision{{Accepted: false, RelDistance: 2}}, DefaultReportOptions(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,29 +119,12 @@ func TestBuildReportsErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := BuildReports(res, nil, DefaultReportOptions()); err == nil {
+	if _, err := BuildReportsContext(context.Background(), res, nil, DefaultReportOptions(), 1); err == nil {
 		t.Error("mismatched decisions accepted")
 	}
-	bad := DefaultReportOptions()
-	bad.RuleSupport = 0
-	if _, err := BuildReports(res, []Decision{{}}, bad); err == nil {
-		t.Error("zero rule support accepted")
-	}
-}
-
-func TestBuildReportsMaxRules(t *testing.T) {
-	tr := twoEventTrace()
-	res, err := estimate(tr, []Alarm{scanAlarm("a", 0)}, DefaultEstimatorConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := DefaultReportOptions()
-	opts.MaxRules = 1
-	reports, err := BuildReports(res, []Decision{{}}, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(reports[0].Rules) > 1 {
-		t.Errorf("MaxRules not applied: %d rules", len(reports[0].Rules))
+	for _, support := range []float64{0, -0.1, 1.5, math.NaN()} {
+		if _, err := BuildReportsContext(context.Background(), res, []Decision{{}}, ReportOptions{RuleSupport: support}, 1); err == nil {
+			t.Errorf("rule support %v accepted", support)
+		}
 	}
 }

@@ -14,6 +14,7 @@
 package klhist
 
 import (
+	"fmt"
 	"math"
 	"slices"
 
@@ -113,16 +114,42 @@ type prepared struct {
 type changedBin struct {
 	z        float64
 	from, to float64
-	rules    []apriori.Rule // maximal, capped at MaxRulesPerBin, degree > 0
+	rules    []apriori.Rule // maximal, capped at MaxRulesPerBin
 }
+
+// validate rejects a configuration that could only panic, size its working
+// set by a typo, or mine nothing without a word, naming the field at fault.
+func (d *Detector) validate() error {
+	switch {
+	case !(d.TimeBin > 0) || math.IsInf(d.TimeBin, 0):
+		return fmt.Errorf("kl: TimeBin must be positive and finite, got %v", d.TimeBin)
+	case !(d.RuleSupport > 0 && d.RuleSupport <= 1):
+		return fmt.Errorf("kl: RuleSupport must be in (0,1], got %v", d.RuleSupport)
+	case d.MaxRulesPerBin < 0:
+		return fmt.Errorf("kl: MaxRulesPerBin must not be negative, got %d", d.MaxRulesPerBin)
+	}
+	return nil
+}
+
+// maxTimeBins bounds the per-bin working set (two months of traffic at the
+// default TimeBin, ~60 MB of series): a TimeBin of microseconds must be an
+// error, not an allocation proportional to the mistake.
+const maxTimeBins = 1 << 20
 
 // Prepare implements detectors.Preparer: the per-(feature, bin) histograms,
 // the four KL series with their robust z-scores, and the association rules
 // of every bin the loosest threshold flags. A configuration is one threshold
 // on a bin's largest z.
 func (d *Detector) Prepare(ix *trace.Index) (detectors.Prepared, error) {
+	if err := d.validate(); err != nil {
+		return nil, err
+	}
 	p := &prepared{d: d}
-	bins := int(math.Ceil(ix.Duration() / d.TimeBin))
+	span := math.Ceil(ix.Duration() / d.TimeBin)
+	if span > maxTimeBins {
+		return nil, fmt.Errorf("kl: TimeBin %v cuts %v s of traffic into more than %d bins", d.TimeBin, ix.Duration(), maxTimeBins)
+	}
+	bins := int(span)
 	if ix.Len() == 0 || bins < 4 {
 		return p, nil
 	}
@@ -151,6 +178,7 @@ func (d *Detector) Prepare(ix *trace.Index) (detectors.Prepared, error) {
 	// The flag test stays the reference's "z > threshold", negated, here
 	// and in Decide: a NaN threshold then flags nothing, as it always did.
 	loosest := slices.Min(d.Thresholds[:])
+	var txs []apriori.Transaction // one packet's transaction is its flow's; reused across bins
 	for b, z := range maxZ {
 		if !(z > loosest) {
 			continue
@@ -158,15 +186,14 @@ func (d *Detector) Prepare(ix *trace.Index) (detectors.Prepared, error) {
 		from := float64(b) * d.TimeBin
 		to := from + d.TimeBin
 		lo, hi := ix.Window(from, to)
-		txs := make([]apriori.Transaction, 0, hi-lo)
+		txs = txs[:0]
 		for pi := lo; pi < hi; pi++ {
-			txs = append(txs, apriori.FromPacket(ix.PacketAt(pi)))
+			txs = append(txs, apriori.FromFlow(ix.Flow(int(ix.FlowIDOf(pi)))))
 		}
 		rules := apriori.Maximal(apriori.Mine(txs, d.RuleSupport))
 		if len(rules) > d.MaxRulesPerBin {
 			rules = rules[:d.MaxRulesPerBin]
 		}
-		rules = slices.DeleteFunc(rules, func(r apriori.Rule) bool { return r.Degree() == 0 })
 		p.bins = append(p.bins, changedBin{z: z, from: from, to: to, rules: rules})
 	}
 	return p, nil

@@ -93,7 +93,8 @@ func refDetect(d *Detector, ix *trace.Index, config int) ([]core.Alarm, error) {
 		lo, hi := ix.Window(from, to)
 		txs := make([]apriori.Transaction, 0, hi-lo)
 		for pi := lo; pi < hi; pi++ {
-			txs = append(txs, apriori.FromPacket(ix.PacketAt(pi)))
+			p := ix.PacketAt(pi)
+			txs = append(txs, apriori.FromFlow(p.Flow()))
 		}
 		rules := apriori.Maximal(apriori.Mine(txs, d.RuleSupport))
 		if len(rules) > d.MaxRulesPerBin {

@@ -102,7 +102,7 @@ func TestEndToEndPipeline(t *testing.T) {
 		t.Fatal("SCANN accepted nothing on a two-attack trace")
 	}
 
-	reports, err := core.BuildReports(res, dec, core.DefaultReportOptions())
+	reports, err := core.BuildReportsContext(context.Background(), res, dec, core.DefaultReportOptions(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

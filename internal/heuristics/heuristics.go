@@ -102,18 +102,6 @@ type portProto struct {
 	proto trace.Proto
 }
 
-// NewSummary returns an empty summary ready for Observe.
-func NewSummary() *Summary {
-	return &Summary{PortPkts: make(map[portProto]int)}
-}
-
-// Observe folds one packet into the summary — the incremental path for
-// callers holding packet records; Summarize reads the shared trace.Index
-// columns instead.
-func (s *Summary) Observe(p *trace.Packet) {
-	s.observe(p.Proto, p.Flags, p.SrcPort, p.DstPort, p.Len)
-}
-
 // observe folds one packet's Table 1 features into the summary.
 func (s *Summary) observe(proto trace.Proto, flags trace.TCPFlags, srcPort, dstPort, length uint16) {
 	s.Packets++
@@ -144,7 +132,7 @@ func (s *Summary) observe(proto trace.Proto, flags trace.TCPFlags, srcPort, dstP
 // shared index's protocol/flag/port/length columns — Table 1 never needs
 // the full packet rows.
 func Summarize(ix *trace.Index, packetIdx []int) *Summary {
-	s := NewSummary()
+	s := &Summary{PortPkts: make(map[portProto]int)}
 	for _, i := range packetIdx {
 		s.observe(ix.Proto[i], ix.Flags[i], ix.SrcPort[i], ix.DstPort[i], ix.PktLen[i])
 	}

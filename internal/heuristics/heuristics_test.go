@@ -18,12 +18,17 @@ func mkTCP(n int, dport uint16, flags trace.TCPFlags) []trace.Packet {
 	return out
 }
 
+// classify indexes the packets in the order given (one per microsecond) and
+// folds all of them through the index columns, as the labeling tail does.
 func classify(pkts []trace.Packet) (Class, Category) {
-	s := NewSummary()
-	for i := range pkts {
-		s.Observe(&pkts[i])
+	tr := &trace.Trace{}
+	idx := make([]int, len(pkts))
+	for i, p := range pkts {
+		p.TS = int64(i)
+		tr.Append(p)
+		idx[i] = i
 	}
-	return s.Classify()
+	return ClassifyPackets(trace.NewIndex(tr), idx)
 }
 
 func TestSasserPorts(t *testing.T) {
@@ -171,7 +176,7 @@ func TestFlagRatioDominantFlag(t *testing.T) {
 }
 
 func TestEmptySummary(t *testing.T) {
-	if cls, cat := NewSummary().Classify(); cls != Unknown || cat != CatUnknown {
+	if cls, cat := ClassifyPackets(trace.NewIndex(&trace.Trace{}), nil); cls != Unknown || cat != CatUnknown {
 		t.Errorf("empty: %v/%v", cls, cat)
 	}
 }

@@ -116,8 +116,9 @@ func (ix *Index) Duration() float64 {
 	return ix.Seconds[len(ix.Seconds)-1]
 }
 
-// PacketAt returns the full packet record at index i, for consumers that
-// need the row form (e.g. rule-mining transactions) rather than columns.
+// PacketAt returns the full packet record at index i, for library callers
+// and tests that want the row form; the engine itself reads the columns and
+// the flow table.
 func (ix *Index) PacketAt(i int) Packet {
 	return Packet{
 		TS:      ix.TS[i],

@@ -63,7 +63,6 @@ import (
 	"mawilab/internal/core"
 	"mawilab/internal/detectors"
 	"mawilab/internal/detectors/suite"
-	"mawilab/internal/heuristics"
 	"mawilab/internal/mawigen"
 	"mawilab/internal/pcap"
 	wirev1 "mawilab/internal/serve/v1"
@@ -309,6 +308,9 @@ var (
 	// ErrWorkers rejects a negative Pipeline.Workers (0 means 1, the
 	// sequential reference path; Parallelism normalizes <= 0 to GOMAXPROCS).
 	ErrWorkers = errors.New("mawilab: Pipeline.Workers must be >= 0")
+	// ErrRuleSupport rejects a Pipeline.RuleSupport that is negative, above
+	// 1 or NaN (0 selects the paper's s = 20% and is valid).
+	ErrRuleSupport = errors.New("mawilab: Pipeline.RuleSupport must be 0 or in (0,1]")
 )
 
 // Validate checks the stream configuration and returns a typed error for
@@ -336,14 +338,31 @@ func (c StreamConfig) Validate() error {
 }
 
 // Validate checks the pipeline configuration: a negative Workers count
-// (ErrWorkers) and the embedded StreamConfig (see StreamConfig.Validate).
+// (ErrWorkers), a RuleSupport outside (0,1] other than the defaulting 0
+// (ErrRuleSupport) and the embedded StreamConfig (see StreamConfig.Validate).
 // RunStream validates before starting; the batch adapters keep their
 // historical leniency for the Stream field they ignore.
 func (p *Pipeline) Validate() error {
 	if p.Workers < 0 {
 		return fmt.Errorf("%w: got %d", ErrWorkers, p.Workers)
 	}
+	if _, err := p.ruleSupport(); err != nil {
+		return err
+	}
 	return p.Stream.Validate()
+}
+
+// ruleSupport resolves RuleSupport to Apriori's minimum support: 0 selects
+// the paper's default, anything else outside (0,1] is ErrRuleSupport.
+func (p *Pipeline) ruleSupport() (float64, error) {
+	switch s := p.RuleSupport; {
+	case s == 0:
+		return core.DefaultReportOptions().RuleSupport, nil
+	case s > 0 && s <= 1:
+		return s, nil
+	default:
+		return 0, fmt.Errorf("%w: got %v", ErrRuleSupport, s)
+	}
 }
 
 // StreamConfig parameterizes segmented streaming ingest (Pipeline.RunStream).
@@ -600,12 +619,16 @@ type segmentRun struct {
 // window's accumulated alarms and emits the labeling, then advances the
 // window by `stride` segments. When the segment stream ends with segments
 // no emitted window has covered, the final partial window is labeled too.
-// The first error — a repeated detector name (before the first segment is
-// detected), a detector failure, a cancelled context, an out-of-order packet
-// upstream — stops the engine and is returned unchanged.
+// The first error — a repeated detector name or an invalid RuleSupport (both
+// before the first segment is detected), a detector failure, a cancelled
+// context, an out-of-order packet upstream — stops the engine and is returned
+// unchanged.
 func (p *Pipeline) runSegments(ctx context.Context, segs iter.Seq2[*Segment, error], window, stride int, emit func(*WindowLabeling) error) error {
 	totals, err := detectors.Totals(p.Detectors)
 	if err != nil {
+		return err
+	}
+	if _, err := p.ruleSupport(); err != nil {
 		return err
 	}
 	var (
@@ -698,6 +721,10 @@ func (p *Pipeline) RunAlarmsContext(ctx context.Context, tr *Trace, alarms []Ala
 
 // runAlarms runs estimate → combine → label against one shared trace index.
 func (p *Pipeline) runAlarms(ctx context.Context, ix *trace.Index, alarms []Alarm, totals map[string]int) (*Labeling, error) {
+	support, err := p.ruleSupport()
+	if err != nil {
+		return nil, err
+	}
 	var res *core.Result
 	if err := p.observe(StageEstimate, func() error {
 		var err error
@@ -717,11 +744,7 @@ func (p *Pipeline) runAlarms(ctx context.Context, ix *trace.Index, alarms []Alar
 		if err != nil {
 			return err
 		}
-		opts := core.DefaultReportOptions()
-		if p.RuleSupport > 0 {
-			opts.RuleSupport = p.RuleSupport
-		}
-		reports, err = core.BuildReportsContext(ctx, res, dec, opts, p.workers())
+		reports, err = core.BuildReportsContext(ctx, res, dec, core.ReportOptions{RuleSupport: support}, p.workers())
 		return err
 	}); err != nil {
 		return nil, err
@@ -791,19 +814,6 @@ func GroundTruthEval(tr *Trace, l *Labeling, truth []Event, minPackets int) (det
 		}
 	}
 	return detected, total
-}
-
-// HeuristicClass re-exports the Table 1 classifier for benchmark tooling.
-// It folds the cited packets directly — no index needed for a one-shot
-// classification; tooling classifying many packet sets of one trace should
-// hold a trace.Index and call heuristics.ClassifyPackets instead.
-func HeuristicClass(tr *Trace, packetIdx []int) (string, string) {
-	s := heuristics.NewSummary()
-	for _, i := range packetIdx {
-		s.Observe(&tr.Packets[i])
-	}
-	cls, cat := s.Classify()
-	return cls.String(), cat.String()
 }
 
 // Date is a small convenience for building archive dates.

@@ -188,10 +188,6 @@ func TestFacadeHelpers(t *testing.T) {
 	if Anomalous.String() != "anomalous" || Benign.String() != "benign" {
 		t.Error("label names wrong")
 	}
-	cls, cat := HeuristicClass(&Trace{}, nil)
-	if cls != "Unknown" || cat != "Unknown" {
-		t.Errorf("empty heuristic = %s/%s", cls, cat)
-	}
 }
 
 func TestWriteADMD(t *testing.T) {

@@ -6,9 +6,11 @@ import (
 	"errors"
 	"math"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"mawilab/internal/detectors/pca"
+	"mawilab/internal/trace"
 )
 
 // TestStreamConfigValidate walks every boundary of the typed validation:
@@ -61,6 +63,80 @@ func TestPipelineValidate(t *testing.T) {
 	p.Stream.WindowSegments = -1
 	if err := p.Validate(); !errors.Is(err, ErrWindowSegments) {
 		t.Fatalf("stream config not validated: %v", err)
+	}
+	p.Stream.WindowSegments = 0
+	for _, support := range []float64{0, 0.01, 1} {
+		p.RuleSupport = support
+		if err := p.Validate(); err != nil {
+			t.Fatalf("RuleSupport=%v: Validate() = %v, want nil", support, err)
+		}
+	}
+	for _, support := range []float64{-0.1, 1.5, math.NaN()} {
+		p.RuleSupport = support
+		if err := p.Validate(); !errors.Is(err, ErrRuleSupport) {
+			t.Fatalf("RuleSupport=%v: Validate() = %v, want ErrRuleSupport", support, err)
+		}
+	}
+}
+
+// countingDetector counts the Detect calls the engine makes on it and
+// reports nothing.
+type countingDetector struct{ calls *atomic.Int64 }
+
+func (d countingDetector) Name() string    { return "counting" }
+func (d countingDetector) NumConfigs() int { return 1 }
+func (d countingDetector) Detect(*trace.Index, int) ([]Alarm, error) {
+	d.calls.Add(1)
+	return nil, nil
+}
+
+// TestRunRejectsRuleSupportBeforeDetecting pins that an invalid RuleSupport
+// fails the batch and the stream path before the first segment is detected:
+// a negative or NaN value used to become the default 0.2 silently, and one
+// above 1 only failed inside the labeling tail, after every detector and the
+// estimator had run.
+func TestRunRejectsRuleSupportBeforeDetecting(t *testing.T) {
+	arch := NewArchive(42)
+	arch.Duration = 30
+	arch.BaseRate = 200
+	day := arch.Day(Date(2004, 5, 10))
+
+	for _, support := range []float64{-0.1, 1.5, math.NaN()} {
+		var calls atomic.Int64
+		p := NewPipeline()
+		p.Detectors = []Detector{countingDetector{&calls}}
+		p.RuleSupport = support
+		if _, err := p.Run(day.Trace); !errors.Is(err, ErrRuleSupport) {
+			t.Errorf("RuleSupport=%v: Run() error = %v, want ErrRuleSupport", support, err)
+		}
+		if _, err := p.RunAlarms(day.Trace, nil, map[string]int{"counting": 1}); !errors.Is(err, ErrRuleSupport) {
+			t.Errorf("RuleSupport=%v: RunAlarms() error = %v, want ErrRuleSupport", support, err)
+		}
+
+		p.Stream = StreamConfig{SegmentSeconds: 10, WindowSegments: 2, WindowStride: 1}
+		packets := make(chan Packet) // never written: validation must not block on it
+		s := p.RunStream(context.Background(), packets)
+		for range s.Windows() {
+			t.Errorf("RuleSupport=%v: a window was labeled", support)
+		}
+		if err := s.Wait(); !errors.Is(err, ErrRuleSupport) {
+			t.Errorf("RuleSupport=%v: RunStream Wait() = %v, want ErrRuleSupport", support, err)
+		}
+		if n := calls.Load(); n != 0 {
+			t.Errorf("RuleSupport=%v: the detector ran %d times before the error surfaced", support, n)
+		}
+	}
+
+	// The control: the same ensemble with the defaulting 0 runs its detector.
+	var calls atomic.Int64
+	p := NewPipeline()
+	p.Detectors = []Detector{countingDetector{&calls}}
+	p.RuleSupport = 0
+	if _, err := p.Run(day.Trace); err != nil {
+		t.Fatal(err)
+	}
+	if calls.Load() == 0 {
+		t.Error("the counting detector never ran on a valid pipeline")
 	}
 }
 

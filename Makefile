@@ -22,8 +22,15 @@ GO ?= go
 #                       covariance (rows={15,60}: one segment, one batch day)
 #   Extract,            the similarity estimator's stages — sorted-posting alarm
 #   SimilarityGraph,    extraction into sorted id slices, the CSR inverted
-#   Louvain, Estimate   index and row fan-out of internal/simgraph, community
-#                       mining — and the whole of core.EstimateContext
+#   Louvain, Union,     index and row fan-out of internal/simgraph, community
+#   Estimate            mining, the merge of each community's member sets into
+#                       sorted flow ids and packets (Extractor.Union) — and the
+#                       whole of core.EstimateContext
+#   RadixSort           internal/radix alone on index-shaped ids, under its
+#                       small-slice threshold (n=64: slices.Sort does the work)
+#                       and at the bench day's flow and packet counts (n=11k,
+#                       n=50k) — the sort under the flow table's postings, the
+#                       traffic unions and the rule miner's columns
 #   SCANN, Apriori,     the combine and label layers: SCANN's classification,
 #   BuildReports        the rule miner over 2 000 flow transactions, and the
 #                       whole labeling tail of a day (mine, one matching pass,
@@ -38,9 +45,10 @@ GO ?= go
 # PipelineDay, PipelineStream, Extract, SimilarityGraph and GenerateDay carry
 # workers={1,4,N} sub-benches (DetectAll and BuildReports workers={1,4}), so
 # each run records the parallel speedup ratios too; the rest are one row each
-# (TraceIndex, WindowIndex, EigenSym and Louvain because the stages are
-# sequential, DetectAllSegment/Estimate/SCANN/Apriori at workers=1).
-BENCH_PATTERN ?= PipelineDay|PipelineStream|DetectAll|Detectors|Louvain|SimilarityGraph|GenerateDay|TraceIndex|Extract|Ingest|HoughSparse|Estimate|SCANN|Apriori|EigenSym|WindowIndex|EncodeIndex|BuildReports
+# (TraceIndex, WindowIndex, EigenSym, Louvain and Union because the stages are
+# sequential, DetectAllSegment/Estimate/SCANN/Apriori at workers=1; RadixSort
+# is one row per length).
+BENCH_PATTERN ?= PipelineDay|PipelineStream|DetectAll|Detectors|Louvain|SimilarityGraph|GenerateDay|TraceIndex|Extract|Ingest|HoughSparse|Estimate|SCANN|Apriori|EigenSym|WindowIndex|EncodeIndex|BuildReports|Union|RadixSort
 # Total-coverage floor for `make cover`, in percent. Set from the measured
 # coverage at the last raise (85.1% when the golden-fixture and fuzz tests
 # landed), rounded down; raise it as coverage grows, never lower it to make
@@ -165,8 +173,10 @@ lint:
 # and modularity by its float bits, components and the Louvain assignment
 # exactly, whatever order the edges arrive in — and the value-transaction
 # rule miner against the []Item one in internal/apriori's tests: same rules,
-# same order, same counts, supports by their float bits. A crash writes its
-# reproducer into the package's testdata/fuzz corpus — commit it with the fix.
+# same order, same counts, supports by their float bits — and the radix sort
+# against slices.Sort as uint64, int and int32 words, with no scratch, a short
+# one and a long one. A crash writes its reproducer into the package's
+# testdata/fuzz corpus — commit it with the fix.
 fuzz:
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzParseIPv4$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzIndexBuilder$$' -fuzztime $(FUZZTIME)
@@ -175,6 +185,7 @@ fuzz:
 	$(GO) test ./internal/simgraph -run '^$$' -fuzz '^FuzzBuild$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/graphx -run '^$$' -fuzz '^FuzzGraph$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/apriori -run '^$$' -fuzz '^FuzzMine$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/radix -run '^$$' -fuzz '^FuzzSort$$' -fuzztime $(FUZZTIME)
 
 # Black-box daemon smoke: build the real mawilabd binary, boot it on a
 # random port, upload the golden fixture day over HTTP, assert the served

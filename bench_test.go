@@ -27,6 +27,7 @@ import (
 	"mawilab/internal/mawigen"
 	"mawilab/internal/parallel"
 	"mawilab/internal/pcap"
+	"mawilab/internal/radix"
 	"mawilab/internal/simgraph"
 	"mawilab/internal/stats"
 	"mawilab/internal/trace"
@@ -584,6 +585,69 @@ func BenchmarkExtract(b *testing.B) {
 				})
 				if err != nil {
 					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkUnion times the step between community mining and labeling: every
+// community of the bench day's estimate has its members' traffic sets merged
+// by Extractor.Union into sorted flow ids, their keys, and the sorted packets
+// those flows carry. It is sequential inside EstimateContext, so there is
+// one row.
+func BenchmarkUnion(b *testing.B) {
+	b.ReportAllocs()
+	ix := benchIndex(b)
+	alarms, _, err := detectAllForBench(ix)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := core.DefaultEstimatorConfig()
+	res, err := core.EstimateContext(context.Background(), ix, alarms, cfg, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ext := core.NewExtractor(ix, cfg.Granularity)
+	members := make([][]*core.TrafficSet, len(res.Communities))
+	for ci, c := range res.Communities {
+		for _, ai := range c.Alarms {
+			members[ci] = append(members[ci], ext.Extract(&res.Alarms[ai]))
+		}
+	}
+	var packets float64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		packets = 0
+		for _, sets := range members {
+			packets += float64(len(ext.Union(sets).Packets))
+		}
+	}
+	b.ReportMetric(packets, "packets")
+}
+
+// BenchmarkRadixSort times radix.Sort alone on index-shaped keys — ids drawn
+// below 33 000, the bench day's packet count, so two bytes vary — at a length
+// under its small-slice threshold (slices.Sort does the work) and at the
+// bench day's flow and packet counts.
+func BenchmarkRadixSort(b *testing.B) {
+	for _, size := range []struct {
+		name string
+		n    int
+	}{{"n=64", 64}, {"n=11k", 11_000}, {"n=50k", 50_000}} {
+		b.Run(size.name, func(b *testing.B) {
+			b.ReportAllocs()
+			rng := rand.New(rand.NewSource(1))
+			in := make([]int, size.n)
+			for i := range in {
+				in[i] = rng.Intn(33_000)
+			}
+			a, scratch := make([]int, size.n), make([]int, size.n)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				copy(a, in)
+				if out := radix.Sort(a, scratch); len(out) != size.n {
+					b.Fatal("bad sort")
 				}
 			}
 		})

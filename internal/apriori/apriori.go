@@ -20,6 +20,7 @@ import (
 	"slices"
 	"strings"
 
+	"mawilab/internal/radix"
 	"mawilab/internal/trace"
 )
 
@@ -140,13 +141,17 @@ func Mine(txs []Transaction, minSupport float64) []Rule {
 
 	// L1: a field's frequent values are the runs of its sorted column at
 	// least minCount long, so the single items come out in itemset order.
+	// The column and the radix sort's scratch are one allocation, made
+	// whatever the length, so Mine allocates alike on both sides of the
+	// sort's small-slice threshold.
 	var current []itemset
-	column := make([]uint64, len(txs))
+	buf := make([]uint64, 2*len(txs))
 	for f := Field(0); f < numFields; f++ {
+		column := buf[:len(txs)]
 		for i := range txs {
 			column[i] = txs[i][f]
 		}
-		slices.Sort(column)
+		column = radix.Sort(column, buf[len(txs):])
 		for lo := 0; lo < len(column); {
 			hi := lo + 1
 			for hi < len(column) && column[hi] == column[lo] {

@@ -3,6 +3,7 @@ package core
 import (
 	"slices"
 
+	"mawilab/internal/radix"
 	"mawilab/internal/simgraph"
 	"mawilab/internal/trace"
 )
@@ -65,10 +66,10 @@ func (e *Extractor) Extract(a *Alarm) *TrafficSet {
 			e.matchFlow(f, cands.At(i), ts)
 		}
 	}
-	ts.FlowRefs = sortedSet(ts.FlowRefs)
+	ts.FlowRefs = sortedSet(ts.FlowRefs, nil)
 	switch e.gran {
 	case trace.GranPacket:
-		ts.PacketIdx = sortedSet(ts.PacketIdx)
+		ts.PacketIdx = sortedSet(ts.PacketIdx, nil)
 		ts.IDs = ts.PacketIdx
 	case trace.GranUniFlow:
 		ts.IDs = ts.FlowRefs
@@ -80,7 +81,7 @@ func (e *Extractor) Extract(a *Alarm) *TrafficSet {
 				ids[i] = min(fi, ri)
 			}
 		}
-		ts.IDs = sortedSet(ids)
+		ts.IDs = sortedSet(ids, nil)
 	}
 	return ts
 }
@@ -122,40 +123,61 @@ func (e *Extractor) anyPacketIn(fi int, from, to float64) bool {
 	return false
 }
 
-// sortedSet sorts ids ascending and drops duplicates, in place.
-func sortedSet(ids []int) []int {
-	slices.Sort(ids)
-	return slices.Compact(ids)
+// sortedSet sorts the index's ids ascending — a radix sort over the bytes
+// that vary, two for a day of under 65 536 packets — and drops duplicates.
+// The result lives in ids or in scratch (radix.Sort's rule; nil allocates
+// past the small-slice threshold), whichever the sort ended in.
+func sortedSet(ids, scratch []int) []int {
+	return slices.Compact(radix.Sort(ids, scratch))
 }
 
 // CommunityTraffic is the union of member alarms' traffic, materialized for
-// labeling: distinct flows and the packets they carry.
+// labeling: distinct flows and the packets they carry. FlowRefs[i] is the
+// shared index's flow-table id of Flows[i] — ascending, so Flows is in
+// canonical order — and is what the labeling tail walks packet runs by;
+// nothing past Union looks a key up again.
 type CommunityTraffic struct {
-	Flows   []trace.FlowKey
-	Packets []int
+	Flows    []trace.FlowKey
+	FlowRefs []int
+	Packets  []int
 }
 
 // Union merges the traffic of several alarm sets into community traffic.
 // At flow granularities the packets are all packets of the matched flows;
-// at packet granularity they are exactly the matched packets.
+// at packet granularity they are exactly the matched packets. Each of the
+// two unions is sized once from the lengths of the runs it concatenates, in
+// a buffer of twice that: the runs fill the first half and the sort's
+// scratch is the second.
 func (e *Extractor) Union(sets []*TrafficSet) CommunityTraffic {
-	var flowRefs, packets []int
+	nf, np := 0, 0
 	for _, ts := range sets {
-		flowRefs = append(flowRefs, ts.FlowRefs...)
-		packets = append(packets, ts.PacketIdx...)
+		nf += len(ts.FlowRefs)
+		np += len(ts.PacketIdx)
 	}
-	flowRefs = sortedSet(flowRefs)
-	ct := CommunityTraffic{Flows: make([]trace.FlowKey, len(flowRefs))}
-	for i, fi := range flowRefs {
+	buf := make([]int, 0, 2*nf)
+	for _, ts := range sets {
+		buf = append(buf, ts.FlowRefs...)
+	}
+	ct := CommunityTraffic{FlowRefs: sortedSet(buf, buf[nf:2*nf])}
+	ct.Flows = make([]trace.FlowKey, len(ct.FlowRefs))
+	for i, fi := range ct.FlowRefs {
 		ct.Flows[i] = e.ix.Flow(fi)
+		if e.gran != trace.GranPacket {
+			np += len(e.ix.FlowPackets(fi))
+		}
+	}
+
+	buf = make([]int, 0, 2*np)
+	for _, ts := range sets {
+		buf = append(buf, ts.PacketIdx...) // empty at flow granularities
 	}
 	if e.gran != trace.GranPacket {
-		for _, fi := range flowRefs {
+		for _, fi := range ct.FlowRefs {
 			for _, pi := range e.ix.FlowPackets(fi) {
-				packets = append(packets, int(pi))
+				buf = append(buf, int(pi))
 			}
 		}
 	}
-	ct.Packets = sortedSet(packets)
+	ct.Packets = sortedSet(buf, buf[np:2*np])
 	return ct
 }

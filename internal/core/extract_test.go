@@ -158,6 +158,52 @@ func TestUnionCommunityTraffic(t *testing.T) {
 	}
 }
 
+// TestUnionFlowRefsNameFlows: at every granularity, over unions of random
+// alarms large and small enough to take both of the sort's paths, FlowRefs
+// are the flow-table ids of Flows — same order, strictly ascending — and
+// Packets are what a map-built union holds: the members' packets at packet
+// granularity, every packet of the matched flows otherwise.
+func TestUnionFlowRefsNameFlows(t *testing.T) {
+	ix := trace.NewIndex(randomFilterTrace(29, 3000))
+	rng := rand.New(rand.NewSource(7))
+	for _, g := range []trace.Granularity{trace.GranPacket, trace.GranUniFlow, trace.GranBiFlow} {
+		ext := NewExtractor(ix, g)
+		for round := 0; round < 60; round++ {
+			sets := make([]*TrafficSet, rng.Intn(6))
+			wantFlows, wantPkts := map[int]struct{}{}, map[int]struct{}{}
+			for i := range sets {
+				sets[i] = ext.Extract(&Alarm{Detector: "rand", Filters: []trace.Filter{randomFilter(rng, ix)}})
+				for _, fi := range sets[i].FlowRefs {
+					wantFlows[fi] = struct{}{}
+					if g != trace.GranPacket {
+						for _, pi := range ix.FlowPackets(fi) {
+							wantPkts[int(pi)] = struct{}{}
+						}
+					}
+				}
+				for _, pi := range sets[i].PacketIdx {
+					wantPkts[pi] = struct{}{}
+				}
+			}
+			ct := ext.Union(sets)
+			if !slices.Equal(ct.FlowRefs, sortedKeys(wantFlows)) || !strictlyAscending(ct.FlowRefs) {
+				t.Fatalf("%v round %d: FlowRefs are not the ascending union of the members' flows", g, round)
+			}
+			if len(ct.Flows) != len(ct.FlowRefs) {
+				t.Fatalf("%v round %d: %d Flows, %d FlowRefs", g, round, len(ct.Flows), len(ct.FlowRefs))
+			}
+			for i, fi := range ct.FlowRefs {
+				if ix.Flow(fi) != ct.Flows[i] {
+					t.Fatalf("%v round %d: Flows[%d] = %v, FlowRefs[%d] names %v", g, round, i, ct.Flows[i], i, ix.Flow(fi))
+				}
+			}
+			if !slices.Equal(ct.Packets, sortedKeys(wantPkts)) {
+				t.Fatalf("%v round %d: Packets differ from the map-built union (%d vs %d)", g, round, len(ct.Packets), len(wantPkts))
+			}
+		}
+	}
+}
+
 func TestExtractorAccessors(t *testing.T) {
 	tr, _ := fig1Trace()
 	ext := NewExtractor(trace.NewIndex(tr), trace.GranBiFlow)

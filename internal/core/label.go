@@ -154,8 +154,7 @@ func BuildReportsContext(ctx context.Context, r *Result, decisions []Decision, o
 				covered = append(covered, c.Traffic.Packets[i])
 				continue
 			}
-			fi, _ := ix.FlowID(c.Traffic.Flows[i]) // Union read the key from this index
-			for _, pi := range ix.FlowPackets(fi) {
+			for _, pi := range ix.FlowPackets(c.Traffic.FlowRefs[i]) {
 				covered = append(covered, int(pi))
 			}
 		}

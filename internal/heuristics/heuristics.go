@@ -84,8 +84,10 @@ func (c Category) Class() Class {
 }
 
 // Summary aggregates the observable features of one community's traffic,
-// all that Table 1 needs: packet count, per-port presence, flag ratios and
-// the ICMP share.
+// all that Table 1 needs: packet count, flag ratios, the ICMP share and, for
+// the fourteen (port, protocol) pairs a Table 1 row names, how many packets
+// touch each. Packets on any other port count toward Packets and the
+// protocol totals only: no row can ask about them, so nothing is kept.
 type Summary struct {
 	Packets   int
 	ICMP      int
@@ -93,13 +95,61 @@ type Summary struct {
 	SYN       int // TCP packets with SYN set
 	RST       int
 	FIN       int
-	PortPkts  map[portProto]int // packets touching (port, proto) as src or dst
 	TotalSize int64
+
+	ports [numPortSlots]int // packets touching each Table 1 (port, proto) as src or dst
 }
 
-type portProto struct {
-	port  uint16
-	proto trace.Proto
+// numPortSlots is the number of (port, protocol) pairs Table 1 reads.
+const numPortSlots = 14
+
+// portSlot returns the tally slot of a Table 1 (port, protocol) pair, or -1
+// for every other pair — a packet on an unlisted port must land in no slot.
+func portSlot(port uint16, proto trace.Proto) int {
+	switch proto {
+	case trace.TCP:
+		switch port {
+		case 20:
+			return 0
+		case 21:
+			return 1
+		case 22:
+			return 2
+		case 53:
+			return 3
+		case 80:
+			return 4
+		case 135:
+			return 5
+		case 139:
+			return 6
+		case 445:
+			return 7
+		case 1023:
+			return 8
+		case 5554:
+			return 9
+		case 8080:
+			return 10
+		case 9898:
+			return 11
+		}
+	case trace.UDP:
+		switch port {
+		case 53:
+			return 12
+		case 137:
+			return 13
+		}
+	}
+	return -1
+}
+
+// touch counts one packet end on (port, proto) if Table 1 reads that pair.
+func (s *Summary) touch(port uint16, proto trace.Proto) {
+	if slot := portSlot(port, proto); slot >= 0 {
+		s.ports[slot]++
+	}
 }
 
 // observe folds one packet's Table 1 features into the summary.
@@ -120,11 +170,11 @@ func (s *Summary) observe(proto trace.Proto, flags trace.TCPFlags, srcPort, dstP
 		if flags.Has(trace.FIN) {
 			s.FIN++
 		}
-		s.PortPkts[portProto{srcPort, trace.TCP}]++
-		s.PortPkts[portProto{dstPort, trace.TCP}]++
+		s.touch(srcPort, trace.TCP)
+		s.touch(dstPort, trace.TCP)
 	case trace.UDP:
-		s.PortPkts[portProto{srcPort, trace.UDP}]++
-		s.PortPkts[portProto{dstPort, trace.UDP}]++
+		s.touch(srcPort, trace.UDP)
+		s.touch(dstPort, trace.UDP)
 	}
 }
 
@@ -132,19 +182,20 @@ func (s *Summary) observe(proto trace.Proto, flags trace.TCPFlags, srcPort, dstP
 // shared index's protocol/flag/port/length columns — Table 1 never needs
 // the full packet rows.
 func Summarize(ix *trace.Index, packetIdx []int) *Summary {
-	s := &Summary{PortPkts: make(map[portProto]int)}
+	s := &Summary{}
 	for _, i := range packetIdx {
 		s.observe(ix.Proto[i], ix.Flags[i], ix.SrcPort[i], ix.DstPort[i], ix.PktLen[i])
 	}
 	return s
 }
 
-// portShare returns the fraction of packets touching (port, proto).
+// portShare returns the fraction of packets touching (port, proto), one of
+// the pairs Table 1 reads.
 func (s *Summary) portShare(port uint16, proto trace.Proto) float64 {
 	if s.Packets == 0 {
 		return 0
 	}
-	return float64(s.PortPkts[portProto{port, proto}]) / float64(s.Packets)
+	return float64(s.ports[portSlot(port, proto)]) / float64(s.Packets)
 }
 
 // onPort reports whether a substantial share (≥ dominantShare) of the

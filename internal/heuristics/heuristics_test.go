@@ -230,3 +230,101 @@ func TestClassAndCategoryStrings(t *testing.T) {
 		t.Error("class mapping wrong")
 	}
 }
+
+// table1Ports are the fourteen (port, protocol) pairs a Table 1 row reads.
+var table1Ports = []struct {
+	port  uint16
+	proto trace.Proto
+}{
+	{20, trace.TCP}, {21, trace.TCP}, {22, trace.TCP}, {53, trace.TCP}, {80, trace.TCP},
+	{135, trace.TCP}, {139, trace.TCP}, {445, trace.TCP}, {1023, trace.TCP}, {5554, trace.TCP},
+	{8080, trace.TCP}, {9898, trace.TCP}, {53, trace.UDP}, {137, trace.UDP},
+}
+
+// TestPortSlotsAreExactlyTable1 walks every port of every protocol: each
+// Table 1 pair has its own slot inside the tally, and every other pair has
+// none — so no packet on an unlisted port can be counted for a listed one.
+func TestPortSlotsAreExactlyTable1(t *testing.T) {
+	want := make(map[[2]int]bool)
+	seen := make(map[int]bool)
+	for _, p := range table1Ports {
+		slot := portSlot(p.port, p.proto)
+		if slot < 0 || slot >= numPortSlots || seen[slot] {
+			t.Errorf("%d/%v: slot %d out of range or shared", p.port, p.proto, slot)
+		}
+		seen[slot] = true
+		want[[2]int{int(p.port), int(p.proto)}] = true
+	}
+	if len(table1Ports) != numPortSlots {
+		t.Fatalf("%d Table 1 pairs, %d slots", len(table1Ports), numPortSlots)
+	}
+	for proto := 0; proto < 256; proto++ {
+		for port := 0; port < 1<<16; port++ {
+			if got := portSlot(uint16(port), trace.Proto(proto)) >= 0; got != want[[2]int{port, proto}] {
+				t.Fatalf("portSlot(%d, %d) listed = %v, want %v", port, proto, got, !got)
+			}
+		}
+	}
+}
+
+// TestTallyMatchesPortMap is the differential against the per-packet port map
+// the tally replaced: over traffic that mixes Table 1 ports with their
+// neighbours and with arbitrary ones, in both directions and protocols, every
+// Table 1 pair holds the count the map held — and Classify reads nothing
+// else about ports — while traffic wholly on unlisted ports stays Unknown.
+func TestTallyMatchesPortMap(t *testing.T) {
+	type portProto struct {
+		port  uint16
+		proto trace.Proto
+	}
+	var pkts []trace.Packet
+	ref := make(map[portProto]int)
+	add := func(sport, dport uint16, proto trace.Proto) {
+		pkts = append(pkts, trace.Packet{
+			Src: trace.MakeIPv4(10, 0, 0, 1), Dst: trace.MakeIPv4(10, 0, 1, 1),
+			SrcPort: sport, DstPort: dport, Proto: proto, Flags: trace.ACK, Len: 40,
+		})
+		if proto == trace.TCP || proto == trace.UDP {
+			ref[portProto{sport, proto}]++
+			ref[portProto{dport, proto}]++
+		}
+	}
+	for i, p := range table1Ports {
+		for _, proto := range []trace.Proto{trace.TCP, trace.UDP, trace.ICMP} {
+			for rep := 0; rep <= i%3; rep++ {
+				add(p.port, uint16(40000+i), proto)
+				add(uint16(40000+i), p.port, proto)
+				add(p.port-1, p.port+1, proto)
+				add(p.port, p.port, proto)
+			}
+		}
+	}
+	tr := &trace.Trace{}
+	idx := make([]int, len(pkts))
+	for i, p := range pkts {
+		p.TS = int64(i)
+		tr.Append(p)
+		idx[i] = i
+	}
+	s := Summarize(trace.NewIndex(tr), idx)
+	for _, p := range table1Ports {
+		if got, want := s.ports[portSlot(p.port, p.proto)], ref[portProto{p.port, p.proto}]; got != want {
+			t.Errorf("%d/%v: tally %d, port map %d", p.port, p.proto, got, want)
+		}
+	}
+
+	// Every port one off a Table 1 port, and a few far from any: the map
+	// answered zero for each listed pair and the rows fell through.
+	pkts = pkts[:0]
+	for _, p := range table1Ports {
+		for _, q := range []uint16{p.port - 1, p.port + 1} {
+			if portSlot(q, p.proto) < 0 { // 20, 21, 22 neighbour each other
+				add(q, 31337, p.proto)
+				add(6667, q, p.proto)
+			}
+		}
+	}
+	if cls, cat := classify(pkts); cls != Unknown || cat != CatUnknown {
+		t.Errorf("traffic on unlisted ports only: %v/%v, want Unknown", cls, cat)
+	}
+}

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+
+	"mawilab/internal/radix"
 )
 
 // ErrUnsorted rejects packets that violate the sorted trace model during a
@@ -40,9 +42,10 @@ func flowHash(k FlowKey) uint64 {
 
 // indexArena is the reusable backing storage of one fused index build: the
 // nine packet columns, the flow table and its construction scratch, and the
-// two postings with their sort scratch. Arenas cycle through arenaPool so a
-// steady-state server decodes day after day into the same buffers —
-// Index.Release returns them.
+// two postings — with every buffer the three sorts in Finish move words
+// through, so a pooled build sorts without touching the heap. Arenas cycle
+// through arenaPool so a steady-state server decodes day after day into the
+// same buffers — Index.Release returns them.
 type indexArena struct {
 	// Packet columns.
 	ts      []int64
@@ -56,14 +59,14 @@ type indexArena struct {
 	flags   []TCPFlags
 
 	// Flow table and construction scratch.
-	keys    []FlowKey // by provisional id
-	slots   []int32   // open-addressing table over keys, -1 empty
-	flowSeq []int32   // per-packet provisional flow id
-	remap   []int32   // AppendIndex: the appended index's flow id → provisional id
-	order   []int32   // canonical sort permutation of provisional ids
-	rank    []int32   // provisional id → canonical id
-	counts  []int32   // per-provisional-id packet counts
-	cursor  []int32   // per-canonical-id write cursor into flowPkts
+	keys    []FlowKey  // by provisional id
+	slots   []int32    // open-addressing table over keys, -1 empty
+	flowSeq []int32    // per-packet provisional flow id
+	remap   []int32    // AppendIndex: the appended index's flow id → provisional id
+	words   []flowWord // the keys packed for the canonical sort, and its scratch half
+	rank    []int32    // provisional id → canonical id
+	counts  []int32    // per-provisional-id packet counts
+	cursor  []int32    // per-canonical-id write cursor into flowPkts
 
 	// Finished index storage.
 	flows    []FlowKey
@@ -72,7 +75,7 @@ type indexArena struct {
 	flowOf   []int32
 
 	// Postings: flow ids ordered by (Dst, id) and by (DstPort, id), and the
-	// key<<32|id words both are sorted through.
+	// key<<32|id words both are sorted through (with the sort's scratch half).
 	byDst     []int32
 	byDstPort []int32
 	sortKeys  []uint64
@@ -287,14 +290,82 @@ func (b *IndexBuilder) growSlots() {
 	}
 }
 
-// sortedPosting sorts the key<<32|id words and returns the ids in that order.
-func sortedPosting(post *[]int32, keys []uint64) []int32 {
-	slices.Sort(keys)
-	ids := resize(post, len(keys))
-	for i, k := range keys {
-		ids[i] = int32(uint32(k))
+// sortedPosting sorts the key<<32|id words — a radix sort over the bytes that
+// vary, so a posting pays for the width of its keys and ids, not of the word —
+// and returns the ids in that order. words holds the keys in its first half;
+// the second half is the sort's scratch.
+func sortedPosting(post *[]int32, words []uint64) []int32 {
+	n := len(words) / 2
+	ids := resize(post, n)
+	for i, w := range radix.Sort(words[:n], words[n:]) {
+		ids[i] = int32(uint32(w))
 	}
 	return ids
+}
+
+// flowWord is a flow key packed for Finish's sort with the provisional id it
+// rides with: w[1] = Src<<32|Dst and w[0] = SrcPort<<24|DstPort<<8|Proto, so
+// the numeric order of (w[1], w[0]) is the canonical flow order.
+type flowWord struct {
+	w  [2]uint64
+	id int32
+}
+
+// packFlow packs key k, interned as provisional id, into its sort words.
+func packFlow(k FlowKey, id int32) flowWord {
+	return flowWord{
+		w: [2]uint64{
+			uint64(k.SrcPort)<<24 | uint64(k.DstPort)<<8 | uint64(k.Proto),
+			uint64(k.Src)<<32 | uint64(k.Dst),
+		},
+		id: id,
+	}
+}
+
+// sortFlowWords orders a canonically without comparing keys — a stable byte
+// radix sort, least significant byte first, over the 13 key bytes — and
+// returns the sorted records in a or in scratch (same length, not
+// overlapping), whichever the last pass wrote. Bytes on which every key
+// agrees (one OR/AND pre-pass finds them: the top bytes of one network's
+// addresses, the protocol of an all-TCP segment) are skipped, so a single
+// flow runs no pass at all. The keys are distinct, so any correct sort yields
+// this order; RefFlowOrder in the tests is the comparator sort it replaced.
+func sortFlowWords(a, scratch []flowWord) []flowWord {
+	if len(a) == 0 {
+		return a
+	}
+	or, and := a[0].w, a[0].w
+	for i := range a {
+		for j, w := range a[i].w {
+			or[j] |= w
+			and[j] &= w
+		}
+	}
+	src, dst := a, scratch
+	for j := range or {
+		vary := or[j] ^ and[j]
+		for shift := uint(0); vary>>shift != 0; shift += 8 {
+			if vary>>shift&0xff == 0 {
+				continue
+			}
+			var next [256]int32
+			for i := range src {
+				next[src[i].w[j]>>shift&0xff]++
+			}
+			pos := int32(0)
+			for b, c := range next {
+				next[b] = pos
+				pos += c
+			}
+			for i := range src {
+				b := src[i].w[j] >> shift & 0xff
+				dst[next[b]] = src[i]
+				next[b]++
+			}
+			src, dst = dst, src
+		}
+	}
+	return src
 }
 
 // Discard abandons the build, recycling a pooled builder's arena. The
@@ -312,28 +383,29 @@ func (b *IndexBuilder) Discard() {
 
 // Finish seals the index: flows are canonicalized into the sorted table, the
 // packet runs are laid out, the flow ids are sorted into the destination and
-// destination-port postings, and the columns become immutable. The builder
-// rejects further use. A pooled builder's Index holds its arena until
-// Index.Release returns it for reuse.
+// destination-port postings, and the columns become immutable. All three
+// sorts are byte radix sorts over packed words (sortFlowWords, radix.Sort)
+// whose buffers and scratch live in the arena: no key is compared, and a
+// pooled build allocates nothing here. The builder rejects further use. A
+// pooled builder's Index holds its arena until Index.Release returns it for
+// reuse.
 func (b *IndexBuilder) Finish() *Index {
 	a := b.a
 	n := len(a.ts)
 	nf := len(a.keys)
 
-	// Canonical flow order: sort the provisional ids by key, then rank maps
-	// provisional → canonical.
-	order := resize(&a.order, nf)
-	for i := range order {
-		order[i] = int32(i)
+	// Canonical flow order: sort the packed keys, each carrying its
+	// provisional id; rank maps provisional → canonical.
+	words := resize(&a.words, 2*nf)
+	for pid, k := range a.keys {
+		words[pid] = packFlow(k, int32(pid))
 	}
-	slices.SortFunc(order, func(x, y int32) int { return flowCompare(a.keys[x], a.keys[y]) })
+	order := sortFlowWords(words[:nf], words[nf:])
 	rank := resize(&a.rank, nf)
-	for ci, pid := range order {
-		rank[pid] = int32(ci)
-	}
 	a.flows = a.flows[:0]
-	for _, pid := range order {
-		a.flows = append(a.flows, a.keys[pid])
+	for ci, fw := range order {
+		rank[fw.id] = int32(ci)
+		a.flows = append(a.flows, a.keys[fw.id])
 	}
 
 	// Packet runs: counting sort over the per-packet provisional ids. Each
@@ -348,8 +420,8 @@ func (b *IndexBuilder) Finish() *Index {
 	}
 	flowOff := resize(&a.flowOff, nf+1)
 	flowOff[0] = 0
-	for ci, pid := range order {
-		flowOff[ci+1] = flowOff[ci] + counts[pid]
+	for ci, fw := range order {
+		flowOff[ci+1] = flowOff[ci] + counts[fw.id]
 	}
 	cursor := resize(&a.cursor, nf)
 	copy(cursor, flowOff[:nf])
@@ -365,7 +437,7 @@ func (b *IndexBuilder) Finish() *Index {
 	// Postings: flow ids in (Dst, id) and (DstPort, id) order. The id rides
 	// in the low half of each sort word, so one comparator-free sort orders
 	// the keys and leaves every key's ids ascending.
-	keys := resize(&a.sortKeys, nf)
+	keys := resize(&a.sortKeys, 2*nf)
 	for fi := range a.flows {
 		keys[fi] = uint64(a.flows[fi].Dst)<<32 | uint64(fi)
 	}

@@ -87,7 +87,9 @@ func indexPackets(ps []Packet) (*Index, error) {
 }
 
 // flowCompare is the canonical flow-table order: by source, destination,
-// source port, destination port, protocol.
+// source port, destination port, protocol. FlowID's binary search and the
+// test references compare with it; Finish produces the same order without
+// comparing (sortFlowWords).
 func flowCompare(a, b FlowKey) int {
 	if c := cmp.Compare(a.Src, b.Src); c != 0 {
 		return c

@@ -1,10 +1,12 @@
 package trace
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 )
@@ -39,9 +41,7 @@ func (t *Trace) Duration() float64 {
 // Sort orders packets by timestamp (stable, so equal-timestamp generator
 // order is preserved and runs stay reproducible).
 func (t *Trace) Sort() {
-	sort.SliceStable(t.Packets, func(i, j int) bool {
-		return t.Packets[i].TS < t.Packets[j].TS
-	})
+	slices.SortStableFunc(t.Packets, func(a, b Packet) int { return cmp.Compare(a.TS, b.TS) })
 }
 
 // Sorted reports whether packets are in non-decreasing timestamp order.

@@ -5,11 +5,14 @@ GO ?= go
 # Benchmarks the CI smoke job tracks across commits (and the bench gate
 # compares against BENCH_baseline.json), by layer of one labeling:
 #   Ingest, TraceIndex, the fused pcap→Index decode (its allocs/op is the
-#   EncodeIndex         steady-state serving cost) of a full-payload upload and
-#                       of the same day as the store keeps it, against
-#                       ReadTrace+NewIndex; trace.NewIndex alone; and the job's
+#   EncodeIndex,        steady-state serving cost) of a full-payload upload and
+#   FlowTable           of the same day as the store keeps it, against
+#                       ReadTrace+NewIndex; trace.NewIndex alone; the job's
 #                       re-encode of an index to that payload-stripped pcap
-#                       (one allocation, none per packet)
+#                       (one allocation, none per packet); and the flow table's
+#                       own file, encoded (what the job adds beside the pcap)
+#                       and decoded (what a flows query pays on a cache miss,
+#                       where Ingest/stored is what it paid before)
 #   DetectAll,          the detector layer as the pipeline runs it (four
 #   Detectors,          prepares, twelve decisions; workers={1,4}) — DetectAll
 #   HoughSparse,        also matches DetectAllSegment/seq={0,39}, the same layer
@@ -48,7 +51,7 @@ GO ?= go
 # (TraceIndex, WindowIndex, EigenSym, Louvain and Union because the stages are
 # sequential, DetectAllSegment/Estimate/SCANN/Apriori at workers=1; RadixSort
 # is one row per length).
-BENCH_PATTERN ?= PipelineDay|PipelineStream|DetectAll|Detectors|Louvain|SimilarityGraph|GenerateDay|TraceIndex|Extract|Ingest|HoughSparse|Estimate|SCANN|Apriori|EigenSym|WindowIndex|EncodeIndex|BuildReports|Union|RadixSort
+BENCH_PATTERN ?= PipelineDay|PipelineStream|DetectAll|Detectors|Louvain|SimilarityGraph|GenerateDay|TraceIndex|Extract|Ingest|HoughSparse|Estimate|SCANN|Apriori|EigenSym|WindowIndex|EncodeIndex|BuildReports|Union|RadixSort|FlowTable
 # Total-coverage floor for `make cover`, in percent. Set from the measured
 # coverage at the last raise (85.1% when the golden-fixture and fuzz tests
 # landed), rounded down; raise it as coverage grows, never lower it to make
@@ -166,6 +169,8 @@ lint:
 # per packet, and by whole indexes appended at fuzz-chosen cut points —
 # against the map-based reference in internal/trace's tests (48-bit
 # timestamps: an index must not care how many years its packets span), the
+# flow-table file (arbitrary bytes never panic, whatever decodes re-encodes to
+# its input, every truncation and bit flip of a valid file is rejected), the
 # pcap write→read round trip, the decode-streaming vs decode-materialized
 # ingest differential, the similarity-graph build against its quadratic
 # reference at workers 1 and 3, the sorted-adjacency graphx.Graph against
@@ -180,6 +185,7 @@ lint:
 fuzz:
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzParseIPv4$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzIndexBuilder$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzFlowTable$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/pcap -run '^$$' -fuzz '^FuzzRoundTrip$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/pcap -run '^$$' -fuzz '^FuzzDecodeIndex$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/simgraph -run '^$$' -fuzz '^FuzzBuild$$' -fuzztime $(FUZZTIME)
@@ -189,8 +195,9 @@ fuzz:
 
 # Black-box daemon smoke: build the real mawilabd binary, boot it on a
 # random port, upload the golden fixture day over HTTP, assert the served
-# CSV sha256 matches testdata/pipeline_golden.json and that the stored
-# trace.pcap is smaller than the upload, scrape /metrics, and SIGTERM it
+# CSV sha256 matches testdata/pipeline_golden.json, that the stored
+# trace.pcap is smaller than the upload and flows.bin is 13 bytes a flow,
+# scrape /metrics, and SIGTERM it
 # expecting a graceful drain and exit 0. The in-process HTTP
 # tests live in ./internal/serve; this exercises the shipped binary.
 serve-smoke:

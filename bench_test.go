@@ -999,8 +999,10 @@ func BenchmarkCondorcet(b *testing.B) {
 // serving path) against the materializing ReadTrace+NewIndex the batch CLI
 // pays. allocs/op on the fused sub-bench is the serving path's steady-state
 // allocation cost. stored is the same fused decode of the same day as the
-// daemon stores it (EncodeIndex: headers only) — what a flows query pays on
-// an index-cache miss; its MB/s is over the smaller file, so compare ns/op.
+// daemon stores it (EncodeIndex: headers only) — what a flows query paid on
+// every cache miss until the flow table got a file of its own, and still pays
+// for an entry without one (BenchmarkFlowTable/decode is the miss now); its
+// MB/s is over the smaller file, so compare ns/op.
 func BenchmarkIngest(b *testing.B) {
 	b.ReportAllocs()
 	day := benchTrace(b)
@@ -1044,6 +1046,34 @@ func BenchmarkIngest(b *testing.B) {
 			}
 			if ix := trace.NewIndex(tr); ix.Len() != tr.Len() {
 				b.Fatal("bad index")
+			}
+		}
+	})
+}
+
+// BenchmarkFlowTable times the flow table's file form on the bench day's
+// index: encode is what a labeling job adds to its tail (one allocation, the
+// file), decode what a flows query pays on a cache miss — parse, checksum,
+// order check and the two posting sorts — where Ingest/stored decoded every
+// packet. MB/s is over the file, 13 bytes a flow.
+func BenchmarkFlowTable(b *testing.B) {
+	ix := benchIndex(b)
+	file := trace.EncodeFlowTable(&ix.FlowTable)
+	b.Run("encode", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(file)))
+		for i := 0; i < b.N; i++ {
+			if enc := trace.EncodeFlowTable(&ix.FlowTable); len(enc) != len(file) {
+				b.Fatal("encoding changed length")
+			}
+		}
+	})
+	b.Run("decode", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(file)))
+		for i := 0; i < b.N; i++ {
+			if view, err := trace.DecodeFlowTable(file); err != nil || view.Flows() != ix.Flows() {
+				b.Fatalf("decoded %v, %v", view, err)
 			}
 		}
 	})

@@ -23,9 +23,10 @@ import (
 // TestServeSmoke is the black-box daemon check behind `make serve-smoke`: it
 // builds the real binary, boots it on a random port, uploads the golden
 // fixture day over HTTP, asserts the served CSV digest matches
-// testdata/pipeline_golden.json and that the trace.pcap it stored is smaller
-// than the upload, scrapes /metrics, and SIGTERMs the process expecting a
-// clean drain and exit 0.
+// testdata/pipeline_golden.json, that the trace.pcap it stored is smaller
+// than the upload and that a flows.bin of 13 bytes per flow sits beside it,
+// scrapes /metrics, and SIGTERMs the process expecting a clean drain and
+// exit 0.
 func TestServeSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("exec-based smoke test skipped in -short mode")
@@ -163,6 +164,19 @@ func TestServeSmoke(t *testing.T) {
 	}
 	if stored.Size() >= int64(pcapBuf.Len()) {
 		t.Fatalf("stored trace.pcap is %d bytes, the upload was %d: payload not stripped", stored.Size(), pcapBuf.Len())
+	}
+	// Beside it, what a flow query reads: the flow table alone, 13 bytes a
+	// flow plus a 13-byte frame.
+	flowsBin, err := os.Stat(filepath.Join(storeDir, up.Digest, "flows.bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := mawilab.DecodePcap(bytes.NewReader(pcapBuf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if flows := ix.Flows(); flowsBin.Size() == 0 || flowsBin.Size() > int64(13*flows+13) {
+		t.Fatalf("stored flows.bin is %d bytes for %d flows, want at most %d", flowsBin.Size(), flows, 13*flows+13)
 	}
 
 	// /metrics exposes the daemon's counters.

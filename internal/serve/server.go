@@ -71,9 +71,9 @@ type Config struct {
 	// MaxResident bounds the label-store entries whose encoded bytes stay
 	// in memory (default 8); evicted entries re-read from disk.
 	MaxResident int
-	// IndexCacheSize bounds the per-digest trace.Index cache behind
-	// flow-level community queries (default 4). Building an index is a
-	// full pass over the trace; the cache makes repeated queries against
+	// IndexCacheSize bounds the per-digest flow-table cache behind
+	// flow-level community queries (default 4). Loading a table reads and
+	// checks the entry's flows.bin; the cache makes repeated queries against
 	// the same digest serve from memory (metrics: index_cache_hits/misses).
 	IndexCacheSize int
 	// NewPipeline overrides the per-job pipeline constructor — the test
@@ -128,7 +128,8 @@ type Server struct {
 	jobSeconds   *Histogram
 	spoolFiles   *CounterVec
 
-	indexes *indexCache
+	indexes       *indexCache
+	flowFallbacks *CounterVec
 }
 
 // New builds a Server from a validated config and recovers the label store
@@ -166,8 +167,9 @@ func New(cfg Config) (*Server, error) {
 	s.spoolFiles = s.reg.CounterVec("mawilabd_spool_files_total", "spool files handled by outcome", "outcome")
 	store.DiskReads = s.reg.Counter("mawilabd_store_disk_reads_total", "label reads that missed the resident LRU")
 	s.indexes = newIndexCache(cfg.IndexCacheSize,
-		s.reg.Counter("mawilabd_index_cache_hits_total", "flow queries served from the per-digest trace index cache"),
-		s.reg.Counter("mawilabd_index_cache_misses_total", "flow queries that had to rebuild a trace index"))
+		s.reg.Counter("mawilabd_index_cache_hits_total", "flow queries served from the per-digest flow-table cache"),
+		s.reg.Counter("mawilabd_index_cache_misses_total", "flow queries that had to load a flow table"))
+	s.flowFallbacks = s.reg.CounterVec("mawilabd_flow_table_fallbacks_total", "flow-table loads that decoded trace.pcap because flows.bin was missing or corrupt", "reason")
 
 	s.engine = NewEngine(cfg.JobWorkers, cfg.QueueDepth, cfg.JobTimeout, s.runJob)
 	s.engine.JobSeconds = s.jobSeconds
@@ -177,7 +179,7 @@ func New(cfg Config) (*Server, error) {
 	s.reg.GaugeFunc("mawilabd_jobs_inflight", "labeling jobs currently running", func() int64 { return s.engine.Inflight() })
 	s.reg.GaugeFunc("mawilabd_store_entries", "completed labelings in the store", func() int64 { return int64(s.store.Len()) })
 	s.reg.GaugeFunc("mawilabd_store_resident", "store entries whose bytes are resident in memory", func() int64 { return int64(s.store.Resident()) })
-	s.reg.GaugeFunc("mawilabd_index_cache_entries", "trace indexes resident in the per-digest cache", func() int64 { return int64(s.indexes.len()) })
+	s.reg.GaugeFunc("mawilabd_index_cache_entries", "flow tables resident in the per-digest cache", func() int64 { return int64(s.indexes.len()) })
 
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/traces", s.handleUpload)
@@ -282,10 +284,17 @@ func (s *Server) runJob(ctx context.Context, j *Job, payload any) error {
 			Score:     rep.Decision.Score,
 		})
 	}
-	// Persist the trace alongside the labels, stripped to its headers: the
-	// digest survives that round trip, so flow-level queries can rebuild the
-	// index from the stored bytes without the original upload.
-	return s.store.Put(meta, csv.Bytes(), admd.Bytes(), pcap.EncodeIndex(ix))
+	// Persist beside the labels what flow-level queries read — the flow table
+	// in its file form — and the trace it came from, stripped to its headers:
+	// the digest survives that round trip, so an entry whose flows.bin is lost
+	// or damaged still rebuilds the table without the original upload.
+	return s.store.PutEntry(Entry{
+		Meta:  meta,
+		CSV:   csv.Bytes(),
+		ADMD:  admd.Bytes(),
+		Pcap:  pcap.EncodeIndex(ix),
+		Flows: trace.EncodeFlowTable(&ix.FlowTable),
+	})
 }
 
 // uploadResponse is the POST /v1/traces wire representation.
@@ -492,26 +501,9 @@ type communityWithFlows struct {
 }
 
 // serveCommunityFlows resolves each community's best-rule filter against
-// the trace's flow table via the per-digest index cache.
+// the trace's flow table via the per-digest cache.
 func (s *Server) serveCommunityFlows(w http.ResponseWriter, digest string, communities []StoredCommunity, limit int) {
-	ix, err := s.indexes.get(digest, func() (*trace.Index, error) {
-		data, known, err := s.store.TracePcap(digest)
-		if !known {
-			return nil, fmt.Errorf("serve: no stored trace for %s", digest)
-		}
-		if err != nil {
-			return nil, err
-		}
-		// Fused decode; the index is deliberately never Released: the cache
-		// shares its indexes with in-flight readers even after eviction, so
-		// evicted entries must stay valid and fall to the garbage collector
-		// instead of recycling buffers out from under a reader.
-		ix, err := mawilab.DecodePcap(bytes.NewReader(data))
-		if err != nil {
-			return nil, fmt.Errorf("serve: decoding stored trace for %s: %w", digest, err)
-		}
-		return ix, nil
-	})
+	flows, err := s.indexes.get(digest, func() (*trace.FlowTable, error) { return s.loadFlowTable(digest) })
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
@@ -520,10 +512,43 @@ func (s *Server) serveCommunityFlows(w http.ResponseWriter, digest string, commu
 	for _, c := range communities {
 		out = append(out, communityWithFlows{
 			StoredCommunity: c,
-			MatchedFlows:    matchedFlows(ix, communityFilter(c), limit),
+			MatchedFlows:    matchedFlows(flows, communityFilter(c), limit),
 		})
 	}
 	writeJSON(w, http.StatusOK, out)
+}
+
+// loadFlowTable reads a stored entry's flow table: from flows.bin, or — when
+// the entry has none (a store written before the file existed) or the file
+// fails its checks — out of the stored trace.pcap, which answers the same at
+// the price of decoding every packet. Each fallback is counted by reason; the
+// read path never writes, so a legacy entry pays that price on every miss.
+func (s *Server) loadFlowTable(digest string) (*trace.FlowTable, error) {
+	reason := "missing"
+	if data, _, err := s.store.FlowTable(digest); err == nil {
+		flows, err := trace.DecodeFlowTable(data)
+		if err == nil {
+			return flows, nil
+		}
+		reason = "corrupt"
+	}
+	s.flowFallbacks.With(reason).Inc()
+
+	data, known, err := s.store.TracePcap(digest)
+	if !known {
+		return nil, fmt.Errorf("serve: no stored trace for %s", digest)
+	}
+	if err != nil {
+		return nil, err
+	}
+	ix, err := mawilab.DecodePcap(bytes.NewReader(data))
+	if err != nil {
+		return nil, fmt.Errorf("serve: decoding stored trace for %s: %w", digest, err)
+	}
+	// The cache outlives this call, the pooled index must not: keep a copy
+	// of the flow table and recycle the rest.
+	defer ix.Release()
+	return ix.FlowTable.Clone(), nil
 }
 
 // communityFilter rebuilds the trace filter from a stored best-rule tuple.
@@ -548,13 +573,13 @@ func communityFilter(c StoredCommunity) trace.Filter {
 }
 
 // matchedFlows returns up to limit flows matching the filter, in ascending
-// flow-table order, out of the index's candidate flows for it (the whole
+// flow-table order, out of the table's candidate flows for it (the whole
 // table when no constrained field is posted).
-func matchedFlows(ix *trace.Index, f trace.Filter, limit int) []string {
+func matchedFlows(flows *trace.FlowTable, f trace.Filter, limit int) []string {
 	out := make([]string, 0, limit)
-	cands := ix.CandidateFlows(f)
+	cands := flows.CandidateFlows(f)
 	for i := 0; i < cands.Len() && len(out) < limit; i++ {
-		if k := ix.Flow(cands.At(i)); f.MatchFlow(k) {
+		if k := flows.Flow(cands.At(i)); f.MatchFlow(k) {
 			out = append(out, flowString(k))
 		}
 	}

@@ -67,10 +67,10 @@ type entryBytes struct {
 }
 
 // Store is the digest-keyed label store: every completed labeling is
-// persisted under dir/<digest>/ (meta.json, labels.csv, labels.admd) with
-// crash-safe tmp-rename writes, metadata for every entry stays resident,
-// and an LRU bounds how many entries' encoded bytes are held in memory.
-// A Store is safe for concurrent use.
+// persisted under dir/<digest>/ (meta.json, labels.csv, labels.admd,
+// trace.pcap, flows.bin) with crash-safe tmp-rename writes, metadata for every
+// entry stays resident, and an LRU bounds how many entries' encoded bytes are
+// held in memory. A Store is safe for concurrent use.
 type Store struct {
 	dir         string
 	maxResident int
@@ -177,16 +177,34 @@ func (s *Store) Len() int {
 	return len(s.meta)
 }
 
-// Put persists one labeling atomically: every file is written into a
-// tmp-prefixed sibling directory which is then renamed into place, so a
-// reader (or a crash) can never observe a partial entry. pcap, when
-// non-empty, is the trace persisted alongside the labels as trace.pcap so
-// flow-level queries can rebuild the trace index without the original
-// upload: the daemon passes pcap.EncodeIndex's payload-stripped file, which
-// decodes to the same index and digest as the upload, and any pcap that does
-// — a full-frame one from an older store included — serves the same.
-// Re-putting an existing digest is an idempotent no-op.
+// Entry is everything one labeling persists, as PutEntry takes it.
+type Entry struct {
+	Meta *EntryMeta
+	// CSV and ADMD are the two encoded label documents.
+	CSV, ADMD []byte
+	// Pcap, when non-empty, is stored as trace.pcap: the trace itself, from
+	// which a flow query can rebuild what Flows holds. The daemon passes
+	// pcap.EncodeIndex's payload-stripped file, which decodes to the same
+	// index and digest as the upload; any pcap that does — a full-frame one
+	// from an older store included — serves the same.
+	Pcap []byte
+	// Flows, when non-empty, is stored as flows.bin: the trace's flow table
+	// in trace.EncodeFlowTable's form, which is all a flow query reads.
+	Flows []byte
+}
+
+// Put is PutEntry without a flow table — the signature cmd/mawibench's
+// in-process store timing calls.
 func (s *Store) Put(meta *EntryMeta, csv, admd, pcap []byte) error {
+	return s.PutEntry(Entry{Meta: meta, CSV: csv, ADMD: admd, Pcap: pcap})
+}
+
+// PutEntry persists one labeling atomically: every file is written into a
+// tmp-prefixed sibling directory which is then renamed into place, so a
+// reader (or a crash) can never observe a partial entry. Re-putting an
+// existing digest is an idempotent no-op.
+func (s *Store) PutEntry(e Entry) error {
+	meta := e.Meta
 	if meta.Digest == "" {
 		return fmt.Errorf("serve: store: empty digest")
 	}
@@ -207,21 +225,20 @@ func (s *Store) Put(meta *EntryMeta, csv, admd, pcap []byte) error {
 	if err != nil {
 		return fmt.Errorf("serve: store: %w", err)
 	}
-	files := []struct {
-		name string
-		data []byte
+	for _, f := range []struct {
+		name     string
+		data     []byte
+		optional bool // left out of the entry when empty
 	}{
-		{"labels.csv", csv},
-		{"labels.admd", admd},
-		{"meta.json", append(metaJSON, '\n')},
-	}
-	if len(pcap) > 0 {
-		files = append(files, struct {
-			name string
-			data []byte
-		}{"trace.pcap", pcap})
-	}
-	for _, f := range files {
+		{"labels.csv", e.CSV, false},
+		{"labels.admd", e.ADMD, false},
+		{"meta.json", append(metaJSON, '\n'), false},
+		{"trace.pcap", e.Pcap, true},
+		{"flows.bin", e.Flows, true},
+	} {
+		if f.optional && len(f.data) == 0 {
+			continue
+		}
 		if err := os.WriteFile(filepath.Join(tmp, f.name), f.data, 0o644); err != nil {
 			return fmt.Errorf("serve: store: %w", err)
 		}
@@ -239,7 +256,7 @@ func (s *Store) Put(meta *EntryMeta, csv, admd, pcap []byte) error {
 	defer s.mu.Unlock()
 	if _, ok := s.meta[meta.Digest]; !ok {
 		s.meta[meta.Digest] = meta
-		s.admit(meta.Digest, &entryBytes{csv: csv, admd: admd})
+		s.admit(meta.Digest, &entryBytes{csv: e.CSV, admd: e.ADMD})
 	}
 	return nil
 }
@@ -315,13 +332,22 @@ func (s *Store) touch(digest string) {
 // result is false for unknown digests; a known entry written before trace
 // persistence existed returns an error from the underlying read.
 func (s *Store) TracePcap(digest string) ([]byte, bool, error) {
-	s.mu.Lock()
-	_, known := s.meta[digest]
-	s.mu.Unlock()
-	if !known {
+	return s.entryFile(digest, "trace.pcap")
+}
+
+// FlowTable returns the persisted flow-table file (flows.bin) for a digest,
+// undecoded. The second result is false for unknown digests; a known entry
+// written before the file existed returns an error matching fs.ErrNotExist.
+func (s *Store) FlowTable(digest string) ([]byte, bool, error) {
+	return s.entryFile(digest, "flows.bin")
+}
+
+// entryFile reads one file of a known entry from disk.
+func (s *Store) entryFile(digest, name string) ([]byte, bool, error) {
+	if !s.Has(digest) {
 		return nil, false, nil
 	}
-	data, err := os.ReadFile(filepath.Join(s.dir, digest, "trace.pcap"))
+	data, err := os.ReadFile(filepath.Join(s.dir, digest, name))
 	if err != nil {
 		return nil, true, fmt.Errorf("serve: store: %w", err)
 	}

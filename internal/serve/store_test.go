@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"errors"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -178,5 +180,42 @@ func TestStoreNoTmpAfterPut(t *testing.T) {
 		if _, err := os.Stat(filepath.Join(dir, "d1", f)); err != nil {
 			t.Errorf("entry file missing: %v", err)
 		}
+	}
+}
+
+// TestStorePutEntryOptionalFiles: trace.pcap and flows.bin are written when
+// supplied and left out when not, FlowTable hands back the stored bytes, and
+// an entry without the file reads as fs.ErrNotExist — what the flows query
+// counts as a missing flow table.
+func TestStorePutEntryOptionalFiles(t *testing.T) {
+	dir := t.TempDir()
+	s, err := OpenStore(dir, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.PutEntry(Entry{Meta: testMeta("both"), CSV: []byte("c"), ADMD: []byte("a"), Pcap: []byte("pcap"), Flows: []byte("flows")}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put(testMeta("bare"), []byte("c"), []byte("a"), nil); err != nil {
+		t.Fatal(err)
+	}
+	if data, known, err := s.FlowTable("both"); err != nil || !known || string(data) != "flows" {
+		t.Errorf("FlowTable(both) = %q/%v/%v", data, known, err)
+	}
+	if data, known, err := s.TracePcap("both"); err != nil || !known || string(data) != "pcap" {
+		t.Errorf("TracePcap(both) = %q/%v/%v", data, known, err)
+	}
+	if _, known, err := s.FlowTable("bare"); !known || !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("FlowTable(bare) = known=%v err=%v, want a known entry and fs.ErrNotExist", known, err)
+	}
+	if _, known, err := s.FlowTable("nope"); known || err != nil {
+		t.Errorf("FlowTable(nope) = known=%v err=%v", known, err)
+	}
+	files, err := os.ReadDir(filepath.Join(dir, "bare"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) != 3 {
+		t.Errorf("bare entry holds %d files, want meta.json, labels.csv, labels.admd", len(files))
 	}
 }

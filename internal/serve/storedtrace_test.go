@@ -3,11 +3,16 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
+	"fmt"
+	"hash/crc32"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
 	"mawilab"
@@ -39,8 +44,10 @@ func flowsOf(t *testing.T, ts *httptest.Server, digest string) []byte {
 
 // TestStoredTraceIsPayloadStripped pins what an upload leaves in the store:
 // of a full-payload pcap, a trace.pcap of exactly pcap.EncodedLen bytes —
-// headers only — that decodes to the digest it is filed under, and from which
-// the flows query rebuilds the same answer after the index cache dropped it.
+// headers only — that decodes to the digest it is filed under, and a flows
+// query that answers the same after the cache dropped the digest's flow table
+// and reloaded it (from flows.bin; TestFlowsAnswerSurvivesEntryDamage covers
+// the reload from trace.pcap).
 func TestStoredTraceIsPayloadStripped(t *testing.T) {
 	s, ts := newTestServer(t, Config{IndexCacheSize: 1, QueueDepth: 4})
 	full := pcapBytes(t, goldenDay(t))
@@ -71,7 +78,7 @@ func TestStoredTraceIsPayloadStripped(t *testing.T) {
 		t.Errorf("stored trace decodes to %s, filed under %s, uploaded %s", got, digest, ix.Digest())
 	}
 
-	first := flowsOf(t, ts, digest)  // miss: decodes the stored file
+	first := flowsOf(t, ts, digest)  // miss: loads the stored flow table
 	cached := flowsOf(t, ts, digest) // hit
 	flowsOf(t, ts, other)            // the one slot goes to the other digest
 	rebuilt := flowsOf(t, ts, digest)
@@ -94,10 +101,13 @@ func TestStoredTraceIsPayloadStripped(t *testing.T) {
 	}
 }
 
-// TestFullPayloadStoreKeepsServing: a store written by a daemon that kept
-// whole frames — its trace.pcap was the bytes of WritePcap, here the upload
-// itself — reopens and answers the flows query exactly as a store written
-// today, and a re-upload is still a cache hit.
+// TestFullPayloadStoreKeepsServing: a store whose trace.pcap holds whole
+// frames — the bytes of WritePcap, here the upload itself, as a daemon before
+// the stripped encoding wrote them — reopens and answers the flows query
+// exactly as a store written today, and a re-upload is still a cache hit. The
+// entry here keeps today's flows.bin, so the query does not read that pcap;
+// the older store that has none is TestFlowsAnswerSurvivesEntryDamage's
+// "legacy store" case.
 func TestFullPayloadStoreKeepsServing(t *testing.T) {
 	dir := t.TempDir()
 	full := pcapBytes(t, goldenDay(t))
@@ -124,6 +134,130 @@ func TestFullPayloadStoreKeepsServing(t *testing.T) {
 	if code, out, _ := upload(t, ts, full, "golden"); code != http.StatusOK || !out.Cached {
 		t.Errorf("re-upload against the reopened store = %d cached=%v, want 200 cached", code, out.Cached)
 	}
+}
+
+// TestFlowsAnswerSurvivesEntryDamage pins the flows query's two sources
+// against each other. An intact entry answers from flows.bin alone — trace.pcap
+// may be gone. An entry without flows.bin (a store written before the file
+// existed), or with one that is truncated, bit-flipped, of an unknown version
+// or out of order, answers byte-identically out of trace.pcap, counts the
+// fallback by reason, and is left as it was found: the read path never writes.
+func TestFlowsAnswerSurvivesEntryDamage(t *testing.T) {
+	full := pcapBytes(t, goldenDay(t))
+	const header, record = 9, 13
+	reseal := func(data []byte) []byte {
+		body := data[:len(data)-4]
+		binary.LittleEndian.PutUint32(data[len(body):], crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli)))
+		return data
+	}
+	for _, tc := range []struct {
+		name   string
+		damage func(t *testing.T, entry string, flows []byte) // flows: the intact flows.bin
+		reason string                                         // the fallback counted, "" for none
+	}{
+		{"intact", func(*testing.T, string, []byte) {}, ""},
+		{"no trace.pcap", func(t *testing.T, entry string, _ []byte) {
+			removeFile(t, entry, "trace.pcap")
+		}, ""},
+		{"no flows.bin", func(t *testing.T, entry string, _ []byte) {
+			removeFile(t, entry, "flows.bin")
+		}, "missing"},
+		{"legacy store", func(t *testing.T, entry string, _ []byte) {
+			removeFile(t, entry, "flows.bin")
+			writeFile(t, entry, "trace.pcap", full)
+		}, "missing"},
+		{"one byte flipped", func(t *testing.T, entry string, flows []byte) {
+			flows[len(flows)/2] ^= 0x40
+			writeFile(t, entry, "flows.bin", flows)
+		}, "corrupt"},
+		{"truncated", func(t *testing.T, entry string, flows []byte) {
+			writeFile(t, entry, "flows.bin", flows[:len(flows)-record])
+		}, "corrupt"},
+		{"emptied", func(t *testing.T, entry string, _ []byte) {
+			writeFile(t, entry, "flows.bin", nil)
+		}, "corrupt"},
+		{"unknown version", func(t *testing.T, entry string, flows []byte) {
+			flows[4]++
+			writeFile(t, entry, "flows.bin", reseal(flows))
+		}, "corrupt"},
+		{"out of order", func(t *testing.T, entry string, flows []byte) {
+			first := slices.Clone(flows[header : header+record])
+			copy(flows[header:], flows[header+record:header+2*record])
+			copy(flows[header+record:], first)
+			writeFile(t, entry, "flows.bin", reseal(flows))
+		}, "corrupt"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s, ts := newTestServer(t, Config{StoreDir: dir})
+			digest := labeled(t, ts, full, "golden")
+			want := flowsOf(t, ts, digest)
+			if err := s.Drain(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			ts.Close()
+
+			entry := filepath.Join(dir, digest)
+			flows, err := os.ReadFile(filepath.Join(entry, "flows.bin"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.damage(t, entry, flows)
+			before := entryListing(t, entry)
+
+			_, ts = newTestServer(t, Config{StoreDir: dir})
+			if got := flowsOf(t, ts, digest); !bytes.Equal(got, want) {
+				t.Errorf("answer differs from the intact entry's:\n got %s\nwant %s", got, want)
+			}
+			if got := flowsOf(t, ts, digest); !bytes.Equal(got, want) {
+				t.Error("the cached answer differs")
+			}
+			for _, reason := range []string{"missing", "corrupt"} {
+				want := ""
+				if reason == tc.reason {
+					want = "1" // the second query was a cache hit
+				}
+				if v, _ := metricValue(t, ts, `mawilabd_flow_table_fallbacks_total{reason="`+reason+`"}`); v != want {
+					t.Errorf("flow_table_fallbacks{reason=%s} = %q, want %q", reason, v, want)
+				}
+			}
+			if after := entryListing(t, entry); after != before {
+				t.Errorf("the query changed the entry:\n was %s\n now %s", before, after)
+			}
+		})
+	}
+}
+
+func removeFile(t *testing.T, dir, name string) {
+	t.Helper()
+	if err := os.Remove(filepath.Join(dir, name)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func writeFile(t *testing.T, dir, name string, data []byte) {
+	t.Helper()
+	if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// entryListing renders a store entry's file names and sizes.
+func entryListing(t *testing.T, dir string) string {
+	t.Helper()
+	files, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	for _, f := range files {
+		info, err := f.Info()
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&b, "%s:%d ", f.Name(), info.Size())
+	}
+	return b.String()
 }
 
 // TestDuplicateUploadWhileJobPersists drives the daemon through the window

@@ -292,15 +292,13 @@ func (b *IndexBuilder) growSlots() {
 
 // sortedPosting sorts the key<<32|id words — a radix sort over the bytes that
 // vary, so a posting pays for the width of its keys and ids, not of the word —
-// and returns the ids in that order. words holds the keys in its first half;
-// the second half is the sort's scratch.
-func sortedPosting(post *[]int32, words []uint64) []int32 {
-	n := len(words) / 2
-	ids := resize(post, n)
+// and writes the ids in that order into ids. words holds len(ids) keys in its
+// first half; the second half is the sort's scratch.
+func sortedPosting(ids []int32, words []uint64) {
+	n := len(ids)
 	for i, w := range radix.Sort(words[:n], words[n:]) {
 		ids[i] = int32(uint32(w))
 	}
-	return ids
 }
 
 // flowWord is a flow key packed for Finish's sort with the provisional id it
@@ -434,19 +432,6 @@ func (b *IndexBuilder) Finish() *Index {
 		flowOf[i] = ci
 	}
 
-	// Postings: flow ids in (Dst, id) and (DstPort, id) order. The id rides
-	// in the low half of each sort word, so one comparator-free sort orders
-	// the keys and leaves every key's ids ascending.
-	keys := resize(&a.sortKeys, 2*nf)
-	for fi := range a.flows {
-		keys[fi] = uint64(a.flows[fi].Dst)<<32 | uint64(fi)
-	}
-	byDst := sortedPosting(&a.byDst, keys)
-	for fi := range a.flows {
-		keys[fi] = uint64(a.flows[fi].DstPort)<<32 | uint64(fi)
-	}
-	byDstPort := sortedPosting(&a.byDstPort, keys)
-
 	ix := &Index{
 		TS:        a.ts,
 		Seconds:   a.seconds,
@@ -457,13 +442,13 @@ func (b *IndexBuilder) Finish() *Index {
 		PktLen:    a.pktLen,
 		Proto:     a.proto,
 		Flags:     a.flags,
-		flows:     a.flows,
+		FlowTable: FlowTable{flows: a.flows},
 		flowOff:   flowOff,
 		flowPkts:  flowPkts,
 		flowOf:    flowOf,
-		byDst:     byDst,
-		byDstPort: byDstPort,
 	}
+	// Postings: flow ids in (Dst, id) and (DstPort, id) order.
+	ix.setPostings(resize(&a.byDst, nf), resize(&a.byDstPort, nf), resize(&a.sortKeys, 2*nf))
 	if b.pooled {
 		ix.arena = a
 	}
@@ -478,9 +463,9 @@ func (b *IndexBuilder) Finish() *Index {
 // indexes). Only the owner may call it, and only once no other reference to
 // the index (or any slice it exposed) remains: the index's slices are cleared
 // to fail fast, but the recycled backing arrays will be overwritten by a
-// later build. The serving job path releases after the labeling is
-// persisted; the per-digest query cache never releases (cached indexes are
-// shared with in-flight readers).
+// later build. What must outlive the index is copied out first
+// (FlowTable.Clone). The serving job path releases after the labeling is
+// persisted.
 func (ix *Index) Release() {
 	a := ix.arena
 	if a == nil {
@@ -491,8 +476,8 @@ func (ix *Index) Release() {
 	ix.Src, ix.Dst = nil, nil
 	ix.SrcPort, ix.DstPort, ix.PktLen = nil, nil, nil
 	ix.Proto, ix.Flags = nil, nil
-	ix.flows, ix.flowOff, ix.flowPkts, ix.flowOf = nil, nil, nil, nil
-	ix.byDst, ix.byDstPort = nil, nil
+	ix.FlowTable = FlowTable{}
+	ix.flowOff, ix.flowPkts, ix.flowOf = nil, nil, nil
 	arenaPool.Put(a)
 }
 

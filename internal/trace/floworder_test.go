@@ -24,6 +24,25 @@ func firstSeenFlows(tr *trace.Trace) []trace.FlowKey {
 	return keys
 }
 
+// fixtureDays generates the three fixture days the flow-table tests share,
+// each trace named by its date.
+func fixtureDays() []*trace.Trace {
+	arch := mawigen.NewArchive(42)
+	arch.Duration = 30
+	arch.BaseRate = 200
+	var days []*trace.Trace
+	for _, date := range []time.Time{
+		time.Date(2004, 5, 10, 0, 0, 0, 0, time.UTC),
+		time.Date(2005, 3, 7, 0, 0, 0, 0, time.UTC),
+		time.Date(2006, 10, 16, 0, 0, 0, 0, time.UTC),
+	} {
+		tr := arch.Day(date).Trace
+		tr.Name = date.Format(time.DateOnly)
+		days = append(days, tr)
+	}
+	return days
+}
+
 // TestFinishFlowOrderMatchesComparator pins Finish's comparison-free flow
 // sort to the comparator sort it replaced: on the three fixture days, and on
 // tables built to leave a single key byte varying — the last sort byte
@@ -36,26 +55,18 @@ func TestFinishFlowOrderMatchesComparator(t *testing.T) {
 		}
 	}
 
-	arch := mawigen.NewArchive(42)
-	arch.Duration = 30
-	arch.BaseRate = 200
-	for _, date := range []time.Time{
-		time.Date(2004, 5, 10, 0, 0, 0, 0, time.UTC),
-		time.Date(2005, 3, 7, 0, 0, 0, 0, time.UTC),
-		time.Date(2006, 10, 16, 0, 0, 0, 0, time.UTC),
-	} {
-		tr := arch.Day(date).Trace
+	for _, tr := range fixtureDays() {
 		keys := firstSeenFlows(tr)
 		if len(keys) < 1000 {
-			t.Fatalf("%s: only %d flows", date.Format(time.DateOnly), len(keys))
+			t.Fatalf("%s: only %d flows", tr.Name, len(keys))
 		}
-		check(date.Format(time.DateOnly), keys)
+		check(tr.Name, keys)
 
 		// The built index agrees: its table is the keys in that order.
 		ix := trace.NewIndex(tr)
 		for ci, pid := range trace.RefFlowOrder(keys) {
 			if ix.Flow(ci) != keys[pid] {
-				t.Fatalf("%s: flow table differs from the comparator order at %d", date.Format(time.DateOnly), ci)
+				t.Fatalf("%s: flow table differs from the comparator order at %d", tr.Name, ci)
 			}
 		}
 	}

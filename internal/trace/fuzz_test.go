@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -136,5 +137,52 @@ func FuzzIndexBuilder(f *testing.F) {
 			t.Fatalf("AppendIndex over %d packets cut at %v differs from reference", tr.Len(), cuts)
 		}
 		got.Release()
+	})
+}
+
+// FuzzFlowTable checks the flow-table file both ways. Arbitrary bytes never
+// panic the decoder, every rejection matches ErrFlowTable, and whatever
+// decodes re-encodes to exactly the input — the format has one spelling per
+// table. The same bytes, read as 13-byte keys, also make a valid file, of
+// which the truncation at pos and the flip of bit pos must both be rejected.
+func FuzzFlowTable(f *testing.F) {
+	valid := EncodeFlowTable(&NewIndex(indexTestTrace(3, 40)).FlowTable)
+	f.Add([]byte{}, uint32(0))
+	f.Add(valid, uint32(0))
+	f.Add(valid[:len(valid)-1], uint32(77))
+	f.Add(EncodeFlowTable(&FlowTable{}), uint32(40))
+	f.Fuzz(func(t *testing.T, data []byte, pos uint32) {
+		ft, err := DecodeFlowTable(data)
+		switch {
+		case err != nil && (ft != nil || !errors.Is(err, ErrFlowTable)):
+			t.Fatalf("rejection (%v, %v) is not a bare ErrFlowTable", ft, err)
+		case err == nil && !bytes.Equal(EncodeFlowTable(ft), data):
+			t.Fatalf("a %d-byte file decoded and re-encoded differently", len(data))
+		}
+
+		var keys []FlowKey
+		for rec := data; len(rec) >= flowRecordLen; rec = rec[flowRecordLen:] {
+			keys = append(keys, flowRecord(rec))
+		}
+		slices.SortFunc(keys, flowCompare)
+		file := EncodeFlowTable(&FlowTable{flows: slices.Compact(keys)})
+		view, err := DecodeFlowTable(file)
+		if err != nil {
+			t.Fatalf("a sorted table of %d keys did not decode: %v", len(keys), err)
+		}
+		for fi, k := range view.flows {
+			if got, ok := view.FlowID(k); !ok || got != fi {
+				t.Fatalf("FlowID(%v) = %d %v, want %d", k, got, ok, fi)
+			}
+		}
+		cut := int(pos % uint32(len(file)))
+		if _, err := DecodeFlowTable(file[:cut]); !errors.Is(err, ErrFlowTable) {
+			t.Fatalf("the file cut to %d of %d bytes: %v, want ErrFlowTable", cut, len(file), err)
+		}
+		bit := int(pos % uint32(8*len(file)))
+		file[bit/8] ^= 1 << (bit % 8)
+		if _, err := DecodeFlowTable(file); !errors.Is(err, ErrFlowTable) {
+			t.Fatalf("the file with bit %d flipped: %v, want ErrFlowTable", bit, err)
+		}
 	})
 }

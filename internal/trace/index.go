@@ -1,11 +1,9 @@
 package trace
 
 import (
-	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"slices"
 	"sort"
 )
 
@@ -39,20 +37,18 @@ type Index struct {
 	Proto   []Proto
 	Flags   []TCPFlags
 
-	// Canonical flow table: flows sorted by (Src, Dst, SrcPort, DstPort,
-	// Proto); flowPkts holds each flow's packet indices (ascending) as one
-	// contiguous run delimited by flowOff; flowOf maps a packet index back
-	// to its flow id.
-	flows    []FlowKey
+	// FlowTable is the canonical flow table — flows sorted by (Src, Dst,
+	// SrcPort, DstPort, Proto) — with its two postings: the part of the index
+	// that has a file form of its own (EncodeFlowTable) and serves flow
+	// queries without the packets.
+	FlowTable
+
+	// Packet runs: flowPkts holds each flow's packet indices (ascending) as
+	// one contiguous run delimited by flowOff; flowOf maps a packet index
+	// back to its flow id.
 	flowOff  []int32
 	flowPkts []int32
 	flowOf   []int32
-
-	// Postings: the flow ids ordered by (Dst, id) and by (DstPort, id), so
-	// one value's flows are a contiguous, ascending range of each. Source
-	// needs none: the flow table itself is sorted by Src first.
-	byDst     []int32
-	byDstPort []int32
 
 	// arena, when non-nil, is the pooled backing storage of a
 	// pcap.DecodeIndex build; Release returns it for reuse. Detached builds
@@ -84,26 +80,6 @@ func indexPackets(ps []Packet) (*Index, error) {
 		}
 	}
 	return b.Finish(), nil
-}
-
-// flowCompare is the canonical flow-table order: by source, destination,
-// source port, destination port, protocol. FlowID's binary search and the
-// test references compare with it; Finish produces the same order without
-// comparing (sortFlowWords).
-func flowCompare(a, b FlowKey) int {
-	if c := cmp.Compare(a.Src, b.Src); c != 0 {
-		return c
-	}
-	if c := cmp.Compare(a.Dst, b.Dst); c != 0 {
-		return c
-	}
-	if c := cmp.Compare(a.SrcPort, b.SrcPort); c != 0 {
-		return c
-	}
-	if c := cmp.Compare(a.DstPort, b.DstPort); c != 0 {
-		return c
-	}
-	return cmp.Compare(a.Proto, b.Proto)
 }
 
 // Len returns the number of indexed packets.
@@ -155,18 +131,6 @@ func (ix *Index) Digest() string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// Flows returns the number of distinct unidirectional flows.
-func (ix *Index) Flows() int { return len(ix.flows) }
-
-// Flow returns the flow key at flow-table index fi.
-func (ix *Index) Flow(fi int) FlowKey { return ix.flows[fi] }
-
-// FlowID returns the flow-table index of key k, and whether the trace
-// carries that flow: a binary search over the canonically sorted table.
-func (ix *Index) FlowID(k FlowKey) (int, bool) {
-	return slices.BinarySearchFunc(ix.flows, k, flowCompare)
-}
-
 // FlowPackets returns flow fi's packet indices, ascending. The slice
 // aliases the index and must not be mutated.
 func (ix *Index) FlowPackets(fi int) []int32 {
@@ -175,64 +139,6 @@ func (ix *Index) FlowPackets(fi int) []int32 {
 
 // FlowIDOf returns the flow-table id of packet pi.
 func (ix *Index) FlowIDOf(pi int) int32 { return ix.flowOf[pi] }
-
-// Candidates is an ascending run of flow ids: a range of the flow table, or a
-// stretch of one posting. It is a plain value — CandidateFlows allocates
-// nothing — walked with Len and At.
-type Candidates struct {
-	lo, hi int     // flow-table range, when ids is nil
-	ids    []int32 // posting stretch otherwise
-}
-
-// Len returns the number of candidate flows.
-func (c Candidates) Len() int {
-	if c.ids != nil {
-		return len(c.ids)
-	}
-	return c.hi - c.lo
-}
-
-// At returns the i-th candidate flow id; ids ascend with i.
-func (c Candidates) At(i int) int {
-	if c.ids != nil {
-		return int(c.ids[i])
-	}
-	return c.lo + i
-}
-
-// CandidateFlows returns the shortest run of flow ids guaranteed to contain
-// every flow the filter can match: the flow table's range for the filter's
-// source IP, the posting stretch for its destination IP or destination port,
-// or the whole table when it constrains none of the three. Candidates still
-// require a Filter.MatchFlow check; the run only prunes.
-func (ix *Index) CandidateFlows(f Filter) Candidates {
-	best := Candidates{hi: len(ix.flows)}
-	if f.Src != nil {
-		lo, hi := equalRange(len(ix.flows), func(i int) IPv4 { return ix.flows[i].Src }, *f.Src)
-		best = Candidates{lo: lo, hi: hi}
-	}
-	if f.Dst != nil {
-		lo, hi := equalRange(len(ix.byDst), func(i int) IPv4 { return ix.flows[ix.byDst[i]].Dst }, *f.Dst)
-		if hi-lo < best.Len() {
-			best = Candidates{ids: ix.byDst[lo:hi:hi]}
-		}
-	}
-	if f.DstPort != nil {
-		lo, hi := equalRange(len(ix.byDstPort), func(i int) uint16 { return ix.flows[ix.byDstPort[i]].DstPort }, *f.DstPort)
-		if hi-lo < best.Len() {
-			best = Candidates{ids: ix.byDstPort[lo:hi:hi]}
-		}
-	}
-	return best
-}
-
-// equalRange returns the positions [lo,hi) of [0,n) whose key equals v; key
-// must be non-decreasing.
-func equalRange[K cmp.Ordered](n int, key func(int) K, v K) (lo, hi int) {
-	lo = sort.Search(n, func(i int) bool { return key(i) >= v })
-	hi = lo + sort.Search(n-lo, func(i int) bool { return key(lo+i) > v })
-	return lo, hi
-}
 
 // Window returns the index range [lo,hi) of packets with timestamps in
 // [from,to) seconds — identical to Trace.Window: one binary search per bound

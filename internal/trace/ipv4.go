@@ -6,6 +6,36 @@
 // IPv4 headers with transport ports, TCP flags, ICMP type/code and packet
 // sizes, but no payloads — which is exactly the input consumed by the four
 // anomaly detectors and by the similarity estimator.
+//
+// # The flow-table file
+//
+// An Index's FlowTable has a file form (EncodeFlowTable, DecodeFlowTable):
+// what the daemon stores as flows.bin beside a labeling, so that a flow query
+// loads the flow table and never decodes the packets. All integers are
+// little-endian:
+//
+//	offset     size  field
+//	0          4     magic "MWFT"
+//	4          1     version, 1
+//	5          4     flow count n (uint32)
+//	9          13·n  the flows in canonical order, each
+//	                   Src (4) Dst (4) SrcPort (2) DstPort (2) Proto (1)
+//	9 + 13·n   4     CRC-32C (Castagnoli) of every byte before it
+//
+// so a file is exactly 13·n + 13 bytes. The version byte is there because the
+// file is a cache of what trace.pcap already says: a later layout bumps it,
+// and a reader that meets a version it does not know treats the file as
+// absent and falls back to the packets, instead of guessing at the bytes. The
+// two postings are not stored: they are a function of the flows (two radix
+// sorts, the ones IndexBuilder.Finish runs), storing them would add 8 bytes to
+// every 13, and a stored posting that disagreed with its table would have to
+// be checked against it at a cost close to the rebuild. The trailer is a
+// CRC-32C and not the entry's digest because the digest is over the packet
+// columns, which the file does not hold, and because the file guards against
+// a torn or rotted write, not an adversary: CRC-32C runs in hardware at
+// memory speed, where a sha256 over the table costs more than decoding it.
+// DecodeFlowTable also requires the keys strictly ascending, so whatever
+// passes can be binary-searched; every rejection wraps ErrFlowTable.
 package trace
 
 import (

@@ -315,7 +315,7 @@ func RunRatios(ctx context.Context, runner *Runner, dates []time.Time) ([]DayRat
 		}
 		for det := range day.Totals {
 			dr.PerDetector[det] = AttackRatio(day.Reports, func(i int) bool {
-				return DetectedBy(day.Result, i, det)
+				return detectedBy(day.Result, i, det)
 			})
 		}
 		ratios = append(ratios, dr)
@@ -471,7 +471,7 @@ func Fig9(days []*DayResult, strategy string) ([]Fig9Row, error) {
 			scann.ByCategory[cat]++
 			scann.Total++
 			for _, det := range names {
-				if DetectedBy(day.Result, i, det) {
+				if detectedBy(day.Result, i, det) {
 					r := idx[det]
 					r.ByCategory[cat]++
 					r.Total++

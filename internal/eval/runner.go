@@ -70,11 +70,6 @@ func (r *Runner) Day(date time.Time) (*DayResult, error) {
 	return r.day(context.Background(), date, r.workers())
 }
 
-// DayContext is Day with cancellation.
-func (r *Runner) DayContext(ctx context.Context, date time.Time) (*DayResult, error) {
-	return r.day(ctx, date, r.workers())
-}
-
 // Days analyzes many archive days, sharded across a day-level worker pool
 // of r.Workers goroutines; each day then runs its own pipeline sequentially
 // (the day-level fan-out already saturates the pool). Results are returned
@@ -207,7 +202,7 @@ func ComputeGainCost(day *DayResult, decisions []core.Decision, detector string)
 		return gc, err
 	}
 	for i := range day.Reports {
-		if detector != "" && !communityHasDetector(day.Result, i, detector) {
+		if detector != "" && !detectedBy(day.Result, i, detector) {
 			continue
 		}
 		attack := day.Reports[i].Class == heuristics.Attack
@@ -239,16 +234,12 @@ func checkDecisions(day *DayResult, decisions []core.Decision) error {
 	return nil
 }
 
-func communityHasDetector(res *core.Result, ci int, detector string) bool {
+// detectedBy reports whether community ci contains an alarm from detector.
+func detectedBy(res *core.Result, ci int, detector string) bool {
 	for _, ai := range res.Communities[ci].Alarms {
 		if res.Alarms[ai].Detector == detector {
 			return true
 		}
 	}
 	return false
-}
-
-// DetectedBy reports whether community ci contains an alarm from detector.
-func DetectedBy(res *core.Result, ci int, detector string) bool {
-	return communityHasDetector(res, ci, detector)
 }

@@ -144,7 +144,7 @@ func TestLouvainTwoCliques(t *testing.T) {
 	clique(0, 1, 2, 3)
 	clique(4, 5, 6, 7)
 	g.AddEdge(3, 4, 0.1)
-	comm := g.Louvain()
+	comm := assign(t, g)
 	if comm[0] != comm[1] || comm[1] != comm[2] || comm[2] != comm[3] {
 		t.Errorf("first clique split: %v", comm)
 	}
@@ -159,7 +159,7 @@ func TestLouvainTwoCliques(t *testing.T) {
 func TestLouvainIsolatedNodesStaySingle(t *testing.T) {
 	g := New(5)
 	g.AddEdge(0, 1, 1)
-	comm := g.Louvain()
+	comm := assign(t, g)
 	if comm[0] != comm[1] {
 		t.Errorf("connected pair should merge: %v", comm)
 	}
@@ -184,8 +184,8 @@ func TestLouvainDeterministic(t *testing.T) {
 		}
 		return g
 	}
-	a := build().Louvain()
-	b := build().Louvain()
+	a := assign(t, build())
+	b := assign(t, build())
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("Louvain not deterministic")
@@ -211,7 +211,7 @@ func TestLouvainImprovesOverSingletons(t *testing.T) {
 			}
 		}
 	}
-	comm := g.Louvain()
+	comm := assign(t, g)
 	singletons := make([]int, n)
 	for i := range singletons {
 		singletons[i] = i
@@ -245,10 +245,10 @@ func TestLouvainImprovesOverSingletons(t *testing.T) {
 }
 
 func TestLouvainEmptyAndTrivial(t *testing.T) {
-	if got := New(0).Louvain(); len(got) != 0 {
+	if got := assign(t, New(0)); len(got) != 0 {
 		t.Error("empty graph should give empty assignment")
 	}
-	comm := New(3).Louvain() // no edges at all
+	comm := assign(t, New(3)) // no edges at all
 	if comm[0] == comm[1] || comm[1] == comm[2] {
 		t.Errorf("edgeless nodes must stay singletons: %v", comm)
 	}

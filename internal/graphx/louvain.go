@@ -7,7 +7,7 @@ import (
 	"sort"
 )
 
-// Local-move defaults (see LouvainOptions).
+// Local-move defaults — the only values louvainOptions takes outside tests.
 const (
 	// DefaultMaxPasses caps the greedy local-move passes per level. With
 	// the modularity-delta criterion doing the real stopping, the cap is an
@@ -21,38 +21,36 @@ const (
 	DefaultMinDeltaQ = 1e-9
 )
 
-// ErrMaxPasses reports that local moving was stopped by the MaxPasses
+// ErrMaxPasses reports that local moving was stopped by the DefaultMaxPasses
 // escape hatch before the modularity-delta criterion declared convergence.
-// LouvainContext discards the half-converged partition when returning it;
-// callers that want the best partition found anyway should use LouvainWith
-// and read the Converged flag.
+// LouvainContext discards the half-converged partition rather than return it.
 var ErrMaxPasses = errors.New("graphx: Louvain local move hit MaxPasses before converging")
 
-// LouvainOptions tunes the Louvain run.
-type LouvainOptions struct {
-	// MaxPasses caps local-move passes per level; 0 means DefaultMaxPasses.
-	MaxPasses int
-	// MinDeltaQ is the per-pass modularity-gain convergence threshold;
+// louvainOptions tunes a Louvain run; tests vary it to force a capped run.
+type louvainOptions struct {
+	// maxPasses caps local-move passes per level; 0 means DefaultMaxPasses.
+	maxPasses int
+	// minDeltaQ is the per-pass modularity-gain convergence threshold;
 	// 0 means DefaultMinDeltaQ, negative disables the criterion (a level
-	// then ends only when a pass moves no node, or at MaxPasses).
-	MinDeltaQ float64
+	// then ends only when a pass moves no node, or at maxPasses).
+	minDeltaQ float64
 }
 
-// LouvainResult carries the assignment plus convergence telemetry.
-type LouvainResult struct {
-	// Assignment maps each node to a dense community id (0-based, in order
+// louvainResult carries the assignment plus convergence telemetry.
+type louvainResult struct {
+	// assignment maps each node to a dense community id (0-based, in order
 	// of first appearance).
-	Assignment []int
-	// Converged is false when any level's local move was stopped by the
-	// MaxPasses cap instead of the convergence criterion.
-	Converged bool
-	// Levels counts the aggregation levels run, Passes the local-move
+	assignment []int
+	// converged is false when any level's local move was stopped by the
+	// maxPasses cap instead of the convergence criterion.
+	converged bool
+	// levels counts the aggregation levels run, passes the local-move
 	// passes summed over them.
-	Levels, Passes int
+	levels, passes int
 }
 
-// Louvain runs the Louvain modularity-optimization method and returns a
-// community id for every node (ids are dense, 0-based, in order of first
+// LouvainContext runs the Louvain modularity-optimization method and returns
+// a community id for every node (ids are dense, 0-based, in order of first
 // appearance). The implementation is deterministic: nodes are scanned in
 // index order and ties in modularity gain keep the current community.
 //
@@ -65,52 +63,39 @@ type LouvainResult struct {
 // the pipeline builds (a few hundred alarms, tens of communities) fanning
 // the local move out costs more than it saves.
 //
-// Louvain always returns an assignment, keeping the legacy contract. Use
-// LouvainContext for cancellation, or LouvainWith to observe the convergence
-// telemetry instead of failing on a MaxPasses overrun.
-func (g *Graph) Louvain() []int {
-	res, err := g.LouvainWith(context.Background(), LouvainOptions{})
-	if err != nil {
-		// Unreachable: the background context is never cancelled and
-		// LouvainWith has no other failure mode.
-		panic(err)
-	}
-	return res.Assignment
-}
-
-// LouvainContext is Louvain with cancellation, checked between local-move
-// passes and aggregation levels. A partition that failed to converge within
-// DefaultMaxPasses is reported as ErrMaxPasses rather than returned silently
-// half-optimized. The int parameter (once a worker count) is ignored: it
-// stays only because cmd/mawibench, frozen for this change, compiles against
-// this signature; the next benchmark PR drops it.
+// Cancellation is checked between local-move passes and aggregation levels.
+// A partition that failed to converge within DefaultMaxPasses is reported as
+// ErrMaxPasses rather than returned silently half-optimized. The int
+// parameter (once a worker count) is ignored: it stays only because
+// cmd/mawibench, frozen for this change, compiles against this signature; the
+// next benchmark PR drops it.
 func (g *Graph) LouvainContext(ctx context.Context, _ int) ([]int, error) {
-	res, err := g.LouvainWith(ctx, LouvainOptions{})
+	res, err := g.louvain(ctx, louvainOptions{})
 	if err != nil {
 		return nil, err
 	}
-	if !res.Converged {
-		return nil, fmt.Errorf("%w (MaxPasses=%d, levels=%d)", ErrMaxPasses, DefaultMaxPasses, res.Levels)
+	if !res.converged {
+		return nil, fmt.Errorf("%w (MaxPasses=%d, levels=%d)", ErrMaxPasses, DefaultMaxPasses, res.levels)
 	}
-	return res.Assignment, nil
+	return res.assignment, nil
 }
 
-// LouvainWith runs Louvain under explicit options and returns the full
-// result, including whether every level converged before its pass cap. The
-// only error is the context's.
-func (g *Graph) LouvainWith(ctx context.Context, opts LouvainOptions) (*LouvainResult, error) {
-	if opts.MaxPasses <= 0 {
-		opts.MaxPasses = DefaultMaxPasses
+// louvain runs Louvain under explicit options and returns the full result,
+// including whether every level converged before its pass cap. The only
+// error is the context's.
+func (g *Graph) louvain(ctx context.Context, opts louvainOptions) (*louvainResult, error) {
+	if opts.maxPasses <= 0 {
+		opts.maxPasses = DefaultMaxPasses
 	}
-	if opts.MinDeltaQ == 0 {
-		opts.MinDeltaQ = DefaultMinDeltaQ
+	if opts.minDeltaQ == 0 {
+		opts.minDeltaQ = DefaultMinDeltaQ
 	}
 	// assignment maps original nodes to communities of the current level.
 	assignment := make([]int, g.n)
 	for i := range assignment {
 		assignment[i] = i
 	}
-	res := &LouvainResult{Converged: true}
+	res := &louvainResult{converged: true}
 	cur := g
 	for {
 		if err := ctx.Err(); err != nil {
@@ -120,10 +105,10 @@ func (g *Graph) LouvainWith(ctx context.Context, opts LouvainOptions) (*LouvainR
 		if err != nil {
 			return nil, err
 		}
-		res.Levels++
-		res.Passes += lm.passes
+		res.levels++
+		res.passes += lm.passes
 		if lm.capped {
-			res.Converged = false
+			res.converged = false
 		}
 		if !lm.moved {
 			break
@@ -139,7 +124,7 @@ func (g *Graph) LouvainWith(ctx context.Context, opts LouvainOptions) (*LouvainR
 		}
 		cur = next
 	}
-	res.Assignment = compactIDs(assignment)
+	res.assignment = compactIDs(assignment)
 	return res, nil
 }
 
@@ -222,16 +207,16 @@ func (lv *louvainLevel) bestMove(u int, comm []int, tot []float64, sc *moveScrat
 type localMoveResult struct {
 	comm   []int
 	moved  bool // any node changed community
-	capped bool // MaxPasses fired before the convergence criterion
+	capped bool // maxPasses fired before the convergence criterion
 	passes int
 }
 
 // localMove sweeps the nodes in index order, each taking its best move
 // against the state every earlier decision left behind, and repeats until a
 // pass moves no node, the pass's total modularity gain drops below
-// opts.MinDeltaQ, or opts.MaxPasses fires (reported via capped, never
+// opts.minDeltaQ, or opts.maxPasses fires (reported via capped, never
 // silent). The context is checked between passes.
-func (g *Graph) localMove(ctx context.Context, opts LouvainOptions) (localMoveResult, error) {
+func (g *Graph) localMove(ctx context.Context, opts louvainOptions) (localMoveResult, error) {
 	n := g.n
 	out := localMoveResult{comm: make([]int, n)}
 	for i := range out.comm {
@@ -249,7 +234,7 @@ func (g *Graph) localMove(ctx context.Context, opts LouvainOptions) (localMoveRe
 		if err := ctx.Err(); err != nil {
 			return out, err
 		}
-		if pass == opts.MaxPasses {
+		if pass == opts.maxPasses {
 			out.capped = true
 			break
 		}
@@ -275,8 +260,8 @@ func (g *Graph) localMove(ctx context.Context, opts LouvainOptions) (localMoveRe
 			break
 		}
 		// Modularity-delta criterion: passDelta is in raw gain units
-		// (ΔQ·m), so compare against MinDeltaQ·m.
-		if opts.MinDeltaQ > 0 && passDelta < opts.MinDeltaQ*g.total {
+		// (ΔQ·m), so compare against minDeltaQ·m.
+		if opts.minDeltaQ > 0 && passDelta < opts.minDeltaQ*g.total {
 			break
 		}
 	}

@@ -10,6 +10,17 @@ import (
 	"testing"
 )
 
+// assign runs the default Louvain (LouvainContext) and fails the test on
+// any error.
+func assign(t testing.TB, g *Graph) []int {
+	t.Helper()
+	comm, err := g.LouvainContext(context.Background(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return comm
+}
+
 // addClique wires nodes into a unit-weight clique.
 func addClique(g *Graph, nodes ...int) {
 	for i := 0; i < len(nodes); i++ {
@@ -48,7 +59,7 @@ func TestLouvainRingOfCliquesGolden(t *testing.T) {
 	for u := range want {
 		want[u] = u / s
 	}
-	comm := g.Louvain()
+	comm := assign(t, g)
 	if !reflect.DeepEqual(comm, want) {
 		t.Fatalf("assignment = %v, want one community per clique", comm)
 	}
@@ -68,7 +79,7 @@ func TestLouvainBarbellGolden(t *testing.T) {
 	addClique(g, 5, 6, 7, 8, 9)
 	g.AddEdge(4, 5, 1)
 	want := []int{0, 0, 0, 0, 0, 1, 1, 1, 1, 1}
-	comm := g.Louvain()
+	comm := assign(t, g)
 	if !reflect.DeepEqual(comm, want) {
 		t.Fatalf("assignment = %v, want the two cliques", comm)
 	}
@@ -119,14 +130,14 @@ func louvainTestGraphs() map[string]*Graph {
 // level/pass counts, and repeats them exactly.
 func TestLouvainWithTelemetry(t *testing.T) {
 	g := louvainTestGraphs()["planted"]
-	ref, err := g.LouvainWith(context.Background(), LouvainOptions{})
+	ref, err := g.louvain(context.Background(), louvainOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ref.Converged || ref.Levels < 1 || ref.Passes < ref.Levels {
+	if !ref.converged || ref.levels < 1 || ref.passes < ref.levels {
 		t.Fatalf("telemetry = %+v", ref)
 	}
-	again, err := g.LouvainWith(context.Background(), LouvainOptions{})
+	again, err := g.louvain(context.Background(), louvainOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,25 +148,25 @@ func TestLouvainWithTelemetry(t *testing.T) {
 
 // TestLouvainMaxPassesCap: a one-pass cap on a graph that needs several
 // passes must be reported, never silently swallowed; the default cap with
-// the modularity-delta criterion converges and matches Louvain().
+// the modularity-delta criterion converges and matches LouvainContext.
 func TestLouvainMaxPassesCap(t *testing.T) {
 	g := louvainTestGraphs()["planted"]
-	res, err := g.LouvainWith(context.Background(), LouvainOptions{MaxPasses: 1})
+	res, err := g.louvain(context.Background(), louvainOptions{maxPasses: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Converged {
-		t.Fatal("MaxPasses=1 on the planted partition must report a capped run")
+	if res.converged {
+		t.Fatal("maxPasses=1 on the planted partition must report a capped run")
 	}
-	res, err = g.LouvainWith(context.Background(), LouvainOptions{})
+	res, err = g.louvain(context.Background(), louvainOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Converged {
+	if !res.converged {
 		t.Fatal("default options must converge")
 	}
-	if !reflect.DeepEqual(res.Assignment, g.Louvain()) {
-		t.Fatal("LouvainWith default assignment diverges from Louvain()")
+	if !reflect.DeepEqual(res.assignment, assign(t, g)) {
+		t.Fatal("the default assignment diverges from LouvainContext's")
 	}
 }
 

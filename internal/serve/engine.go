@@ -5,7 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
+
+	"mawilab/internal/trace"
 )
 
 // Admission-control errors returned by Engine.Enqueue.
@@ -63,27 +66,35 @@ type Job struct {
 	// payload carries the decoded trace from admission to the worker; the
 	// engine drops it when the job leaves the running state so finished
 	// jobs don't pin packet memory.
-	payload any
+	payload *trace.Index
 }
+
+// maxFinishedJobs bounds the finished jobs an Engine remembers: past it the
+// oldest is forgotten (its job ID answers 404; its labels stay in the store,
+// reachable by digest), so a long-lived daemon does not grow by one Job per
+// upload. Queued and running jobs are never forgotten; the bound sits far
+// above any queue depth.
+const maxFinishedJobs = 4096
 
 // Engine schedules labeling jobs across a fixed set of workers behind a
 // bounded queue: admission control (ErrQueueFull / ErrDraining) at the
 // front, per-job timeouts in the middle, and a graceful drain — finish
 // every accepted job, accept nothing new — at the back.
 type Engine struct {
-	run     func(ctx context.Context, j *Job, payload any) error
+	run     func(ctx context.Context, j *Job, ix *trace.Index) error
 	queue   chan *Job
 	timeout time.Duration
 
 	mu       sync.Mutex
 	jobs     map[string]*Job
+	finished []string        // IDs of the finished jobs in jobs, oldest first
 	byDigest map[string]*Job // queued/running job per digest, for dedup
 	seq      int
 	draining bool
 	closed   bool
 
 	wg       sync.WaitGroup
-	inflight Gauge
+	inflight atomic.Int64
 	// JobSeconds, when non-nil, observes each finished job's wall-clock
 	// run time. Assigned once before the first Enqueue.
 	JobSeconds *Histogram
@@ -105,7 +116,7 @@ type Engine struct {
 // NewEngine starts `workers` worker goroutines over a queue of `depth`
 // slots. run executes one job; timeout > 0 bounds each run with a context
 // deadline. Call Drain to stop.
-func NewEngine(workers, depth int, timeout time.Duration, run func(ctx context.Context, j *Job, payload any) error) *Engine {
+func NewEngine(workers, depth int, timeout time.Duration, run func(ctx context.Context, j *Job, ix *trace.Index) error) *Engine {
 	if workers <= 0 {
 		workers = 1
 	}
@@ -127,14 +138,14 @@ func NewEngine(workers, depth int, timeout time.Duration, run func(ctx context.C
 }
 
 // Enqueue admits a new job for the decoded trace (Adopted: the engine now
-// owns payload), or returns the active (queued/running) job already covering
+// owns ix), or returns the active (queued/running) job already covering
 // the same digest (Duplicate), or finds the digest already labeled and
 // stored (Cached, nil job) — an upload racing an identical upload never
 // computes twice. On every outcome but Adopted a caller holding pooled
 // resources releases its copy. ErrDraining and ErrQueueFull reject what
 // would have been a new job; an upload that needs none is still answered
 // while draining.
-func (e *Engine) Enqueue(digest, traceName string, packets int, payload any) (*Job, Admission, error) {
+func (e *Engine) Enqueue(digest, traceName string, packets int, ix *trace.Index) (*Job, Admission, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if j, ok := e.byDigest[digest]; ok {
@@ -154,7 +165,7 @@ func (e *Engine) Enqueue(digest, traceName string, packets int, payload any) (*J
 		Packets:    packets,
 		State:      JobQueued,
 		EnqueuedAt: time.Now().UTC(),
-		payload:    payload,
+		payload:    ix,
 	}
 	select {
 	case e.queue <- j:
@@ -167,7 +178,8 @@ func (e *Engine) Enqueue(digest, traceName string, packets int, payload any) (*J
 	return j.snapshot(), Adopted, nil
 }
 
-// Job returns a copy of the job's current state.
+// Job returns a copy of the job's current state; false for an unknown job,
+// or a finished one past the maxFinishedJobs most recent.
 func (e *Engine) Job(id string) (Job, bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -193,7 +205,7 @@ func (e *Engine) Active(digest string) (Job, bool) {
 func (e *Engine) Depth() int { return len(e.queue) }
 
 // Inflight returns the number of jobs currently running.
-func (e *Engine) Inflight() int64 { return e.inflight.Value() }
+func (e *Engine) Inflight() int64 { return e.inflight.Load() }
 
 // Drain begins graceful shutdown: new admissions fail with ErrDraining,
 // every already-accepted job (queued or running) runs to completion, and
@@ -242,8 +254,8 @@ func (e *Engine) runOne(j *Job) {
 	payload := j.payload
 	snap := j.snapshot()
 	e.mu.Unlock()
-	e.inflight.Inc()
-	defer e.inflight.Dec()
+	e.inflight.Add(1)
+	defer e.inflight.Add(-1)
 
 	ctx := context.Background()
 	if e.timeout > 0 {
@@ -263,6 +275,11 @@ func (e *Engine) runOne(j *Job) {
 		j.Error = err.Error()
 	} else {
 		j.State = JobDone
+	}
+	e.finished = append(e.finished, j.ID)
+	if len(e.finished) > maxFinishedJobs {
+		delete(e.jobs, e.finished[0])
+		e.finished = e.finished[1:]
 	}
 	// Hooks fire before the terminal state becomes observable via Job(),
 	// so a poller that sees "done" also sees the job in the metrics.

@@ -3,9 +3,13 @@ package serve
 import (
 	"context"
 	"errors"
+	"fmt"
+	"net/http"
 	"sync"
 	"testing"
 	"time"
+
+	"mawilab/internal/trace"
 )
 
 // waitState polls a job until it reaches a terminal state.
@@ -32,7 +36,7 @@ func waitState(t *testing.T, e *Engine, id string, want JobState) Job {
 func TestEngineAdmissionControl(t *testing.T) {
 	started := make(chan string, 8)
 	release := make(chan struct{})
-	e := NewEngine(1, 1, 0, func(_ context.Context, j *Job, _ any) error {
+	e := NewEngine(1, 1, 0, func(_ context.Context, j *Job, _ *trace.Index) error {
 		started <- j.ID
 		<-release
 		return nil
@@ -81,7 +85,7 @@ func TestEngineAdmissionControl(t *testing.T) {
 }
 
 func TestEngineJobTimeout(t *testing.T) {
-	e := NewEngine(1, 1, 20*time.Millisecond, func(ctx context.Context, _ *Job, _ any) error {
+	e := NewEngine(1, 1, 20*time.Millisecond, func(ctx context.Context, _ *Job, _ *trace.Index) error {
 		<-ctx.Done()
 		return ctx.Err()
 	})
@@ -103,7 +107,7 @@ func TestEngineJobTimeout(t *testing.T) {
 func TestEngineDrain(t *testing.T) {
 	started := make(chan string, 8)
 	release := make(chan struct{})
-	e := NewEngine(1, 4, 0, func(_ context.Context, j *Job, _ any) error {
+	e := NewEngine(1, 4, 0, func(_ context.Context, j *Job, _ *trace.Index) error {
 		started <- j.ID
 		<-release
 		return nil
@@ -148,7 +152,7 @@ func TestEngineDrain(t *testing.T) {
 func TestEngineDrainDeadline(t *testing.T) {
 	release := make(chan struct{})
 	started := make(chan struct{})
-	e := NewEngine(1, 1, 0, func(_ context.Context, _ *Job, _ any) error {
+	e := NewEngine(1, 1, 0, func(_ context.Context, _ *Job, _ *trace.Index) error {
 		close(started)
 		<-release
 		return nil
@@ -184,7 +188,7 @@ func TestEngineStoredIsCheckedWithTheActiveJob(t *testing.T) {
 	persist := make(chan struct{})
 	put := make(chan struct{})
 	finish := make(chan struct{})
-	e := NewEngine(1, 2, 0, func(_ context.Context, j *Job, _ any) error {
+	e := NewEngine(1, 2, 0, func(_ context.Context, j *Job, _ *trace.Index) error {
 		close(running)
 		<-persist
 		mu.Lock()
@@ -242,4 +246,39 @@ func TestEngineStoredIsCheckedWithTheActiveJob(t *testing.T) {
 	}
 	// Draining: still cached, no ErrDraining for an upload that needs no job.
 	again("draining", Cached)
+}
+
+// TestEngineForgetsOldestFinishedJobs: past maxFinishedJobs the engine
+// forgets its oldest finished jobs — their IDs answer 404 — and remembers the
+// newest, so a long-lived daemon does not grow by one Job per upload.
+func TestEngineForgetsOldestFinishedJobs(t *testing.T) {
+	const n = maxFinishedJobs + 10
+	s, ts := newTestServer(t, Config{QueueDepth: n})
+	// The seam: a no-op work function, set before the first Enqueue (the
+	// queue send orders this write before any worker's read).
+	s.engine.run = func(context.Context, *Job, *trace.Index) error { return nil }
+	for i := 0; i < n; i++ {
+		if _, outcome, err := s.engine.Enqueue(fmt.Sprint("d", i), "t", 0, nil); err != nil || outcome != Adopted {
+			t.Fatalf("enqueue %d: outcome %d, err %v", i, outcome, err)
+		}
+	}
+	if err := s.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	s.engine.mu.Lock()
+	remembered := len(s.engine.jobs)
+	s.engine.mu.Unlock()
+	if remembered != maxFinishedJobs {
+		t.Errorf("engine remembers %d jobs, want the bound %d", remembered, maxFinishedJobs)
+	}
+	for id, want := range map[string]int{
+		"j-1":               http.StatusNotFound,
+		"j-10":              http.StatusNotFound,
+		"j-11":              http.StatusOK,
+		fmt.Sprint("j-", n): http.StatusOK,
+	} {
+		if code, _, _ := get(t, ts.URL+"/v1/jobs/"+id, nil); code != want {
+			t.Errorf("GET /v1/jobs/%s = %d, want %d", id, code, want)
+		}
+	}
 }

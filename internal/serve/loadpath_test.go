@@ -146,8 +146,8 @@ func TestConcurrentDuplicateStorm(t *testing.T) {
 }
 
 // TestCommunityFlowsAndIndexCache pins the flow-level community query and
-// the per-digest index cache behind it: the first ?flows= query builds the
-// index (miss), repeats serve from cache (hits), responses are identical
+// the resident flow table behind it: the first ?flows= query loads the table
+// (miss), repeats serve it from memory (hits), responses are identical
 // across cache states, every matched flow honors the community's tuple
 // filter — and the flows query changes none of the label bytes, which stay
 // pinned to the committed golden fixture.
@@ -252,11 +252,11 @@ func TestCommunityFlowsAndIndexCache(t *testing.T) {
 	}
 }
 
-// TestIndexCacheEviction pins the LRU bound: with a one-slot cache, two
-// digests alternate and every query is a miss, then a repeat of the last
-// digest hits.
+// TestIndexCacheEviction pins the LRU bound on flow tables: with one resident
+// entry, two digests alternate and every query is a miss, then a repeat of
+// the last digest hits.
 func TestIndexCacheEviction(t *testing.T) {
-	_, ts := newTestServer(t, Config{IndexCacheSize: 1, QueueDepth: 4})
+	_, ts := newTestServer(t, Config{MaxResident: 1, QueueDepth: 4})
 	var digests []string
 	for _, n := range []int{3, 4} {
 		code, out, _ := upload(t, ts, pcapBytes(t, tinyTrace(n)), "t")
@@ -284,13 +284,10 @@ func TestIndexCacheEviction(t *testing.T) {
 	if v, ok := metricValue(t, ts, "mawilabd_index_cache_hits_total"); !ok || v != "1" {
 		t.Errorf("index_cache_hits = %q, want 1", v)
 	}
-	if v, ok := metricValue(t, ts, "mawilabd_index_cache_entries"); !ok || v != "1" {
-		t.Errorf("index_cache_entries = %q, want 1", v)
-	}
 }
 
-// TestStoreTracePcapRoundTrip pins the persistence the index cache depends
-// on: the stored trace.pcap decodes to the digest it is filed under.
+// TestStoreTracePcapRoundTrip pins the persistence the flow-table fallback
+// depends on: the stored trace.pcap decodes to the digest it is filed under.
 func TestStoreTracePcapRoundTrip(t *testing.T) {
 	srv, ts := newTestServer(t, Config{})
 	code, out, _ := upload(t, ts, pcapBytes(t, tinyTrace(5)), "t")

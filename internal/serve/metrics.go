@@ -16,36 +16,21 @@ import (
 	"sync/atomic"
 )
 
-// Counter is a monotonically increasing metric.
+// Counter is a monotonically increasing metric. A nil *Counter discards
+// increments, so an optional counter needs no guard at its call sites.
 type Counter struct {
 	v atomic.Uint64
 }
 
 // Inc adds one.
-func (c *Counter) Inc() { c.v.Add(1) }
-
-// Add adds n.
-func (c *Counter) Add(n uint64) { c.v.Add(n) }
+func (c *Counter) Inc() {
+	if c != nil {
+		c.v.Add(1)
+	}
+}
 
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
-
-// Gauge is a metric that can go up and down.
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Set replaces the value.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
-
-// Inc adds one.
-func (g *Gauge) Inc() { g.v.Add(1) }
-
-// Dec subtracts one.
-func (g *Gauge) Dec() { g.v.Add(-1) }
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
 
 // DefBuckets are the default latency buckets in seconds, Prometheus's
 // classic spread: 1ms to 10s, then +Inf implicitly.
@@ -110,8 +95,11 @@ type CounterVec struct {
 }
 
 // With returns the child counter for the label value, creating it on first
-// use.
+// use. A nil *CounterVec returns a nil child, which discards increments.
 func (v *CounterVec) With(value string) *Counter {
+	if v == nil {
+		return nil
+	}
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	c, ok := v.m[value]
@@ -197,15 +185,6 @@ func (v *CounterVec) sortedKeys() []string {
 	}
 	sort.Strings(keys)
 	return keys
-}
-
-// Gauge registers and returns a new gauge.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	g := &Gauge{}
-	r.register(metric{name: name, help: help, typ: "gauge", write: func(w io.Writer, n string) {
-		fmt.Fprintf(w, "%s %d\n", n, g.Value())
-	}})
-	return g
 }
 
 // GaugeFunc registers a gauge whose value is read at scrape time — the fit

@@ -19,15 +19,15 @@ func render(t *testing.T, r *Registry) string {
 func TestRegistryExposition(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("jobs_total", "jobs")
-	c.Add(3)
-	g := r.Gauge("depth", "queue depth")
-	g.Set(2)
-	g.Inc()
-	g.Dec()
+	for i := 0; i < 3; i++ {
+		c.Inc()
+	}
+	r.GaugeFunc("depth", "queue depth", func() int64 { return 2 })
 	r.GaugeFunc("live", "live value", func() int64 { return 7 })
 	v := r.CounterVec("by_reason_total", "by reason", "reason")
 	v.With("b").Inc()
-	v.With("a").Add(2)
+	v.With("a").Inc()
+	v.With("a").Inc()
 
 	out := render(t, r)
 	for _, want := range []string{

@@ -147,12 +147,14 @@ func histInvariants(t *testing.T, samples map[string]float64, name, labels strin
 func TestMetricsWireFormat(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("t_uploads_total", "uploads")
-	c.Add(3)
+	for i := 0; i < 3; i++ {
+		c.Inc()
+	}
 	v := r.CounterVec("t_rejected_total", "rejections", "reason")
 	v.With("queue_full").Inc()
-	v.With("draining").Add(2)
-	g := r.Gauge("t_depth", "queue depth")
-	g.Set(-2)
+	v.With("draining").Inc()
+	v.With("draining").Inc()
+	r.GaugeFunc("t_depth", "queue depth", func() int64 { return -2 })
 	r.GaugeFunc("t_inflight", "in flight", func() int64 { return 7 })
 	h := r.Histogram("t_job_seconds", "job latency", JobBuckets)
 	for _, s := range []float64{0.01, 0.3, 4, 700} {

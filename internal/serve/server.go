@@ -68,14 +68,10 @@ type Config struct {
 	// JobTimeout bounds each job's context (default 10m; <= 0 keeps the
 	// default — jobs must not run unbounded in a long-lived daemon).
 	JobTimeout time.Duration
-	// MaxResident bounds the label-store entries whose encoded bytes stay
-	// in memory (default 8); evicted entries re-read from disk.
+	// MaxResident bounds the label-store entries held in memory (default
+	// 8): their encoded labels and, once a flows query asked for it, their
+	// flow table. Evicted entries re-read from disk.
 	MaxResident int
-	// IndexCacheSize bounds the per-digest flow-table cache behind
-	// flow-level community queries (default 4). Loading a table reads and
-	// checks the entry's flows.bin; the cache makes repeated queries against
-	// the same digest serve from memory (metrics: index_cache_hits/misses).
-	IndexCacheSize int
 	// NewPipeline overrides the per-job pipeline constructor — the test
 	// seam for injecting slow or failing detectors. nil selects
 	// mawilab.NewPipeline with PipelineWorkers applied.
@@ -127,9 +123,6 @@ type Server struct {
 	stageSeconds *HistogramVec
 	jobSeconds   *Histogram
 	spoolFiles   *CounterVec
-
-	indexes       *indexCache
-	flowFallbacks *CounterVec
 }
 
 // New builds a Server from a validated config and recovers the label store
@@ -166,10 +159,9 @@ func New(cfg Config) (*Server, error) {
 	s.jobSeconds = s.reg.Histogram("mawilabd_job_seconds", "whole-job wall-clock latency", JobBuckets)
 	s.spoolFiles = s.reg.CounterVec("mawilabd_spool_files_total", "spool files handled by outcome", "outcome")
 	store.DiskReads = s.reg.Counter("mawilabd_store_disk_reads_total", "label reads that missed the resident LRU")
-	s.indexes = newIndexCache(cfg.IndexCacheSize,
-		s.reg.Counter("mawilabd_index_cache_hits_total", "flow queries served from the per-digest flow-table cache"),
-		s.reg.Counter("mawilabd_index_cache_misses_total", "flow queries that had to load a flow table"))
-	s.flowFallbacks = s.reg.CounterVec("mawilabd_flow_table_fallbacks_total", "flow-table loads that decoded trace.pcap because flows.bin was missing or corrupt", "reason")
+	store.flowHits = s.reg.Counter("mawilabd_index_cache_hits_total", "flow queries served from a resident entry's flow table")
+	store.flowMisses = s.reg.Counter("mawilabd_index_cache_misses_total", "flow queries that had to load a flow table")
+	store.flowFallbacks = s.reg.CounterVec("mawilabd_flow_table_fallbacks_total", "flow-table loads that decoded trace.pcap because flows.bin was missing or corrupt", "reason")
 
 	s.engine = NewEngine(cfg.JobWorkers, cfg.QueueDepth, cfg.JobTimeout, s.runJob)
 	s.engine.JobSeconds = s.jobSeconds
@@ -178,8 +170,7 @@ func New(cfg Config) (*Server, error) {
 	s.reg.GaugeFunc("mawilabd_queue_depth", "labeling jobs admitted and waiting to run", func() int64 { return int64(s.engine.Depth()) })
 	s.reg.GaugeFunc("mawilabd_jobs_inflight", "labeling jobs currently running", func() int64 { return s.engine.Inflight() })
 	s.reg.GaugeFunc("mawilabd_store_entries", "completed labelings in the store", func() int64 { return int64(s.store.Len()) })
-	s.reg.GaugeFunc("mawilabd_store_resident", "store entries whose bytes are resident in memory", func() int64 { return int64(s.store.Resident()) })
-	s.reg.GaugeFunc("mawilabd_index_cache_entries", "flow tables resident in the per-digest cache", func() int64 { return int64(s.indexes.len()) })
+	s.reg.GaugeFunc("mawilabd_store_resident", "store entries resident in memory: their labels, and their flow table once queried", func() int64 { return int64(s.store.Resident()) })
 
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/traces", s.handleUpload)
@@ -239,11 +230,7 @@ func (s *Server) newPipeline() *mawilab.Pipeline {
 // (no []Packet was ever materialized); its pooled buffers are released once
 // the entry is persisted, so steady-state serving recycles the same columns
 // upload after upload.
-func (s *Server) runJob(ctx context.Context, j *Job, payload any) error {
-	ix, ok := payload.(*mawilab.Index)
-	if !ok || ix == nil {
-		return fmt.Errorf("serve: job %s has no index payload", j.ID)
-	}
+func (s *Server) runJob(ctx context.Context, j *Job, ix *trace.Index) error {
 	defer ix.Release()
 	p := s.newPipeline()
 	l, err := p.RunIndex(ctx, ix)
@@ -454,7 +441,7 @@ func (s *Server) handleLabels(w http.ResponseWriter, r *http.Request) {
 func (s *Server) labelsNotFound(w http.ResponseWriter, digest string) {
 	if j, ok := s.engine.Active(digest); ok {
 		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfter()))
-		writeJSONStatus(w, http.StatusAccepted, map[string]string{
+		writeJSON(w, http.StatusAccepted, map[string]string{
 			"status": string(j.State), "job_id": j.ID, "job_url": "/v1/jobs/" + j.ID,
 		})
 		return
@@ -501,9 +488,9 @@ type communityWithFlows struct {
 }
 
 // serveCommunityFlows resolves each community's best-rule filter against
-// the trace's flow table via the per-digest cache.
+// the trace's flow table, resident in the store once loaded.
 func (s *Server) serveCommunityFlows(w http.ResponseWriter, digest string, communities []StoredCommunity, limit int) {
-	flows, err := s.indexes.get(digest, func() (*trace.FlowTable, error) { return s.loadFlowTable(digest) })
+	flows, _, err := s.store.Flows(digest)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
@@ -516,39 +503,6 @@ func (s *Server) serveCommunityFlows(w http.ResponseWriter, digest string, commu
 		})
 	}
 	writeJSON(w, http.StatusOK, out)
-}
-
-// loadFlowTable reads a stored entry's flow table: from flows.bin, or — when
-// the entry has none (a store written before the file existed) or the file
-// fails its checks — out of the stored trace.pcap, which answers the same at
-// the price of decoding every packet. Each fallback is counted by reason; the
-// read path never writes, so a legacy entry pays that price on every miss.
-func (s *Server) loadFlowTable(digest string) (*trace.FlowTable, error) {
-	reason := "missing"
-	if data, _, err := s.store.FlowTable(digest); err == nil {
-		flows, err := trace.DecodeFlowTable(data)
-		if err == nil {
-			return flows, nil
-		}
-		reason = "corrupt"
-	}
-	s.flowFallbacks.With(reason).Inc()
-
-	data, known, err := s.store.TracePcap(digest)
-	if !known {
-		return nil, fmt.Errorf("serve: no stored trace for %s", digest)
-	}
-	if err != nil {
-		return nil, err
-	}
-	ix, err := mawilab.DecodePcap(bytes.NewReader(data))
-	if err != nil {
-		return nil, fmt.Errorf("serve: decoding stored trace for %s: %w", digest, err)
-	}
-	// The cache outlives this call, the pooled index must not: keep a copy
-	// of the flow table and recycle the rest.
-	defer ix.Release()
-	return ix.FlowTable.Clone(), nil
 }
 
 // communityFilter rebuilds the trace filter from a stored best-rule tuple.
@@ -592,10 +546,6 @@ func flowString(k trace.FlowKey) string {
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	writeJSONStatus(w, status, v)
-}
-
-func writeJSONStatus(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -9,6 +10,9 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"mawilab/internal/pcap"
+	"mawilab/internal/trace"
 )
 
 // StoredCommunity is one labeled community in an entry's metadata — the
@@ -58,31 +62,53 @@ type EntryMeta struct {
 	Workers int `json:"workers"`
 }
 
-// entryBytes is the evictable heavy part of an entry: the encoded label
-// documents. Metadata stays resident; these fall out of the LRU and are
-// re-read from disk on demand.
-type entryBytes struct {
+// residentEntry is the evictable heavy part of an entry: the encoded label
+// documents and, once a flows query asked for it, the trace's flow table.
+// Metadata stays resident; these fall out of the LRU together and are re-read
+// from disk on demand.
+type residentEntry struct {
 	csv  []byte
 	admd []byte
+	// flows is nil until a flows query claims it; guarded by Store.mu, its
+	// contents by its own Once.
+	flows *flowSlot
+}
+
+// flowSlot is one resident entry's flow table: loaded once, by the first
+// query to claim the slot, and read-only from then on.
+type flowSlot struct {
+	once  sync.Once
+	table *trace.FlowTable
+	err   error
 }
 
 // Store is the digest-keyed label store: every completed labeling is
 // persisted under dir/<digest>/ (meta.json, labels.csv, labels.admd,
 // trace.pcap, flows.bin) with crash-safe tmp-rename writes, metadata for every
-// entry stays resident, and an LRU bounds how many entries' encoded bytes are
-// held in memory. A Store is safe for concurrent use.
+// entry stays resident, and one LRU bounds how many entries' labels — and
+// flow tables, once asked for — are held in memory. A Store is safe for
+// concurrent use.
 type Store struct {
 	dir         string
 	maxResident int
 
 	mu       sync.Mutex
 	meta     map[string]*EntryMeta
-	resident map[string]*entryBytes
+	resident map[string]*residentEntry
 	order    []string // LRU order, oldest first
 
 	// DiskReads counts label reads that missed the resident LRU and went
 	// to disk; nil disables. Assigned once before first use.
 	DiskReads *Counter
+
+	// flowHits and flowMisses count Flows calls: a miss is one load, every
+	// other call a hit. flowFallbacks counts loads that found no valid
+	// flows.bin, by reason. nil disables; assigned once before first use.
+	flowHits, flowMisses *Counter
+	flowFallbacks        *CounterVec
+	// loadFlows reads a digest's flow table from disk: readFlows, or a test's
+	// stand-in.
+	loadFlows func(digest string) (*trace.FlowTable, error)
 }
 
 // tmpPrefix marks in-progress entry writes; leftovers are crash debris and
@@ -91,8 +117,8 @@ const tmpPrefix = ".tmp-"
 
 // OpenStore opens (creating if needed) the store rooted at dir, recovers
 // every complete entry already on disk, and sweeps partial tmp writes left
-// by a crash. maxResident bounds the entries whose encoded bytes stay in
-// memory (<= 0 means 8).
+// by a crash. maxResident bounds the entries whose labels — and flow tables,
+// once asked for — stay in memory (<= 0 means 8).
 func OpenStore(dir string, maxResident int) (*Store, error) {
 	if maxResident <= 0 {
 		maxResident = 8
@@ -104,8 +130,9 @@ func OpenStore(dir string, maxResident int) (*Store, error) {
 		dir:         dir,
 		maxResident: maxResident,
 		meta:        make(map[string]*EntryMeta),
-		resident:    make(map[string]*entryBytes),
+		resident:    make(map[string]*residentEntry),
 	}
+	s.loadFlows = s.readFlows
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("serve: store: %w", err)
@@ -256,7 +283,7 @@ func (s *Store) PutEntry(e Entry) error {
 	defer s.mu.Unlock()
 	if _, ok := s.meta[meta.Digest]; !ok {
 		s.meta[meta.Digest] = meta
-		s.admit(meta.Digest, &entryBytes{csv: e.CSV, admd: e.ADMD})
+		s.admit(meta.Digest, &residentEntry{csv: e.CSV, admd: e.ADMD})
 	}
 	return nil
 }
@@ -265,25 +292,73 @@ func (s *Store) PutEntry(e Entry) error {
 // ("csv" or "admd"): from the resident LRU when hot, re-read from disk and
 // re-admitted when evicted. The second result is false for unknown digests.
 func (s *Store) Labels(digest, format string) ([]byte, bool, error) {
+	r, known, err := s.entry(digest, s.DiskReads)
+	if r == nil {
+		return nil, known, err
+	}
+	if format == "admd" {
+		return r.admd, true, nil
+	}
+	return r.csv, true, nil
+}
+
+// Flows returns the flow table of a digest's trace, loading it into the
+// digest's resident entry on first use: the entry is admitted as a label read
+// admits it, and the load runs outside the store's lock under the slot's own
+// Once, so one digest's load never stalls a read or flows query for another
+// and racing queries for one digest load exactly once. The table is shared and
+// immutable, and owns its storage, so an evicted one stays valid for the
+// callers that still hold it. A failed load is not kept: the callers that
+// waited on it share its error and the next call loads again. The second
+// result is false for unknown digests.
+func (s *Store) Flows(digest string) (*trace.FlowTable, bool, error) {
+	r, known, err := s.entry(digest, nil)
+	if r == nil {
+		return nil, known, err
+	}
+	s.mu.Lock()
+	if r.flows == nil {
+		r.flows = new(flowSlot)
+	}
+	slot := r.flows
+	s.mu.Unlock()
+
+	loaded := false
+	slot.once.Do(func() {
+		loaded = true
+		s.flowMisses.Inc()
+		slot.table, slot.err = s.loadFlows(digest)
+	})
+	switch {
+	case !loaded:
+		s.flowHits.Inc()
+	case slot.err != nil:
+		s.mu.Lock()
+		if r.flows == slot { // still the slot that failed
+			r.flows = nil
+		}
+		s.mu.Unlock()
+	}
+	return slot.table, true, slot.err
+}
+
+// entry returns a digest's resident entry, reading its labels from disk and
+// admitting it when evicted; diskReads, when non-nil, counts that read. A nil
+// entry comes with false for an unknown digest, or with the read's error.
+func (s *Store) entry(digest string, diskReads *Counter) (*residentEntry, bool, error) {
 	s.mu.Lock()
 	if _, ok := s.meta[digest]; !ok {
 		s.mu.Unlock()
 		return nil, false, nil
 	}
-	if b, ok := s.resident[digest]; ok {
+	if r, ok := s.resident[digest]; ok {
 		s.touch(digest)
-		data := b.csv
-		if format == "admd" {
-			data = b.admd
-		}
 		s.mu.Unlock()
-		return data, true, nil
+		return r, true, nil
 	}
 	s.mu.Unlock()
 
-	if s.DiskReads != nil {
-		s.DiskReads.Inc()
-	}
+	diskReads.Inc()
 	csv, err := os.ReadFile(filepath.Join(s.dir, digest, "labels.csv"))
 	if err != nil {
 		return nil, true, fmt.Errorf("serve: store: %w", err)
@@ -293,29 +368,26 @@ func (s *Store) Labels(digest, format string) ([]byte, bool, error) {
 		return nil, true, fmt.Errorf("serve: store: %w", err)
 	}
 	s.mu.Lock()
-	s.admit(digest, &entryBytes{csv: csv, admd: admd})
-	s.mu.Unlock()
-	if format == "admd" {
-		return admd, true, nil
-	}
-	return csv, true, nil
+	defer s.mu.Unlock()
+	return s.admit(digest, &residentEntry{csv: csv, admd: admd}), true, nil
 }
 
-// admit inserts or refreshes a resident entry and evicts the oldest beyond
-// the LRU bound. Caller holds s.mu.
-func (s *Store) admit(digest string, b *entryBytes) {
-	if _, ok := s.resident[digest]; ok {
-		s.resident[digest] = b
+// admit makes r the digest's resident entry — unless a racing read admitted
+// one first, which is refreshed and returned instead, flow table and all —
+// and evicts the oldest beyond the LRU bound. Caller holds s.mu.
+func (s *Store) admit(digest string, r *residentEntry) *residentEntry {
+	if cur, ok := s.resident[digest]; ok {
 		s.touch(digest)
-		return
+		return cur
 	}
-	s.resident[digest] = b
+	s.resident[digest] = r
 	s.order = append(s.order, digest)
 	for len(s.resident) > s.maxResident {
 		oldest := s.order[0]
 		s.order = s.order[1:]
 		delete(s.resident, oldest)
 	}
+	return r
 }
 
 // touch moves a digest to the back of the LRU order. Caller holds s.mu.
@@ -332,29 +404,47 @@ func (s *Store) touch(digest string) {
 // result is false for unknown digests; a known entry written before trace
 // persistence existed returns an error from the underlying read.
 func (s *Store) TracePcap(digest string) ([]byte, bool, error) {
-	return s.entryFile(digest, "trace.pcap")
-}
-
-// FlowTable returns the persisted flow-table file (flows.bin) for a digest,
-// undecoded. The second result is false for unknown digests; a known entry
-// written before the file existed returns an error matching fs.ErrNotExist.
-func (s *Store) FlowTable(digest string) ([]byte, bool, error) {
-	return s.entryFile(digest, "flows.bin")
-}
-
-// entryFile reads one file of a known entry from disk.
-func (s *Store) entryFile(digest, name string) ([]byte, bool, error) {
 	if !s.Has(digest) {
 		return nil, false, nil
 	}
-	data, err := os.ReadFile(filepath.Join(s.dir, digest, name))
+	data, err := os.ReadFile(filepath.Join(s.dir, digest, "trace.pcap"))
 	if err != nil {
 		return nil, true, fmt.Errorf("serve: store: %w", err)
 	}
 	return data, true, nil
 }
 
-// Resident returns how many entries' bytes are currently in memory.
+// readFlows reads a stored entry's flow table: from flows.bin, or — when the
+// entry has none (a store written before the file existed) or the file fails
+// its checks — out of the stored trace.pcap, which answers the same at the
+// price of decoding every packet. Each fallback is counted by reason; the read
+// path never writes, so a legacy entry pays that price on every load.
+func (s *Store) readFlows(digest string) (*trace.FlowTable, error) {
+	reason := "missing"
+	if data, err := os.ReadFile(filepath.Join(s.dir, digest, "flows.bin")); err == nil {
+		flows, err := trace.DecodeFlowTable(data)
+		if err == nil {
+			return flows, nil
+		}
+		reason = "corrupt"
+	}
+	s.flowFallbacks.With(reason).Inc()
+
+	data, err := os.ReadFile(filepath.Join(s.dir, digest, "trace.pcap"))
+	if err != nil {
+		return nil, fmt.Errorf("serve: store: %w", err)
+	}
+	ix, err := pcap.DecodeIndex(bytes.NewReader(data))
+	if err != nil {
+		return nil, fmt.Errorf("serve: decoding stored trace for %s: %w", digest, err)
+	}
+	// The table outlives this call, the pooled index must not: keep a copy
+	// of the flow table and recycle the rest.
+	defer ix.Release()
+	return ix.FlowTable.Clone(), nil
+}
+
+// Resident returns how many entries are currently held in memory.
 func (s *Store) Resident() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()

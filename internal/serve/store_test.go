@@ -6,7 +6,12 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
+
+	"mawilab/internal/trace"
 )
 
 func testMeta(digest string) *EntryMeta {
@@ -184,32 +189,36 @@ func TestStoreNoTmpAfterPut(t *testing.T) {
 }
 
 // TestStorePutEntryOptionalFiles: trace.pcap and flows.bin are written when
-// supplied and left out when not, FlowTable hands back the stored bytes, and
-// an entry without the file reads as fs.ErrNotExist — what the flows query
-// counts as a missing flow table.
+// supplied and left out when not, and Flows on an entry that has neither
+// fails — counted as a missing flow table, and not kept.
 func TestStorePutEntryOptionalFiles(t *testing.T) {
 	dir := t.TempDir()
 	s, err := OpenStore(dir, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
+	fallbacks := &CounterVec{m: make(map[string]*Counter)}
+	s.flowFallbacks = fallbacks
 	if err := s.PutEntry(Entry{Meta: testMeta("both"), CSV: []byte("c"), ADMD: []byte("a"), Pcap: []byte("pcap"), Flows: []byte("flows")}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Put(testMeta("bare"), []byte("c"), []byte("a"), nil); err != nil {
 		t.Fatal(err)
 	}
-	if data, known, err := s.FlowTable("both"); err != nil || !known || string(data) != "flows" {
-		t.Errorf("FlowTable(both) = %q/%v/%v", data, known, err)
+	if data, err := os.ReadFile(filepath.Join(dir, "both", "flows.bin")); err != nil || string(data) != "flows" {
+		t.Errorf("both/flows.bin = %q/%v", data, err)
 	}
 	if data, known, err := s.TracePcap("both"); err != nil || !known || string(data) != "pcap" {
 		t.Errorf("TracePcap(both) = %q/%v/%v", data, known, err)
 	}
-	if _, known, err := s.FlowTable("bare"); !known || !errors.Is(err, fs.ErrNotExist) {
-		t.Errorf("FlowTable(bare) = known=%v err=%v, want a known entry and fs.ErrNotExist", known, err)
+	if _, known, err := s.Flows("bare"); !known || !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("Flows(bare) = known=%v err=%v, want a known entry and fs.ErrNotExist", known, err)
 	}
-	if _, known, err := s.FlowTable("nope"); known || err != nil {
-		t.Errorf("FlowTable(nope) = known=%v err=%v", known, err)
+	if n := fallbacks.With("missing").Value(); n != 1 {
+		t.Errorf("fallbacks{missing} = %d, want 1", n)
+	}
+	if _, known, err := s.Flows("nope"); known || err != nil {
+		t.Errorf("Flows(nope) = known=%v err=%v", known, err)
 	}
 	files, err := os.ReadDir(filepath.Join(dir, "bare"))
 	if err != nil {
@@ -217,5 +226,185 @@ func TestStorePutEntryOptionalFiles(t *testing.T) {
 	}
 	if len(files) != 3 {
 		t.Errorf("bare entry holds %d files, want meta.json, labels.csv, labels.admd", len(files))
+	}
+}
+
+// countedStore opens a store of maxResident entries with its flow counters
+// attached, puts one entry per digest, and stands in load for its flow-table
+// reads.
+func countedStore(t *testing.T, maxResident int, load func(digest string) (*trace.FlowTable, error), digests ...string) (s *Store, hits, misses, disk *Counter) {
+	t.Helper()
+	s, err := OpenStore(t.TempDir(), maxResident)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hits, misses, disk = new(Counter), new(Counter), new(Counter)
+	s.flowHits, s.flowMisses, s.DiskReads = hits, misses, disk
+	s.loadFlows = load
+	for _, d := range digests {
+		if err := s.Put(testMeta(d), []byte("csv-"+d), []byte("admd-"+d), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return s, hits, misses, disk
+}
+
+// TestIndexCacheMissDoesNotBlockHits: while one digest's flow-table load is
+// parked, a hit on another digest — and a miss on a third — return. The load
+// runs outside the store's lock, under the entry's own Once.
+func TestIndexCacheMissDoesNotBlockHits(t *testing.T) {
+	warm := new(trace.FlowTable)
+	loading, release := make(chan struct{}), make(chan struct{})
+	s, hits, misses, _ := countedStore(t, 4, func(digest string) (*trace.FlowTable, error) {
+		switch digest {
+		case "warm":
+			return warm, nil
+		case "slow":
+			close(loading)
+			<-release
+		}
+		return new(trace.FlowTable), nil
+	}, "warm", "slow", "other")
+	if _, _, err := s.Flows("warm"); err != nil {
+		t.Fatal(err)
+	}
+
+	parked := make(chan error, 1)
+	go func() {
+		_, _, err := s.Flows("slow")
+		parked <- err
+	}()
+	<-loading
+
+	done := make(chan *trace.FlowTable, 1)
+	go func() {
+		got, _, _ := s.Flows("warm")
+		s.Flows("other")
+		done <- got
+	}()
+	select {
+	case got := <-done:
+		if got != warm {
+			t.Error("the hit returned another table than the one loaded")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("a query on another digest waited for the parked load")
+	}
+	close(release)
+	if err := <-parked; err != nil {
+		t.Fatal(err)
+	}
+	if h, m := hits.Value(), misses.Value(); h != 1 || m != 3 {
+		t.Errorf("hits=%d misses=%d, want 1 and 3 (warm, slow, other)", h, m)
+	}
+}
+
+// TestIndexCacheBuildsOnce: racing queries for one evicted digest admit one
+// entry, load its flow table once and share it — one miss, the rest hits —
+// and a failed load is shared by those who waited on it but not kept.
+func TestIndexCacheBuildsOnce(t *testing.T) {
+	var loads atomic.Int32
+	boom := errors.New("boom")
+	s, hits, misses, _ := countedStore(t, 1, func(digest string) (*trace.FlowTable, error) {
+		if digest == "bad" {
+			return nil, boom
+		}
+		loads.Add(1)
+		return new(trace.FlowTable), nil
+	}, "d", "bad") // "bad" evicted "d"
+	start := make(chan struct{})
+	tables := make([]*trace.FlowTable, 8)
+	var wg sync.WaitGroup
+	for i := range tables {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			tables[i], _, _ = s.Flows("d")
+		}()
+	}
+	close(start)
+	wg.Wait()
+	for _, ft := range tables {
+		if ft == nil || ft != tables[0] {
+			t.Fatal("racing queries did not share one table")
+		}
+	}
+	if l, h, m := loads.Load(), hits.Value(), misses.Value(); l != 1 || m != 1 || h != 7 {
+		t.Errorf("loads=%d hits=%d misses=%d, want 1, 7, 1", l, h, m)
+	}
+
+	for i := 0; i < 2; i++ {
+		if _, _, err := s.Flows("bad"); err != boom {
+			t.Fatalf("failed load returned %v", err)
+		}
+	}
+	if m := misses.Value(); m != 3 {
+		t.Errorf("misses=%d, want 3: a failed load must be retried, not kept", m)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if r := s.resident["bad"]; r == nil || r.flows != nil {
+		t.Error("the failed load left its flow slot behind")
+	}
+}
+
+// TestFlowsReloadAfterFailedLoad: the query after a failed flow-table load
+// loads again and, once that succeeds, later queries hit.
+func TestFlowsReloadAfterFailedLoad(t *testing.T) {
+	fail := true
+	want := new(trace.FlowTable)
+	s, hits, misses, _ := countedStore(t, 2, func(string) (*trace.FlowTable, error) {
+		if fail {
+			fail = false
+			return nil, errors.New("transient")
+		}
+		return want, nil
+	}, "d")
+	if _, _, err := s.Flows("d"); err == nil {
+		t.Fatal("the first load should fail")
+	}
+	for i := 0; i < 2; i++ {
+		got, known, err := s.Flows("d")
+		if err != nil || !known || got != want {
+			t.Fatalf("query %d after the failure = %p/%v/%v, want the reloaded table", i, got, known, err)
+		}
+	}
+	if h, m := hits.Value(), misses.Value(); h != 1 || m != 2 {
+		t.Errorf("hits=%d misses=%d, want 1 and 2 (failed, reloaded, hit)", h, m)
+	}
+}
+
+// TestFlowsQueryAdmitsEvictedEntry: a flows query on an evicted entry reads
+// its labels back and re-admits it, so the label read that follows is a
+// resident hit; only label reads that miss count as disk reads.
+func TestFlowsQueryAdmitsEvictedEntry(t *testing.T) {
+	s, _, misses, disk := countedStore(t, 1, func(string) (*trace.FlowTable, error) {
+		return new(trace.FlowTable), nil
+	}, "a", "b") // "b" evicted "a"
+	if _, known, err := s.Flows("a"); err != nil || !known {
+		t.Fatalf("Flows(a) = known=%v err=%v", known, err)
+	}
+	if d := disk.Value(); d != 0 {
+		t.Errorf("disk reads after a flows query = %d, want 0", d)
+	}
+	data, _, err := s.Labels("a", "admd")
+	if err != nil || string(data) != "admd-a" {
+		t.Fatalf("Labels(a) = %q/%v", data, err)
+	}
+	if d := disk.Value(); d != 0 {
+		t.Errorf("disk reads after the label read = %d, want 0 (resident)", d)
+	}
+	if _, _, err := s.Labels("b", "csv"); err != nil {
+		t.Fatal(err)
+	}
+	if d, r := disk.Value(), s.Resident(); d != 1 || r != 1 {
+		t.Errorf("after reading evicted b: disk reads=%d resident=%d, want 1 and 1", d, r)
+	}
+	if _, _, err := s.Flows("a"); err != nil {
+		t.Fatal(err)
+	}
+	if m := misses.Value(); m != 2 {
+		t.Errorf("misses=%d, want 2: a's flow table left with its entry", m)
 	}
 }

@@ -17,6 +17,7 @@ import (
 
 	"mawilab"
 	"mawilab/internal/pcap"
+	"mawilab/internal/trace"
 )
 
 // labeled uploads a pcap and waits for its job, returning the digest.
@@ -45,11 +46,11 @@ func flowsOf(t *testing.T, ts *httptest.Server, digest string) []byte {
 // TestStoredTraceIsPayloadStripped pins what an upload leaves in the store:
 // of a full-payload pcap, a trace.pcap of exactly pcap.EncodedLen bytes —
 // headers only — that decodes to the digest it is filed under, and a flows
-// query that answers the same after the cache dropped the digest's flow table
-// and reloaded it (from flows.bin; TestFlowsAnswerSurvivesEntryDamage covers
-// the reload from trace.pcap).
+// query that answers the same after the LRU evicted the digest's entry, flow
+// table and all, and the next query reloaded it (from flows.bin;
+// TestFlowsAnswerSurvivesEntryDamage covers the reload from trace.pcap).
 func TestStoredTraceIsPayloadStripped(t *testing.T) {
-	s, ts := newTestServer(t, Config{IndexCacheSize: 1, QueueDepth: 4})
+	s, ts := newTestServer(t, Config{MaxResident: 1, QueueDepth: 4})
 	full := pcapBytes(t, goldenDay(t))
 	digest := labeled(t, ts, full, "golden")
 	other := labeled(t, ts, pcapBytes(t, tinyTrace(7)), "tiny")
@@ -83,7 +84,7 @@ func TestStoredTraceIsPayloadStripped(t *testing.T) {
 	flowsOf(t, ts, other)            // the one slot goes to the other digest
 	rebuilt := flowsOf(t, ts, digest)
 	if !bytes.Equal(first, cached) || !bytes.Equal(first, rebuilt) {
-		t.Error("flows answer changed across an index-cache eviction")
+		t.Error("flows answer changed across an eviction")
 	}
 	var communities []communityWithFlows
 	if err := json.Unmarshal(first, &communities); err != nil {
@@ -271,8 +272,8 @@ func TestDuplicateUploadWhileJobPersists(t *testing.T) {
 	// The seam: wrap the engine's work function before the first upload
 	// (the queue send orders this write before any worker's read).
 	run := s.engine.run
-	s.engine.run = func(ctx context.Context, j *Job, payload any) error {
-		err := run(ctx, j, payload)
+	s.engine.run = func(ctx context.Context, j *Job, ix *trace.Index) error {
+		err := run(ctx, j, ix)
 		close(put)
 		<-finish
 		return err

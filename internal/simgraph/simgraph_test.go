@@ -101,7 +101,15 @@ func TestBuildDeterminismAcrossWorkers(t *testing.T) {
 			t.Fatalf("workers=%d: total weight %v != %v (float accumulation order leaked)",
 				workers, g.TotalWeight(), ref.TotalWeight())
 		}
-		if !reflect.DeepEqual(g.Louvain(), ref.Louvain()) {
+		got, err := g.LouvainContext(context.Background(), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := ref.LouvainContext(context.Background(), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("workers=%d: Louvain assignments differ", workers)
 		}
 	}

@@ -95,12 +95,6 @@ type Packet struct {
 // Seconds returns the timestamp as floating-point seconds since trace start.
 func (p *Packet) Seconds() float64 { return float64(p.TS) / 1e6 }
 
-// ICMPType returns the ICMP type for ICMP packets (stored in SrcPort).
-func (p *Packet) ICMPType() uint8 { return uint8(p.SrcPort) }
-
-// ICMPCode returns the ICMP code for ICMP packets (stored in DstPort).
-func (p *Packet) ICMPCode() uint8 { return uint8(p.DstPort) }
-
 // String renders the packet one-line, tcpdump-style.
 func (p *Packet) String() string {
 	return fmt.Sprintf("%.6f %s %s:%d > %s:%d len=%d %s",

@@ -43,14 +43,15 @@ GO ?= go
 #   PipelineStream,     (per-segment seal + detect, sliding-window labeling), and
 #   WindowIndex         the index RunStream builds per stride from four sealed
 #                       segments (bulk column appends + one Finish)
-#   GenerateDay         the generator (also matches the day-level GenerateDays
-#                       fan-out benches)
-# PipelineDay, PipelineStream, Extract, SimilarityGraph and GenerateDay carry
+#   GenerateDay         the generator: one day in one sequential loop (also
+#                       matches the day-level GenerateDays fan-out benches,
+#                       workers={1,4,N})
+# PipelineDay, PipelineStream, Extract and SimilarityGraph carry
 # workers={1,4,N} sub-benches (DetectAll and BuildReports workers={1,4}), so
 # each run records the parallel speedup ratios too; the rest are one row each
-# (TraceIndex, WindowIndex, EigenSym, Louvain and Union because the stages are
-# sequential, DetectAllSegment/Estimate/SCANN/Apriori at workers=1; RadixSort
-# is one row per length).
+# (TraceIndex, WindowIndex, EigenSym, Louvain, Union and GenerateDay because
+# the stages are sequential, DetectAllSegment/Estimate/SCANN/Apriori at
+# workers=1; RadixSort is one row per length).
 BENCH_PATTERN ?= PipelineDay|PipelineStream|DetectAll|Detectors|Louvain|SimilarityGraph|GenerateDay|TraceIndex|Extract|Ingest|HoughSparse|Estimate|SCANN|Apriori|EigenSym|WindowIndex|EncodeIndex|BuildReports|Union|RadixSort|FlowTable
 # Total-coverage floor for `make cover`, in percent. Set from the measured
 # coverage at the last raise (85.1% when the golden-fixture and fuzz tests

@@ -20,7 +20,6 @@ import (
 	"mawilab/internal/core"
 	"mawilab/internal/detectors"
 	"mawilab/internal/detectors/suite"
-	"mawilab/internal/eval"
 	"mawilab/internal/graphx"
 	"mawilab/internal/heuristics"
 	"mawilab/internal/linalg"
@@ -29,7 +28,6 @@ import (
 	"mawilab/internal/pcap"
 	"mawilab/internal/radix"
 	"mawilab/internal/simgraph"
-	"mawilab/internal/stats"
 	"mawilab/internal/trace"
 )
 
@@ -78,207 +76,20 @@ func BenchmarkTable1(b *testing.B) {
 	}
 }
 
-// --- Figure benches ------------------------------------------------------
-
-// BenchmarkFig3 regenerates the similarity-estimator panels (3 granularities).
-func BenchmarkFig3(b *testing.B) {
-	b.ReportAllocs()
-	runner := eval.NewRunner(benchArchive(), suite.Standard())
-	dates := benchDates(2, 30)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := eval.Fig3(context.Background(), runner, dates)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(res.SinglesCDF) != 3 {
-			b.Fatal("missing granularity series")
-		}
-	}
-}
-
-// BenchmarkFig4 regenerates rule metrics vs community size.
-func BenchmarkFig4(b *testing.B) {
-	b.ReportAllocs()
-	runner := eval.NewRunner(benchArchive(), suite.Standard())
-	dates := benchDates(2, 30)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := eval.Fig4(context.Background(), runner, dates)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(res.Support.Points) == 0 {
-			b.Fatal("empty fig4")
-		}
-	}
-}
-
-// BenchmarkFig5 regenerates the community-landscape buckets.
-func BenchmarkFig5(b *testing.B) {
-	b.ReportAllocs()
-	runner := eval.NewRunner(benchArchive(), suite.Standard())
-	dates := benchDates(2, 30)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buckets, err := eval.Fig5(context.Background(), runner, dates)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(buckets) == 0 {
-			b.Fatal("no buckets")
-		}
-	}
-}
-
-// benchRatios runs the combiner pipeline once for the Fig 6-10 benches.
-func benchRatios(b *testing.B, nDays int) ([]eval.DayRatios, []*eval.DayResult) {
-	b.Helper()
-	runner := eval.NewRunner(benchArchive(), suite.Standard())
-	ratios, days, err := eval.RunRatios(context.Background(), runner, benchDates(nDays, 45))
-	if err != nil {
-		b.Fatal(err)
-	}
-	return ratios, days
-}
-
-// BenchmarkFig6 regenerates the attack-ratio PDFs and reports the mean
-// SCANN accepted attack ratio as a metric (paper: SCANN is the best
-// strategy for accepted communities).
-func BenchmarkFig6(b *testing.B) {
-	b.ReportAllocs()
-	ratios, _ := benchRatios(b, 3)
-	b.ResetTimer()
-	var scannMean float64
-	for i := 0; i < b.N; i++ {
-		acc, rej, per := eval.Fig6(ratios)
-		if len(acc) == 0 || len(rej) == 0 || len(per) == 0 {
-			b.Fatal("missing fig6 series")
-		}
-		var vals []float64
-		for _, dr := range ratios {
-			vals = append(vals, dr.Accepted["SCANN"])
-		}
-		scannMean = stats.Mean(vals)
-	}
-	b.ReportMetric(scannMean, "scann_acc_ratio")
-}
-
-// BenchmarkFig7 regenerates the attack-ratio time series.
-func BenchmarkFig7(b *testing.B) {
-	b.ReportAllocs()
-	ratios, _ := benchRatios(b, 3)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		acc, rej := eval.Fig7(ratios)
-		if len(acc) == 0 || len(rej) == 0 {
-			b.Fatal("missing fig7 series")
-		}
-	}
-}
-
-// BenchmarkFig8 regenerates the gain/cost decomposition for the three
-// highlighted detectors.
-func BenchmarkFig8(b *testing.B) {
-	b.ReportAllocs()
-	_, days := benchRatios(b, 3)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, det := range []string{"gamma", "hough", "kl"} {
-			pts, err := eval.Fig8(days, "SCANN", det)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if len(pts) == 0 {
-				b.Fatal("no fig8 points")
-			}
-		}
-	}
-}
-
-// BenchmarkFig9 regenerates the accepted-Attack breakdown and reports the
-// SCANN-to-best-detector ratio (paper headline: ≈2× the most accurate
-// detector).
-func BenchmarkFig9(b *testing.B) {
-	b.ReportAllocs()
-	_, days := benchRatios(b, 3)
-	b.ResetTimer()
-	var ratio float64
-	for i := 0; i < b.N; i++ {
-		rows, err := eval.Fig9(days, "SCANN")
-		if err != nil {
-			b.Fatal(err)
-		}
-		scann, best := 0, 0
-		for _, r := range rows {
-			if r.Name == "SCANN" {
-				scann = r.Total
-			} else if r.Total > best {
-				best = r.Total
-			}
-		}
-		if best > 0 {
-			ratio = float64(scann) / float64(best)
-		}
-	}
-	b.ReportMetric(ratio, "scann_vs_best")
-}
-
-// BenchmarkFig10 regenerates the relative-distance PDFs.
-func BenchmarkFig10(b *testing.B) {
-	b.ReportAllocs()
-	_, days := benchRatios(b, 3)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		series, err := eval.Fig10(days, "SCANN")
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(series) != 3 {
-			b.Fatal("fig10 classes missing")
-		}
-	}
-}
-
-// BenchmarkTable2 regenerates the SCANN gain/cost quadrants.
-func BenchmarkTable2(b *testing.B) {
-	b.ReportAllocs()
-	_, days := benchRatios(b, 3)
-	b.ResetTimer()
-	var gainAcc float64
-	for i := 0; i < b.N; i++ {
-		gc, err := eval.Table2(days, "SCANN")
-		if err != nil {
-			b.Fatal(err)
-		}
-		gainAcc = float64(gc.GainAcc)
-	}
-	b.ReportMetric(gainAcc, "gain_acc")
-}
-
 // --- Component benches ---------------------------------------------------
 
-// BenchmarkGenerateDay measures synthetic archive-day generation at several
-// worker-pool sizes: the windowed per-stream background generation and the
-// per-spec anomaly injections fan out inside one day. workers=1 is the
-// sequential reference path and the trace is byte-identical across
-// sub-benches (mawigen's TestGenerateDeterminism), so the ns/op ratio is
-// the pure sharding speedup the CI bench gate tracks.
+// BenchmarkGenerateDay measures synthetic archive-day generation: one
+// sequential loop over the background windows, then the anomaly injections
+// and the timestamp sort.
 func BenchmarkGenerateDay(b *testing.B) {
 	b.ReportAllocs()
 	d := time.Date(2004, 5, 10, 0, 0, 0, 0, time.UTC)
-	for _, workers := range benchWorkerCounts() {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			arch := benchArchive()
-			arch.Workers = workers
-			for i := 0; i < b.N; i++ {
-				res := arch.Day(d.AddDate(0, 0, i%300))
-				if res.Trace.Len() == 0 {
-					b.Fatal("empty trace")
-				}
-			}
-		})
+	arch := benchArchive()
+	for i := 0; i < b.N; i++ {
+		res := arch.Day(d.AddDate(0, 0, i%300))
+		if res.Trace.Len() == 0 {
+			b.Fatal("empty trace")
+		}
 	}
 }
 

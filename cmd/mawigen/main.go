@@ -12,7 +12,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"time"
 
 	"mawilab/internal/mawigen"
@@ -27,7 +26,6 @@ func main() {
 		rate     = flag.Float64("rate", 400, "background packet rate in pps (custom mode)")
 		out      = flag.String("out", "", "output pcap path ('-' for stdout; empty skips the write)")
 		truth    = flag.Bool("truth", false, "print injected ground-truth events")
-		workers  = flag.Int("workers", runtime.GOMAXPROCS(0), "anomaly-injection worker-pool size (1 = sequential; the trace is identical)")
 	)
 	flag.Parse()
 
@@ -39,13 +37,11 @@ func main() {
 		}
 		arch := mawigen.NewArchive(*seed)
 		arch.Duration = *duration
-		arch.Workers = *workers
 		res = arch.Day(date)
 	} else {
 		cfg := mawigen.DefaultConfig(*seed)
 		cfg.Duration = *duration
 		cfg.BackgroundRate = *rate
-		cfg.Workers = *workers
 		res = mawigen.Generate(cfg)
 	}
 

@@ -78,7 +78,7 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 
-	httpSrv := &http.Server{Handler: s.Handler()}
+	httpSrv := newHTTPServer(s.Handler())
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.Serve(ln) }() //mawilint:allow baregoroutine — the accept loop; terminated by httpSrv.Shutdown on SIGTERM and joined via errCh
 	if *spoolDir != "" {
@@ -104,6 +104,21 @@ func main() {
 	}
 	<-errCh // Serve has returned http.ErrServerClosed
 	fmt.Fprintln(os.Stderr, "mawilabd: drained, exiting")
+}
+
+// Connection bounds of the HTTP server. A client gets readHeaderTimeout to
+// send a request's headers and an idle keep-alive connection is closed after
+// idleTimeout, so a client that opens connections and never finishes a
+// request cannot hold a goroutine and a file descriptor forever. Bodies and
+// responses are not timed: uploads and label reads may legitimately be long.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer returns the server main runs h on.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 }
 
 func fatal(format string, args ...any) {

@@ -20,6 +20,22 @@ import (
 	"mawilab"
 )
 
+// TestHTTPServerTimeouts: the server main runs bounds how long a client may
+// take to send headers and to sit idle, and leaves bodies and responses
+// untimed.
+func TestHTTPServerTimeouts(t *testing.T) {
+	srv := newHTTPServer(http.NotFoundHandler())
+	if srv.ReadHeaderTimeout != readHeaderTimeout || srv.ReadHeaderTimeout <= 0 {
+		t.Errorf("ReadHeaderTimeout = %v, want %v", srv.ReadHeaderTimeout, readHeaderTimeout)
+	}
+	if srv.IdleTimeout != idleTimeout || srv.IdleTimeout <= 0 {
+		t.Errorf("IdleTimeout = %v, want %v", srv.IdleTimeout, idleTimeout)
+	}
+	if srv.ReadTimeout != 0 || srv.WriteTimeout != 0 {
+		t.Errorf("ReadTimeout/WriteTimeout = %v/%v, want both unset", srv.ReadTimeout, srv.WriteTimeout)
+	}
+}
+
 // TestServeSmoke is the black-box daemon check behind `make serve-smoke`: it
 // builds the real binary, boots it on a random port, uploads the golden
 // fixture day over HTTP, asserts the served CSV digest matches

@@ -11,6 +11,7 @@ import (
 	"io"
 	"strconv"
 
+	"mawilab/internal/apriori"
 	"mawilab/internal/core"
 	"mawilab/internal/trace"
 )
@@ -84,7 +85,7 @@ func Encode(w io.Writer, traceName string, tr TimeSpan, reports []core.Community
 			a.From, a.To = spanOf(tr, rep)
 		}
 		for _, rule := range rep.Rules {
-			a.Slices = append(a.Slices, sliceFromRule(rule.String()))
+			a.Slices = append(a.Slices, sliceOf(rule))
 		}
 		if len(a.Slices) == 0 {
 			a.Slices = []Slice{{}}
@@ -116,45 +117,19 @@ func spanOf(tr TimeSpan, rep core.CommunityReport) (TimeRef, TimeRef) {
 	return from, to
 }
 
-// sliceFromRule parses the paper's "<src, sport, dst, dport>" rendering.
-func sliceFromRule(rule string) Slice {
-	var s Slice
-	if len(rule) < 2 || rule[0] != '<' || rule[len(rule)-1] != '>' {
-		return s
-	}
-	fields := splitTuple(rule[1 : len(rule)-1])
-	if len(fields) != 4 {
-		return s
-	}
-	set := func(dst *string, v string) {
-		if v != "*" {
-			*dst = v
+// sliceOf is the rule's slice: its rendered fields, with a wildcard left
+// empty.
+func sliceOf(r apriori.Rule) Slice {
+	f := r.Fields()
+	for i, v := range f {
+		if v == "*" {
+			f[i] = ""
 		}
 	}
-	set(&s.SrcIP, fields[0])
-	set(&s.SrcPort, fields[1])
-	set(&s.DstIP, fields[2])
-	set(&s.DstPort, fields[3])
-	return s
-}
-
-func splitTuple(s string) []string {
-	var out []string
-	start := 0
-	for i := 0; i <= len(s); i++ {
-		if i == len(s) || s[i] == ',' {
-			f := s[start:min(i, len(s))]
-			for len(f) > 0 && f[0] == ' ' {
-				f = f[1:]
-			}
-			for len(f) > 0 && f[len(f)-1] == ' ' {
-				f = f[:len(f)-1]
-			}
-			out = append(out, f)
-			start = i + 1
-		}
+	return Slice{
+		SrcIP: f[apriori.FieldSrcIP], SrcPort: f[apriori.FieldSrcPort],
+		DstIP: f[apriori.FieldDstIP], DstPort: f[apriori.FieldDstPort],
 	}
-	return out
 }
 
 // Decode reads an admd document back.

@@ -117,15 +117,6 @@ func TestFiltersErrors(t *testing.T) {
 	}
 }
 
-func TestSliceFromRuleMalformed(t *testing.T) {
-	if s := sliceFromRule("garbage"); s != (Slice{}) {
-		t.Errorf("malformed rule produced %+v", s)
-	}
-	if s := sliceFromRule("<a, b>"); s != (Slice{}) {
-		t.Errorf("short tuple produced %+v", s)
-	}
-}
-
 func TestAnomalyWithoutRulesGetsEmptySlice(t *testing.T) {
 	var buf bytes.Buffer
 	reports := []core.CommunityReport{{

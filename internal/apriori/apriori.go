@@ -18,6 +18,7 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
+	"strconv"
 	"strings"
 
 	"mawilab/internal/radix"
@@ -108,19 +109,28 @@ func (r Rule) Degree() int { return len(r.Items) }
 // Matches reports whether the transaction contains every item of the rule.
 func (r Rule) Matches(tx Transaction) bool { return contains(tx, r.Items) }
 
-// String renders the rule in the paper's notation <srcIP, srcPort, dstIP,
-// dstPort> with * wildcards.
-func (r Rule) String() string {
-	parts := [numFields]string{"*", "*", "*", "*"}
+// Fields renders the rule's four fields in the paper's order — srcIP,
+// srcPort, dstIP, dstPort, indexed by Field — with "*" for a wildcard. It
+// is the one rendering of a rule: String, the CSV wire schema's best-rule
+// columns and the admd slices are all built from it.
+func (r Rule) Fields() [4]string {
+	f := [4]string{"*", "*", "*", "*"}
 	for _, it := range r.Items {
 		switch it.Field {
 		case FieldSrcIP, FieldDstIP:
-			parts[it.Field] = trace.IPv4(it.Value).String()
+			f[it.Field] = trace.IPv4(it.Value).String()
 		default:
-			parts[it.Field] = fmt.Sprintf("%d", it.Value)
+			f[it.Field] = strconv.FormatUint(it.Value, 10)
 		}
 	}
-	return "<" + strings.Join(parts[:], ", ") + ">"
+	return f
+}
+
+// String renders the rule in the paper's notation <srcIP, srcPort, dstIP,
+// dstPort> with * wildcards.
+func (r Rule) String() string {
+	f := r.Fields()
+	return "<" + strings.Join(f[:], ", ") + ">"
 }
 
 // Mine returns every itemset whose support is at least minSupport (a

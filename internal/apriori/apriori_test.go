@@ -208,6 +208,9 @@ func TestRuleString(t *testing.T) {
 		{FieldSrcIP, uint64(trace.MakeIPv4(1, 2, 3, 4))},
 		{FieldSrcPort, 80},
 	}}
+	if f := r.Fields(); f != [4]string{"1.2.3.4", "80", "*", "*"} {
+		t.Errorf("Fields() = %q", f)
+	}
 	s := r.String()
 	if s != "<1.2.3.4, 80, *, *>" {
 		t.Errorf("String() = %q", s)

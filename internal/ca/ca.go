@@ -206,16 +206,3 @@ func Distance(a, b []float64) float64 {
 	}
 	return math.Sqrt(s)
 }
-
-// RowDistance returns the Euclidean distance between two rows of the
-// reduced space.
-func (r *Result) RowDistance(i, j int) float64 {
-	a := r.RowCoords.Row(i)
-	b := r.RowCoords.Row(j)
-	s := 0.0
-	for k := range a {
-		d := a[k] - b[k]
-		s += d * d
-	}
-	return math.Sqrt(s)
-}

@@ -67,8 +67,8 @@ func TestTwoBlockSeparation(t *testing.T) {
 		}
 	}
 	// Within-block distance must be far below between-block distance.
-	within := res.RowDistance(0, 1)
-	between := res.RowDistance(0, 3)
+	within := Distance(res.RowCoords.Row(0), res.RowCoords.Row(1))
+	between := Distance(res.RowCoords.Row(0), res.RowCoords.Row(3))
 	if within*3 > between {
 		t.Errorf("within=%g between=%g: poor separation", within, between)
 	}
@@ -92,8 +92,8 @@ func TestConstantColumnIgnored(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Compare pairwise distance ratios (coordinates are scale/sign free).
-	d1 := r1.RowDistance(0, 2) / (r1.RowDistance(0, 1) + 1e-12)
-	d2 := r2.RowDistance(0, 2) / (r2.RowDistance(0, 1) + 1e-12)
+	d1 := Distance(r1.RowCoords.Row(0), r1.RowCoords.Row(2)) / (Distance(r1.RowCoords.Row(0), r1.RowCoords.Row(1)) + 1e-12)
+	d2 := Distance(r2.RowCoords.Row(0), r2.RowCoords.Row(2)) / (Distance(r2.RowCoords.Row(0), r2.RowCoords.Row(1)) + 1e-12)
 	if math.Abs(d1-d2)/d1 > 0.25 {
 		t.Errorf("constant column changed geometry: ratio %g vs %g", d1, d2)
 	}

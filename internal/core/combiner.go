@@ -151,34 +151,3 @@ func sortedDetectors(scores DetectorScores) []string {
 	sort.Strings(out)
 	return out
 }
-
-// MajorityVote is the classical baseline of §2.2.1: one binary vote per
-// detector (does it report the community at all), accepted on strict
-// majority. Exposed for the Condorcet comparison benches.
-func MajorityVote() Strategy { return majorityStrategy{} }
-
-type majorityStrategy struct{}
-
-func (majorityStrategy) Name() string { return "majority" }
-
-func (majorityStrategy) Classify(r *Result, conf []DetectorScores) ([]Decision, error) {
-	if len(conf) != len(r.Communities) {
-		return nil, fmt.Errorf("core: majority: confidence rows (%d) != communities (%d)", len(conf), len(r.Communities))
-	}
-	out := make([]Decision, len(conf))
-	for i, scores := range conf {
-		votes, total := 0, 0
-		for _, det := range sortedDetectors(scores) {
-			total++
-			if scores[det] > 0 {
-				votes++
-			}
-		}
-		frac := 0.0
-		if total > 0 {
-			frac = float64(votes) / float64(total)
-		}
-		out[i] = Decision{Accepted: frac > 0.5, Score: frac, RelDistance: math.Abs(frac-0.5) * 2}
-	}
-	return out, nil
-}

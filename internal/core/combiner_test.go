@@ -95,19 +95,6 @@ func TestMaximumStrategyPaperExample(t *testing.T) {
 	}
 }
 
-func TestMajorityVote(t *testing.T) {
-	res, totals := paperExampleResult(t)
-	conf := res.Confidences(totals)
-	dec, err := MajorityVote().Classify(res, conf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 2 of 3 detectors vote (A, B) → accepted.
-	if !dec[0].Accepted {
-		t.Error("majority of detectors voted; should accept")
-	}
-}
-
 func TestSortedDetectorsOrder(t *testing.T) {
 	scores := DetectorScores{"pca": 1, "gamma": 0.5, "kl": 0, "hough": 0.25}
 	want := []string{"gamma", "hough", "kl", "pca"}
@@ -122,7 +109,7 @@ func TestSortedDetectorsOrder(t *testing.T) {
 
 func TestStrategyLengthMismatch(t *testing.T) {
 	res, _ := paperExampleResult(t)
-	for _, s := range []Strategy{NewAverage(), NewMinimum(), NewMaximum(), MajorityVote()} {
+	for _, s := range []Strategy{NewAverage(), NewMinimum(), NewMaximum()} {
 		if _, err := s.Classify(res, nil); err == nil {
 			t.Errorf("%s accepted mismatched confidence table", s.Name())
 		}
@@ -132,7 +119,7 @@ func TestStrategyLengthMismatch(t *testing.T) {
 func TestStrategyNames(t *testing.T) {
 	names := map[string]Strategy{
 		"average": NewAverage(), "minimum": NewMinimum(),
-		"maximum": NewMaximum(), "majority": MajorityVote(), "SCANN": NewSCANN(),
+		"maximum": NewMaximum(), "SCANN": NewSCANN(),
 	}
 	for want, s := range names {
 		if s.Name() != want {

@@ -1,8 +1,13 @@
 package eval
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/json"
 	"errors"
+	"fmt"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -12,6 +17,7 @@ import (
 	"mawilab/internal/detectors/suite"
 	"mawilab/internal/heuristics"
 	"mawilab/internal/mawigen"
+	wirev1 "mawilab/internal/serve/v1"
 )
 
 func testRunner() *Runner {
@@ -131,8 +137,67 @@ func TestDayRejectsMisalignedStrategy(t *testing.T) {
 	r := testRunner()
 	r.Strategies = []core.Strategy{truncatingStrategy{}}
 	_, err := r.Day(testDates(1)[0])
-	if err == nil || !strings.Contains(err.Error(), "decisions for") {
+	if err == nil || !strings.Contains(err.Error(), "!= communities") {
 		t.Fatalf("err = %v, want a decisions/communities mismatch", err)
+	}
+}
+
+// TestDayRejectsMisalignedExtraStrategy: a strategy the pipeline does not
+// label with is classified by the runner itself, which must catch the same
+// mismatch.
+func TestDayRejectsMisalignedExtraStrategy(t *testing.T) {
+	r := testRunner()
+	r.Strategies = []core.Strategy{truncatingStrategy{}, core.NewSCANN()}
+	_, err := r.Day(testDates(1)[0])
+	if err == nil || !strings.Contains(err.Error(), "truncating") || !strings.Contains(err.Error(), "decisions for") {
+		t.Fatalf("err = %v, want the truncating strategy's decisions/communities mismatch", err)
+	}
+}
+
+// TestDayRejectsEmptyStrategies: with no strategy there is nothing to label
+// a day under, so Day and Days fail before generating anything.
+func TestDayRejectsEmptyStrategies(t *testing.T) {
+	r := testRunner()
+	r.Strategies = nil
+	if _, err := r.Day(testDates(1)[0]); !errors.Is(err, errNoStrategies) {
+		t.Fatalf("Day: err = %v, want errNoStrategies", err)
+	}
+	if _, err := r.Days(context.Background(), testDates(2)); !errors.Is(err, errNoStrategies) {
+		t.Fatalf("Days: err = %v, want errNoStrategies", err)
+	}
+}
+
+// TestRunnerDayMatchesGolden ties the figures to the end-to-end fixture: a
+// Runner over the golden archive day must serve the reports whose CSV the
+// root package's TestPipelineGolden pins, at every stage worker count.
+func TestRunnerDayMatchesGolden(t *testing.T) {
+	data, err := os.ReadFile("../../testdata/pipeline_golden.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var golden struct {
+		CSVSHA256 string `json:"csv_sha256"`
+	}
+	if err := json.Unmarshal(data, &golden); err != nil {
+		t.Fatal(err)
+	}
+	arch := mawigen.NewArchive(42)
+	arch.Duration = 30
+	arch.BaseRate = 200
+	r := NewRunner(arch, suite.Standard())
+	for _, workers := range []int{1, 4} {
+		r.Workers = workers
+		day, err := r.Day(time.Date(2004, 5, 10, 0, 0, 0, 0, time.UTC))
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		var csv bytes.Buffer
+		if err := wirev1.WriteCSV(&csv, day.Reports); err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(csv.Bytes())); got != golden.CSVSHA256 {
+			t.Errorf("workers=%d: CSV sha256 %s, want the golden %s", workers, got, golden.CSVSHA256)
+		}
 	}
 }
 

@@ -7,8 +7,6 @@ import (
 	"strings"
 	"time"
 
-	"mawilab/internal/core"
-	"mawilab/internal/detectors"
 	"mawilab/internal/heuristics"
 	"mawilab/internal/parallel"
 	"mawilab/internal/stats"
@@ -29,11 +27,13 @@ type Fig3Result struct {
 	RuleDegreePMF []stats.Series
 }
 
-// Fig3 runs the similarity estimator over the given archive days at the
-// three granularities and aggregates the four panels. The (granularity,
-// date) day-pipelines are independent, so they shard across the runner's
-// worker pool; partials are folded in date order, keeping the panels
-// identical at every worker count.
+// Fig3 labels the given archive days at the three granularities — the
+// runner's pipeline with only Estimator.Granularity swept — and aggregates
+// the four panels. Rule support and degree do not depend on the combiner's
+// decisions, so the panels read the labeling as shipped. The (granularity,
+// date) runs are independent, so they shard across the runner's worker
+// pool; partials are folded in date order, keeping the panels identical at
+// every worker count.
 func Fig3(ctx context.Context, r *Runner, dates []time.Time) (*Fig3Result, error) {
 	type dayPartial struct {
 		singles float64
@@ -44,40 +44,24 @@ func Fig3(ctx context.Context, r *Runner, dates []time.Time) (*Fig3Result, error
 	grans := []trace.Granularity{trace.GranPacket, trace.GranUniFlow, trace.GranBiFlow}
 	out := &Fig3Result{}
 	for _, g := range grans {
-		// The figure sweeps the granularity axis; everything else honors
-		// the runner's configuration, like the other figure harnesses.
-		cfg := r.Estimator
-		cfg.Granularity = g
+		gp := *r.Pipeline
+		gp.Estimator.Granularity = g
+		gr := *r
+		gr.Pipeline = &gp
 		partials, err := parallel.Map(ctx, len(dates), r.workers(), func(ctx context.Context, di int) (dayPartial, error) {
-			gen := r.Archive.Day(dates[di])
-			// One shared index per (granularity, day) pipeline, same
-			// build-once-share-everywhere rule as Runner.day.
-			seg, err := trace.SealTrace(ctx, gen.Trace)
+			day, err := gr.day(ctx, dates[di], 1)
 			if err != nil {
 				return dayPartial{}, err
 			}
-			ix := seg.Index
-			alarms, _, err := detectors.DetectAllContext(ctx, ix, r.Detectors, 1)
-			if err != nil {
-				return dayPartial{}, err
-			}
-			res, err := core.EstimateContext(ctx, ix, alarms, cfg, 1)
-			if err != nil {
-				return dayPartial{}, err
-			}
-			decisions := make([]core.Decision, len(res.Communities))
-			reports, err := core.BuildReportsContext(ctx, res, decisions, r.ReportOpts, 1)
-			if err != nil {
-				return dayPartial{}, err
-			}
+			res := day.Result
 			p := dayPartial{singles: float64(res.SingleCommunities())}
 			for i := range res.Communities {
 				if res.Communities[i].Size() <= 1 {
 					continue
 				}
 				p.sizes = append(p.sizes, float64(res.Communities[i].Size()))
-				p.support = append(p.support, reports[i].RuleSupport*100)
-				p.degree = append(p.degree, snapDegree(reports[i].RuleDegree))
+				p.support = append(p.support, day.Reports[i].RuleSupport*100)
+				p.degree = append(p.degree, snapDegree(day.Reports[i].RuleDegree))
 			}
 			return p, nil
 		})

@@ -6,25 +6,32 @@ package eval
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"time"
 
+	"mawilab"
 	"mawilab/internal/core"
 	"mawilab/internal/detectors"
 	"mawilab/internal/heuristics"
 	"mawilab/internal/mawigen"
 	"mawilab/internal/parallel"
-	"mawilab/internal/trace"
 )
 
-// Runner wires the archive, the detector ensemble, the similarity estimator
-// and the combination strategies into a per-day pipeline.
+// Runner wires the archive, the shipped labeling pipeline and the
+// combination strategies into a per-day evaluation.
 type Runner struct {
-	Archive    *mawigen.Archive
-	Detectors  []detectors.Detector
-	Estimator  core.EstimatorConfig
+	Archive *mawigen.Archive
+	// Pipeline labels every day — the same mawilab.Pipeline the CLI and
+	// mawilabd run. Its Detectors, Estimator and RuleSupport configure the
+	// evaluation; its Strategy and Workers are set per day from Strategies
+	// and Workers.
+	Pipeline *mawilab.Pipeline
+	// Strategies are the combiners each day is classified under. The
+	// pipeline labels the day with the last one, so Reports carry its
+	// labels; every other strategy classifies the same communities. An
+	// empty list is an error.
 	Strategies []core.Strategy
-	ReportOpts core.ReportOptions
 	// Workers bounds the evaluation's concurrency: Days shards the
 	// archive across a day-level worker pool of this size, and a direct
 	// Day call fans its detector runs and community labeling out over the
@@ -37,16 +44,19 @@ type Runner struct {
 // the four-detector ensemble must be supplied by the caller (usually
 // suite.Standard()).
 func NewRunner(archive *mawigen.Archive, dets []detectors.Detector) *Runner {
+	p := mawilab.NewPipeline()
+	p.Detectors = dets
 	return &Runner{
-		Archive:   archive,
-		Detectors: dets,
-		Estimator: core.DefaultEstimatorConfig(),
+		Archive:  archive,
+		Pipeline: p,
 		Strategies: []core.Strategy{
 			core.NewAverage(), core.NewMinimum(), core.NewMaximum(), core.NewSCANN(),
 		},
-		ReportOpts: core.DefaultReportOptions(),
 	}
 }
+
+// errNoStrategies rejects a Runner with nothing to label a day under.
+var errNoStrategies = errors.New("eval: Runner.Strategies is empty")
 
 // DayResult is everything the evaluation needs from one analyzed day.
 type DayResult struct {
@@ -88,67 +98,50 @@ func (r *Runner) workers() int {
 	return r.Workers
 }
 
-// day runs the full pipeline for one archive day with the given intra-day
-// worker bound.
+// day generates one archive day and labels it with r.Pipeline under the
+// last strategy at the given stage worker bound, then classifies the same
+// communities under every other strategy.
 func (r *Runner) day(ctx context.Context, date time.Time, workers int) (*DayResult, error) {
-	// Regenerate the day under the same intra-day worker bound the pipeline
-	// stages use: a direct Day call fans the background windows and anomaly
-	// injections out, while the day-level sharding of Days keeps generation
-	// sequential (the date fan-out already saturates the pool). Generation
-	// is byte-identical at every worker count, so this is purely a
-	// scheduling choice.
-	arch := *r.Archive
-	arch.Workers = workers
-	gen := arch.Day(date)
-	// Seal the day as one canonical segment: its shared columnar index feeds
-	// the detector fan-out, the estimator's traffic extraction and the
-	// labeling heuristics — no per-stage flow-table rebuilds, and the same
-	// lifecycle the streaming pipeline gives every sealed segment.
-	seg, err := trace.SealTrace(ctx, gen.Trace)
+	if len(r.Strategies) == 0 {
+		return nil, errNoStrategies
+	}
+	gen := r.Archive.Day(date)
+	last := len(r.Strategies) - 1
+	p := *r.Pipeline
+	p.Strategy = r.Strategies[last]
+	p.Workers = workers
+	l, err := p.RunContext(ctx, gen.Trace)
+	if err != nil {
+		return nil, fmt.Errorf("eval: %s: %w", date.Format("2006-01-02"), err)
+	}
+	totals, err := detectors.Totals(p.Detectors)
 	if err != nil {
 		return nil, err
 	}
-	ix := seg.Index
-	alarms, totals, err := detectors.DetectAllContext(ctx, ix, r.Detectors, workers)
-	if err != nil {
-		return nil, err
-	}
-	res, err := core.EstimateContext(ctx, ix, alarms, r.Estimator, workers)
-	if err != nil {
-		return nil, err
-	}
-	conf := res.Confidences(totals)
 	out := &DayResult{
 		Date:      date,
-		Result:    res,
+		Result:    l.Result,
 		Totals:    totals,
 		Decisions: make(map[string][]core.Decision, len(r.Strategies)),
+		Reports:   l.Reports,
 		Truth:     gen.Truth,
 	}
-	var lastDecisions []core.Decision
-	for _, s := range r.Strategies {
-		dec, err := s.Classify(res, conf)
+	conf := l.Result.Confidences(totals)
+	for _, s := range r.Strategies[:last] {
+		dec, err := s.Classify(l.Result, conf)
 		if err != nil {
 			return nil, fmt.Errorf("eval: %s on %s: %w", s.Name(), date.Format("2006-01-02"), err)
 		}
 		// Decisions are indexed by community everywhere downstream
 		// (RunRatios, Fig8-10, ComputeGainCost); a strategy returning a
 		// short or stale slice must fail here, not panic later.
-		if len(dec) != len(res.Communities) {
+		if len(dec) != len(l.Result.Communities) {
 			return nil, fmt.Errorf("eval: %s on %s: %d decisions for %d communities",
-				s.Name(), date.Format("2006-01-02"), len(dec), len(res.Communities))
+				s.Name(), date.Format("2006-01-02"), len(dec), len(l.Result.Communities))
 		}
 		out.Decisions[s.Name()] = dec
-		lastDecisions = dec
 	}
-	if lastDecisions == nil {
-		lastDecisions = make([]core.Decision, len(res.Communities))
-	}
-	reports, err := core.BuildReportsContext(ctx, res, lastDecisions, r.ReportOpts, workers)
-	if err != nil {
-		return nil, err
-	}
-	out.Reports = reports
+	out.Decisions[r.Strategies[last].Name()] = l.Decisions
 	return out, nil
 }
 

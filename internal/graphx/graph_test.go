@@ -76,8 +76,7 @@ func TestComponents(t *testing.T) {
 		t.Errorf("distinct groups should have distinct ids: %v", comp)
 	}
 	// Node 5 is isolated: its own component.
-	sizes := CommunitySizes(comp)
-	if sizes[comp[5]] != 1 {
+	if len(Members(comp)[comp[5]]) != 1 {
 		t.Errorf("isolated node not alone: %v", comp)
 	}
 }
@@ -260,9 +259,8 @@ func TestMembersAndSizes(t *testing.T) {
 	if len(m[0]) != 2 || m[0][0] != 0 || m[0][1] != 2 {
 		t.Errorf("Members[0] = %v", m[0])
 	}
-	sizes := CommunitySizes(comm)
-	if sizes[0] != 2 || sizes[1] != 2 || sizes[2] != 1 {
-		t.Errorf("sizes = %v", sizes)
+	if len(m[1]) != 2 || len(m[2]) != 1 {
+		t.Errorf("sizes of communities 1/2 = %d/%d, want 2/1", len(m[1]), len(m[2]))
 	}
 }
 

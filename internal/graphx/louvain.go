@@ -313,15 +313,6 @@ func compactIDs(comm []int) []int {
 	return out
 }
 
-// CommunitySizes returns the node count of each community id.
-func CommunitySizes(comm []int) map[int]int {
-	sizes := make(map[int]int)
-	for _, c := range comm {
-		sizes[c]++
-	}
-	return sizes
-}
-
 // Members returns the node lists per community id, each in ascending order.
 func Members(comm []int) map[int][]int {
 	m := make(map[int][]int)

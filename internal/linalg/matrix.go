@@ -18,7 +18,6 @@ package linalg
 
 import (
 	"fmt"
-	"math"
 	"strings"
 )
 
@@ -77,29 +76,6 @@ func (m *Matrix) T() *Matrix {
 		}
 	}
 	return t
-}
-
-// Mul returns m · b.
-func (m *Matrix) Mul(b *Matrix) *Matrix {
-	if m.Cols != b.Rows {
-		panic(fmt.Sprintf("linalg: mul shape mismatch %dx%d · %dx%d", m.Rows, m.Cols, b.Rows, b.Cols))
-	}
-	out := NewMatrix(m.Rows, b.Cols)
-	for i := 0; i < m.Rows; i++ {
-		mi := m.Row(i)
-		oi := out.Row(i)
-		for k := 0; k < m.Cols; k++ {
-			a := mi[k]
-			if a == 0 {
-				continue
-			}
-			bk := b.Row(k)
-			for j := range oi {
-				oi[j] += a * bk[j]
-			}
-		}
-	}
-	return out
 }
 
 // MulVec returns m · x as a new vector.
@@ -167,15 +143,6 @@ func (m *Matrix) CenterColumns() []float64 {
 	return means
 }
 
-// Norm2 returns the Frobenius norm.
-func (m *Matrix) Norm2() float64 {
-	s := 0.0
-	for _, v := range m.Data {
-		s += v * v
-	}
-	return math.Sqrt(s)
-}
-
 // String renders the matrix for debugging (rows truncated at 8).
 func (m *Matrix) String() string {
 	var b strings.Builder
@@ -197,21 +164,6 @@ func (m *Matrix) String() string {
 	b.WriteByte(']')
 	return b.String()
 }
-
-// Dot returns the inner product of equal-length vectors.
-func Dot(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic("linalg: dot length mismatch")
-	}
-	s := 0.0
-	for i, v := range a {
-		s += v * b[i]
-	}
-	return s
-}
-
-// Norm returns the Euclidean norm of a vector.
-func Norm(a []float64) float64 { return math.Sqrt(Dot(a, a)) }
 
 // Scale multiplies a vector by s in place.
 func Scale(a []float64, s float64) {

@@ -21,10 +21,9 @@ type Archive struct {
 	// BaseRate is the background rate in pps before the first link
 	// upgrade.
 	BaseRate float64
-	// Workers bounds the goroutines used per generated day (background
-	// windows and anomaly injections run concurrently; see Config.Workers)
-	// and the day-level fan-out of Days. 0 or 1 is sequential; traces are
-	// byte-identical at every setting.
+	// Workers bounds the day-level fan-out of Days: that many days
+	// generate concurrently, each in one sequential loop. 0 or 1 is
+	// sequential; traces are byte-identical at every setting.
 	Workers int
 }
 
@@ -101,7 +100,6 @@ func (a *Archive) Day(date time.Time) *Result {
 		BackgroundRate: a.BaseRate * a.RateMultiplier(date),
 		P2PShare:       a.P2PShare(date),
 		Date:           date,
-		Workers:        a.Workers,
 	}
 
 	// Everyday anomaly draw: 3-7 events of mixed kinds.
@@ -163,34 +161,13 @@ func (a *Archive) Day(date time.Time) *Result {
 // would produce, so multi-day experiments shard freely. Generation cannot
 // fail; the error is ctx's, when cancelled mid-run.
 func (a *Archive) Days(ctx context.Context, dates []time.Time) ([]*Result, error) {
-	// Per-day configs run their background windows and injections
-	// sequentially: the day-level fan-out already saturates the pool, and
-	// nesting would oversubscribe. Harmless for the output either way —
-	// generation is byte-identical at every worker count.
-	day := *a
-	day.Workers = 1
 	workers := a.Workers
 	if workers <= 0 {
 		workers = 1
 	}
 	return parallel.Map(ctx, len(dates), workers, func(_ context.Context, i int) (*Result, error) {
-		return day.Day(dates[i]), nil
+		return a.Day(dates[i]), nil
 	})
-}
-
-// FirstWeekOfMonth returns the first `days` days of every month from
-// January of startYear through December of endYear — the paper's sampling
-// for the similarity-estimator evaluation.
-func FirstWeekOfMonth(startYear, endYear, days int) []time.Time {
-	var out []time.Time
-	for y := startYear; y <= endYear; y++ {
-		for m := time.January; m <= time.December; m++ {
-			for d := 1; d <= days; d++ {
-				out = append(out, time.Date(y, m, d, 0, 0, 0, 0, time.UTC))
-			}
-		}
-	}
-	return out
 }
 
 // EverNDays samples the archive every n days across [start, end) — used to

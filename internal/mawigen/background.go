@@ -1,20 +1,16 @@
 package mawigen
 
 import (
-	"context"
 	"math"
 	"math/rand"
 
-	"mawilab/internal/parallel"
 	"mawilab/internal/trace"
 )
 
 // DefaultWindows is the background-generation window count used when
 // Config.Windows is unset. It is a fixed constant — never derived from the
 // machine's core count — because the window streams determine the emitted
-// bytes: the same config must generate the same trace on every machine,
-// whatever Workers is. 16 windows keep per-window session batches large
-// while leaving fan-out headroom beyond typical core counts.
+// bytes: the same config must generate the same trace on every machine.
 const DefaultWindows = 16
 
 // Address pools of the synthetic network. The "inside" of the monitored
@@ -93,8 +89,7 @@ func heavyTail(rng *rand.Rand, minPkts int, alpha float64) int {
 // windowRNG derives the independent RNG stream for the w-th background
 // window: a splitmix64 finalizer over (seed, window index), in a different
 // derivation domain than injectRNG so window and injection streams can never
-// collide. The stream depends only on (seed, w) — not on Workers — which is
-// what makes the windowed fan-out byte-identical at every worker count.
+// collide. The stream depends only on (seed, w).
 func windowRNG(seed int64, w int) *rand.Rand {
 	x := uint64(seed) + 0x9e3779b97f4a7c15*uint64(w+1)
 	x ^= x >> 30
@@ -114,7 +109,7 @@ func windowRNG(seed int64, w int) *rand.Rand {
 // per-time-bin fluctuation the PCA detector's normal subspace models — are
 // preserved, not smoothed by a stratified equal split. The draw is a cheap
 // sequential O(sessions) pre-pass depending only on (seed, sessions,
-// windows): worker-count independent by construction.
+// windows).
 func windowSessions(seed int64, sessions, windows int) []int {
 	rng := windowRNG(seed, -1)
 	counts := make([]int, windows)
@@ -128,17 +123,12 @@ func windowSessions(seed int64, sessions, windows int) []int {
 // roughly cfg.BackgroundRate packets per second.
 //
 // The duration splits into cfg.Windows fixed time windows. Each window owns
-// the sessions the windowSessions partition assigns it, draws their
-// parameters and in-window start times from its own windowRNG stream, and
-// emits them into a private trace shard; the shards then concatenate in
-// window order. No state crosses a window boundary, so the windows fan out
-// over the worker pool and the concatenated packet stream — and hence the
-// trace after the stable timestamp sort — is byte-identical at every
-// cfg.Workers value, with Workers <= 1 running the same windows inline as
-// the sequential reference. A session starting near the end of its window
-// may emit packets past the window boundary; that is fine — windows
-// partition session *starts*, not packet timestamps, and the final sort
-// interleaves the shards.
+// the sessions the windowSessions partition assigns it and draws their
+// parameters and in-window start times from its own windowRNG stream; the
+// windows emit in order. A session starting near the end of its window may
+// emit packets past the window boundary; that is fine — windows partition
+// session *starts*, not packet timestamps, and the final sort interleaves
+// them.
 func genBackground(tr *trace.Trace, cfg Config) {
 	targetPackets := cfg.BackgroundRate * cfg.Duration
 	// The session mix averages ≈20 packets (heavy-tailed TCP transfers
@@ -149,25 +139,14 @@ func genBackground(tr *trace.Trace, cfg Config) {
 	windows := cfg.Windows
 	winDur := cfg.Duration / float64(windows)
 	perWindow := windowSessions(cfg.Seed, sessions, windows)
-	workers := cfg.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	// fn cannot fail and the context is never cancelled, so Map cannot
-	// return an error (same contract as the injection fan-out in Generate).
-	shards, _ := parallel.Map(context.Background(), windows, workers, func(_ context.Context, w int) (*trace.Trace, error) {
+	for w := 0; w < windows; w++ {
 		rng := windowRNG(cfg.Seed, w)
-		shard := &trace.Trace{}
 		winStart := float64(w) * winDur
 		for s := 0; s < perWindow[w]; s++ {
 			start := winStart + rng.Float64()*winDur
 			kind := backgroundMix(rng, cfg.P2PShare)
-			emitSession(rng, shard, cfg, kind, start, clientPool, extPool)
+			emitSession(rng, tr, cfg, kind, start, clientPool, extPool)
 		}
-		return shard, nil
-	})
-	for _, s := range shards {
-		tr.Packets = append(tr.Packets, s.Packets...)
 	}
 }
 

@@ -31,7 +31,7 @@ type goldenRecord struct {
 // goldenFixture is one generation scenario of the determinism matrix.
 type goldenFixture struct {
 	name string
-	gen  func(workers int) *Result
+	gen  func() *Result
 }
 
 // goldenFixtures covers background-only, anomaly-heavy, non-default window
@@ -39,16 +39,13 @@ type goldenFixture struct {
 // worm eras on top of Generate).
 func goldenFixtures() []goldenFixture {
 	return []goldenFixture{
-		{"background-default", func(workers int) *Result {
-			cfg := DefaultConfig(7)
-			cfg.Workers = workers
-			return Generate(cfg)
+		{"background-default", func() *Result {
+			return Generate(DefaultConfig(7))
 		}},
-		{"anomalies-mixed", func(workers int) *Result {
+		{"anomalies-mixed", func() *Result {
 			cfg := DefaultConfig(42)
 			cfg.Duration = 30
 			cfg.BackgroundRate = 200
-			cfg.Workers = workers
 			cfg.Anomalies = []Spec{
 				{Kind: KindPortScan, Start: 2, Duration: 10, Rate: 80},
 				{Kind: KindSYNFlood, Start: 5, Duration: 12, Rate: 150},
@@ -57,23 +54,21 @@ func goldenFixtures() []goldenFixture {
 			}
 			return Generate(cfg)
 		}},
-		{"windows-4-short", func(workers int) *Result {
+		{"windows-4-short", func() *Result {
 			cfg := Config{
 				Seed:           9,
 				Duration:       12,
 				BackgroundRate: 150,
 				P2PShare:       0.3,
 				Windows:        4,
-				Workers:        workers,
 				Anomalies:      []Spec{{Kind: KindICMPFlood, Start: 3, Duration: 5, Rate: 200}},
 			}
 			return Generate(cfg)
 		}},
-		{"archive-sasser-day", func(workers int) *Result {
+		{"archive-sasser-day", func() *Result {
 			arch := NewArchive(5)
 			arch.Duration = 20
 			arch.BaseRate = 120
-			arch.Workers = workers
 			return arch.Day(time.Date(2004, 5, 10, 0, 0, 0, 0, time.UTC))
 		}},
 	}
@@ -82,8 +77,8 @@ func goldenFixtures() []goldenFixture {
 const goldenPath = "testdata/generate_golden.json"
 
 // TestGenerateDeterminism is the generator's reproducibility contract: for
-// every fixture config, the trace must be byte-identical at workers 1, 2, 4
-// and 8, across repeated runs, and equal to the committed golden digest.
+// every fixture config, the trace must be byte-identical across repeated
+// runs and equal to the committed golden digest.
 // The golden file makes any drift in generation output — however it is
 // produced — a deliberate, reviewed fixture update (-update), never a silent
 // side effect of a refactor.
@@ -92,7 +87,7 @@ func TestGenerateDeterminism(t *testing.T) {
 
 	got := make([]goldenRecord, 0, len(fixtures))
 	for _, fx := range fixtures {
-		ref := fx.gen(1)
+		ref := fx.gen()
 		rec := goldenRecord{
 			Name:        fx.name,
 			Packets:     ref.Trace.Len(),
@@ -104,18 +99,13 @@ func TestGenerateDeterminism(t *testing.T) {
 		}
 		got = append(got, rec)
 
-		for _, workers := range []int{1, 2, 4, 8} {
-			for run := 0; run < 2; run++ {
-				res := fx.gen(workers)
-				if d := res.Trace.Digest(); d != rec.TraceSHA256 {
-					t.Errorf("%s: workers=%d run=%d: trace digest %s, want %s (%d vs %d packets)",
-						fx.name, workers, run, d[:12], rec.TraceSHA256[:12], res.Trace.Len(), rec.Packets)
-				}
-				if len(res.Truth) != rec.TruthEvents {
-					t.Errorf("%s: workers=%d run=%d: %d truth events, want %d",
-						fx.name, workers, run, len(res.Truth), rec.TruthEvents)
-				}
-			}
+		res := fx.gen()
+		if d := res.Trace.Digest(); d != rec.TraceSHA256 {
+			t.Errorf("%s: rerun: trace digest %s, want %s (%d vs %d packets)",
+				fx.name, d[:12], rec.TraceSHA256[:12], res.Trace.Len(), rec.Packets)
+		}
+		if len(res.Truth) != rec.TruthEvents {
+			t.Errorf("%s: rerun: %d truth events, want %d", fx.name, len(res.Truth), rec.TruthEvents)
 		}
 	}
 
@@ -191,7 +181,7 @@ func TestWindowSessionsPartition(t *testing.T) {
 
 // TestGenerateWindowsChangeBytes documents that Windows is part of the
 // reproducibility contract: a different window count derives different
-// streams and therefore different bytes (while any Workers value does not).
+// streams and therefore different bytes.
 func TestGenerateWindowsChangeBytes(t *testing.T) {
 	mk := func(windows int) string {
 		cfg := DefaultConfig(3)

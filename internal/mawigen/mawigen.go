@@ -12,12 +12,10 @@
 package mawigen
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"time"
 
-	"mawilab/internal/parallel"
 	"mawilab/internal/trace"
 )
 
@@ -84,17 +82,6 @@ func (k Kind) String() string {
 	}
 }
 
-// IsAttack reports whether the kind is hostile (flash crowds and elephant
-// flows are anomalies but not attacks).
-func (k Kind) IsAttack() bool {
-	switch k {
-	case KindFlashCrowd, KindElephant:
-		return false
-	default:
-		return true
-	}
-}
-
 // Event records one injected anomaly: the ground truth of a trace.
 type Event struct {
 	Kind Kind
@@ -132,7 +119,7 @@ type Config struct {
 	// Seed drives all randomness. Every RNG stream of a generation run —
 	// one per background window, one per anomaly injection — is derived
 	// deterministically from (Seed, stream index), so equal configs
-	// generate byte-identical traces regardless of Workers.
+	// generate byte-identical traces.
 	Seed int64
 	// Duration is the trace length in seconds (the archive's 15-minute
 	// traces are scaled down; default 60).
@@ -151,20 +138,12 @@ type Config struct {
 	// Windows is the number of fixed time windows the background
 	// generation splits Duration into; 0 or negative selects
 	// DefaultWindows. Each window draws its sessions from a private RNG
-	// stream derived from (Seed, window index), so windows generate
-	// independently — concurrently under Workers — and the emitted trace
-	// is a pure function of the config: byte-identical at every worker
-	// count. Changing Windows changes the streams, and therefore the
-	// bytes, so it is part of the reproducibility contract along with
-	// Seed (pinned by TestGenerateDeterminism's golden digests).
+	// stream derived from (Seed, window index), so the emitted trace is a
+	// pure function of the config. Changing Windows changes the streams,
+	// and therefore the bytes, so it is part of the reproducibility
+	// contract along with Seed (pinned by TestGenerateDeterminism's golden
+	// digests).
 	Windows int
-	// Workers bounds the goroutines used for background-window generation
-	// and anomaly injection (each window and each injection has its own
-	// derived RNG stream, so they are independent). 0 or 1 generates
-	// sequentially — the exact reference path; every value generates an
-	// identical trace because window shards concatenate in window order
-	// and injections land in spec order before the stable timestamp sort.
-	Workers int
 }
 
 // DefaultConfig returns a background-only 60-second trace configuration.
@@ -203,31 +182,9 @@ func Generate(cfg Config) *Result {
 		}
 	}
 	genBackground(tr, cfg)
-	// Each injection draws from its own seeded RNG, so injections are
-	// independent: fan them out across a worker pool, each into a scratch
-	// trace, then splice the packets back in spec order. The pre-sort
-	// packet order is then exactly the sequential append order, and the
-	// stable timestamp sort makes the final trace byte-identical at every
-	// worker count.
-	events := make([]Event, len(cfg.Anomalies))
-	if cfg.Workers > 1 && len(cfg.Anomalies) > 1 {
-		scratch := make([]*trace.Trace, len(cfg.Anomalies))
-		_ = parallel.ForEach(context.Background(), len(cfg.Anomalies), cfg.Workers, func(_ context.Context, i int) error {
-			scratch[i] = &trace.Trace{}
-			events[i] = inject(injectRNG(cfg.Seed, i), scratch[i], cfg, cfg.Anomalies[i])
-			return nil
-		})
-		for _, s := range scratch {
-			tr.Packets = append(tr.Packets, s.Packets...)
-		}
-	} else {
-		for i, spec := range cfg.Anomalies {
-			events[i] = inject(injectRNG(cfg.Seed, i), tr, cfg, spec)
-		}
-	}
 	var truth []Event
-	for _, ev := range events {
-		if ev.Packets > 0 {
+	for i, spec := range cfg.Anomalies {
+		if ev := inject(injectRNG(cfg.Seed, i), tr, cfg, spec); ev.Packets > 0 {
 			truth = append(truth, ev)
 		}
 	}

@@ -42,6 +42,7 @@ import (
 	"io"
 
 	"mawilab/internal/admd"
+	"mawilab/internal/apriori"
 	"mawilab/internal/core"
 )
 
@@ -93,46 +94,10 @@ func WriteADMD(w io.Writer, traceName string, span admd.TimeSpan, reports []core
 // the daemon's stored community metadata, so a stored tuple always matches
 // the served CSV row.
 func BestRule(rep core.CommunityReport) (src, sport, dst, dport string) {
-	if len(rep.Rules) == 0 {
-		return "*", "*", "*", "*"
+	var best apriori.Rule
+	if len(rep.Rules) > 0 {
+		best = rep.Rules[0]
 	}
-	return ruleFields(rep.Rules[0].String())
-}
-
-// ruleFields splits "<a, b, c, d>" into its four fields; anything malformed
-// degrades to wildcards.
-func ruleFields(rule string) (src, sport, dst, dport string) {
-	src, sport, dst, dport = "*", "*", "*", "*"
-	trimmed := rule
-	if len(trimmed) >= 2 && trimmed[0] == '<' && trimmed[len(trimmed)-1] == '>' {
-		trimmed = trimmed[1 : len(trimmed)-1]
-	}
-	parts := splitComma(trimmed)
-	if len(parts) == 4 {
-		src, sport, dst, dport = parts[0], parts[1], parts[2], parts[3]
-	}
-	return src, sport, dst, dport
-}
-
-func splitComma(s string) []string {
-	var out []string
-	start := 0
-	for i := 0; i < len(s); i++ {
-		if s[i] == ',' {
-			out = append(out, trimSpace(s[start:i]))
-			start = i + 1
-		}
-	}
-	out = append(out, trimSpace(s[start:]))
-	return out
-}
-
-func trimSpace(s string) string {
-	for len(s) > 0 && s[0] == ' ' {
-		s = s[1:]
-	}
-	for len(s) > 0 && s[len(s)-1] == ' ' {
-		s = s[:len(s)-1]
-	}
-	return s
+	f := best.Fields()
+	return f[apriori.FieldSrcIP], f[apriori.FieldSrcPort], f[apriori.FieldDstIP], f[apriori.FieldDstPort]
 }

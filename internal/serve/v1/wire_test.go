@@ -5,18 +5,27 @@ import (
 	"strings"
 	"testing"
 
+	"mawilab/internal/apriori"
 	"mawilab/internal/core"
+	"mawilab/internal/trace"
 )
 
-func TestRuleFieldsParsing(t *testing.T) {
-	src, sport, dst, dport := ruleFields("<1.2.3.4, 80, *, 443>")
+// TestBestRuleFields: the best rule's tuple is the first rule's rendered
+// fields, and a community without rules is all wildcards.
+func TestBestRuleFields(t *testing.T) {
+	rule := apriori.Rule{Items: []apriori.Item{
+		{Field: apriori.FieldSrcIP, Value: uint64(trace.MakeIPv4(1, 2, 3, 4))},
+		{Field: apriori.FieldSrcPort, Value: 80},
+		{Field: apriori.FieldDstPort, Value: 443},
+	}}
+	rep := core.CommunityReport{Rules: []apriori.Rule{rule, {}}}
+	src, sport, dst, dport := BestRule(rep)
 	if src != "1.2.3.4" || sport != "80" || dst != "*" || dport != "443" {
-		t.Errorf("ruleFields = %s/%s/%s/%s", src, sport, dst, dport)
+		t.Errorf("BestRule = %s/%s/%s/%s", src, sport, dst, dport)
 	}
-	// Malformed rules degrade to wildcards.
-	src, _, _, _ = ruleFields("garbage")
-	if src != "*" {
-		t.Errorf("malformed rule src = %q", src)
+	src, sport, dst, dport = BestRule(core.CommunityReport{})
+	if src != "*" || sport != "*" || dst != "*" || dport != "*" {
+		t.Errorf("rule-less BestRule = %s/%s/%s/%s", src, sport, dst, dport)
 	}
 }
 

@@ -15,9 +15,6 @@ type GammaParams struct {
 // Mean returns α·β.
 func (g GammaParams) Mean() float64 { return g.Alpha * g.Beta }
 
-// Variance returns α·β².
-func (g GammaParams) Variance() float64 { return g.Alpha * g.Beta * g.Beta }
-
 // ErrDegenerate is returned when a sample is too small or has no variance,
 // so no Gamma can be fit.
 var ErrDegenerate = errors.New("stats: degenerate sample for gamma fit")
@@ -35,54 +32,6 @@ func FitGammaMoments(sample []float64) (GammaParams, error) {
 		return GammaParams{}, ErrDegenerate
 	}
 	return GammaParams{Alpha: m * m / v, Beta: v / m}, nil
-}
-
-// FitGammaMLE refines a moments fit with Newton iterations on the
-// maximum-likelihood equation ln(α) − ψ(α) = ln(mean) − mean(ln x),
-// following Minka's fixed-point update. Zero observations are excluded
-// (they have no likelihood under a Gamma).
-func FitGammaMLE(sample []float64) (GammaParams, error) {
-	positive := make([]float64, 0, len(sample))
-	for _, x := range sample {
-		if x > 0 {
-			positive = append(positive, x)
-		}
-	}
-	if len(positive) < 2 {
-		return GammaParams{}, ErrDegenerate
-	}
-	var sum, sumLog float64
-	for _, x := range positive {
-		sum += x
-		sumLog += math.Log(x)
-	}
-	n := float64(len(positive))
-	mean := sum / n
-	meanLog := sumLog / n
-	s := math.Log(mean) - meanLog
-	if s <= 0 {
-		// All values identical (or numerically so): fall back to moments.
-		return FitGammaMoments(sample)
-	}
-	// Initial guess (Minka 2002).
-	alpha := (3 - s + math.Sqrt((s-3)*(s-3)+24*s)) / (12 * s)
-	for i := 0; i < 50; i++ {
-		num := math.Log(alpha) - Digamma(alpha) - s
-		den := 1/alpha - Trigamma(alpha)
-		next := alpha - num/den
-		if next <= 0 || math.IsNaN(next) || math.IsInf(next, 0) {
-			break
-		}
-		if math.Abs(next-alpha) < 1e-10*alpha {
-			alpha = next
-			break
-		}
-		alpha = next
-	}
-	if alpha <= 0 || math.IsNaN(alpha) {
-		return FitGammaMoments(sample)
-	}
-	return GammaParams{Alpha: alpha, Beta: mean / alpha}, nil
 }
 
 // Digamma computes ψ(x), the logarithmic derivative of the Gamma function,

@@ -91,16 +91,3 @@ func ParseIPv4(s string) (IPv4, error) {
 	}
 	return IPv4(ip), nil
 }
-
-// InSubnet reports whether ip falls inside the /prefixLen network rooted at
-// network. prefixLen must be in [0,32].
-func (ip IPv4) InSubnet(network IPv4, prefixLen int) bool {
-	if prefixLen <= 0 {
-		return true
-	}
-	if prefixLen >= 32 {
-		return ip == network
-	}
-	mask := ^IPv4(0) << (32 - uint(prefixLen))
-	return ip&mask == network&mask
-}

@@ -49,25 +49,3 @@ func TestParseIPv4Errors(t *testing.T) {
 		}
 	}
 }
-
-func TestInSubnet(t *testing.T) {
-	net := MakeIPv4(10, 1, 0, 0)
-	cases := []struct {
-		ip     IPv4
-		prefix int
-		want   bool
-	}{
-		{MakeIPv4(10, 1, 2, 3), 16, true},
-		{MakeIPv4(10, 2, 2, 3), 16, false},
-		{MakeIPv4(10, 1, 0, 0), 32, true},
-		{MakeIPv4(10, 1, 0, 1), 32, false},
-		{MakeIPv4(99, 99, 99, 99), 0, true},
-		{MakeIPv4(10, 1, 128, 0), 17, false},
-		{MakeIPv4(10, 1, 127, 255), 17, true},
-	}
-	for _, c := range cases {
-		if got := c.ip.InSubnet(net, c.prefix); got != c.want {
-			t.Errorf("%v.InSubnet(%v, /%d) = %v, want %v", c.ip, net, c.prefix, got, c.want)
-		}
-	}
-}

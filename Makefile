@@ -170,7 +170,9 @@ lint:
 # per packet, and by whole indexes appended at fuzz-chosen cut points —
 # against the map-based reference in internal/trace's tests (48-bit
 # timestamps: an index must not care how many years its packets span), the
-# flow-table file (arbitrary bytes never panic, whatever decodes re-encodes to
+# time axis the detectors bin by (any width: an error exactly when it is not
+# positive and finite or the span needs too many bins, else every packet in
+# its bin's interval bar the clamped last edge), the flow-table file (arbitrary bytes never panic, whatever decodes re-encodes to
 # its input, every truncation and bit flip of a valid file is rejected), the
 # pcap write→read round trip, the decode-streaming vs decode-materialized
 # ingest differential, the similarity-graph build against its quadratic
@@ -187,6 +189,7 @@ fuzz:
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzParseIPv4$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzIndexBuilder$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzFlowTable$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzTimeAxis$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/pcap -run '^$$' -fuzz '^FuzzRoundTrip$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/pcap -run '^$$' -fuzz '^FuzzDecodeIndex$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/simgraph -run '^$$' -fuzz '^FuzzBuild$$' -fuzztime $(FUZZTIME)

@@ -42,24 +42,26 @@ func (d *entropyDetector) Detect(ix *trace.Index, config int) ([]core.Alarm, err
 	if err := detectors.CheckConfig(d, config); err != nil {
 		return nil, err
 	}
-	bins := int(math.Ceil(ix.Duration() / d.timeBin))
-	if bins < 4 || ix.Len() == 0 {
+	// The time axis is the one binning every detector shares: it rejects a
+	// bad width or an oversized span, maps a timestamp to its bin and a bin
+	// back to the interval an alarm carries.
+	ax, err := trace.NewTimeAxis(ix, d.timeBin)
+	if err != nil {
+		return nil, err
+	}
+	if ax.Bins < 4 || ix.Len() == 0 {
 		return nil, nil
 	}
-	hists := make([]*stats.Histogram, bins)
+	hists := make([]*stats.Histogram, ax.Bins)
 	for i := range hists {
 		hists[i] = stats.NewHistogram()
 	}
 	// Custom detectors read the shared columnar index, like the standard
 	// ensemble: the pipeline builds it once and fans it out.
 	for i := 0; i < ix.Len(); i++ {
-		b := int(ix.Seconds[i] / d.timeBin)
-		if b >= bins {
-			b = bins - 1
-		}
-		hists[b].Add(uint64(ix.Src[i]), 1)
+		hists[ax.Bin(ix.Seconds[i])].Add(uint64(ix.Src[i]), 1)
 	}
-	entropy := make([]float64, bins)
+	entropy := make([]float64, ax.Bins)
 	for i, h := range hists {
 		entropy[i] = h.Entropy()
 	}
@@ -77,12 +79,11 @@ func (d *entropyDetector) Detect(ix *trace.Index, config int) ([]core.Alarm, err
 		if len(top) == 0 {
 			continue
 		}
-		from := float64(b) * d.timeBin
 		alarms = append(alarms, core.Alarm{
 			Detector: d.Name(),
 			Config:   config,
 			Filters: []trace.Filter{
-				mawilab.NewFilter().WithSrc(trace.IPv4(top[0].Key)).WithInterval(from, from+d.timeBin),
+				mawilab.NewFilter().WithSrc(trace.IPv4(top[0].Key)).WithInterval(ax.Interval(b, b)),
 			},
 			Score: math.Abs(e-med) / (1.4826 * mad),
 			Note:  "src entropy shift",

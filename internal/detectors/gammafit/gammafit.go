@@ -12,6 +12,7 @@
 package gammafit
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"sort"
@@ -27,7 +28,8 @@ import (
 type Detector struct {
 	// Bins is the sketch width.
 	Bins int
-	// Resolutions are the aggregation scales in seconds (finest first).
+	// Resolutions are the aggregation scales in seconds (finest first), at
+	// least one, each positive and finite.
 	Resolutions []float64
 	// TopHosts caps how many hosts are reported per anomalous bin.
 	TopHosts int
@@ -94,12 +96,23 @@ type binScore struct {
 // distance, for both directions. A configuration is one threshold on that
 // distance.
 func (d *Detector) Prepare(ix *trace.Index) (detectors.Prepared, error) {
-	p := &prepared{d: d}
-	if ix.Len() == 0 || ix.Duration() < 4*d.Resolutions[len(d.Resolutions)-1] {
-		return p, nil
+	if len(d.Resolutions) == 0 {
+		return nil, fmt.Errorf("gamma: Resolutions must not be empty")
 	}
-	p.dirs[0] = d.prepareDirection(ix, false)
-	p.dirs[1] = d.prepareDirection(ix, true)
+	ax, err := trace.NewTimeAxis(ix, d.Resolutions[0])
+	if err != nil {
+		return nil, fmt.Errorf("gamma: Resolutions[0]: %w", err)
+	}
+	for i, res := range d.Resolutions[1:] {
+		if !(res > 0) || math.IsInf(res, 1) {
+			return nil, fmt.Errorf("gamma: Resolutions[%d] must be positive and finite, got %v", i+1, res)
+		}
+	}
+	ax.Bins++ // one spare cell past the last packet's, kept for byte identity
+	p := &prepared{d: d}
+	if ix.Len() > 0 && ax.Span >= 4*d.Resolutions[len(d.Resolutions)-1] {
+		p.dirs = [2][]binScore{d.prepareDirection(ix, ax, false), d.prepareDirection(ix, ax, true)}
+	}
 	return p, nil
 }
 
@@ -145,8 +158,9 @@ func (p *prepared) Decide(config int) ([]core.Alarm, error) {
 
 // prepareDirection runs the sketch/Gamma analysis hashed on source (dst ==
 // false) or destination addresses, scanning the index's address and
-// timestamp columns. Bins come back in ascending bin order.
-func (d *Detector) prepareDirection(ix *trace.Index, dst bool) []binScore {
+// timestamp columns into the cells of ax, the finest resolution. Bins come
+// back in ascending bin order.
+func (d *Detector) prepareDirection(ix *trace.Index, ax trace.TimeAxis, dst bool) []binScore {
 	seed := d.Seed
 	if dst {
 		seed ^= 0xdeadbeef
@@ -158,15 +172,10 @@ func (d *Detector) prepareDirection(ix *trace.Index, dst bool) []binScore {
 	}
 
 	// One bins×cells slab of packet counts at the finest resolution.
-	finest := d.Resolutions[0]
-	cells := int(math.Ceil(ix.Duration()/finest)) + 1
+	cells := ax.Bins
 	counts := make([]float64, d.Bins*cells)
 	for pi, addr := range addrs {
-		c := int(ix.Seconds[pi] / finest)
-		if c >= cells {
-			c = cells - 1
-		}
-		counts[sk.Bin(addr)*cells+c]++
+		counts[sk.Bin(addr)*cells+ax.Bin(ix.Seconds[pi])]++
 	}
 
 	// Per-resolution Gamma fits for every active bin: fits holds nres
@@ -188,7 +197,7 @@ func (d *Detector) prepareDirection(ix *trace.Index, dst bool) []binScore {
 		}
 		ok := true
 		for _, res := range d.Resolutions {
-			g, err := stats.FitGammaMoments(aggregate(sample, row, int(math.Round(res/finest))))
+			g, err := stats.FitGammaMoments(aggregate(sample, row, int(math.Round(res/ax.Width))))
 			if err != nil {
 				ok = false
 				break

@@ -1,7 +1,10 @@
 package gammafit
 
 import (
+	"context"
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"mawilab/internal/detectors"
@@ -151,6 +154,41 @@ func TestDeterministic(t *testing.T) {
 	for i := range a {
 		if a[i].String() != b[i].String() {
 			t.Fatal("nondeterministic alarm order")
+		}
+	}
+}
+
+// TestPrepareRejectsBadResolutions: empty Resolutions, or a first one of 0
+// or NaN, used to panic with an index out of range, and −1 or 1e-12 panicked
+// sizing the counts. Each is now an error naming the field, from Prepare,
+// Detect and DetectAllContext; the defaults stay valid.
+func TestPrepareRejectsBadResolutions(t *testing.T) {
+	res, _, _ := floodTrace(t, 201)
+	ix := trace.NewIndex(res.Trace)
+	for _, tc := range []struct {
+		res  []float64
+		want string // substring of the error; "" = valid
+	}{
+		{[]float64{0.5, 1, 2}, ""},
+		{nil, "Resolutions"},
+		{[]float64{0, 1}, "Resolutions[0]"},
+		{[]float64{math.NaN()}, "Resolutions[0]"},
+		{[]float64{-1, 1}, "Resolutions[0]"},
+		{[]float64{1e-12, 1}, "Resolutions[0]"},
+		{[]float64{0.5, math.Inf(1)}, "Resolutions[1]"},
+	} {
+		d := New(7)
+		d.Resolutions = tc.res
+		_, perr := d.Prepare(ix)
+		_, derr := d.Detect(ix, int(detectors.Optimal))
+		_, _, aerr := detectors.DetectAllContext(context.Background(), ix, []detectors.Detector{d}, 1)
+		for _, err := range []error{perr, derr, aerr} {
+			switch {
+			case tc.want == "" && err != nil:
+				t.Errorf("Resolutions %v rejected: %v", tc.res, err)
+			case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+				t.Errorf("Resolutions %v: error = %v, want one naming %s", tc.res, err, tc.want)
+			}
 		}
 	}
 }

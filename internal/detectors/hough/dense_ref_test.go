@@ -290,6 +290,21 @@ func streamedSegments(t *testing.T) []*trace.Index {
 	return out
 }
 
+// edgeIndex returns a sparse 55 s day ending in a flood, plus a copy of its
+// last packet exactly on 60 s: a bin edge at every width these tests use
+// (0.25 s to 5 s), so PCA and KL clamp it alone into their last bin, outside
+// that bin's window, and Hough and Gamma give it their spare bin.
+func edgeIndex() *trace.Index {
+	cfg := mawigen.DefaultConfig(2503)
+	cfg.Duration, cfg.BackgroundRate = 55, 50
+	cfg.Anomalies = []mawigen.Spec{{Kind: mawigen.KindICMPFlood, Start: 40, Duration: 15, Rate: 300}}
+	tr := mawigen.Generate(cfg).Trace
+	last := tr.Packets[tr.Len()-1]
+	last.TS = 60e6
+	tr.Append(last)
+	return trace.NewIndex(tr)
+}
+
 // TestSparseMatchesDense pins the sparse, prepared path to the dense
 // reference on randomized traces across every tuning: Detect, and one
 // Prepare answering every Decide, must both equal the dense alarms exactly.
@@ -324,6 +339,7 @@ func TestSparseMatchesDense(t *testing.T) {
 	short.Duration = 2
 	indexes = append(indexes, trace.NewIndex(&trace.Trace{}), trace.NewIndex(mawigen.Generate(short).Trace))
 	indexes = append(indexes, streamedSegments(t)...)
+	indexes = append(indexes, edgeIndex())
 
 	custom := New(9)
 	custom.tunings = [detectors.NumTunings]tuning{

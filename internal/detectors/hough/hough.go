@@ -12,6 +12,7 @@
 package hough
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"sort"
@@ -25,7 +26,7 @@ import (
 
 // Detector is the Hough-transform detector.
 type Detector struct {
-	// TimeBin is the plot's time quantum in seconds.
+	// TimeBin is the plot's time quantum in seconds, positive and finite.
 	TimeBin float64
 	// Rows is the address-bucket resolution of the plot.
 	Rows int
@@ -85,7 +86,7 @@ func (d *Detector) Detect(ix *trace.Index, config int) ([]core.Alarm, error) {
 // needs out of the index and holds no reference to it.
 type prepared struct {
 	d          *Detector
-	cols       int
+	ax         trace.TimeAxis // the plot's time columns
 	diag       float64
 	rhoBins    int
 	sinT, cosT []float64
@@ -121,13 +122,17 @@ type line struct {
 // strictest cellMin to the loosest serves every tuning's peak search. What
 // is left to a configuration is claiming the cells under its lines.
 func (d *Detector) Prepare(ix *trace.Index) (detectors.Prepared, error) {
-	p := &prepared{d: d}
-	p.cols = int(math.Ceil(ix.Duration()/d.TimeBin)) + 1
-	if ix.Len() == 0 || p.cols < 6 {
+	ax, err := trace.NewTimeAxis(ix, d.TimeBin)
+	if err != nil {
+		return nil, fmt.Errorf("hough: TimeBin: %w", err)
+	}
+	ax.Bins++ // one spare column past the last packet's, kept for byte identity
+	p := &prepared{d: d, ax: ax}
+	if ix.Len() == 0 || ax.Bins < 6 {
 		return p, nil
 	}
 	// Hough accumulator over (θ, ρ), ρ resolution = 1 cell.
-	p.diag = math.Hypot(float64(p.cols), float64(d.Rows))
+	p.diag = math.Hypot(float64(ax.Bins), float64(d.Rows))
 	p.rhoBins = 2*int(p.diag) + 1
 	p.sinT = make([]float64, d.Angles)
 	p.cosT = make([]float64, d.Angles)
@@ -140,7 +145,7 @@ func (d *Detector) Prepare(ix *trace.Index) (detectors.Prepared, error) {
 	for _, tn := range d.tunings[1:] {
 		cellMin = min(cellMin, tn.cellMin)
 	}
-	p.planes = []plane{d.rasterize(ix, cellMin, true), d.rasterize(ix, cellMin, false)}
+	p.planes = []plane{d.rasterize(ix, ax, cellMin, true), d.rasterize(ix, ax, cellMin, false)}
 	for i := range p.planes {
 		p.findLines(&p.planes[i])
 	}
@@ -148,13 +153,13 @@ func (d *Detector) Prepare(ix *trace.Index) (detectors.Prepared, error) {
 }
 
 // rasterize builds one plane. Timestamps are sorted, so the time coordinate
-// x = Seconds/TimeBin is non-decreasing: each x-stripe is one contiguous
+// x = ax.Bin(Seconds) is non-decreasing: each x-stripe is one contiguous
 // packet range. One Rows-sized counter array serves every stripe in turn;
 // flushing a stripe emits its cells holding at least cellMin packets —
 // already in (x, y) order — and deals the stripe's packets out to them, so
 // every address is hashed exactly once and a line later reads a cell's
 // packets as one contiguous run.
-func (d *Detector) rasterize(ix *trace.Index, cellMin int, dstPlane bool) plane {
+func (d *Detector) rasterize(ix *trace.Index, ax trace.TimeAxis, cellMin int, dstPlane bool) plane {
 	sk := sketch.New(d.Rows, d.Seed^uint64(boolToInt(dstPlane))<<17)
 	addrs := ix.Src
 	if dstPlane {
@@ -185,7 +190,7 @@ func (d *Detector) rasterize(ix *trace.Index, cellMin int, dstPlane bool) plane 
 	}
 	curX := 0
 	for pi, addr := range addrs {
-		if x := int(ix.Seconds[pi] / d.TimeBin); x != curX {
+		if x := ax.Bin(ix.Seconds[pi]); x != curX {
 			flush(curX, pi)
 			curX = x
 		}
@@ -290,7 +295,7 @@ func (p *prepared) findLines(pl *plane) {
 		}
 		voted = min(voted, tn.cellMin)
 
-		minVotes := int32(math.Max(4, tn.voteShare*float64(p.cols)))
+		minVotes := int32(math.Max(4, tn.voteShare*float64(p.ax.Bins)))
 		var lines []line
 		for a := 0; a < d.Angles; a++ {
 			for _, rb32 := range touched[a] {
@@ -397,8 +402,7 @@ func (p *prepared) decidePlane(pl *plane, config int) []core.Alarm {
 			Score:    float64(ln.votes),
 			Note:     planeName(pl.dst) + " line",
 		}
-		from := float64(minX) * d.TimeBin
-		to := float64(maxX+1) * d.TimeBin
+		from, to := p.ax.Interval(minX, maxX)
 		for _, host := range sketch.TopHosts(hosts, d.MaxFilters) {
 			f := trace.NewFilter().WithInterval(from, to)
 			if pl.dst {

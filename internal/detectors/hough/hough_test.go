@@ -1,6 +1,9 @@
 package hough
 
 import (
+	"context"
+	"math"
+	"strings"
 	"testing"
 
 	"mawilab/internal/detectors"
@@ -160,5 +163,25 @@ func TestIsLocalMax(t *testing.T) {
 	}
 	if isLocalMax(tie, 1, 2, 0, 1, 5) {
 		t.Error("second of tie should lose")
+	}
+}
+
+// TestPrepareRejectsBadTimeBin: a TimeBin of 0, NaN, +Inf or −1 used to
+// return no alarms and no error, and 1e-12 panicked sizing the plot. Each is
+// now an error naming the field, from Prepare, Detect and DetectAllContext.
+func TestPrepareRejectsBadTimeBin(t *testing.T) {
+	res, _ := scanTrace(t, 301)
+	ix := trace.NewIndex(res.Trace)
+	for _, bin := range []float64{0, math.NaN(), math.Inf(1), -1, 1e-12} {
+		d := New(5)
+		d.TimeBin = bin
+		_, perr := d.Prepare(ix)
+		_, derr := d.Detect(ix, int(detectors.Optimal))
+		_, _, aerr := detectors.DetectAllContext(context.Background(), ix, []detectors.Detector{d}, 1)
+		for _, err := range []error{perr, derr, aerr} {
+			if err == nil || !strings.Contains(err.Error(), "TimeBin") {
+				t.Errorf("TimeBin %v: error = %v, want one naming TimeBin", bin, err)
+			}
+		}
 	}
 }

@@ -55,7 +55,7 @@ func (f Feature) String() string {
 
 // Detector is the KL-divergence histogram detector.
 type Detector struct {
-	// TimeBin is the histogram interval in seconds.
+	// TimeBin is the histogram interval in seconds, positive and finite.
 	TimeBin float64
 	// RuleSupport is Apriori's minimum support for anomaly extraction.
 	RuleSupport float64
@@ -117,12 +117,10 @@ type changedBin struct {
 	rules    []apriori.Rule // maximal, capped at MaxRulesPerBin
 }
 
-// validate rejects a configuration that could only panic, size its working
-// set by a typo, or mine nothing without a word, naming the field at fault.
+// validate rejects a configuration that could only panic or mine nothing
+// without a word, naming the field at fault; NewTimeAxis checks TimeBin.
 func (d *Detector) validate() error {
 	switch {
-	case !(d.TimeBin > 0) || math.IsInf(d.TimeBin, 0):
-		return fmt.Errorf("kl: TimeBin must be positive and finite, got %v", d.TimeBin)
 	case !(d.RuleSupport > 0 && d.RuleSupport <= 1):
 		return fmt.Errorf("kl: RuleSupport must be in (0,1], got %v", d.RuleSupport)
 	case d.MaxRulesPerBin < 0:
@@ -130,11 +128,6 @@ func (d *Detector) validate() error {
 	}
 	return nil
 }
-
-// maxTimeBins bounds the per-bin working set (two months of traffic at the
-// default TimeBin, ~60 MB of series): a TimeBin of microseconds must be an
-// error, not an allocation proportional to the mistake.
-const maxTimeBins = 1 << 20
 
 // Prepare implements detectors.Preparer: the per-(feature, bin) histograms,
 // the four KL series with their robust z-scores, and the association rules
@@ -144,23 +137,22 @@ func (d *Detector) Prepare(ix *trace.Index) (detectors.Prepared, error) {
 	if err := d.validate(); err != nil {
 		return nil, err
 	}
-	p := &prepared{d: d}
-	span := math.Ceil(ix.Duration() / d.TimeBin)
-	if span > maxTimeBins {
-		return nil, fmt.Errorf("kl: TimeBin %v cuts %v s of traffic into more than %d bins", d.TimeBin, ix.Duration(), maxTimeBins)
+	ax, err := trace.NewTimeAxis(ix, d.TimeBin)
+	if err != nil {
+		return nil, fmt.Errorf("kl: TimeBin: %w", err)
 	}
-	bins := int(span)
-	if ix.Len() == 0 || bins < 4 {
+	p := &prepared{d: d}
+	if ix.Len() == 0 || ax.Bins < 4 {
 		return p, nil
 	}
 
 	// Largest robust z per bin over the four KL series.
-	maxZ := make([]float64, bins)
+	maxZ := make([]float64, ax.Bins)
 	for b := range maxZ {
 		maxZ[b] = math.Inf(-1)
 	}
-	scratch := make([]float64, 2*(bins-1))
-	for _, series := range d.klSeries(ix, bins) {
+	scratch := make([]float64, 2*(ax.Bins-1))
+	for _, series := range klSeries(ix, ax) {
 		med, mad := stats.MedianMAD(series, scratch)
 		if mad < 1e-9 {
 			mad = stats.Std(series)
@@ -183,8 +175,7 @@ func (d *Detector) Prepare(ix *trace.Index) (detectors.Prepared, error) {
 		if !(z > loosest) {
 			continue
 		}
-		from := float64(b) * d.TimeBin
-		to := from + d.TimeBin
+		from, to := ax.Interval(b, b)
 		lo, hi := ix.Window(from, to)
 		txs = txs[:0]
 		for pi := lo; pi < hi; pi++ {
@@ -230,14 +221,14 @@ func (p *prepared) Decide(config int) ([]core.Alarm, error) {
 // dense counter per feature serves every bin in turn, and flushing it yields
 // the bin's histogram as (key, count) runs in ascending key order — only the
 // current and the previous bin's runs are ever held.
-func (d *Detector) klSeries(ix *trace.Index, bins int) [numFeatures][]float64 {
+func klSeries(ix *trace.Index, ax trace.TimeAxis) [numFeatures][]float64 {
 	var (
 		series    [numFeatures][]float64
 		counters  [numFeatures]*counter
 		cur, prev [numFeatures][]keyCount
 	)
 	for f := range series {
-		series[f] = make([]float64, bins-1)
+		series[f] = make([]float64, ax.Bins-1)
 		domain := ipBuckets
 		if Feature(f) == FeatSrcPort || Feature(f) == FeatDstPort {
 			domain = portBuckets
@@ -257,11 +248,7 @@ func (d *Detector) klSeries(ix *trace.Index, bins int) [numFeatures][]float64 {
 	}
 	at := 0
 	for pi, sec := range ix.Seconds {
-		b := int(sec / d.TimeBin)
-		if b >= bins {
-			b = bins - 1
-		}
-		for ; at < b; at++ {
+		for b := ax.Bin(sec); at < b; at++ {
 			flush(at)
 		}
 		counters[FeatSrcIP].add(uint32(bucketIP(ix.Src[pi])))
@@ -270,7 +257,7 @@ func (d *Detector) klSeries(ix *trace.Index, bins int) [numFeatures][]float64 {
 		counters[FeatDstPort].add(uint32(bucketPort(ix.DstPort[pi])))
 		curTotal++
 	}
-	for ; at < bins; at++ {
+	for ; at < ax.Bins; at++ {
 		flush(at)
 	}
 	return series

@@ -173,20 +173,51 @@ func streamedSegments(t *testing.T) []*trace.Index {
 	return out
 }
 
+// edgeIndex returns a sparse 55 s day ending in a flood, plus a copy of its
+// last packet exactly on 60 s: a bin edge at every width these tests use
+// (0.25 s to 5 s), so PCA and KL clamp it alone into their last bin, outside
+// that bin's window, and Hough and Gamma give it their spare bin.
+func edgeIndex() *trace.Index {
+	cfg := mawigen.DefaultConfig(2411)
+	cfg.Duration, cfg.BackgroundRate = 55, 50
+	cfg.Anomalies = []mawigen.Spec{{Kind: mawigen.KindICMPFlood, Start: 40, Duration: 15, Rate: 300}}
+	tr := mawigen.Generate(cfg).Trace
+	last := tr.Packets[tr.Len()-1]
+	last.TS = 60e6
+	tr.Append(last)
+	return trace.NewIndex(tr)
+}
+
+// binEnds rewrites each alarm's interval end from the reference's b·w + w to
+// (b+1)·w, the start of the next bin. The two are the same float at every
+// width exact in binary (5 s, 3 s); at 0.3 s they differ by an ulp for about
+// a third of the bins, and that end is the only part of an alarm allowed to
+// move.
+func binEnds(alarms []core.Alarm, w float64) []core.Alarm {
+	for _, a := range alarms {
+		for i := range a.Filters {
+			a.Filters[i].To = (math.Round(a.Filters[i].From/w) + 1) * w
+		}
+	}
+	return alarms
+}
+
 // TestPrepareDecideMatchesReference pins Prepare + Decide (and Detect, which
 // is the two in sequence) to the pre-split reference for every config, under
 // the default tunings and under Thresholds{9, 16, 6} — the loosest threshold
 // last, so the mined-bin superset cannot rely on where Optimal sits — with a
-// different time bin and rule cap.
+// different time bin and rule cap, and at a time bin not exact in binary.
 func TestPrepareDecideMatchesReference(t *testing.T) {
 	custom := New()
 	custom.Thresholds = [detectors.NumTunings]float64{9, 16, 6}
 	custom.TimeBin = 3
 	custom.MaxRulesPerBin = 2
 	custom.RuleSupport = 0.1
-	for di, d := range []*Detector{New(), custom} {
+	nondyadic := New()
+	nondyadic.TimeBin = 0.3
+	for di, d := range []*Detector{New(), custom, nondyadic} {
 		raised := [detectors.NumTunings]int{}
-		for ti, ix := range append(diffIndexes(), streamedSegments(t)...) {
+		for ti, ix := range append(diffIndexes(), append(streamedSegments(t), edgeIndex())...) {
 			p, err := d.Prepare(ix)
 			if err != nil {
 				t.Fatal(err)
@@ -196,6 +227,7 @@ func TestPrepareDecideMatchesReference(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				want = binEnds(want, d.TimeBin)
 				got, err := p.Decide(c)
 				if err != nil {
 					t.Fatal(err)

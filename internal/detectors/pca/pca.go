@@ -27,7 +27,7 @@ import (
 // Detector is the sketch+PCA detector. The zero value is not usable; call
 // New. Prepare (and so Detect) rejects a field outside its stated range.
 type Detector struct {
-	// TimeBin is the aggregation interval in seconds, positive.
+	// TimeBin is the aggregation interval in seconds, positive and finite.
 	TimeBin float64
 	// Bins is the sketch width (buckets per sketch), 1 to 65536.
 	Bins int
@@ -95,6 +95,7 @@ func (d *Detector) Detect(ix *trace.Index, config int) ([]core.Alarm, error) {
 type prepared struct {
 	d        *Detector
 	ix       *trace.Index
+	ax       trace.TimeAxis
 	sketches []sketchSpace
 }
 
@@ -114,11 +115,10 @@ type sketchSpace struct {
 }
 
 // validate rejects a configuration that could only detect nothing, panic, or
-// threshold something other than a residual, naming the field at fault.
+// threshold something other than a residual, naming the field at fault;
+// NewTimeAxis checks TimeBin.
 func (d *Detector) validate() error {
 	switch {
-	case !(d.TimeBin > 0):
-		return fmt.Errorf("pca: TimeBin must be positive, got %v", d.TimeBin)
 	case d.Bins < 1 || d.Bins > maxBins:
 		return fmt.Errorf("pca: Bins must be in [1, %d], got %d", maxBins, d.Bins)
 	case d.Sketches < 1:
@@ -156,28 +156,27 @@ func (d *Detector) Prepare(ix *trace.Index) (detectors.Prepared, error) {
 	if err := d.validate(); err != nil {
 		return nil, err
 	}
-	p := &prepared{d: d, ix: ix}
-	t := int(math.Ceil(ix.Duration() / d.TimeBin))
-	if t < 8 || ix.Len() == 0 {
+	ax, err := trace.NewTimeAxis(ix, d.TimeBin)
+	if err != nil {
+		return nil, fmt.Errorf("pca: TimeBin: %w", err)
+	}
+	p := &prepared{d: d, ix: ix, ax: ax}
+	if ax.Bins < 8 || ix.Len() == 0 {
 		return p, nil // too short for a meaningful subspace
 	}
 	bins := make([]uint16, d.Sketches*ix.Len())
 	for si := 0; si < d.Sketches; si++ {
 		sk := sketch.New(d.Bins, d.Seed+uint64(si)*0x9e37)
-		sp := sketchSpace{bins: bins[si*ix.Len() : (si+1)*ix.Len()], work: linalg.NewMatrix(t, d.Bins)}
+		sp := sketchSpace{bins: bins[si*ix.Len() : (si+1)*ix.Len()], work: linalg.NewMatrix(ax.Bins, d.Bins)}
 		for pi, src := range ix.Src {
-			tb := int(ix.Seconds[pi] / d.TimeBin)
-			if tb >= t {
-				tb = t - 1
-			}
 			b := sk.Bin(src)
 			sp.bins[pi] = uint16(b)
-			sp.work.Data[tb*d.Bins+b]++
+			sp.work.Data[ax.Bin(ix.Seconds[pi])*d.Bins+b]++
 		}
 		sp.work.CenterColumns()
 		standardizeColumns(sp.work)
 		cov := sp.work.Gram()
-		inv := 1.0 / float64(t-1)
+		inv := 1.0 / float64(ax.Bins-1)
 		for i := range cov.Data {
 			cov.Data[i] *= inv
 		}
@@ -205,9 +204,9 @@ func (p *prepared) Decide(config int) ([]core.Alarm, error) {
 	for si := range p.sketches {
 		sp := &p.sketches[si]
 		for _, at := range sp.residualCells(tn, &buf) {
-			// Recover hosts: rescan the window via the index's time
-			// buckets, keep the packets hashed into the suspicious bin.
-			lo, hi := ix.Window(float64(at.bin)*d.TimeBin, float64(at.bin+1)*d.TimeBin)
+			// Recover hosts: rescan the time bin's window, keep the
+			// packets hashed into the suspicious sketch bin.
+			lo, hi := ix.Window(p.ax.Interval(at.bin, at.bin))
 			cell = cell[:0]
 			for i, b := range sp.bins[lo:hi] {
 				if int(b) == at.sketchBin {
@@ -231,8 +230,7 @@ func (p *prepared) Decide(config int) ([]core.Alarm, error) {
 				Detector: d.Name(),
 				Config:   config,
 				Filters: []trace.Filter{
-					trace.NewFilter().WithSrc(h).
-						WithInterval(float64(iv[0])*d.TimeBin, float64(iv[1]+1)*d.TimeBin),
+					trace.NewFilter().WithSrc(h).WithInterval(p.ax.Interval(iv[0], iv[1])),
 				},
 				Note: "pca residual",
 			})

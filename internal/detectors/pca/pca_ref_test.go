@@ -278,6 +278,21 @@ func streamedSegments(t *testing.T) []*trace.Index {
 	return out
 }
 
+// edgeIndex returns a sparse 55 s day ending in a flood, plus a copy of its
+// last packet exactly on 60 s: a bin edge at every width these tests use
+// (0.25 s to 5 s), so PCA and KL clamp it alone into their last bin, outside
+// that bin's window, and Hough and Gamma give it their spare bin.
+func edgeIndex() *trace.Index {
+	cfg := mawigen.DefaultConfig(3511)
+	cfg.Duration, cfg.BackgroundRate = 55, 50
+	cfg.Anomalies = []mawigen.Spec{{Kind: mawigen.KindICMPFlood, Start: 40, Duration: 15, Rate: 300}}
+	tr := mawigen.Generate(cfg).Trace
+	last := tr.Packets[tr.Len()-1]
+	last.TS = 60e6
+	tr.Append(last)
+	return trace.NewIndex(tr)
+}
+
 // TestPrepareDecideMatchesReference pins Prepare + Decide (and Detect, which
 // is the two in sequence) to the pre-split reference for every config, under
 // the default tunings and under tunings whose subspace sizes and sigmas are
@@ -296,7 +311,7 @@ func TestPrepareDecideMatchesReference(t *testing.T) {
 	custom.TimeBin = 2
 	for di, d := range []*Detector{New(7), custom} {
 		raised := 0
-		for ti, ix := range append(diffIndexes(), streamedSegments(t)...) {
+		for ti, ix := range append(diffIndexes(), append(streamedSegments(t), edgeIndex())...) {
 			p, err := d.Prepare(ix)
 			if err != nil {
 				t.Fatal(err)

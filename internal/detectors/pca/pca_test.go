@@ -164,8 +164,9 @@ func TestMergeBins(t *testing.T) {
 }
 
 // TestPrepareRejectsBadConfig: a misconfigured detector used to return no
-// alarms and no error (TimeBin <= 0, Sketches = 0, MinAgree > Sketches),
-// threshold raw counts (Subspace < 0) or panic inside sketch.New (Bins = 0).
+// alarms and no error (TimeBin <= 0 or +Inf, Sketches = 0, MinAgree >
+// Sketches), threshold raw counts (Subspace < 0), panic inside sketch.New
+// (Bins = 0) or run out of memory (TimeBin = 1e-7: 6e8 rows).
 // Prepare names the field instead, so Detect and DetectAllContext — which
 // adds the detector's name — both refuse it.
 func TestPrepareRejectsBadConfig(t *testing.T) {
@@ -178,6 +179,8 @@ func TestPrepareRejectsBadConfig(t *testing.T) {
 		{"TimeBin", func(d *Detector) { d.TimeBin = 0 }},
 		{"TimeBin", func(d *Detector) { d.TimeBin = -1 }},
 		{"TimeBin", func(d *Detector) { d.TimeBin = math.NaN() }},
+		{"TimeBin", func(d *Detector) { d.TimeBin = math.Inf(1) }},
+		{"TimeBin", func(d *Detector) { d.TimeBin = 1e-7 }},
 		{"Bins", func(d *Detector) { d.Bins = 0 }},
 		{"Bins", func(d *Detector) { d.Bins = 1<<16 + 1 }},
 		{"Sketches", func(d *Detector) { d.Sketches, d.MinAgree = 0, 0 }},

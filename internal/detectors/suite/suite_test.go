@@ -3,6 +3,8 @@ package suite
 import (
 	"context"
 	"reflect"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -234,5 +236,46 @@ func TestDecideConcurrent(t *testing.T) {
 			}()
 		}
 		wg.Wait()
+	}
+}
+
+// TestDetectAllBoundsTimeBins: two packets 2·10⁶ s apart need more time bins
+// than a detector may allocate at any standard width — 400 000 of KL's 5 s,
+// 4·10⁶ of Hough's and Gamma's 0.5 s. Each standard detector refuses the index
+// from DetectAllContext, naming itself and its width field, before sizing
+// anything by the span: the call allocates under 1 MB.
+func TestDetectAllBoundsTimeBins(t *testing.T) {
+	ix := trace.NewIndex(&trace.Trace{Packets: []trace.Packet{
+		{TS: 0, Src: 1, Dst: 2, Len: 40, Proto: trace.TCP},
+		{TS: 2e12, Src: 2, Dst: 1, Len: 40, Proto: trace.TCP},
+	}})
+	field := map[string]string{"pca": "TimeBin", "gamma": "Resolutions[0]", "hough": "TimeBin", "kl": "TimeBin"}
+	for _, d := range Standard() {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, _, err := detectors.DetectAllContext(context.Background(), ix, []detectors.Detector{d}, 1)
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), d.Name()+": prepare") || !strings.Contains(err.Error(), field[d.Name()]) {
+			t.Errorf("%s: error = %v, want one naming the detector and %s", d.Name(), err, field[d.Name()])
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+			t.Errorf("%s: refusing the span allocated %d bytes", d.Name(), got)
+		}
+	}
+}
+
+// TestDetectAllAcceptsLateSegment: the bound holds a stream segment to its
+// own span, not to its age. A 15 s segment 16 days into a stream counts
+// 276 483 of KL's 5 s bins from 0 s, past the bound, and is still labeled.
+// KL stands in for the four because it allocates least per bin; all of them
+// take the bound from the same axis.
+func TestDetectAllAcceptsLateSegment(t *testing.T) {
+	const late = 16 * 86400e6
+	tr := &trace.Trace{}
+	for i := range int64(16) {
+		tr.Append(trace.Packet{TS: late + i*1e6, Src: trace.IPv4(i), Dst: 2, Len: 40, Proto: trace.TCP})
+	}
+	if _, _, err := detectors.DetectAllContext(context.Background(), trace.NewIndex(tr), Standard()[3:], 1); err != nil {
+		t.Fatalf("15 s segment 16 days in: %v", err)
 	}
 }

@@ -294,9 +294,10 @@ type uploadResponse struct {
 }
 
 // maxTraceSpan bounds the time a trace may cover, time zero to last packet.
-// The index's size is independent of it, but the four detectors size their
-// time axis from Index.Duration(), so a two-packet upload stamped years apart
-// would buy gigabytes of bins. A MAWI sample point is 15 minutes.
+// The detectors' time axis (trace.NewTimeAxis) bounds their bins on its own
+// and fits 24 h at every standard width; admission keeps this check so that
+// a longer trace fails at upload with a 400, not mid-job. A MAWI sample
+// point is 15 minutes.
 const maxTraceSpan = 24 * time.Hour
 
 // errTraceSpan rejects a trace that decodes but covers more than maxTraceSpan.

@@ -360,8 +360,8 @@ func TestAdmissionControlOverflow(t *testing.T) {
 // TestAdmissionRejectsOverlongSpan pins the span bound: a valid two-packet
 // pcap whose timestamps lie two days apart is refused at admission — 400 and
 // rejected{span} over HTTP, failed/ from the spool — before any job exists.
-// The detectors size their time axis from the trace's duration, so admitting
-// it would let 164 bytes buy bins for every second of those two days.
+// Admitted, it would fail mid-job: two days at the finest standard width are
+// more time bins than trace.NewTimeAxis allows.
 func TestAdmissionRejectsOverlongSpan(t *testing.T) {
 	spool := t.TempDir()
 	for _, d := range []string{"done", "failed"} {

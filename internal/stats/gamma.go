@@ -12,9 +12,6 @@ type GammaParams struct {
 	Beta  float64 // scale
 }
 
-// Mean returns α·β.
-func (g GammaParams) Mean() float64 { return g.Alpha * g.Beta }
-
 // ErrDegenerate is returned when a sample is too small or has no variance,
 // so no Gamma can be fit.
 var ErrDegenerate = errors.New("stats: degenerate sample for gamma fit")
@@ -32,35 +29,6 @@ func FitGammaMoments(sample []float64) (GammaParams, error) {
 		return GammaParams{}, ErrDegenerate
 	}
 	return GammaParams{Alpha: m * m / v, Beta: v / m}, nil
-}
-
-// Digamma computes ψ(x), the logarithmic derivative of the Gamma function,
-// by upward recurrence into the asymptotic region.
-func Digamma(x float64) float64 {
-	result := 0.0
-	for x < 6 {
-		result -= 1 / x
-		x++
-	}
-	// Asymptotic expansion.
-	inv := 1 / x
-	inv2 := inv * inv
-	result += math.Log(x) - 0.5*inv -
-		inv2*(1.0/12-inv2*(1.0/120-inv2*(1.0/252-inv2/240)))
-	return result
-}
-
-// Trigamma computes ψ'(x) by upward recurrence into the asymptotic region.
-func Trigamma(x float64) float64 {
-	result := 0.0
-	for x < 6 {
-		result += 1 / (x * x)
-		x++
-	}
-	inv := 1 / x
-	inv2 := inv * inv
-	result += inv * (1 + 0.5*inv + inv2*(1.0/6-inv2*(1.0/30-inv2*(1.0/42-inv2/30))))
-	return result
 }
 
 // GammaDistance is the normalized parameter-space distance used by the

@@ -98,9 +98,11 @@ test:
 # TestStreamMatchesBatch / TestStreamDeterminismMatrix / cancellation
 # tests, and TestSealedIndexesSurvivePoolChurn's arena-pool churn), every
 # internal package where the concurrency lives — trace (the pooled index
-# arenas), mawigen (windowed background generation + injection fan-out),
-# parallel (the pool itself), detectors (the prepare-then-decide fan-out of
-# DetectAllContext, and detectors/suite's TestDecideConcurrent: one Prepared
+# arenas), mawigen (Archive.Days' whole-day fan-out; one day is one
+# sequential loop), eval (Runner.Days' day-level fan-out, the one place the
+# evaluation labels days), parallel (the pool itself), detectors (the
+# prepare-then-decide fan-out of DetectAllContext, and detectors/suite's
+# TestDecideConcurrent: one Prepared
 # decided from eight goroutines), simgraph (the similarity graph's row fan-out),
 # serve (the daemon's engine admission/drain paths, lock-free histograms
 # and graceful-shutdown tests) — plus the cmd binaries' black-box tests

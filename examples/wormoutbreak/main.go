@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"sort"
@@ -25,7 +26,9 @@ func main() {
 	archive := mawigen.NewArchive(7)
 	runner := eval.NewRunner(archive, suite.Standard())
 
-	// Four weeks before the Sasser release, then the outbreak months.
+	// Four weeks before the Sasser release, then the outbreak months;
+	// dates[peak] is the worst outbreak day.
+	const peak = 3
 	dates := []time.Time{
 		mawilab.Date(2004, time.March, 1),
 		mawilab.Date(2004, time.April, 5),
@@ -35,20 +38,22 @@ func main() {
 		mawilab.Date(2004, time.July, 5),
 	}
 
+	// Label every date once; the figures below read the labeled days.
+	days, err := runner.Days(context.Background(), dates)
+	if err != nil {
+		log.Fatal(err)
+	}
+
 	fmt.Println("attack ratio of accepted (A) and rejected (R) communities per strategy:")
 	fmt.Printf("%-12s %10s %10s %10s %10s %10s\n", "date", "worm pkts", "avg A/R", "min A/R", "max A/R", "SCANN A/R")
-	for _, date := range dates {
-		day, err := runner.Day(date)
-		if err != nil {
-			log.Fatal(err)
-		}
+	for _, day := range days {
 		wormPkts := 0
 		for _, ev := range day.Truth {
 			if ev.Kind == mawigen.KindWormSasser {
 				wormPkts += ev.Packets
 			}
 		}
-		row := fmt.Sprintf("%-12s %10d", date.Format("2006-01-02"), wormPkts)
+		row := fmt.Sprintf("%-12s %10d", day.Date.Format("2006-01-02"), wormPkts)
 		for _, s := range []string{"average", "minimum", "maximum", "SCANN"} {
 			dec := day.Decisions[s]
 			accRatio := eval.AttackRatio(day.Reports, func(i int) bool { return dec[i].Accepted })
@@ -60,21 +65,16 @@ func main() {
 
 	// Detector disagreement on the worst outbreak day: how many
 	// communities are seen by one detector only?
-	day, err := runner.Day(mawilab.Date(2004, time.May, 17))
-	if err != nil {
-		log.Fatal(err)
-	}
 	soloByDetector := map[string]int{}
 	multi := 0
-	for i := range day.Result.Communities {
-		dets := day.Result.DetectorsIn(&day.Result.Communities[i])
-		if len(dets) == 1 {
-			soloByDetector[dets[0]]++
+	for _, c := range days[peak].Communities {
+		if len(c.Detectors) == 1 {
+			soloByDetector[c.Detectors[0]]++
 		} else {
 			multi++
 		}
 	}
-	fmt.Printf("\n2004-05-17: %d communities reported by multiple detectors\n", multi)
+	fmt.Printf("\n%s: %d communities reported by multiple detectors\n", days[peak].Date.Format("2006-01-02"), multi)
 	fmt.Println("single-detector communities (the disagreement the outbreak causes):")
 	dets := make([]string, 0, len(soloByDetector))
 	for det := range soloByDetector {

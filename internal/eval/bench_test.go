@@ -1,8 +1,10 @@
 package eval
 
 // One testing.B benchmark per figure and table of the paper's evaluation
-// section. Each runs a scaled-down experiment per iteration through the
-// shipped pipeline and reports the headline quantity as a custom metric, so
+// section, plus one for the labeling they all fold. BenchmarkRunnerDays
+// times labeling archive days through the shipped pipeline; each figure row
+// labels its scaled-down day set once, outside the timer, and times only its
+// fold, reporting the headline quantity as a custom metric — so
 // `go test -run '^$' -bench . ./internal/eval` both times the harness and
 // validates the reproduced shape; cmd/experiments prints the full series.
 
@@ -14,6 +16,7 @@ import (
 	"mawilab/internal/detectors/suite"
 	"mawilab/internal/mawigen"
 	"mawilab/internal/stats"
+	"mawilab/internal/trace"
 )
 
 // benchArchive returns a reduced-scale archive for bounded bench times.
@@ -33,14 +36,41 @@ func benchDates(n, stepDays int) []time.Time {
 	return out
 }
 
-// BenchmarkFig3 regenerates the similarity-estimator panels (3 granularities).
-func BenchmarkFig3(b *testing.B) {
+// benchDays labels the bench archive's days at dates with r.
+func benchDays(b *testing.B, r *Runner, dates []time.Time) []*DayResult {
+	b.Helper()
+	days, err := r.Days(context.Background(), dates)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return days
+}
+
+// BenchmarkRunnerDays labels two archive days — the work every figure
+// below folds.
+func BenchmarkRunnerDays(b *testing.B) {
 	b.ReportAllocs()
 	runner := NewRunner(benchArchive(), suite.Standard())
 	dates := benchDates(2, 30)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := Fig3(context.Background(), runner, dates)
+		if days := benchDays(b, runner, dates); len(days) != len(dates) {
+			b.Fatal("missing days")
+		}
+	}
+}
+
+// BenchmarkFig3 folds the similarity-estimator panels (3 granularities).
+func BenchmarkFig3(b *testing.B) {
+	b.ReportAllocs()
+	runner := NewRunner(benchArchive(), suite.Standard())
+	byGran := make(map[trace.Granularity][]*DayResult)
+	for _, g := range Fig3Granularities {
+		byGran[g] = benchDays(b, runner.AtGranularity(g), benchDates(2, 30))
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := Fig3(byGran)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -50,49 +80,35 @@ func BenchmarkFig3(b *testing.B) {
 	}
 }
 
-// BenchmarkFig4 regenerates rule metrics vs community size.
+// BenchmarkFig4 folds rule metrics vs community size.
 func BenchmarkFig4(b *testing.B) {
 	b.ReportAllocs()
-	runner := NewRunner(benchArchive(), suite.Standard())
-	dates := benchDates(2, 30)
+	days := benchDays(b, NewRunner(benchArchive(), suite.Standard()), benchDates(2, 30))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := Fig4(context.Background(), runner, dates)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(res.Support.Points) == 0 {
+		if res := Fig4(days); len(res.Support.Points) == 0 {
 			b.Fatal("empty fig4")
 		}
 	}
 }
 
-// BenchmarkFig5 regenerates the community-landscape buckets.
+// BenchmarkFig5 folds the community-landscape buckets.
 func BenchmarkFig5(b *testing.B) {
 	b.ReportAllocs()
-	runner := NewRunner(benchArchive(), suite.Standard())
-	dates := benchDates(2, 30)
+	days := benchDays(b, NewRunner(benchArchive(), suite.Standard()), benchDates(2, 30))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buckets, err := Fig5(context.Background(), runner, dates)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(buckets) == 0 {
+		if buckets := Fig5(days); len(buckets) == 0 {
 			b.Fatal("no buckets")
 		}
 	}
 }
 
-// benchRatios runs the combiner pipeline once for the Fig 6-10 benches.
+// benchRatios labels the combiner days once for the Fig 6-10 benches.
 func benchRatios(b *testing.B, nDays int) ([]DayRatios, []*DayResult) {
 	b.Helper()
-	runner := NewRunner(benchArchive(), suite.Standard())
-	ratios, days, err := RunRatios(context.Background(), runner, benchDates(nDays, 45))
-	if err != nil {
-		b.Fatal(err)
-	}
-	return ratios, days
+	days := benchDays(b, NewRunner(benchArchive(), suite.Standard()), benchDates(nDays, 45))
+	return Ratios(days), days
 }
 
 // BenchmarkFig6 regenerates the attack-ratio PDFs and reports the mean

@@ -18,6 +18,7 @@ import (
 	"mawilab/internal/heuristics"
 	"mawilab/internal/mawigen"
 	wirev1 "mawilab/internal/serve/v1"
+	"mawilab/internal/trace"
 )
 
 func testRunner() *Runner {
@@ -42,18 +43,23 @@ func TestRunnerDay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(day.Result.Communities) == 0 {
+	if len(day.Communities) == 0 {
 		t.Fatal("no communities on an archive day")
 	}
-	if len(day.Reports) != len(day.Result.Communities) {
+	if len(day.Reports) != len(day.Communities) {
 		t.Error("reports misaligned")
+	}
+	for i, c := range day.Communities {
+		if c.Alarms < 1 || len(c.Detectors) < 1 || len(c.Detectors) > c.Alarms || len(c.Detectors) > len(day.Totals) {
+			t.Fatalf("community %d summary %+v", i, c)
+		}
 	}
 	for _, name := range []string{"average", "minimum", "maximum", "SCANN"} {
 		dec, ok := day.Decisions[name]
 		if !ok {
 			t.Fatalf("missing strategy %q", name)
 		}
-		if len(dec) != len(day.Result.Communities) {
+		if len(dec) != len(day.Communities) {
 			t.Fatalf("%s decisions misaligned", name)
 		}
 	}
@@ -120,7 +126,7 @@ func TestComputeGainCostLengthMismatch(t *testing.T) {
 
 // truncatingStrategy is a misbehaving custom Strategy returning one decision
 // too few; it previously slipped through Runner.day unchecked and panicked
-// downstream in RunRatios/Fig8-10.
+// downstream in Ratios/Fig8-10.
 type truncatingStrategy struct{}
 
 func (truncatingStrategy) Name() string { return "truncating" }
@@ -169,7 +175,7 @@ func TestDayRejectsEmptyStrategies(t *testing.T) {
 
 // TestRunnerDayMatchesGolden ties the figures to the end-to-end fixture: a
 // Runner over the golden archive day must serve the reports whose CSV the
-// root package's TestPipelineGolden pins, at every stage worker count.
+// root package's TestPipelineGolden pins, whatever the runner's Workers.
 func TestRunnerDayMatchesGolden(t *testing.T) {
 	data, err := os.ReadFile("../../testdata/pipeline_golden.json")
 	if err != nil {
@@ -215,10 +221,11 @@ func TestRunRatiosAndFigures(t *testing.T) {
 	}
 	r := testRunner()
 	dates := testDates(3)
-	ratios, days, err := RunRatios(context.Background(), r, dates)
+	days, err := r.Days(context.Background(), dates)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ratios := Ratios(days)
 	if len(ratios) != 3 || len(days) != 3 {
 		t.Fatalf("got %d ratios / %d days", len(ratios), len(days))
 	}
@@ -311,7 +318,7 @@ func TestRunRatiosAndFigures(t *testing.T) {
 	total := gc.GainAcc + gc.CostAcc + gc.GainRej + gc.CostRej
 	want := 0
 	for _, day := range days {
-		want += len(day.Result.Communities)
+		want += len(day.Communities)
 	}
 	if total != want {
 		t.Errorf("table2 covers %d communities, want %d", total, want)
@@ -320,6 +327,94 @@ func TestRunRatiosAndFigures(t *testing.T) {
 	// Renderers must produce non-empty output.
 	if RenderFig9(rows) == "" || RenderTable2(gc, "SCANN") == "" {
 		t.Error("renderers empty")
+	}
+
+	// The headline on these three days, pinned: SCANN's accepted Attack
+	// communities against the detector with the highest mean attack ratio.
+	h, err := NewHeadline(days, "SCANN")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (Headline{Accepted: 10, Detector: "hough", DetectorAccepted: 10}); h != want {
+		t.Errorf("headline = %+v, want %+v", h, want)
+	}
+	if h.Accepted != scann.Total {
+		t.Errorf("headline SCANN count %d, Fig 9 row %d", h.Accepted, scann.Total)
+	}
+}
+
+// synthDay is a hand-built labeled day: community i has the given class,
+// was reported by dets[i] and is accepted under "SCANN" when acc[i].
+func synthDay(classes []heuristics.Class, dets [][]string, acc []bool) *DayResult {
+	day := &DayResult{
+		Date:      time.Date(2004, 5, 10, 0, 0, 0, 0, time.UTC),
+		Totals:    map[string]int{"a": 1, "b": 1, "c": 1},
+		Decisions: map[string][]core.Decision{"SCANN": make([]core.Decision, len(classes))},
+	}
+	for i, cls := range classes {
+		day.Reports = append(day.Reports, core.CommunityReport{Class: cls})
+		day.Communities = append(day.Communities, CommunitySummary{Alarms: len(dets[i]), Detectors: dets[i]})
+		day.Decisions["SCANN"][i].Accepted = acc[i]
+	}
+	return day
+}
+
+// TestHeadlineMostAccurateDetector: the headline compares SCANN with the
+// detector of the highest mean attack ratio, not the broadest one, and a
+// tie resolves to the first detector in sorted order.
+func TestHeadlineMostAccurateDetector(t *testing.T) {
+	A, U := heuristics.Attack, heuristics.Unknown
+	// "a" reports everything (ratio 2/4); "b" and "c" report one Attack
+	// each (ratio 1) and tie.
+	day := synthDay([]heuristics.Class{A, A, U, U},
+		[][]string{{"a", "c"}, {"a", "b"}, {"a"}, {"a"}},
+		[]bool{true, true, true, false})
+	h, err := NewHeadline([]*DayResult{day}, "SCANN")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (Headline{Accepted: 2, Detector: "b", DetectorAccepted: 1}); h != want {
+		t.Fatalf("headline = %+v, want %+v", h, want)
+	}
+	if got := RenderHeadline(Headline{Accepted: 2, Detector: "b", DetectorAccepted: 1}); !strings.Contains(got, "SCANN accepted 2 Attack communities vs most-accurate detector b=1 (×2.00") {
+		t.Errorf("rendered %q", got)
+	}
+	if got := RenderHeadline(Headline{Accepted: 2, Detector: "b"}); got != "" {
+		t.Errorf("a detector with nothing accepted renders %q, want nothing", got)
+	}
+}
+
+// TestUnknownStrategyIsAnError: a strategy the days were not classified
+// under is an error from every strategy-keyed figure, not an empty one.
+func TestUnknownStrategyIsAnError(t *testing.T) {
+	days := []*DayResult{synthDay([]heuristics.Class{heuristics.Attack}, [][]string{{"a"}}, []bool{true})}
+	checks := map[string]func() error{
+		"Fig8":        func() error { _, err := Fig8(days, "scann", "a"); return err },
+		"Fig9":        func() error { _, err := Fig9(days, "scann"); return err },
+		"Fig10":       func() error { _, err := Fig10(days, "scann"); return err },
+		"Table2":      func() error { _, err := Table2(days, "scann"); return err },
+		"NewHeadline": func() error { _, err := NewHeadline(days, "scann"); return err },
+	}
+	for name, check := range checks {
+		if err := check(); err == nil || !strings.Contains(err.Error(), `no "scann" decisions`) {
+			t.Errorf("%s: err = %v, want the missing strategy named", name, err)
+		}
+	}
+	if _, err := Fig9(days, "SCANN"); err != nil {
+		t.Errorf("Fig9 under the day's own strategy: %v", err)
+	}
+}
+
+// TestFig3NeedsEveryGranularity: Fig. 3 compares three granularities, so a
+// missing day set is an error rather than a silently absent series.
+func TestFig3NeedsEveryGranularity(t *testing.T) {
+	_, err := Fig3(map[trace.Granularity][]*DayResult{trace.GranPacket: nil, trace.GranUniFlow: nil})
+	if err == nil || !strings.Contains(err.Error(), "biflow") {
+		t.Fatalf("err = %v, want the missing biflow day set named", err)
+	}
+	res, err := Fig3(map[trace.Granularity][]*DayResult{trace.GranPacket: nil, trace.GranUniFlow: nil, trace.GranBiFlow: nil})
+	if err != nil || len(res.SinglesCDF) != 3 {
+		t.Fatalf("empty day sets: %v, %+v", err, res)
 	}
 }
 
@@ -330,7 +425,16 @@ func TestFig3Panels(t *testing.T) {
 	arch := mawigen.NewArchive(78)
 	arch.Duration = 45
 	arch.BaseRate = 250
-	res, err := Fig3(context.Background(), NewRunner(arch, suite.Standard()), testDates(2))
+	r := NewRunner(arch, suite.Standard())
+	byGran := make(map[trace.Granularity][]*DayResult)
+	for _, g := range Fig3Granularities {
+		days, err := r.AtGranularity(g).Days(context.Background(), testDates(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		byGran[g] = days
+	}
+	res, err := Fig3(byGran)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,10 +473,11 @@ func TestFig4Monotonicity(t *testing.T) {
 	arch := mawigen.NewArchive(79)
 	arch.Duration = 45
 	arch.BaseRate = 250
-	res, err := Fig4(context.Background(), NewRunner(arch, suite.Standard()), testDates(2))
+	days, err := NewRunner(arch, suite.Standard()).Days(context.Background(), testDates(2))
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := Fig4(days)
 	if len(res.Support.Points) == 0 || len(res.Degree.Points) == 0 {
 		t.Fatal("fig4 series empty")
 	}
@@ -395,10 +500,11 @@ func TestFig5Buckets(t *testing.T) {
 	arch := mawigen.NewArchive(80)
 	arch.Duration = 45
 	arch.BaseRate = 250
-	buckets, err := Fig5(context.Background(), NewRunner(arch, suite.Standard()), testDates(2))
+	days, err := NewRunner(arch, suite.Standard()).Days(context.Background(), testDates(2))
 	if err != nil {
 		t.Fatal(err)
 	}
+	buckets := Fig5(days)
 	if len(buckets) == 0 {
 		t.Fatal("no fig5 buckets")
 	}
@@ -449,7 +555,7 @@ func TestYearFraction(t *testing.T) {
 
 // TestDaysShardingDeterministic: the day-level worker pool must return, in
 // date order, exactly what the sequential runner produces — decisions,
-// reports, ratios and all.
+// reports, community summaries, ratios and all.
 func TestDaysShardingDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full pipeline run")
@@ -488,19 +594,14 @@ func TestDaysShardingDeterministic(t *testing.T) {
 		if !reflect.DeepEqual(want[i].Totals, got[i].Totals) {
 			t.Errorf("day %d: totals differ", i)
 		}
+		if !reflect.DeepEqual(want[i].Communities, got[i].Communities) {
+			t.Errorf("day %d: community summaries differ", i)
+		}
 	}
 
-	// And RunRatios on the sharded runner agrees with the sequential one.
-	seqRatios, _, err := RunRatios(context.Background(), testRunner(), dates)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parRatios, _, err := RunRatios(context.Background(), par, dates)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(seqRatios, parRatios) {
-		t.Error("RunRatios differs between 1 and 4 workers")
+	// And the ratios folded from the sharded days agree with the sequential.
+	if !reflect.DeepEqual(Ratios(want), Ratios(got)) {
+		t.Error("Ratios differs between 1 and 4 workers")
 	}
 }
 

@@ -1,14 +1,14 @@
 package eval
 
 import (
-	"context"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 	"time"
 
 	"mawilab/internal/heuristics"
-	"mawilab/internal/parallel"
 	"mawilab/internal/stats"
 	"mawilab/internal/trace"
 )
@@ -27,53 +27,37 @@ type Fig3Result struct {
 	RuleDegreePMF []stats.Series
 }
 
-// Fig3 labels the given archive days at the three granularities — the
-// runner's pipeline with only Estimator.Granularity swept — and aggregates
-// the four panels. Rule support and degree do not depend on the combiner's
-// decisions, so the panels read the labeling as shipped. The (granularity,
-// date) runs are independent, so they shard across the runner's worker
-// pool; partials are folded in date order, keeping the panels identical at
-// every worker count.
-func Fig3(ctx context.Context, r *Runner, dates []time.Time) (*Fig3Result, error) {
-	type dayPartial struct {
-		singles float64
-		sizes   []float64
-		support []float64
-		degree  []float64
-	}
-	grans := []trace.Granularity{trace.GranPacket, trace.GranUniFlow, trace.GranBiFlow}
+// Fig3Granularities are the traffic granularities Fig. 3 compares, in the
+// order of its series.
+var Fig3Granularities = []trace.Granularity{trace.GranPacket, trace.GranUniFlow, trace.GranBiFlow}
+
+// Fig3 folds the days labeled at each of Fig3Granularities — the runner's
+// pipeline with only Estimator.Granularity swept (Runner.AtGranularity) —
+// into the four panels. Rule support and degree do not depend on the
+// combiner's decisions, so the panels read the labeling as shipped. A
+// granularity without a day set is an error.
+func Fig3(days map[trace.Granularity][]*DayResult) (*Fig3Result, error) {
 	out := &Fig3Result{}
-	for _, g := range grans {
-		gp := *r.Pipeline
-		gp.Estimator.Granularity = g
-		gr := *r
-		gr.Pipeline = &gp
-		partials, err := parallel.Map(ctx, len(dates), r.workers(), func(ctx context.Context, di int) (dayPartial, error) {
-			day, err := gr.day(ctx, dates[di], 1)
-			if err != nil {
-				return dayPartial{}, err
-			}
-			res := day.Result
-			p := dayPartial{singles: float64(res.SingleCommunities())}
-			for i := range res.Communities {
-				if res.Communities[i].Size() <= 1 {
-					continue
-				}
-				p.sizes = append(p.sizes, float64(res.Communities[i].Size()))
-				p.support = append(p.support, day.Reports[i].RuleSupport*100)
-				p.degree = append(p.degree, snapDegree(day.Reports[i].RuleDegree))
-			}
-			return p, nil
-		})
-		if err != nil {
-			return nil, err
+	for _, g := range Fig3Granularities {
+		gdays, ok := days[g]
+		if !ok {
+			return nil, fmt.Errorf("eval: Fig3 has no days at %s granularity", g)
 		}
 		var singles, sizes, ruleSupport, ruleDegree []float64
-		for _, p := range partials {
-			singles = append(singles, p.singles)
-			sizes = append(sizes, p.sizes...)
-			ruleSupport = append(ruleSupport, p.support...)
-			ruleDegree = append(ruleDegree, p.degree...)
+		for _, day := range gdays {
+			n := 0
+			for i, c := range day.Communities {
+				if c.Alarms == 1 {
+					n++
+				}
+				if c.Alarms <= 1 {
+					continue
+				}
+				sizes = append(sizes, float64(c.Alarms))
+				ruleSupport = append(ruleSupport, day.Reports[i].RuleSupport*100)
+				ruleDegree = append(ruleDegree, snapDegree(day.Reports[i].RuleDegree))
+			}
+			singles = append(singles, float64(n))
 		}
 		name := g.String()
 		out.SinglesCDF = append(out.SinglesCDF, stats.ECDF(name, singles))
@@ -100,55 +84,28 @@ type Fig4Result struct {
 	Degree  stats.Series // X = community size, Y = mean rule degree
 }
 
-// Fig4 aggregates rule metrics by community size over the given days,
-// sharded across the runner's day-level worker pool. Each day folds to its
-// per-size tallies inside the fan-out, so full day results never
-// accumulate in memory; tallies merge in date order, keeping the series
-// identical at every worker count.
-func Fig4(ctx context.Context, r *Runner, dates []time.Time) (*Fig4Result, error) {
-	type sizeMetric struct {
-		size            int
-		support, degree float64
-	}
-	partials, err := parallel.Map(ctx, len(dates), r.workers(), func(ctx context.Context, di int) ([]sizeMetric, error) {
-		day, err := r.day(ctx, dates[di], 1)
-		if err != nil {
-			return nil, err
-		}
-		var out []sizeMetric
-		for i := range day.Result.Communities {
-			size := day.Result.Communities[i].Size()
-			if size <= 1 {
-				continue
-			}
-			out = append(out, sizeMetric{size, day.Reports[i].RuleSupport * 100, day.Reports[i].RuleDegree})
-		}
-		return out, nil
-	})
-	if err != nil {
-		return nil, err
-	}
+// Fig4 folds the days' communities of more than one alarm into their mean
+// rule support and degree per community size (uniflow days in the paper).
+func Fig4(days []*DayResult) *Fig4Result {
 	supportBySize := make(map[int][]float64)
 	degreeBySize := make(map[int][]float64)
-	for _, p := range partials {
-		for _, m := range p {
-			supportBySize[m.size] = append(supportBySize[m.size], m.support)
-			degreeBySize[m.size] = append(degreeBySize[m.size], m.degree)
+	for _, day := range days {
+		for i, c := range day.Communities {
+			if c.Alarms <= 1 {
+				continue
+			}
+			supportBySize[c.Alarms] = append(supportBySize[c.Alarms], day.Reports[i].RuleSupport*100)
+			degreeBySize[c.Alarms] = append(degreeBySize[c.Alarms], day.Reports[i].RuleDegree)
 		}
 	}
-	sizes := make([]int, 0, len(supportBySize))
-	for s := range supportBySize {
-		sizes = append(sizes, s)
-	}
-	sort.Ints(sizes)
 	out := &Fig4Result{Support: stats.Series{Name: "rule support"}, Degree: stats.Series{Name: "rule degree"}}
-	for _, s := range sizes {
+	for _, s := range slices.Sorted(maps.Keys(supportBySize)) {
 		out.Support.Points = append(out.Support.Points, stats.Point{X: float64(s), Y: stats.Mean(supportBySize[s])})
 		out.Degree.Points = append(out.Degree.Points, stats.Point{X: float64(s), Y: stats.Mean(degreeBySize[s])})
 	}
 	out.Support = stats.Smooth(out.Support, 0.25)
 	out.Degree = stats.Smooth(out.Degree, 0.25)
-	return out, nil
+	return out
 }
 
 // Fig5Bucket is one bar of Fig. 5: communities bucketed by size and by the
@@ -166,48 +123,22 @@ type Fig5Bucket struct {
 // Total returns the community count in the bucket.
 func (b *Fig5Bucket) Total() int { return b.Attack + b.Special + b.Unknown }
 
-// Fig5 tallies the community landscape of Fig. 5 over the given days,
-// sharded across the runner's day-level worker pool. As in Fig4, each day
-// reduces to its bucket observations inside the fan-out, so full day
-// results never accumulate in memory.
-func Fig5(ctx context.Context, r *Runner, dates []time.Time) ([]Fig5Bucket, error) {
-	type key struct {
-		size string
-		dets int
-		det  string
-	}
-	type obs struct {
-		k   key
-		cls heuristics.Class
-	}
-	partials, err := parallel.Map(ctx, len(dates), r.workers(), func(ctx context.Context, di int) ([]obs, error) {
-		day, err := r.day(ctx, dates[di], 1)
-		if err != nil {
-			return nil, err
-		}
-		out := make([]obs, 0, len(day.Result.Communities))
-		for i := range day.Result.Communities {
-			c := &day.Result.Communities[i]
-			k := key{size: sizeBucket(c.Size()), dets: len(day.Result.DetectorsIn(c))}
-			if c.Size() == 1 {
-				k.det = day.Result.Alarms[c.Alarms[0]].Detector
+// Fig5 folds the days' communities into the landscape of Fig. 5.
+func Fig5(days []*DayResult) []Fig5Bucket {
+	// Keyed by the bucket itself with its counts at zero.
+	acc := make(map[Fig5Bucket]*Fig5Bucket)
+	for _, day := range days {
+		for i, c := range day.Communities {
+			k := Fig5Bucket{SizeBucket: sizeBucket(c.Alarms), Detectors: len(c.Detectors)}
+			if c.Alarms == 1 {
+				k.Detector = c.Detectors[0]
 			}
-			out = append(out, obs{k: k, cls: day.Reports[i].Class})
-		}
-		return out, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	acc := make(map[key]*Fig5Bucket)
-	for _, p := range partials {
-		for _, o := range p {
-			b := acc[o.k]
+			b := acc[k]
 			if b == nil {
-				b = &Fig5Bucket{SizeBucket: o.k.size, Detectors: o.k.dets, Detector: o.k.det}
-				acc[o.k] = b
+				b = &k
+				acc[k] = b
 			}
-			switch o.cls {
+			switch day.Reports[i].Class {
 			case heuristics.Attack:
 				b.Attack++
 			case heuristics.Special:
@@ -231,7 +162,7 @@ func Fig5(ctx context.Context, r *Runner, dates []time.Time) ([]Fig5Bucket, erro
 		}
 		return out[i].Detector < out[j].Detector
 	})
-	return out, nil
+	return out
 }
 
 func sizeBucket(n int) string {
@@ -276,15 +207,9 @@ type DayRatios struct {
 	PerDetector map[string]float64
 }
 
-// RunRatios executes the pipeline on each date — sharded across the
-// runner's day-level worker pool — and collects the attack ratios needed by
-// Figures 6-10 and Table 2. It also returns the full day results for the
-// detail figures. Both slices are in date order regardless of worker count.
-func RunRatios(ctx context.Context, runner *Runner, dates []time.Time) ([]DayRatios, []*DayResult, error) {
-	days, err := runner.Days(ctx, dates)
-	if err != nil {
-		return nil, nil, err
-	}
+// Ratios folds labeled days into their attack ratios — the samples of
+// Figures 6 and 7 and of the headline — in the days' order.
+func Ratios(days []*DayResult) []DayRatios {
 	ratios := make([]DayRatios, 0, len(days))
 	for _, day := range days {
 		dr := DayRatios{
@@ -299,18 +224,18 @@ func RunRatios(ctx context.Context, runner *Runner, dates []time.Time) ([]DayRat
 		}
 		for det := range day.Totals {
 			dr.PerDetector[det] = AttackRatio(day.Reports, func(i int) bool {
-				return detectedBy(day.Result, i, det)
+				return slices.Contains(day.Communities[i].Detectors, det)
 			})
 		}
 		ratios = append(ratios, dr)
 	}
-	return ratios, days, nil
+	return ratios
 }
 
 // Fig6 builds the attack-ratio PDFs of Fig. 6 from per-day ratios:
 // accepted per strategy (a), rejected per strategy (b), per detector (c).
 func Fig6(ratios []DayRatios) (accepted, rejected, perDetector []stats.Series) {
-	strategies := ratioKeys(ratios, func(dr DayRatios) map[string]float64 { return dr.Accepted })
+	strategies := keyUnion(ratios, func(dr DayRatios) map[string]float64 { return dr.Accepted })
 	for _, s := range strategies {
 		var acc, rej []float64
 		for _, dr := range ratios {
@@ -320,7 +245,7 @@ func Fig6(ratios []DayRatios) (accepted, rejected, perDetector []stats.Series) {
 		accepted = append(accepted, stats.PDF(s, acc, 0, 1, 20))
 		rejected = append(rejected, stats.PDF(s, rej, 0, 1, 20))
 	}
-	dets := ratioKeys(ratios, func(dr DayRatios) map[string]float64 { return dr.PerDetector })
+	dets := keyUnion(ratios, func(dr DayRatios) map[string]float64 { return dr.PerDetector })
 	for _, d := range dets {
 		var vals []float64
 		for _, dr := range ratios {
@@ -334,7 +259,7 @@ func Fig6(ratios []DayRatios) (accepted, rejected, perDetector []stats.Series) {
 // Fig7 builds the attack-ratio time series of Fig. 7 (accepted and
 // rejected, per strategy). X is the fractional year of the date.
 func Fig7(ratios []DayRatios) (accepted, rejected []stats.Series) {
-	strategies := ratioKeys(ratios, func(dr DayRatios) map[string]float64 { return dr.Accepted })
+	strategies := keyUnion(ratios, func(dr DayRatios) map[string]float64 { return dr.Accepted })
 	for _, s := range strategies {
 		sa := stats.Series{Name: s}
 		sr := stats.Series{Name: s}
@@ -355,19 +280,16 @@ func yearFraction(d time.Time) float64 {
 	return float64(d.Year()) + d.Sub(year).Hours()/next.Sub(year).Hours()
 }
 
-func ratioKeys(ratios []DayRatios, pick func(DayRatios) map[string]float64) []string {
-	seen := make(map[string]struct{})
-	var out []string
-	for _, dr := range ratios {
-		for k := range pick(dr) {
-			if _, ok := seen[k]; !ok {
-				seen[k] = struct{}{}
-				out = append(out, k)
-			}
+// keyUnion returns the union of the keys pick reads off each element of
+// xs, sorted.
+func keyUnion[T, V any](xs []T, pick func(T) map[string]V) []string {
+	seen := make(map[string]bool)
+	for _, x := range xs {
+		for k := range pick(x) {
+			seen[k] = true
 		}
 	}
-	sort.Strings(out)
-	return out
+	return slices.Sorted(maps.Keys(seen))
 }
 
 // Fig8Point is one day of Fig. 8: the overall gain/cost of the SCANN
@@ -389,9 +311,9 @@ type Fig8Point struct {
 func Fig8(days []*DayResult, strategy, detector string) ([]Fig8Point, error) {
 	var out []Fig8Point
 	for _, day := range days {
-		dec, ok := day.Decisions[strategy]
-		if !ok {
-			continue
+		dec, err := decisions(day, strategy)
+		if err != nil {
+			return nil, err
 		}
 		overall, err := ComputeGainCost(day, dec, "")
 		if err != nil {
@@ -425,9 +347,8 @@ type Fig9Row struct {
 }
 
 // Fig9 tallies accepted Attack communities per detector and for SCANN
-// overall under the named strategy. The headline comparison — SCANN finds
-// about twice as many anomalies as the most accurate detector — reads
-// directly off the Totals.
+// overall under the named strategy. NewHeadline compares the SCANN row
+// with the most accurate detector's (paper: about twice as many anomalies).
 func Fig9(days []*DayResult, strategy string) ([]Fig9Row, error) {
 	names := detectorNames(days)
 	rows := make([]Fig9Row, 0, len(names)+1)
@@ -439,11 +360,8 @@ func Fig9(days []*DayResult, strategy string) ([]Fig9Row, error) {
 		idx[rows[i].Name] = &rows[i]
 	}
 	for _, day := range days {
-		dec, ok := day.Decisions[strategy]
-		if !ok {
-			continue
-		}
-		if err := checkDecisions(day, dec); err != nil {
+		dec, err := decisions(day, strategy)
+		if err != nil {
 			return nil, err
 		}
 		for i := range day.Reports {
@@ -455,7 +373,7 @@ func Fig9(days []*DayResult, strategy string) ([]Fig9Row, error) {
 			scann.ByCategory[cat]++
 			scann.Total++
 			for _, det := range names {
-				if detectedBy(day.Result, i, det) {
+				if slices.Contains(day.Communities[i].Detectors, det) {
 					r := idx[det]
 					r.ByCategory[cat]++
 					r.Total++
@@ -467,18 +385,60 @@ func Fig9(days []*DayResult, strategy string) ([]Fig9Row, error) {
 }
 
 func detectorNames(days []*DayResult) []string {
-	seen := make(map[string]struct{})
-	var out []string
-	for _, day := range days {
-		for det := range day.Totals {
-			if _, ok := seen[det]; !ok {
-				seen[det] = struct{}{}
-				out = append(out, det)
+	return keyUnion(days, func(day *DayResult) map[string]int { return day.Totals })
+}
+
+// Headline is the paper's headline comparison: the Attack communities the
+// strategy accepts against those accepted from the most accurate detector —
+// the one with the highest mean per-day attack ratio (KL in the paper), not
+// the broadest one.
+type Headline struct {
+	Accepted         int    // accepted Attack communities (Fig. 9's SCANN row)
+	Detector         string // the most accurate detector
+	DetectorAccepted int    // accepted Attack communities it reported
+}
+
+// NewHeadline folds the days into the headline under the named strategy.
+// Detectors are scanned in sorted order, so a tie in the mean attack ratio
+// resolves the same way every run.
+func NewHeadline(days []*DayResult, strategy string) (Headline, error) {
+	rows, err := Fig9(days, strategy)
+	if err != nil {
+		return Headline{}, err
+	}
+	ratios := Ratios(days)
+	var h Headline
+	best := -1.0
+	for _, det := range detectorNames(days) {
+		var vals []float64
+		for _, dr := range ratios {
+			if v, ok := dr.PerDetector[det]; ok {
+				vals = append(vals, v)
 			}
 		}
+		if m := stats.Mean(vals); m > best {
+			h.Detector, best = det, m
+		}
 	}
-	sort.Strings(out)
-	return out
+	for _, r := range rows {
+		switch r.Name {
+		case "SCANN":
+			h.Accepted = r.Total
+		case h.Detector:
+			h.DetectorAccepted = r.Total
+		}
+	}
+	return h, nil
+}
+
+// RenderHeadline renders the headline as one comment line, or nothing when
+// the most accurate detector has no accepted Attack community to compare to.
+func RenderHeadline(h Headline) string {
+	if h.DetectorAccepted == 0 {
+		return ""
+	}
+	return fmt.Sprintf("# headline: SCANN accepted %d Attack communities vs most-accurate detector %s=%d (×%.2f; paper: ≈×2 vs KL)\n",
+		h.Accepted, h.Detector, h.DetectorAccepted, float64(h.Accepted)/float64(h.DetectorAccepted))
 }
 
 // Fig10 builds the PDF of the relative distance of rejected communities,
@@ -487,11 +447,8 @@ func detectorNames(days []*DayResult) []string {
 func Fig10(days []*DayResult, strategy string) ([]stats.Series, error) {
 	byClass := map[heuristics.Class][]float64{}
 	for _, day := range days {
-		dec, ok := day.Decisions[strategy]
-		if !ok {
-			continue
-		}
-		if err := checkDecisions(day, dec); err != nil {
+		dec, err := decisions(day, strategy)
+		if err != nil {
 			return nil, err
 		}
 		for i := range day.Reports {
@@ -516,13 +473,15 @@ func Fig10(days []*DayResult, strategy string) ([]stats.Series, error) {
 func Table2(days []*DayResult, strategy string) (GainCost, error) {
 	var total GainCost
 	for _, day := range days {
-		if dec, ok := day.Decisions[strategy]; ok {
-			gc, err := ComputeGainCost(day, dec, "")
-			if err != nil {
-				return total, err
-			}
-			total.Add(gc)
+		dec, err := decisions(day, strategy)
+		if err != nil {
+			return total, err
 		}
+		gc, err := ComputeGainCost(day, dec, "")
+		if err != nil {
+			return total, err
+		}
+		total.Add(gc)
 	}
 	return total, nil
 }

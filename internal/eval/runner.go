@@ -1,6 +1,7 @@
 // Package eval implements the paper's evaluation machinery (§4): the attack
-// ratio, the gain/cost quadrants of Table 2, and one harness per figure of
-// the evaluation section, each returning the series the paper plots so that
+// ratio, the gain/cost quadrants of Table 2, and one fold per figure of the
+// evaluation section. Runner.Days labels a set of archive days once; every
+// figure then folds that day set into the series the paper plots, so that
 // cmd/experiments and the benches can regenerate every result.
 package eval
 
@@ -8,6 +9,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"mawilab"
@@ -16,6 +18,7 @@ import (
 	"mawilab/internal/heuristics"
 	"mawilab/internal/mawigen"
 	"mawilab/internal/parallel"
+	"mawilab/internal/trace"
 )
 
 // Runner wires the archive, the shipped labeling pipeline and the
@@ -24,19 +27,16 @@ type Runner struct {
 	Archive *mawigen.Archive
 	// Pipeline labels every day — the same mawilab.Pipeline the CLI and
 	// mawilabd run. Its Detectors, Estimator and RuleSupport configure the
-	// evaluation; its Strategy and Workers are set per day from Strategies
-	// and Workers.
+	// evaluation; its Strategy is set per day from Strategies, and each day
+	// runs it sequentially.
 	Pipeline *mawilab.Pipeline
 	// Strategies are the combiners each day is classified under. The
 	// pipeline labels the day with the last one, so Reports carry its
 	// labels; every other strategy classifies the same communities. An
 	// empty list is an error.
 	Strategies []core.Strategy
-	// Workers bounds the evaluation's concurrency: Days shards the
-	// archive across a day-level worker pool of this size, and a direct
-	// Day call fans its detector runs and community labeling out over the
-	// same bound. 0 or 1 is the sequential reference path; results are
-	// identical at every setting.
+	// Workers is how many days Days labels at once. 0 or 1 labels one day
+	// at a time; results are identical at every setting.
 	Workers int
 }
 
@@ -58,11 +58,14 @@ func NewRunner(archive *mawigen.Archive, dets []detectors.Detector) *Runner {
 // errNoStrategies rejects a Runner with nothing to label a day under.
 var errNoStrategies = errors.New("eval: Runner.Strategies is empty")
 
-// DayResult is everything the evaluation needs from one analyzed day.
+// DayResult is what the evaluation keeps of one labeled day: its labels and
+// a summary of each community's alarms. The index, alarms, traffic sets and
+// graph that produced them are dropped when the day is labeled, so a
+// multi-year day set costs kilobytes per day, not megabytes.
 type DayResult struct {
 	Date time.Time
-	// Result is the similarity-estimator output.
-	Result *core.Result
+	// Communities summarizes each community's alarms, aligned with Reports.
+	Communities []CommunitySummary
 	// Totals maps detector → number of configurations.
 	Totals map[string]int
 	// Decisions holds each strategy's verdicts, keyed by strategy name.
@@ -74,20 +77,43 @@ type DayResult struct {
 	Truth []mawigen.Event
 }
 
-// Day runs the full pipeline for one archive day, fanning the detector
-// runs and community labeling out over r.Workers goroutines.
-func (r *Runner) Day(date time.Time) (*DayResult, error) {
-	return r.day(context.Background(), date, r.workers())
+// CommunitySummary is what the figures read of one community's alarms.
+type CommunitySummary struct {
+	// Alarms is the community's alarm count, its size; a size-1 community
+	// is the paper's "single community".
+	Alarms int
+	// Detectors are the distinct detectors with an alarm in the community,
+	// in the order of their first alarm.
+	Detectors []string
 }
 
-// Days analyzes many archive days, sharded across a day-level worker pool
-// of r.Workers goroutines; each day then runs its own pipeline sequentially
-// (the day-level fan-out already saturates the pool). Results are returned
-// in date order and are identical to looping Day sequentially.
+// Day labels one archive day: Days of that one date.
+func (r *Runner) Day(date time.Time) (*DayResult, error) {
+	days, err := r.Days(context.Background(), []time.Time{date})
+	if err != nil {
+		return nil, err
+	}
+	return days[0], nil
+}
+
+// Days labels the archive days at dates, r.Workers days at a time, each
+// day running the pipeline sequentially. It is the only code in this
+// package that labels a day: every figure is a fold over the slice it
+// returns. Results are in date order and identical at every worker count.
 func (r *Runner) Days(ctx context.Context, dates []time.Time) ([]*DayResult, error) {
 	return parallel.Map(ctx, len(dates), r.workers(), func(ctx context.Context, i int) (*DayResult, error) {
-		return r.day(ctx, dates[i], 1)
+		return r.day(ctx, dates[i])
 	})
+}
+
+// AtGranularity returns a copy of r whose pipeline reads traffic at g and is
+// otherwise unchanged — the sweep of Fig. 3.
+func (r *Runner) AtGranularity(g trace.Granularity) *Runner {
+	p := *r.Pipeline
+	p.Estimator.Granularity = g
+	out := *r
+	out.Pipeline = &p
+	return &out
 }
 
 // workers returns the effective worker count (>= 1).
@@ -98,10 +124,10 @@ func (r *Runner) workers() int {
 	return r.Workers
 }
 
-// day generates one archive day and labels it with r.Pipeline under the
-// last strategy at the given stage worker bound, then classifies the same
-// communities under every other strategy.
-func (r *Runner) day(ctx context.Context, date time.Time, workers int) (*DayResult, error) {
+// day generates one archive day and labels it sequentially with r.Pipeline
+// under the last strategy, then classifies the same communities under every
+// other strategy and summarizes each community while the labeling is live.
+func (r *Runner) day(ctx context.Context, date time.Time) (*DayResult, error) {
 	if len(r.Strategies) == 0 {
 		return nil, errNoStrategies
 	}
@@ -109,7 +135,7 @@ func (r *Runner) day(ctx context.Context, date time.Time, workers int) (*DayResu
 	last := len(r.Strategies) - 1
 	p := *r.Pipeline
 	p.Strategy = r.Strategies[last]
-	p.Workers = workers
+	p.Workers = 1
 	l, err := p.RunContext(ctx, gen.Trace)
 	if err != nil {
 		return nil, fmt.Errorf("eval: %s: %w", date.Format("2006-01-02"), err)
@@ -118,26 +144,31 @@ func (r *Runner) day(ctx context.Context, date time.Time, workers int) (*DayResu
 	if err != nil {
 		return nil, err
 	}
+	res := l.Result
 	out := &DayResult{
-		Date:      date,
-		Result:    l.Result,
-		Totals:    totals,
-		Decisions: make(map[string][]core.Decision, len(r.Strategies)),
-		Reports:   l.Reports,
-		Truth:     gen.Truth,
+		Date:        date,
+		Communities: make([]CommunitySummary, len(res.Communities)),
+		Totals:      totals,
+		Decisions:   make(map[string][]core.Decision, len(r.Strategies)),
+		Reports:     l.Reports,
+		Truth:       gen.Truth,
 	}
-	conf := l.Result.Confidences(totals)
+	for i := range res.Communities {
+		c := &res.Communities[i]
+		out.Communities[i] = CommunitySummary{Alarms: c.Size(), Detectors: res.DetectorsIn(c)}
+	}
+	conf := res.Confidences(totals)
 	for _, s := range r.Strategies[:last] {
-		dec, err := s.Classify(l.Result, conf)
+		dec, err := s.Classify(res, conf)
 		if err != nil {
 			return nil, fmt.Errorf("eval: %s on %s: %w", s.Name(), date.Format("2006-01-02"), err)
 		}
 		// Decisions are indexed by community everywhere downstream
-		// (RunRatios, Fig8-10, ComputeGainCost); a strategy returning a
+		// (Ratios, Fig8-10, ComputeGainCost); a strategy returning a
 		// short or stale slice must fail here, not panic later.
-		if len(dec) != len(l.Result.Communities) {
+		if len(dec) != len(res.Communities) {
 			return nil, fmt.Errorf("eval: %s on %s: %d decisions for %d communities",
-				s.Name(), date.Format("2006-01-02"), len(dec), len(l.Result.Communities))
+				s.Name(), date.Format("2006-01-02"), len(dec), len(res.Communities))
 		}
 		out.Decisions[s.Name()] = dec
 	}
@@ -195,7 +226,7 @@ func ComputeGainCost(day *DayResult, decisions []core.Decision, detector string)
 		return gc, err
 	}
 	for i := range day.Reports {
-		if detector != "" && !detectedBy(day.Result, i, detector) {
+		if detector != "" && !slices.Contains(day.Communities[i].Detectors, detector) {
 			continue
 		}
 		attack := day.Reports[i].Class == heuristics.Attack
@@ -227,12 +258,12 @@ func checkDecisions(day *DayResult, decisions []core.Decision) error {
 	return nil
 }
 
-// detectedBy reports whether community ci contains an alarm from detector.
-func detectedBy(res *core.Result, ci int, detector string) bool {
-	for _, ai := range res.Communities[ci].Alarms {
-		if res.Alarms[ai].Detector == detector {
-			return true
-		}
+// decisions returns the day's verdicts under the named strategy. A strategy
+// the day was not classified under is an error, not an empty tally.
+func decisions(day *DayResult, strategy string) ([]core.Decision, error) {
+	dec, ok := day.Decisions[strategy]
+	if !ok {
+		return nil, fmt.Errorf("eval: no %q decisions on %s", strategy, day.Date.Format("2006-01-02"))
 	}
-	return false
+	return dec, checkDecisions(day, dec)
 }

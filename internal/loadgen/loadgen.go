@@ -28,8 +28,8 @@ type Mix struct {
 	// byte-for-byte against the local reference.
 	Read int
 	// Community fetches per-community summaries (with ?flows=) for a
-	// warmed digest — the repeated-community-query path the server's
-	// per-digest index cache accelerates.
+	// warmed digest — the repeated-community-query path the server answers
+	// from the flow table its store keeps resident beside the labels.
 	Community int
 	// Health probes /healthz.
 	Health int
@@ -536,8 +536,8 @@ func (r *runner) opRead(ctx context.Context, cs *clientState) {
 }
 
 // opCommunity fetches community summaries with a flows fan-out for a
-// warmed digest — the repeated-query path served from the per-digest index
-// cache.
+// warmed digest — the repeated-query path served from the store's resident
+// flow table.
 func (r *runner) opCommunity(ctx context.Context, cs *clientState) {
 	tr := r.warmed[cs.rng.intn(len(r.warmed))]
 	path := fmt.Sprintf("/v1/labels/%s/communities?flows=%d", tr.Digest, r.cfg.CommunityFlows)

@@ -1,8 +1,10 @@
 // Package stats provides the statistical primitives the MAWILab pipeline is
-// built on: discrete histograms and Kullback-Leibler divergence (the KL
-// detector), Gamma-distribution fitting (the Gamma detector), empirical
-// CDF/PDF series (every evaluation figure), descriptive statistics, and the
-// weighted smoothing used to render Fig. 4.
+// built on: Gamma-distribution fitting (the Gamma detector), empirical
+// CDF/PDF series (every evaluation figure), descriptive statistics, the
+// weighted smoothing used to render Fig. 4, and map-backed discrete
+// histograms with Kullback-Leibler divergence — the KL detector's reference
+// in its tests and examples/customdetector's feature; the detector itself
+// counts in dense per-bin arrays (internal/detectors/klhist).
 package stats
 
 import (

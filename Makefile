@@ -34,6 +34,10 @@ GO ?= go
 #                       and at the bench day's flow and packet counts (n=11k,
 #                       n=50k) — the sort under the flow table's postings, the
 #                       traffic unions and the rule miner's columns
+#   MedianMAD           the robust reference PCA, KL and Gamma threshold each
+#                       per-bin series against, by selection: a batch day's
+#                       60-row PCA column, a late segment's 600-row column that
+#                       is 97 % one value, a 15-minute trace's 900 bins
 #   SCANN, Apriori,     the combine and label layers: SCANN's classification,
 #   BuildReports        the rule miner over 2 000 flow transactions, and the
 #                       whole labeling tail of a day (mine, one matching pass,
@@ -51,8 +55,8 @@ GO ?= go
 # each run records the parallel speedup ratios too; the rest are one row each
 # (TraceIndex, WindowIndex, EigenSym, Louvain, Union and GenerateDay because
 # the stages are sequential, DetectAllSegment/Estimate/SCANN/Apriori at
-# workers=1; RadixSort is one row per length).
-BENCH_PATTERN ?= PipelineDay|PipelineStream|DetectAll|Detectors|Louvain|SimilarityGraph|GenerateDay|TraceIndex|Extract|Ingest|HoughSparse|Estimate|SCANN|Apriori|EigenSym|WindowIndex|EncodeIndex|BuildReports|Union|RadixSort|FlowTable
+# workers=1; RadixSort is one row per length, MedianMAD one per series shape).
+BENCH_PATTERN ?= PipelineDay|PipelineStream|DetectAll|Detectors|Louvain|SimilarityGraph|GenerateDay|TraceIndex|Extract|Ingest|HoughSparse|Estimate|SCANN|Apriori|EigenSym|WindowIndex|EncodeIndex|BuildReports|Union|RadixSort|MedianMAD|FlowTable
 # Total-coverage floor for `make cover`, in percent. Set from the measured
 # coverage at the last raise (85.1% when the golden-fixture and fuzz tests
 # landed), rounded down; raise it as coverage grows, never lower it to make
@@ -183,10 +187,13 @@ lint:
 # and modularity by its float bits, components and the Louvain assignment
 # exactly, whatever order the edges arrive in — and the value-transaction
 # rule miner against the []Item one in internal/apriori's tests: same rules,
-# same order, same counts, supports by their float bits — and the radix sort
+# same order, same counts, supports by their float bits — the radix sort
 # against slices.Sort as uint64, int and int32 words, with no scratch, a short
-# one and a long one. A crash writes its reproducer into the package's
-# testdata/fuzz corpus — commit it with the fix.
+# one and a long one, and the selection behind MedianMAD, Median, MAD and
+# Quantile against sorting, bit for bit, on raw float64 bits (every NaN
+# payload, both zeros, the infinities and subnormals; the input untouched). A
+# crash writes its reproducer into the package's testdata/fuzz corpus —
+# commit it with the fix.
 fuzz:
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzParseIPv4$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzIndexBuilder$$' -fuzztime $(FUZZTIME)
@@ -198,6 +205,7 @@ fuzz:
 	$(GO) test ./internal/graphx -run '^$$' -fuzz '^FuzzGraph$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/apriori -run '^$$' -fuzz '^FuzzMine$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/radix -run '^$$' -fuzz '^FuzzSort$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/stats -run '^$$' -fuzz '^FuzzMedianMAD$$' -fuzztime $(FUZZTIME)
 
 # Black-box daemon smoke: build the real mawilabd binary, boot it on a
 # random port, upload the golden fixture day over HTTP, assert the served

@@ -28,6 +28,7 @@ import (
 	"mawilab/internal/pcap"
 	"mawilab/internal/radix"
 	"mawilab/internal/simgraph"
+	"mawilab/internal/stats"
 	"mawilab/internal/trace"
 )
 
@@ -459,6 +460,40 @@ func BenchmarkRadixSort(b *testing.B) {
 				copy(a, in)
 				if out := radix.Sort(a, scratch); len(out) != size.n {
 					b.Fatal("bad sort")
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkMedianMAD times the robust reference PCA, KL and Gamma threshold
+// every per-bin series against, on the series shapes they hand it: a batch
+// day's 60-row PCA column, a late stream segment's 600-row column that is 97 %
+// one value (the empty rows before the segment's first packet), and the
+// 900 one-second bins of a 15-minute trace. Scratch is reused, as the
+// detectors reuse theirs. One op is 100 calls: a call takes microseconds,
+// which the bench gate's -benchtime=5x could not tell from timer noise.
+func BenchmarkMedianMAD(b *testing.B) {
+	for _, shape := range []struct {
+		name  string
+		n     int
+		other float64 // share of rows off the repeated value
+	}{{"continuous/n=60", 60, 1}, {"mostly-constant/n=600", 600, 0.03}, {"continuous/n=900", 900, 1}} {
+		b.Run(shape.name, func(b *testing.B) {
+			b.ReportAllocs()
+			rng := rand.New(rand.NewSource(int64(shape.n)))
+			col := make([]float64, shape.n)
+			for i := range col {
+				col[i] = -0.041
+				if rng.Float64() < shape.other {
+					col[i] = rng.NormFloat64()
+				}
+			}
+			scratch := make([]float64, 2*shape.n)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for call := 0; call < 100; call++ {
+					stats.MedianMAD(col, scratch)
 				}
 			}
 		})

@@ -65,8 +65,7 @@ func (d *entropyDetector) Detect(ix *trace.Index, config int) ([]core.Alarm, err
 	for i, h := range hists {
 		entropy[i] = h.Entropy()
 	}
-	med := stats.Median(entropy)
-	mad := stats.MAD(entropy)
+	med, mad := stats.MedianMAD(entropy, nil)
 	if mad < 1e-9 {
 		return nil, nil
 	}

@@ -1,6 +1,7 @@
 // Package stats provides the statistical primitives the MAWILab pipeline is
 // built on: Gamma-distribution fitting (the Gamma detector), empirical
-// CDF/PDF series (every evaluation figure), descriptive statistics, the
+// CDF/PDF series (every evaluation figure), descriptive statistics (the
+// median and MAD PCA, KL and Gamma threshold against, by selection), the
 // weighted smoothing used to render Fig. 4, and map-backed discrete
 // histograms with Kullback-Leibler divergence — the KL detector's reference
 // in its tests and examples/customdetector's feature; the detector itself

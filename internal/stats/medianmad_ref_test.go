@@ -2,7 +2,8 @@ package stats
 
 // This file keeps the three-sort Median/MAD pair MedianMAD replaced —
 // Median(xs) sorts a copy, MAD sorts a second copy for the same median and a
-// third for the deviations — as the bit-for-bit reference.
+// third for the deviations — and the sorting Quantile the selection kernel
+// replaced, as the bit-for-bit references.
 
 import (
 	"math"
@@ -12,16 +13,23 @@ import (
 	"testing"
 )
 
-// refMedian is the pre-MedianMAD Median: Quantile(xs, 0.5) on a fresh sorted
-// copy.
-func refMedian(xs []float64) float64 {
+// refQuantile is the sorting Quantile: a sorted copy, its order statistics
+// read off and interpolated. A NaN q indexes out of range, which is why
+// Quantile checks for it first.
+func refQuantile(xs []float64, q float64) float64 {
 	if len(xs) == 0 {
 		return 0
 	}
 	s := make([]float64, len(xs))
 	copy(s, xs)
 	sort.Float64s(s)
-	pos := 0.5 * float64(len(s)-1)
+	if q <= 0 {
+		return s[0]
+	}
+	if q >= 1 {
+		return s[len(s)-1]
+	}
+	pos := q * float64(len(s)-1)
 	lo := int(math.Floor(pos))
 	hi := int(math.Ceil(pos))
 	if lo == hi {
@@ -29,6 +37,12 @@ func refMedian(xs []float64) float64 {
 	}
 	frac := pos - float64(lo)
 	return s[lo]*(1-frac) + s[hi]*frac
+}
+
+// refMedian is the pre-MedianMAD Median: Quantile(xs, 0.5) on a fresh sorted
+// copy.
+func refMedian(xs []float64) float64 {
+	return refQuantile(xs, 0.5)
 }
 
 // refMAD is the pre-MedianMAD MAD, unchanged.

@@ -77,17 +77,8 @@ FUZZTIME ?= 10s
 # the CI gate job overrides with BENCHTIME=5x so a single scheduler hiccup
 # can't push a benchmark past the threshold.
 BENCHTIME ?= 1x
-# Load-harness scale for `make load` / `make load-baseline`. The defaults
-# match the load-smoke job; crank LOAD_CLIENTS/LOAD_OPS for a real soak.
-LOAD_CLIENTS ?= 8
-LOAD_OPS ?= 20
-# Baseline headroom for `make load-baseline`: 4x tolerated regression.
-# Generous on purpose — CI runners are noisy and the gate must catch
-# collapses, not jitter; correctness (divergences, reconciliation) is
-# always exact regardless of slack.
-LOAD_SLACK ?= 4
 
-.PHONY: all build test race bench bench-gate bench-baseline cover fmt vet fuzz lint serve-smoke load load-gate load-baseline load-smoke check
+.PHONY: all build test race bench bench-gate bench-baseline cover fmt vet fuzz lint serve-smoke check
 
 all: build test
 
@@ -217,38 +208,4 @@ fuzz:
 serve-smoke:
 	$(GO) test ./cmd/mawilabd -run '^TestServeSmoke$$' -v -count=1
 
-# Load/soak run against a self-hosted daemon: mawiload boots an in-process
-# mawilabd, replays the default op mix at LOAD_CLIENTS x LOAD_OPS, verifies
-# every served labeling against a local reference, reconciles /metrics
-# counters, and writes LOAD_report.json. Point it at a live daemon instead
-# with `go run ./cmd/mawiload -url http://host:port ...`.
-load:
-	$(GO) run ./cmd/mawiload -boot -scenario smoke \
-		-clients $(LOAD_CLIENTS) -ops $(LOAD_OPS) -out LOAD_report.json
-	@echo "wrote LOAD_report.json"
-
-# Load-regression gate: check a fresh LOAD_report.json (run `make load`
-# first, as the CI job does) against the committed baseline's throughput
-# floors and p99 ceilings. Exits non-zero on any violation or if the run
-# itself recorded divergences/reconciliation errors.
-load-gate:
-	$(GO) run ./cmd/benchjson -compare-load LOAD_baseline.json LOAD_report.json
-
-# Refresh the committed load baseline from a fresh run with LOAD_SLACK
-# headroom. Do this in its own commit whenever the scenario or scale
-# changes, with the hardware noted in the commit message.
-load-baseline:
-	$(GO) run ./cmd/mawiload -boot -scenario smoke \
-		-clients $(LOAD_CLIENTS) -ops $(LOAD_OPS) \
-		-baseline-out LOAD_baseline.json -slack $(LOAD_SLACK)
-	@echo "wrote LOAD_baseline.json"
-
-# Black-box harness smoke: build the real mawiload binary, run a small
-# self-hosted load, require exit 0 (zero divergences, counters reconcile),
-# and re-gate the emitted report through a derived baseline. The in-process
-# scenario tests live in ./internal/loadgen; this exercises the shipped
-# binary, like serve-smoke does for mawilabd.
-load-smoke:
-	$(GO) test ./cmd/mawiload -run '^TestLoadSmoke$$' -v -count=1
-
-check: build vet fmt lint test fuzz serve-smoke load-smoke
+check: build vet fmt lint test fuzz serve-smoke

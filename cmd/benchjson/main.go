@@ -11,14 +11,6 @@
 //
 //	benchjson -compare BENCH_baseline.json BENCH_ci.json -threshold 0.25 -alloc-threshold 1.0
 //
-// and the load-test regression gate:
-//
-//	benchjson -compare-load LOAD_baseline.json LOAD_report.json
-//
-// which checks a mawiload report against the committed baseline's
-// throughput floors and p99 ceilings (and the report's own correctness
-// verdict), exiting non-zero on any violation.
-//
 // -compare compares two bench JSON files and exits non-zero when any benchmark present
 // in both regresses — new ns/op exceeds old by more than the threshold
 // fraction (default 0.25) — or when a benchmark in the new run has no
@@ -41,8 +33,6 @@ import (
 	"os"
 	"strconv"
 	"strings"
-
-	"mawilab/internal/loadgen"
 )
 
 // Record is one benchmark result line.
@@ -65,22 +55,6 @@ func main() {
 
 // run is main with its environment injected, returning the exit code.
 func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
-	if len(args) > 0 && (args[0] == "-compare-load" || args[0] == "--compare-load") {
-		if len(args) != 3 {
-			fmt.Fprintln(stderr, "benchjson: -compare-load needs two files: LOAD_baseline.json LOAD_report.json")
-			return 2
-		}
-		violations, err := compareLoad(stdout, args[1], args[2])
-		if err != nil {
-			fmt.Fprintf(stderr, "benchjson: %v\n", err)
-			return 2
-		}
-		if len(violations) > 0 {
-			fmt.Fprintf(stderr, "benchjson: %d load-gate violation(s)\n", len(violations))
-			return 1
-		}
-		return 0
-	}
 	oldPath, newPath, threshold, allocThreshold, err := parseArgs(args)
 	if err != nil {
 		fmt.Fprintf(stderr, "benchjson: %v\n", err)
@@ -161,27 +135,6 @@ func parseArgs(args []string) (oldPath, newPath string, threshold, allocThreshol
 		return "", "", 0, 0, fmt.Errorf("threshold flags are only meaningful with -compare old.json new.json")
 	}
 	return oldPath, newPath, threshold, allocThreshold, nil
-}
-
-// compareLoad gates a mawiload report against the committed load baseline:
-// throughput floors, p99 ceilings, and the report's own correctness verdict
-// (a load run that mislabeled or failed reconciliation must not pass the
-// perf gate, however fast it was).
-func compareLoad(w io.Writer, baselinePath, reportPath string) ([]string, error) {
-	b, err := loadgen.ReadBaselineFile(baselinePath)
-	if err != nil {
-		return nil, err
-	}
-	r, err := loadgen.ReadReportFile(reportPath)
-	if err != nil {
-		return nil, err
-	}
-	violations := loadgen.CompareBaseline(w, b, r)
-	if err := r.Err(); err != nil {
-		violations = append(violations, err.Error())
-		fmt.Fprintf(w, "FAIL report self-check: %v\n", err)
-	}
-	return violations, nil
 }
 
 // convert reads bench text from r and writes the JSON records to w.

@@ -7,8 +7,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"mawilab/internal/loadgen"
 )
 
 func writeRecs(t *testing.T, path string, rs []Record) {
@@ -87,35 +85,5 @@ func TestRunConvertMode(t *testing.T) {
 	}
 	if len(out) != 1 || out[0].NsPerOp != 125 || out[0].Metrics["B/op"] != 7 {
 		t.Errorf("converted = %+v", out)
-	}
-}
-
-// TestRunCompareLoad pins the -compare-load dispatch: ok, violation,
-// wrong arity, unreadable file.
-func TestRunCompareLoad(t *testing.T) {
-	baselinePath, reportPath := loadFixtures(t, nil)
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-compare-load", baselinePath, reportPath}, nil, &stdout, &stderr); code != 0 {
-		t.Fatalf("clean load gate = %d\n%s", code, stderr.String())
-	}
-
-	_, slowReport := loadFixtures(t, func(r *loadgen.Report) {
-		st := r.Ops[loadgen.OpTotal]
-		st.ThroughputOps /= 10
-		r.Ops[loadgen.OpTotal] = st
-	})
-	stderr.Reset()
-	if code := run([]string{"-compare-load", baselinePath, slowReport}, nil, &stdout, &stderr); code != 1 {
-		t.Fatalf("regressed load gate = %d, want 1", code)
-	}
-	if !strings.Contains(stderr.String(), "load-gate violation") {
-		t.Errorf("stderr = %q", stderr.String())
-	}
-
-	if code := run([]string{"-compare-load", baselinePath}, nil, &stdout, &stderr); code != 2 {
-		t.Error("wrong arity not exit 2")
-	}
-	if code := run([]string{"-compare-load", baselinePath, filepath.Join(t.TempDir(), "absent.json")}, nil, &stdout, &stderr); code != 2 {
-		t.Error("unreadable report not exit 2")
 	}
 }

@@ -32,8 +32,7 @@ func Analyzers() []*analysis.Analyzer {
 // wallclock treats the whole module as deterministic by default and
 // exempts the layers whose job is interfacing with the real world: the
 // serving daemon (request timestamps, job latencies), the eval harness
-// (progress timing), the load harness (whose whole job is measuring
-// client-observed latency), and the mains/examples. Everything else — trace,
+// (progress timing), and the mains/examples. Everything else — trace,
 // core, detectors, graphx, simgraph, mawigen, heuristics, apriori,
 // sketch, stats, linalg, pcap, admd, ca, parallel and the root pipeline —
 // must be a pure function of its inputs.
@@ -47,7 +46,6 @@ func DefaultConfig() driver.Config {
 		"wallclock": {
 			"mawilab/internal/serve",
 			"mawilab/internal/eval",
-			"mawilab/internal/loadgen",
 			"mawilab/cmd",
 			"mawilab/examples",
 		},

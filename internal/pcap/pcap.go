@@ -305,6 +305,28 @@ func (r *Reader) skip(n int) error {
 	return nil
 }
 
+// readRecordHeader fills r.hdrBuf. Only here may the stream end: a source
+// that reports io.EOF, before the header or part way into it (a file cut
+// mid-header), ends it with io.EOF. Any other source error is returned,
+// io.ErrUnexpectedEOF included — it is how a request body that stops short
+// of its Content-Length ends, and the records read so far are not the trace
+// that was sent.
+func (r *Reader) readRecordHeader() error {
+	for n := 0; n < len(r.hdrBuf); {
+		m, err := r.r.Read(r.hdrBuf[n:])
+		if n += m; n == len(r.hdrBuf) {
+			break
+		}
+		if err == io.EOF {
+			return io.EOF
+		}
+		if err != nil {
+			return fmt.Errorf("pcap: reading record header: %w", err)
+		}
+	}
+	return nil
+}
+
 // Next returns the next packet, or io.EOF at the end of the stream.
 // Timestamps are rebased to the whole-second boundary containing the first
 // packet, matching the trace model's "microseconds since trace start":
@@ -314,13 +336,10 @@ func (r *Reader) skip(n int) error {
 // does not leak into the relative timeline.
 func (r *Reader) Next() (trace.Packet, error) {
 	var p trace.Packet
-	hdr := r.hdrBuf[:]
-	if _, err := io.ReadFull(r.r, hdr); err != nil {
-		if err == io.ErrUnexpectedEOF {
-			return p, io.EOF
-		}
+	if err := r.readRecordHeader(); err != nil {
 		return p, err
 	}
+	hdr := r.hdrBuf[:]
 	sec := int64(r.order.Uint32(hdr[0:]))
 	sub := int64(r.order.Uint32(hdr[4:]))
 	if r.nanos {

@@ -187,11 +187,14 @@ func recordOffsets(data []byte) []int {
 	return offs
 }
 
-// TestTruncatedRecordErrors pins the two ways a cut record surfaces: a
-// record header that is not all there ends the stream cleanly, a frame that
-// is not all there is an error wrapping how the read failed — io.EOF when
-// nothing of the frame arrived, io.ErrUnexpectedEOF when part of it did,
-// whether the cut falls in the parsed prefix or in the skipped payload.
+// TestTruncatedRecordErrors pins the ways a cut record surfaces: a record
+// header that is not all there ends the stream cleanly, a frame that is not
+// all there is an error wrapping how the read failed — io.EOF when nothing of
+// the frame arrived, io.ErrUnexpectedEOF when part of it did, whether the cut
+// falls in the parsed prefix or in the skipped payload. Only a source that
+// reports io.EOF ends a stream: one that fails instead, as a request body cut
+// short of its Content-Length fails with io.ErrUnexpectedEOF, is an error at
+// a record boundary and inside a record header alike.
 func TestTruncatedRecordErrors(t *testing.T) {
 	data := pcapBytes(t, []trace.Packet{{Proto: trace.TCP, Len: 1000}})
 	frameStart := globalHeaderLen + recordHeaderLen
@@ -219,6 +222,17 @@ func TestTruncatedRecordErrors(t *testing.T) {
 			}
 			if headerCut := c.cut < frameStart; (err == io.EOF) != headerCut {
 				t.Errorf("cut at %d (%T): bare io.EOF = %v, want %v", c.cut, src, err == io.EOF, headerCut)
+			}
+		}
+	}
+	for _, cut := range []int{globalHeaderLen, globalHeaderLen + 5} {
+		for _, srcErr := range []error{io.ErrUnexpectedEOF, errors.New("connection reset")} {
+			r, err := NewReader(io.MultiReader(bytes.NewReader(data[:cut]), iotest.ErrReader(srcErr)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := r.Next(); err == io.EOF || !errors.Is(err, srcErr) {
+				t.Errorf("source failing with %v after %d bytes: got %v, want that error", srcErr, cut, err)
 			}
 		}
 	}

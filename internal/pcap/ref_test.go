@@ -42,13 +42,10 @@ func newCopyingReader(r io.Reader) (*copyingReader, error) {
 
 func (r *copyingReader) Next() (trace.Packet, error) {
 	var p trace.Packet
-	hdr := r.hdrBuf[:]
-	if _, err := io.ReadFull(r.r, hdr); err != nil {
-		if err == io.ErrUnexpectedEOF {
-			return p, io.EOF
-		}
+	if err := r.readRecordHeader(); err != nil {
 		return p, err
 	}
+	hdr := r.hdrBuf[:]
 	sec := int64(r.order.Uint32(hdr[0:]))
 	sub := int64(r.order.Uint32(hdr[4:]))
 	if r.nanos {

@@ -8,6 +8,8 @@ import (
 	"fmt"
 	"net/http"
 	"os"
+	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -156,7 +158,7 @@ func TestCommunityFlowsAndIndexCache(t *testing.T) {
 	day := goldenDay(t)
 	pcap := pcapBytes(t, day)
 
-	_, ts := newTestServer(t, Config{})
+	srv, ts := newTestServer(t, Config{})
 	code, out, _ := upload(t, ts, pcap, "golden")
 	if code != http.StatusAccepted {
 		t.Fatalf("upload = %d", code)
@@ -249,6 +251,24 @@ func TestCommunityFlowsAndIndexCache(t *testing.T) {
 		if code != http.StatusBadRequest {
 			t.Errorf("flows=%s -> %d, want 400", bad, code)
 		}
+	}
+
+	// A limit past the table's flow count answers what the flow count does,
+	// and costs the answer, not the limit.
+	table, _, err := srv.Store().Flows(out.Digest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, all, _ := get(t, ts.URL+"/v1/labels/"+out.Digest+"/communities?flows="+strconv.Itoa(table.Flows()), nil)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	code, huge, _ := get(t, ts.URL+"/v1/labels/"+out.Digest+"/communities?flows=2147483647", nil)
+	runtime.ReadMemStats(&after)
+	if code != http.StatusOK || !bytes.Equal(huge, all) {
+		t.Errorf("flows=2147483647 -> %d, want 200 and the flows=%d answer", code, table.Flows())
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 10<<20 {
+		t.Errorf("flows=2147483647 allocated %d bytes, want under 10 MB", grew)
 	}
 }
 

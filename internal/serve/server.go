@@ -529,10 +529,11 @@ func communityFilter(c StoredCommunity) trace.Filter {
 
 // matchedFlows returns up to limit flows matching the filter, in ascending
 // flow-table order, out of the table's candidate flows for it (the whole
-// table when no constrained field is posted).
+// table when no constrained field is posted). The answer is sized by the
+// candidates, never by limit alone: limit comes from the query string.
 func matchedFlows(flows *trace.FlowTable, f trace.Filter, limit int) []string {
-	out := make([]string, 0, limit)
 	cands := flows.CandidateFlows(f)
+	out := make([]string, 0, min(limit, cands.Len()))
 	for i := 0; i < cands.Len() && len(out) < limit; i++ {
 		if k := flows.Flow(cands.At(i)); f.MatchFlow(k) {
 			out = append(out, flowString(k))

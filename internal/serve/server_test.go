@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"crypto/sha256"
@@ -9,10 +10,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -322,36 +325,67 @@ func tinyTrace(n int) *mawilab.Trace {
 }
 
 // TestAdmissionControlOverflow pins the 429 path: with one worker occupied
-// and a one-slot queue, a third distinct upload bounces with Retry-After,
-// and /metrics shows the rejection and the queue depth.
+// and a one-slot queue, a third distinct upload bounces with a Retry-After of
+// whole seconds in [1, 300], leaves its digest in neither the store nor
+// /v1/labels, and /metrics shows the rejection and the queue depth. Once the
+// gate opens, the bounced trace posted again is labeled.
 func TestAdmissionControlOverflow(t *testing.T) {
 	cfg, gate := gatedConfig(1, 1)
 	s, ts := newTestServer(t, cfg)
 
-	if code, _, _ := upload(t, ts, pcapBytes(t, tinyTrace(1)), "a"); code != http.StatusAccepted {
+	code, a, _ := upload(t, ts, pcapBytes(t, tinyTrace(1)), "a")
+	if code != http.StatusAccepted {
 		t.Fatalf("first upload = %d", code)
 	}
 	<-gate.started // job a is in-flight, the worker is occupied
 
-	if code, _, _ := upload(t, ts, pcapBytes(t, tinyTrace(2)), "b"); code != http.StatusAccepted {
+	code, b, _ := upload(t, ts, pcapBytes(t, tinyTrace(2)), "b")
+	if code != http.StatusAccepted {
 		t.Fatalf("second upload = %d", code)
 	}
 	if v, ok := metricValue(t, ts, "mawilabd_queue_depth"); !ok || v != "1" {
 		t.Errorf("queue_depth = %q, want 1", v)
 	}
 
-	code, _, hdr := upload(t, ts, pcapBytes(t, tinyTrace(3)), "c")
+	bounced := pcapBytes(t, tinyTrace(3))
+	code, _, hdr := upload(t, ts, bounced, "c")
 	if code != http.StatusTooManyRequests {
 		t.Fatalf("overflow upload = %d, want 429", code)
 	}
-	if hdr.Get("Retry-After") == "" {
-		t.Error("429 missing Retry-After")
+	if sec, err := strconv.Atoi(hdr.Get("Retry-After")); err != nil || sec < 1 || sec > 300 {
+		t.Errorf("Retry-After = %q, want whole seconds in [1, 300]", hdr.Get("Retry-After"))
 	}
 	if v, ok := metricValue(t, ts, `mawilabd_uploads_rejected_total{reason="queue_full"}`); !ok || v != "1" {
 		t.Errorf("rejected{queue_full} = %q, want 1", v)
 	}
+	tr, err := mawilab.ReadPcap(bytes.NewReader(bounced))
+	if err != nil {
+		t.Fatal(err)
+	}
+	digest := tr.Digest()
+	if s.Store().Has(digest) {
+		t.Error("the bounced trace reached the store")
+	}
+	if code, _, _ := get(t, ts.URL+"/v1/labels/"+digest+".csv", nil); code != http.StatusNotFound {
+		t.Errorf("labels of the bounced trace = %d, want 404", code)
+	}
 
 	close(gate.release)
+	for _, id := range []string{a.JobID, b.JobID} {
+		if j := waitJob(t, ts, id); j.State != JobDone {
+			t.Fatalf("job %s = %s (%s)", id, j.State, j.Error)
+		}
+	}
+	code, c, _ := upload(t, ts, bounced, "c")
+	if code != http.StatusAccepted {
+		t.Fatalf("re-posted upload = %d, want 202", code)
+	}
+	if j := waitJob(t, ts, c.JobID); j.State != JobDone {
+		t.Fatalf("re-posted job = %s (%s)", j.State, j.Error)
+	}
+	if code, _, _ := get(t, ts.URL+"/v1/labels/"+digest+".csv", nil); code != http.StatusOK {
+		t.Errorf("labels of the re-posted trace = %d, want 200", code)
+	}
 	if err := s.Drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -600,11 +634,44 @@ func TestSpoolWatcher(t *testing.T) {
 	}
 }
 
+// TestUploadBadPcap: an upload that is not a whole pcap is a 400 that makes
+// no job and no entry — bytes that are no pcap at all, and a body that stops
+// at a record boundary short of its Content-Length, whose records so far
+// would decode as a shorter trace.
 func TestUploadBadPcap(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
+	s, ts := newTestServer(t, Config{})
 	code, _, _ := upload(t, ts, []byte("not a pcap"), "junk")
 	if code != http.StatusBadRequest {
 		t.Errorf("bad pcap = %d, want 400", code)
+	}
+
+	// tinyTrace(30)'s pcap is the first 30 records of tinyTrace(64)'s.
+	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	fmt.Fprintf(conn, "POST /v1/traces?name=short HTTP/1.1\r\nHost: mawilabd\r\nContent-Type: application/vnd.tcpdump.pcap\r\nContent-Length: %d\r\n\r\n",
+		len(pcapBytes(t, tinyTrace(64))))
+	if _, err := conn.Write(pcapBytes(t, tinyTrace(30))); err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.(*net.TCPConn).CloseWrite(); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("short upload = %d, want 400", resp.StatusCode)
+	}
+	if v, _ := metricValue(t, ts, "mawilabd_cache_misses_total"); v != "0" {
+		t.Errorf("cache_misses_total = %q, want 0: a bad upload made a job", v)
+	}
+	if n := s.Store().Len(); n != 0 {
+		t.Errorf("store has %d entries, want 0", n)
 	}
 }
 

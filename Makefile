@@ -70,8 +70,7 @@ BENCH_THRESHOLD ?= 0.25
 # single-digit baselines where a couple of allocations of jitter already
 # doubles the ratio.
 BENCH_ALLOC_THRESHOLD ?= 2.0
-# Per-target budget for the `make fuzz` smoke (go test allows one -fuzz
-# pattern per invocation, so each fuzz target gets its own run).
+# Per-target budget for the `make fuzz` smoke.
 FUZZTIME ?= 10s
 # Iterations for `make bench`. The smoke/artifact run keeps the 1x default;
 # the CI gate job overrides with BENCHTIME=5x so a single scheduler hiccup
@@ -162,41 +161,19 @@ lint:
 	$(GO) test -count=1 ./internal/analysis/... ./cmd/mawilint
 	$(GO) run ./cmd/mawilint ./...
 
-# Short fuzzing smoke over the committed seed corpora plus FUZZTIME of fresh
-# exploration per target: the IPv4 parser invariants, the index builder —
-# per packet, and by whole indexes appended at fuzz-chosen cut points —
-# against the map-based reference in internal/trace's tests (48-bit
-# timestamps: an index must not care how many years its packets span), the
-# time axis the detectors bin by (any width: an error exactly when it is not
-# positive and finite or the span needs too many bins, else every packet in
-# its bin's interval bar the clamped last edge), the flow-table file (arbitrary bytes never panic, whatever decodes re-encodes to
-# its input, every truncation and bit flip of a valid file is rejected), the
-# pcap write→read round trip, the decode-streaming vs decode-materialized
-# ingest differential, the similarity-graph build against its quadratic
-# reference at workers 1 and 3, the sorted-adjacency graphx.Graph against
-# the map-based refGraph in internal/graphx's tests — every weight, degree
-# and modularity by its float bits, components and the Louvain assignment
-# exactly, whatever order the edges arrive in — and the value-transaction
-# rule miner against the []Item one in internal/apriori's tests: same rules,
-# same order, same counts, supports by their float bits — the radix sort
-# against slices.Sort as uint64, int and int32 words, with no scratch, a short
-# one and a long one, and the selection behind MedianMAD, Median, MAD and
-# Quantile against sorting, bit for bit, on raw float64 bits (every NaN
-# payload, both zeros, the infinities and subnormals; the input untouched). A
-# crash writes its reproducer into the package's testdata/fuzz corpus —
-# commit it with the fix.
+# Short fuzzing smoke: every Fuzz target of the module, found per package
+# with `go test -list`, runs its committed seed corpus plus FUZZTIME of fresh
+# exploration (go test takes one -fuzz pattern per run, so each target gets
+# its own). What a target checks is stated on it. A crash writes its
+# reproducer into the package's testdata/fuzz corpus — commit it with the
+# fix.
 fuzz:
-	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzParseIPv4$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzIndexBuilder$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzFlowTable$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzTimeAxis$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/pcap -run '^$$' -fuzz '^FuzzRoundTrip$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/pcap -run '^$$' -fuzz '^FuzzDecodeIndex$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/simgraph -run '^$$' -fuzz '^FuzzBuild$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/graphx -run '^$$' -fuzz '^FuzzGraph$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/apriori -run '^$$' -fuzz '^FuzzMine$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/radix -run '^$$' -fuzz '^FuzzSort$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/stats -run '^$$' -fuzz '^FuzzMedianMAD$$' -fuzztime $(FUZZTIME)
+	@list=$$($(GO) test -list '^Fuzz' ./...) || { echo "$$list"; exit 1; }; \
+	echo "$$list" | awk '/^Fuzz/ { t[n++] = $$1; next } /^ok / { for (i = 0; i < n; i++) print $$2, t[i]; n = 0 }' | \
+	while read pkg target; do \
+		echo "fuzz $$pkg $$target"; \
+		$(GO) test $$pkg -run '^$$' -fuzz "^$$target\$$" -fuzztime $(FUZZTIME) || exit 1; \
+	done
 
 # Black-box daemon smoke: build the real mawilabd binary, boot it on a
 # random port, upload the golden fixture day over HTTP, assert the served

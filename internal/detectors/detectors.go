@@ -13,16 +13,19 @@
 //
 // # Prepare once, decide per configuration
 //
-// A parameter set of the four standard detectors never changes what is
-// computed from the packets — it is a threshold, a subspace size, a cell
-// activation count — so the contract has two halves. A Preparer builds
-// everything that does not depend on the configuration in one Prepare(ix):
-// the sketch rasterizations, Gamma fits, per-bin histograms and KL series,
-// eigenvectors, rasterized Hough planes. The Prepared it returns answers
-// Decide(config) from that state alone. DetectAllContext calls Prepare once
-// per detector and Decide once per configuration; Detector.Detect(ix,
-// config) of a standard detector is Prepare followed by one Decide — the
-// same code, paying the whole preparation for one answer.
+// Each standard detector is one fixed table of three tunings: its bin
+// widths, sketch sizes and caps are package constants, its sketches hash
+// with Seed, and the configuration index is its only input besides the
+// trace. A tuning never changes what is computed from the packets — it is a
+// threshold, a subspace size, a cell activation count — so the contract has
+// two halves. A Preparer builds everything that does not depend on the
+// configuration in one Prepare(ix): the sketch rasterizations, Gamma fits,
+// per-bin histograms and KL series, eigenvectors, rasterized Hough planes.
+// The Prepared it returns answers Decide(config) from that state alone.
+// DetectAllContext calls Prepare once per detector and Decide once per
+// configuration; the Detect method of a standard detector is Detect(d, ix,
+// config): Prepare followed by one Decide — the same code, paying the whole
+// preparation for one answer.
 //
 // A Prepared is scoped to the call that made it. It is read-only once
 // Prepare returns, so Decide may be called concurrently for different (or
@@ -46,6 +49,10 @@ import (
 	"mawilab/internal/parallel"
 	"mawilab/internal/trace"
 )
+
+// Seed is the hash seed of the sketch-based standard detectors (PCA, Gamma
+// and Hough), fixed so that every run labels a trace the same way.
+const Seed = 0x6d617769 // "mawi"
 
 // Tuning indexes a detector's parameter sets.
 type Tuning int
@@ -206,4 +213,19 @@ func CheckConfig(d Detector, config int) error {
 		return fmt.Errorf("detectors: %s: config %d out of [0,%d)", d.Name(), config, d.NumConfigs())
 	}
 	return nil
+}
+
+// Detect runs one configuration of a Preparer: it checks config, prepares
+// ix and decides config — the code DetectAllContext runs, paying the whole
+// preparation for one answer. It is the Detect method of the standard
+// detectors.
+func Detect(p Preparer, ix *trace.Index, config int) ([]core.Alarm, error) {
+	if err := CheckConfig(p, config); err != nil {
+		return nil, err
+	}
+	pr, err := p.Prepare(ix)
+	if err != nil {
+		return nil, err
+	}
+	return pr.Decide(config)
 }

@@ -24,38 +24,30 @@ import (
 	"mawilab/internal/trace"
 )
 
-// Detector is the multiresolution Gamma detector.
-type Detector struct {
-	// Bins is the sketch width.
-	Bins int
-	// Resolutions are the aggregation scales in seconds (finest first), at
-	// least one, each positive and finite.
-	Resolutions []float64
-	// TopHosts caps how many hosts are reported per anomalous bin.
-	TopHosts int
-	// Seed derives the sketch seeds.
-	Seed uint64
-	// Thresholds holds the per-configuration anomaly threshold on the
-	// robust parameter distance; index with detectors.Optimal/Sensitive/
-	// Conservative.
-	Thresholds [detectors.NumTunings]float64
+// Detector is the multiresolution Gamma detector. It has no settings: its
+// parameters are package constants, its configurations three fixed
+// thresholds.
+type Detector struct{}
+
+// The detector's parameters, fixed for every tuning.
+const (
+	sketchWidth = 32 // buckets per sketch
+	topHosts    = 3  // hosts reported per anomalous bin, at most
+)
+
+// resolutions are the aggregation scales in seconds, finest first.
+var resolutions = [...]float64{0.5, 1, 2}
+
+// thresholds holds the per-configuration anomaly threshold on the robust
+// parameter distance; index with detectors.Optimal/Sensitive/Conservative.
+var thresholds = [detectors.NumTunings]float64{
+	detectors.Optimal:      30,
+	detectors.Sensitive:    18,
+	detectors.Conservative: 55,
 }
 
-// New returns the detector with defaults calibrated for the synthetic MAWI
-// archive.
-func New(seed uint64) *Detector {
-	return &Detector{
-		Bins:        32,
-		Resolutions: []float64{0.5, 1, 2},
-		TopHosts:    3,
-		Seed:        seed,
-		Thresholds: [detectors.NumTunings]float64{
-			detectors.Optimal:      30,
-			detectors.Sensitive:    18,
-			detectors.Conservative: 55,
-		},
-	}
-}
+// New returns the detector.
+func New() *Detector { return &Detector{} }
 
 // Name implements detectors.Detector.
 func (d *Detector) Name() string { return "gamma" }
@@ -65,14 +57,7 @@ func (d *Detector) NumConfigs() int { return int(detectors.NumTunings) }
 
 // Detect implements detectors.Detector: one Prepare, one Decide.
 func (d *Detector) Detect(ix *trace.Index, config int) ([]core.Alarm, error) {
-	if err := detectors.CheckConfig(d, config); err != nil {
-		return nil, err
-	}
-	p, err := d.Prepare(ix)
-	if err != nil {
-		return nil, err
-	}
-	return p.Decide(config)
+	return detectors.Detect(d, ix, config)
 }
 
 // prepared is the threshold-independent analysis of one index: per
@@ -96,22 +81,14 @@ type binScore struct {
 // distance, for both directions. A configuration is one threshold on that
 // distance.
 func (d *Detector) Prepare(ix *trace.Index) (detectors.Prepared, error) {
-	if len(d.Resolutions) == 0 {
-		return nil, fmt.Errorf("gamma: Resolutions must not be empty")
-	}
-	ax, err := trace.NewTimeAxis(ix, d.Resolutions[0])
+	ax, err := trace.NewTimeAxis(ix, resolutions[0])
 	if err != nil {
-		return nil, fmt.Errorf("gamma: Resolutions[0]: %w", err)
-	}
-	for i, res := range d.Resolutions[1:] {
-		if !(res > 0) || math.IsInf(res, 1) {
-			return nil, fmt.Errorf("gamma: Resolutions[%d] must be positive and finite, got %v", i+1, res)
-		}
+		return nil, fmt.Errorf("gamma: %v s bins: %w", resolutions[0], err)
 	}
 	ax.Bins++ // one spare cell past the last packet's, kept for byte identity
 	p := &prepared{d: d}
-	if ix.Len() > 0 && ax.Span >= 4*d.Resolutions[len(d.Resolutions)-1] {
-		p.dirs = [2][]binScore{d.prepareDirection(ix, ax, false), d.prepareDirection(ix, ax, true)}
+	if ix.Len() > 0 && ax.Span >= 4*resolutions[len(resolutions)-1] {
+		p.dirs = [2][]binScore{prepareDirection(ix, ax, false), prepareDirection(ix, ax, true)}
 	}
 	return p, nil
 }
@@ -122,7 +99,7 @@ func (p *prepared) Decide(config int) ([]core.Alarm, error) {
 	if err := detectors.CheckConfig(d, config); err != nil {
 		return nil, err
 	}
-	threshold := d.Thresholds[config]
+	threshold := thresholds[config]
 	var alarms []core.Alarm
 	for di, bins := range p.dirs {
 		dst := di == 1
@@ -160,12 +137,12 @@ func (p *prepared) Decide(config int) ([]core.Alarm, error) {
 // false) or destination addresses, scanning the index's address and
 // timestamp columns into the cells of ax, the finest resolution. Bins come
 // back in ascending bin order.
-func (d *Detector) prepareDirection(ix *trace.Index, ax trace.TimeAxis, dst bool) []binScore {
-	seed := d.Seed
+func prepareDirection(ix *trace.Index, ax trace.TimeAxis, dst bool) []binScore {
+	seed := uint64(detectors.Seed)
 	if dst {
 		seed ^= 0xdeadbeef
 	}
-	sk := sketch.New(d.Bins, seed)
+	sk := sketch.New(sketchWidth, seed)
 	addrs := ix.Src
 	if dst {
 		addrs = ix.Dst
@@ -173,20 +150,20 @@ func (d *Detector) prepareDirection(ix *trace.Index, ax trace.TimeAxis, dst bool
 
 	// One bins×cells slab of packet counts at the finest resolution.
 	cells := ax.Bins
-	counts := make([]float64, d.Bins*cells)
+	counts := make([]float64, sketchWidth*cells)
 	for pi, addr := range addrs {
 		counts[sk.Bin(addr)*cells+ax.Bin(ix.Seconds[pi])]++
 	}
 
 	// Per-resolution Gamma fits for every active bin: fits holds nres
 	// entries per fitted bin, fitBin the bins in ascending order.
-	nres := len(d.Resolutions)
+	nres := len(resolutions)
 	var (
 		fits   []stats.GammaParams
 		fitBin []int
 	)
 	sample := make([]float64, cells)
-	for b := 0; b < d.Bins; b++ {
+	for b := 0; b < sketchWidth; b++ {
 		row := counts[b*cells : (b+1)*cells]
 		total := 0.0
 		for _, v := range row {
@@ -196,7 +173,7 @@ func (d *Detector) prepareDirection(ix *trace.Index, ax trace.TimeAxis, dst bool
 			continue
 		}
 		ok := true
-		for _, res := range d.Resolutions {
+		for _, res := range resolutions {
 			g, err := stats.FitGammaMoments(aggregate(sample, row, int(math.Round(res/ax.Width))))
 			if err != nil {
 				ok = false
@@ -235,9 +212,9 @@ func (d *Detector) prepareDirection(ix *trace.Index, ax trace.TimeAxis, dst bool
 
 	// Distances, and the dominant hosts of every bin some configuration can
 	// flag: one more pass over the address column gathers their packets.
-	loosest := slices.Min(d.Thresholds[:])
+	loosest := slices.Min(thresholds[:])
 	scores := make([]binScore, len(fitBin))
-	scoreOf := make([]int32, d.Bins) // bin → index into scores, +1; 0 = not flagged
+	scoreOf := make([]int32, sketchWidth) // bin → index into scores, +1; 0 = not flagged
 	flagged := 0
 	for i, b := range fitBin {
 		dist := 0.0
@@ -261,7 +238,7 @@ func (d *Detector) prepareDirection(ix *trace.Index, ax trace.TimeAxis, dst bool
 	}
 	for i := range scores {
 		if len(scores[i].hosts) > 0 {
-			scores[i].hosts = sketch.TopHosts(scores[i].hosts, d.TopHosts)
+			scores[i].hosts = sketch.TopHosts(scores[i].hosts, topHosts)
 		}
 	}
 	return scores

@@ -3,8 +3,8 @@ package gammafit
 // This file keeps the pre-split, per-configuration Detect verbatim as the
 // reference implementation — map-based sketch group, [][]float64 cell
 // counts, one full analysis per config — and pins Prepare + Decide to it:
-// on randomized traces, for every config and for non-default tunings, the
-// two must emit reflect.DeepEqual alarms. Any divergence — ordering,
+// on randomized traces, for every config, the two must emit
+// reflect.DeepEqual alarms. Any divergence — ordering,
 // tie-breaking, float rounding — fails here before it can drift a golden
 // fixture.
 
@@ -75,10 +75,10 @@ func refDetect(d *Detector, ix *trace.Index, config int) ([]core.Alarm, error) {
 	if err := detectors.CheckConfig(d, config); err != nil {
 		return nil, err
 	}
-	if ix.Len() == 0 || ix.Duration() < 4*d.Resolutions[len(d.Resolutions)-1] {
+	if ix.Len() == 0 || ix.Duration() < 4*resolutions[len(resolutions)-1] {
 		return nil, nil
 	}
-	threshold := d.Thresholds[config]
+	threshold := thresholds[config]
 	var alarms []core.Alarm
 	alarms = append(alarms, refDetectDirection(d, ix, config, threshold, false)...)
 	alarms = append(alarms, refDetectDirection(d, ix, config, threshold, true)...)
@@ -87,16 +87,16 @@ func refDetect(d *Detector, ix *trace.Index, config int) ([]core.Alarm, error) {
 
 // refDetectDirection is the pre-split detectDirection, unchanged.
 func refDetectDirection(d *Detector, ix *trace.Index, config int, threshold float64, dst bool) []core.Alarm {
-	seed := d.Seed
+	seed := uint64(detectors.Seed)
 	if dst {
 		seed ^= 0xdeadbeef
 	}
-	sk := sketch.New(d.Bins, seed)
+	sk := sketch.New(sketchWidth, seed)
 	group := newRefGroup(sk)
 
-	finest := d.Resolutions[0]
+	finest := resolutions[0]
 	cells := int(math.Ceil(ix.Duration()/finest)) + 1
-	counts := make([][]float64, d.Bins)
+	counts := make([][]float64, sketchWidth)
 	for b := range counts {
 		counts[b] = make([]float64, cells)
 	}
@@ -116,10 +116,10 @@ func refDetectDirection(d *Detector, ix *trace.Index, config int, threshold floa
 	// Per-resolution Gamma fits for every active bin.
 	type binFit struct {
 		bin  int
-		fits []stats.GammaParams // aligned with d.Resolutions
+		fits []stats.GammaParams // aligned with resolutions
 	}
 	var fits []binFit
-	for b := 0; b < d.Bins; b++ {
+	for b := 0; b < sketchWidth; b++ {
 		total := 0.0
 		for _, v := range counts[b] {
 			total += v
@@ -129,7 +129,7 @@ func refDetectDirection(d *Detector, ix *trace.Index, config int, threshold floa
 		}
 		bf := binFit{bin: b}
 		ok := true
-		for ri, res := range d.Resolutions {
+		for ri, res := range resolutions {
 			sample := refAggregate(counts[b], int(math.Round(res/finest)))
 			g, err := stats.FitGammaMoments(sample)
 			if err != nil {
@@ -148,7 +148,7 @@ func refDetectDirection(d *Detector, ix *trace.Index, config int, threshold floa
 	}
 
 	// Adaptive reference: per-resolution median and MAD of α and β.
-	nres := len(d.Resolutions)
+	nres := len(resolutions)
 	refs := make([]stats.GammaParams, nres)
 	alphaMAD := make([]float64, nres)
 	betaMAD := make([]float64, nres)
@@ -173,7 +173,7 @@ func refDetectDirection(d *Detector, ix *trace.Index, config int, threshold floa
 		if dist <= threshold {
 			continue
 		}
-		for _, host := range group.TopHosts(bf.bin, d.TopHosts) {
+		for _, host := range group.TopHosts(bf.bin, topHosts) {
 			f := trace.NewFilter()
 			if dst {
 				f = f.WithDst(host)
@@ -271,7 +271,7 @@ func streamedSegments(t *testing.T) []*trace.Index {
 
 // edgeIndex returns a sparse 55 s day ending in a flood, plus a copy of its
 // last packet exactly on 60 s: a bin edge at every width these tests use
-// (0.25 s to 5 s), so PCA and KL clamp it alone into their last bin, outside
+// (0.5 s to 5 s), so PCA and KL clamp it alone into their last bin, outside
 // that bin's window, and Hough and Gamma give it their spare bin.
 func edgeIndex() *trace.Index {
 	cfg := mawigen.DefaultConfig(3001)
@@ -285,39 +285,31 @@ func edgeIndex() *trace.Index {
 }
 
 // TestPrepareDecideMatchesReference pins Prepare + Decide (and Detect, which
-// is the two in sequence) to the pre-split reference for every config, under
-// the default tunings and under thresholds in a different order with
-// different sketch parameters.
+// is the two in sequence) to the pre-split reference for every config.
 func TestPrepareDecideMatchesReference(t *testing.T) {
-	custom := New(11)
-	custom.Thresholds = [detectors.NumTunings]float64{12, 35, 20}
-	custom.Bins = 24
-	custom.TopHosts = 2
-	custom.Resolutions = []float64{0.25, 1}
+	d := New()
 	raised := 0
-	for di, d := range []*Detector{New(7), custom} {
-		for ti, ix := range append(diffIndexes(), append(streamedSegments(t), edgeIndex())...) {
-			p, err := d.Prepare(ix)
+	for ti, ix := range append(diffIndexes(), append(streamedSegments(t), edgeIndex())...) {
+		p, err := d.Prepare(ix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for c := 0; c < d.NumConfigs(); c++ {
+			want, err := refDetect(d, ix, c)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for c := 0; c < d.NumConfigs(); c++ {
-				want, err := refDetect(d, ix, c)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := p.Decide(c)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("detector %d trace %d config %d: Decide\n%v\nreference\n%v", di, ti, c, got, want)
-				}
-				if one, _ := d.Detect(ix, c); !reflect.DeepEqual(one, want) {
-					t.Fatalf("detector %d trace %d config %d: Detect differs from the reference", di, ti, c)
-				}
-				raised += len(want)
+			got, err := p.Decide(c)
+			if err != nil {
+				t.Fatal(err)
 			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("trace %d config %d: Decide\n%v\nreference\n%v", ti, c, got, want)
+			}
+			if one, _ := d.Detect(ix, c); !reflect.DeepEqual(one, want) {
+				t.Fatalf("trace %d config %d: Detect differs from the reference", ti, c)
+			}
+			raised += len(want)
 		}
 	}
 	if raised == 0 {

@@ -1,10 +1,7 @@
 package gammafit
 
 import (
-	"context"
-	"math"
 	"reflect"
-	"strings"
 	"testing"
 
 	"mawilab/internal/detectors"
@@ -24,7 +21,7 @@ func floodTrace(t *testing.T, seed int64) (*mawigen.Result, trace.IPv4, trace.IP
 
 func TestDetectFindsFloodEndpoints(t *testing.T) {
 	res, attacker, victim := floodTrace(t, 201)
-	d := New(7)
+	d := New()
 	alarms, err := d.Detect(trace.NewIndex(res.Trace), int(detectors.Optimal))
 	if err != nil {
 		t.Fatal(err)
@@ -47,7 +44,7 @@ func TestDetectFindsFloodEndpoints(t *testing.T) {
 
 func TestBothDirectionsAnalyzed(t *testing.T) {
 	res, _, _ := floodTrace(t, 203)
-	d := New(7)
+	d := New()
 	alarms, err := d.Detect(trace.NewIndex(res.Trace), int(detectors.Sensitive))
 	if err != nil {
 		t.Fatal(err)
@@ -70,7 +67,7 @@ func TestBothDirectionsAnalyzed(t *testing.T) {
 
 func TestSensitivityOrdering(t *testing.T) {
 	res, _, _ := floodTrace(t, 205)
-	d := New(7)
+	d := New()
 	sens, _ := d.Detect(trace.NewIndex(res.Trace), int(detectors.Sensitive))
 	cons, _ := d.Detect(trace.NewIndex(res.Trace), int(detectors.Conservative))
 	if len(sens) < len(cons) {
@@ -82,7 +79,7 @@ func TestQuietBackground(t *testing.T) {
 	cfg := mawigen.DefaultConfig(207)
 	cfg.BackgroundRate = 300
 	res := mawigen.Generate(cfg)
-	d := New(7)
+	d := New()
 	alarms, err := d.Detect(trace.NewIndex(res.Trace), int(detectors.Conservative))
 	if err != nil {
 		t.Fatal(err)
@@ -93,7 +90,7 @@ func TestQuietBackground(t *testing.T) {
 }
 
 func TestShortAndEmptyTraces(t *testing.T) {
-	d := New(7)
+	d := New()
 	if alarms, err := d.Detect(trace.NewIndex(&trace.Trace{}), 0); err != nil || len(alarms) != 0 {
 		t.Error("empty trace should be silent")
 	}
@@ -105,7 +102,7 @@ func TestShortAndEmptyTraces(t *testing.T) {
 }
 
 func TestConfigValidationAndIdentity(t *testing.T) {
-	d := New(7)
+	d := New()
 	if _, err := d.Detect(trace.NewIndex(&trace.Trace{}), 3); err == nil {
 		t.Error("bad config accepted")
 	}
@@ -145,7 +142,7 @@ func TestRobustScale(t *testing.T) {
 
 func TestDeterministic(t *testing.T) {
 	res, _, _ := floodTrace(t, 209)
-	d := New(7)
+	d := New()
 	a, _ := d.Detect(trace.NewIndex(res.Trace), 1)
 	b, _ := d.Detect(trace.NewIndex(res.Trace), 1)
 	if len(a) != len(b) {
@@ -154,41 +151,6 @@ func TestDeterministic(t *testing.T) {
 	for i := range a {
 		if a[i].String() != b[i].String() {
 			t.Fatal("nondeterministic alarm order")
-		}
-	}
-}
-
-// TestPrepareRejectsBadResolutions: empty Resolutions, or a first one of 0
-// or NaN, used to panic with an index out of range, and −1 or 1e-12 panicked
-// sizing the counts. Each is now an error naming the field, from Prepare,
-// Detect and DetectAllContext; the defaults stay valid.
-func TestPrepareRejectsBadResolutions(t *testing.T) {
-	res, _, _ := floodTrace(t, 201)
-	ix := trace.NewIndex(res.Trace)
-	for _, tc := range []struct {
-		res  []float64
-		want string // substring of the error; "" = valid
-	}{
-		{[]float64{0.5, 1, 2}, ""},
-		{nil, "Resolutions"},
-		{[]float64{0, 1}, "Resolutions[0]"},
-		{[]float64{math.NaN()}, "Resolutions[0]"},
-		{[]float64{-1, 1}, "Resolutions[0]"},
-		{[]float64{1e-12, 1}, "Resolutions[0]"},
-		{[]float64{0.5, math.Inf(1)}, "Resolutions[1]"},
-	} {
-		d := New(7)
-		d.Resolutions = tc.res
-		_, perr := d.Prepare(ix)
-		_, derr := d.Detect(ix, int(detectors.Optimal))
-		_, _, aerr := detectors.DetectAllContext(context.Background(), ix, []detectors.Detector{d}, 1)
-		for _, err := range []error{perr, derr, aerr} {
-			switch {
-			case tc.want == "" && err != nil:
-				t.Errorf("Resolutions %v rejected: %v", tc.res, err)
-			case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
-				t.Errorf("Resolutions %v: error = %v, want one naming %s", tc.res, err, tc.want)
-			}
 		}
 	}
 }

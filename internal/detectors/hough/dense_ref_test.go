@@ -30,11 +30,11 @@ func denseDetect(d *Detector, ix *trace.Index, config int) ([]core.Alarm, error)
 	if err := detectors.CheckConfig(d, config); err != nil {
 		return nil, err
 	}
-	cols := int(math.Ceil(ix.Duration()/d.TimeBin)) + 1
+	cols := int(math.Ceil(ix.Duration()/timeBin)) + 1
 	if ix.Len() == 0 || cols < 6 {
 		return nil, nil
 	}
-	tn := d.tunings[config]
+	tn := tunings[config]
 	var alarms []core.Alarm
 	alarms = append(alarms, densePlane(d, ix, config, tn, cols, true)...)
 	alarms = append(alarms, densePlane(d, ix, config, tn, cols, false)...)
@@ -43,7 +43,7 @@ func denseDetect(d *Detector, ix *trace.Index, config int) ([]core.Alarm, error)
 
 // densePlane is the pre-sparse detectPlane, unchanged.
 func densePlane(d *Detector, ix *trace.Index, config int, tn tuning, cols int, dstPlane bool) []core.Alarm {
-	sk := sketch.New(d.Rows, d.Seed^uint64(boolToInt(dstPlane))<<17)
+	sk := sketch.New(plotRows, detectors.Seed^uint64(boolToInt(dstPlane))<<17)
 	counts := make(map[cellKey]int)
 	cellFlows := make(map[cellKey]map[int32]int)
 	addrs := ix.Src
@@ -51,7 +51,7 @@ func densePlane(d *Detector, ix *trace.Index, config int, tn tuning, cols int, d
 		addrs = ix.Dst
 	}
 	for pi := 0; pi < ix.Len(); pi++ {
-		c := cellKey{x: int(ix.Seconds[pi] / d.TimeBin), y: sk.Bin(addrs[pi])}
+		c := cellKey{x: int(ix.Seconds[pi] / timeBin), y: sk.Bin(addrs[pi])}
 		counts[c]++
 		m := cellFlows[c]
 		if m == nil {
@@ -76,19 +76,19 @@ func densePlane(d *Detector, ix *trace.Index, config int, tn tuning, cols int, d
 		return on[i].y < on[j].y
 	})
 
-	diag := math.Hypot(float64(cols), float64(d.Rows))
+	diag := math.Hypot(float64(cols), float64(plotRows))
 	rhoBins := 2*int(diag) + 1
-	acc := make([][]int32, d.Angles)
-	sinT := make([]float64, d.Angles)
-	cosT := make([]float64, d.Angles)
-	for a := 0; a < d.Angles; a++ {
-		theta := math.Pi * float64(a) / float64(d.Angles)
+	acc := make([][]int32, numAngles)
+	sinT := make([]float64, numAngles)
+	cosT := make([]float64, numAngles)
+	for a := 0; a < numAngles; a++ {
+		theta := math.Pi * float64(a) / float64(numAngles)
 		sinT[a] = math.Sin(theta)
 		cosT[a] = math.Cos(theta)
 		acc[a] = make([]int32, rhoBins)
 	}
 	for _, c := range on {
-		for a := 0; a < d.Angles; a++ {
+		for a := 0; a < numAngles; a++ {
 			rho := float64(c.x)*cosT[a] + float64(c.y)*sinT[a]
 			rb := int(rho + diag)
 			if rb >= 0 && rb < rhoBins {
@@ -103,7 +103,7 @@ func densePlane(d *Detector, ix *trace.Index, config int, tn tuning, cols int, d
 		votes int32
 	}
 	var lines []line
-	for a := 0; a < d.Angles; a++ {
+	for a := 0; a < numAngles; a++ {
 		for rb := 0; rb < rhoBins; rb++ {
 			v := acc[a][rb]
 			if v < minVotes {
@@ -175,9 +175,9 @@ func densePlane(d *Detector, ix *trace.Index, config int, tn tuning, cols int, d
 			Score:    float64(ln.votes),
 			Note:     planeName(dstPlane) + " line",
 		}
-		from := float64(minX) * d.TimeBin
-		to := float64(maxX+1) * d.TimeBin
-		for _, host := range denseTopHosts(hostPkts, d.MaxFilters) {
+		from := float64(minX) * timeBin
+		to := float64(maxX+1) * timeBin
+		for _, host := range denseTopHosts(hostPkts, maxFilters) {
 			f := trace.NewFilter().WithInterval(from, to)
 			if dstPlane {
 				f = f.WithDst(host)
@@ -292,7 +292,7 @@ func streamedSegments(t *testing.T) []*trace.Index {
 
 // edgeIndex returns a sparse 55 s day ending in a flood, plus a copy of its
 // last packet exactly on 60 s: a bin edge at every width these tests use
-// (0.25 s to 5 s), so PCA and KL clamp it alone into their last bin, outside
+// (0.5 s to 5 s), so PCA and KL clamp it alone into their last bin, outside
 // that bin's window, and Hough and Gamma give it their spare bin.
 func edgeIndex() *trace.Index {
 	cfg := mawigen.DefaultConfig(2503)
@@ -310,9 +310,7 @@ func edgeIndex() *trace.Index {
 // Prepare answering every Decide, must both equal the dense alarms exactly.
 // Several seeds and anomaly mixes exercise empty planes, single lines,
 // overlapping lines, and the claimed-cell dedup between lines; an empty trace
-// and one below the minimum span exercise the unprepared plane; a second
-// detector has tunings whose cellMin is not the default order (and whose
-// loosest cellMin comes last), a different plot and fewer filters. Each
+// and one below the minimum span exercise the unprepared plane. Each
 // decision also reuses the scratch pool, so cross-call contamination would
 // surface as a mismatch too.
 func TestSparseMatchesDense(t *testing.T) {
@@ -341,47 +339,36 @@ func TestSparseMatchesDense(t *testing.T) {
 	indexes = append(indexes, streamedSegments(t)...)
 	indexes = append(indexes, edgeIndex())
 
-	custom := New(9)
-	custom.tunings = [detectors.NumTunings]tuning{
-		{cellMin: 5, voteShare: 0.25},
-		{cellMin: 3, voteShare: 0.40},
-		{cellMin: 2, voteShare: 0.15},
-	}
-	custom.Rows = 96
-	custom.Angles = 36
-	custom.MaxFilters = 4
-	custom.TimeBin = 1
-	for di, d := range []*Detector{New(5), custom} {
-		raised := 0
-		for ti, ix := range indexes {
-			p, err := d.Prepare(ix)
+	d := New()
+	raised := 0
+	for ti, ix := range indexes {
+		p, err := d.Prepare(ix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for cfgID := 0; cfgID < d.NumConfigs(); cfgID++ {
+			want, err := denseDetect(d, ix, cfgID)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for cfgID := 0; cfgID < d.NumConfigs(); cfgID++ {
-				want, err := denseDetect(d, ix, cfgID)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := d.Detect(ix, cfgID)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("detector %d trace %d config %d: Detect\n%v\ndense\n%v", di, ti, cfgID, got, want)
-				}
-				decided, err := p.Decide(cfgID)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(decided, want) {
-					t.Fatalf("detector %d trace %d config %d: Decide\n%v\ndense\n%v", di, ti, cfgID, decided, want)
-				}
-				raised += len(want)
+			got, err := d.Detect(ix, cfgID)
+			if err != nil {
+				t.Fatal(err)
 			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("trace %d config %d: Detect\n%v\ndense\n%v", ti, cfgID, got, want)
+			}
+			decided, err := p.Decide(cfgID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(decided, want) {
+				t.Fatalf("trace %d config %d: Decide\n%v\ndense\n%v", ti, cfgID, decided, want)
+			}
+			raised += len(want)
 		}
-		if raised == 0 {
-			t.Fatalf("detector %d: the corpus raised no alarm: the comparison is vacuous", di)
-		}
+	}
+	if raised == 0 {
+		t.Fatal("the corpus raised no alarm: the comparison is vacuous")
 	}
 }

@@ -24,44 +24,34 @@ import (
 	"mawilab/internal/trace"
 )
 
-// Detector is the Hough-transform detector.
-type Detector struct {
-	// TimeBin is the plot's time quantum in seconds, positive and finite.
-	TimeBin float64
-	// Rows is the address-bucket resolution of the plot.
-	Rows int
-	// Angles is the θ quantization of the Hough accumulator.
-	Angles int
-	// MaxFilters caps the flows reported per detected line.
-	MaxFilters int
-	// Seed derives the address-bucket hash.
-	Seed uint64
-	// tunings holds per-configuration (cell activation threshold, minimum
-	// line votes as a fraction of the time extent).
-	tunings [detectors.NumTunings]tuning
-}
+// Detector is the Hough-transform detector. It has no settings: its
+// parameters are package constants, its configurations the three rows of a
+// fixed table.
+type Detector struct{}
+
+// The detector's parameters, fixed for every tuning.
+const (
+	timeBin    = 0.5 // the plot's time quantum, seconds
+	plotRows   = 128 // address-bucket resolution of the plot
+	numAngles  = 48  // θ quantization of the Hough accumulator
+	maxFilters = 10  // flows reported per detected line, at most
+)
 
 type tuning struct {
 	cellMin   int     // packets for a cell to switch "on"
 	voteShare float64 // accumulator peak threshold, fraction of time bins
 }
 
-// New returns the detector with defaults calibrated for the synthetic MAWI
-// archive.
-func New(seed uint64) *Detector {
-	return &Detector{
-		TimeBin:    0.5,
-		Rows:       128,
-		Angles:     48,
-		MaxFilters: 10,
-		Seed:       seed,
-		tunings: [detectors.NumTunings]tuning{
-			detectors.Optimal:      {cellMin: 3, voteShare: 0.30},
-			detectors.Sensitive:    {cellMin: 2, voteShare: 0.20},
-			detectors.Conservative: {cellMin: 4, voteShare: 0.45},
-		},
-	}
+// tunings holds the per-configuration (cell activation threshold, minimum
+// line votes as a fraction of the time extent).
+var tunings = [detectors.NumTunings]tuning{
+	detectors.Optimal:      {cellMin: 3, voteShare: 0.30},
+	detectors.Sensitive:    {cellMin: 2, voteShare: 0.20},
+	detectors.Conservative: {cellMin: 4, voteShare: 0.45},
 }
+
+// New returns the detector.
+func New() *Detector { return &Detector{} }
 
 // Name implements detectors.Detector.
 func (d *Detector) Name() string { return "hough" }
@@ -71,14 +61,7 @@ func (d *Detector) NumConfigs() int { return int(detectors.NumTunings) }
 
 // Detect implements detectors.Detector: one Prepare, one Decide.
 func (d *Detector) Detect(ix *trace.Index, config int) ([]core.Alarm, error) {
-	if err := detectors.CheckConfig(d, config); err != nil {
-		return nil, err
-	}
-	p, err := d.Prepare(ix)
-	if err != nil {
-		return nil, err
-	}
-	return p.Decide(config)
+	return detectors.Detect(d, ix, config)
 }
 
 // prepared is the tuning-independent rasterization of one index: the two
@@ -122,9 +105,9 @@ type line struct {
 // strictest cellMin to the loosest serves every tuning's peak search. What
 // is left to a configuration is claiming the cells under its lines.
 func (d *Detector) Prepare(ix *trace.Index) (detectors.Prepared, error) {
-	ax, err := trace.NewTimeAxis(ix, d.TimeBin)
+	ax, err := trace.NewTimeAxis(ix, timeBin)
 	if err != nil {
-		return nil, fmt.Errorf("hough: TimeBin: %w", err)
+		return nil, fmt.Errorf("hough: %v s bins: %w", timeBin, err)
 	}
 	ax.Bins++ // one spare column past the last packet's, kept for byte identity
 	p := &prepared{d: d, ax: ax}
@@ -132,20 +115,20 @@ func (d *Detector) Prepare(ix *trace.Index) (detectors.Prepared, error) {
 		return p, nil
 	}
 	// Hough accumulator over (θ, ρ), ρ resolution = 1 cell.
-	p.diag = math.Hypot(float64(ax.Bins), float64(d.Rows))
+	p.diag = math.Hypot(float64(ax.Bins), float64(plotRows))
 	p.rhoBins = 2*int(p.diag) + 1
-	p.sinT = make([]float64, d.Angles)
-	p.cosT = make([]float64, d.Angles)
+	p.sinT = make([]float64, numAngles)
+	p.cosT = make([]float64, numAngles)
 	for a := range p.sinT {
-		theta := math.Pi * float64(a) / float64(d.Angles)
+		theta := math.Pi * float64(a) / float64(numAngles)
 		p.sinT[a] = math.Sin(theta)
 		p.cosT[a] = math.Cos(theta)
 	}
-	cellMin := d.tunings[0].cellMin
-	for _, tn := range d.tunings[1:] {
+	cellMin := tunings[0].cellMin
+	for _, tn := range tunings[1:] {
 		cellMin = min(cellMin, tn.cellMin)
 	}
-	p.planes = []plane{d.rasterize(ix, ax, cellMin, true), d.rasterize(ix, ax, cellMin, false)}
+	p.planes = []plane{rasterize(ix, ax, cellMin, true), rasterize(ix, ax, cellMin, false)}
 	for i := range p.planes {
 		p.findLines(&p.planes[i])
 	}
@@ -154,21 +137,21 @@ func (d *Detector) Prepare(ix *trace.Index) (detectors.Prepared, error) {
 
 // rasterize builds one plane. Timestamps are sorted, so the time coordinate
 // x = ax.Bin(Seconds) is non-decreasing: each x-stripe is one contiguous
-// packet range. One Rows-sized counter array serves every stripe in turn;
+// packet range. One plotRows-sized counter array serves every stripe in turn;
 // flushing a stripe emits its cells holding at least cellMin packets —
 // already in (x, y) order — and deals the stripe's packets out to them, so
 // every address is hashed exactly once and a line later reads a cell's
 // packets as one contiguous run.
-func (d *Detector) rasterize(ix *trace.Index, ax trace.TimeAxis, cellMin int, dstPlane bool) plane {
-	sk := sketch.New(d.Rows, d.Seed^uint64(boolToInt(dstPlane))<<17)
+func rasterize(ix *trace.Index, ax trace.TimeAxis, cellMin int, dstPlane bool) plane {
+	sk := sketch.New(plotRows, detectors.Seed^uint64(boolToInt(dstPlane))<<17)
 	addrs := ix.Src
 	if dstPlane {
 		addrs = ix.Dst
 	}
 	pl := plane{dst: dstPlane, pkts: make([]uint64, 0, len(addrs))}
-	rowCnt := make([]int32, d.Rows)
-	next := make([]int32, d.Rows) // per row, where its cell's next packet goes; -1 = cell off
-	var rows []int32              // the current stripe's packets' rows
+	rowCnt := make([]int32, plotRows)
+	next := make([]int32, plotRows) // per row, where its cell's next packet goes; -1 = cell off
+	var rows []int32                // the current stripe's packets' rows
 	flush := func(x, end int) {
 		for y, c := range rowCnt {
 			next[y] = -1
@@ -250,17 +233,16 @@ func grow[T any](s *[]T, n int) []T {
 // This is the sparse formulation: identical output to the dense
 // map-rasterized reference (kept verbatim in the package tests and pinned
 // by randomized equality tests across all tunings), without the per-packet
-// map work or the dense Angles×rhoBins accumulator sweep. The accumulator
+// map work or the dense numAngles×rhoBins accumulator sweep. The accumulator
 // is flat, with a per-angle touched set so peak finding and the reset walk
 // only nonzero ρ bins (acc itself stays dense so the local-max neighbourhood
 // test reads it directly).
 func (p *prepared) findLines(pl *plane) {
-	d := p.d
 	sc := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)
 	diag, rhoBins, sinT, cosT := p.diag, p.rhoBins, p.sinT, p.cosT
-	acc := grow(&sc.acc, d.Angles*rhoBins)
-	touched := growLists(&sc.touched, d.Angles)
+	acc := grow(&sc.acc, numAngles*rhoBins)
+	touched := growLists(&sc.touched, numAngles)
 
 	// Tunings from the strictest cellMin to the loosest: each one adds the
 	// cells it switches on beyond those already voted, so every cell votes
@@ -271,11 +253,11 @@ func (p *prepared) findLines(pl *plane) {
 		order[c] = c
 	}
 	sort.SliceStable(order[:], func(i, j int) bool {
-		return d.tunings[order[i]].cellMin > d.tunings[order[j]].cellMin
+		return tunings[order[i]].cellMin > tunings[order[j]].cellMin
 	})
 	voted := math.MaxInt // cells holding at least this many packets have voted
 	for _, config := range order {
-		tn := d.tunings[config]
+		tn := tunings[config]
 		for _, c := range pl.cells {
 			if n := int(c.n); n < tn.cellMin || n >= voted {
 				continue
@@ -297,7 +279,7 @@ func (p *prepared) findLines(pl *plane) {
 
 		minVotes := int32(math.Max(4, tn.voteShare*float64(p.ax.Bins)))
 		var lines []line
-		for a := 0; a < d.Angles; a++ {
+		for a := 0; a < numAngles; a++ {
 			for _, rb32 := range touched[a] {
 				rb := int(rb32)
 				v := acc[a*rhoBins+rb]
@@ -310,7 +292,7 @@ func (p *prepared) findLines(pl *plane) {
 				// (votes, a, rb) sort below is a total order over distinct
 				// (a, rb), so the collection order never shows in the
 				// output.
-				if isLocalMax(acc, d.Angles, rhoBins, a, rb, v) {
+				if isLocalMax(acc, numAngles, rhoBins, a, rb, v) {
 					lines = append(lines, line{a, rb, v})
 				}
 			}
@@ -352,7 +334,7 @@ func (p *prepared) decidePlane(pl *plane, config int) []core.Alarm {
 	// The cells this tuning switches on, as indices into pl.cells.
 	on := sc.on[:0]
 	for ci, c := range pl.cells {
-		if int(c.n) >= d.tunings[config].cellMin {
+		if int(c.n) >= tunings[config].cellMin {
 			on = append(on, int32(ci))
 		}
 	}
@@ -403,7 +385,7 @@ func (p *prepared) decidePlane(pl *plane, config int) []core.Alarm {
 			Note:     planeName(pl.dst) + " line",
 		}
 		from, to := p.ax.Interval(minX, maxX)
-		for _, host := range sketch.TopHosts(hosts, d.MaxFilters) {
+		for _, host := range sketch.TopHosts(hosts, maxFilters) {
 			f := trace.NewFilter().WithInterval(from, to)
 			if pl.dst {
 				f = f.WithDst(host)
@@ -476,7 +458,7 @@ func planeName(dst bool) string {
 
 // isLocalMax reports whether the accumulator value at (a, rb) is maximal
 // over a 3×5 neighbourhood (ties resolved toward the smaller index so one
-// cell wins). acc is the flat Angles×rhoBins accumulator.
+// cell wins). acc is the flat numAngles×rhoBins accumulator.
 func isLocalMax(acc []int32, angles, rhoBins, a, rb int, v int32) bool {
 	for da := -1; da <= 1; da++ {
 		na := a + da

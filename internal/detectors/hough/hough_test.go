@@ -1,9 +1,6 @@
 package hough
 
 import (
-	"context"
-	"math"
-	"strings"
 	"testing"
 
 	"mawilab/internal/detectors"
@@ -24,7 +21,7 @@ func TestDetectFindsScanLine(t *testing.T) {
 	// A steady port scan draws a line in the (time, src-bucket) plane:
 	// the scanner's bucket is lit for 25 consecutive seconds.
 	res, scanner := scanTrace(t, 301)
-	d := New(5)
+	d := New()
 	alarms, err := d.Detect(trace.NewIndex(res.Trace), int(detectors.Optimal))
 	if err != nil {
 		t.Fatal(err)
@@ -51,7 +48,7 @@ func TestDetectFloodLine(t *testing.T) {
 	cfg.Anomalies = []mawigen.Spec{{Kind: mawigen.KindICMPFlood, Start: 15, Duration: 20, Rate: 200}}
 	res := mawigen.Generate(cfg)
 	victim := *res.Truth[0].Filters[0].Dst
-	d := New(5)
+	d := New()
 	alarms, err := d.Detect(trace.NewIndex(res.Trace), int(detectors.Optimal))
 	if err != nil {
 		t.Fatal(err)
@@ -71,7 +68,7 @@ func TestDetectFloodLine(t *testing.T) {
 
 func TestAlarmsAreFlowAggregates(t *testing.T) {
 	res, _ := scanTrace(t, 305)
-	d := New(5)
+	d := New()
 	alarms, err := d.Detect(trace.NewIndex(res.Trace), int(detectors.Optimal))
 	if err != nil {
 		t.Fatal(err)
@@ -80,8 +77,8 @@ func TestAlarmsAreFlowAggregates(t *testing.T) {
 		if len(a.Filters) == 0 {
 			t.Fatal("alarm with no flow filters")
 		}
-		if len(a.Filters) > d.MaxFilters {
-			t.Fatalf("alarm with %d filters exceeds cap %d", len(a.Filters), d.MaxFilters)
+		if len(a.Filters) > maxFilters {
+			t.Fatalf("alarm with %d filters exceeds cap %d", len(a.Filters), maxFilters)
 		}
 		for _, f := range a.Filters {
 			// Aggregated-flow filters pin the plane host and the interval.
@@ -94,7 +91,7 @@ func TestAlarmsAreFlowAggregates(t *testing.T) {
 
 func TestSensitivityOrdering(t *testing.T) {
 	res, _ := scanTrace(t, 307)
-	d := New(5)
+	d := New()
 	sens, _ := d.Detect(trace.NewIndex(res.Trace), int(detectors.Sensitive))
 	cons, _ := d.Detect(trace.NewIndex(res.Trace), int(detectors.Conservative))
 	if len(sens) < len(cons) {
@@ -106,7 +103,7 @@ func TestQuietBackground(t *testing.T) {
 	cfg := mawigen.DefaultConfig(309)
 	cfg.BackgroundRate = 250
 	res := mawigen.Generate(cfg)
-	d := New(5)
+	d := New()
 	alarms, err := d.Detect(trace.NewIndex(res.Trace), int(detectors.Conservative))
 	if err != nil {
 		t.Fatal(err)
@@ -117,7 +114,7 @@ func TestQuietBackground(t *testing.T) {
 }
 
 func TestShortEmptyAndConfig(t *testing.T) {
-	d := New(5)
+	d := New()
 	if alarms, err := d.Detect(trace.NewIndex(&trace.Trace{}), 0); err != nil || len(alarms) != 0 {
 		t.Error("empty trace should be silent")
 	}
@@ -131,7 +128,7 @@ func TestShortEmptyAndConfig(t *testing.T) {
 
 func TestDeterministic(t *testing.T) {
 	res, _ := scanTrace(t, 311)
-	d := New(5)
+	d := New()
 	a, _ := d.Detect(trace.NewIndex(res.Trace), 0)
 	b, _ := d.Detect(trace.NewIndex(res.Trace), 0)
 	if len(a) != len(b) {
@@ -163,25 +160,5 @@ func TestIsLocalMax(t *testing.T) {
 	}
 	if isLocalMax(tie, 1, 2, 0, 1, 5) {
 		t.Error("second of tie should lose")
-	}
-}
-
-// TestPrepareRejectsBadTimeBin: a TimeBin of 0, NaN, +Inf or −1 used to
-// return no alarms and no error, and 1e-12 panicked sizing the plot. Each is
-// now an error naming the field, from Prepare, Detect and DetectAllContext.
-func TestPrepareRejectsBadTimeBin(t *testing.T) {
-	res, _ := scanTrace(t, 301)
-	ix := trace.NewIndex(res.Trace)
-	for _, bin := range []float64{0, math.NaN(), math.Inf(1), -1, 1e-12} {
-		d := New(5)
-		d.TimeBin = bin
-		_, perr := d.Prepare(ix)
-		_, derr := d.Detect(ix, int(detectors.Optimal))
-		_, _, aerr := detectors.DetectAllContext(context.Background(), ix, []detectors.Detector{d}, 1)
-		for _, err := range []error{perr, derr, aerr} {
-			if err == nil || !strings.Contains(err.Error(), "TimeBin") {
-				t.Errorf("TimeBin %v: error = %v, want one naming TimeBin", bin, err)
-			}
-		}
 	}
 }

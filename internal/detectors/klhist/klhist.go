@@ -53,33 +53,28 @@ func (f Feature) String() string {
 	}
 }
 
-// Detector is the KL-divergence histogram detector.
-type Detector struct {
-	// TimeBin is the histogram interval in seconds, positive and finite.
-	TimeBin float64
-	// RuleSupport is Apriori's minimum support for anomaly extraction.
-	RuleSupport float64
-	// MaxRulesPerBin caps the alarms from one anomalous bin.
-	MaxRulesPerBin int
-	// Thresholds holds the per-configuration robust z threshold on the KL
-	// series; index with detectors.Optimal/Sensitive/Conservative.
-	Thresholds [detectors.NumTunings]float64
+// Detector is the KL-divergence histogram detector. It has no settings: its
+// parameters are package constants, its configurations three fixed
+// thresholds.
+type Detector struct{}
+
+// The detector's parameters, fixed for every tuning.
+const (
+	timeBin        = 5.0  // histogram interval, seconds
+	ruleSupport    = 0.15 // Apriori's minimum support for anomaly extraction
+	maxRulesPerBin = 8    // alarms from one anomalous bin, at most
+)
+
+// thresholds holds the per-configuration robust z threshold on the KL
+// series; index with detectors.Optimal/Sensitive/Conservative.
+var thresholds = [detectors.NumTunings]float64{
+	detectors.Optimal:      9,
+	detectors.Sensitive:    6,
+	detectors.Conservative: 16,
 }
 
-// New returns the detector with defaults calibrated for the synthetic MAWI
-// archive.
-func New() *Detector {
-	return &Detector{
-		TimeBin:        5,
-		RuleSupport:    0.15,
-		MaxRulesPerBin: 8,
-		Thresholds: [detectors.NumTunings]float64{
-			detectors.Optimal:      9,
-			detectors.Sensitive:    6,
-			detectors.Conservative: 16,
-		},
-	}
-}
+// New returns the detector.
+func New() *Detector { return &Detector{} }
 
 // Name implements detectors.Detector.
 func (d *Detector) Name() string { return "kl" }
@@ -89,14 +84,7 @@ func (d *Detector) NumConfigs() int { return int(detectors.NumTunings) }
 
 // Detect implements detectors.Detector: one Prepare, one Decide.
 func (d *Detector) Detect(ix *trace.Index, config int) ([]core.Alarm, error) {
-	if err := detectors.CheckConfig(d, config); err != nil {
-		return nil, err
-	}
-	p, err := d.Prepare(ix)
-	if err != nil {
-		return nil, err
-	}
-	return p.Decide(config)
+	return detectors.Detect(d, ix, config)
 }
 
 // prepared is the threshold-independent analysis of one index: every time
@@ -114,19 +102,7 @@ type prepared struct {
 type changedBin struct {
 	z        float64
 	from, to float64
-	rules    []apriori.Rule // maximal, capped at MaxRulesPerBin
-}
-
-// validate rejects a configuration that could only panic or mine nothing
-// without a word, naming the field at fault; NewTimeAxis checks TimeBin.
-func (d *Detector) validate() error {
-	switch {
-	case !(d.RuleSupport > 0 && d.RuleSupport <= 1):
-		return fmt.Errorf("kl: RuleSupport must be in (0,1], got %v", d.RuleSupport)
-	case d.MaxRulesPerBin < 0:
-		return fmt.Errorf("kl: MaxRulesPerBin must not be negative, got %d", d.MaxRulesPerBin)
-	}
-	return nil
+	rules    []apriori.Rule // maximal, capped at maxRulesPerBin
 }
 
 // Prepare implements detectors.Preparer: the per-(feature, bin) histograms,
@@ -134,12 +110,9 @@ func (d *Detector) validate() error {
 // of every bin the loosest threshold flags. A configuration is one threshold
 // on a bin's largest z.
 func (d *Detector) Prepare(ix *trace.Index) (detectors.Prepared, error) {
-	if err := d.validate(); err != nil {
-		return nil, err
-	}
-	ax, err := trace.NewTimeAxis(ix, d.TimeBin)
+	ax, err := trace.NewTimeAxis(ix, timeBin)
 	if err != nil {
-		return nil, fmt.Errorf("kl: TimeBin: %w", err)
+		return nil, fmt.Errorf("kl: %v s bins: %w", timeBin, err)
 	}
 	p := &prepared{d: d}
 	if ix.Len() == 0 || ax.Bins < 4 {
@@ -167,12 +140,10 @@ func (d *Detector) Prepare(ix *trace.Index) (detectors.Prepared, error) {
 		}
 	}
 
-	// The flag test stays the reference's "z > threshold", negated, here
-	// and in Decide: a NaN threshold then flags nothing, as it always did.
-	loosest := slices.Min(d.Thresholds[:])
+	loosest := slices.Min(thresholds[:])
 	var txs []apriori.Transaction // one packet's transaction is its flow's; reused across bins
 	for b, z := range maxZ {
-		if !(z > loosest) {
+		if z <= loosest {
 			continue
 		}
 		from, to := ax.Interval(b, b)
@@ -181,9 +152,9 @@ func (d *Detector) Prepare(ix *trace.Index) (detectors.Prepared, error) {
 		for pi := lo; pi < hi; pi++ {
 			txs = append(txs, apriori.FromFlow(ix.Flow(int(ix.FlowIDOf(pi)))))
 		}
-		rules := apriori.Maximal(apriori.Mine(txs, d.RuleSupport))
-		if len(rules) > d.MaxRulesPerBin {
-			rules = rules[:d.MaxRulesPerBin]
+		rules := apriori.Maximal(apriori.Mine(txs, ruleSupport))
+		if len(rules) > maxRulesPerBin {
+			rules = rules[:maxRulesPerBin]
 		}
 		p.bins = append(p.bins, changedBin{z: z, from: from, to: to, rules: rules})
 	}
@@ -196,10 +167,10 @@ func (p *prepared) Decide(config int) ([]core.Alarm, error) {
 	if err := detectors.CheckConfig(d, config); err != nil {
 		return nil, err
 	}
-	threshold := d.Thresholds[config]
+	threshold := thresholds[config]
 	var alarms []core.Alarm
 	for _, b := range p.bins {
-		if !(b.z > threshold) {
+		if b.z <= threshold {
 			continue
 		}
 		for _, rule := range b.rules {

@@ -3,9 +3,9 @@ package klhist
 // This file keeps the pre-split, per-configuration Detect verbatim as the
 // reference implementation — 4×bins stats.Histogram maps, the four KL series
 // and the rule mining redone for every config — and pins Prepare + Decide to
-// it: on randomized traces, for every config and for thresholds in a
-// different order, the two must emit reflect.DeepEqual alarms. The KL sums
-// are compared bit for bit through the alarms they select.
+// it: on randomized traces, for every config, the two must emit
+// reflect.DeepEqual alarms. The KL sums are compared bit for bit through the
+// alarms they select.
 
 import (
 	"context"
@@ -29,11 +29,11 @@ func refDetect(d *Detector, ix *trace.Index, config int) ([]core.Alarm, error) {
 	if err := detectors.CheckConfig(d, config); err != nil {
 		return nil, err
 	}
-	bins := int(math.Ceil(ix.Duration() / d.TimeBin))
+	bins := int(math.Ceil(ix.Duration() / timeBin))
 	if ix.Len() == 0 || bins < 4 {
 		return nil, nil
 	}
-	threshold := d.Thresholds[config]
+	threshold := thresholds[config]
 
 	// Build per-bin histograms for each feature from the index columns.
 	hists := make([][]*stats.Histogram, numFeatures)
@@ -44,7 +44,7 @@ func refDetect(d *Detector, ix *trace.Index, config int) ([]core.Alarm, error) {
 		}
 	}
 	for pi := 0; pi < ix.Len(); pi++ {
-		b := int(ix.Seconds[pi] / d.TimeBin)
+		b := int(ix.Seconds[pi] / timeBin)
 		if b >= bins {
 			b = bins - 1
 		}
@@ -88,17 +88,17 @@ func refDetect(d *Detector, ix *trace.Index, config int) ([]core.Alarm, error) {
 
 	var alarms []core.Alarm
 	for _, b := range binIDs {
-		from := float64(b) * d.TimeBin
-		to := from + d.TimeBin
+		from := float64(b) * timeBin
+		to := from + timeBin
 		lo, hi := ix.Window(from, to)
 		txs := make([]apriori.Transaction, 0, hi-lo)
 		for pi := lo; pi < hi; pi++ {
 			p := ix.PacketAt(pi)
 			txs = append(txs, apriori.FromFlow(p.Flow()))
 		}
-		rules := apriori.Maximal(apriori.Mine(txs, d.RuleSupport))
-		if len(rules) > d.MaxRulesPerBin {
-			rules = rules[:d.MaxRulesPerBin]
+		rules := apriori.Maximal(apriori.Mine(txs, ruleSupport))
+		if len(rules) > maxRulesPerBin {
+			rules = rules[:maxRulesPerBin]
 		}
 		for _, rule := range rules {
 			if rule.Degree() == 0 {
@@ -175,7 +175,7 @@ func streamedSegments(t *testing.T) []*trace.Index {
 
 // edgeIndex returns a sparse 55 s day ending in a flood, plus a copy of its
 // last packet exactly on 60 s: a bin edge at every width these tests use
-// (0.25 s to 5 s), so PCA and KL clamp it alone into their last bin, outside
+// (0.5 s to 5 s), so PCA and KL clamp it alone into their last bin, outside
 // that bin's window, and Hough and Gamma give it their spare bin.
 func edgeIndex() *trace.Index {
 	cfg := mawigen.DefaultConfig(2411)
@@ -188,64 +188,38 @@ func edgeIndex() *trace.Index {
 	return trace.NewIndex(tr)
 }
 
-// binEnds rewrites each alarm's interval end from the reference's b·w + w to
-// (b+1)·w, the start of the next bin. The two are the same float at every
-// width exact in binary (5 s, 3 s); at 0.3 s they differ by an ulp for about
-// a third of the bins, and that end is the only part of an alarm allowed to
-// move.
-func binEnds(alarms []core.Alarm, w float64) []core.Alarm {
-	for _, a := range alarms {
-		for i := range a.Filters {
-			a.Filters[i].To = (math.Round(a.Filters[i].From/w) + 1) * w
-		}
-	}
-	return alarms
-}
-
 // TestPrepareDecideMatchesReference pins Prepare + Decide (and Detect, which
-// is the two in sequence) to the pre-split reference for every config, under
-// the default tunings and under Thresholds{9, 16, 6} — the loosest threshold
-// last, so the mined-bin superset cannot rely on where Optimal sits — with a
-// different time bin and rule cap, and at a time bin not exact in binary.
+// is the two in sequence) to the pre-split reference for every config.
 func TestPrepareDecideMatchesReference(t *testing.T) {
-	custom := New()
-	custom.Thresholds = [detectors.NumTunings]float64{9, 16, 6}
-	custom.TimeBin = 3
-	custom.MaxRulesPerBin = 2
-	custom.RuleSupport = 0.1
-	nondyadic := New()
-	nondyadic.TimeBin = 0.3
-	for di, d := range []*Detector{New(), custom, nondyadic} {
-		raised := [detectors.NumTunings]int{}
-		for ti, ix := range append(diffIndexes(), append(streamedSegments(t), edgeIndex())...) {
-			p, err := d.Prepare(ix)
+	d := New()
+	raised := [detectors.NumTunings]int{}
+	for ti, ix := range append(diffIndexes(), append(streamedSegments(t), edgeIndex())...) {
+		p, err := d.Prepare(ix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for c := 0; c < d.NumConfigs(); c++ {
+			want, err := refDetect(d, ix, c)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for c := 0; c < d.NumConfigs(); c++ {
-				want, err := refDetect(d, ix, c)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want = binEnds(want, d.TimeBin)
-				got, err := p.Decide(c)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("detector %d trace %d config %d: Decide\n%v\nreference\n%v", di, ti, c, got, want)
-				}
-				if one, _ := d.Detect(ix, c); !reflect.DeepEqual(one, want) {
-					t.Fatalf("detector %d trace %d config %d: Detect differs from the reference", di, ti, c)
-				}
-				raised[c] += len(want)
+			got, err := p.Decide(c)
+			if err != nil {
+				t.Fatal(err)
 			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("trace %d config %d: Decide\n%v\nreference\n%v", ti, c, got, want)
+			}
+			if one, _ := d.Detect(ix, c); !reflect.DeepEqual(one, want) {
+				t.Fatalf("trace %d config %d: Detect differs from the reference", ti, c)
+			}
+			raised[c] += len(want)
 		}
-		// The configs must disagree somewhere, or the per-config filter was
-		// never exercised.
-		if raised[0] == 0 || raised[0] == raised[1] || raised[0] == raised[2] {
-			t.Fatalf("detector %d: alarms per config %v do not separate the thresholds", di, raised)
-		}
+	}
+	// The configs must disagree somewhere, or the per-config filter was
+	// never exercised.
+	if raised[0] == 0 || raised[0] == raised[1] || raised[0] == raised[2] {
+		t.Fatalf("alarms per config %v do not separate the thresholds", raised)
 	}
 }
 

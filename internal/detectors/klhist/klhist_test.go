@@ -1,8 +1,6 @@
 package klhist
 
 import (
-	"context"
-	"math"
 	"strings"
 	"testing"
 
@@ -134,50 +132,5 @@ func TestDeterministic(t *testing.T) {
 		if a[i].String() != b[i].String() {
 			t.Fatal("nondeterministic alarms")
 		}
-	}
-}
-
-// TestPrepareRejectsMisconfiguration: every field Prepare used to trust now
-// fails by name — from Prepare, Detect and DetectAllContext alike — on a
-// trace whose flood onset flags bins (so a negative MaxRulesPerBin would reach
-// its slice expression). The defaults stay valid.
-func TestPrepareRejectsMisconfiguration(t *testing.T) {
-	res, _ := onsetTrace(t, 401)
-	ix := trace.NewIndex(res.Trace)
-	cases := []struct {
-		name   string
-		mutate func(*Detector)
-		want   string // substring of the error; "" = valid
-	}{
-		{"defaults", func(*Detector) {}, ""},
-		{"support of exactly one", func(d *Detector) { d.RuleSupport = 1 }, ""},
-		{"no rule cap room", func(d *Detector) { d.MaxRulesPerBin = 0 }, ""},
-		{"negative rule cap", func(d *Detector) { d.MaxRulesPerBin = -1 }, "MaxRulesPerBin"},
-		{"zero time bin", func(d *Detector) { d.TimeBin = 0 }, "TimeBin"},
-		{"negative time bin", func(d *Detector) { d.TimeBin = -5 }, "TimeBin"},
-		{"NaN time bin", func(d *Detector) { d.TimeBin = math.NaN() }, "TimeBin"},
-		{"infinite time bin", func(d *Detector) { d.TimeBin = math.Inf(1) }, "TimeBin"},
-		{"nanosecond time bin", func(d *Detector) { d.TimeBin = 1e-9 }, "TimeBin"},
-		{"zero support", func(d *Detector) { d.RuleSupport = 0 }, "RuleSupport"},
-		{"negative support", func(d *Detector) { d.RuleSupport = -0.15 }, "RuleSupport"},
-		{"support above one", func(d *Detector) { d.RuleSupport = 15 }, "RuleSupport"},
-		{"NaN support", func(d *Detector) { d.RuleSupport = math.NaN() }, "RuleSupport"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			d := New()
-			tc.mutate(d)
-			_, perr := d.Prepare(ix)
-			_, derr := d.Detect(ix, int(detectors.Sensitive))
-			_, _, aerr := detectors.DetectAllContext(context.Background(), ix, []detectors.Detector{d}, 1)
-			for _, err := range []error{perr, derr, aerr} {
-				switch {
-				case tc.want == "" && err != nil:
-					t.Errorf("valid configuration rejected: %v", err)
-				case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
-					t.Errorf("error = %v, want one naming %s", err, tc.want)
-				}
-			}
-		})
 	}
 }

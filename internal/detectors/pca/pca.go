@@ -24,51 +24,38 @@ import (
 	"mawilab/internal/trace"
 )
 
-// Detector is the sketch+PCA detector. The zero value is not usable; call
-// New. Prepare (and so Detect) rejects a field outside its stated range.
-type Detector struct {
-	// TimeBin is the aggregation interval in seconds, positive and finite.
-	TimeBin float64
-	// Bins is the sketch width (buckets per sketch), 1 to 65536.
-	Bins int
-	// Sketches is the number of independent sketches, at least 1.
-	Sketches int
-	// MinAgree is how many sketches must implicate a host before it is
-	// reported, 1 to Sketches.
-	MinAgree int
-	// Seed derives the sketch hash seeds.
-	Seed uint64
-	// Tunings holds the per-configuration (subspace size, threshold)
-	// pairs; index with detectors.Optimal/Sensitive/Conservative.
-	Tunings [detectors.NumTunings]Tuning
+// Detector is the sketch+PCA detector. It has no settings: its parameters
+// are package constants, its configurations the three rows of a fixed table.
+type Detector struct{}
+
+// The detector's parameters, fixed for every tuning.
+const (
+	timeBin     = 1.0 // aggregation interval, seconds
+	sketchWidth = 32  // buckets per sketch
+	numSketches = 4   // independent sketches
+	minAgree    = 3   // sketches that must implicate a host before it is reported
+)
+
+// tuning is one PCA parameter set.
+type tuning struct {
+	// subspace is the number of principal components spanning the normal
+	// subspace.
+	subspace int
+	// sigma is the residual threshold in robust standard deviations
+	// (median + sigma·1.4826·MAD).
+	sigma float64
 }
 
-// Tuning is one PCA parameter set.
-type Tuning struct {
-	// Subspace is the number of principal components spanning the normal
-	// subspace, not negative (0 thresholds the standardized counts
-	// themselves; more than Bins means all of them).
-	Subspace int
-	// Sigma is the residual threshold in robust standard deviations
-	// (median + Sigma·1.4826·MAD), finite.
-	Sigma float64
+// tunings holds the per-configuration parameter sets; index with
+// detectors.Optimal/Sensitive/Conservative.
+var tunings = [detectors.NumTunings]tuning{
+	detectors.Optimal:      {subspace: 3, sigma: 4.0},
+	detectors.Sensitive:    {subspace: 2, sigma: 3.0},
+	detectors.Conservative: {subspace: 4, sigma: 5.0},
 }
 
-// New returns the detector with the paper-calibrated defaults.
-func New(seed uint64) *Detector {
-	return &Detector{
-		TimeBin:  1.0,
-		Bins:     32,
-		Sketches: 4,
-		MinAgree: 3,
-		Seed:     seed,
-		Tunings: [detectors.NumTunings]Tuning{
-			detectors.Optimal:      {Subspace: 3, Sigma: 4.0},
-			detectors.Sensitive:    {Subspace: 2, Sigma: 3.0},
-			detectors.Conservative: {Subspace: 4, Sigma: 5.0},
-		},
-	}
-}
+// New returns the detector.
+func New() *Detector { return &Detector{} }
 
 // Name implements detectors.Detector.
 func (d *Detector) Name() string { return "pca" }
@@ -78,14 +65,7 @@ func (d *Detector) NumConfigs() int { return int(detectors.NumTunings) }
 
 // Detect implements detectors.Detector: one Prepare, one Decide.
 func (d *Detector) Detect(ix *trace.Index, config int) ([]core.Alarm, error) {
-	if err := detectors.CheckConfig(d, config); err != nil {
-		return nil, err
-	}
-	p, err := d.Prepare(ix)
-	if err != nil {
-		return nil, err
-	}
-	return p.Decide(config)
+	return detectors.Detect(d, ix, config)
 }
 
 // prepared is the tuning-independent analysis of one index: per sketch, the
@@ -114,33 +94,6 @@ type sketchSpace struct {
 	comps *linalg.Matrix
 }
 
-// validate rejects a configuration that could only detect nothing, panic, or
-// threshold something other than a residual, naming the field at fault;
-// NewTimeAxis checks TimeBin.
-func (d *Detector) validate() error {
-	switch {
-	case d.Bins < 1 || d.Bins > maxBins:
-		return fmt.Errorf("pca: Bins must be in [1, %d], got %d", maxBins, d.Bins)
-	case d.Sketches < 1:
-		return fmt.Errorf("pca: Sketches must be at least 1, got %d", d.Sketches)
-	case d.MinAgree < 1 || d.MinAgree > d.Sketches:
-		return fmt.Errorf("pca: MinAgree must be in [1, Sketches = %d], got %d", d.Sketches, d.MinAgree)
-	}
-	for c, tn := range d.Tunings {
-		if tn.Subspace < 0 {
-			return fmt.Errorf("pca: Tunings[%d].Subspace must not be negative, got %d", c, tn.Subspace)
-		}
-		if math.IsNaN(tn.Sigma) || math.IsInf(tn.Sigma, 0) {
-			return fmt.Errorf("pca: Tunings[%d].Sigma must be finite, got %v", c, tn.Sigma)
-		}
-	}
-	return nil
-}
-
-// maxBins is the widest sketch a sketchSpace can cache: its per-packet bins
-// are uint16.
-const maxBins = math.MaxUint16 + 1
-
 // Prepare implements detectors.Preparer: per sketch, the rasterized,
 // centred, standardized matrix and the eigenvectors of its covariance. A
 // configuration is a subspace size and a residual threshold over them.
@@ -153,25 +106,22 @@ const maxBins = math.MaxUint16 + 1
 // correlated background fluctuation shared by all bins, and an isolated
 // burst stays in the residual.
 func (d *Detector) Prepare(ix *trace.Index) (detectors.Prepared, error) {
-	if err := d.validate(); err != nil {
-		return nil, err
-	}
-	ax, err := trace.NewTimeAxis(ix, d.TimeBin)
+	ax, err := trace.NewTimeAxis(ix, timeBin)
 	if err != nil {
-		return nil, fmt.Errorf("pca: TimeBin: %w", err)
+		return nil, fmt.Errorf("pca: %v s bins: %w", timeBin, err)
 	}
 	p := &prepared{d: d, ix: ix, ax: ax}
 	if ax.Bins < 8 || ix.Len() == 0 {
 		return p, nil // too short for a meaningful subspace
 	}
-	bins := make([]uint16, d.Sketches*ix.Len())
-	for si := 0; si < d.Sketches; si++ {
-		sk := sketch.New(d.Bins, d.Seed+uint64(si)*0x9e37)
-		sp := sketchSpace{bins: bins[si*ix.Len() : (si+1)*ix.Len()], work: linalg.NewMatrix(ax.Bins, d.Bins)}
+	bins := make([]uint16, numSketches*ix.Len())
+	for si := 0; si < numSketches; si++ {
+		sk := sketch.New(sketchWidth, detectors.Seed+uint64(si)*0x9e37)
+		sp := sketchSpace{bins: bins[si*ix.Len() : (si+1)*ix.Len()], work: linalg.NewMatrix(ax.Bins, sketchWidth)}
 		for pi, src := range ix.Src {
 			b := sk.Bin(src)
 			sp.bins[pi] = uint16(b)
-			sp.work.Data[ax.Bin(ix.Seconds[pi])*d.Bins+b]++
+			sp.work.Data[ax.Bin(ix.Seconds[pi])*sketchWidth+b]++
 		}
 		sp.work.CenterColumns()
 		standardizeColumns(sp.work)
@@ -194,7 +144,7 @@ func (p *prepared) Decide(config int) ([]core.Alarm, error) {
 	if err := detectors.CheckConfig(d, config); err != nil {
 		return nil, err
 	}
-	tn := d.Tunings[config]
+	tn := tunings[config]
 
 	// One vote per (host, time bin) a sketch implicates, packed host-major
 	// so that sorting groups a host's bins in ascending order.
@@ -243,7 +193,7 @@ func (p *prepared) Decide(config int) ([]core.Alarm, error) {
 			j++
 		}
 		h := trace.IPv4(votes[i] >> 32)
-		if j-i >= d.MinAgree {
+		if j-i >= minAgree {
 			bins = append(bins, int(uint32(votes[i])))
 		}
 		if j == len(votes) || trace.IPv4(votes[j]>>32) != h {
@@ -270,11 +220,11 @@ type residualBuf struct {
 }
 
 // residualCells projects every row of the standardized matrix onto the top
-// tn.Subspace principal components and returns the (time bin, sketch bin)
+// tn.subspace principal components and returns the (time bin, sketch bin)
 // cells whose residual exceeds a robust threshold (median + σ·1.4826·MAD),
 // by ascending sketch bin, then time bin. The result aliases buf and is
 // valid until the next call with it.
-func (sp *sketchSpace) residualCells(tn Tuning, buf *residualBuf) []anomaly {
+func (sp *sketchSpace) residualCells(tn tuning, buf *residualBuf) []anomaly {
 	if sp.comps == nil {
 		return nil
 	}
@@ -284,7 +234,7 @@ func (sp *sketchSpace) residualCells(tn Tuning, buf *residualBuf) []anomaly {
 		buf.proj = make([]float64, cols)
 		buf.scratch = make([]float64, 2*rows)
 	}
-	k := min(tn.Subspace, cols)
+	k := min(tn.subspace, cols)
 	// Residuals after removing each row's projection onto the top-k
 	// subspace, stored column-major: a sketch bin's series is contiguous.
 	res, proj := buf.res, buf.proj
@@ -320,7 +270,7 @@ func (sp *sketchSpace) residualCells(tn Tuning, buf *residualBuf) []anomaly {
 			}
 		}
 		for i, v := range col {
-			if (v-med)/scale > tn.Sigma {
+			if (v-med)/scale > tn.sigma {
 				out = append(out, anomaly{bin: i, sketchBin: j})
 			}
 		}

@@ -3,8 +3,8 @@ package pca
 // This file keeps the pre-split, per-configuration Detect verbatim as the
 // reference implementation — one rasterization, covariance and
 // eigendecomposition per sketch per config, map-based host votes — and pins
-// Prepare + Decide to it: on randomized traces, for every config and for
-// non-default tunings, the two must emit reflect.DeepEqual alarms.
+// Prepare + Decide to it: on randomized traces, for every config, the two
+// must emit reflect.DeepEqual alarms.
 
 import (
 	"context"
@@ -28,9 +28,9 @@ func refDetect(d *Detector, ix *trace.Index, config int) ([]core.Alarm, error) {
 	if err := detectors.CheckConfig(d, config); err != nil {
 		return nil, err
 	}
-	tn := d.Tunings[config]
+	tn := tunings[config]
 	dur := ix.Duration()
-	t := int(math.Ceil(dur / d.TimeBin))
+	t := int(math.Ceil(dur / timeBin))
 	if t < 8 || ix.Len() == 0 {
 		return nil, nil // too short for a meaningful subspace
 	}
@@ -42,11 +42,11 @@ func refDetect(d *Detector, ix *trace.Index, config int) ([]core.Alarm, error) {
 	}
 	votes := make(map[hostBin]int)
 
-	for si := 0; si < d.Sketches; si++ {
-		sk := sketch.New(d.Bins, d.Seed+uint64(si)*0x9e37)
-		x := linalg.NewMatrix(t, d.Bins)
+	for si := 0; si < numSketches; si++ {
+		sk := sketch.New(sketchWidth, detectors.Seed+uint64(si)*0x9e37)
+		x := linalg.NewMatrix(t, sketchWidth)
 		for pi := 0; pi < ix.Len(); pi++ {
-			tb := int(ix.Seconds[pi] / d.TimeBin)
+			tb := int(ix.Seconds[pi] / timeBin)
 			if tb >= t {
 				tb = t - 1
 			}
@@ -57,7 +57,7 @@ func refDetect(d *Detector, ix *trace.Index, config int) ([]core.Alarm, error) {
 		for _, at := range anomalous {
 			// Recover hosts: rescan the window via the index's time
 			// buckets, count per suspicious bin.
-			lo, hi := ix.Window(float64(at.bin)*d.TimeBin, float64(at.bin+1)*d.TimeBin)
+			lo, hi := ix.Window(float64(at.bin)*timeBin, float64(at.bin+1)*timeBin)
 			counts := make(map[trace.IPv4]int)
 			for pi := lo; pi < hi; pi++ {
 				if sk.Bin(ix.Src[pi]) == at.sketchBin {
@@ -74,7 +74,7 @@ func refDetect(d *Detector, ix *trace.Index, config int) ([]core.Alarm, error) {
 	// contiguous time bins per host.
 	perHost := make(map[trace.IPv4][]int)
 	for hb, n := range votes {
-		if n >= d.MinAgree {
+		if n >= minAgree {
 			perHost[hb.host] = append(perHost[hb.host], hb.bin)
 		}
 	}
@@ -93,7 +93,7 @@ func refDetect(d *Detector, ix *trace.Index, config int) ([]core.Alarm, error) {
 				Config:   config,
 				Filters: []trace.Filter{
 					trace.NewFilter().WithSrc(h).
-						WithInterval(float64(iv[0])*d.TimeBin, float64(iv[1]+1)*d.TimeBin),
+						WithInterval(float64(iv[0])*timeBin, float64(iv[1]+1)*timeBin),
 				},
 				Note: "pca residual",
 			})
@@ -114,7 +114,7 @@ func refDetect(d *Detector, ix *trace.Index, config int) ([]core.Alarm, error) {
 // entirely. With unit-variance columns, the leading components capture the
 // correlated background fluctuation shared by all bins, and an isolated
 // burst stays in the residual.
-func refSubspaceResiduals(x *linalg.Matrix, tn Tuning) []anomaly {
+func refSubspaceResiduals(x *linalg.Matrix, tn tuning) []anomaly {
 	work := x.Clone()
 	work.CenterColumns()
 	refStandardizeColumns(work)
@@ -127,7 +127,7 @@ func refSubspaceResiduals(x *linalg.Matrix, tn Tuning) []anomaly {
 	if err != nil {
 		return nil
 	}
-	k := tn.Subspace
+	k := tn.subspace
 	if k > work.Cols {
 		k = work.Cols
 	}
@@ -167,7 +167,7 @@ func refSubspaceResiduals(x *linalg.Matrix, tn Tuning) []anomaly {
 			}
 		}
 		for i := 0; i < work.Rows; i++ {
-			if (col[i]-med)/scale > tn.Sigma {
+			if (col[i]-med)/scale > tn.sigma {
 				out = append(out, anomaly{bin: i, sketchBin: j})
 			}
 		}
@@ -280,7 +280,7 @@ func streamedSegments(t *testing.T) []*trace.Index {
 
 // edgeIndex returns a sparse 55 s day ending in a flood, plus a copy of its
 // last packet exactly on 60 s: a bin edge at every width these tests use
-// (0.25 s to 5 s), so PCA and KL clamp it alone into their last bin, outside
+// (0.5 s to 5 s), so PCA and KL clamp it alone into their last bin, outside
 // that bin's window, and Hough and Gamma give it their spare bin.
 func edgeIndex() *trace.Index {
 	cfg := mawigen.DefaultConfig(3511)
@@ -294,48 +294,34 @@ func edgeIndex() *trace.Index {
 }
 
 // TestPrepareDecideMatchesReference pins Prepare + Decide (and Detect, which
-// is the two in sequence) to the pre-split reference for every config, under
-// the default tunings and under tunings whose subspace sizes and sigmas are
-// neither ordered nor within the sketch width, with fewer, narrower
-// sketches.
+// is the two in sequence) to the pre-split reference for every config.
 func TestPrepareDecideMatchesReference(t *testing.T) {
-	custom := New(23)
-	custom.Tunings = [detectors.NumTunings]Tuning{
-		{Subspace: 5, Sigma: 2.5},
-		{Subspace: 0, Sigma: 6},
-		{Subspace: 40, Sigma: 1.5},
-	}
-	custom.Bins = 16
-	custom.Sketches = 3
-	custom.MinAgree = 2
-	custom.TimeBin = 2
-	for di, d := range []*Detector{New(7), custom} {
-		raised := 0
-		for ti, ix := range append(diffIndexes(), append(streamedSegments(t), edgeIndex())...) {
-			p, err := d.Prepare(ix)
+	d := New()
+	raised := 0
+	for ti, ix := range append(diffIndexes(), append(streamedSegments(t), edgeIndex())...) {
+		p, err := d.Prepare(ix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for c := 0; c < d.NumConfigs(); c++ {
+			want, err := refDetect(d, ix, c)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for c := 0; c < d.NumConfigs(); c++ {
-				want, err := refDetect(d, ix, c)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := p.Decide(c)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("detector %d trace %d config %d: Decide\n%v\nreference\n%v", di, ti, c, got, want)
-				}
-				if one, _ := d.Detect(ix, c); !reflect.DeepEqual(one, want) {
-					t.Fatalf("detector %d trace %d config %d: Detect differs from the reference", di, ti, c)
-				}
-				raised += len(want)
+			got, err := p.Decide(c)
+			if err != nil {
+				t.Fatal(err)
 			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("trace %d config %d: Decide\n%v\nreference\n%v", ti, c, got, want)
+			}
+			if one, _ := d.Detect(ix, c); !reflect.DeepEqual(one, want) {
+				t.Fatalf("trace %d config %d: Detect differs from the reference", ti, c)
+			}
+			raised += len(want)
 		}
-		if raised == 0 {
-			t.Fatalf("detector %d: the corpus raised no alarm: the comparison is vacuous", di)
-		}
+	}
+	if raised == 0 {
+		t.Fatal("the corpus raised no alarm: the comparison is vacuous")
 	}
 }

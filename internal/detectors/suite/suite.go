@@ -11,17 +11,8 @@ import (
 	"mawilab/internal/detectors/pca"
 )
 
-// Seed is the default hash seed shared by the sketch-based detectors so
-// results are reproducible across runs.
-const Seed = 0x6d617769 // "mawi"
-
 // Standard returns the paper's ensemble: PCA, Gamma, Hough and KL, each
 // with three parameter sets.
 func Standard() []detectors.Detector {
-	return []detectors.Detector{
-		pca.New(Seed),
-		gammafit.New(Seed),
-		hough.New(Seed),
-		klhist.New(),
-	}
+	return []detectors.Detector{pca.New(), gammafit.New(), hough.New(), klhist.New()}
 }

@@ -242,21 +242,21 @@ func TestDecideConcurrent(t *testing.T) {
 // TestDetectAllBoundsTimeBins: two packets 2·10⁶ s apart need more time bins
 // than a detector may allocate at any standard width — 400 000 of KL's 5 s,
 // 4·10⁶ of Hough's and Gamma's 0.5 s. Each standard detector refuses the index
-// from DetectAllContext, naming itself and its width field, before sizing
+// from DetectAllContext, naming itself and its bin width, before sizing
 // anything by the span: the call allocates under 1 MB.
 func TestDetectAllBoundsTimeBins(t *testing.T) {
 	ix := trace.NewIndex(&trace.Trace{Packets: []trace.Packet{
 		{TS: 0, Src: 1, Dst: 2, Len: 40, Proto: trace.TCP},
 		{TS: 2e12, Src: 2, Dst: 1, Len: 40, Proto: trace.TCP},
 	}})
-	field := map[string]string{"pca": "TimeBin", "gamma": "Resolutions[0]", "hough": "TimeBin", "kl": "TimeBin"}
+	width := map[string]string{"pca": "pca: 1 s bins", "gamma": "gamma: 0.5 s bins", "hough": "hough: 0.5 s bins", "kl": "kl: 5 s bins"}
 	for _, d := range Standard() {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		_, _, err := detectors.DetectAllContext(context.Background(), ix, []detectors.Detector{d}, 1)
 		runtime.ReadMemStats(&after)
-		if err == nil || !strings.Contains(err.Error(), d.Name()+": prepare") || !strings.Contains(err.Error(), field[d.Name()]) {
-			t.Errorf("%s: error = %v, want one naming the detector and %s", d.Name(), err, field[d.Name()])
+		if err == nil || !strings.Contains(err.Error(), d.Name()+": prepare") || !strings.Contains(err.Error(), width[d.Name()]) {
+			t.Errorf("%s: error = %v, want one naming the detector and %q", d.Name(), err, width[d.Name()])
 		}
 		if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
 			t.Errorf("%s: refusing the span allocated %d bytes", d.Name(), got)

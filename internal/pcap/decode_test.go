@@ -2,8 +2,10 @@ package pcap
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/iotest"
 	"time"
@@ -44,6 +46,7 @@ func checkDecodeEquivalence(t testing.TB, data []byte) {
 		}
 		return
 	}
+	checkOriglens(t, data)
 	if err != nil {
 		if errors.Is(err, trace.ErrUnsorted) && !ref.Sorted() {
 			return
@@ -69,6 +72,57 @@ func checkDecodeEquivalence(t testing.TB, data []byte) {
 		t.Fatalf("buffered decode differs from the materialized index (%d packets)", ref.Len())
 	}
 	checkIndexRoundTrip(t, ix)
+}
+
+// checkOriglens walks the records of a stream the reader accepted: each
+// must keep the format's invariant origlen >= caplen, which is what holds
+// the length of a packet whose IPv4 total length is 0 to at least its
+// headers.
+func checkOriglens(t testing.TB, data []byte) {
+	t.Helper()
+	r, err := NewReader(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r.readRecordHeader() == nil {
+		caplen := int(r.order.Uint32(r.hdrBuf[8:]))
+		if origlen := int(r.order.Uint32(r.hdrBuf[12:])); origlen < caplen {
+			t.Fatalf("accepted a record with origlen %d below its caplen %d", origlen, caplen)
+		}
+		if err := r.skip(caplen); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// zeroLengthRecord is one TCP packet whose IPv4 total length and record
+// origlen are both 0. Decoding takes the length from origlen − 14, which
+// used to wrap to a 65 522-byte packet.
+func zeroLengthRecord(t testing.TB) []byte {
+	data := pcapBytes(t, []trace.Packet{{Proto: trace.TCP, Len: 40}})
+	binary.LittleEndian.PutUint32(data[globalHeaderLen+12:], 0)
+	binary.BigEndian.PutUint16(data[globalHeaderLen+recordHeaderLen+etherHeaderLen+2:], 0)
+	return data
+}
+
+// TestOriglenBelowCaplenRejected: a record that captured more bytes than
+// were on the wire is malformed, and both ingest paths reject it instead of
+// deriving a length from it. The same record with origlen equal to its
+// caplen decodes to a packet of its headers' length.
+func TestOriglenBelowCaplenRejected(t *testing.T) {
+	data := zeroLengthRecord(t)
+	if tr, err := ReadTrace(bytes.NewReader(data)); err == nil || !strings.Contains(err.Error(), "origlen 0 below caplen") {
+		t.Errorf("ReadTrace = %v, %v; want the origlen named", tr, err)
+	}
+	if _, err := DecodeIndex(bytes.NewReader(data)); err == nil || !strings.Contains(err.Error(), "origlen 0 below caplen") {
+		t.Errorf("DecodeIndex error = %v, want the origlen named", err)
+	}
+	caplen := binary.LittleEndian.Uint32(data[globalHeaderLen+8:])
+	binary.LittleEndian.PutUint32(data[globalHeaderLen+12:], caplen)
+	tr, err := ReadTrace(bytes.NewReader(data))
+	if err != nil || tr.Len() != 1 || tr.Packets[0].Len != ipv4HeaderLen+tcpHeaderLen {
+		t.Errorf("origlen = caplen: %+v, %v; want one %d-byte packet", tr, err, ipv4HeaderLen+tcpHeaderLen)
+	}
 }
 
 // checkIndexRoundTrip states what the stored form of an index guarantees.

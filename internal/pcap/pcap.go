@@ -333,7 +333,9 @@ func (r *Reader) readRecordHeader() error {
 // capture slots begin on second boundaries (MAWI's daily traces start at a
 // fixed wall-clock time), so the first packet's sub-second arrival offset
 // is genuine signal and survives the round trip, while the absolute epoch
-// does not leak into the relative timeline.
+// does not leak into the relative timeline. A record whose origlen is below
+// its caplen is an error: a capture is never longer than the packet on the
+// wire, and every record this package writes says so.
 func (r *Reader) Next() (trace.Packet, error) {
 	var p trace.Packet
 	if err := r.readRecordHeader(); err != nil {
@@ -354,6 +356,9 @@ func (r *Reader) Next() (trace.Packet, error) {
 	origlen := int(r.order.Uint32(hdr[12:]))
 	if caplen < 0 || caplen > 1<<20 {
 		return p, fmt.Errorf("pcap: implausible caplen %d", caplen)
+	}
+	if origlen < caplen {
+		return p, fmt.Errorf("pcap: origlen %d below caplen %d", origlen, caplen)
 	}
 	// Only the headers are parsed, so only they are copied; the payload of a
 	// full-frame capture — nine bytes in ten — is skipped where it lies.
@@ -390,6 +395,8 @@ func decodeFrame(frame []byte, origlen int, p *trace.Packet) error {
 	}
 	totalLen := int(be.Uint16(ip[2:]))
 	if totalLen == 0 {
+		// At least the IPv4 header: Next keeps origlen >= caplen >=
+		// len(frame), which holds the Ethernet and IPv4 headers.
 		totalLen = origlen - etherHeaderLen
 	}
 	if totalLen > 0xffff {

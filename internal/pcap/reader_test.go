@@ -147,7 +147,7 @@ func TestSkippingReaderMatchesCopying(t *testing.T) {
 		"frame too short":    stream(rawRecord(1, 0, 60, tcp[:etherHeaderLen+ipv4HeaderLen-1]), rawRecord(1, 1, 60, tcp)),
 		"empty record":       stream(rawRecord(1, 0, 60, nil)),
 		"ihl past the frame": stream(rawRecord(1, 0, 60, withIPOptions(tcp, 15)[:etherHeaderLen+40])),
-		"implausible caplen": append(stream(rawRecord(1, 0, 60, tcp)), 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0x20, 0, 0, 0, 0, 0),
+		"implausible caplen": append(stream(rawRecord(1, 0, uint32(len(tcp)), tcp)), 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0x20, 0, 0, 0, 0, 0),
 		"no records":         stream(),
 	}
 	for name, data := range cases {

@@ -61,6 +61,9 @@ func (r *copyingReader) Next() (trace.Packet, error) {
 	if caplen < 0 || caplen > 1<<20 {
 		return p, fmt.Errorf("pcap: implausible caplen %d", caplen)
 	}
+	if origlen < caplen {
+		return p, fmt.Errorf("pcap: origlen %d below caplen %d", origlen, caplen)
+	}
 	if cap(r.recordBuf) < caplen {
 		r.recordBuf = make([]byte, max(caplen, 2*cap(r.recordBuf), 2048))
 	}

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
@@ -27,7 +28,7 @@ import (
 
 // goldenDay regenerates the exact trace behind testdata/pipeline_golden.json
 // (the root end-to-end fixture): Archive(42), 30s, base rate 200, 2004-05-10.
-func goldenDay(t *testing.T) *mawilab.Trace {
+func goldenDay(t testing.TB) *mawilab.Trace {
 	t.Helper()
 	arch := mawilab.NewArchive(42)
 	arch.Duration = 30
@@ -52,7 +53,7 @@ func goldenFixture(t *testing.T) (traceSHA, csvSHA string) {
 	return g.TraceSHA256, g.CSVSHA256
 }
 
-func pcapBytes(t *testing.T, tr *mawilab.Trace) []byte {
+func pcapBytes(t testing.TB, tr *mawilab.Trace) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := mawilab.WritePcap(&buf, tr); err != nil {
@@ -634,15 +635,29 @@ func TestSpoolWatcher(t *testing.T) {
 	}
 }
 
+// zeroLengthPcap is tinyTrace(1)'s pcap with the record's origlen and the
+// packet's IPv4 total length set to 0.
+func zeroLengthPcap(t testing.TB) []byte {
+	data := pcapBytes(t, tinyTrace(1))
+	binary.LittleEndian.PutUint32(data[24+12:], 0)
+	binary.BigEndian.PutUint16(data[24+16+14+2:], 0)
+	return data
+}
+
 // TestUploadBadPcap: an upload that is not a whole pcap is a 400 that makes
-// no job and no entry — bytes that are no pcap at all, and a body that stops
-// at a record boundary short of its Content-Length, whose records so far
-// would decode as a shorter trace.
+// no job and no entry — bytes that are no pcap at all, a record whose
+// origlen and IPv4 total length are 0 (once decoded as a 65 522-byte
+// packet and labeled), and a body that stops at a record boundary short of
+// its Content-Length, whose records so far would decode as a shorter trace.
 func TestUploadBadPcap(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	code, _, _ := upload(t, ts, []byte("not a pcap"), "junk")
 	if code != http.StatusBadRequest {
 		t.Errorf("bad pcap = %d, want 400", code)
+	}
+
+	if code, _, _ := upload(t, ts, zeroLengthPcap(t), "zero"); code != http.StatusBadRequest {
+		t.Errorf("record with origlen 0 = %d, want 400", code)
 	}
 
 	// tinyTrace(30)'s pcap is the first 30 records of tinyTrace(64)'s.

@@ -24,9 +24,9 @@ type TimeAxis struct {
 // maxTimeBins bounds the bins an axis may spread its packets over. A detector
 // sizes its working set by the bin count — at this bound PCA holds ~330 MB
 // (four 32-column float matrices and a residual buffer), Hough's accumulator
-// ~100 MB, Gamma ~130 MB, KL ~15 MB — so a width typo or a trace stamped years
-// apart is an error, not an allocation proportional to the mistake. 24 h at
-// the finest standard width (0.5 s) is 172 800 bins.
+// ~100 MB, Gamma ~130 MB, KL ~15 MB — so a trace stamped years apart is an
+// error, not an allocation proportional to its span. 24 h at the finest
+// standard width (0.5 s) is 172 800 bins.
 const maxTimeBins = 1 << 18
 
 // NewTimeAxis returns the axis that cuts ix's span into bins of width

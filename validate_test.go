@@ -204,10 +204,10 @@ func TestObserveStages(t *testing.T) {
 
 // TestRunRejectsDuplicateDetectorNames pins the ensemble's naming contract:
 // alarms, votes and confidences are keyed by detector name, so two detectors
-// sharing one (here a second PCA with another seed) used to be conflated
-// silently — totals["pca"] overwritten, both detectors' votes collapsed into
-// one. Run and RunStream now fail, naming the detector, before the first
-// segment is detected.
+// sharing one (here a second PCA) used to be conflated silently —
+// totals["pca"] overwritten, both detectors' votes collapsed into one. Run
+// and RunStream now fail, naming the detector, before the first segment is
+// detected.
 func TestRunRejectsDuplicateDetectorNames(t *testing.T) {
 	arch := NewArchive(42)
 	arch.Duration = 30
@@ -215,7 +215,7 @@ func TestRunRejectsDuplicateDetectorNames(t *testing.T) {
 	day := arch.Day(Date(2004, 5, 10))
 
 	p := NewPipeline()
-	p.Detectors = append(StandardDetectors(), pca.New(2))
+	p.Detectors = append(StandardDetectors(), pca.New())
 	detected := 0
 	p.Observe = func(stage Stage, _ float64) {
 		if stage == StageDetect {

@@ -21,8 +21,9 @@ GO ?= go
 #                       in the stream; each detector's whole Detect, its Prepare
 #                       and its Decide halves (the Detectors pattern matches
 #                       DetectorsPrepare/DetectorsDecide too); one Hough Detect
-#                       per tuning; and PCA's eigensolver alone on a 32×32
-#                       covariance (rows={15,60}: one segment, one batch day)
+#                       per tuning; and PCA's eigensolver (Householder +
+#                       implicit QL) alone on a 32×32 covariance (rows={15,60}:
+#                       one segment, one batch day)
 #   Extract,            the similarity estimator's stages — sorted-posting alarm
 #   SimilarityGraph,    extraction into sorted id slices, the CSR inverted
 #   Louvain, Union,     index and row fan-out of internal/simgraph, community
@@ -39,10 +40,13 @@ GO ?= go
 #                       60-row PCA column, a late segment's 600-row column that
 #                       is 97 % one value, a 15-minute trace's 900 bins
 #   SCANN, Apriori,     the combine and label layers: SCANN's classification,
-#   BuildReports        the rule miner over 2 000 flow transactions, and the
-#                       whole labeling tail of a day (mine, one matching pass,
-#                       Table 1; workers={1,4}) — its allocs/op follows the
-#                       communities and their rules, never packets or flows
+#   BuildReports        the rule miner labeling calls (apriori.MaximalRules)
+#                       over 2 000 flow transactions and, as AprioriOneFlow,
+#                       over the one-transaction community that dominates a
+#                       streamed window, and the whole labeling tail of a day
+#                       (mine, one matching pass, Table 1; workers={1,4}) —
+#                       its allocs/op follows the communities and their
+#                       rules, never packets or flows
 #   PipelineDay,        a batch day end to end, the segmented streaming path
 #   PipelineStream,     (per-segment seal + detect, sliding-window labeling), and
 #   WindowIndex         the index RunStream builds per stride from four sealed

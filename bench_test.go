@@ -597,7 +597,9 @@ func BenchmarkLouvain(b *testing.B) {
 	b.ReportMetric(communities, "communities")
 }
 
-// BenchmarkApriori times rule mining over a realistic community.
+// BenchmarkApriori times the rule mining labeling runs per community,
+// apriori.MaximalRules, over a realistic community: 2 000 flows of the
+// bench day.
 func BenchmarkApriori(b *testing.B) {
 	b.ReportAllocs()
 	ix := benchIndex(b)
@@ -607,8 +609,20 @@ func BenchmarkApriori(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rules := apriori.Mine(txs, 0.2)
-		_ = apriori.Maximal(rules)
+		_ = apriori.MaximalRules(txs, 0.2)
+	}
+}
+
+// BenchmarkAprioriOneFlow times MaximalRules on the commonest community of a
+// streamed window: one flow (the bench day's first), one transaction at the
+// default uniflow granularity.
+func BenchmarkAprioriOneFlow(b *testing.B) {
+	b.ReportAllocs()
+	ix := benchIndex(b)
+	txs := []apriori.Transaction{apriori.FromFlow(ix.Flow(0))}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = apriori.MaximalRules(txs, 0.2)
 	}
 }
 

@@ -141,13 +141,7 @@ func Mine(txs []Transaction, minSupport float64) []Rule {
 	if len(txs) == 0 || minSupport <= 0 {
 		return nil
 	}
-	minCount := int(minSupport * float64(len(txs)))
-	if float64(minCount) < minSupport*float64(len(txs)) {
-		minCount++ // ceil
-	}
-	if minCount < 1 {
-		minCount = 1
-	}
+	minCount := supportCount(len(txs), minSupport)
 
 	// L1: a field's frequent values are the runs of its sorted column at
 	// least minCount long, so the single items come out in itemset order.
@@ -225,6 +219,33 @@ func Mine(txs []Transaction, minSupport float64) []Rule {
 		return compareItems(a.Items, b.Items)
 	})
 	return rules
+}
+
+// supportCount is the least count a frequent itemset of n transactions needs
+// at minSupport: ⌈minSupport·n⌉, and at least 1.
+func supportCount(n int, minSupport float64) int {
+	c := int(minSupport * float64(n))
+	if float64(c) < minSupport*float64(n) {
+		c++ // ceil
+	}
+	return max(c, 1)
+}
+
+// MaximalRules returns Maximal(Mine(txs, minSupport)), the rules a
+// community is labeled with. When every transaction is the same 4-tuple — a
+// community of one flow, or of flows that differ only in protocol — the
+// lattice has one maximal itemset, the whole tuple, and MaximalRules
+// returns it without mining: all four items, Count len(txs), Support 1.
+func MaximalRules(txs []Transaction, minSupport float64) []Rule {
+	if len(txs) == 0 || minSupport <= 0 || supportCount(len(txs), minSupport) > len(txs) ||
+		slices.ContainsFunc(txs[1:], func(tx Transaction) bool { return tx != txs[0] }) {
+		return Maximal(Mine(txs, minSupport))
+	}
+	items := make([]Item, numFields)
+	for f, v := range txs[0] {
+		items[f] = Item{Field(f), v}
+	}
+	return []Rule{{Items: items, Count: len(txs), Support: 1}}
 }
 
 // itemset is an internal candidate/frequent itemset with its count.

@@ -2,10 +2,15 @@ package apriori
 
 import (
 	"cmp"
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"slices"
+	"strings"
 	"testing"
+
+	"mawilab/internal/trace"
 )
 
 // The miner as it stood before transactions became values, kept as the
@@ -239,5 +244,72 @@ func FuzzMine(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		txs, support := fuzzTransactions(data)
 		checkMineMatchesRef(t, txs, support)
+	})
+}
+
+// checkMaximalRules requires MaximalRules to return exactly what labeling
+// used to compute, Maximal(Mine(...)).
+func checkMaximalRules(t *testing.T, txs []Transaction, minSupport float64) {
+	t.Helper()
+	got := MaximalRules(txs, minSupport)
+	want := Maximal(Mine(txs, minSupport))
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("support %v over %d transactions: MaximalRules = %s, Maximal(Mine) = %s", minSupport, len(txs), describeRules(got), describeRules(want))
+	}
+}
+
+// describeRules renders rules with their counts and supports, which
+// Rule.String leaves out.
+func describeRules(rules []Rule) string {
+	var b strings.Builder
+	for _, r := range rules {
+		fmt.Fprintf(&b, "[%v count %d support %v]", r, r.Count, r.Support)
+	}
+	return b.String()
+}
+
+// TestMaximalRulesMatchesMine covers the one-flow shortcut and every way
+// out of it.
+func TestMaximalRulesMatchesMine(t *testing.T) {
+	flow := trace.FlowKey{Src: trace.MakeIPv4(10, 0, 0, 1), SrcPort: 1234, Dst: trace.MakeIPv4(10, 0, 1, 2), DstPort: 80, Proto: trace.TCP}
+	udp := flow
+	udp.Proto = trace.UDP
+	other := flow
+	other.DstPort = 443
+	one := FromFlow(flow)
+	repeat := func(tx Transaction, n int) []Transaction { return slices.Repeat([]Transaction{tx}, n) }
+	cases := map[string][]Transaction{
+		"empty":              nil,
+		"one transaction":    {one},
+		"n identical":        repeat(one, 9),
+		"protocol only":      {FromFlow(flow), FromFlow(udp), FromFlow(flow)},
+		"distinct flows":     {one, FromFlow(other), flowTx(3, 4, 5, 6)},
+		"duplicates + other": append(repeat(one, 7), FromFlow(other), one, flowTx(3, 4, 5, 6)),
+		"last differs":       append(repeat(one, 5), FromFlow(other)),
+	}
+	for name, txs := range cases {
+		t.Run(name, func(t *testing.T) {
+			for _, s := range []float64{1, 0.2, 1 / float64(max(len(txs), 1)), 0, -1, 1.5} {
+				checkMaximalRules(t, txs, s)
+			}
+		})
+	}
+	if got := MaximalRules(repeat(one, 4), 0.2); len(got) != 1 || got[0].Degree() != 4 || got[0].Count != 4 || got[0].Support != 1 {
+		t.Fatalf("four identical transactions: %v", got)
+	}
+}
+
+// FuzzMaximalRules is the differential for labeling's rule miner: whatever
+// the transactions and support, MaximalRules is Maximal(Mine(...)).
+func FuzzMaximalRules(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{19, 0, 1, 2, 3, 4})                               // one transaction
+	f.Add([]byte{19, 0, 1, 2, 3, 4, 5, 6, 7, 8})                   // identical, domain 1
+	f.Add([]byte{99, 15, 9, 8, 7, 6, 9, 8, 7, 6, 9, 8, 7, 6})      // identical at support 1
+	f.Add([]byte{0, 15, 9, 8, 7, 6, 9, 8, 7, 6, 9, 8, 7, 5})       // the last differs
+	f.Add([]byte{32, 4, 0, 1, 2, 3, 0, 1, 2, 7, 0, 1, 6, 7, 0, 1}) // distinct
+	f.Fuzz(func(t *testing.T, data []byte) {
+		txs, support := fuzzTransactions(data)
+		checkMaximalRules(t, txs, support)
 	})
 }

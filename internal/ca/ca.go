@@ -15,6 +15,7 @@ package ca
 
 import (
 	"errors"
+	"fmt"
 	"math"
 
 	"mawilab/internal/linalg"
@@ -41,7 +42,10 @@ type Result struct {
 var (
 	ErrEmptyTable    = errors.New("ca: empty table")
 	ErrNegativeEntry = errors.New("ca: negative table entry")
-	ErrZeroTotal     = errors.New("ca: table sums to zero")
+	// ErrNonFiniteEntry is returned wrapped, naming the first NaN or ±Inf
+	// entry.
+	ErrNonFiniteEntry = errors.New("ca: non-finite table entry")
+	ErrZeroTotal      = errors.New("ca: table sums to zero")
 )
 
 // Analyze runs correspondence analysis on a non-negative table and keeps at
@@ -54,7 +58,10 @@ func Analyze(table *linalg.Matrix, maxDims int) (*Result, error) {
 		return nil, ErrEmptyTable
 	}
 	total := 0.0
-	for _, v := range table.Data {
+	for i, v := range table.Data {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, fmt.Errorf("%w %g at (%d,%d)", ErrNonFiniteEntry, v, i/nc, i%nc)
+		}
 		if v < 0 {
 			return nil, ErrNegativeEntry
 		}

@@ -1,7 +1,9 @@
 package ca
 
 import (
+	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"mawilab/internal/linalg"
@@ -18,6 +20,21 @@ func TestAnalyzeErrors(t *testing.T) {
 	z := linalg.NewMatrix(2, 2)
 	if _, err := Analyze(z, 0); err != ErrZeroTotal {
 		t.Errorf("zero: %v", err)
+	}
+}
+
+// TestAnalyzeRejectsNonFinite: a NaN or ±Inf vote count is an error naming
+// the entry, not NaN coordinates (nor, for −Inf, a "negative entry").
+func TestAnalyzeRejectsNonFinite(t *testing.T) {
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		m := linalg.NewMatrix(40, 12)
+		for i := range m.Data {
+			m.Data[i] = float64(i % 3)
+		}
+		m.Set(6, 2, bad)
+		if res, err := Analyze(m, 2); !errors.Is(err, ErrNonFiniteEntry) || !strings.Contains(err.Error(), "(6,2)") {
+			t.Errorf("%v at (6,2): result %v, error %v", bad, res, err)
+		}
 	}
 }
 

@@ -135,7 +135,7 @@ func BuildReportsContext(ctx context.Context, r *Result, decisions []Decision, o
 				txs[i] = apriori.FromFlow(k)
 			}
 		}
-		rules := apriori.Maximal(apriori.Mine(txs, opts.RuleSupport))
+		rules := apriori.MaximalRules(txs, opts.RuleSupport)
 
 		// One pass over the transactions against the rules yields both the
 		// rule support and the traffic the heuristics inspect (§5 assigns

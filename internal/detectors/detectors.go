@@ -29,8 +29,10 @@
 //
 // A Prepared is scoped to the call that made it. It is read-only once
 // Prepare returns, so Decide may be called concurrently for different (or
-// the same) configurations; it reads the index it was prepared from, so it
-// is invalid once that index is released (trace.Index.Release); and nothing
+// the same) configurations; it may read the index it was prepared from, so
+// it is invalid once that index is released (trace.Index.Release) — the
+// four standard detectors copy what they need and hold no reference to it,
+// but a Prepared is not promised to; and nothing
 // in this package or in the standard detectors stores one — not on the
 // detector, not keyed by index — so there is nothing to size or to
 // invalidate.

@@ -68,35 +68,37 @@ func (d *Detector) Detect(ix *trace.Index, config int) ([]core.Alarm, error) {
 	return detectors.Detect(d, ix, config)
 }
 
-// prepared is the tuning-independent analysis of one index: per sketch, the
-// standardized traffic matrix and its principal components. Decide re-reads
-// the index's source column to recover hosts, so a prepared is valid only
-// until the index is released.
+// prepared is everything the three tunings need from one index, decided
+// once: per tuning, the (sketch, time bin, sketch bin) cells its residual
+// threshold flags, and for every cell any tuning flags, its top hosts.
+// Prepare reads what it needs out of the index and holds no reference to it.
 type prepared struct {
-	d        *Detector
-	ix       *trace.Index
-	ax       trace.TimeAxis
-	sketches []sketchSpace
+	d     *Detector
+	ax    trace.TimeAxis
+	cells []cell
+	// hosts holds every cell's top hosts back to back: cell c's are
+	// hosts[c.lo:c.hi].
+	hosts []trace.IPv4
+	// flagged[config] lists the cells (indices into cells) that config's
+	// tuning flags, over every sketch.
+	flagged [detectors.NumTunings][]int32
 }
 
-// sketchSpace is one sketch's view of the trace.
-type sketchSpace struct {
-	// bins is every packet's sketch bin, kept from the rasterization so
-	// that Decide recovers a cell's hosts by comparing bins over the
-	// cell's time window instead of hashing every address again.
-	bins []uint16
-	// work is the (time bin × sketch bin) packet-count matrix, columns
-	// centred and scaled to unit variance.
-	work *linalg.Matrix
-	// comps holds the eigenvectors of work's covariance as rows, by
-	// descending eigenvalue; nil when the decomposition failed, in which
-	// case the sketch implicates nothing.
-	comps *linalg.Matrix
+// cell is one flagged (sketch, time bin, sketch bin) cell: its time bin and
+// the span of its top hosts in prepared.hosts.
+type cell struct {
+	bin    int32
+	lo, hi int32
 }
 
-// Prepare implements detectors.Preparer: per sketch, the rasterized,
-// centred, standardized matrix and the eigenvectors of its covariance. A
-// configuration is a subspace size and a residual threshold over them.
+// Prepare implements detectors.Preparer. Per sketch it rasterizes the
+// trace into a centred, standardized (time bin × sketch bin) matrix, takes
+// the eigenvectors of its covariance, and in one pass over the rows keeps a
+// running projection onto the top components, writing each tuning's
+// residual when the projection reaches that tuning's subspace size. Each
+// tuning then thresholds its residuals per column, and every cell any
+// tuning flags gets its top hosts from one scan of its time bin's packets.
+// What is left for Decide is assembling votes.
 //
 // Column standardization matters: without it, a single intense sketch bin
 // dominates the covariance and its burst becomes a principal component —
@@ -110,62 +112,198 @@ func (d *Detector) Prepare(ix *trace.Index) (detectors.Prepared, error) {
 	if err != nil {
 		return nil, fmt.Errorf("pca: %v s bins: %w", timeBin, err)
 	}
-	p := &prepared{d: d, ix: ix, ax: ax}
+	p := &prepared{d: d, ax: ax}
 	if ax.Bins < 8 || ix.Len() == 0 {
 		return p, nil // too short for a meaningful subspace
 	}
-	bins := make([]uint16, numSketches*ix.Len())
+	rows := ax.Bins
+	s := newSubspaceScratch(rows, ix.Len())
 	for si := 0; si < numSketches; si++ {
 		sk := sketch.New(sketchWidth, detectors.Seed+uint64(si)*0x9e37)
-		sp := sketchSpace{bins: bins[si*ix.Len() : (si+1)*ix.Len()], work: linalg.NewMatrix(ax.Bins, sketchWidth)}
+		clear(s.work.Data)
 		for pi, src := range ix.Src {
 			b := sk.Bin(src)
-			sp.bins[pi] = uint16(b)
-			sp.work.Data[ax.Bin(ix.Seconds[pi])*sketchWidth+b]++
+			s.bins[pi] = uint16(b)
+			s.work.Data[ax.Bin(ix.Seconds[pi])*sketchWidth+b]++
 		}
-		sp.work.CenterColumns()
-		standardizeColumns(sp.work)
-		cov := sp.work.Gram()
-		inv := 1.0 / float64(ax.Bins-1)
+		s.work.CenterColumns()
+		standardizeColumns(s.work)
+		cov := s.work.Gram()
+		inv := 1.0 / float64(rows-1)
 		for i := range cov.Data {
 			cov.Data[i] *= inv
 		}
-		if _, vecs, err := linalg.EigenSym(cov); err == nil {
-			sp.comps = vecs.T()
+		_, vecs, err := linalg.EigenSym(cov)
+		if err != nil {
+			continue // the sketch implicates nothing
 		}
-		p.sketches = append(p.sketches, sp)
+		s.residuals(vecs)
+		p.addCells(ix, s)
 	}
 	return p, nil
 }
 
-// Decide implements detectors.Prepared.
+// subspaceScratch is the memory Prepare reuses across its sketches, which
+// all share one shape.
+type subspaceScratch struct {
+	bins []uint16       // every packet's bin in the current sketch
+	work *linalg.Matrix // rows×sketchWidth, standardized
+	// res[t] is tuning t's residuals, rows×sketchWidth, column-major: a
+	// sketch bin's series is contiguous.
+	res     [detectors.NumTunings][]float64
+	proj    []float64 // one row's running projection
+	scratch []float64 // stats.MedianMAD's working copies of one column
+	// id is the cell index of each (time bin, sketch bin) of the current
+	// sketch, row-major: unflagged where no tuning flags it, pending until
+	// its hosts are recovered.
+	id      []int32
+	flagged [detectors.NumTunings][]int32 // flagged cells, row-major offsets
+	packets [sketchWidth][]trace.IPv4     // one time bin's packets per sketch bin
+}
+
+// Cell ids of subspaceScratch.id before a cell is recorded.
+const (
+	unflagged = -1
+	pending   = -2
+)
+
+func newSubspaceScratch(rows, packets int) *subspaceScratch {
+	s := &subspaceScratch{
+		bins:    make([]uint16, packets),
+		work:    linalg.NewMatrix(rows, sketchWidth),
+		proj:    make([]float64, sketchWidth),
+		scratch: make([]float64, 2*rows),
+		id:      make([]int32, rows*sketchWidth),
+	}
+	for t := range s.res {
+		s.res[t] = make([]float64, rows*sketchWidth)
+	}
+	return s
+}
+
+// residuals projects every row of the standardized matrix onto the leading
+// eigenvectors (vecs' columns) and writes each tuning's residual — the row
+// minus its projection onto the top tuning.subspace components, at least
+// one — into s.res. The projection runs once, up to the largest subspace,
+// and a tuning's residual is taken when the running sum reaches its size:
+// the same operations in the same order as a projection per tuning.
+func (s *subspaceScratch) residuals(vecs *linalg.Matrix) {
+	rows, cols := s.work.Rows, s.work.Cols
+	var ks [detectors.NumTunings]int
+	maxK := 0
+	for t, tn := range tunings {
+		ks[t] = min(tn.subspace, cols)
+		maxK = max(maxK, ks[t])
+	}
+	comps := make([]float64, maxK*cols)
+	for c := 0; c < maxK; c++ {
+		for j := 0; j < cols; j++ {
+			comps[c*cols+j] = vecs.Data[j*cols+c]
+		}
+	}
+	proj := s.proj
+	for i := 0; i < rows; i++ {
+		row := s.work.Row(i)
+		clear(proj)
+		for c := 0; c < maxK; c++ {
+			comp := comps[c*cols : (c+1)*cols]
+			var dot float64
+			for j, v := range row {
+				dot += v * comp[j]
+			}
+			for j, v := range comp {
+				proj[j] += dot * v
+			}
+			for t, k := range ks {
+				if k == c+1 {
+					res := s.res[t]
+					for j, v := range row {
+						res[j*rows+i] = v - proj[j]
+					}
+				}
+			}
+		}
+	}
+}
+
+// addCells thresholds each tuning's residuals and records, for every cell
+// any tuning flags, its top hosts: one scan of each flagged time bin's
+// packet window, bucketed by sketch bin.
+func (p *prepared) addCells(ix *trace.Index, s *subspaceScratch) {
+	rows, cols := s.work.Rows, s.work.Cols
+	// Score residuals per column: a burst confined to one sketch bin must
+	// not be diluted by the noise of the other 31 columns, so each bin's
+	// residual series is thresholded against its own robust statistics.
+	for i := range s.id {
+		s.id[i] = unflagged
+	}
+	for t, tn := range tunings {
+		s.flagged[t] = s.flagged[t][:0]
+		res := s.res[t]
+		for j := 0; j < cols; j++ {
+			col := res[j*rows : (j+1)*rows]
+			med, mad := stats.MedianMAD(col, s.scratch)
+			scale := 1.4826 * mad
+			if scale < 1e-9 {
+				scale = stats.Std(col)
+				if scale < 1e-9 {
+					continue
+				}
+			}
+			for i, v := range col {
+				if (v-med)/scale > tn.sigma {
+					s.flagged[t] = append(s.flagged[t], int32(i*cols+j))
+					s.id[i*cols+j] = pending
+				}
+			}
+		}
+	}
+	// Recover hosts, time bin by time bin: one scan of the bin's window
+	// keeps the packets of its flagged sketch bins.
+	for tb := 0; tb < rows; tb++ {
+		ids := s.id[tb*cols : (tb+1)*cols]
+		if !slices.Contains(ids, pending) {
+			continue
+		}
+		lo, hi := ix.Window(p.ax.Interval(tb, tb))
+		for i, b := range s.bins[lo:hi] {
+			if ids[b] == pending {
+				s.packets[b] = append(s.packets[b], ix.Src[lo+i])
+			}
+		}
+		for sb, id := range ids {
+			if id != pending {
+				continue
+			}
+			c := cell{bin: int32(tb), lo: int32(len(p.hosts))}
+			p.hosts = append(p.hosts, sketch.TopHosts(s.packets[sb], 3)...)
+			c.hi = int32(len(p.hosts))
+			ids[sb] = int32(len(p.cells))
+			p.cells = append(p.cells, c)
+			s.packets[sb] = s.packets[sb][:0]
+		}
+	}
+	for t, at := range s.flagged {
+		for _, off := range at {
+			p.flagged[t] = append(p.flagged[t], s.id[off])
+		}
+	}
+}
+
+// Decide implements detectors.Prepared: it assembles the tuning's votes,
+// one per (host, time bin) a flagged cell implicates, and merges them.
 func (p *prepared) Decide(config int) ([]core.Alarm, error) {
-	d, ix := p.d, p.ix
+	d := p.d
 	if err := detectors.CheckConfig(d, config); err != nil {
 		return nil, err
 	}
-	tn := tunings[config]
-
 	// One vote per (host, time bin) a sketch implicates, packed host-major
 	// so that sorting groups a host's bins in ascending order.
-	var votes []uint64
-	var cell []trace.IPv4
-	var buf residualBuf
-	for si := range p.sketches {
-		sp := &p.sketches[si]
-		for _, at := range sp.residualCells(tn, &buf) {
-			// Recover hosts: rescan the time bin's window, keep the
-			// packets hashed into the suspicious sketch bin.
-			lo, hi := ix.Window(p.ax.Interval(at.bin, at.bin))
-			cell = cell[:0]
-			for i, b := range sp.bins[lo:hi] {
-				if int(b) == at.sketchBin {
-					cell = append(cell, ix.Src[lo+i])
-				}
-			}
-			for _, h := range sketch.TopHosts(cell, 3) {
-				votes = append(votes, uint64(h)<<32|uint64(at.bin))
-			}
+	votes := make([]uint64, 0, 3*len(p.flagged[config]))
+	for _, ci := range p.flagged[config] {
+		c := p.cells[ci]
+		for _, h := range p.hosts[c.lo:c.hi] {
+			votes = append(votes, uint64(h)<<32|uint64(c.bin))
 		}
 	}
 	slices.Sort(votes)
@@ -202,81 +340,6 @@ func (p *prepared) Decide(config int) ([]core.Alarm, error) {
 		i = j
 	}
 	return alarms, nil
-}
-
-// anomaly is a (time bin, sketch bin) cell with excess residual.
-type anomaly struct {
-	bin       int
-	sketchBin int
-}
-
-// residualBuf is the memory one Decide reuses across its sketches, which all
-// share one shape.
-type residualBuf struct {
-	res     []float64 // rows×cols residuals, column-major
-	proj    []float64 // one row's projection onto the normal subspace
-	scratch []float64 // stats.MedianMAD's working copies of one column
-	cells   []anomaly
-}
-
-// residualCells projects every row of the standardized matrix onto the top
-// tn.subspace principal components and returns the (time bin, sketch bin)
-// cells whose residual exceeds a robust threshold (median + σ·1.4826·MAD),
-// by ascending sketch bin, then time bin. The result aliases buf and is
-// valid until the next call with it.
-func (sp *sketchSpace) residualCells(tn tuning, buf *residualBuf) []anomaly {
-	if sp.comps == nil {
-		return nil
-	}
-	rows, cols := sp.work.Rows, sp.work.Cols
-	if buf.res == nil {
-		buf.res = make([]float64, rows*cols)
-		buf.proj = make([]float64, cols)
-		buf.scratch = make([]float64, 2*rows)
-	}
-	k := min(tn.subspace, cols)
-	// Residuals after removing each row's projection onto the top-k
-	// subspace, stored column-major: a sketch bin's series is contiguous.
-	res, proj := buf.res, buf.proj
-	for i := 0; i < rows; i++ {
-		row := sp.work.Row(i)
-		clear(proj)
-		for c := 0; c < k; c++ {
-			comp := sp.comps.Row(c)
-			var dot float64
-			for j, v := range row {
-				dot += v * comp[j]
-			}
-			for j, v := range comp {
-				proj[j] += dot * v
-			}
-		}
-		for j, v := range row {
-			res[j*rows+i] = v - proj[j]
-		}
-	}
-	// Score residuals per column: a burst confined to one sketch bin must
-	// not be diluted by the noise of the other 31 columns, so each bin's
-	// residual series is thresholded against its own robust statistics.
-	out := buf.cells[:0]
-	for j := 0; j < cols; j++ {
-		col := res[j*rows : (j+1)*rows]
-		med, mad := stats.MedianMAD(col, buf.scratch)
-		scale := 1.4826 * mad
-		if scale < 1e-9 {
-			scale = stats.Std(col)
-			if scale < 1e-9 {
-				continue
-			}
-		}
-		for i, v := range col {
-			if (v-med)/scale > tn.sigma {
-				out = append(out, anomaly{bin: i, sketchBin: j})
-			}
-		}
-	}
-	buf.cells = out
-	return out
 }
 
 // standardizeColumns scales each column to unit sample variance (columns

@@ -102,6 +102,12 @@ func refDetect(d *Detector, ix *trace.Index, config int) ([]core.Alarm, error) {
 	return alarms, nil
 }
 
+// anomaly is a (time bin, sketch bin) cell with excess residual.
+type anomaly struct {
+	bin       int
+	sketchBin int
+}
+
 // refSubspaceResiduals is the pre-split subspaceResiduals, unchanged: it
 // centers and standardizes x's columns, finds the top principal components,
 // and returns the (time bin, sketch bin) cells driving residuals above a
@@ -319,6 +325,40 @@ func TestPrepareDecideMatchesReference(t *testing.T) {
 				t.Fatalf("trace %d config %d: Detect differs from the reference", ti, c)
 			}
 			raised += len(want)
+		}
+	}
+	if raised == 0 {
+		t.Fatal("the corpus raised no alarm: the comparison is vacuous")
+	}
+}
+
+// TestDecideReadsNoIndex: a prepared holds no reference to the index. After
+// Prepare, every column Decide could read is overwritten — addresses zeroed,
+// every packet moved to the first second — and Decide must still return the
+// reference's alarms for every config.
+func TestDecideReadsNoIndex(t *testing.T) {
+	d := New()
+	raised := 0
+	for ti, ix := range diffIndexes()[:10] {
+		want := make([][]core.Alarm, d.NumConfigs())
+		for c := range want {
+			var err error
+			if want[c], err = refDetect(d, ix, c); err != nil {
+				t.Fatal(err)
+			}
+			raised += len(want[c])
+		}
+		p, err := d.Prepare(ix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		clear(ix.Src)
+		clear(ix.Seconds)
+		clear(ix.TS)
+		for c := range want {
+			if got, err := p.Decide(c); err != nil || !reflect.DeepEqual(got, want[c]) {
+				t.Fatalf("trace %d config %d: after the index was overwritten, Decide = %v, %v; reference %v", ti, c, got, err, want[c])
+			}
 		}
 	}
 	if raised == 0 {

@@ -20,8 +20,8 @@ const pipelineGoldenPath = "testdata/pipeline_golden.json"
 
 // pipelineGolden pins the full detect → estimate → combine → label chain on
 // one small generated day: any cross-package drift — generator bytes,
-// detector alarms, similarity graph, Louvain communities, SCANN decisions,
-// rule mining, heuristics — lands in one of these fields.
+// detector alarms, similarity graph, Louvain communities, SCANN decisions
+// and scores, rule mining, heuristics — lands in one of these fields.
 type pipelineGolden struct {
 	// TracePackets and TraceSHA256 pin the generated input.
 	TracePackets int    `json:"trace_packets"`
@@ -35,6 +35,11 @@ type pipelineGolden struct {
 	// CSVSHA256 digests the full WriteCSV database output — rules,
 	// heuristics, categories, sizes and scores included.
 	CSVSHA256 string `json:"csv_sha256"`
+	// ADMDSHA256 digests the admd XML output, whose SCANN scores are
+	// printed at full precision: the one field that moves when a float
+	// rounds differently anywhere under the combiner (the eigensolver,
+	// correspondence analysis) without moving a label or a CSV byte.
+	ADMDSHA256 string `json:"admd_sha256"`
 }
 
 // TestPipelineGolden runs one Sasser-era archive day through the complete
@@ -66,17 +71,25 @@ func TestPipelineGolden(t *testing.T) {
 		if err := l.WriteCSV(&csv); err != nil {
 			t.Fatal(err)
 		}
-		digest := sha256.Sum256(csv.Bytes())
+		var admd bytes.Buffer
+		if err := l.WriteADMD(&admd, day.Trace.Name, day.Trace); err != nil {
+			t.Fatal(err)
+		}
+		digest, admdDigest := sha256.Sum256(csv.Bytes()), sha256.Sum256(admd.Bytes())
 		if workers == 1 {
 			got.Alarms = len(l.Alarms)
 			got.Communities = len(l.Result.Communities)
 			got.Labels = labels
 			got.CSVSHA256 = hex.EncodeToString(digest[:])
+			got.ADMDSHA256 = hex.EncodeToString(admdDigest[:])
 			continue
 		}
 		// The parallel path must reproduce the sequential fixture exactly.
 		if hex.EncodeToString(digest[:]) != got.CSVSHA256 {
 			t.Errorf("workers=%d: CSV digest differs from the sequential reference", workers)
+		}
+		if hex.EncodeToString(admdDigest[:]) != got.ADMDSHA256 {
+			t.Errorf("workers=%d: ADMD digest differs from the sequential reference", workers)
 		}
 	}
 
@@ -125,5 +138,9 @@ func TestPipelineGolden(t *testing.T) {
 	if got.CSVSHA256 != want.CSVSHA256 {
 		t.Errorf("CSV output drifted: %s..., want %s... (if deliberate, refresh with -update)",
 			got.CSVSHA256[:12], want.CSVSHA256[:12])
+	}
+	if got.ADMDSHA256 != want.ADMDSHA256 {
+		t.Errorf("ADMD output drifted: %s..., want %s... (if deliberate, refresh with -update)",
+			got.ADMDSHA256[:12], want.ADMDSHA256[:12])
 	}
 }

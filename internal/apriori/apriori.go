@@ -137,6 +137,9 @@ func (r Rule) String() string {
 // fraction in (0,1], e.g. 0.2 for the paper's s=20%). Rules come back
 // sorted by descending degree, then descending support, then lexical item
 // order, so results are deterministic.
+//
+// The pipeline mines through MaximalRules. Mine stays exported only
+// because cmd/mawibench's apriori.mine_s stage calls it directly.
 func Mine(txs []Transaction, minSupport float64) []Rule {
 	if len(txs) == 0 || minSupport <= 0 {
 		return nil
@@ -299,6 +302,9 @@ func countSupport(txs []Transaction, items []Item) int {
 // no frequent proper superset. These are the concise labels assigned to a
 // community (§5) — each anomalous traffic annotated with its most specific
 // rule.
+//
+// The pipeline mines through MaximalRules. Maximal stays exported only
+// because cmd/mawibench's apriori.mine_s stage calls it directly.
 func Maximal(rules []Rule) []Rule {
 	var out []Rule
 	for i, r := range rules {

@@ -8,9 +8,11 @@ package hough
 // golden fixture.
 
 import (
+	"cmp"
 	"context"
 	"math"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -305,14 +307,35 @@ func edgeIndex() *trace.Index {
 	return trace.NewIndex(tr)
 }
 
+// rowZeroIndex returns a quiet 30 s day with a flood on a destination the
+// destination plane plots in row 0: its horizontal line peaks at ρ ≈ 0, on
+// the lowest ρ bin the peak search scans at θ = π/2, so a reachable range
+// one bin short at its low end loses the line.
+func rowZeroIndex() *trace.Index {
+	cfg := mawigen.DefaultConfig(3307)
+	cfg.Duration, cfg.BackgroundRate = 30, 40
+	tr := mawigen.Generate(cfg).Trace
+	sk := sketch.New(plotRows, detectors.Seed^1<<17) // the destination plane's
+	victim := trace.IPv4(0xC0A80001)
+	for sk.Bin(victim) != 0 {
+		victim++
+	}
+	for ts := int64(0); ts < 30e6; ts += 50e3 {
+		tr.Append(trace.Packet{TS: ts, Src: 0x0A000001, Dst: victim, SrcPort: 4000, DstPort: 80, Len: 40, Proto: trace.TCP})
+	}
+	slices.SortStableFunc(tr.Packets, func(a, b trace.Packet) int { return cmp.Compare(a.TS, b.TS) })
+	return trace.NewIndex(tr)
+}
+
 // TestSparseMatchesDense pins the sparse, prepared path to the dense
 // reference on randomized traces across every tuning: Detect, and one
 // Prepare answering every Decide, must both equal the dense alarms exactly.
 // Several seeds and anomaly mixes exercise empty planes, single lines,
 // overlapping lines, and the claimed-cell dedup between lines; an empty trace
-// and one below the minimum span exercise the unprepared plane. Each
-// decision also reuses the scratch pool, so cross-call contamination would
-// surface as a mismatch too.
+// and one below the minimum span exercise the unprepared plane; a line in
+// plot row 0 sits on the edge of the ρ range the peak search scans. Every
+// tuning is decided from one Prepare, so a decision that disturbed the
+// shared prepared state would surface as a mismatch too.
 func TestSparseMatchesDense(t *testing.T) {
 	specs := [][]mawigen.Spec{
 		nil, // background only
@@ -337,7 +360,7 @@ func TestSparseMatchesDense(t *testing.T) {
 	short.Duration = 2
 	indexes = append(indexes, trace.NewIndex(&trace.Trace{}), trace.NewIndex(mawigen.Generate(short).Trace))
 	indexes = append(indexes, streamedSegments(t)...)
-	indexes = append(indexes, edgeIndex())
+	indexes = append(indexes, edgeIndex(), rowZeroIndex())
 
 	d := New()
 	raised := 0

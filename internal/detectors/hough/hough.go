@@ -16,7 +16,6 @@ import (
 	"math"
 	"slices"
 	"sort"
-	"sync"
 
 	"mawilab/internal/core"
 	"mawilab/internal/detectors"
@@ -197,34 +196,12 @@ func (p *prepared) Decide(config int) ([]core.Alarm, error) {
 	return alarms, nil
 }
 
-// scratch is the pooled working memory of the per-plane passes: for
-// findLines the flat Hough accumulator with its per-angle touched ρ sets,
-// for decidePlane the on-cell list, the per-line claim marks and the packets
-// gathered under a line. Pooling makes steady-state detection allocate only
-// the prepared planes and the alarms. Invariants on return to the pool: acc
-// is all-zero over its full length and every touched list has length 0 — so
-// reuse never needs a bulk clear.
-type scratch struct {
-	acc     []int32
-	touched [][]int32
-	on      []int32
-	claimed []bool
-	pkts    []uint64
-	hosts   []trace.IPv4
-}
-
-var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
-
-// grow returns *s resized to length n, reusing capacity. Fresh growth is
-// zeroed by make; reused prefixes keep their previous contents, so callers
-// either overwrite fully or rely on a zero-on-return invariant.
-func grow[T any](s *[]T, n int) []T {
-	if cap(*s) < n {
-		*s = make([]T, n)
-	} else {
-		*s = (*s)[:n]
-	}
-	return *s
+// rho is the ρ of plot point (x, y) at the angle with cosine cos and sine
+// sin. Each product is its own float64 conversion, so no architecture fuses
+// the sum into a multiply-add and every vote lands in the same ρ bin
+// everywhere.
+func rho(x, y, cos, sin float64) float64 {
+	return float64(x*cos) + float64(y*sin)
 }
 
 // findLines runs the Hough transform of one plane for every tuning and
@@ -233,16 +210,26 @@ func grow[T any](s *[]T, n int) []T {
 // This is the sparse formulation: identical output to the dense
 // map-rasterized reference (kept verbatim in the package tests and pinned
 // by randomized equality tests across all tunings), without the per-packet
-// map work or the dense numAngles×rhoBins accumulator sweep. The accumulator
-// is flat, with a per-angle touched set so peak finding and the reset walk
-// only nonzero ρ bins (acc itself stays dense so the local-max neighbourhood
-// test reads it directly).
+// map work. Votes go one angle row at a time, and the peak search scans
+// per angle only the ρ bins the plane's cells can reach: x from the first
+// to the last cell's column, y over the plot rows. sin θ ≥ 0 for θ in
+// [0, π), so ρ is smallest at y = 0 and largest at the top row. The bounds
+// are the vote's own expression at those corners, and rounding is
+// monotone, so every voted bin lies inside them with no slack.
 func (p *prepared) findLines(pl *plane) {
-	sc := scratchPool.Get().(*scratch)
-	defer scratchPool.Put(sc)
-	diag, rhoBins, sinT, cosT := p.diag, p.rhoBins, p.sinT, p.cosT
-	acc := grow(&sc.acc, numAngles*rhoBins)
-	touched := growLists(&sc.touched, numAngles)
+	if len(pl.cells) == 0 {
+		return
+	}
+	diag, rhoBins := p.diag, p.rhoBins
+	acc := make([]int32, numAngles*rhoBins)
+	x0, x1 := float64(pl.cells[0].x), float64(pl.cells[len(pl.cells)-1].x)
+	var reach [numAngles][2]int // per angle, the first and last ρ bin to scan
+	for a := range reach {
+		c, s := p.cosT[a], p.sinT[a]
+		lo := min(rho(x0, 0, c, s), rho(x1, 0, c, s))
+		hi := max(rho(x0, plotRows-1, c, s), rho(x1, plotRows-1, c, s))
+		reach[a] = [2]int{max(int(lo+diag), 0), min(int(hi+diag), rhoBins-1)}
+	}
 
 	// Tunings from the strictest cellMin to the loosest: each one adds the
 	// cells it switches on beyond those already voted, so every cell votes
@@ -256,22 +243,21 @@ func (p *prepared) findLines(pl *plane) {
 		return tunings[order[i]].cellMin > tunings[order[j]].cellMin
 	})
 	voted := math.MaxInt // cells holding at least this many packets have voted
+	var tier [][2]float64
 	for _, config := range order {
 		tn := tunings[config]
+		tier = tier[:0]
 		for _, c := range pl.cells {
-			if n := int(c.n); n < tn.cellMin || n >= voted {
-				continue
+			if n := int(c.n); n >= tn.cellMin && n < voted {
+				tier = append(tier, [2]float64{float64(c.x), float64(c.y)})
 			}
-			x, y := float64(c.x), float64(c.y)
-			for a := range cosT {
-				rho := x*cosT[a] + y*sinT[a]
-				rb := int(rho + diag)
-				if rb >= 0 && rb < rhoBins {
-					i := a*rhoBins + rb
-					if acc[i] == 0 {
-						touched[a] = append(touched[a], int32(rb))
-					}
-					acc[i]++
+		}
+		for a := range numAngles {
+			row := acc[a*rhoBins : (a+1)*rhoBins]
+			c, s := p.cosT[a], p.sinT[a]
+			for _, xy := range tier {
+				if rb := int(rho(xy[0], xy[1], c, s) + diag); rb >= 0 && rb < rhoBins {
+					row[rb]++
 				}
 			}
 		}
@@ -279,20 +265,11 @@ func (p *prepared) findLines(pl *plane) {
 
 		minVotes := int32(math.Max(4, tn.voteShare*float64(p.ax.Bins)))
 		var lines []line
-		for a := 0; a < numAngles; a++ {
-			for _, rb32 := range touched[a] {
-				rb := int(rb32)
-				v := acc[a*rhoBins+rb]
-				if v < minVotes {
-					continue
-				}
+		for a := range numAngles {
+			for rb := reach[a][0]; rb <= reach[a][1]; rb++ {
 				// Local maximum over a small neighbourhood to avoid
-				// reporting the same line many times. Candidate order
-				// within an angle is first-touch, not ρ order, but the
-				// (votes, a, rb) sort below is a total order over distinct
-				// (a, rb), so the collection order never shows in the
-				// output.
-				if isLocalMax(acc, numAngles, rhoBins, a, rb, v) {
+				// reporting the same line many times.
+				if v := acc[a*rhoBins+rb]; v >= minVotes && isLocalMax(acc, numAngles, rhoBins, a, rb, v) {
 					lines = append(lines, line{a, rb, v})
 				}
 			}
@@ -311,14 +288,6 @@ func (p *prepared) findLines(pl *plane) {
 		}
 		pl.lines[config] = lines
 	}
-	// Restore the pool invariant: zero exactly the touched accumulator
-	// entries and empty the touched lists.
-	for a := range touched {
-		for _, rb := range touched[a] {
-			acc[a*rhoBins+int(rb)] = 0
-		}
-		touched[a] = touched[a][:0]
-	}
 }
 
 // decidePlane turns one tuning's lines on one prepared plane into alarms.
@@ -328,22 +297,10 @@ func (p *prepared) decidePlane(pl *plane, config int) []core.Alarm {
 	if len(lines) == 0 {
 		return nil
 	}
-	sc := scratchPool.Get().(*scratch)
-	defer scratchPool.Put(sc)
-
-	// The cells this tuning switches on, as indices into pl.cells.
-	on := sc.on[:0]
-	for ci, c := range pl.cells {
-		if int(c.n) >= tunings[config].cellMin {
-			on = append(on, int32(ci))
-		}
-	}
-	sc.on = on // keep the grown capacity pooled
-	diag, sinT, cosT := p.diag, p.sinT, p.cosT
-
+	cellMin := tunings[config].cellMin
 	var alarms []core.Alarm
-	claimed := grow(&sc.claimed, len(on))
-	clear(claimed)
+	claimed := make([]bool, len(pl.cells))
+	var pkts []uint64
 	for _, ln := range lines {
 		// Collect the on-cells lying near the line and aggregate per plane
 		// host: a scan is thousands of one-packet flows sharing a source,
@@ -352,29 +309,27 @@ func (p *prepared) decidePlane(pl *plane, config int) []core.Alarm {
 		// packets as packed (host<<16 | destination port) keys; since flow
 		// keys copy packet header fields verbatim, per-packet attribution
 		// sums to exactly the per-flow totals the dense path aggregated.
-		pkts := sc.pkts[:0]
+		cos, sin, lnRho := p.cosT[ln.a], p.sinT[ln.a], float64(ln.rb)-p.diag
+		pkts = pkts[:0]
 		var minX, maxX = math.MaxInt32, -1
-		for i, ci := range on {
-			if claimed[i] {
+		for ci, c := range pl.cells {
+			if int(c.n) < cellMin || claimed[ci] {
 				continue
 			}
-			c := pl.cells[ci]
-			rho := float64(c.x)*cosT[ln.a] + float64(c.y)*sinT[ln.a]
-			if math.Abs(rho-(float64(ln.rb)-diag)) > 1.0 {
+			if math.Abs(rho(float64(c.x), float64(c.y), cos, sin)-lnRho) > 1.0 {
 				continue
 			}
-			claimed[i] = true
+			claimed[ci] = true
 			pkts = append(pkts, pl.pkts[c.lo:c.lo+c.n]...)
 			minX = min(minX, int(c.x))
 			maxX = max(maxX, int(c.x))
 		}
-		sc.pkts = pkts
 		if len(pkts) == 0 {
 			continue
 		}
 		// Sorted, the keys group by host and, within a host, by port.
 		slices.Sort(pkts)
-		hosts := grow(&sc.hosts, len(pkts))
+		hosts := make([]trace.IPv4, len(pkts))
 		for i, k := range pkts {
 			hosts[i] = trace.IPv4(k >> 16)
 		}
@@ -404,21 +359,6 @@ func (p *prepared) decidePlane(pl *plane, config int) []core.Alarm {
 		alarms = append(alarms, alarm)
 	}
 	return alarms
-}
-
-// growLists returns *s resized to n lists, each reset to length 0.
-func growLists(s *[][]int32, n int) [][]int32 {
-	if cap(*s) < n {
-		next := make([][]int32, n)
-		copy(next, *s)
-		*s = next
-	} else {
-		*s = (*s)[:n]
-	}
-	for i := range *s {
-		(*s)[i] = (*s)[i][:0]
-	}
-	return *s
 }
 
 // dominantPort returns the destination port carrying the largest packet

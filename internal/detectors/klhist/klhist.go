@@ -152,7 +152,7 @@ func (d *Detector) Prepare(ix *trace.Index) (detectors.Prepared, error) {
 		for pi := lo; pi < hi; pi++ {
 			txs = append(txs, apriori.FromFlow(ix.Flow(int(ix.FlowIDOf(pi)))))
 		}
-		rules := apriori.Maximal(apriori.Mine(txs, ruleSupport))
+		rules := apriori.MaximalRules(txs, ruleSupport)
 		if len(rules) > maxRulesPerBin {
 			rules = rules[:maxRulesPerBin]
 		}

@@ -96,13 +96,3 @@ func TestMAD(t *testing.T) {
 		t.Error("MAD of empty should be 0")
 	}
 }
-
-func TestMinMax(t *testing.T) {
-	xs := []float64{3, -1, 7}
-	if Min(xs) != -1 || Max(xs) != 7 {
-		t.Errorf("min/max = %f/%f", Min(xs), Max(xs))
-	}
-	if !math.IsInf(Min(nil), 1) || !math.IsInf(Max(nil), -1) {
-		t.Error("empty Min/Max should be ±Inf")
-	}
-}

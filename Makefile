@@ -51,9 +51,9 @@ GO ?= go
 #   PipelineStream,     (per-segment seal + detect, sliding-window labeling), and
 #   WindowIndex         the index RunStream builds per stride from four sealed
 #                       segments (bulk column appends + one Finish)
-#   GenerateDay         the generator: one day in one sequential loop (also
-#                       matches the day-level GenerateDays fan-out benches,
-#                       workers={1,4,N})
+#   GenerateDay         the generator: one day in one sequential loop (days
+#                       fan out only in eval.Runner.Days, each slot
+#                       generating its own day)
 # PipelineDay, PipelineStream, Extract and SimilarityGraph carry
 # workers={1,4,N} sub-benches (DetectAll and BuildReports workers={1,4}), so
 # each run records the parallel speedup ratios too; the rest are one row each
@@ -96,9 +96,9 @@ test:
 # TestStreamMatchesBatch / TestStreamDeterminismMatrix / cancellation
 # tests, and TestSealedIndexesSurvivePoolChurn's arena-pool churn), every
 # internal package where the concurrency lives — trace (the pooled index
-# arenas), mawigen (Archive.Days' whole-day fan-out; one day is one
-# sequential loop), eval (Runner.Days' day-level fan-out, the one place the
-# evaluation labels days), parallel (the pool itself), detectors (the
+# arenas), eval (Runner.Days' day-level fan-out, the one place the
+# evaluation generates and labels days; one day is one sequential loop),
+# parallel (the pool itself), detectors (the
 # prepare-then-decide fan-out of DetectAllContext, and detectors/suite's
 # TestDecideConcurrent: one Prepared
 # decided from eight goroutines), simgraph (the similarity graph's row fan-out),

@@ -40,15 +40,6 @@ func benchArchive() *mawigen.Archive {
 	return arch
 }
 
-func benchDates(n, stepDays int) []time.Time {
-	out := make([]time.Time, n)
-	d := time.Date(2004, 4, 5, 0, 0, 0, 0, time.UTC)
-	for i := range out {
-		out[i] = d.AddDate(0, 0, i*stepDays)
-	}
-	return out
-}
-
 // --- Table 1 -------------------------------------------------------------
 
 // BenchmarkTable1 measures the heuristics classifying every community of an
@@ -91,30 +82,6 @@ func BenchmarkGenerateDay(b *testing.B) {
 		if res.Trace.Len() == 0 {
 			b.Fatal("empty trace")
 		}
-	}
-}
-
-// BenchmarkGenerateDays measures multi-day archive generation at several
-// worker-pool sizes (Archive.Days shards days across the pool; the traces
-// are identical at every setting).
-func BenchmarkGenerateDays(b *testing.B) {
-	b.ReportAllocs()
-	dates := benchDates(8, 40)
-	for _, workers := range benchWorkerCounts() {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			arch := benchArchive()
-			arch.Workers = workers
-			for i := 0; i < b.N; i++ {
-				days, err := arch.Days(context.Background(), dates)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(days) != len(dates) {
-					b.Fatal("missing days")
-				}
-			}
-		})
 	}
 }
 
@@ -717,7 +684,7 @@ func BenchmarkAblationSimilarity(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, m := range []core.Measure{core.Simpson, core.Jaccard, core.Constant} {
+	for _, m := range []simgraph.Measure{simgraph.Simpson, simgraph.Jaccard, simgraph.Constant} {
 		m := m
 		b.Run(m.String(), func(b *testing.B) {
 			b.ReportAllocs()

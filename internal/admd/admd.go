@@ -1,4 +1,4 @@
-// Package admd encodes and decodes labelings in the Anomaly Description
+// Package admd encodes labelings in the Anomaly Description
 // Meta Data (admd) XML dialect, the format in which the real MAWILab
 // database publishes its daily labels. Each anomaly carries its taxonomy
 // label, heuristic value, time span, and one or more traffic filters
@@ -9,11 +9,9 @@ import (
 	"encoding/xml"
 	"fmt"
 	"io"
-	"strconv"
 
 	"mawilab/internal/apriori"
 	"mawilab/internal/core"
-	"mawilab/internal/trace"
 )
 
 // Document is the root <admd:document> element.
@@ -130,54 +128,4 @@ func sliceOf(r apriori.Rule) Slice {
 		SrcIP: f[apriori.FieldSrcIP], SrcPort: f[apriori.FieldSrcPort],
 		DstIP: f[apriori.FieldDstIP], DstPort: f[apriori.FieldDstPort],
 	}
-}
-
-// Decode reads an admd document back.
-func Decode(r io.Reader) (*Document, error) {
-	var doc Document
-	dec := xml.NewDecoder(r)
-	if err := dec.Decode(&doc); err != nil {
-		return nil, fmt.Errorf("admd: decode: %w", err)
-	}
-	return &doc, nil
-}
-
-// Filters converts an anomaly's slices back into traffic filters, so a
-// decoded database can drive the similarity estimator (e.g. to benchmark a
-// new detector against published labels).
-func (a *Anomaly) Filters() ([]trace.Filter, error) {
-	var out []trace.Filter
-	for _, s := range a.Slices {
-		f := trace.NewFilter()
-		if s.SrcIP != "" {
-			ip, err := trace.ParseIPv4(s.SrcIP)
-			if err != nil {
-				return nil, fmt.Errorf("admd: slice src_ip: %w", err)
-			}
-			f = f.WithSrc(ip)
-		}
-		if s.DstIP != "" {
-			ip, err := trace.ParseIPv4(s.DstIP)
-			if err != nil {
-				return nil, fmt.Errorf("admd: slice dst_ip: %w", err)
-			}
-			f = f.WithDst(ip)
-		}
-		if s.SrcPort != "" {
-			p, err := strconv.ParseUint(s.SrcPort, 10, 16)
-			if err != nil {
-				return nil, fmt.Errorf("admd: slice src_port: %w", err)
-			}
-			f = f.WithSrcPort(uint16(p))
-		}
-		if s.DstPort != "" {
-			p, err := strconv.ParseUint(s.DstPort, 10, 16)
-			if err != nil {
-				return nil, fmt.Errorf("admd: slice dst_port: %w", err)
-			}
-			f = f.WithDstPort(uint16(p))
-		}
-		out = append(out, f)
-	}
-	return out, nil
 }

@@ -2,6 +2,7 @@ package admd
 
 import (
 	"bytes"
+	"encoding/xml"
 	"strings"
 	"testing"
 
@@ -59,8 +60,8 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		t.Errorf("slice fields missing:\n%s", out)
 	}
 
-	doc, err := Decode(strings.NewReader(out))
-	if err != nil {
+	var doc Document
+	if err := xml.Unmarshal(buf.Bytes(), &doc); err != nil {
 		t.Fatal(err)
 	}
 	if doc.Trace != "2004-05-10" {
@@ -75,45 +76,20 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFiltersFromDecodedSlices: a rule's filter is published as one slice
+// holding its rendered fields, wildcards left empty.
 func TestFiltersFromDecodedSlices(t *testing.T) {
 	var buf bytes.Buffer
 	if err := Encode(&buf, "x", sampleTrace(), sampleReports()); err != nil {
 		t.Fatal(err)
 	}
-	doc, err := Decode(&buf)
-	if err != nil {
+	var doc Document
+	if err := xml.Unmarshal(buf.Bytes(), &doc); err != nil {
 		t.Fatal(err)
 	}
-	filters, err := doc.Anomalies[0].Filters()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(filters) != 1 {
-		t.Fatalf("filters = %d", len(filters))
-	}
-	f := filters[0]
-	if f.Src == nil || *f.Src != trace.MakeIPv4(203, 0, 1, 2) {
-		t.Errorf("src filter = %v", f)
-	}
-	if f.DstPort == nil || *f.DstPort != 445 {
-		t.Errorf("dst port filter = %v", f)
-	}
-	// The filter must match a packet of the anomaly and reject others.
-	hit := trace.Packet{Src: trace.MakeIPv4(203, 0, 1, 2), DstPort: 445, Proto: trace.TCP}
-	miss := trace.Packet{Src: trace.MakeIPv4(203, 0, 1, 3), DstPort: 445, Proto: trace.TCP}
-	if !f.Match(&hit) || f.Match(&miss) {
-		t.Error("round-tripped filter semantics wrong")
-	}
-}
-
-func TestFiltersErrors(t *testing.T) {
-	bad := Anomaly{Slices: []Slice{{SrcIP: "not-an-ip"}}}
-	if _, err := bad.Filters(); err == nil {
-		t.Error("bad src_ip accepted")
-	}
-	badPort := Anomaly{Slices: []Slice{{DstPort: "99999"}}}
-	if _, err := badPort.Filters(); err == nil {
-		t.Error("bad port accepted")
+	want := []Slice{{SrcIP: "203.0.1.2", DstPort: "445"}}
+	if got := doc.Anomalies[0].Slices; len(got) != 1 || got[0] != want[0] {
+		t.Errorf("slices = %+v, want %+v", got, want)
 	}
 }
 
@@ -127,17 +103,11 @@ func TestAnomalyWithoutRulesGetsEmptySlice(t *testing.T) {
 	if err := Encode(&buf, "x", sampleTrace(), reports); err != nil {
 		t.Fatal(err)
 	}
-	doc, err := Decode(&buf)
-	if err != nil {
+	var doc Document
+	if err := xml.Unmarshal(buf.Bytes(), &doc); err != nil {
 		t.Fatal(err)
 	}
-	if len(doc.Anomalies[0].Slices) != 1 {
+	if len(doc.Anomalies[0].Slices) != 1 || doc.Anomalies[0].Slices[0] != (Slice{}) {
 		t.Error("rule-less anomaly should carry one wildcard slice")
-	}
-}
-
-func TestDecodeGarbage(t *testing.T) {
-	if _, err := Decode(strings.NewReader("not xml at all")); err == nil {
-		t.Error("garbage decoded")
 	}
 }

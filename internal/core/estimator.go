@@ -10,24 +10,6 @@ import (
 	"mawilab/internal/trace"
 )
 
-// Measure selects the edge-weight similarity between two alarms' traffic
-// sets (§2.1.2). The paper evaluates three and retains Simpson. It is the
-// simgraph measure re-exported, so the estimator config feeds the graph
-// builder without translation.
-type Measure = simgraph.Measure
-
-// The three similarity measures of the paper.
-const (
-	// Simpson is |E1∩E2| / min(|E1|,|E2|): 1 when one alarm's traffic is
-	// contained in the other's — exactly the host-alarm-covers-flow-alarms
-	// situation of Fig. 1.
-	Simpson = simgraph.Simpson
-	// Jaccard is |E1∩E2| / |E1∪E2|.
-	Jaccard = simgraph.Jaccard
-	// Constant weights every intersecting pair 1.
-	Constant = simgraph.Constant
-)
-
 // CommunityAlgo selects the community-mining algorithm run on the
 // similarity graph.
 type CommunityAlgo uint8
@@ -58,8 +40,8 @@ func (a CommunityAlgo) String() string {
 type EstimatorConfig struct {
 	// Granularity of traffic comparison; the paper retains uniflow.
 	Granularity trace.Granularity
-	// Measure of edge weight; the paper retains Simpson.
-	Measure Measure
+	// Measure of edge weight (§2.1.2); the paper retains Simpson.
+	Measure simgraph.Measure
 	// MinSimilarity discards edges below this weight, discriminating
 	// alarms with an irrelevant amount of traffic in common: an edge is
 	// kept when its weight is >= MinSimilarity and > 0. Zero keeps every
@@ -74,7 +56,7 @@ type EstimatorConfig struct {
 func DefaultEstimatorConfig() EstimatorConfig {
 	return EstimatorConfig{
 		Granularity:   trace.GranUniFlow,
-		Measure:       Simpson,
+		Measure:       simgraph.Simpson,
 		MinSimilarity: 0.1,
 		Algo:          Louvain,
 	}
@@ -105,12 +87,6 @@ type Result struct {
 	extractor *Extractor
 	cfg       EstimatorConfig
 }
-
-// Config returns the estimator configuration that produced this result.
-func (r *Result) Config() EstimatorConfig { return r.cfg }
-
-// Extractor exposes the traffic extractor used, for labeling stages.
-func (r *Result) Extractor() *Extractor { return r.extractor }
 
 // Index exposes the shared trace index the estimate resolved against, so
 // downstream stages (labeling, heuristics) reuse it instead of rebuilding.

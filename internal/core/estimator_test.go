@@ -10,6 +10,7 @@ import (
 
 	"mawilab/internal/graphx"
 	"mawilab/internal/mawigen"
+	"mawilab/internal/simgraph"
 	"mawilab/internal/trace"
 )
 
@@ -123,7 +124,7 @@ func TestEstimateJaccardLowerThanSimpson(t *testing.T) {
 		trace.NewFilter().WithSrc(trace.MakeIPv4(10, 9, 9, 9)).WithDst(trace.MakeIPv4(10, 0, 2, 5)),
 	}}
 	cfg := DefaultEstimatorConfig()
-	cfg.Measure = Jaccard
+	cfg.Measure = simgraph.Jaccard
 	cfg.MinSimilarity = 0
 	res, err := estimate(tr, []Alarm{host, oneDst}, cfg)
 	if err != nil {
@@ -138,7 +139,7 @@ func TestEstimateJaccardLowerThanSimpson(t *testing.T) {
 func TestEstimateConstantMeasure(t *testing.T) {
 	tr := twoEventTrace()
 	cfg := DefaultEstimatorConfig()
-	cfg.Measure = Constant
+	cfg.Measure = simgraph.Constant
 	res, err := estimate(tr, []Alarm{scanAlarm("a", 0), scanAlarm("b", 0)}, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -155,7 +156,7 @@ func TestEstimateMinSimilarityDiscriminates(t *testing.T) {
 		trace.NewFilter().WithSrc(trace.MakeIPv4(10, 9, 9, 9)).WithDst(trace.MakeIPv4(10, 0, 2, 5)),
 	}}
 	cfg := DefaultEstimatorConfig()
-	cfg.Measure = Jaccard // 1/40 = 0.025
+	cfg.Measure = simgraph.Jaccard // 1/40 = 0.025
 	cfg.MinSimilarity = 0.1
 	res, err := estimate(tr, []Alarm{host, oneDst}, cfg)
 	if err != nil {
@@ -191,7 +192,7 @@ func TestEstimateBadConfig(t *testing.T) {
 		t.Error("invalid MinSimilarity accepted")
 	}
 	cfg = DefaultEstimatorConfig()
-	cfg.Measure = Measure(99)
+	cfg.Measure = simgraph.Measure(99)
 	if _, err := estimate(tr, []Alarm{scanAlarm("a", 0), scanAlarm("b", 0)}, cfg); err == nil {
 		t.Error("unknown measure accepted")
 	}
@@ -250,11 +251,11 @@ func TestDetectorsIn(t *testing.T) {
 }
 
 func TestMeasureString(t *testing.T) {
-	if Simpson.String() != "simpson" || Jaccard.String() != "jaccard" || Constant.String() != "constant" {
+	if simgraph.Simpson.String() != "simpson" || simgraph.Jaccard.String() != "jaccard" || simgraph.Constant.String() != "constant" {
 		t.Error("measure names wrong")
 	}
-	if Measure(9).String() != "measure(9)" {
-		t.Errorf("unknown measure renders %q", Measure(9).String())
+	if simgraph.Measure(9).String() != "measure(9)" {
+		t.Errorf("unknown measure renders %q", simgraph.Measure(9).String())
 	}
 }
 
@@ -373,11 +374,11 @@ func exactReferenceGraph(ix *trace.Index, alarms []Alarm, cfg EstimatorConfig) *
 			}
 			var w float64
 			switch cfg.Measure {
-			case Simpson:
+			case simgraph.Simpson:
 				w = float64(n) / float64(min(len(units[a]), len(units[b])))
-			case Jaccard:
+			case simgraph.Jaccard:
 				w = float64(n) / float64(len(units[a])+len(units[b])-n)
-			case Constant:
+			case simgraph.Constant:
 				w = 1
 			}
 			if w >= cfg.MinSimilarity && w > 0 {
@@ -424,7 +425,7 @@ func TestEstimateMatchesExactReference(t *testing.T) {
 	}{{"day", dayIx, dayAlarms}, {"random", randIx, randAlarms}}
 	for _, tc := range cases {
 		for _, gran := range []trace.Granularity{trace.GranPacket, trace.GranUniFlow, trace.GranBiFlow} {
-			for _, measure := range []Measure{Simpson, Jaccard, Constant} {
+			for _, measure := range []simgraph.Measure{simgraph.Simpson, simgraph.Jaccard, simgraph.Constant} {
 				cfg := EstimatorConfig{Granularity: gran, Measure: measure, MinSimilarity: 0.1, Algo: Louvain}
 				want := exactReferenceGraph(tc.ix, tc.alarms, cfg)
 				if want.EdgeCount() == 0 {

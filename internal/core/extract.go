@@ -46,9 +46,6 @@ func NewExtractor(ix *trace.Index, g trace.Granularity) *Extractor {
 	return &Extractor{ix: ix, gran: g}
 }
 
-// Granularity returns the traffic granularity of the extractor.
-func (e *Extractor) Granularity() trace.Granularity { return e.gran }
-
 // Index returns the shared trace index the extractor resolves against.
 func (e *Extractor) Index() *trace.Index { return e.ix }
 

@@ -207,9 +207,6 @@ func TestUnionFlowRefsNameFlows(t *testing.T) {
 func TestExtractorAccessors(t *testing.T) {
 	tr, _ := fig1Trace()
 	ext := NewExtractor(trace.NewIndex(tr), trace.GranBiFlow)
-	if ext.Granularity() != trace.GranBiFlow {
-		t.Error("granularity accessor wrong")
-	}
 	ix := ext.Index()
 	if ix.Flows() != 1 {
 		t.Errorf("flows = %d, want 1", ix.Flows())

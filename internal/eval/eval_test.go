@@ -39,10 +39,11 @@ func testDates(n int) []time.Time {
 
 func TestRunnerDay(t *testing.T) {
 	r := testRunner()
-	day, err := r.Day(testDates(1)[0])
+	days, err := r.Days(context.Background(), testDates(1))
 	if err != nil {
 		t.Fatal(err)
 	}
+	day := days[0]
 	if len(day.Communities) == 0 {
 		t.Fatal("no communities on an archive day")
 	}
@@ -142,7 +143,7 @@ func (truncatingStrategy) Classify(r *core.Result, conf []core.DetectorScores) (
 func TestDayRejectsMisalignedStrategy(t *testing.T) {
 	r := testRunner()
 	r.Strategies = []core.Strategy{truncatingStrategy{}}
-	_, err := r.Day(testDates(1)[0])
+	_, err := r.Days(context.Background(), testDates(1))
 	if err == nil || !strings.Contains(err.Error(), "!= communities") {
 		t.Fatalf("err = %v, want a decisions/communities mismatch", err)
 	}
@@ -154,22 +155,19 @@ func TestDayRejectsMisalignedStrategy(t *testing.T) {
 func TestDayRejectsMisalignedExtraStrategy(t *testing.T) {
 	r := testRunner()
 	r.Strategies = []core.Strategy{truncatingStrategy{}, core.NewSCANN()}
-	_, err := r.Day(testDates(1)[0])
+	_, err := r.Days(context.Background(), testDates(1))
 	if err == nil || !strings.Contains(err.Error(), "truncating") || !strings.Contains(err.Error(), "decisions for") {
 		t.Fatalf("err = %v, want the truncating strategy's decisions/communities mismatch", err)
 	}
 }
 
 // TestDayRejectsEmptyStrategies: with no strategy there is nothing to label
-// a day under, so Day and Days fail before generating anything.
+// a day under, so Days fails before generating anything.
 func TestDayRejectsEmptyStrategies(t *testing.T) {
 	r := testRunner()
 	r.Strategies = nil
-	if _, err := r.Day(testDates(1)[0]); !errors.Is(err, errNoStrategies) {
-		t.Fatalf("Day: err = %v, want errNoStrategies", err)
-	}
 	if _, err := r.Days(context.Background(), testDates(2)); !errors.Is(err, errNoStrategies) {
-		t.Fatalf("Days: err = %v, want errNoStrategies", err)
+		t.Fatalf("err = %v, want errNoStrategies", err)
 	}
 }
 
@@ -193,12 +191,12 @@ func TestRunnerDayMatchesGolden(t *testing.T) {
 	r := NewRunner(arch, suite.Standard())
 	for _, workers := range []int{1, 4} {
 		r.Workers = workers
-		day, err := r.Day(time.Date(2004, 5, 10, 0, 0, 0, 0, time.UTC))
+		days, err := r.Days(context.Background(), []time.Time{time.Date(2004, 5, 10, 0, 0, 0, 0, time.UTC)})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		var csv bytes.Buffer
-		if err := wirev1.WriteCSV(&csv, day.Reports); err != nil {
+		if err := wirev1.WriteCSV(&csv, days[0].Reports); err != nil {
 			t.Fatal(err)
 		}
 		if got := fmt.Sprintf("%x", sha256.Sum256(csv.Bytes())); got != golden.CSVSHA256 {
@@ -565,11 +563,11 @@ func TestDaysShardingDeterministic(t *testing.T) {
 	seq := testRunner()
 	var want []*DayResult
 	for _, d := range dates {
-		day, err := seq.Day(d)
+		days, err := seq.Days(context.Background(), []time.Time{d})
 		if err != nil {
 			t.Fatal(err)
 		}
-		want = append(want, day)
+		want = append(want, days...)
 	}
 
 	par := testRunner()

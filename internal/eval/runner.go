@@ -87,15 +87,6 @@ type CommunitySummary struct {
 	Detectors []string
 }
 
-// Day labels one archive day: Days of that one date.
-func (r *Runner) Day(date time.Time) (*DayResult, error) {
-	days, err := r.Days(context.Background(), []time.Time{date})
-	if err != nil {
-		return nil, err
-	}
-	return days[0], nil
-}
-
 // Days labels the archive days at dates, r.Workers days at a time, each
 // day running the pipeline sequentially. It is the only code in this
 // package that labels a day: every figure is a fold over the slice it

@@ -71,18 +71,6 @@ func (c Category) String() string {
 	}
 }
 
-// Class returns the coarse class of a category.
-func (c Category) Class() Class {
-	switch c {
-	case CatSasser, CatRPC, CatSMB, CatPing, CatOtherAttack, CatNetBIOS:
-		return Attack
-	case CatHTTP, CatWellKnown:
-		return Special
-	default:
-		return Unknown
-	}
-}
-
 // Summary aggregates the observable features of one community's traffic,
 // all that Table 1 needs: packet count, flag ratios, the ICMP share and, for
 // the fourteen (port, protocol) pairs a Table 1 row names, how many packets

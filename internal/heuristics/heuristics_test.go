@@ -221,14 +221,6 @@ func TestClassAndCategoryStrings(t *testing.T) {
 			t.Errorf("%d.String() = %q, want %q", cat, cat.String(), want)
 		}
 	}
-	for _, cat := range []Category{CatSasser, CatRPC, CatSMB, CatPing, CatOtherAttack, CatNetBIOS} {
-		if cat.Class() != Attack {
-			t.Errorf("%v should be Attack", cat)
-		}
-	}
-	if CatHTTP.Class() != Special || CatWellKnown.Class() != Special || CatUnknown.Class() != Unknown {
-		t.Error("class mapping wrong")
-	}
 }
 
 // table1Ports are the fourteen (port, protocol) pairs a Table 1 row reads.

@@ -1,11 +1,8 @@
 package mawigen
 
 import (
-	"context"
 	"math/rand"
 	"time"
-
-	"mawilab/internal/parallel"
 )
 
 // Archive models the MAWI archive over calendar time: traces per day with
@@ -21,10 +18,6 @@ type Archive struct {
 	// BaseRate is the background rate in pps before the first link
 	// upgrade.
 	BaseRate float64
-	// Workers bounds the day-level fan-out of Days: that many days
-	// generate concurrently, each in one sequential loop. 0 or 1 is
-	// sequential; traces are byte-identical at every setting.
-	Workers int
 }
 
 // NewArchive returns the archive model at the default experiment scale.
@@ -153,21 +146,6 @@ func (a *Archive) Day(date time.Time) *Result {
 		}
 	}
 	return Generate(cfg)
-}
-
-// Days generates many archive days concurrently across the archive's
-// worker pool (a.Workers; <= 1 generates sequentially). Results are
-// returned in date order and each day's trace is identical to what Day
-// would produce, so multi-day experiments shard freely. Generation cannot
-// fail; the error is ctx's, when cancelled mid-run.
-func (a *Archive) Days(ctx context.Context, dates []time.Time) ([]*Result, error) {
-	workers := a.Workers
-	if workers <= 0 {
-		workers = 1
-	}
-	return parallel.Map(ctx, len(dates), workers, func(_ context.Context, i int) (*Result, error) {
-		return a.Day(dates[i]), nil
-	})
 }
 
 // EverNDays samples the archive every n days across [start, end) — used to

@@ -1,8 +1,6 @@
 package mawigen
 
 import (
-	"context"
-	"reflect"
 	"testing"
 	"time"
 
@@ -278,40 +276,5 @@ func TestSpecDefaults(t *testing.T) {
 	res := Generate(cfg)
 	if len(res.Truth) != 1 || res.Truth[0].Packets == 0 {
 		t.Error("spec defaults not applied")
-	}
-}
-
-// TestArchiveDaysMatchesDayLoop: the concurrent multi-day generator must
-// return, in date order, exactly what sequential Day calls produce.
-func TestArchiveDaysMatchesDayLoop(t *testing.T) {
-	arch := NewArchive(7)
-	arch.Duration = 15
-	arch.BaseRate = 80
-	dates := []time.Time{
-		time.Date(2003, 9, 1, 0, 0, 0, 0, time.UTC),
-		time.Date(2004, 5, 10, 0, 0, 0, 0, time.UTC),
-		time.Date(2008, 2, 20, 0, 0, 0, 0, time.UTC),
-	}
-
-	var want []*Result
-	for _, d := range dates {
-		want = append(want, arch.Day(d))
-	}
-
-	arch.Workers = 4
-	got, err := arch.Days(context.Background(), dates)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("Days returned %d results, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if !reflect.DeepEqual(want[i].Trace.Packets, got[i].Trace.Packets) {
-			t.Errorf("day %d: traces differ", i)
-		}
-		if !reflect.DeepEqual(want[i].Truth, got[i].Truth) {
-			t.Errorf("day %d: ground truth differs", i)
-		}
 	}
 }

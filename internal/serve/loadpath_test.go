@@ -133,8 +133,8 @@ func TestConcurrentDuplicateStorm(t *testing.T) {
 	}
 
 	// One clean entry, no tmp debris.
-	if s.Store().Len() != 1 {
-		t.Errorf("store has %d entries, want 1", s.Store().Len())
+	if s.store.Len() != 1 {
+		t.Errorf("store has %d entries, want 1", s.store.Len())
 	}
 	entries, err := os.ReadDir(s.cfg.StoreDir)
 	if err != nil {
@@ -255,7 +255,7 @@ func TestCommunityFlowsAndIndexCache(t *testing.T) {
 
 	// A limit past the table's flow count answers what the flow count does,
 	// and costs the answer, not the limit.
-	table, _, err := srv.Store().Flows(out.Digest)
+	table, _, err := srv.store.Flows(out.Digest)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +315,7 @@ func TestStoreTracePcapRoundTrip(t *testing.T) {
 		t.Fatalf("upload = %d", code)
 	}
 	waitJob(t, ts, out.JobID)
-	data, known, err := srv.Store().TracePcap(out.Digest)
+	data, known, err := srv.store.TracePcap(out.Digest)
 	if err != nil || !known {
 		t.Fatalf("TracePcap: known=%v err=%v", known, err)
 	}
@@ -326,7 +326,7 @@ func TestStoreTracePcapRoundTrip(t *testing.T) {
 	if tr.Digest() != out.Digest {
 		t.Errorf("stored trace digest %s, want %s", tr.Digest(), out.Digest)
 	}
-	if _, known, _ := srv.Store().TracePcap("nope"); known {
+	if _, known, _ := srv.store.TracePcap("nope"); known {
 		t.Error("unknown digest reported as known")
 	}
 }

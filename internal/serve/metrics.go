@@ -258,37 +258,19 @@ func formatFloat(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
-// WriteTo renders every registered family in registration order.
-func (r *Registry) WriteTo(w io.Writer) (int64, error) {
+// writeExposition renders every registered family in registration order.
+func (r *Registry) writeExposition(w io.Writer) {
 	r.mu.Lock()
 	metrics := append([]metric(nil), r.metrics...)
 	r.mu.Unlock()
-	cw := &countingWriter{w: w}
 	for _, m := range metrics {
-		fmt.Fprintf(cw, "# HELP %s %s\n# TYPE %s %s\n", m.name, m.help, m.name, m.typ)
-		m.write(cw, m.name)
+		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", m.name, m.help, m.name, m.typ)
+		m.write(w, m.name)
 	}
-	return cw.n, cw.err
 }
 
 // ServeHTTP exposes the registry as a Prometheus scrape target.
 func (r *Registry) ServeHTTP(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	r.WriteTo(w)
-}
-
-type countingWriter struct {
-	w   io.Writer
-	n   int64
-	err error
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	if c.err != nil {
-		return 0, c.err
-	}
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	c.err = err
-	return n, err
+	r.writeExposition(w)
 }

@@ -10,9 +10,7 @@ import (
 func render(t *testing.T, r *Registry) string {
 	t.Helper()
 	var buf bytes.Buffer
-	if _, err := r.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
+	r.writeExposition(&buf)
 	return buf.String()
 }
 

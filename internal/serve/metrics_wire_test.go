@@ -165,9 +165,7 @@ func TestMetricsWireFormat(t *testing.T) {
 	hv.With("ingest").Observe(0.5)
 
 	var buf bytes.Buffer
-	if _, err := r.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
+	r.writeExposition(&buf)
 	samples := parseExposition(t, buf.String())
 
 	if samples["t_uploads_total"] != 3 {
@@ -225,9 +223,7 @@ func TestHistogramCountMatchesInfUnderLoad(t *testing.T) {
 	}
 	for i := 0; i < 50; i++ {
 		var buf bytes.Buffer
-		if _, err := r.WriteTo(&buf); err != nil {
-			t.Fatal(err)
-		}
+		r.writeExposition(&buf)
 		samples := parseExposition(t, buf.String())
 		inf := samples[`t_race_seconds_bucket{le="+Inf"}`]
 		count := samples["t_race_seconds_count"]

@@ -196,12 +196,6 @@ func New(cfg Config) (*Server, error) {
 // Handler returns the daemon's HTTP surface.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Store exposes the label store (tooling and tests).
-func (s *Server) Store() *Store { return s.store }
-
-// Engine exposes the job engine (tooling and tests).
-func (s *Server) Engine() *Engine { return s.engine }
-
 // Drain begins graceful shutdown and blocks until every accepted job has
 // finished (or ctx expires): readiness flips to 503, new uploads are
 // rejected with 503, in-flight and queued jobs run to completion, and the

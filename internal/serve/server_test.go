@@ -364,7 +364,7 @@ func TestAdmissionControlOverflow(t *testing.T) {
 		t.Fatal(err)
 	}
 	digest := tr.Digest()
-	if s.Store().Has(digest) {
+	if s.store.Has(digest) {
 		t.Error("the bounced trace reached the store")
 	}
 	if code, _, _ := get(t, ts.URL+"/v1/labels/"+digest+".csv", nil); code != http.StatusNotFound {
@@ -431,10 +431,10 @@ func TestAdmissionRejectsOverlongSpan(t *testing.T) {
 		t.Errorf("over-long spool file not moved to failed/: %v", err)
 	}
 
-	if _, active := s.Engine().Active(long.Digest()); active {
+	if _, active := s.engine.Active(long.Digest()); active {
 		t.Error("a job was created for the rejected trace")
 	}
-	if d := s.Engine().Depth(); d != 0 {
+	if d := s.engine.Depth(); d != 0 {
 		t.Errorf("queue depth = %d, want 0", d)
 	}
 	if v, _ := metricValue(t, ts, "mawilabd_cache_misses_total"); v != "0" {
@@ -470,7 +470,7 @@ func TestGracefulDrain(t *testing.T) {
 	drained := make(chan error, 1)
 	go func() { drained <- s.Drain(context.Background()) }()
 	deadline := time.Now().Add(5 * time.Second)
-	for !s.Engine().Draining() && time.Now().Before(deadline) {
+	for !s.engine.Draining() && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
 
@@ -685,7 +685,7 @@ func TestUploadBadPcap(t *testing.T) {
 	if v, _ := metricValue(t, ts, "mawilabd_cache_misses_total"); v != "0" {
 		t.Errorf("cache_misses_total = %q, want 0: a bad upload made a job", v)
 	}
-	if n := s.Store().Len(); n != 0 {
+	if n := s.store.Len(); n != 0 {
 		t.Errorf("store has %d entries, want 0", n)
 	}
 }

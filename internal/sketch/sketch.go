@@ -36,18 +36,12 @@ func New(bins int, seed uint64) *Sketch {
 // division, which matters in the detectors' per-packet rasterization loops;
 // the two forms are value-identical (h % 2^k == h & (2^k - 1)).
 func (s *Sketch) Bin(ip trace.IPv4) int {
-	h := Mix64(uint64(ip) ^ s.Seed)
+	h := trace.Mix64(uint64(ip) ^ s.Seed)
 	if b := uint64(s.Bins); b&(b-1) == 0 {
 		return int(h & (b - 1))
 	}
 	return int(h % uint64(s.Bins))
 }
-
-// Mix64 is the splitmix64 finalizer: a fast, well-distributed 64-bit mixer
-// used as the universal hash behind every sketch. It is shared with the
-// trace package's fused index builder, which owns the implementation
-// (sketch depends on trace, never the reverse).
-func Mix64(x uint64) uint64 { return trace.Mix64(x) }
 
 // TopHosts returns the k heaviest addresses of addrs — one entry per packet,
 // sorted in place — by descending packet count, ties to the smaller

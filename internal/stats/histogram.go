@@ -9,7 +9,6 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"slices"
 	"sort"
@@ -35,31 +34,6 @@ func (h *Histogram) Add(key uint64, weight float64) {
 	}
 	h.counts[key] += weight
 	h.total += weight
-}
-
-// Total returns the total weight in the histogram.
-func (h *Histogram) Total() float64 { return h.total }
-
-// Bins returns the number of non-empty bins.
-func (h *Histogram) Bins() int { return len(h.counts) }
-
-// P returns the empirical probability of key (0 when the histogram is
-// empty).
-func (h *Histogram) P(key uint64) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return h.counts[key] / h.total
-}
-
-// Keys returns all non-empty bin keys in ascending order.
-func (h *Histogram) Keys() []uint64 {
-	keys := make([]uint64, 0, len(h.counts))
-	for k := range h.counts {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	return keys
 }
 
 // Entropy returns the Shannon entropy in bits.
@@ -160,17 +134,4 @@ func (h *Histogram) TopK(k int) []struct {
 		}{all[i].Key, all[i].Weight}
 	}
 	return out
-}
-
-// Reset empties the histogram, retaining allocated capacity.
-func (h *Histogram) Reset() {
-	for k := range h.counts {
-		delete(h.counts, k)
-	}
-	h.total = 0
-}
-
-// String summarizes the histogram.
-func (h *Histogram) String() string {
-	return fmt.Sprintf("histogram{bins=%d total=%.0f H=%.2f}", h.Bins(), h.total, h.Entropy())
 }

@@ -20,8 +20,8 @@ var ErrUnsorted = errors.New("trace: packets violate the sorted trace model")
 var errFinished = errors.New("trace: index builder already finished")
 
 // Mix64 is the splitmix64 finalizer: a fast, well-distributed 64-bit mixer.
-// It is the universal hash behind every sketch (internal/sketch re-exports
-// it) and the fused builder's flow table.
+// It is the universal hash behind every sketch (internal/sketch) and the
+// fused builder's flow table.
 func Mix64(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
@@ -169,14 +169,6 @@ func newDetachedBuilder(n int) *IndexBuilder {
 		flowSeq: make([]int32, 0, n),
 	}
 	return &IndexBuilder{a: a, lastTS: -1}
-}
-
-// Len returns the number of packets added so far.
-func (b *IndexBuilder) Len() int {
-	if b.a == nil {
-		return 0
-	}
-	return len(b.a.ts)
 }
 
 // Add appends one packet to the index under construction.

@@ -163,3 +163,18 @@ func TestIndexDigestMatchesTrace(t *testing.T) {
 		t.Fatalf("Index.Digest %s != Trace.Digest %s", got, want)
 	}
 }
+
+func TestMix64Avalanche(t *testing.T) {
+	// Flipping one input bit should flip ~half the output bits.
+	base := Mix64(0x123456789abcdef)
+	flipped := Mix64(0x123456789abcdee)
+	diff := base ^ flipped
+	ones := 0
+	for diff != 0 {
+		ones += int(diff & 1)
+		diff >>= 1
+	}
+	if ones < 16 || ones > 48 {
+		t.Errorf("avalanche bits = %d, want near 32", ones)
+	}
+}

@@ -307,8 +307,8 @@ func TestAppendIndexMatchesReplay(t *testing.T) {
 	if err := b.AppendIndex(late); !errors.Is(err, ErrUnsorted) {
 		t.Fatalf("overlapping append: %v, want ErrUnsorted", err)
 	}
-	if b.Len() != 2 {
-		t.Fatalf("a rejected append left %d packets, want 2", b.Len())
+	if len(b.a.ts) != 2 {
+		t.Fatalf("a rejected append left %d packets, want 2", len(b.a.ts))
 	}
 	if _, err := replayIndexes([]*Index{early, late}); !errors.Is(err, ErrUnsorted) {
 		t.Fatalf("overlapping replay: %v, want ErrUnsorted", err)

@@ -72,12 +72,12 @@ func refCoverage(txs []apriori.Transaction, rules []apriori.Rule) float64 {
 	return float64(covered) / float64(len(txs))
 }
 
-func refBuildReports(r *core.Result, decisions []core.Decision, support float64) []core.CommunityReport {
+func refBuildReports(r *core.Result, gran trace.Granularity, decisions []core.Decision, support float64) []core.CommunityReport {
 	ix := r.Index()
 	reports := make([]core.CommunityReport, len(r.Communities))
 	for ci := range r.Communities {
 		c := &r.Communities[ci]
-		txs := refCommunityTransactions(ix, r.Config().Granularity, c)
+		txs := refCommunityTransactions(ix, gran, c)
 		rules := apriori.Maximal(apriori.Mine(txs, support))
 		cls, cat := heuristics.ClassifyPackets(ix, refRuleCoveredPackets(ix, c.Traffic.Packets, rules))
 		reports[ci] = core.CommunityReport{
@@ -117,7 +117,7 @@ func TestBuildReportsMatchesReference(t *testing.T) {
 			if len(l.Reports) == 0 {
 				t.Fatalf("%s %v: no communities to label", date.Format(time.DateOnly), gran)
 			}
-			want := refBuildReports(l.Result, l.Decisions, p.RuleSupport)
+			want := refBuildReports(l.Result, p.Estimator.Granularity, l.Decisions, p.RuleSupport)
 			for _, workers := range []int{1, 4} {
 				got, err := core.BuildReportsContext(context.Background(), l.Result, l.Decisions, core.ReportOptions{RuleSupport: p.RuleSupport}, workers)
 				if err != nil {

@@ -91,9 +91,6 @@ type (
 	// Segment is one sealed, immutable span of a packet stream, held as its
 	// columnar index only — the unit of the streaming pipeline.
 	Segment = trace.Segment
-	// SegmentWriter accepts packets incrementally and seals fixed-duration
-	// segments as the stream crosses grid boundaries.
-	SegmentWriter = trace.SegmentWriter
 	// Alarm is one detector report.
 	Alarm = core.Alarm
 	// Detector is an anomaly detector with multiple configurations:
@@ -188,7 +185,7 @@ func WritePcap(w io.Writer, tr *Trace) error { return pcap.WriteTrace(w, tr) }
 // only constructor whose result Release recycles). It is structurally
 // identical to ReadPcap followed by index construction, and like every other
 // path it rejects streams violating the sorted trace model with
-// trace.ErrUnsorted. The daemon's upload path runs on it; see the README's
+// ErrUnsorted. The daemon's upload path runs on it; see the README's
 // "Raw speed" section for the ownership rules.
 func DecodePcap(r io.Reader) (*Index, error) { return pcap.DecodeIndex(r) }
 
@@ -204,7 +201,7 @@ func EncodePcap(w io.Writer, ix *Index) error { return pcap.WriteIndex(w, ix) }
 // Segments chops an in-order packet stream into sealed trace segments of the
 // given length in seconds (<= 0 selects the canonical batch boundary: one
 // unbounded segment sealed at end of stream; a NaN, infinite or overflowing
-// length yields trace.ErrSegmentLength). It is the ingest substrate
+// length yields ErrSegmentLength). It is the ingest substrate
 // RunStream is built on, exposed for callers that want sealed segments
 // without the labeling stages. workers is ignored — each segment's index is
 // built sequentially as its packets arrive — and stays only because
@@ -216,7 +213,7 @@ func Segments(ctx context.Context, packets <-chan Packet, seconds float64, worke
 
 // SealTrace indexes a materialized trace as the canonical single sealed
 // segment — the batch boundary Run chops at. An unsorted trace fails with
-// trace.ErrUnsorted. workers is ignored, and kept for the same reason as in
+// ErrUnsorted. workers is ignored, and kept for the same reason as in
 // Segments.
 func SealTrace(ctx context.Context, tr *Trace, workers int) (*Segment, error) {
 	return trace.SealTrace(ctx, tr)
@@ -313,6 +310,17 @@ var (
 	ErrRuleSupport = errors.New("mawilab: Pipeline.RuleSupport must be 0 or in (0,1]")
 )
 
+// Input errors of the trace layer, matchable with errors.Is.
+var (
+	// ErrUnsorted rejects packets out of timestamp order or with a negative
+	// timestamp, from DecodePcap, SealTrace, the Run entry points and
+	// RunStream.
+	ErrUnsorted = trace.ErrUnsorted
+	// ErrSegmentLength rejects a NaN, infinite or overflowing segment length
+	// passed to Segments.
+	ErrSegmentLength = trace.ErrSegmentLength
+)
+
 // Validate checks the stream configuration and returns a typed error for
 // the first invalid field: a negative or non-finite SegmentSeconds
 // (ErrSegmentSeconds), a negative WindowSegments (ErrWindowSegments), a
@@ -340,16 +348,24 @@ func (c StreamConfig) Validate() error {
 // Validate checks the pipeline configuration: a negative Workers count
 // (ErrWorkers), a RuleSupport outside (0,1] other than the defaulting 0
 // (ErrRuleSupport) and the embedded StreamConfig (see StreamConfig.Validate).
-// RunStream validates before starting; the batch adapters keep their
-// historical leniency for the Stream field they ignore.
+// RunStream validates before starting; the batch entry points reject a bad
+// Workers or RuleSupport themselves and ignore the Stream field.
 func (p *Pipeline) Validate() error {
-	if p.Workers < 0 {
-		return fmt.Errorf("%w: got %d", ErrWorkers, p.Workers)
+	if err := p.checkWorkers(); err != nil {
+		return err
 	}
 	if _, err := p.ruleSupport(); err != nil {
 		return err
 	}
 	return p.Stream.Validate()
+}
+
+// checkWorkers rejects a negative Workers count with ErrWorkers.
+func (p *Pipeline) checkWorkers() error {
+	if p.Workers < 0 {
+		return fmt.Errorf("%w: got %d", ErrWorkers, p.Workers)
+	}
+	return nil
 }
 
 // ruleSupport resolves RuleSupport to Apriori's minimum support: 0 selects
@@ -464,7 +480,7 @@ func (p *Pipeline) Run(tr *Trace) (*Labeling, error) {
 // uses, as a single one-segment window. Batch and stream therefore share one
 // engine, and a stream chopped at the canonical boundary reproduces this
 // labeling bit-for-bit. tr must be sorted by timestamp (Trace.Sort) with no
-// negative timestamps; otherwise the run fails with trace.ErrUnsorted.
+// negative timestamps; otherwise the run fails with ErrUnsorted.
 func (p *Pipeline) RunContext(ctx context.Context, tr *Trace) (*Labeling, error) {
 	var seg *Segment
 	err := p.observe(StageIngest, func() error {
@@ -619,13 +635,17 @@ type segmentRun struct {
 // window's accumulated alarms and emits the labeling, then advances the
 // window by `stride` segments. When the segment stream ends with segments
 // no emitted window has covered, the final partial window is labeled too.
-// The first error — a repeated detector name or an invalid RuleSupport (both
-// before the first segment is detected), a detector failure, a cancelled
+// The first error — a repeated detector name, a negative Workers or an
+// invalid RuleSupport (all before the first segment is detected), a detector
+// failure, a cancelled
 // context, an out-of-order packet upstream — stops the engine and is returned
 // unchanged.
 func (p *Pipeline) runSegments(ctx context.Context, segs iter.Seq2[*Segment, error], window, stride int, emit func(*WindowLabeling) error) error {
 	totals, err := detectors.Totals(p.Detectors)
 	if err != nil {
+		return err
+	}
+	if err := p.checkWorkers(); err != nil {
 		return err
 	}
 	if _, err := p.ruleSupport(); err != nil {
@@ -712,6 +732,9 @@ func (p *Pipeline) RunAlarms(tr *Trace, alarms []Alarm, totals map[string]int) (
 // batch adapters it seals the trace as the canonical segment and resolves
 // the alarms against that segment's index.
 func (p *Pipeline) RunAlarmsContext(ctx context.Context, tr *Trace, alarms []Alarm, totals map[string]int) (*Labeling, error) {
+	if err := p.checkWorkers(); err != nil {
+		return nil, err
+	}
 	seg, err := trace.SealTrace(ctx, tr)
 	if err != nil {
 		return nil, err

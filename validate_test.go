@@ -140,6 +140,38 @@ func TestRunRejectsRuleSupportBeforeDetecting(t *testing.T) {
 	}
 }
 
+// TestRunRejectsNegativeWorkersBeforeDetecting pins that every entry point
+// fails a negative Workers with ErrWorkers before any detector runs; the
+// batch entry points used to run it as 1.
+func TestRunRejectsNegativeWorkersBeforeDetecting(t *testing.T) {
+	tr := &Trace{Packets: []Packet{{TS: 0, Proto: trace.TCP, Len: 40}, {TS: 1e6, Proto: trace.TCP, Len: 40}}}
+	runs := []struct {
+		name string
+		run  func(p *Pipeline) error
+	}{
+		{"Run", func(p *Pipeline) error { _, err := p.Run(tr); return err }},
+		{"RunContext", func(p *Pipeline) error { _, err := p.RunContext(context.Background(), tr); return err }},
+		{"RunIndex", func(p *Pipeline) error { _, err := p.RunIndex(context.Background(), trace.NewIndex(tr)); return err }},
+		{"RunAlarms", func(p *Pipeline) error { _, err := p.RunAlarms(tr, nil, map[string]int{"counting": 1}); return err }},
+		{"RunStream", func(p *Pipeline) error {
+			packets := make(chan Packet) // never written: validation must not block on it
+			return p.RunStream(context.Background(), packets).Wait()
+		}},
+	}
+	for _, r := range runs {
+		var calls atomic.Int64
+		p := NewPipeline()
+		p.Detectors = []Detector{countingDetector{&calls}}
+		p.Workers = -3
+		if err := r.run(p); !errors.Is(err, ErrWorkers) {
+			t.Errorf("%s: error = %v, want ErrWorkers", r.name, err)
+		}
+		if n := calls.Load(); n != 0 {
+			t.Errorf("%s: the detector ran %d times before the error surfaced", r.name, n)
+		}
+	}
+}
+
 // TestRunStreamRejectsInvalidConfig pins the fail-fast contract: an invalid
 // StreamConfig surfaces from RunStream before any packet is consumed — the
 // windows channel is closed immediately and Wait returns the typed error.

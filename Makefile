@@ -17,8 +17,8 @@ GO ?= go
 #   Detectors,          prepares, twelve decisions; workers={1,4}) — DetectAll
 #   HoughSparse,        also matches DetectAllSegment/seq={0,39}, the same layer
 #   EigenSym            on the first and last sealed 15 s segment of a streamed
-#                       600 s day, whose gap is the cost of a segment's position
-#                       in the stream; each detector's whole Detect, its Prepare
+#                       600 s day (the last behind 585 s of empty bins, which
+#                       only KL still allocates); each detector's whole Detect, its Prepare
 #                       and its Decide halves (the Detectors pattern matches
 #                       DetectorsPrepare/DetectorsDecide too); one Hough Detect
 #                       per tuning; and PCA's eigensolver (Householder +

@@ -137,6 +137,14 @@ func (p *prepared) Decide(config int) ([]core.Alarm, error) {
 // false) or destination addresses, scanning the index's address and
 // timestamp columns into the cells of ax, the finest resolution. Bins come
 // back in ascending bin order.
+//
+// Only the cells from an origin at or before the first packet's are kept;
+// the empty cells before it — a stream segment's age — are a count that
+// each fit takes as leading zeros (stats.FitGammaMoments), the same float64
+// bits the dense cells give. The origin is a multiple of the coarsest
+// aggregation factor, which every finer factor divides, so each resolution
+// aggregates the kept cells into exactly the dense aggregates past its
+// leading zeros. A batch day or an upload is the case origin = 0.
 func prepareDirection(ix *trace.Index, ax trace.TimeAxis, dst bool) []binScore {
 	seed := uint64(detectors.Seed)
 	if dst {
@@ -149,10 +157,16 @@ func prepareDirection(ix *trace.Index, ax trace.TimeAxis, dst bool) []binScore {
 	}
 
 	// One bins×cells slab of packet counts at the finest resolution.
-	cells := ax.Bins
+	var factors [len(resolutions)]int
+	for ri, res := range resolutions {
+		factors[ri] = int(math.Round(res / ax.Width))
+	}
+	coarsest := factors[len(factors)-1]
+	origin := ax.First() - ax.First()%coarsest
+	cells := ax.Bins - origin
 	counts := make([]float64, sketchWidth*cells)
 	for pi, addr := range addrs {
-		counts[sk.Bin(addr)*cells+ax.Bin(ix.Seconds[pi])]++
+		counts[sk.Bin(addr)*cells+ax.Bin(ix.Seconds[pi])-origin]++
 	}
 
 	// Per-resolution Gamma fits for every active bin: fits holds nres
@@ -173,8 +187,8 @@ func prepareDirection(ix *trace.Index, ax trace.TimeAxis, dst bool) []binScore {
 			continue
 		}
 		ok := true
-		for _, res := range resolutions {
-			g, err := stats.FitGammaMoments(aggregate(sample, row, int(math.Round(res/ax.Width))))
+		for _, f := range factors {
+			g, err := stats.FitGammaMoments(origin/f, aggregate(sample, row, f))
 			if err != nil {
 				ok = false
 				break

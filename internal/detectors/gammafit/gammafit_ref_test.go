@@ -131,7 +131,7 @@ func refDetectDirection(d *Detector, ix *trace.Index, config int, threshold floa
 		ok := true
 		for ri, res := range resolutions {
 			sample := refAggregate(counts[b], int(math.Round(res/finest)))
-			g, err := stats.FitGammaMoments(sample)
+			g, err := stats.FitGammaMoments(0, sample)
 			if err != nil {
 				ok = false
 				break
@@ -240,10 +240,15 @@ func diffIndexes() []*trace.Index {
 	return append(out, trace.NewIndex(&trace.Trace{}), trace.NewIndex(mawigen.Generate(short).Trace))
 }
 
-// streamedSegments returns the sealed 15 s segments seq 0, 20 and 39 of one
-// streamed 600 s day: the input RunStream hands a detector. A sealed segment
-// keeps stream time, so the last one spans [585 s, 600 s) and its time axis,
-// sized from the last timestamp, is 585 empty bins ahead of 15 occupied ones.
+// streamedSegments returns the sealed 15 s segments seq 0, 1, 20 and 39 of
+// one streamed 600 s day — the input RunStream hands a detector — and a
+// sparse stretch of the same day. A sealed segment keeps stream time, so
+// the last one spans [585 s, 600 s) and its time axis, sized from the last
+// timestamp, is 585 empty bins ahead of 15 occupied ones; at seq 1 the empty
+// bins are half the axis, so a column's median straddles them. The sparse
+// stretch keeps the packets in [451.3 s, 475 s) outside [458 s, 462 s) and
+// [466 s, 467.5 s): its first bin is not a multiple of Gamma's coarsest
+// factor, and empty bins sit between occupied ones.
 func streamedSegments(t *testing.T) []*trace.Index {
 	t.Helper()
 	arch := mawigen.NewArchive(1)
@@ -255,18 +260,22 @@ func streamedSegments(t *testing.T) []*trace.Index {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if seg != nil && (seg.Seq == 0 || seg.Seq == 20 || seg.Seq == 39) {
+		if seg != nil && (seg.Seq == 0 || seg.Seq == 1 || seg.Seq == 20 || seg.Seq == 39) {
 			out = append(out, seg.Index)
 		}
 	}
+	sparse := &trace.Trace{}
 	for _, p := range day.Trace.Packets {
 		keep(w.Append(p))
+		if p.TS >= 451.3e6 && p.TS < 475e6 && !(p.TS >= 458e6 && p.TS < 462e6) && !(p.TS >= 466e6 && p.TS < 467.5e6) {
+			sparse.Append(p)
+		}
 	}
 	keep(w.Close())
-	if len(out) != 3 || out[2].Seconds[0] < 585 {
-		t.Fatalf("kept %d segments, want seq 0, 20 and 39 of a 600 s day", len(out))
+	if len(out) != 4 || out[3].Seconds[0] < 585 {
+		t.Fatalf("kept %d segments, want seq 0, 1, 20 and 39 of a 600 s day", len(out))
 	}
-	return out
+	return append(out, trace.NewIndex(sparse))
 }
 
 // edgeIndex returns a sparse 55 s day ending in a flood, plus a copy of its

@@ -210,26 +210,16 @@ func rho(x, y, cos, sin float64) float64 {
 // This is the sparse formulation: identical output to the dense
 // map-rasterized reference (kept verbatim in the package tests and pinned
 // by randomized equality tests across all tunings), without the per-packet
-// map work. Votes go one angle row at a time, and the peak search scans
-// per angle only the ρ bins the plane's cells can reach: x from the first
-// to the last cell's column, y over the plot rows. sin θ ≥ 0 for θ in
-// [0, π), so ρ is smallest at y = 0 and largest at the top row. The bounds
-// are the vote's own expression at those corners, and rounding is
-// monotone, so every voted bin lies inside them with no slack.
+// map work. Votes go one angle row at a time, and each angle keeps only the
+// ρ bins the plane's cells can reach (see newAccumulator), so the
+// accumulator follows the span of the plane's cells, not the span of the
+// time axis.
 func (p *prepared) findLines(pl *plane) {
 	if len(pl.cells) == 0 {
 		return
 	}
-	diag, rhoBins := p.diag, p.rhoBins
-	acc := make([]int32, numAngles*rhoBins)
-	x0, x1 := float64(pl.cells[0].x), float64(pl.cells[len(pl.cells)-1].x)
-	var reach [numAngles][2]int // per angle, the first and last ρ bin to scan
-	for a := range reach {
-		c, s := p.cosT[a], p.sinT[a]
-		lo := min(rho(x0, 0, c, s), rho(x1, 0, c, s))
-		hi := max(rho(x0, plotRows-1, c, s), rho(x1, plotRows-1, c, s))
-		reach[a] = [2]int{max(int(lo+diag), 0), min(int(hi+diag), rhoBins-1)}
-	}
+	diag := p.diag
+	acc := p.newAccumulator(float64(pl.cells[0].x), float64(pl.cells[len(pl.cells)-1].x))
 
 	// Tunings from the strictest cellMin to the loosest: each one adds the
 	// cells it switches on beyond those already voted, so every cell votes
@@ -253,11 +243,11 @@ func (p *prepared) findLines(pl *plane) {
 			}
 		}
 		for a := range numAngles {
-			row := acc[a*rhoBins : (a+1)*rhoBins]
+			row, lo := acc.row(a), acc.lo[a]
 			c, s := p.cosT[a], p.sinT[a]
 			for _, xy := range tier {
-				if rb := int(rho(xy[0], xy[1], c, s) + diag); rb >= 0 && rb < rhoBins {
-					row[rb]++
+				if i := int(rho(xy[0], xy[1], c, s)+diag) - lo; i >= 0 && i < len(row) {
+					row[i]++
 				}
 			}
 		}
@@ -266,10 +256,10 @@ func (p *prepared) findLines(pl *plane) {
 		minVotes := int32(math.Max(4, tn.voteShare*float64(p.ax.Bins)))
 		var lines []line
 		for a := range numAngles {
-			for rb := reach[a][0]; rb <= reach[a][1]; rb++ {
+			for i, v := range acc.row(a) {
 				// Local maximum over a small neighbourhood to avoid
 				// reporting the same line many times.
-				if v := acc[a*rhoBins+rb]; v >= minVotes && isLocalMax(acc, numAngles, rhoBins, a, rb, v) {
+				if rb := acc.lo[a] + i; v >= minVotes && isLocalMax(acc, a, rb, v) {
 					lines = append(lines, line{a, rb, v})
 				}
 			}
@@ -288,6 +278,47 @@ func (p *prepared) findLines(pl *plane) {
 		}
 		pl.lines[config] = lines
 	}
+}
+
+// accumulator is the Hough vote count over (θ, ρ), kept per angle over the
+// ρ bins a plane's cells can reach: angle a's bins lo[a], lo[a]+1, … are
+// votes[off[a]:off[a+1]].
+type accumulator struct {
+	votes []int32
+	lo    []int
+	off   []int // len(lo)+1 entries
+}
+
+// newAccumulator returns the empty accumulator of a plane whose cells lie in
+// the columns x0 through x1. Per angle it keeps the ρ bins those cells can
+// vote into, x over [x0, x1] and y over the plot rows: sin θ ≥ 0 for θ in
+// [0, π), so ρ is smallest at y = 0 and largest at the top row. The bounds
+// are the vote's own expression at those corners, and rounding is monotone,
+// so every vote lands inside them with no slack.
+func (p *prepared) newAccumulator(x0, x1 float64) *accumulator {
+	acc := &accumulator{lo: make([]int, numAngles), off: make([]int, numAngles+1)}
+	for a := range numAngles {
+		c, s := p.cosT[a], p.sinT[a]
+		lo := min(rho(x0, 0, c, s), rho(x1, 0, c, s))
+		hi := max(rho(x0, plotRows-1, c, s), rho(x1, plotRows-1, c, s))
+		first, last := max(int(lo+p.diag), 0), min(int(hi+p.diag), p.rhoBins-1)
+		acc.lo[a] = first
+		acc.off[a+1] = acc.off[a] + max(last-first+1, 0)
+	}
+	acc.votes = make([]int32, acc.off[numAngles])
+	return acc
+}
+
+// row returns angle a's reachable bins: ρ bin rb is row[rb−lo[a]].
+func (h *accumulator) row(a int) []int32 { return h.votes[h.off[a]:h.off[a+1]] }
+
+// at returns the votes in ρ bin rb at angle a: 0 outside the angle's reach,
+// the count a dense accumulator holds there.
+func (h *accumulator) at(a, rb int) int32 {
+	if row, i := h.row(a), rb-h.lo[a]; i >= 0 && i < len(row) {
+		return row[i]
+	}
+	return 0
 }
 
 // decidePlane turns one tuning's lines on one prepared plane into alarms.
@@ -396,22 +427,17 @@ func planeName(dst bool) string {
 	return "src"
 }
 
-// isLocalMax reports whether the accumulator value at (a, rb) is maximal
+// isLocalMax reports whether the accumulator value v at (a, rb) is maximal
 // over a 3×5 neighbourhood (ties resolved toward the smaller index so one
-// cell wins). acc is the flat numAngles×rhoBins accumulator.
-func isLocalMax(acc []int32, angles, rhoBins, a, rb int, v int32) bool {
-	for da := -1; da <= 1; da++ {
-		na := a + da
-		if na < 0 || na >= angles {
-			continue
-		}
-		row := acc[na*rhoBins : (na+1)*rhoBins]
-		for dr := -2; dr <= 2; dr++ {
-			nr := rb + dr
-			if nr < 0 || nr >= rhoBins || (da == 0 && dr == 0) {
+// cell wins). A neighbour outside an angle's reach reads as 0, and a peak
+// has at least 4 votes, so only reachable bins can beat it.
+func isLocalMax(acc *accumulator, a, rb int, v int32) bool {
+	for na := max(a-1, 0); na <= min(a+1, len(acc.lo)-1); na++ {
+		for nr := rb - 2; nr <= rb+2; nr++ {
+			if na == a && nr == rb {
 				continue
 			}
-			nv := row[nr]
+			nv := acc.at(na, nr)
 			if nv > v {
 				return false
 			}

@@ -141,24 +141,45 @@ func TestDeterministic(t *testing.T) {
 	}
 }
 
-func TestIsLocalMax(t *testing.T) {
-	acc := []int32{
-		1, 2, 3, 2, 1,
-		1, 2, 9, 2, 1,
-		1, 2, 3, 2, 1,
+// accumulatorOf builds an accumulator from per-angle rows, angle a's first
+// bin being ρ bin lo[a].
+func accumulatorOf(lo []int, rows ...[]int32) *accumulator {
+	acc := &accumulator{lo: lo, off: make([]int, len(rows)+1)}
+	for a, r := range rows {
+		acc.votes = append(acc.votes, r...)
+		acc.off[a+1] = len(acc.votes)
 	}
-	if !isLocalMax(acc, 3, 5, 1, 2, 9) {
+	return acc
+}
+
+func TestIsLocalMax(t *testing.T) {
+	acc := accumulatorOf([]int{0, 0, 0},
+		[]int32{1, 2, 3, 2, 1},
+		[]int32{1, 2, 9, 2, 1},
+		[]int32{1, 2, 3, 2, 1},
+	)
+	if !isLocalMax(acc, 1, 2, 9) {
 		t.Error("peak should be local max")
 	}
-	if isLocalMax(acc, 3, 5, 0, 2, 3) {
+	if isLocalMax(acc, 0, 2, 3) {
 		t.Error("shoulder should not be local max")
 	}
 	// Ties resolve toward the smaller index.
-	tie := []int32{5, 5}
-	if !isLocalMax(tie, 1, 2, 0, 0, 5) {
+	tie := accumulatorOf([]int{0}, []int32{5, 5})
+	if !isLocalMax(tie, 0, 0, 5) {
 		t.Error("first of tie should win")
 	}
-	if isLocalMax(tie, 1, 2, 0, 1, 5) {
+	if isLocalMax(tie, 0, 1, 5) {
 		t.Error("second of tie should lose")
+	}
+	// Rows keep only their reachable bins, angle 0 bin 10 and angle 1 bins
+	// 12–13: a neighbour outside a row reads as 0, one inside a shifted row
+	// is read at its own ρ.
+	ragged := accumulatorOf([]int{10, 12}, []int32{7}, []int32{3, 7})
+	if !isLocalMax(ragged, 0, 10, 7) || !isLocalMax(ragged, 1, 13, 7) {
+		t.Error("(0, 10) and (1, 13) lie 3 ρ bins apart: both should be local maxima")
+	}
+	if isLocalMax(ragged, 1, 12, 3) {
+		t.Error("(1, 12) lies beside (0, 10) and should not be a local max")
 	}
 }

@@ -107,6 +107,13 @@ type cell struct {
 // entirely. With unit-variance columns, the leading components capture the
 // correlated background fluctuation shared by all bins, and an isolated
 // burst stays in the residual.
+//
+// The matrix holds the axis's occupied bins only, First onward. The First
+// empty bins ahead of them — a stream segment's age — are identical rows,
+// so they are carried as one virtual row, row 0, that stands for all of
+// them: each statistic sums it First times in closed form (stats.SumRun and
+// the run forms of MeanVar and MedianMAD), which is the same float64 bits
+// the dense rows give. A batch day or an upload is the case First = 0.
 func (d *Detector) Prepare(ix *trace.Index) (detectors.Prepared, error) {
 	ax, err := trace.NewTimeAxis(ix, timeBin)
 	if err != nil {
@@ -116,24 +123,17 @@ func (d *Detector) Prepare(ix *trace.Index) (detectors.Prepared, error) {
 	if ax.Bins < 8 || ix.Len() == 0 {
 		return p, nil // too short for a meaningful subspace
 	}
-	rows := ax.Bins
-	s := newSubspaceScratch(rows, ix.Len())
+	s := newSubspaceScratch(ax, ix.Len())
 	for si := 0; si < numSketches; si++ {
 		sk := sketch.New(sketchWidth, detectors.Seed+uint64(si)*0x9e37)
 		clear(s.work.Data)
 		for pi, src := range ix.Src {
 			b := sk.Bin(src)
 			s.bins[pi] = uint16(b)
-			s.work.Data[ax.Bin(ix.Seconds[pi])*sketchWidth+b]++
+			s.work.Data[(ax.Bin(ix.Seconds[pi])-s.lead+1)*sketchWidth+b]++
 		}
-		s.work.CenterColumns()
-		standardizeColumns(s.work)
-		cov := s.work.Gram()
-		inv := 1.0 / float64(rows-1)
-		for i := range cov.Data {
-			cov.Data[i] *= inv
-		}
-		_, vecs, err := linalg.EigenSym(cov)
+		s.standardize()
+		_, vecs, err := linalg.EigenSym(s.covariance())
 		if err != nil {
 			continue // the sketch implicates nothing
 		}
@@ -146,18 +146,22 @@ func (d *Detector) Prepare(ix *trace.Index) (detectors.Prepared, error) {
 // subspaceScratch is the memory Prepare reuses across its sketches, which
 // all share one shape.
 type subspaceScratch struct {
-	bins []uint16       // every packet's bin in the current sketch
-	work *linalg.Matrix // rows×sketchWidth, standardized
-	// res[t] is tuning t's residuals, rows×sketchWidth, column-major: a
-	// sketch bin's series is contiguous.
+	rows int      // the axis's bins: the rows of the dense matrix
+	lead int      // its leading empty rows, the axis's First
+	bins []uint16 // every packet's bin in the current sketch
+	// work is the virtual row of the lead empty bins followed by the
+	// occupied bins, (rows−lead+1)×sketchWidth, standardized.
+	work *linalg.Matrix
+	// res[t] is tuning t's residuals over work's rows, column-major: a
+	// sketch bin's series is contiguous, the virtual row's residual first.
 	res     [detectors.NumTunings][]float64
 	proj    []float64 // one row's running projection
-	scratch []float64 // stats.MedianMAD's working copies of one column
-	// id is the cell index of each (time bin, sketch bin) of the current
-	// sketch, row-major: unflagged where no tuning flags it, pending until
-	// its hosts are recovered.
+	scratch []float64 // stats.MedianMADRun's working copies of one column
+	// id is the cell index of each (occupied time bin, sketch bin) of the
+	// current sketch, row-major: unflagged where no tuning flags it, pending
+	// until its hosts are recovered.
 	id      []int32
-	flagged [detectors.NumTunings][]int32 // flagged cells, row-major offsets
+	flagged [detectors.NumTunings][]int32 // flagged cells, row-major offsets into id
 	packets [sketchWidth][]trace.IPv4     // one time bin's packets per sketch bin
 }
 
@@ -167,18 +171,93 @@ const (
 	pending   = -2
 )
 
-func newSubspaceScratch(rows, packets int) *subspaceScratch {
+func newSubspaceScratch(ax trace.TimeAxis, packets int) *subspaceScratch {
+	occupied := ax.Bins - ax.First()
 	s := &subspaceScratch{
+		rows:    ax.Bins,
+		lead:    ax.First(),
 		bins:    make([]uint16, packets),
-		work:    linalg.NewMatrix(rows, sketchWidth),
+		work:    linalg.NewMatrix(occupied+1, sketchWidth),
 		proj:    make([]float64, sketchWidth),
-		scratch: make([]float64, 2*rows),
-		id:      make([]int32, rows*sketchWidth),
+		scratch: make([]float64, 2*occupied),
+		id:      make([]int32, occupied*sketchWidth),
 	}
 	for t := range s.res {
-		s.res[t] = make([]float64, rows*sketchWidth)
+		s.res[t] = make([]float64, (occupied+1)*sketchWidth)
 	}
 	return s
+}
+
+// standardize centres each column of the dense matrix and scales it to unit
+// sample variance (a column with no variance is only centred), on work: row
+// 0, a zero count like every empty bin, enters each column's sum of squares
+// s.lead times.
+func (s *subspaceScratch) standardize() {
+	m := s.work
+	for j := 0; j < m.Cols; j++ {
+		var sum float64
+		for i := 0; i < m.Rows; i++ {
+			sum += m.Data[i*m.Cols+j]
+		}
+		mean := sum / float64(s.rows)
+		var ss float64
+		for i := 0; i < m.Rows; i++ {
+			v := m.Data[i*m.Cols+j] - mean
+			m.Data[i*m.Cols+j] = v
+			if i == 0 {
+				ss = stats.SumRun(float64(v*v), s.lead)
+			} else {
+				ss += float64(v * v)
+			}
+		}
+		if ss < 1e-12 {
+			continue
+		}
+		inv := 1 / math.Sqrt(ss/float64(s.rows-1))
+		for i := 0; i < m.Rows; i++ {
+			m.Data[i*m.Cols+j] = float64(m.Data[i*m.Cols+j] * inv)
+		}
+	}
+}
+
+// covariance returns the sample covariance of the dense matrix's columns:
+// its Gram matrix — row 0 summed s.lead times, then the occupied rows — over
+// rows−1.
+func (s *subspaceScratch) covariance() *linalg.Matrix {
+	m := s.work
+	g := linalg.NewMatrix(m.Cols, m.Cols)
+	lead := m.Row(0)
+	for a, va := range lead {
+		if va == 0 {
+			continue
+		}
+		ga := g.Row(a)
+		for b := a; b < m.Cols; b++ {
+			ga[b] = stats.SumRun(float64(va*lead[b]), s.lead)
+		}
+	}
+	for i := 1; i < m.Rows; i++ {
+		row := m.Row(i)
+		for a, va := range row {
+			if va == 0 {
+				continue
+			}
+			ga := g.Row(a)
+			for b := a; b < m.Cols; b++ {
+				ga[b] += float64(va * row[b])
+			}
+		}
+	}
+	inv := 1.0 / float64(s.rows-1)
+	for a := 0; a < m.Cols; a++ {
+		for b := 0; b < a; b++ {
+			g.Set(a, b, g.At(b, a))
+		}
+	}
+	for i := range g.Data {
+		g.Data[i] = float64(g.Data[i] * inv)
+	}
+	return g
 }
 
 // residuals projects every row of the standardized matrix onto the leading
@@ -209,10 +288,10 @@ func (s *subspaceScratch) residuals(vecs *linalg.Matrix) {
 			comp := comps[c*cols : (c+1)*cols]
 			var dot float64
 			for j, v := range row {
-				dot += v * comp[j]
+				dot += float64(v * comp[j])
 			}
 			for j, v := range comp {
-				proj[j] += dot * v
+				proj[j] += float64(dot * v)
 			}
 			for t, k := range ks {
 				if k == c+1 {
@@ -228,7 +307,9 @@ func (s *subspaceScratch) residuals(vecs *linalg.Matrix) {
 
 // addCells thresholds each tuning's residuals and records, for every cell
 // any tuning flags, its top hosts: one scan of each flagged time bin's
-// packet window, bucketed by sketch bin.
+// packet window, bucketed by sketch bin. An empty bin holds no host to
+// recover, so only the occupied bins are thresholded; the virtual row
+// enters each column's statistics s.lead times.
 func (p *prepared) addCells(ix *trace.Index, s *subspaceScratch) {
 	rows, cols := s.work.Rows, s.work.Cols
 	// Score residuals per column: a burst confined to one sketch bin must
@@ -241,11 +322,12 @@ func (p *prepared) addCells(ix *trace.Index, s *subspaceScratch) {
 		s.flagged[t] = s.flagged[t][:0]
 		res := s.res[t]
 		for j := 0; j < cols; j++ {
-			col := res[j*rows : (j+1)*rows]
-			med, mad := stats.MedianMAD(col, s.scratch)
+			lead, col := res[j*rows], res[j*rows+1:(j+1)*rows]
+			med, mad := stats.MedianMADRun(lead, s.lead, col, s.scratch)
 			scale := 1.4826 * mad
 			if scale < 1e-9 {
-				scale = stats.Std(col)
+				_, variance := stats.MeanVarRun(lead, s.lead, col)
+				scale = math.Sqrt(variance)
 				if scale < 1e-9 {
 					continue
 				}
@@ -260,15 +342,16 @@ func (p *prepared) addCells(ix *trace.Index, s *subspaceScratch) {
 	}
 	// Recover hosts, time bin by time bin: one scan of the bin's window
 	// keeps the packets of its flagged sketch bins.
-	for tb := 0; tb < rows; tb++ {
-		ids := s.id[tb*cols : (tb+1)*cols]
+	for i := 0; i < rows-1; i++ {
+		ids := s.id[i*cols : (i+1)*cols]
 		if !slices.Contains(ids, pending) {
 			continue
 		}
+		tb := s.lead + i
 		lo, hi := ix.Window(p.ax.Interval(tb, tb))
-		for i, b := range s.bins[lo:hi] {
+		for k, b := range s.bins[lo:hi] {
 			if ids[b] == pending {
-				s.packets[b] = append(s.packets[b], ix.Src[lo+i])
+				s.packets[b] = append(s.packets[b], ix.Src[lo+k])
 			}
 		}
 		for sb, id := range ids {
@@ -340,25 +423,6 @@ func (p *prepared) Decide(config int) ([]core.Alarm, error) {
 		i = j
 	}
 	return alarms, nil
-}
-
-// standardizeColumns scales each column to unit sample variance (columns
-// with no variance are left untouched).
-func standardizeColumns(m *linalg.Matrix) {
-	for j := 0; j < m.Cols; j++ {
-		var ss float64
-		for i := 0; i < m.Rows; i++ {
-			v := m.Data[i*m.Cols+j]
-			ss += v * v
-		}
-		if ss < 1e-12 {
-			continue
-		}
-		inv := 1 / math.Sqrt(ss/float64(m.Rows-1))
-		for i := 0; i < m.Rows; i++ {
-			m.Data[i*m.Cols+j] *= inv
-		}
-	}
 }
 
 // mergeBins merges sorted time-bin indices into contiguous [first,last]

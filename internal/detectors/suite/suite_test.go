@@ -2,6 +2,7 @@ package suite
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"runtime"
 	"strings"
@@ -265,17 +266,43 @@ func TestDetectAllBoundsTimeBins(t *testing.T) {
 }
 
 // TestDetectAllAcceptsLateSegment: the bound holds a stream segment to its
-// own span, not to its age. A 15 s segment 16 days into a stream counts
-// 276 483 of KL's 5 s bins from 0 s, past the bound, and is still labeled.
-// KL stands in for the four because it allocates least per bin; all of them
-// take the bound from the same axis.
+// own span, not to its age, and so does the memory its detection takes. A
+// 15 s segment one day and 16 days into a stream — 17 280 and 276 483 of
+// KL's 5 s bins from 0 s, the second past the bound — is labeled by each
+// standard detector within its allocation bound. Twenty packets a second
+// from 16 sources to one destination draw a line in Hough's destination
+// plane, so every detector does its full work. PCA, Gamma and Hough size
+// that work by the bins the segment occupies, so 1 MB holds them at any age.
+// KL still keeps per-bin arrays from 0 s — the largest z per bin, MedianMAD's
+// scratch and four KL series, about 56 B per 5 s bin of age — so its bound
+// grows by 64 B a bin.
 func TestDetectAllAcceptsLateSegment(t *testing.T) {
-	const late = 16 * 86400e6
-	tr := &trace.Trace{}
-	for i := range int64(16) {
-		tr.Append(trace.Packet{TS: late + i*1e6, Src: trace.IPv4(i), Dst: 2, Len: 40, Proto: trace.TCP})
-	}
-	if _, _, err := detectors.DetectAllContext(context.Background(), trace.NewIndex(tr), Standard()[3:], 1); err != nil {
-		t.Fatalf("15 s segment 16 days in: %v", err)
+	for _, days := range []int64{1, 16} {
+		late := days * 86400e6
+		tr := &trace.Trace{}
+		for i := range int64(300) {
+			tr.Append(trace.Packet{TS: late + i*50_000, Src: trace.IPv4(1 + i%16), Dst: 2, Len: 40, Proto: trace.TCP})
+		}
+		ix := trace.NewIndex(tr)
+		t.Run(fmt.Sprintf("age=%dd", days), func(t *testing.T) {
+			for _, d := range Standard() {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				alarms, _, err := detectors.DetectAllContext(context.Background(), ix, []detectors.Detector{d}, 1)
+				runtime.ReadMemStats(&after)
+				if err != nil {
+					t.Fatalf("%s: 15 s segment at age %d d: %v", d.Name(), days, err)
+				}
+				bound := uint64(1 << 20)
+				if d.Name() == "kl" {
+					bound += 64 * uint64(late/5e6)
+				}
+				got := after.TotalAlloc - before.TotalAlloc
+				if got > bound {
+					t.Errorf("%s: detecting a 15 s segment at age %d d allocated %d bytes, bound %d", d.Name(), days, got, bound)
+				}
+				t.Logf("%s: %d alarms, %d bytes", d.Name(), len(alarms), got)
+			}
+		})
 	}
 }

@@ -390,8 +390,22 @@ func randomGram(rng *rand.Rand, rows, cols int) *Matrix {
 	for i := range m.Data {
 		m.Data[i] = math.Floor(rng.ExpFloat64() * 4)
 	}
-	m.CenterColumns()
+	centerColumns(m)
 	return m.Gram()
+}
+
+// centerColumns subtracts each column's mean from it, in place.
+func centerColumns(m *Matrix) {
+	for j := 0; j < m.Cols; j++ {
+		var sum float64
+		for i := 0; i < m.Rows; i++ {
+			sum += m.At(i, j)
+		}
+		mean := sum / float64(m.Rows)
+		for i := 0; i < m.Rows; i++ {
+			m.Set(i, j, m.At(i, j)-mean)
+		}
+	}
 }
 
 // eigenTestGrams returns the Gram set the reference tests compare over:

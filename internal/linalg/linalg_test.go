@@ -117,17 +117,6 @@ func TestGramMatchesExplicit(t *testing.T) {
 	}
 }
 
-func TestCenterColumns(t *testing.T) {
-	m := FromRows([][]float64{{1, 10}, {3, 20}})
-	means := m.CenterColumns()
-	if means[0] != 2 || means[1] != 15 {
-		t.Errorf("means = %v", means)
-	}
-	if m.At(0, 0) != -1 || m.At(1, 1) != 5 {
-		t.Errorf("centered = %v", m.Data)
-	}
-}
-
 func TestScale(t *testing.T) {
 	v := []float64{2, 4}
 	Scale(v, 0.5)

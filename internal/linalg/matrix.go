@@ -124,30 +124,6 @@ func (m *Matrix) Gram() *Matrix {
 	return g
 }
 
-// CenterColumns subtracts each column's mean in place and returns the means.
-func (m *Matrix) CenterColumns() []float64 {
-	means := make([]float64, m.Cols)
-	if m.Rows == 0 {
-		return means
-	}
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		for j, v := range row {
-			means[j] += v
-		}
-	}
-	for j := range means {
-		means[j] /= float64(m.Rows)
-	}
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		for j := range row {
-			row[j] -= means[j]
-		}
-	}
-	return means
-}
-
 // String renders the matrix for debugging (rows truncated at 8).
 func (m *Matrix) String() string {
 	var b strings.Builder

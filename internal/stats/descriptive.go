@@ -19,22 +19,10 @@ func Mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// MeanVar returns the mean and the unbiased sample variance.
+// MeanVar returns the mean and the unbiased sample variance: MeanVarRun
+// with no run.
 func MeanVar(xs []float64) (mean, variance float64) {
-	n := len(xs)
-	if n == 0 {
-		return 0, 0
-	}
-	mean = Mean(xs)
-	if n < 2 {
-		return mean, 0
-	}
-	ss := 0.0
-	for _, x := range xs {
-		d := x - mean
-		ss += d * d
-	}
-	return mean, ss / float64(n-1)
+	return MeanVarRun(0, 0, xs)
 }
 
 // Std returns the sample standard deviation.
@@ -125,7 +113,7 @@ func quantile(s []float64, nans int, xs []float64, q float64) float64 {
 	if math.IsNaN(q) {
 		return q
 	}
-	pos := min(max(q, 0), 1) * float64(len(s)-1)
+	pos := float64(min(max(q, 0), 1) * float64(len(s)-1))
 	lo, hi := int(math.Floor(pos)), int(math.Ceil(pos))
 	if lo < nans {
 		return s[lo] // a NaN, alone or interpolated
@@ -149,16 +137,27 @@ func quantile(s []float64, nans int, xs []float64, q float64) float64 {
 		sort.Float64s(s)
 		below, above = s[lo], s[hi]
 	}
-	if lo == hi {
+	return lerp(below, above, pos-float64(lo))
+}
+
+// lerp interpolates between adjacent order statistics below and above at
+// frac of the way, and is below alone at frac 0. Each product is its own
+// conversion, so no architecture fuses the sum into a multiply-add.
+func lerp(below, above, frac float64) float64 {
+	if frac == 0 {
 		return below
 	}
-	frac := pos - float64(lo)
-	return below*(1-frac) + above*frac
+	return float64(below*(1-frac)) + float64(above*frac)
 }
 
 // signedZeros reports whether xs holds both −0 and +0.
 func signedZeros(xs []float64) bool {
-	var neg, pos bool
+	neg, pos := zeroSigns(xs)
+	return neg && pos
+}
+
+// zeroSigns reports whether xs holds −0 and whether it holds +0.
+func zeroSigns(xs []float64) (neg, pos bool) {
 	for _, x := range xs {
 		if x == 0 {
 			if math.Signbit(x) {
@@ -168,7 +167,7 @@ func signedZeros(xs []float64) bool {
 			}
 		}
 	}
-	return neg && pos
+	return neg, pos
 }
 
 // insertionMax is the longest range selectRank finishes by insertion sort.

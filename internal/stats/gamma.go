@@ -16,19 +16,21 @@ type GammaParams struct {
 // so no Gamma can be fit.
 var ErrDegenerate = errors.New("stats: degenerate sample for gamma fit")
 
-// FitGammaMoments fits Gamma parameters by the method of moments:
-// α = mean²/var, β = var/mean. This is the estimator used in the
-// multiresolution Gamma detector, where speed over thousands of sketch bins
-// matters more than statistical efficiency.
-func FitGammaMoments(sample []float64) (GammaParams, error) {
-	if len(sample) < 2 {
+// FitGammaMoments fits Gamma parameters by the method of moments,
+// α = mean²/var and β = var/mean, to a sample of zeros zero counts followed
+// by sample: a detector's empty cells ahead of a stream segment are a count,
+// not cells. This is the estimator used in the multiresolution Gamma
+// detector, where speed over thousands of sketch bins matters more than
+// statistical efficiency.
+func FitGammaMoments(zeros int, sample []float64) (GammaParams, error) {
+	if zeros+len(sample) < 2 {
 		return GammaParams{}, ErrDegenerate
 	}
-	m, v := MeanVar(sample)
+	m, v := MeanVarRun(0, zeros, sample)
 	if m <= 0 || v <= 0 {
 		return GammaParams{}, ErrDegenerate
 	}
-	return GammaParams{Alpha: m * m / v, Beta: v / m}, nil
+	return GammaParams{Alpha: float64(m*m) / v, Beta: v / m}, nil
 }
 
 // GammaDistance is the normalized parameter-space distance used by the

@@ -38,7 +38,7 @@ func TestFitGammaMomentsRecovers(t *testing.T) {
 		for i := range sample {
 			sample[i] = sampleGamma(rng, want.Alpha, want.Beta)
 		}
-		got, err := FitGammaMoments(sample)
+		got, err := FitGammaMoments(0, sample)
 		if err != nil {
 			t.Fatalf("fit(%+v): %v", want, err)
 		}
@@ -52,13 +52,13 @@ func TestFitGammaMomentsRecovers(t *testing.T) {
 }
 
 func TestFitGammaDegenerate(t *testing.T) {
-	if _, err := FitGammaMoments(nil); err != ErrDegenerate {
+	if _, err := FitGammaMoments(0, nil); err != ErrDegenerate {
 		t.Errorf("nil sample: err = %v", err)
 	}
-	if _, err := FitGammaMoments([]float64{5}); err != ErrDegenerate {
+	if _, err := FitGammaMoments(0, []float64{5}); err != ErrDegenerate {
 		t.Errorf("singleton: err = %v", err)
 	}
-	if _, err := FitGammaMoments([]float64{0, 0, 0}); err != ErrDegenerate {
+	if _, err := FitGammaMoments(0, []float64{0, 0, 0}); err != ErrDegenerate {
 		t.Errorf("all-zero: err = %v", err)
 	}
 }

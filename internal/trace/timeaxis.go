@@ -11,7 +11,9 @@ import (
 //
 // Bins count from time zero and the span is the last packet's timestamp
 // (Index.Duration), so a sealed segment late in a stream sits behind a run of
-// empty bins.
+// empty bins: First of them. A detector sizes its working set by Bins−First,
+// the bins its packets can occupy, and carries the empty ones as a count.
+// Only NewTimeAxis sets First.
 type TimeAxis struct {
 	// Width is the bin width in seconds, positive and finite.
 	Width float64
@@ -19,14 +21,17 @@ type TimeAxis struct {
 	Bins int
 	// Span is the time the axis covers, in seconds: the index's Duration.
 	Span float64
+	// first is the bin of the first packet; see First.
+	first int
 }
 
-// maxTimeBins bounds the bins an axis may spread its packets over. A detector
-// sizes its working set by the bin count — at this bound PCA holds ~330 MB
-// (four 32-column float matrices and a residual buffer), Hough's accumulator
-// ~100 MB, Gamma ~130 MB, KL ~15 MB — so a trace stamped years apart is an
-// error, not an allocation proportional to its span. 24 h at the finest
-// standard width (0.5 s) is 172 800 bins.
+// maxTimeBins bounds the bins an axis may spread its packets over, Bins−First.
+// PCA, Gamma and Hough size their working set by that count — at this bound
+// PCA holds ~330 MB (four 32-column float matrices and a residual buffer),
+// Hough's accumulator ~100 MB, Gamma ~130 MB — so a trace whose packets are
+// stamped years apart is an error, not an allocation proportional to its
+// span. KL still keeps per-bin arrays from bin 0, ~15 MB at this bound. 24 h
+// at the finest standard width (0.5 s) is 172 800 bins.
 const maxTimeBins = 1 << 18
 
 // NewTimeAxis returns the axis that cuts ix's span into bins of width
@@ -35,10 +40,10 @@ const maxTimeBins = 1 << 18
 //
 // The bound counts from the first packet's bin, not from bin 0, so it limits
 // a stream segment's own span and not how far into the stream it lies: a
-// segment late in a long stream is accepted, and still allocates the empty
-// bins before it (the count from bin 0 need only fit an int32, so no size
-// derived from it overflows). For an index whose first packet is at 0 s, as
-// in every decoded pcap or generated day, the two counts are the same.
+// segment late in a long stream is accepted (the count from bin 0 need only
+// fit an int32, so no size derived from it overflows). For an index whose
+// first packet is at 0 s, as in every decoded pcap or generated day, First
+// is 0 and the two counts are the same.
 func NewTimeAxis(ix *Index, width float64) (TimeAxis, error) {
 	if !(width > 0) || math.IsInf(width, 1) {
 		return TimeAxis{}, fmt.Errorf("trace: bin width %v is not positive and finite", width)
@@ -48,8 +53,16 @@ func NewTimeAxis(ix *Index, width float64) (TimeAxis, error) {
 	if ix.Len() > 0 && !(bins-math.Floor(ix.Seconds[0]/width) <= maxTimeBins && bins < math.MaxInt32) {
 		return TimeAxis{}, fmt.Errorf("trace: bin width %v spreads packets at %v–%v s over more than %d bins", width, ix.Seconds[0], span, maxTimeBins)
 	}
-	return TimeAxis{Width: width, Bins: int(bins), Span: span}, nil
+	a := TimeAxis{Width: width, Bins: int(bins), Span: span}
+	if a.Bins > 0 {
+		a.first = a.Bin(ix.Seconds[0])
+	}
+	return a, nil
 }
+
+// First returns the bin of the first packet, 0 for an empty index: no packet
+// lies in a bin before it, so bins 0 through First−1 are empty.
+func (a TimeAxis) First() int { return a.first }
 
 // Bin returns the bin of a timestamp in seconds, clamped to the last bin: a
 // packet exactly on Bins·Width — the last one, when the span is a whole

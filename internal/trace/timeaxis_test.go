@@ -34,7 +34,7 @@ func TestTimeAxisBins(t *testing.T) {
 		if err != nil {
 			t.Fatalf("width %v: %v", tc.width, err)
 		}
-		if ax.Width != tc.width || ax.Bins != tc.bins || ax.Span != 30 {
+		if ax.Width != tc.width || ax.Bins != tc.bins || ax.Span != 30 || ax.First() != 0 {
 			t.Errorf("width %v: axis %+v, want %d bins over 30 s", tc.width, ax, tc.bins)
 		}
 		for pi, sec := range ix.Seconds {
@@ -81,16 +81,22 @@ func TestTimeAxisRejects(t *testing.T) {
 }
 
 // TestTimeAxisBoundsSegmentSpan: the bound counts the bins from the first
-// packet's, so a 15 s stream segment 40 h in is accepted at 0.5 s although
-// its axis, counted from 0 s, has 288 030 bins; 0 s to 40 h is refused, and
+// packet's, First, so a 15 s stream segment 40 h in is accepted at 0.5 s
+// although its axis, counted from 0 s, has 288 030 bins; 0 s to 40 h is refused, and
 // so is a late segment whose own span is past the bound. A late segment at
 // 1e-300 s spans no bins of its own but its count from 0 s is past any int,
 // and is refused too.
 func TestTimeAxisBoundsSegmentSpan(t *testing.T) {
 	const late = 40 * 3600e6
 	seg := NewIndex(&Trace{Packets: []Packet{{TS: late}, {TS: late + 15e6}}})
-	if ax, err := NewTimeAxis(seg, 0.5); err != nil || ax.Bins != 288030 || ax.Bins <= maxTimeBins {
+	if ax, err := NewTimeAxis(seg, 0.5); err != nil || ax.Bins != 288030 || ax.Bins <= maxTimeBins || ax.First() != 288000 {
 		t.Errorf("15 s segment at 40 h: %+v, %v", ax, err)
+	}
+	// First is the first packet's Bin, clamp included: packets that all sit
+	// on the last edge have their first bin at Bins−1.
+	edge := NewIndex(&Trace{Packets: []Packet{{TS: 30e6}, {TS: 30e6}}})
+	if ax, err := NewTimeAxis(edge, 1); err != nil || ax.Bins != 30 || ax.First() != 29 {
+		t.Errorf("two packets at 30 s: %+v, %v", ax, err)
 	}
 	for _, tc := range []struct {
 		name  string

@@ -81,7 +81,7 @@ FUZZTIME ?= 10s
 # can't push a benchmark past the threshold.
 BENCHTIME ?= 1x
 
-.PHONY: all build test race bench bench-gate bench-baseline cover fmt vet fuzz lint serve-smoke check
+.PHONY: all build test race bench bench-gate bench-baseline cover fmt vet fuzz lint fma-check serve-smoke check
 
 all: build test
 
@@ -165,6 +165,33 @@ lint:
 	$(GO) test -count=1 ./internal/analysis/... ./cmd/mawilint
 	$(GO) run ./cmd/mawilint ./...
 
+# Fused multiply-add gate, the determinism contract across GOARCH: gc may
+# fuse x*y + z into one FMA instruction on these architectures, rounding once
+# where amd64 rounds twice, so a label could move with the machine. An
+# explicit float64(x*y) conversion forbids the fusion. For each architecture
+# the recipe cross-compiles every package inside the determinism boundary
+# with -gcflags=-S (no toolchain beyond go) and fails on a fused mnemonic
+# (FMADD/FMSUB/FNMADD/FNMSUB and their D/S forms). The tooling and serving
+# layers — cmd, examples, internal/analysis, internal/serve, internal/eval —
+# are outside the boundary. FMA_OPEN names the packages whose sites are still
+# open: linalg's eigensolver rotations and mawigen's event and gap arithmetic
+# (ROADMAP, the fused multiply-add item).
+FMA_ARCHES ?= arm64 ppc64le s390x riscv64
+FMA_OPEN ?= mawilab/internal/linalg mawilab/internal/mawigen
+
+fma-check:
+	@pkgs=$$($(GO) list ./... | grep -v -e '^mawilab/cmd/' -e '^mawilab/examples/' \
+		-e '^mawilab/internal/analysis' -e '^mawilab/internal/serve$$' -e '^mawilab/internal/eval$$' \
+		$(foreach p,$(FMA_OPEN),-e '^$(p)$$')) || exit 1; \
+	fail=0; \
+	for arch in $(FMA_ARCHES); do \
+		out=$$(GOARCH=$$arch $(GO) build -gcflags=-S $$pkgs 2>&1) || { echo "$$out"; exit 1; }; \
+		fused=$$(echo "$$out" | grep -E '[[:space:]]FN?M(ADD|SUB)[DS]?[[:space:]]'); \
+		if [ -n "$$fused" ]; then echo "fma-check: fused multiply-add on $$arch:"; echo "$$fused"; fail=1; \
+		else echo "fma-check: $$arch: no fused op in $$(echo $$pkgs | wc -w) packages"; fi; \
+	done; \
+	exit $$fail
+
 # Short fuzzing smoke: every Fuzz target of the module, found per package
 # with `go test -list`, runs its committed seed corpus plus FUZZTIME of fresh
 # exploration (go test takes one -fuzz pattern per run, so each target gets
@@ -189,4 +216,4 @@ fuzz:
 serve-smoke:
 	$(GO) test ./cmd/mawilabd -run '^TestServeSmoke$$' -v -count=1
 
-check: build vet fmt lint test fuzz serve-smoke
+check: build vet fmt lint fma-check test fuzz serve-smoke

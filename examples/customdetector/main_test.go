@@ -1,0 +1,65 @@
+package main
+
+import (
+	"math"
+	"testing"
+
+	"mawilab/internal/trace"
+)
+
+// TestEntropyAlarmsJoinTheGraph pins the point of the example: the entropy
+// detector raises alarms on the chosen day, and they land in the similarity
+// graph's communities beside the standard detectors' alarms.
+func TestEntropyAlarmsJoinTheGraph(t *testing.T) {
+	baseline, extended, err := label()
+	if err != nil {
+		t.Fatal(err)
+	}
+	raised := 0
+	for _, a := range extended.Alarms {
+		if a.Detector == "entropy" {
+			raised++
+		}
+	}
+	if raised == 0 || len(extended.Alarms) != len(baseline.Alarms)+raised {
+		t.Fatalf("extended run has %d alarms, %d of them entropy; baseline %d", len(extended.Alarms), raised, len(baseline.Alarms))
+	}
+	if shared, solo := entropyCommunities(extended); shared+solo == 0 {
+		t.Fatal("no community holds an entropy alarm")
+	}
+}
+
+// TestEntropyBounds: uniform over 8 sources is 3 bits, one source 0 bits.
+func TestEntropyBounds(t *testing.T) {
+	uniform := map[trace.IPv4]int{}
+	for k := trace.IPv4(0); k < 8; k++ {
+		uniform[k] = 1
+	}
+	if e, _ := sourceEntropy(uniform); math.Abs(e-3) > 1e-12 {
+		t.Errorf("uniform-8 entropy = %v, want 3", e)
+	}
+	if e, top := sourceEntropy(map[trace.IPv4]int{42: 100}); e != 0 || top != 42 {
+		t.Errorf("single source = (%v, %v), want (0, 42)", e, top)
+	}
+}
+
+// TestTopSource: the heaviest source wins.
+func TestTopSource(t *testing.T) {
+	if _, top := sourceEntropy(map[trace.IPv4]int{1: 5, 2: 10, 3: 1}); top != 2 {
+		t.Errorf("top = %v, want 2", top)
+	}
+}
+
+// TestTopSourceTies: the smaller address breaks a tie whatever the map's
+// order.
+func TestTopSourceTies(t *testing.T) {
+	tied := map[trace.IPv4]int{}
+	for k := trace.IPv4(50); k > 0; k-- {
+		tied[k] = 1
+	}
+	for range 20 {
+		if _, top := sourceEntropy(tied); top != 1 {
+			t.Fatalf("tie broke to %v, want the smallest address 1", top)
+		}
+	}
+}

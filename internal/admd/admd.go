@@ -56,11 +56,13 @@ type Slice struct {
 // namespace is the admd namespace URI used by MAWILab documents.
 const namespace = "http://www.fukuda-lab.org/mawilab/admd"
 
-// TimeSpan supplies the trace duration anomaly time spans derive from. Both
-// *trace.Trace and *trace.Index satisfy it, so the fused serving path can
-// encode straight off the columnar index. Callers holding a possibly-nil
-// concrete pointer must pass a nil interface, not a typed nil.
+// TimeSpan supplies the bounds anomaly time spans derive from: the first
+// packet's and the last packet's timestamp in seconds. Both *trace.Trace and
+// *trace.Index satisfy it, so the fused serving path can encode straight off
+// the columnar index. Callers holding a possibly-nil concrete pointer must
+// pass a nil interface, not a typed nil.
 type TimeSpan interface {
+	Start() float64
 	Duration() float64
 }
 
@@ -80,7 +82,7 @@ func Encode(w io.Writer, traceName string, tr TimeSpan, reports []core.Community
 		}
 		// Time span: bounds of the community's packets.
 		if rep.Packets > 0 && tr != nil {
-			a.From, a.To = spanOf(tr, rep)
+			a.From, a.To = spanOf(tr)
 		}
 		for _, rule := range rep.Rules {
 			a.Slices = append(a.Slices, sliceOf(rule))
@@ -102,14 +104,13 @@ func Encode(w io.Writer, traceName string, tr TimeSpan, reports []core.Community
 	return err
 }
 
-// spanOf is a light re-derivation of the community's time bounds from its
-// report (first/last matched packet of the first rule's coverage is not
-// stored on the report, so the span covers the whole trace segment the
-// community's packets lie in — callers holding the Labeling can compute a
-// tighter span).
-func spanOf(tr TimeSpan, rep core.CommunityReport) (TimeRef, TimeRef) {
-	// Reports do not retain packet indices; use trace bounds.
-	from := TimeRef{Sec: 0, Usec: 0}
+// spanOf is the span of the trace or window the community's packets lie in:
+// reports keep no packet indices, so a community's own bounds are not known
+// here. It opens on the first packet's whole second — the capture slot a
+// decoded pcap is rebased to, so a day starts at 0 and a streamed window at
+// its first packet's second — and closes on the last packet.
+func spanOf(tr TimeSpan) (TimeRef, TimeRef) {
+	from := TimeRef{Sec: int64(tr.Start())}
 	dur := tr.Duration()
 	to := TimeRef{Sec: int64(dur), Usec: int64((dur - float64(int64(dur))) * 1e6)}
 	return from, to

@@ -105,7 +105,7 @@ func Analyze(table *linalg.Matrix, maxDims int) (*Result, error) {
 		row := table.Row(i)
 		for jj, j := range keep {
 			p := row[j] / total
-			expected := rowMass[i] * colMass[j]
+			expected := float64(rowMass[i] * colMass[j])
 			s.Set(i, jj, (p-expected)/math.Sqrt(expected))
 		}
 	}
@@ -139,7 +139,7 @@ func Analyze(table *linalg.Matrix, maxDims int) (*Result, error) {
 
 	inertia := 0.0
 	for _, sv := range sigma {
-		inertia += sv * sv
+		inertia += float64(sv * sv)
 	}
 
 	// Row principal coordinates F = D_r^{-1/2} U Σ.
@@ -197,7 +197,7 @@ func (r *Result) ProjectRow(raw []float64) []float64 {
 		q := raw[j] / total
 		scale := q / math.Sqrt(r.colMass[jj])
 		for a := 0; a < k; a++ {
-			coords[a] += scale * r.v.At(jj, a)
+			coords[a] += float64(scale * r.v.At(jj, a))
 		}
 	}
 	return coords
@@ -209,7 +209,7 @@ func Distance(a, b []float64) float64 {
 	s := 0.0
 	for i := range a {
 		d := a[i] - b[i]
-		s += d * d
+		s += float64(d * d)
 	}
 	return math.Sqrt(s)
 }

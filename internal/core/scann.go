@@ -149,7 +149,7 @@ func CondorcetMajorityProbability(l int, p float64) float64 {
 
 func binomialPMF(n, k int, p float64) float64 {
 	logC := lgamma(float64(n+1)) - lgamma(float64(k+1)) - lgamma(float64(n-k+1))
-	return math.Exp(logC + float64(k)*math.Log(p) + float64(n-k)*math.Log(1-p))
+	return math.Exp(logC + float64(float64(k)*math.Log(p)) + float64(float64(n-k)*math.Log(1-p)))
 }
 
 func lgamma(x float64) float64 {

@@ -267,9 +267,9 @@ func (c *counter) flush(dst []keyCount) []keyCount {
 }
 
 // klDivergence returns D(p || q) in bits over the union of the two supports
-// with additive smoothing eps — stats.Histogram.KLDivergence on sorted
-// (key, count) runs: the same terms accumulated in the same ascending key
-// order, by merging the runs instead of sorting a union of map keys.
+// with additive smoothing eps, on sorted (key, count) runs: the terms of
+// the map-based reference in its tests, accumulated in the same ascending
+// key order by merging the runs instead of sorting a union of map keys.
 func klDivergence(p, q []keyCount, pTotal, qTotal, eps float64) float64 {
 	if pTotal == 0 || qTotal == 0 {
 		return 0
@@ -287,8 +287,8 @@ func klDivergence(p, q []keyCount, pTotal, qTotal, eps float64) float64 {
 			j++
 		}
 	}
-	pDen := pTotal + eps*float64(support)
-	qDen := qTotal + eps*float64(support)
+	pDen := pTotal + float64(eps*float64(support))
+	qDen := qTotal + float64(eps*float64(support))
 	d := 0.0
 	for i, j := 0, 0; i < len(p) || j < len(q); {
 		var pn, qn float64
@@ -306,7 +306,7 @@ func klDivergence(p, q []keyCount, pTotal, qTotal, eps float64) float64 {
 		}
 		pp := (pn + eps) / pDen
 		qq := (qn + eps) / qDen
-		d += pp * math.Log2(pp/qq)
+		d += float64(pp * math.Log2(pp/qq))
 	}
 	if d < 0 {
 		d = 0 // guard tiny negative rounding

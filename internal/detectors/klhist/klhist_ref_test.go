@@ -1,7 +1,7 @@
 package klhist
 
 // This file keeps the pre-split, per-configuration Detect verbatim as the
-// reference implementation — 4×bins stats.Histogram maps, the four KL series
+// reference implementation — 4×bins map-backed histograms, the four KL series
 // and the rule mining redone for every config — and pins Prepare + Decide to
 // it: on randomized traces, for every config, the two must emit
 // reflect.DeepEqual alarms. The KL sums are compared bit for bit through the
@@ -12,8 +12,10 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
+	"testing/quick"
 	"time"
 
 	"mawilab/internal/apriori"
@@ -24,7 +26,51 @@ import (
 	"mawilab/internal/trace"
 )
 
-// refDetect is the pre-split Detector.Detect, unchanged.
+// histogram is the reference's discrete distribution over bucketed feature
+// values: a map from key to weight, and the total weight.
+type histogram struct {
+	counts map[uint64]float64
+	total  float64
+}
+
+func newHistogram() *histogram { return &histogram{counts: make(map[uint64]float64)} }
+
+func (h *histogram) add(key uint64, weight float64) {
+	h.counts[key] += weight
+	h.total += weight
+}
+
+// klDivergence is the map-based reference for the production klDivergence:
+// D(h || q) in bits over the union of the two supports, sorted ascending,
+// with additive smoothing eps; 0 when either side is empty.
+func (h *histogram) klDivergence(q *histogram, eps float64) float64 {
+	if h.total == 0 || q.total == 0 {
+		return 0
+	}
+	support := make([]uint64, 0, len(h.counts)+len(q.counts))
+	for k := range h.counts {
+		support = append(support, k)
+	}
+	for k := range q.counts {
+		support = append(support, k)
+	}
+	slices.Sort(support)
+	support = slices.Compact(support)
+	n := float64(len(support))
+	d := 0.0
+	for _, k := range support {
+		p := (h.counts[k] + eps) / (h.total + float64(eps*n))
+		qq := (q.counts[k] + eps) / (q.total + float64(eps*n))
+		d += float64(p * math.Log2(p/qq))
+	}
+	if d < 0 {
+		d = 0 // guard tiny negative rounding
+	}
+	return d
+}
+
+// refDetect is the pre-split Detector.Detect, unchanged but for its
+// histograms, which are this file's map-backed reference type.
 func refDetect(d *Detector, ix *trace.Index, config int) ([]core.Alarm, error) {
 	if err := detectors.CheckConfig(d, config); err != nil {
 		return nil, err
@@ -36,11 +82,11 @@ func refDetect(d *Detector, ix *trace.Index, config int) ([]core.Alarm, error) {
 	threshold := thresholds[config]
 
 	// Build per-bin histograms for each feature from the index columns.
-	hists := make([][]*stats.Histogram, numFeatures)
+	hists := make([][]*histogram, numFeatures)
 	for f := range hists {
-		hists[f] = make([]*stats.Histogram, bins)
+		hists[f] = make([]*histogram, bins)
 		for b := range hists[f] {
-			hists[f][b] = stats.NewHistogram()
+			hists[f][b] = newHistogram()
 		}
 	}
 	for pi := 0; pi < ix.Len(); pi++ {
@@ -48,10 +94,10 @@ func refDetect(d *Detector, ix *trace.Index, config int) ([]core.Alarm, error) {
 		if b >= bins {
 			b = bins - 1
 		}
-		hists[FeatSrcIP][b].Add(bucketIP(ix.Src[pi]), 1)
-		hists[FeatDstIP][b].Add(bucketIP(ix.Dst[pi]), 1)
-		hists[FeatSrcPort][b].Add(bucketPort(ix.SrcPort[pi]), 1)
-		hists[FeatDstPort][b].Add(bucketPort(ix.DstPort[pi]), 1)
+		hists[FeatSrcIP][b].add(bucketIP(ix.Src[pi]), 1)
+		hists[FeatDstIP][b].add(bucketIP(ix.Dst[pi]), 1)
+		hists[FeatSrcPort][b].add(bucketPort(ix.SrcPort[pi]), 1)
+		hists[FeatDstPort][b].add(bucketPort(ix.DstPort[pi]), 1)
 	}
 
 	// KL series per feature, then robust thresholding.
@@ -59,7 +105,7 @@ func refDetect(d *Detector, ix *trace.Index, config int) ([]core.Alarm, error) {
 	for f := Feature(0); f < numFeatures; f++ {
 		series := make([]float64, 0, bins-1)
 		for b := 1; b < bins; b++ {
-			series = append(series, hists[f][b].KLDivergence(hists[f][b-1], 1e-6))
+			series = append(series, hists[f][b].klDivergence(hists[f][b-1], 1e-6))
 		}
 		med := stats.Median(series)
 		mad := stats.MAD(series)
@@ -223,30 +269,101 @@ func TestPrepareDecideMatchesReference(t *testing.T) {
 	}
 }
 
-// TestKLDivergenceMatchesHistogram pins the run-merging divergence to
-// stats.Histogram.KLDivergence bit for bit, including disjoint supports and
-// an empty side.
+// TestKLDivergenceMatchesHistogram pins the run-merging divergence to the
+// map-based reference bit for bit, including disjoint supports and an empty
+// side.
 func TestKLDivergenceMatchesHistogram(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for round := 0; round < 300; round++ {
 		var runs [2][]keyCount
-		var hists [2]*stats.Histogram
+		var hists [2]*histogram
 		var totals [2]float64
 		for s := range runs {
 			c := &counter{n: make([]int32, 40)}
-			hists[s] = stats.NewHistogram()
+			hists[s] = newHistogram()
 			for i := rng.Intn(30); i > 0; i-- {
 				key := uint32(rng.Intn(20) + 20*s*rng.Intn(2))
 				c.add(key)
-				hists[s].Add(uint64(key), 1)
+				hists[s].add(uint64(key), 1)
 				totals[s]++
 			}
 			runs[s] = c.flush(nil)
 		}
 		got := klDivergence(runs[0], runs[1], totals[0], totals[1], 1e-6)
-		want := hists[0].KLDivergence(hists[1], 1e-6)
+		want := hists[0].klDivergence(hists[1], 1e-6)
 		if math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("round %d: klDivergence = %v, Histogram.KLDivergence = %v", round, got, want)
+			t.Fatalf("round %d: klDivergence = %v, reference = %v", round, got, want)
 		}
+	}
+}
+
+// runsOf counts keys into the sorted (key, count) runs klDivergence reads,
+// returning the runs and their total.
+func runsOf(keys ...uint32) ([]keyCount, float64) {
+	c := &counter{n: make([]int32, 1024)}
+	for _, k := range keys {
+		c.add(k)
+	}
+	return c.flush(nil), float64(len(keys))
+}
+
+// TestKLDivergenceProperties: the same shape at a different mass diverges by
+// ~0 and a disjoint, concentrated support by a lot.
+func TestKLDivergenceProperties(t *testing.T) {
+	var same, scaled []uint32
+	for k := uint32(0); k < 10; k++ {
+		for i := uint32(0); i <= k; i++ {
+			same = append(same, k)
+			for j := 0; j < 7; j++ {
+				scaled = append(scaled, k)
+			}
+		}
+	}
+	p, pt := runsOf(same...)
+	q, qt := runsOf(scaled...)
+	if d := klDivergence(p, q, pt, qt, 1e-9); d > 1e-6 {
+		t.Errorf("KL of identical shapes = %g, want ~0", d)
+	}
+	if d := klDivergence(p, p, pt, pt, 1e-6); d != 0 {
+		t.Errorf("KL of identical inputs = %g, want 0", d)
+	}
+	shifted := make([]uint32, 100)
+	for i := range shifted {
+		shifted[i] = 999
+	}
+	s, st := runsOf(shifted...)
+	if d := klDivergence(p, s, pt, st, 1e-9); d < 1 {
+		t.Errorf("KL of disjoint supports = %g, want large", d)
+	}
+}
+
+// TestKLDivergenceNonNegativeProperty: the divergence of random histograms is
+// never negative.
+func TestKLDivergenceNonNegativeProperty(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		var a, b []uint32
+		for i := 0; i < 30; i++ {
+			for w := rng.Intn(10); w >= 0; w-- {
+				a = append(a, uint32(rng.Intn(20)))
+			}
+			for w := rng.Intn(10); w >= 0; w-- {
+				b = append(b, uint32(rng.Intn(20)))
+			}
+		}
+		p, pt := runsOf(a...)
+		q, qt := runsOf(b...)
+		return klDivergence(p, q, pt, qt, 1e-6) >= 0
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestKLEmpty: an empty side makes the divergence 0 either way round.
+func TestKLEmpty(t *testing.T) {
+	q, qt := runsOf(1)
+	if klDivergence(nil, q, 0, qt, 1e-6) != 0 || klDivergence(q, nil, qt, 0, 1e-6) != 0 {
+		t.Error("KL with an empty side should be 0")
 	}
 }

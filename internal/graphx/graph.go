@@ -212,7 +212,7 @@ func (g *Graph) Modularity(comm []int) float64 {
 	// Communities with no internal edges still contribute the degree term
 	// (in[c] is zero for them).
 	for _, c := range comms {
-		q += in[c]/(2*m) - (tot[c]/(2*m))*(tot[c]/(2*m))
+		q += in[c]/(2*m) - float64((tot[c]/(2*m))*(tot[c]/(2*m)))
 	}
 	return q
 }

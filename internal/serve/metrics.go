@@ -8,8 +8,10 @@ package serve
 import (
 	"fmt"
 	"io"
+	"maps"
 	"math"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -87,48 +89,40 @@ func (h *Histogram) Mean() float64 {
 	return h.Sum() / float64(n)
 }
 
-// CounterVec is a family of counters keyed by one label's value.
-type CounterVec struct {
-	label string
-	mu    sync.Mutex
-	m     map[string]*Counter
+// Family is a set of metrics of one kind — *Counter or *Histogram — keyed
+// by one label's value.
+type Family[M any] struct {
+	newM     func() *M
+	mu       sync.Mutex
+	children map[string]*M
 }
 
-// With returns the child counter for the label value, creating it on first
-// use. A nil *CounterVec returns a nil child, which discards increments.
-func (v *CounterVec) With(value string) *Counter {
-	if v == nil {
+func newFamily[M any](newM func() *M) *Family[M] {
+	return &Family[M]{newM: newM, children: make(map[string]*M)}
+}
+
+// With returns the child for the label value, creating it on first use. A
+// nil *Family returns a nil child; a nil *Counter discards increments.
+func (f *Family[M]) With(value string) *M {
+	if f == nil {
 		return nil
 	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	c, ok := v.m[value]
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	m, ok := f.children[value]
 	if !ok {
-		c = &Counter{}
-		v.m[value] = c
+		m = f.newM()
+		f.children[value] = m
 	}
-	return c
+	return m
 }
 
-// HistogramVec is a family of histograms keyed by one label's value.
-type HistogramVec struct {
-	label   string
-	buckets []float64
-	mu      sync.Mutex
-	m       map[string]*Histogram
-}
-
-// With returns the child histogram for the label value, creating it on
-// first use.
-func (v *HistogramVec) With(value string) *Histogram {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	h, ok := v.m[value]
-	if !ok {
-		h = newHistogram(v.buckets)
-		v.m[value] = h
-	}
-	return h
+// sortedKeys returns the label values seen so far, ascending: the order a
+// scrape renders the children in.
+func (f *Family[M]) sortedKeys() []string {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return slices.Sorted(maps.Keys(f.children))
 }
 
 // metric is one registered family, renderable in exposition format.
@@ -166,25 +160,14 @@ func (r *Registry) Counter(name, help string) *Counter {
 }
 
 // CounterVec registers and returns a counter family keyed by label.
-func (r *Registry) CounterVec(name, help, label string) *CounterVec {
-	v := &CounterVec{label: label, m: make(map[string]*Counter)}
+func (r *Registry) CounterVec(name, help, label string) *Family[Counter] {
+	f := newFamily(func() *Counter { return &Counter{} })
 	r.register(metric{name: name, help: help, typ: "counter", write: func(w io.Writer, n string) {
-		for _, value := range v.sortedKeys() {
-			fmt.Fprintf(w, "%s{%s=%q} %d\n", n, v.label, value, v.m[value].Value())
+		for _, value := range f.sortedKeys() {
+			fmt.Fprintf(w, "%s{%s=%q} %d\n", n, label, value, f.With(value).Value())
 		}
 	}})
-	return v
-}
-
-func (v *CounterVec) sortedKeys() []string {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	keys := make([]string, 0, len(v.m))
-	for k := range v.m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
+	return f
 }
 
 // GaugeFunc registers a gauge whose value is read at scrape time — the fit
@@ -206,25 +189,14 @@ func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
 }
 
 // HistogramVec registers and returns a histogram family keyed by label.
-func (r *Registry) HistogramVec(name, help, label string, buckets []float64) *HistogramVec {
-	v := &HistogramVec{label: label, buckets: buckets, m: make(map[string]*Histogram)}
+func (r *Registry) HistogramVec(name, help, label string, buckets []float64) *Family[Histogram] {
+	f := newFamily(func() *Histogram { return newHistogram(buckets) })
 	r.register(metric{name: name, help: help, typ: "histogram", write: func(w io.Writer, n string) {
-		for _, value := range v.sortedKeys() {
-			writeHistogram(w, n, v.label, value, v.m[value])
+		for _, value := range f.sortedKeys() {
+			writeHistogram(w, n, label, value, f.With(value))
 		}
 	}})
-	return v
-}
-
-func (v *HistogramVec) sortedKeys() []string {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	keys := make([]string, 0, len(v.m))
-	for k := range v.m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
+	return f
 }
 
 // writeHistogram renders one histogram child: cumulative _bucket series

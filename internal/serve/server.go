@@ -116,13 +116,13 @@ type Server struct {
 
 	reg          *Registry
 	uploads      *Counter
-	rejected     *CounterVec
+	rejected     *Family[Counter]
 	cacheHits    *Counter
 	cacheMisses  *Counter
-	jobsFinished *CounterVec
-	stageSeconds *HistogramVec
+	jobsFinished *Family[Counter]
+	stageSeconds *Family[Histogram]
 	jobSeconds   *Histogram
-	spoolFiles   *CounterVec
+	spoolFiles   *Family[Counter]
 }
 
 // New builds a Server from a validated config and recovers the label store

@@ -105,7 +105,7 @@ type Store struct {
 	// other call a hit. flowFallbacks counts loads that found no valid
 	// flows.bin, by reason. nil disables; assigned once before first use.
 	flowHits, flowMisses *Counter
-	flowFallbacks        *CounterVec
+	flowFallbacks        *Family[Counter]
 	// loadFlows reads a digest's flow table from disk: readFlows, or a test's
 	// stand-in.
 	loadFlows func(digest string) (*trace.FlowTable, error)

@@ -197,7 +197,7 @@ func TestStorePutEntryOptionalFiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fallbacks := &CounterVec{m: make(map[string]*Counter)}
+	fallbacks := NewRegistry().CounterVec("fallbacks_total", "flow-table fallbacks", "reason")
 	s.flowFallbacks = fallbacks
 	if err := s.PutEntry(Entry{Meta: testMeta("both"), CSV: []byte("c"), ADMD: []byte("a"), Pcap: []byte("pcap"), Flows: []byte("flows")}); err != nil {
 		t.Fatal(err)

@@ -111,9 +111,10 @@ func goldenReports(f *testing.F) []core.CommunityReport {
 	return l.Reports
 }
 
-// span is a fixed trace duration for the ADMD time bounds.
+// span is a fixed trace duration for the ADMD time bounds, starting at 0.
 type span float64
 
+func (s span) Start() float64    { return 0 }
 func (s span) Duration() float64 { return float64(s) }
 
 // FuzzWireRoundTrip encodes fuzzed reports in both v1 wire formats and

@@ -1,3 +1,8 @@
+// Package stats provides the statistical primitives the MAWILab pipeline is
+// built on: Gamma-distribution fitting (the Gamma detector), empirical
+// CDF/PDF series (every evaluation figure), descriptive statistics (the
+// median and MAD PCA, KL and Gamma threshold against, by selection) and the
+// weighted smoothing used to render Fig. 4.
 package stats
 
 import (

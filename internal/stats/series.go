@@ -70,7 +70,7 @@ func PDF(name string, xs []float64, lo, hi float64, bins int) Series {
 	}
 	for b := 0; b < bins; b++ {
 		density := float64(counts[b]) / (float64(total) * width)
-		s.Points = append(s.Points, Point{X: lo + (float64(b)+0.5)*width, Y: density})
+		s.Points = append(s.Points, Point{X: lo + float64((float64(b)+0.5)*width), Y: density})
 	}
 	return s
 }
@@ -127,7 +127,7 @@ func Smooth(s Series, bandwidth float64) Series {
 			d := (coord(pj.X) - xi) / bandwidth
 			w := gaussian(d)
 			wsum += w
-			ysum += w * pj.Y
+			ysum += float64(w * pj.Y)
 		}
 		out.Points[i] = Point{X: pi.X, Y: ysum / wsum}
 	}

@@ -85,6 +85,15 @@ func indexPackets(ps []Packet) (*Index, error) {
 // Len returns the number of indexed packets.
 func (ix *Index) Len() int { return len(ix.TS) }
 
+// Start returns the timestamp of the first packet in seconds (0 when
+// empty), matching Trace.Start.
+func (ix *Index) Start() float64 {
+	if len(ix.Seconds) == 0 {
+		return 0
+	}
+	return ix.Seconds[0]
+}
+
 // Duration returns the trace duration in seconds (timestamp of the last
 // packet; 0 when empty), matching Trace.Duration.
 func (ix *Index) Duration() float64 {

@@ -29,6 +29,15 @@ func (t *Trace) Append(p Packet) { t.Packets = append(t.Packets, p) }
 // Len returns the number of packets.
 func (t *Trace) Len() int { return len(t.Packets) }
 
+// Start returns the timestamp of the first packet in seconds. An empty trace
+// starts at 0.
+func (t *Trace) Start() float64 {
+	if len(t.Packets) == 0 {
+		return 0
+	}
+	return t.Packets[0].Seconds()
+}
+
 // Duration returns the trace duration in seconds (timestamp of the last
 // packet). An empty trace has duration 0.
 func (t *Trace) Duration() float64 {

@@ -119,8 +119,8 @@ type (
 	CommunityReport = core.CommunityReport
 	// EstimatorConfig parameterizes the similarity estimator.
 	EstimatorConfig = core.EstimatorConfig
-	// TimeSpan supplies the duration admd time spans derive from; *Trace
-	// and *Index both satisfy it.
+	// TimeSpan supplies the first and last packet times admd time spans
+	// derive from; *Trace and *Index both satisfy it.
 	TimeSpan = admd.TimeSpan
 	// Archive is the synthetic MAWI archive model.
 	Archive = mawigen.Archive
@@ -348,37 +348,47 @@ func (c StreamConfig) Validate() error {
 // Validate checks the pipeline configuration: a negative Workers count
 // (ErrWorkers), a RuleSupport outside (0,1] other than the defaulting 0
 // (ErrRuleSupport) and the embedded StreamConfig (see StreamConfig.Validate).
-// RunStream validates before starting; the batch entry points reject a bad
-// Workers or RuleSupport themselves and ignore the Stream field.
+// Every entry point checks the first two before it indexes anything;
+// RunStream checks the StreamConfig too, and the batch entry points ignore it.
 func (p *Pipeline) Validate() error {
-	if err := p.checkWorkers(); err != nil {
-		return err
-	}
-	if _, err := p.ruleSupport(); err != nil {
+	if _, err := p.labeler(nil); err != nil {
 		return err
 	}
 	return p.Stream.Validate()
 }
 
-// checkWorkers rejects a negative Workers count with ErrWorkers.
-func (p *Pipeline) checkWorkers() error {
-	if p.Workers < 0 {
-		return fmt.Errorf("%w: got %d", ErrWorkers, p.Workers)
-	}
-	return nil
+// engine is one run of the pipeline with its configuration resolved once,
+// before anything is indexed; the stages read it instead of checking again.
+type engine struct {
+	*Pipeline
+	totals  map[string]int // configurations per detector name
+	workers int            // >= 1
+	support float64        // Apriori's minimum support
 }
 
-// ruleSupport resolves RuleSupport to Apriori's minimum support: 0 selects
-// the paper's default, anything else outside (0,1] is ErrRuleSupport.
-func (p *Pipeline) ruleSupport() (float64, error) {
-	switch s := p.RuleSupport; {
-	case s == 0:
-		return core.DefaultReportOptions().RuleSupport, nil
-	case s > 0 && s <= 1:
-		return s, nil
-	default:
-		return 0, fmt.Errorf("%w: got %v", ErrRuleSupport, s)
+// engine resolves the detector totals (a repeated name fails), then Workers
+// and RuleSupport.
+func (p *Pipeline) engine() (*engine, error) {
+	totals, err := detectors.Totals(p.Detectors)
+	if err != nil {
+		return nil, err
 	}
+	return p.labeler(totals)
+}
+
+// labeler resolves Workers (0 means 1) and RuleSupport (0 selects the paper's
+// s = 20%) for labeling the alarms of detectors with the given totals.
+func (p *Pipeline) labeler(totals map[string]int) (*engine, error) {
+	if p.Workers < 0 {
+		return nil, fmt.Errorf("%w: got %d", ErrWorkers, p.Workers)
+	}
+	support := p.RuleSupport
+	if support == 0 {
+		support = core.DefaultReportOptions().RuleSupport
+	} else if !(support > 0 && support <= 1) {
+		return nil, fmt.Errorf("%w: got %v", ErrRuleSupport, support)
+	}
+	return &engine{Pipeline: p, totals: totals, workers: max(p.Workers, 1), support: support}, nil
 }
 
 // StreamConfig parameterizes segmented streaming ingest (Pipeline.RunStream).
@@ -434,14 +444,6 @@ func (p *Pipeline) Parallelism(n int) *Pipeline {
 	return p
 }
 
-// workers returns the effective worker count (>= 1).
-func (p *Pipeline) workers() int {
-	if p.Workers <= 0 {
-		return 1
-	}
-	return p.Workers
-}
-
 // NewPipeline returns the pipeline with the paper's retained
 // configuration.
 func NewPipeline() *Pipeline {
@@ -473,25 +475,27 @@ func (p *Pipeline) Run(tr *Trace) (*Labeling, error) {
 
 // RunContext is Run with cancellation: the detector fan-out and the
 // community-labeling stage stop scheduling new work once ctx is cancelled.
-// It is a thin adapter over the streaming engine: the materialized trace is
-// chopped at the canonical batch boundary — one sealed segment spanning the
-// whole trace, indexed exactly once — and replayed through the same
-// per-segment detect → per-window estimate/combine/label path RunStream
-// uses, as a single one-segment window. Batch and stream therefore share one
+// It runs the streaming engine's two stages on the canonical batch boundary:
+// the materialized trace is sealed as one segment spanning the whole trace,
+// indexed exactly once, the ensemble detects over it, and that segment is
+// labeled as the one window it is. Batch and stream therefore share one
 // engine, and a stream chopped at the canonical boundary reproduces this
 // labeling bit-for-bit. tr must be sorted by timestamp (Trace.Sort) with no
-// negative timestamps; otherwise the run fails with ErrUnsorted.
+// negative timestamps; otherwise the run fails with ErrUnsorted — after the
+// configuration errors, which every entry point checks before indexing.
 func (p *Pipeline) RunContext(ctx context.Context, tr *Trace) (*Labeling, error) {
-	var seg *Segment
-	err := p.observe(StageIngest, func() error {
-		var err error
-		seg, err = trace.SealTrace(ctx, tr)
-		return err
-	})
+	e, err := p.engine()
 	if err != nil {
 		return nil, err
 	}
-	return p.runSealed(ctx, seg)
+	var seg *Segment
+	if err := p.observe(StageIngest, func() error {
+		seg, err = trace.SealTrace(ctx, tr)
+		return err
+	}); err != nil {
+		return nil, err
+	}
+	return e.batch(ctx, seg.Index)
 }
 
 // RunIndex executes the pipeline over a pre-built columnar index — the
@@ -502,32 +506,29 @@ func (p *Pipeline) RunContext(ctx context.Context, tr *Trace) (*Labeling, error)
 // The caller keeps ownership of ix: release it, if pooled, only after the
 // labeling and anything derived from ix are no longer in use.
 func (p *Pipeline) RunIndex(ctx context.Context, ix *Index) (*Labeling, error) {
-	return p.runSealed(ctx, &Segment{Start: 0, End: math.Inf(1), Index: ix})
-}
-
-// runSealed replays one pre-sealed canonical segment through the streaming
-// engine as a single one-segment window — the shared tail of RunContext and
-// RunIndex.
-func (p *Pipeline) runSealed(ctx context.Context, seg *Segment) (*Labeling, error) {
-	var out *Labeling
-	if err := p.runSegments(ctx, oneSegment(seg), 1, 1, func(w *WindowLabeling) error {
-		out = w.Labeling
-		return nil
-	}); err != nil {
+	e, err := p.engine()
+	if err != nil {
 		return nil, err
 	}
-	if out == nil {
-		return nil, fmt.Errorf("mawilab: canonical segment produced no window labeling")
-	}
-	return out, nil
+	return e.batch(ctx, ix)
 }
 
-// oneSegment is the canonical batch ingest: an iterator yielding exactly one
-// pre-sealed segment.
-func oneSegment(seg *Segment) iter.Seq2[*Segment, error] {
-	return func(yield func(*Segment, error) bool) {
-		yield(seg, nil)
+// RunAlarms executes the estimator+combiner+labeler on externally produced
+// alarms — the extension point the paper highlights in §6 for integrating
+// new detectors or traffic-classifier annotations. totals maps each
+// detector name to its number of configurations. Like the batch entry
+// points it checks the configuration, then seals the trace as the canonical
+// segment and resolves the alarms against that segment's index.
+func (p *Pipeline) RunAlarms(tr *Trace, alarms []Alarm, totals map[string]int) (*Labeling, error) {
+	e, err := p.labeler(totals)
+	if err != nil {
+		return nil, err
 	}
+	seg, err := trace.SealTrace(context.Background(), tr)
+	if err != nil {
+		return nil, err
+	}
+	return e.label(context.Background(), seg.Index, alarms)
 }
 
 // WindowLabeling is one streaming output: the labeling of one closed window
@@ -560,8 +561,8 @@ type Stream struct {
 
 // Windows returns the channel of window labelings, emitted as windows
 // close. The channel closes when the packet stream ends or the run fails;
-// consumers must drain it (or cancel the stream's context) and then check
-// Wait or Err for the terminal error.
+// consumers must drain it (or cancel the stream's context) and then call
+// Wait for the terminal error.
 func (s *Stream) Windows() <-chan *WindowLabeling { return s.windows }
 
 // Wait blocks until the stream has finished — after Windows has closed —
@@ -573,17 +574,6 @@ func (s *Stream) Wait() error {
 	return s.err
 }
 
-// Err returns the terminal error without blocking: nil while the stream is
-// still running (or when it finished cleanly).
-func (s *Stream) Err() error {
-	select {
-	case <-s.done:
-		return s.err
-	default:
-		return nil
-	}
-}
-
 // RunStream executes the pipeline over an unbounded, timestamp-sorted
 // packet stream, the production ingest path: packets accumulate in an open
 // segment's index builder, each segment seals when the stream crosses a
@@ -592,7 +582,8 @@ func (s *Stream) Err() error {
 // combiner and labeler run over a sliding window of the last
 // p.Stream.WindowSegments segments, emitting a WindowLabeling each time the
 // window closes — instead of once per materialized day. The final partial
-// segment and window are sealed and labeled when the channel closes.
+// segment and window are sealed and labeled when the channel closes. A bad
+// configuration fails the stream before any packet is read.
 //
 // Determinism: the same packet stream under the same StreamConfig yields
 // byte-identical window labelings at every worker count, and a stream
@@ -600,7 +591,11 @@ func (s *Stream) Err() error {
 // Run's batch labeling bit-for-bit.
 func (p *Pipeline) RunStream(ctx context.Context, packets <-chan Packet) *Stream {
 	s := &Stream{windows: make(chan *WindowLabeling), done: make(chan struct{})}
-	if err := p.Validate(); err != nil {
+	e, err := p.engine()
+	if err == nil {
+		err = p.Stream.Validate()
+	}
+	if err != nil {
 		s.err = err
 		close(s.windows)
 		close(s.done)
@@ -610,7 +605,7 @@ func (p *Pipeline) RunStream(ctx context.Context, packets <-chan Packet) *Stream
 		defer close(s.done)
 		defer close(s.windows)
 		segs := trace.Segments(ctx, packets, p.Stream.SegmentSeconds)
-		s.err = p.runSegments(ctx, segs, p.Stream.window(), p.Stream.stride(), func(w *WindowLabeling) error {
+		s.err = e.runSegments(ctx, segs, p.Stream.window(), p.Stream.stride(), func(w *WindowLabeling) error {
 			select {
 			case s.windows <- w:
 				return nil
@@ -622,42 +617,47 @@ func (p *Pipeline) RunStream(ctx context.Context, packets <-chan Packet) *Stream
 	return s
 }
 
+// batch labels one canonical segment's index as the one window it is:
+// detect, then label.
+func (e *engine) batch(ctx context.Context, ix *Index) (*Labeling, error) {
+	alarms, err := e.detect(ctx, ix)
+	if err != nil {
+		return nil, err
+	}
+	return e.label(ctx, ix, alarms)
+}
+
+// detect runs the detector ensemble over one sealed segment's index.
+func (e *engine) detect(ctx context.Context, ix *Index) (alarms []Alarm, err error) {
+	err = e.observe(StageDetect, func() error {
+		alarms, _, err = detectors.DetectAllContext(ctx, ix, e.Detectors, e.workers)
+		return err
+	})
+	return alarms, err
+}
+
 // segmentRun pairs a sealed segment with its detector-ensemble output.
 type segmentRun struct {
 	seg    *Segment
 	alarms []Alarm
 }
 
-// runSegments is the one labeling engine behind both ingest paths: it pulls
-// sealed segments from segs, runs the detector ensemble per segment on the
-// worker pool, keeps a sliding window of the last `window` segments, and
-// each time the window fills runs estimate → combine → label over the
-// window's accumulated alarms and emits the labeling, then advances the
-// window by `stride` segments. When the segment stream ends with segments
-// no emitted window has covered, the final partial window is labeled too.
-// The first error — a repeated detector name, a negative Workers or an
-// invalid RuleSupport (all before the first segment is detected), a detector
-// failure, a cancelled
-// context, an out-of-order packet upstream — stops the engine and is returned
-// unchanged.
-func (p *Pipeline) runSegments(ctx context.Context, segs iter.Seq2[*Segment, error], window, stride int, emit func(*WindowLabeling) error) error {
-	totals, err := detectors.Totals(p.Detectors)
-	if err != nil {
-		return err
-	}
-	if err := p.checkWorkers(); err != nil {
-		return err
-	}
-	if _, err := p.ruleSupport(); err != nil {
-		return err
-	}
+// runSegments is the streaming engine: it pulls sealed segments from segs,
+// detects per segment, keeps a sliding window of the last `window` segments,
+// and each time the window fills labels the window's accumulated alarms and
+// emits the labeling, then advances the window by `stride` segments. When
+// the segment stream ends with segments no emitted window has covered, the
+// final partial window is labeled too. The first error — a detector failure,
+// a cancelled context, an out-of-order packet upstream — stops the engine
+// and is returned unchanged.
+func (e *engine) runSegments(ctx context.Context, segs iter.Seq2[*Segment, error], window, stride int, emit func(*WindowLabeling) error) error {
 	var (
 		pending []segmentRun
 		fresh   int // segments not yet covered by an emitted window
 		wi      int
 	)
 	label := func() error {
-		w, err := p.labelWindow(ctx, wi, pending, totals)
+		w, err := e.labelWindow(ctx, wi, pending)
 		if err != nil {
 			return err
 		}
@@ -668,12 +668,8 @@ func (p *Pipeline) runSegments(ctx context.Context, segs iter.Seq2[*Segment, err
 		if err != nil {
 			return err
 		}
-		var alarms []Alarm
-		if err := p.observe(StageDetect, func() error {
-			var err error
-			alarms, _, err = detectors.DetectAllContext(ctx, seg.Index, p.Detectors, p.workers())
-			return err
-		}); err != nil {
+		alarms, err := e.detect(ctx, seg.Index)
+		if err != nil {
 			return err
 		}
 		pending = append(pending, segmentRun{seg: seg, alarms: alarms})
@@ -693,10 +689,9 @@ func (p *Pipeline) runSegments(ctx context.Context, segs iter.Seq2[*Segment, err
 }
 
 // labelWindow runs estimate → combine → label over one window of sealed
-// segments. A one-segment window reuses the segment's index as-is — the
-// canonical batch window is exactly the whole-day path — a multi-segment
-// window gets trace.WindowIndex over its segments.
-func (p *Pipeline) labelWindow(ctx context.Context, wi int, runs []segmentRun, totals map[string]int) (*WindowLabeling, error) {
+// segments. A one-segment window reuses the segment's index as-is; a
+// multi-segment window gets trace.WindowIndex over its segments.
+func (e *engine) labelWindow(ctx context.Context, wi int, runs []segmentRun) (*WindowLabeling, error) {
 	segs := make([]*Segment, len(runs))
 	var alarms []Alarm
 	for i, r := range runs {
@@ -705,7 +700,7 @@ func (p *Pipeline) labelWindow(ctx context.Context, wi int, runs []segmentRun, t
 	}
 	ix := segs[0].Index
 	if len(segs) > 1 {
-		if err := p.observe(StageIngest, func() error {
+		if err := e.observe(StageIngest, func() error {
 			var err error
 			ix, err = trace.WindowIndex(ctx, segs)
 			return err
@@ -713,45 +708,19 @@ func (p *Pipeline) labelWindow(ctx context.Context, wi int, runs []segmentRun, t
 			return nil, err
 		}
 	}
-	l, err := p.runAlarms(ctx, ix, alarms, totals)
+	l, err := e.label(ctx, ix, alarms)
 	if err != nil {
 		return nil, err
 	}
 	return &WindowLabeling{Window: wi, Start: segs[0].Start, End: segs[len(segs)-1].End, Segments: segs, Index: ix, Labeling: l}, nil
 }
 
-// RunAlarms executes the estimator+combiner+labeler on externally produced
-// alarms — the extension point the paper highlights in §6 for integrating
-// new detectors or traffic-classifier annotations. totals maps each
-// detector name to its number of configurations.
-func (p *Pipeline) RunAlarms(tr *Trace, alarms []Alarm, totals map[string]int) (*Labeling, error) {
-	return p.RunAlarmsContext(context.Background(), tr, alarms, totals)
-}
-
-// RunAlarmsContext is RunAlarms with cancellation; see RunContext. Like the
-// batch adapters it seals the trace as the canonical segment and resolves
-// the alarms against that segment's index.
-func (p *Pipeline) RunAlarmsContext(ctx context.Context, tr *Trace, alarms []Alarm, totals map[string]int) (*Labeling, error) {
-	if err := p.checkWorkers(); err != nil {
-		return nil, err
-	}
-	seg, err := trace.SealTrace(ctx, tr)
-	if err != nil {
-		return nil, err
-	}
-	return p.runAlarms(ctx, seg.Index, alarms, totals)
-}
-
-// runAlarms runs estimate → combine → label against one shared trace index.
-func (p *Pipeline) runAlarms(ctx context.Context, ix *trace.Index, alarms []Alarm, totals map[string]int) (*Labeling, error) {
-	support, err := p.ruleSupport()
-	if err != nil {
-		return nil, err
-	}
+// label runs estimate → combine → label against one shared trace index.
+func (e *engine) label(ctx context.Context, ix *trace.Index, alarms []Alarm) (*Labeling, error) {
 	var res *core.Result
-	if err := p.observe(StageEstimate, func() error {
+	if err := e.observe(StageEstimate, func() error {
 		var err error
-		res, err = core.EstimateContext(ctx, ix, alarms, p.Estimator, p.workers())
+		res, err = core.EstimateContext(ctx, ix, alarms, e.Estimator, e.workers)
 		return err
 	}); err != nil {
 		return nil, err
@@ -760,14 +729,13 @@ func (p *Pipeline) runAlarms(ctx context.Context, ix *trace.Index, alarms []Alar
 		dec     []Decision
 		reports []CommunityReport
 	)
-	if err := p.observe(StageLabel, func() error {
-		conf := res.Confidences(totals)
+	if err := e.observe(StageLabel, func() error {
 		var err error
-		dec, err = p.Strategy.Classify(res, conf)
+		dec, err = e.Strategy.Classify(res, res.Confidences(e.totals))
 		if err != nil {
 			return err
 		}
-		reports, err = core.BuildReportsContext(ctx, res, dec, core.ReportOptions{RuleSupport: support}, p.workers())
+		reports, err = core.BuildReportsContext(ctx, res, dec, core.ReportOptions{RuleSupport: e.support}, e.workers)
 		return err
 	}); err != nil {
 		return nil, err

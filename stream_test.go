@@ -6,12 +6,14 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"encoding/xml"
 	"errors"
 	"math"
 	"os"
 	"sync"
 	"testing"
 
+	"mawilab/internal/admd"
 	"mawilab/internal/trace"
 )
 
@@ -224,9 +226,44 @@ func TestStreamWindowSemantics(t *testing.T) {
 	}
 }
 
+// TestStreamADMDSpan: a streamed window's ADMD time span opens inside the
+// window, on its first packet's whole second, not at 0 s, and closes on its
+// last packet.
+func TestStreamADMDSpan(t *testing.T) {
+	p := NewPipeline()
+	p.Stream = StreamConfig{SegmentSeconds: 5, WindowSegments: 2, WindowStride: 1}
+	windows, err := drainStream(p.RunStream(context.Background(), replay(streamTestDay(t))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	checked := 0
+	for _, w := range windows[1:] {
+		var buf bytes.Buffer
+		if err := w.Labeling.WriteADMD(&buf, "window", w.Index); err != nil {
+			t.Fatal(err)
+		}
+		var doc admd.Document
+		if err := xml.Unmarshal(buf.Bytes(), &doc); err != nil {
+			t.Fatal(err)
+		}
+		for _, a := range doc.Anomalies {
+			if from := float64(a.From.Sec); from < w.Start-1 || from > w.Index.Start() {
+				t.Errorf("window %d [%g,%g): anomaly from %d s", w.Window, w.Start, w.End, a.From.Sec)
+			}
+			if a.To.Sec != int64(w.Index.Duration()) {
+				t.Errorf("window %d: anomaly to %d s, last packet at %g s", w.Window, a.To.Sec, w.Index.Duration())
+			}
+			checked++
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no window after the first reported an anomaly: the span was never checked")
+	}
+}
+
 // TestStreamCancelMidStream cancels the context after the first window and
 // requires the stream to terminate with context.Canceled: Windows closes and
-// Wait/Err report the cancellation.
+// Wait reports the cancellation.
 func TestStreamCancelMidStream(t *testing.T) {
 	day := streamTestDay(t)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -261,9 +298,6 @@ func TestStreamCancelMidStream(t *testing.T) {
 	}
 	if err := s.Wait(); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Wait = %v, want context.Canceled", err)
-	}
-	if err := s.Err(); !errors.Is(err, context.Canceled) {
-		t.Fatalf("Err = %v, want context.Canceled", err)
 	}
 }
 
@@ -387,14 +421,12 @@ func TestSealedIndexesSurvivePoolChurn(t *testing.T) {
 	check("after churn")
 }
 
-// TestStreamErrNonBlocking: Err returns nil while the stream is running.
-func TestStreamErrNonBlocking(t *testing.T) {
-	ch := make(chan Packet) // never fed: the stream stays running
+// TestStreamEmptyEndsClean: a stream whose channel closes with no packet
+// emits no window and ends without an error.
+func TestStreamEmptyEndsClean(t *testing.T) {
+	ch := make(chan Packet)
 	s := NewPipeline().RunStream(context.Background(), ch)
-	if err := s.Err(); err != nil {
-		t.Fatalf("Err on a running stream = %v, want nil", err)
-	}
-	close(ch) // empty stream: no windows, clean end
+	close(ch)
 	if windows, err := drainStream(s); err != nil || len(windows) != 0 {
 		t.Fatalf("empty stream = (%d windows, %v), want (0, nil)", len(windows), err)
 	}

@@ -186,8 +186,47 @@ func TestRunStreamRejectsInvalidConfig(t *testing.T) {
 	if err := s.Wait(); !errors.Is(err, ErrStrideExceedsWindow) {
 		t.Fatalf("Wait() = %v, want ErrStrideExceedsWindow", err)
 	}
-	if err := s.Err(); !errors.Is(err, ErrStrideExceedsWindow) {
-		t.Fatalf("Err() = %v, want ErrStrideExceedsWindow", err)
+}
+
+// TestConfigErrorsWinOverInputErrors pins the order of the checks at every
+// entry point: a bad Workers or RuleSupport is reported as such even when the
+// input is unsorted too, because the configuration is resolved before
+// anything is indexed. Run and RunContext used to seal the trace first and
+// return ErrUnsorted, and RunAlarms did so for a bad RuleSupport.
+func TestConfigErrorsWinOverInputErrors(t *testing.T) {
+	unsorted := &Trace{Packets: []Packet{{TS: 2e6, Proto: trace.TCP, Len: 40}, {TS: 1e6, Proto: trace.TCP, Len: 40}}}
+	// An index cannot be built out of order, so RunIndex gets bare
+	// out-of-order columns: nothing may read them before the check.
+	unsortedIndex := &Index{TS: []int64{2e6, 1e6}, Seconds: []float64{2, 1}}
+	runs := []struct {
+		name string
+		run  func(p *Pipeline) error
+	}{
+		{"Run", func(p *Pipeline) error { _, err := p.Run(unsorted); return err }},
+		{"RunContext", func(p *Pipeline) error { _, err := p.RunContext(context.Background(), unsorted); return err }},
+		{"RunIndex", func(p *Pipeline) error { _, err := p.RunIndex(context.Background(), unsortedIndex); return err }},
+		{"RunAlarms", func(p *Pipeline) error { _, err := p.RunAlarms(unsorted, nil, map[string]int{"pca": 3}); return err }},
+		{"RunStream", func(p *Pipeline) error {
+			_, err := drainStream(p.RunStream(context.Background(), replay(unsorted)))
+			return err
+		}},
+	}
+	configs := []struct {
+		name string
+		set  func(p *Pipeline)
+		want error
+	}{
+		{"Workers=-1", func(p *Pipeline) { p.Workers = -1 }, ErrWorkers},
+		{"RuleSupport=1.5", func(p *Pipeline) { p.RuleSupport = 1.5 }, ErrRuleSupport},
+	}
+	for _, c := range configs {
+		for _, r := range runs {
+			p := NewPipeline()
+			c.set(p)
+			if err := r.run(p); !errors.Is(err, c.want) {
+				t.Errorf("%s with an unsorted input: %s error = %v, want %v", c.name, r.name, err, c.want)
+			}
+		}
 	}
 }
 

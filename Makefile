@@ -81,7 +81,7 @@ FUZZTIME ?= 10s
 # can't push a benchmark past the threshold.
 BENCHTIME ?= 1x
 
-.PHONY: all build test race bench bench-gate bench-baseline cover fmt vet fuzz lint fma-check serve-smoke check
+.PHONY: all build test test-386 race bench bench-gate bench-baseline cover fmt vet fuzz lint fma-check serve-smoke check
 
 all: build test
 
@@ -90,6 +90,13 @@ build:
 
 test:
 	$(GO) test ./...
+
+# The whole suite on a second architecture: 386, where int is 32 bits wide,
+# so a length or count that only fits a 64-bit int (a pcap origlen of 2³¹,
+# a word past 2³¹ read as int) fails here instead of going unseen on amd64.
+# Cross-compiled test binaries run natively on an amd64 host.
+test-386:
+	GOARCH=386 $(GO) test ./...
 
 # The race job covers the whole module: the root package (pipeline +
 # benches compile in, including the RunStream engine and its
@@ -216,4 +223,4 @@ fuzz:
 serve-smoke:
 	$(GO) test ./cmd/mawilabd -run '^TestServeSmoke$$' -v -count=1
 
-check: build vet fmt lint fma-check test fuzz serve-smoke
+check: build vet fmt lint fma-check test test-386 fuzz serve-smoke

@@ -707,7 +707,7 @@ func BenchmarkAblationSimilarity(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				singles = float64(res.SingleCommunities())
+				singles = float64(singleCommunities(res))
 			}
 			b.ReportMetric(singles, "singles")
 		})
@@ -764,7 +764,7 @@ func BenchmarkAblationGranularity(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				singles = float64(res.SingleCommunities())
+				singles = float64(singleCommunities(res))
 			}
 			b.ReportMetric(singles, "singles")
 		})
@@ -808,6 +808,18 @@ func BenchmarkAblationThreshold(b *testing.B) {
 	}
 }
 
+// singleCommunities counts the size-1 communities, the estimator's quality
+// metric in Fig. 3a (fewer is better, all else equal).
+func singleCommunities(res *core.Result) int {
+	n := 0
+	for i := range res.Communities {
+		if res.Communities[i].Size() == 1 {
+			n++
+		}
+	}
+	return n
+}
+
 func thName(th float64) string {
 	switch th {
 	case 0.25:
@@ -817,16 +829,6 @@ func thName(th float64) string {
 	default:
 		return "th=1.00"
 	}
-}
-
-// BenchmarkCondorcet validates §2.2.1's majority-vote background math.
-func BenchmarkCondorcet(b *testing.B) {
-	b.ReportAllocs()
-	var p float64
-	for i := 0; i < b.N; i++ {
-		p = core.CondorcetMajorityProbability(25, 0.7)
-	}
-	b.ReportMetric(p, "p_maj_25_0.7")
 }
 
 // --- Raw-speed benches: fused ingest and sparse Hough ---------------------

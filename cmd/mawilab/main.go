@@ -117,7 +117,7 @@ func main() {
 	}
 	fmt.Fprintf(os.Stderr, "mawilab: %d alarms, %d communities, %d anomalous\n",
 		len(labeling.Alarms), len(labeling.Reports), len(labeling.Anomalies()))
-	emit(labeling, tr, *format, name)
+	emit(labeling, *format, name)
 }
 
 // runStream is the -stream mode: feed packets incrementally into
@@ -143,7 +143,7 @@ func runStream(p *mawilab.Pipeline, in, dateStr string, seed int64, format, name
 			}
 		}
 		fmt.Printf("# window %d [%g,%g)\n", w.Window, w.Start, w.End)
-		emit(w.Labeling, w.Index, format, fmt.Sprintf("%s/window-%d", name, w.Window))
+		emit(w.Labeling, format, fmt.Sprintf("%s/window-%d", name, w.Window))
 	}
 	if err := s.Wait(); err != nil {
 		fatal("pipeline: %v", err)
@@ -194,17 +194,15 @@ func generatedDay(dateStr string, seed int64) *mawilab.Trace {
 	return mawilab.NewArchive(seed).Day(date).Trace
 }
 
-// emit writes one labeling to stdout in the selected format. span supplies
-// the admd time bounds: the whole input trace in batch mode, the window's
-// index in -stream mode.
-func emit(l *mawilab.Labeling, span mawilab.TimeSpan, format, name string) {
+// emit writes one labeling to stdout in the selected format.
+func emit(l *mawilab.Labeling, format, name string) {
 	switch format {
 	case "csv":
 		if err := l.WriteCSV(os.Stdout); err != nil {
 			fatal("writing csv: %v", err)
 		}
 	case "admd":
-		if err := l.WriteADMD(os.Stdout, name, span); err != nil {
+		if err := l.WriteADMD(os.Stdout, name); err != nil {
 			fatal("writing admd: %v", err)
 		}
 	}

@@ -28,9 +28,10 @@ import (
 )
 
 // entropyDetector flags time bins where source-address entropy collapses
-// (one host dominating, e.g. a flood) or explodes (a scan touching many
-// hosts), then reports the top source of the bin. Two configurations vary
-// the threshold.
+// (one host dominating) or explodes (many sources, e.g. a spoofed flood).
+// A drop reports the bin's top source, the host that dominates it; a rise
+// reports the bin's top destination, the target the many sources converge
+// on. Two configurations vary the threshold.
 type entropyDetector struct {
 	timeBin    float64
 	thresholds []float64 // robust z per config
@@ -56,16 +57,18 @@ func (d *entropyDetector) Detect(ix *trace.Index, config int) ([]core.Alarm, err
 	// Custom detectors read the shared columnar index, like the standard
 	// ensemble: the pipeline builds it once and fans it out.
 	sources := make([]map[trace.IPv4]int, ax.Bins)
+	dests := make([]map[trace.IPv4]int, ax.Bins)
 	for i := range sources {
-		sources[i] = map[trace.IPv4]int{}
+		sources[i], dests[i] = map[trace.IPv4]int{}, map[trace.IPv4]int{}
 	}
 	for i := 0; i < ix.Len(); i++ {
-		sources[ax.Bin(ix.Seconds[i])][ix.Src[i]]++
+		b := ax.Bin(ix.Seconds[i])
+		sources[b][ix.Src[i]]++
+		dests[b][ix.Dst[i]]++
 	}
 	entropy := make([]float64, ax.Bins)
-	top := make([]trace.IPv4, ax.Bins)
 	for b, counts := range sources {
-		entropy[b], top[b] = sourceEntropy(counts)
+		entropy[b] = sourceEntropy(counts)
 	}
 	med, mad := stats.MedianMAD(entropy, nil)
 	if mad < 1e-9 {
@@ -76,37 +79,46 @@ func (d *entropyDetector) Detect(ix *trace.Index, config int) ([]core.Alarm, err
 		if math.Abs(e-med)/(1.4826*mad) <= d.thresholds[config] || len(sources[b]) == 0 {
 			continue
 		}
+		f := mawilab.NewFilter().WithSrc(topAddress(sources[b]))
+		if e > med {
+			f = mawilab.NewFilter().WithDst(topAddress(dests[b]))
+		}
 		alarms = append(alarms, core.Alarm{
 			Detector: d.Name(),
 			Config:   config,
-			Filters: []trace.Filter{
-				mawilab.NewFilter().WithSrc(top[b]).WithInterval(ax.Interval(b, b)),
-			},
-			Score: math.Abs(e-med) / (1.4826 * mad),
-			Note:  "src entropy shift",
+			Filters:  []trace.Filter{f.WithInterval(ax.Interval(b, b))},
+			Score:    math.Abs(e-med) / (1.4826 * mad),
+			Note:     "src entropy shift",
 		})
 	}
 	return alarms, nil
 }
 
 // sourceEntropy returns the Shannon entropy in bits of one bin's source
-// counts and the bin's top source, the smaller address on a tie. It walks
-// the sources in ascending order: float sums are not associative, so map
-// order would leak into the low bits.
-func sourceEntropy(counts map[trace.IPv4]int) (bits float64, top trace.IPv4) {
+// counts. It walks the sources in ascending order: float sums are not
+// associative, so map order would leak into the low bits.
+func sourceEntropy(counts map[trace.IPv4]int) (bits float64) {
 	srcs := slices.Sorted(maps.Keys(counts))
 	total := 0
 	for _, src := range srcs {
 		total += counts[src]
-		if counts[src] > counts[top] {
-			top = src
-		}
 	}
 	for _, src := range srcs {
 		p := float64(counts[src]) / float64(total)
 		bits -= float64(p * math.Log2(p))
 	}
-	return bits, top
+	return bits
+}
+
+// topAddress returns the address with the most packets in one bin's counts,
+// the smaller address on a tie, whatever the map's order.
+func topAddress(counts map[trace.IPv4]int) (top trace.IPv4) {
+	for _, a := range slices.Sorted(maps.Keys(counts)) {
+		if counts[a] > counts[top] {
+			top = a
+		}
+	}
+	return top
 }
 
 // entropyCommunities counts the communities holding an entropy alarm:
@@ -129,7 +141,7 @@ func entropyCommunities(l *mawilab.Labeling) (shared, solo int) {
 // label runs the standard four-detector pipeline and the ensemble extended
 // with the entropy detector over one archive day. Its SYN flood (43-52 s)
 // comes from spoofed sources, which raises the source entropy of the bins
-// it covers.
+// it covers; those alarms name the flood's target.
 func label() (baseline, extended *mawilab.Labeling, err error) {
 	day := mawilab.NewArchive(99).Day(time.Date(2001, time.July, 30, 0, 0, 0, 0, time.UTC))
 	if baseline, err = mawilab.NewPipeline().Run(day.Trace); err != nil {

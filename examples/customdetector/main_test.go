@@ -29,23 +29,50 @@ func TestEntropyAlarmsJoinTheGraph(t *testing.T) {
 	}
 }
 
+// TestEntropyRiseNamesTheTarget: the day's SYN flood on 10.0.0.35:80
+// (43-52.3 s) comes from spoofed sources, so it raises the source entropy of
+// the bins it covers, and every entropy alarm overlapping it names the
+// flood's target, not whichever spoofed source happened to lead its bin.
+func TestEntropyRiseNamesTheTarget(t *testing.T) {
+	_, extended, err := label()
+	if err != nil {
+		t.Fatal(err)
+	}
+	target := trace.MakeIPv4(10, 0, 0, 35)
+	overlapping := 0
+	for _, a := range extended.Alarms {
+		f := a.Filters[0]
+		if a.Detector != "entropy" || f.To <= 43 || f.From >= 52.3 {
+			continue
+		}
+		overlapping++
+		if f.Src != nil || f.Dst == nil || *f.Dst != target {
+			t.Errorf("entropy alarm over [%g,%g) s names %v, want the target %v", f.From, f.To, f, target)
+		}
+	}
+	if overlapping == 0 {
+		t.Fatal("no entropy alarm overlaps the SYN flood")
+	}
+}
+
 // TestEntropyBounds: uniform over 8 sources is 3 bits, one source 0 bits.
 func TestEntropyBounds(t *testing.T) {
 	uniform := map[trace.IPv4]int{}
 	for k := trace.IPv4(0); k < 8; k++ {
 		uniform[k] = 1
 	}
-	if e, _ := sourceEntropy(uniform); math.Abs(e-3) > 1e-12 {
+	if e := sourceEntropy(uniform); math.Abs(e-3) > 1e-12 {
 		t.Errorf("uniform-8 entropy = %v, want 3", e)
 	}
-	if e, top := sourceEntropy(map[trace.IPv4]int{42: 100}); e != 0 || top != 42 {
+	one := map[trace.IPv4]int{42: 100}
+	if e, top := sourceEntropy(one), topAddress(one); e != 0 || top != 42 {
 		t.Errorf("single source = (%v, %v), want (0, 42)", e, top)
 	}
 }
 
 // TestTopSource: the heaviest source wins.
 func TestTopSource(t *testing.T) {
-	if _, top := sourceEntropy(map[trace.IPv4]int{1: 5, 2: 10, 3: 1}); top != 2 {
+	if top := topAddress(map[trace.IPv4]int{1: 5, 2: 10, 3: 1}); top != 2 {
 		t.Errorf("top = %v, want 2", top)
 	}
 }
@@ -58,7 +85,7 @@ func TestTopSourceTies(t *testing.T) {
 		tied[k] = 1
 	}
 	for range 20 {
-		if _, top := sourceEntropy(tied); top != 1 {
+		if top := topAddress(tied); top != 1 {
 			t.Fatalf("tie broke to %v, want the smallest address 1", top)
 		}
 	}

@@ -34,8 +34,10 @@ func Analyzers() []*analysis.Analyzer {
 // serving daemon (request timestamps, job latencies), the eval harness
 // (progress timing), and the mains/examples. Everything else — trace,
 // core, detectors, graphx, simgraph, mawigen, heuristics, apriori,
-// sketch, stats, linalg, pcap, admd, ca, parallel and the root pipeline —
-// must be a pure function of its inputs.
+// sketch, stats, linalg, pcap, ca, parallel and the root pipeline —
+// must be a pure function of its inputs. The wire encoders of
+// internal/serve/v1 sit under the serve exemption; the golden fixtures pin
+// their bytes.
 //
 // baregoroutine exempts only internal/parallel, the package that owns
 // fan-out. ctxflow additionally skips main packages (where root contexts

@@ -135,30 +135,3 @@ func TestConfidenceEmptyTotals(t *testing.T) {
 		t.Error("zero-total detector should be skipped")
 	}
 }
-
-func TestCondorcetJuryTheorem(t *testing.T) {
-	// §2.2.1: p>0.5 → majority probability increases with L toward 1;
-	// p<0.5 → decreases toward 0; p=0.5 → 0.5 for odd L.
-	pGood3 := CondorcetMajorityProbability(3, 0.7)
-	pGood9 := CondorcetMajorityProbability(9, 0.7)
-	pGood25 := CondorcetMajorityProbability(25, 0.7)
-	if !(pGood3 < pGood9 && pGood9 < pGood25) {
-		t.Errorf("p=0.7 not increasing: %f %f %f", pGood3, pGood9, pGood25)
-	}
-	if pGood25 < 0.97 {
-		t.Errorf("P(25, 0.7) = %f, want → 1", pGood25)
-	}
-	pBad3 := CondorcetMajorityProbability(3, 0.3)
-	pBad25 := CondorcetMajorityProbability(25, 0.3)
-	if !(pBad25 < pBad3) {
-		t.Errorf("p=0.3 not decreasing: %f %f", pBad3, pBad25)
-	}
-	for _, l := range []int{1, 3, 5, 9} {
-		if p := CondorcetMajorityProbability(l, 0.5); math.Abs(p-0.5) > 1e-9 {
-			t.Errorf("P(%d, 0.5) = %f, want 0.5", l, p)
-		}
-	}
-	if CondorcetMajorityProbability(0, 0.9) != 0 {
-		t.Error("L=0 should be 0")
-	}
-}

@@ -174,18 +174,6 @@ func EstimateContext(ctx context.Context, ix *trace.Index, alarms []Alarm, cfg E
 	}, nil
 }
 
-// SingleCommunities counts the size-1 communities — the estimator's primary
-// quality metric in Fig. 3a (fewer is better, all else equal).
-func (r *Result) SingleCommunities() int {
-	n := 0
-	for i := range r.Communities {
-		if r.Communities[i].Size() == 1 {
-			n++
-		}
-	}
-	return n
-}
-
 // DetectorsIn returns the distinct detectors with at least one alarm in
 // community c.
 func (r *Result) DetectorsIn(c *Community) []string {

@@ -24,8 +24,8 @@ func TestFig1GranularityStory(t *testing.T) {
 	if len(pktRes.Communities) != 2 {
 		t.Errorf("packet granularity: %d communities, want 2 (A1 alone, A2+A3 together)", len(pktRes.Communities))
 	}
-	if pktRes.SingleCommunities() != 1 {
-		t.Errorf("packet granularity: %d single communities, want 1", pktRes.SingleCommunities())
+	if singleCommunities(pktRes) != 1 {
+		t.Errorf("packet granularity: %d single communities, want 1", singleCommunities(pktRes))
 	}
 
 	for _, g := range []trace.Granularity{trace.GranUniFlow, trace.GranBiFlow} {

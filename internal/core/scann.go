@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"mawilab/internal/ca"
 	"mawilab/internal/linalg"
@@ -132,27 +131,3 @@ func relativeDistance(dacc, drej float64, accepted bool) float64 {
 // maxRelDistance caps the relative distance so histograms over it stay
 // finite; 1e6 is far beyond the paper's plotted range of [0, 10].
 const maxRelDistance = 1e6
-
-// CondorcetMajorityProbability computes P_maj(L) of §2.2.1: the probability
-// that a majority of L independent detectors of accuracy p is correct.
-// Exposed for the background benches validating the Condorcet Jury Theorem.
-func CondorcetMajorityProbability(l int, p float64) float64 {
-	if l <= 0 {
-		return 0
-	}
-	total := 0.0
-	for m := l/2 + 1; m <= l; m++ {
-		total += binomialPMF(l, m, p)
-	}
-	return total
-}
-
-func binomialPMF(n, k int, p float64) float64 {
-	logC := lgamma(float64(n+1)) - lgamma(float64(k+1)) - lgamma(float64(n-k+1))
-	return math.Exp(logC + float64(float64(k)*math.Log(p)) + float64(float64(n-k)*math.Log(1-p)))
-}
-
-func lgamma(x float64) float64 {
-	v, _ := math.Lgamma(x)
-	return v
-}

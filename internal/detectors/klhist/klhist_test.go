@@ -57,7 +57,7 @@ func TestAlarmsAreAssociationRules(t *testing.T) {
 		if !f.TimeBounded() {
 			t.Fatal("rule filter must be bounded to the anomalous bin")
 		}
-		if f.Degree() == 0 {
+		if f.Src == nil && f.Dst == nil && f.SrcPort == nil && f.DstPort == nil && f.Proto == nil {
 			t.Fatal("rule filter must constrain at least one feature")
 		}
 		if !strings.Contains(a.Note, "kl divergence") {

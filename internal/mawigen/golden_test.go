@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
+
+	"mawilab/internal/trace"
 )
 
 // update regenerates the committed golden digests. Generation output is only
@@ -91,7 +93,7 @@ func TestGenerateDeterminism(t *testing.T) {
 		rec := goldenRecord{
 			Name:        fx.name,
 			Packets:     ref.Trace.Len(),
-			TraceSHA256: ref.Trace.Digest(),
+			TraceSHA256: trace.NewIndex(ref.Trace).Digest(),
 			TruthEvents: len(ref.Truth),
 		}
 		for _, ev := range ref.Truth {
@@ -100,7 +102,7 @@ func TestGenerateDeterminism(t *testing.T) {
 		got = append(got, rec)
 
 		res := fx.gen()
-		if d := res.Trace.Digest(); d != rec.TraceSHA256 {
+		if d := trace.NewIndex(res.Trace).Digest(); d != rec.TraceSHA256 {
 			t.Errorf("%s: rerun: trace digest %s, want %s (%d vs %d packets)",
 				fx.name, d[:12], rec.TraceSHA256[:12], res.Trace.Len(), rec.Packets)
 		}
@@ -188,7 +190,7 @@ func TestGenerateWindowsChangeBytes(t *testing.T) {
 		cfg.Duration = 10
 		cfg.BackgroundRate = 100
 		cfg.Windows = windows
-		return Generate(cfg).Trace.Digest()
+		return trace.NewIndex(Generate(cfg).Trace).Digest()
 	}
 	if mk(4) == mk(8) {
 		t.Error("Windows=4 and Windows=8 generated identical traces")

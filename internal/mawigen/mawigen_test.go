@@ -1,6 +1,8 @@
 package mawigen
 
 import (
+	"cmp"
+	"slices"
 	"testing"
 	"time"
 
@@ -29,7 +31,7 @@ func TestGenerateDeterministic(t *testing.T) {
 func TestGenerateBackgroundProperties(t *testing.T) {
 	res := Generate(DefaultConfig(7))
 	tr := res.Trace
-	if !tr.Sorted() {
+	if !slices.IsSortedFunc(tr.Packets, func(a, b trace.Packet) int { return cmp.Compare(a.TS, b.TS) }) {
 		t.Error("trace must be sorted")
 	}
 	s := tr.ComputeStats()

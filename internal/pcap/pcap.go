@@ -352,9 +352,10 @@ func (r *Reader) Next() (trace.Packet, error) {
 		r.baseTS = sec * 1e6 // second boundary, keeping sub-second offset
 		r.haveBase = true
 	}
-	caplen := int(r.order.Uint32(hdr[8:]))
-	origlen := int(r.order.Uint32(hdr[12:]))
-	if caplen < 0 || caplen > 1<<20 {
+	// Both lengths stay uint32 until bounded: as an int, an origlen of 2³¹
+	// or more would turn negative wherever int is 32 bits wide.
+	caplen, origlen := r.order.Uint32(hdr[8:]), r.order.Uint32(hdr[12:])
+	if caplen > 1<<20 {
 		return p, fmt.Errorf("pcap: implausible caplen %d", caplen)
 	}
 	if origlen < caplen {
@@ -362,11 +363,11 @@ func (r *Reader) Next() (trace.Packet, error) {
 	}
 	// Only the headers are parsed, so only they are copied; the payload of a
 	// full-frame capture — nine bytes in ten — is skipped where it lies.
-	frame := r.frameBuf[:min(caplen, maxHeaderLen)]
+	frame := r.frameBuf[:min(int(caplen), maxHeaderLen)]
 	if _, err := io.ReadFull(r.r, frame); err != nil {
 		return p, fmt.Errorf("pcap: truncated record: %w", err)
 	}
-	if err := r.skip(caplen - len(frame)); err != nil {
+	if err := r.skip(int(caplen) - len(frame)); err != nil {
 		return p, fmt.Errorf("pcap: truncated record: %w", err)
 	}
 	p.TS = abs - r.baseTS
@@ -377,7 +378,7 @@ func (r *Reader) Next() (trace.Packet, error) {
 }
 
 // decodeFrame parses Ethernet/IPv4/transport headers into p.
-func decodeFrame(frame []byte, origlen int, p *trace.Packet) error {
+func decodeFrame(frame []byte, origlen uint32, p *trace.Packet) error {
 	if len(frame) < etherHeaderLen+ipv4HeaderLen {
 		return fmt.Errorf("pcap: frame too short (%d bytes)", len(frame))
 	}
@@ -393,16 +394,12 @@ func decodeFrame(frame []byte, origlen int, p *trace.Packet) error {
 	if ihl < ipv4HeaderLen || len(ip) < ihl {
 		return fmt.Errorf("pcap: bad IHL %d", ihl)
 	}
-	totalLen := int(be.Uint16(ip[2:]))
-	if totalLen == 0 {
+	p.Len = be.Uint16(ip[2:])
+	if p.Len == 0 {
 		// At least the IPv4 header: Next keeps origlen >= caplen >=
 		// len(frame), which holds the Ethernet and IPv4 headers.
-		totalLen = origlen - etherHeaderLen
+		p.Len = uint16(min(origlen-etherHeaderLen, 0xffff))
 	}
-	if totalLen > 0xffff {
-		totalLen = 0xffff
-	}
-	p.Len = uint16(totalLen)
 	p.Proto = trace.Proto(ip[9])
 	p.Src = trace.IPv4(be.Uint32(ip[12:]))
 	p.Dst = trace.IPv4(be.Uint32(ip[16:]))

@@ -56,14 +56,14 @@ func (r *copyingReader) Next() (trace.Packet, error) {
 		r.baseTS = sec * 1e6
 		r.haveBase = true
 	}
-	caplen := int(r.order.Uint32(hdr[8:]))
-	origlen := int(r.order.Uint32(hdr[12:]))
-	if caplen < 0 || caplen > 1<<20 {
-		return p, fmt.Errorf("pcap: implausible caplen %d", caplen)
+	caplen32, origlen := r.order.Uint32(hdr[8:]), r.order.Uint32(hdr[12:])
+	if caplen32 > 1<<20 {
+		return p, fmt.Errorf("pcap: implausible caplen %d", caplen32)
 	}
-	if origlen < caplen {
-		return p, fmt.Errorf("pcap: origlen %d below caplen %d", origlen, caplen)
+	if origlen < caplen32 {
+		return p, fmt.Errorf("pcap: origlen %d below caplen %d", origlen, caplen32)
 	}
+	caplen := int(caplen32)
 	if cap(r.recordBuf) < caplen {
 		r.recordBuf = make([]byte, max(caplen, 2*cap(r.recordBuf), 2048))
 	}

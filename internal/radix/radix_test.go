@@ -118,8 +118,9 @@ func fuzzWords(data []byte) []uint64 {
 	return ws
 }
 
-// FuzzSort compares Sort with slices.Sort on arbitrary words, as uint64, as
-// int and — truncated to 31 bits — as int32. The first byte picks the
+// FuzzSort compares Sort with slices.Sort on arbitrary words, as uint64 and,
+// masked to the non-negative values Sort's contract admits, as int (63 or 31
+// bits, whatever int's width) and as int32. The first byte picks the
 // scratch: none, half the input, or more than the input.
 func FuzzSort(f *testing.F) {
 	rng := rand.New(rand.NewSource(1))
@@ -143,7 +144,7 @@ func FuzzSort(f *testing.F) {
 		ints := make([]int, len(ws))
 		int32s := make([]int32, len(ws))
 		for i, w := range ws {
-			ints[i] = int(w)
+			ints[i] = int(w & math.MaxInt)
 			int32s[i] = int32(w & math.MaxInt32)
 		}
 		checkSort(t, "int", ints, make([]int, scratchLen))

@@ -16,6 +16,7 @@ import (
 	"testing"
 
 	"mawilab"
+	"mawilab/internal/trace"
 )
 
 // referenceCSV labels the pcap-round-tripped trace locally — the exact
@@ -323,8 +324,8 @@ func TestStoreTracePcapRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.Digest() != out.Digest {
-		t.Errorf("stored trace digest %s, want %s", tr.Digest(), out.Digest)
+	if d := trace.NewIndex(tr).Digest(); d != out.Digest {
+		t.Errorf("stored trace digest %s, want %s", d, out.Digest)
 	}
 	if _, known, _ := srv.store.TracePcap("nope"); known {
 		t.Error("unknown digest reported as known")

@@ -13,6 +13,7 @@ import (
 
 	"mawilab"
 	"mawilab/internal/parallel"
+	"mawilab/internal/trace"
 )
 
 // mixedTrace is one distinct upload of TestMixedRunReconciles and the CSV
@@ -177,7 +178,7 @@ func TestMixedRunReconciles(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		corpus[i] = &mixedTrace{name: fmt.Sprintf("mixed-%d", i), pcap: data, digest: tr.Digest(), csv: referenceCSV(t, data)}
+		corpus[i] = &mixedTrace{name: fmt.Sprintf("mixed-%d", i), pcap: data, digest: trace.NewIndex(tr).Digest(), csv: referenceCSV(t, data)}
 	}
 	_, ts := newTestServer(t, Config{JobWorkers: 2, QueueDepth: 1})
 

@@ -235,7 +235,7 @@ func (s *Server) runJob(ctx context.Context, j *Job, ix *trace.Index) error {
 	if err := l.WriteCSV(&csv); err != nil {
 		return err
 	}
-	if err := wirev1.WriteADMD(&admd, j.Trace, ix, l.Reports); err != nil {
+	if err := l.WriteADMD(&admd, j.Trace); err != nil {
 		return err
 	}
 	sum := sha256.Sum256(csv.Bytes())

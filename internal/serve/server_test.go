@@ -212,7 +212,7 @@ func TestContentNegotiationAndADMD(t *testing.T) {
 	if err := l.WriteCSV(&wantCSV); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.WriteADMD(&wantADMD, "golden-day", day); err != nil {
+	if err := l.WriteADMD(&wantADMD, "golden-day"); err != nil {
 		t.Fatal(err)
 	}
 
@@ -363,7 +363,7 @@ func TestAdmissionControlOverflow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	digest := tr.Digest()
+	digest := trace.NewIndex(tr).Digest()
 	if s.store.Has(digest) {
 		t.Error("the bounced trace reached the store")
 	}
@@ -431,7 +431,7 @@ func TestAdmissionRejectsOverlongSpan(t *testing.T) {
 		t.Errorf("over-long spool file not moved to failed/: %v", err)
 	}
 
-	if _, active := s.engine.Active(long.Digest()); active {
+	if _, active := s.engine.Active(trace.NewIndex(long).Digest()); active {
 		t.Error("a job was created for the rejected trace")
 	}
 	if d := s.engine.Depth(); d != 0 {
@@ -617,7 +617,7 @@ func TestSpoolWatcher(t *testing.T) {
 		t.Error("non-pcap file was touched")
 	}
 	// The labeling is served once the job completes.
-	digest := tinyTrace(3).Digest()
+	digest := trace.NewIndex(tinyTrace(3)).Digest()
 	deadline = time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
 		if code, _, _ := get(t, ts.URL+"/v1/labels/"+digest+".csv", nil); code == http.StatusOK {

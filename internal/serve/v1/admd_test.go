@@ -1,4 +1,4 @@
-package admd
+package wirev1
 
 import (
 	"bytes"
@@ -37,16 +37,17 @@ func sampleReports() []core.CommunityReport {
 	}
 }
 
-func sampleTrace() *trace.Trace {
+// sampleIndex is a two-packet index spanning [0, 59.5] s.
+func sampleIndex() *trace.Index {
 	tr := &trace.Trace{Name: "t"}
 	tr.Append(trace.Packet{TS: 0, Proto: trace.TCP, Len: 40})
 	tr.Append(trace.Packet{TS: 59.5e6, Proto: trace.TCP, Len: 40})
-	return tr
+	return trace.NewIndex(tr)
 }
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	if err := Encode(&buf, "2004-05-10", sampleTrace(), sampleReports()); err != nil {
+	if err := WriteADMD(&buf, "2004-05-10", sampleIndex(), sampleReports()); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -74,13 +75,16 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if a.Type != "anomalous" || a.Value != "SMB" || a.Score != 0.8 {
 		t.Errorf("anomaly 0 = %+v", a)
 	}
+	if a.From != (TimeRef{}) || a.To != (TimeRef{Sec: 59, Usec: 500000}) {
+		t.Errorf("anomaly 0 spans %+v to %+v, want the index's 0 to 59.5 s", a.From, a.To)
+	}
 }
 
 // TestFiltersFromDecodedSlices: a rule's filter is published as one slice
 // holding its rendered fields, wildcards left empty.
 func TestFiltersFromDecodedSlices(t *testing.T) {
 	var buf bytes.Buffer
-	if err := Encode(&buf, "x", sampleTrace(), sampleReports()); err != nil {
+	if err := WriteADMD(&buf, "x", sampleIndex(), sampleReports()); err != nil {
 		t.Fatal(err)
 	}
 	var doc Document
@@ -100,7 +104,7 @@ func TestAnomalyWithoutRulesGetsEmptySlice(t *testing.T) {
 		Decision: core.Decision{RelDistance: 2},
 		Packets:  5,
 	}}
-	if err := Encode(&buf, "x", sampleTrace(), reports); err != nil {
+	if err := WriteADMD(&buf, "x", sampleIndex(), reports); err != nil {
 		t.Fatal(err)
 	}
 	var doc Document

@@ -11,11 +11,11 @@ import (
 	"testing"
 
 	"mawilab"
-	"mawilab/internal/admd"
 	"mawilab/internal/apriori"
 	"mawilab/internal/core"
 	"mawilab/internal/heuristics"
 	wirev1 "mawilab/internal/serve/v1"
+	"mawilab/internal/trace"
 )
 
 // The fuzz input is a sequence of reports, each laid out as: label, class,
@@ -111,11 +111,11 @@ func goldenReports(f *testing.F) []core.CommunityReport {
 	return l.Reports
 }
 
-// span is a fixed trace duration for the ADMD time bounds, starting at 0.
-type span float64
-
-func (s span) Start() float64    { return 0 }
-func (s span) Duration() float64 { return float64(s) }
+// spanIndex is a two-packet index, the ADMD time bounds: its first packet at
+// 0 s, its last at 59.5 s.
+func spanIndex() *trace.Index {
+	return trace.NewIndex(&trace.Trace{Packets: []trace.Packet{{TS: 0}, {TS: 59.5e6}}})
+}
 
 // FuzzWireRoundTrip encodes fuzzed reports in both v1 wire formats and
 // parses them back with the standard library: every CSV row and every ADMD
@@ -133,11 +133,12 @@ func FuzzWireRoundTrip(f *testing.F) {
 	f.Add(reportBytes(special))
 	f.Add([]byte{})
 
+	ix := spanIndex()
 	f.Fuzz(func(t *testing.T, data []byte) {
 		reps := reportsFrom(data)
 		checkCSV(t, reps)
-		for _, s := range []admd.TimeSpan{span(59.5), nil} {
-			checkADMD(t, reps, s)
+		for _, span := range []*trace.Index{ix, nil} {
+			checkADMD(t, reps, span)
 		}
 	})
 }
@@ -173,12 +174,12 @@ func checkCSV(t *testing.T, reps []core.CommunityReport) {
 	}
 }
 
-func checkADMD(t *testing.T, reps []core.CommunityReport, s admd.TimeSpan) {
+func checkADMD(t *testing.T, reps []core.CommunityReport, span *trace.Index) {
 	var buf bytes.Buffer
-	if err := wirev1.WriteADMD(&buf, "fuzz", s, reps); err != nil {
+	if err := wirev1.WriteADMD(&buf, "fuzz", span, reps); err != nil {
 		t.Fatal(err)
 	}
-	var doc admd.Document
+	var doc wirev1.Document
 	if err := xml.Unmarshal(buf.Bytes(), &doc); err != nil {
 		t.Fatalf("ADMD does not parse: %v", err)
 	}
@@ -189,7 +190,7 @@ func checkADMD(t *testing.T, reps []core.CommunityReport, s admd.TimeSpan) {
 		}
 	}
 	if len(doc.Anomalies) != len(want) {
-		t.Fatalf("span %v: %d anomalies, want %d", s, len(doc.Anomalies), len(want))
+		t.Fatalf("span %v: %d anomalies, want %d", span != nil, len(doc.Anomalies), len(want))
 	}
 	for i, rep := range want {
 		a := doc.Anomalies[i]
@@ -200,7 +201,14 @@ func checkADMD(t *testing.T, reps []core.CommunityReport, s admd.TimeSpan) {
 		if got, sc := a.Score, rep.Decision.Score; got != sc && !(math.IsNaN(got) && math.IsNaN(sc)) {
 			t.Errorf("anomaly %d score %v, want %v", i, got, sc)
 		}
-		slices := []admd.Slice{{}}
+		var to wirev1.TimeRef
+		if span != nil && rep.Packets > 0 {
+			to = wirev1.TimeRef{Sec: 59, Usec: 500000}
+		}
+		if a.From != (wirev1.TimeRef{}) || a.To != to {
+			t.Errorf("anomaly %d spans %+v to %+v, want 0 to %+v", i, a.From, a.To, to)
+		}
+		slices := []wirev1.Slice{{}}
 		if len(rep.Rules) > 0 {
 			slices = slices[:0]
 			for _, rule := range rep.Rules {
@@ -210,7 +218,7 @@ func checkADMD(t *testing.T, reps []core.CommunityReport, s admd.TimeSpan) {
 						f[k] = ""
 					}
 				}
-				slices = append(slices, admd.Slice{SrcIP: f[0], SrcPort: f[1], DstIP: f[2], DstPort: f[3]})
+				slices = append(slices, wirev1.Slice{SrcIP: f[0], SrcPort: f[1], DstIP: f[2], DstPort: f[3]})
 			}
 		}
 		if len(a.Slices) != len(slices) {

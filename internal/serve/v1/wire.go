@@ -29,21 +29,23 @@
 // # ADMD schema (v1)
 //
 // Content type: ContentTypeADMD. The Anomaly Description Meta Data XML
-// dialect of the published MAWILab database, as encoded by internal/admd:
-// one <anomaly> element per non-benign community with taxonomy label,
-// heuristic value, time span and slice filters.
+// dialect of the published MAWILab database (Document): one <anomaly>
+// element per non-benign community with taxonomy label, heuristic value,
+// time span and slice filters — one or more traffic filters in the 4-tuple
+// language of the paper's rules.
 //
 // Schema changes are additive-only within a version; a breaking layout
 // change mints a v2 package and a new endpoint, never a silent edit here.
 package wirev1
 
 import (
+	"encoding/xml"
 	"fmt"
 	"io"
 
-	"mawilab/internal/admd"
 	"mawilab/internal/apriori"
 	"mawilab/internal/core"
+	"mawilab/internal/trace"
 )
 
 // Version is the wire schema version this package encodes.
@@ -79,12 +81,113 @@ func WriteCSV(w io.Writer, reports []core.CommunityReport) error {
 	return nil
 }
 
+// Document is the root <admd:document> element.
+type Document struct {
+	XMLName   xml.Name  `xml:"document"`
+	Namespace string    `xml:"xmlns:admd,attr"`
+	Trace     string    `xml:"trace,attr"`
+	Anomalies []Anomaly `xml:"anomaly"`
+}
+
+// Anomaly is one labeled community.
+type Anomaly struct {
+	// Type is the taxonomy label: anomalous, suspicious, or notice.
+	Type string `xml:"type,attr"`
+	// Value is the heuristic category (Table 1), e.g. "SMB" or "Unknown".
+	Value string `xml:"value,attr"`
+	// Community is the community index in the labeling.
+	Community int `xml:"community,attr"`
+	// Score is the combiner score (SCANN: d_rej/(d_acc+d_rej)).
+	Score float64 `xml:"score,attr"`
+	From  TimeRef `xml:"from"`
+	To    TimeRef `xml:"to"`
+	// Slices are the traffic filters describing the anomaly.
+	Slices []Slice `xml:"slice"`
+}
+
+// TimeRef is a second/microsecond timestamp pair.
+type TimeRef struct {
+	Sec  int64 `xml:"sec,attr"`
+	Usec int64 `xml:"usec,attr"`
+}
+
+// Slice is one 4-tuple filter. Empty attributes mean wildcards.
+type Slice struct {
+	SrcIP   string `xml:"src_ip,attr,omitempty"`
+	SrcPort string `xml:"src_port,attr,omitempty"`
+	DstIP   string `xml:"dst_ip,attr,omitempty"`
+	DstPort string `xml:"dst_port,attr,omitempty"`
+	Proto   string `xml:"proto,attr,omitempty"`
+}
+
+// admdNamespace is the admd namespace URI used by MAWILab documents.
+const admdNamespace = "http://www.fukuda-lab.org/mawilab/admd"
+
 // WriteADMD emits the labeling reports as an admd XML document, the format
-// of the published MAWILab database. span supplies the trace time bounds —
-// a *trace.Trace or *trace.Index, whichever the caller holds — and may be
-// nil (time spans are then omitted; pass a nil interface, not a typed nil).
-func WriteADMD(w io.Writer, traceName string, span admd.TimeSpan, reports []core.CommunityReport) error {
-	return admd.Encode(w, traceName, span, reports)
+// of the published MAWILab database. Benign traffic is implicit (anything
+// not covered), as in the published database. ix is the index the reports
+// were labeled on and supplies every anomaly's time span; a nil ix omits
+// the spans — the store re-encodes from reports without the packets.
+func WriteADMD(w io.Writer, traceName string, ix *trace.Index, reports []core.CommunityReport) error {
+	doc := Document{Namespace: admdNamespace, Trace: traceName}
+	for _, rep := range reports {
+		if rep.Label == core.Benign {
+			continue
+		}
+		a := Anomaly{
+			Type:      rep.Label.String(),
+			Value:     rep.Category.String(),
+			Community: rep.Community,
+			Score:     rep.Decision.Score,
+		}
+		if rep.Packets > 0 && ix != nil {
+			a.From, a.To = spanOf(ix)
+		}
+		for _, rule := range rep.Rules {
+			a.Slices = append(a.Slices, sliceOf(rule))
+		}
+		if len(a.Slices) == 0 {
+			a.Slices = []Slice{{}}
+		}
+		doc.Anomalies = append(doc.Anomalies, a)
+	}
+	if _, err := io.WriteString(w, xml.Header); err != nil {
+		return err
+	}
+	enc := xml.NewEncoder(w)
+	enc.Indent("", "  ")
+	if err := enc.Encode(doc); err != nil {
+		return fmt.Errorf("admd: encode: %w", err)
+	}
+	_, err := io.WriteString(w, "\n")
+	return err
+}
+
+// spanOf is the span of the trace or window the community's packets lie in:
+// reports keep no packet indices, so a community's own bounds are not known
+// here. It opens on the first packet's whole second — the capture slot a
+// decoded pcap is rebased to, so a day starts at 0 and a streamed window at
+// its first packet's second — and closes on the last packet.
+func spanOf(ix *trace.Index) (TimeRef, TimeRef) {
+	from := TimeRef{Sec: int64(ix.Start())}
+	dur := ix.Duration()
+	to := TimeRef{Sec: int64(dur), Usec: int64((dur - float64(int64(dur))) * 1e6)}
+	return from, to
+}
+
+// sliceOf is the rule's slice: its rendered fields, with a wildcard left
+// empty.
+func sliceOf(r apriori.Rule) Slice {
+	f := r.Fields()
+	for i, v := range f {
+		if v == "*" {
+			f[i] = ""
+		}
+	}
+	return Slice{
+		SrcIP: f[apriori.FieldSrcIP], SrcPort: f[apriori.FieldSrcPort],
+		DstIP: f[apriori.FieldDstIP], DstPort: f[apriori.FieldDstPort],
+	}
 }
 
 // BestRule returns the community's best-rule 4-tuple exactly as the CSV

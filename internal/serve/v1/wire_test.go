@@ -63,7 +63,7 @@ func TestWriteCSVEmpty(t *testing.T) {
 	}
 }
 
-// TestWriteADMDNilTrace pins that the ADMD encoder tolerates a nil trace
+// TestWriteADMDNilTrace pins that the ADMD encoder tolerates a nil index
 // (time spans omitted) — the store re-encodes from reports without holding
 // the packets.
 func TestWriteADMDNilTrace(t *testing.T) {

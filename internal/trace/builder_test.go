@@ -1,10 +1,34 @@
 package trace
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"math/rand"
 	"testing"
 )
+
+// rowDigest is the reference Index.Digest is pinned to: hex sha256 over one
+// 24-byte little-endian record per row packet — TS, Src, Dst, SrcPort,
+// DstPort, Len, Proto, Flags — written field by field from the Packet.
+func rowDigest(tr *Trace) string {
+	h := sha256.New()
+	var buf [24]byte
+	for i := range tr.Packets {
+		p := &tr.Packets[i]
+		binary.LittleEndian.PutUint64(buf[0:], uint64(p.TS))
+		binary.LittleEndian.PutUint32(buf[8:], uint32(p.Src))
+		binary.LittleEndian.PutUint32(buf[12:], uint32(p.Dst))
+		binary.LittleEndian.PutUint16(buf[16:], p.SrcPort)
+		binary.LittleEndian.PutUint16(buf[18:], p.DstPort)
+		binary.LittleEndian.PutUint16(buf[20:], p.Len)
+		buf[22] = byte(p.Proto)
+		buf[23] = byte(p.Flags)
+		h.Write(buf[:])
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
 
 // buildFused feeds every packet of tr through a pooled IndexBuilder.
 func buildFused(t *testing.T, tr *Trace) *Index {
@@ -21,7 +45,7 @@ func buildFused(t *testing.T, tr *Trace) *Index {
 // TestBuilderMatchesReference pins the single-pass builder to the map-based
 // reference: identical structures (EqualIndexes over columns, flows, runs,
 // postings) and an identical content digest, which must also equal
-// the source trace's digest.
+// the source trace's row digest.
 func TestBuilderMatchesReference(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 37, 4000} {
 		tr := indexTestTrace(int64(100+n), n)
@@ -33,8 +57,8 @@ func TestBuilderMatchesReference(t *testing.T) {
 		if fused.Digest() != ref.Digest() {
 			t.Fatalf("n=%d: digest mismatch", n)
 		}
-		if fused.Digest() != tr.Digest() {
-			t.Fatalf("n=%d: index digest %s != trace digest %s", n, fused.Digest(), tr.Digest())
+		if fused.Digest() != rowDigest(tr) {
+			t.Fatalf("n=%d: index digest %s != row digest %s", n, fused.Digest(), rowDigest(tr))
 		}
 		fused.Release()
 	}
@@ -55,7 +79,7 @@ func TestBuilderPoolReuse(t *testing.T) {
 		if !EqualIndexes(fused, ref) {
 			t.Fatalf("round %d (n=%d): pooled rebuild differs from reference", round, n)
 		}
-		if got, want := fused.Digest(), tr.Digest(); got != want {
+		if got, want := fused.Digest(), rowDigest(tr); got != want {
 			t.Fatalf("round %d: digest %s != %s", round, got, want)
 		}
 		fused.Release()
@@ -140,7 +164,7 @@ func TestNewIndexIsDetached(t *testing.T) {
 		t.Fatal("NewIndex must not hold a pooled arena")
 	}
 	ix.Release()
-	if ix.Len() != tr.Len() || ix.Digest() != tr.Digest() {
+	if ix.Len() != tr.Len() || ix.Digest() != rowDigest(tr) {
 		t.Fatal("Release must be a no-op on a detached index")
 	}
 
@@ -155,12 +179,12 @@ func TestNewIndexIsDetached(t *testing.T) {
 	t.Fatal("NewIndex accepted an unsorted trace")
 }
 
-// TestIndexDigestMatchesTrace locks the Index.Digest record layout to
-// Trace.Digest on a trace with every column exercised.
+// TestIndexDigestMatchesTrace locks the Index.Digest record layout to the
+// row reference on a trace with every column exercised.
 func TestIndexDigestMatchesTrace(t *testing.T) {
 	tr := indexTestTrace(13, 257)
-	if got, want := NewIndex(tr).Digest(), tr.Digest(); got != want {
-		t.Fatalf("Index.Digest %s != Trace.Digest %s", got, want)
+	if got, want := NewIndex(tr).Digest(), rowDigest(tr); got != want {
+		t.Fatalf("Index.Digest %s != row digest %s", got, want)
 	}
 }
 

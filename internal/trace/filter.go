@@ -47,28 +47,6 @@ func (f Filter) WithInterval(from, to float64) Filter { f.From, f.To = from, to;
 // TimeBounded reports whether the filter restricts the match interval.
 func (f Filter) TimeBounded() bool { return f.To > f.From }
 
-// Degree counts how many header fields the filter constrains (0..5). More
-// constrained filters describe more specific traffic.
-func (f Filter) Degree() int {
-	n := 0
-	if f.Src != nil {
-		n++
-	}
-	if f.Dst != nil {
-		n++
-	}
-	if f.SrcPort != nil {
-		n++
-	}
-	if f.DstPort != nil {
-		n++
-	}
-	if f.Proto != nil {
-		n++
-	}
-	return n
-}
-
 // Match reports whether the packet satisfies every constrained field.
 func (f Filter) Match(p *Packet) bool {
 	if f.TimeBounded() {

@@ -11,8 +11,8 @@ func TestFilterMatchAll(t *testing.T) {
 	if !f.Match(&p) {
 		t.Error("empty filter must match everything")
 	}
-	if f.Degree() != 0 {
-		t.Errorf("empty filter degree = %d, want 0", f.Degree())
+	if f.Src != nil || f.Dst != nil || f.SrcPort != nil || f.DstPort != nil || f.Proto != nil || f.TimeBounded() {
+		t.Errorf("empty filter constrains a field: %v", f)
 	}
 }
 
@@ -20,8 +20,9 @@ func TestFilterFields(t *testing.T) {
 	src := MakeIPv4(1, 2, 3, 4)
 	dst := MakeIPv4(5, 6, 7, 8)
 	f := NewFilter().WithSrc(src).WithDst(dst).WithSrcPort(1234).WithDstPort(80).WithProto(TCP)
-	if f.Degree() != 5 {
-		t.Fatalf("degree = %d, want 5", f.Degree())
+	if f.Src == nil || *f.Src != src || f.Dst == nil || *f.Dst != dst || f.SrcPort == nil || *f.SrcPort != 1234 ||
+		f.DstPort == nil || *f.DstPort != 80 || f.Proto == nil || *f.Proto != TCP {
+		t.Fatalf("builders did not set every field: %v", f)
 	}
 	good := Packet{Src: src, Dst: dst, SrcPort: 1234, DstPort: 80, Proto: TCP}
 	if !f.Match(&good) {

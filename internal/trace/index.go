@@ -86,7 +86,7 @@ func indexPackets(ps []Packet) (*Index, error) {
 func (ix *Index) Len() int { return len(ix.TS) }
 
 // Start returns the timestamp of the first packet in seconds (0 when
-// empty), matching Trace.Start.
+// empty).
 func (ix *Index) Start() float64 {
 	if len(ix.Seconds) == 0 {
 		return 0
@@ -119,10 +119,12 @@ func (ix *Index) PacketAt(i int) Packet {
 	}
 }
 
-// Digest returns the index's canonical content digest — hex sha256 over the
-// packet columns in the exact fixed-width record layout of Trace.Digest, so
-// an index and the trace it was built or decoded from always agree. The serve
-// path keys its label store and dedup on it.
+// Digest returns the index's canonical content digest: hex sha256 over one
+// fixed-width 24-byte little-endian record per packet — TS, Src, Dst,
+// SrcPort, DstPort, Len, Proto, Flags — so two packet sequences share a
+// digest iff they are identical under the trace model. It is the one digest
+// definition: the golden fixtures hash through it, and the serve path keys
+// its label store and dedup on it.
 func (ix *Index) Digest() string {
 	h := sha256.New()
 	var buf [24]byte
@@ -150,8 +152,7 @@ func (ix *Index) FlowPackets(fi int) []int32 {
 func (ix *Index) FlowIDOf(pi int) int32 { return ix.flowOf[pi] }
 
 // Window returns the index range [lo,hi) of packets with timestamps in
-// [from,to) seconds — identical to Trace.Window: one binary search per bound
-// over the sorted TS column.
+// [from,to) seconds: one binary search per bound over the sorted TS column.
 func (ix *Index) Window(from, to float64) (lo, hi int) {
 	return ix.searchTS(int64(from * 1e6)), ix.searchTS(int64(to * 1e6))
 }

@@ -137,7 +137,16 @@ func TestIndexMatchesFlowIndex(t *testing.T) {
 	}
 }
 
-// TestIndexWindowMatchesTrace: Window must agree with Trace.Window and with a
+// rowWindow is the reference Index.Window is checked against: one
+// sort.Search per bound over the row packets' timestamps.
+func rowWindow(tr *Trace, from, to float64) (lo, hi int) {
+	search := func(ts int64) int {
+		return sort.Search(len(tr.Packets), func(i int) bool { return tr.Packets[i].TS >= ts })
+	}
+	return search(int64(from * 1e6)), search(int64(to * 1e6))
+}
+
+// TestIndexWindowMatchesTrace: Window must agree with rowWindow and with a
 // linear scan of the timestamps — on randomized bounds, on bounds below zero,
 // exactly on packet timestamps and far past Duration(), over a dense trace
 // and over one whose second half sits 1e7 s after its first.
@@ -156,7 +165,7 @@ func TestIndexWindowMatchesTrace(t *testing.T) {
 		end := tr.Duration()
 		check := func(from, to float64) {
 			t.Helper()
-			wlo, whi := tr.Window(from, to)
+			wlo, whi := rowWindow(tr, from, to)
 			slo, shi := 0, 0
 			for _, p := range tr.Packets {
 				if p.TS < int64(from*1e6) {

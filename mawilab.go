@@ -59,7 +59,6 @@ import (
 	"runtime"
 	"time"
 
-	"mawilab/internal/admd"
 	"mawilab/internal/core"
 	"mawilab/internal/detectors"
 	"mawilab/internal/detectors/suite"
@@ -119,9 +118,6 @@ type (
 	CommunityReport = core.CommunityReport
 	// EstimatorConfig parameterizes the similarity estimator.
 	EstimatorConfig = core.EstimatorConfig
-	// TimeSpan supplies the first and last packet times admd time spans
-	// derive from; *Trace and *Index both satisfy it.
-	TimeSpan = admd.TimeSpan
 	// Archive is the synthetic MAWI archive model.
 	Archive = mawigen.Archive
 	// Event is a ground-truth anomaly record from the generator.
@@ -546,7 +542,7 @@ type WindowLabeling struct {
 	// order; for a one-segment window it is the segment's own index. It is
 	// what the window's alarms were resolved against: Labeling packet
 	// indices point into it (rows via PacketAt), its Digest is the digest
-	// of the window's packets, and WriteADMD takes it as the time span.
+	// of the window's packets, and it is the Labeling's Result.Index.
 	Index *Index
 	// Labeling is the full pipeline output for the window.
 	Labeling *Labeling
@@ -765,12 +761,16 @@ func (l *Labeling) WriteCSV(w io.Writer) error {
 }
 
 // WriteADMD emits the labeling as an admd XML document, the format of the
-// published MAWILab database. span supplies the time bounds — the day's
-// *Trace in batch mode, the WindowLabeling's *Index in stream mode — and
-// may be nil to omit them (a nil interface, not a typed nil pointer). Like
-// WriteCSV it encodes through the shared v1 wire schema.
-func (l *Labeling) WriteADMD(w io.Writer, traceName string, span TimeSpan) error {
-	return wirev1.WriteADMD(w, traceName, span, l.Reports)
+// published MAWILab database. Its time spans come from the index the
+// labeling was computed on (Result.Index): the whole trace in batch mode,
+// the window in stream mode. A Labeling without a Result writes no spans.
+// Like WriteCSV it encodes through the shared v1 wire schema.
+func (l *Labeling) WriteADMD(w io.Writer, traceName string) error {
+	var ix *Index
+	if l.Result != nil {
+		ix = l.Result.Index()
+	}
+	return wirev1.WriteADMD(w, traceName, ix, l.Reports)
 }
 
 // GroundTruthEval scores a labeling against generator ground truth: an

@@ -2,9 +2,15 @@ package mawilab
 
 import (
 	"bytes"
+	"context"
+	"encoding/xml"
 	"strings"
 	"testing"
 	"time"
+
+	"mawilab/internal/detectors"
+	wirev1 "mawilab/internal/serve/v1"
+	"mawilab/internal/trace"
 )
 
 func TestPipelineRunOnArchiveDay(t *testing.T) {
@@ -164,7 +170,7 @@ func TestEncodePcapRoundTripCorpora(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := back.Digest(); got != digest || got != day.Digest() {
+			if got := back.Digest(); got != digest || got != trace.NewIndex(day).Digest() {
 				t.Errorf("%s %s: stored trace decodes to digest %s, upload %s", name, day.Name, got, digest)
 			}
 			back.Release()
@@ -200,7 +206,7 @@ func TestWriteADMD(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := l.WriteADMD(&buf, day.Trace.Name, day.Trace); err != nil {
+	if err := l.WriteADMD(&buf, day.Trace.Name); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -209,6 +215,87 @@ func TestWriteADMD(t *testing.T) {
 	}
 	if !strings.Contains(out, `trace="2004-06-01"`) {
 		t.Error("trace attribute missing")
+	}
+}
+
+// TestADMDSpanIsTheLabeledIndex: at every entry point Labeling.WriteADMD
+// spans the index the labeling was computed on — the sealed trace for Run
+// and RunAlarms, the caller's index for RunIndex, a streamed window's own
+// packets for a window — and a Labeling without a Result writes no span.
+func TestADMDSpanIsTheLabeledIndex(t *testing.T) {
+	ctx := context.Background()
+	day := streamTestDay(t)
+	dayIx := trace.NewIndex(day)
+	batch, err := NewPipeline().Run(day)
+	if err != nil {
+		t.Fatal(err)
+	}
+	totals, err := detectors.Totals(StandardDetectors())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := NewPipeline()
+	p.Stream = StreamConfig{SegmentSeconds: 5, WindowSegments: 4, WindowStride: 1}
+	windows, err := drainStream(p.RunStream(ctx, replay(day)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := windows[len(windows)-1]
+	lo, hi := dayIx.Window(last.Start, last.End)
+	lastIx := trace.NewIndex(&Trace{Packets: day.Packets[lo:hi]})
+
+	encode := func(ix *Index, reports []CommunityReport) string {
+		var buf bytes.Buffer
+		if err := wirev1.WriteADMD(&buf, "span", ix, reports); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	for _, tc := range []struct {
+		name string
+		run  func() (*Labeling, error)
+		ix   *Index
+	}{
+		{"Run", func() (*Labeling, error) { return NewPipeline().Run(day) }, dayIx},
+		{"RunIndex", func() (*Labeling, error) { return NewPipeline().RunIndex(ctx, trace.NewIndex(day)) }, dayIx},
+		{"RunAlarms", func() (*Labeling, error) { return NewPipeline().RunAlarms(day, batch.Alarms, totals) }, dayIx},
+		{"stream window", func() (*Labeling, error) { return last.Labeling, nil }, lastIx},
+	} {
+		l, err := tc.run()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		var got bytes.Buffer
+		if err := l.WriteADMD(&got, "span"); err != nil {
+			t.Fatal(err)
+		}
+		want := encode(tc.ix, l.Reports)
+		if got.String() != want {
+			t.Errorf("%s: WriteADMD does not span the labeled index", tc.name)
+		}
+		if want == encode(nil, l.Reports) {
+			t.Errorf("%s: no anomaly carries a span, nothing was checked", tc.name)
+		}
+		if tc.ix == lastIx && want == encode(dayIx, l.Reports) {
+			t.Errorf("%s: the window's span is the whole day's", tc.name)
+		}
+	}
+
+	var bare bytes.Buffer
+	if err := (&Labeling{Reports: batch.Reports}).WriteADMD(&bare, "span"); err != nil {
+		t.Fatal(err)
+	}
+	var doc wirev1.Document
+	if err := xml.Unmarshal(bare.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	for _, a := range doc.Anomalies {
+		if a.From != (wirev1.TimeRef{}) || a.To != (wirev1.TimeRef{}) {
+			t.Errorf("a Labeling without a Result wrote the span %+v to %+v", a.From, a.To)
+		}
+	}
+	if len(doc.Anomalies) == 0 || bare.String() != encode(nil, batch.Reports) {
+		t.Error("a Labeling without a Result does not write its reports without spans")
 	}
 }
 

@@ -60,10 +60,10 @@ func TestParallelismDeterminism(t *testing.T) {
 	}
 
 	var admdSeq, admdPar bytes.Buffer
-	if err := seq.WriteADMD(&admdSeq, "det", tr); err != nil {
+	if err := seq.WriteADMD(&admdSeq, "det"); err != nil {
 		t.Fatal(err)
 	}
-	if err := par.WriteADMD(&admdPar, "det", tr); err != nil {
+	if err := par.WriteADMD(&admdPar, "det"); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(admdSeq.Bytes(), admdPar.Bytes()) {

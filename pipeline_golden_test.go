@@ -8,6 +8,8 @@ import (
 	"flag"
 	"os"
 	"testing"
+
+	"mawilab/internal/trace"
 )
 
 // updateGolden regenerates the committed end-to-end fixture. Pipeline output
@@ -56,7 +58,7 @@ func TestPipelineGolden(t *testing.T) {
 
 	got := pipelineGolden{
 		TracePackets: day.Trace.Len(),
-		TraceSHA256:  day.Trace.Digest(),
+		TraceSHA256:  trace.NewIndex(day.Trace).Digest(),
 	}
 	for _, workers := range []int{1, 4} {
 		l, err := NewPipeline().Parallelism(workers).Run(day.Trace)
@@ -72,7 +74,7 @@ func TestPipelineGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 		var admd bytes.Buffer
-		if err := l.WriteADMD(&admd, day.Trace.Name, day.Trace); err != nil {
+		if err := l.WriteADMD(&admd, day.Trace.Name); err != nil {
 			t.Fatal(err)
 		}
 		digest, admdDigest := sha256.Sum256(csv.Bytes()), sha256.Sum256(admd.Bytes())

@@ -13,7 +13,7 @@ import (
 	"sync"
 	"testing"
 
-	"mawilab/internal/admd"
+	wirev1 "mawilab/internal/serve/v1"
 	"mawilab/internal/trace"
 )
 
@@ -75,8 +75,8 @@ func TestStreamMatchesBatch(t *testing.T) {
 	}
 
 	day := streamTestDay(t)
-	if day.Digest() != want.TraceSHA256 {
-		t.Fatalf("generated day drifted from fixture: %s..., want %s...", day.Digest()[:12], want.TraceSHA256[:12])
+	if d := trace.NewIndex(day).Digest(); d != want.TraceSHA256 {
+		t.Fatalf("generated day drifted from fixture: %s..., want %s...", d[:12], want.TraceSHA256[:12])
 	}
 
 	for _, workers := range []int{1, 2, 4, 8} {
@@ -239,10 +239,10 @@ func TestStreamADMDSpan(t *testing.T) {
 	checked := 0
 	for _, w := range windows[1:] {
 		var buf bytes.Buffer
-		if err := w.Labeling.WriteADMD(&buf, "window", w.Index); err != nil {
+		if err := w.Labeling.WriteADMD(&buf, "window"); err != nil {
 			t.Fatal(err)
 		}
-		var doc admd.Document
+		var doc wirev1.Document
 		if err := xml.Unmarshal(buf.Bytes(), &doc); err != nil {
 			t.Fatal(err)
 		}
@@ -363,9 +363,10 @@ func TestSealedIndexesSurvivePoolChurn(t *testing.T) {
 	if len(windows) < 3 {
 		t.Fatalf("sliding stream emitted %d windows, want >= 3", len(windows))
 	}
+	dayIx := trace.NewIndex(day)
 	spanDigest := func(from, to float64) string {
-		lo, hi := day.Window(from, to)
-		return (&Trace{Packets: day.Packets[lo:hi]}).Digest()
+		lo, hi := dayIx.Window(from, to)
+		return trace.NewIndex(&Trace{Packets: day.Packets[lo:hi]}).Digest()
 	}
 	check := func(when string) {
 		for _, w := range windows {

@@ -5,8 +5,9 @@ GO ?= go
 # Benchmarks the CI smoke job tracks across commits (and the bench gate
 # compares against BENCH_baseline.json), by layer of one labeling:
 #   Ingest, TraceIndex, the fused pcap→Index decode (its allocs/op is the
-#   EncodeIndex,        steady-state serving cost) of a full-payload upload and
-#   FlowTable           of the same day as the store keeps it, against
+#   EncodeIndex,        steady-state serving cost) of a full-payload capture
+#   FlowTable           from elsewhere and of the same day in the header-only
+#                       form the module writes and the store keeps, against
 #                       ReadTrace+NewIndex; trace.NewIndex alone; the job's
 #                       re-encode of an index to that payload-stripped pcap
 #                       (one allocation, none per packet); and the flow table's
@@ -216,7 +217,8 @@ fuzz:
 # Black-box daemon smoke: build the real mawilabd binary, boot it on a
 # random port, upload the golden fixture day over HTTP, assert the served
 # CSV sha256 matches testdata/pipeline_golden.json, that the stored
-# trace.pcap is smaller than the upload and flows.bin is 13 bytes a flow,
+# trace.pcap is the header-only upload byte for byte and flows.bin is 13
+# bytes a flow,
 # scrape /metrics, and SIGTERM it
 # expecting a graceful drain and exit 0. The in-process HTTP
 # tests live in ./internal/serve; this exercises the shipped binary.

@@ -10,6 +10,7 @@ package mawilab
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -834,15 +835,16 @@ func thName(th float64) string {
 // --- Raw-speed benches: fused ingest and sparse Hough ---------------------
 
 // BenchmarkIngest compares the two pcap→Index ingest paths on identical
-// bytes — a full-payload day, what an upload is: the fused single-pass
-// DecodeIndex (pooled arena, released each iteration — the steady-state
-// serving path) against the materializing ReadTrace+NewIndex the batch CLI
-// pays. allocs/op on the fused sub-bench is the serving path's steady-state
-// allocation cost. stored is the same fused decode of the same day as the
-// daemon stores it (EncodeIndex: headers only) — what a flows query paid on
-// every cache miss until the flow table got a file of its own, and still pays
-// for an entry without one (BenchmarkFlowTable/decode is the miss now); its
-// MB/s is over the smaller file, so compare ns/op.
+// bytes — a full-payload day, what a capture from elsewhere is: the fused
+// single-pass DecodeIndex (pooled arena, released each iteration — the
+// steady-state serving path, and cmd/mawilab -in's) against the materializing
+// ReadTrace+NewIndex (what cmd/mawibench's batch_day still pays). allocs/op
+// on the fused sub-bench is the serving path's steady-state allocation cost.
+// stored is the same fused decode of the same day in the form this module
+// writes and the daemon stores (EncodeIndex, WritePcap: headers only) — what a
+// flows query paid on every cache miss until the flow table got a file of
+// its own, and still pays for an entry without one (BenchmarkFlowTable/decode
+// is the miss now); its MB/s is over the smaller file, so compare ns/op.
 func BenchmarkIngest(b *testing.B) {
 	b.ReportAllocs()
 	day := benchTrace(b)
@@ -850,7 +852,8 @@ func BenchmarkIngest(b *testing.B) {
 	if err := pcap.WriteTrace(&buf, day); err != nil {
 		b.Fatal(err)
 	}
-	data := buf.Bytes()
+	stripped := buf.Bytes()
+	data := withPayload(stripped)
 	fused := func(data []byte) func(*testing.B) {
 		return func(b *testing.B) {
 			b.ReportAllocs()
@@ -875,7 +878,7 @@ func BenchmarkIngest(b *testing.B) {
 		}
 	}
 	b.Run("fused", fused(data))
-	b.Run("stored", fused(pcap.EncodeIndex(trace.NewIndex(day))))
+	b.Run("stored", fused(stripped))
 	b.Run("reference", func(b *testing.B) {
 		b.ReportAllocs()
 		b.SetBytes(int64(len(data)))
@@ -889,6 +892,28 @@ func BenchmarkIngest(b *testing.B) {
 			}
 		}
 	})
+}
+
+// withPayload returns a header-only pcap — what this module writes — as a
+// capture from elsewhere that keeps its payload: every record captured out to
+// its wire length (origlen, at most snaplen 65535), zeros past the headers.
+// Of WriteTrace's bytes it is what the per-packet full-frame writer wrote
+// before the stripped encoding was the module's only one.
+func withPayload(stripped []byte) []byte {
+	const hdrLen, recLen, snaplen = 24, 16, 65535
+	le := binary.LittleEndian
+	full := append([]byte{}, stripped[:hdrLen]...)
+	le.PutUint32(full[16:], snaplen)
+	for off := hdrLen; off < len(stripped); {
+		caplen := int(le.Uint32(stripped[off+8:]))
+		capture := min(int(le.Uint32(stripped[off+12:])), snaplen)
+		rec := len(full)
+		full = append(full, stripped[off:off+recLen+caplen]...)
+		le.PutUint32(full[rec+8:], uint32(capture))
+		full = append(full, make([]byte, capture-caplen)...)
+		off += recLen + caplen
+	}
+	return full
 }
 
 // BenchmarkFlowTable times the flow table's file form on the bench day's

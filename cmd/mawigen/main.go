@@ -1,4 +1,9 @@
-// Command mawigen generates synthetic MAWI-like traces as pcap files.
+// Command mawigen generates synthetic MAWI-like traces as pcap files in the
+// form the MAWI archive publishes: payload stripped, each record capturing the
+// Ethernet, IPv4 and transport headers and keeping the packet's wire length.
+// The file is the trace's index encoded (what mawilab.EncodePcap writes), so
+// it decodes to that index and its digest; the stderr summary counts packets,
+// flows and duration from the same index.
 //
 // Usage:
 //
@@ -8,7 +13,6 @@
 package main
 
 import (
-	"bufio"
 	"flag"
 	"fmt"
 	"os"
@@ -16,6 +20,7 @@ import (
 
 	"mawilab/internal/mawigen"
 	"mawilab/internal/pcap"
+	"mawilab/internal/trace"
 )
 
 func main() {
@@ -45,9 +50,9 @@ func main() {
 		res = mawigen.Generate(cfg)
 	}
 
-	stats := res.Trace.ComputeStats()
+	ix := trace.NewIndex(res.Trace)
 	fmt.Fprintf(os.Stderr, "generated %s: %d packets, %d flows, %.1fs, %d truth events\n",
-		res.Trace.Name, stats.Packets, stats.Flows, stats.Duration, len(res.Truth))
+		res.Trace.Name, ix.Len(), ix.Flows(), ix.Duration(), len(res.Truth))
 
 	if *truth {
 		for _, ev := range res.Truth {
@@ -58,22 +63,19 @@ func main() {
 	if *out == "" {
 		return
 	}
-	var w *bufio.Writer
-	if *out == "-" {
-		w = bufio.NewWriter(os.Stdout)
-	} else {
+	w := os.Stdout
+	if *out != "-" {
 		f, err := os.Create(*out)
 		if err != nil {
 			fatal("creating %s: %v", *out, err)
 		}
-		defer f.Close()
-		w = bufio.NewWriter(f)
+		w = f
 	}
-	if err := pcap.WriteTrace(w, res.Trace); err != nil {
+	if err := pcap.WriteIndex(w, ix); err != nil {
 		fatal("writing pcap: %v", err)
 	}
-	if err := w.Flush(); err != nil {
-		fatal("flush: %v", err)
+	if err := w.Close(); err != nil {
+		fatal("closing %s: %v", *out, err)
 	}
 }
 

@@ -91,22 +91,13 @@ func main() {
 		return
 	}
 
-	var tr *mawilab.Trace
+	var labeling *mawilab.Labeling
+	var err error
 	if *in != "" {
-		f, err := os.Open(*in)
-		if err != nil {
-			fatal("%v", err)
-		}
-		defer f.Close()
-		tr, err = mawilab.ReadPcap(f)
-		if err != nil {
-			fatal("reading pcap: %v", err)
-		}
+		labeling, err = p.RunIndex(context.Background(), decodedPcap(*in))
 	} else {
-		tr = generatedDay(*dateStr, *seed)
+		labeling, err = p.Run(generatedDay(*dateStr, *seed))
 	}
-
-	labeling, err := p.Run(tr)
 	if err != nil {
 		fatal("pipeline: %v", err)
 	}
@@ -183,6 +174,21 @@ func feed(packets chan<- mawilab.Packet, in, dateStr string, seed int64) error {
 		packets <- pkt
 	}
 	return nil
+}
+
+// decodedPcap decodes the -in file straight into the index the pipeline
+// labels, as the daemon ingests an upload: no row form in between.
+func decodedPcap(in string) *mawilab.Index {
+	f, err := os.Open(in)
+	if err != nil {
+		fatal("%v", err)
+	}
+	defer f.Close()
+	ix, err := mawilab.DecodePcap(f)
+	if err != nil {
+		fatal("reading pcap: %v", err)
+	}
+	return ix
 }
 
 // generatedDay builds the synthetic archive day for -date mode.

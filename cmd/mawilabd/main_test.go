@@ -172,14 +172,15 @@ func TestServeSmoke(t *testing.T) {
 		t.Fatalf("served CSV sha256 = %s, want golden %s", got, golden.CSVSHA256)
 	}
 
-	// The store keeps the upload's headers, not its payload: the persisted
-	// trace must be smaller than what was sent.
-	stored, err := os.Stat(filepath.Join(storeDir, up.Digest, "trace.pcap"))
+	// The store keeps the upload's headers, not its payload: the upload is
+	// already header-only (WritePcap), so the persisted trace is the upload
+	// byte for byte.
+	stored, err := os.ReadFile(filepath.Join(storeDir, up.Digest, "trace.pcap"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stored.Size() >= int64(pcapBuf.Len()) {
-		t.Fatalf("stored trace.pcap is %d bytes, the upload was %d: payload not stripped", stored.Size(), pcapBuf.Len())
+	if !bytes.Equal(stored, pcapBuf.Bytes()) {
+		t.Fatalf("stored trace.pcap is %d bytes, not the %d-byte upload", len(stored), pcapBuf.Len())
 	}
 	// Beside it, what a flow query reads: the flow table alone, 13 bytes a
 	// flow plus a 13-byte frame.

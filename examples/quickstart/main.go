@@ -21,10 +21,6 @@ func main() {
 	// propagation on 445/tcp alongside the usual background anomalies.
 	archive := mawilab.NewArchive(42)
 	day := archive.Day(time.Date(2004, time.May, 10, 0, 0, 0, 0, time.UTC))
-	stats := day.Trace.ComputeStats()
-	fmt.Printf("trace %s: %d packets, %d flows, %.0fs\n",
-		day.Trace.Name, stats.Packets, stats.Flows, stats.Duration)
-	fmt.Printf("ground truth: %d injected events\n\n", len(day.Truth))
 
 	// The pipeline with the paper's retained configuration: uniflow
 	// granularity, Simpson similarity, Louvain communities, SCANN.
@@ -33,6 +29,12 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+
+	// The labeled index: the trace as the pipeline saw it, flows included.
+	ix := labeling.Result.Index()
+	fmt.Printf("trace %s: %d packets, %d flows, %.0fs\n",
+		day.Trace.Name, ix.Len(), ix.Flows(), ix.Duration())
+	fmt.Printf("ground truth: %d injected events\n\n", len(day.Truth))
 
 	fmt.Printf("%d alarms from %d detectors clustered into %d communities\n\n",
 		len(labeling.Alarms), len(pipeline.Detectors), len(labeling.Reports))

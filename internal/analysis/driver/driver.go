@@ -28,16 +28,17 @@ import (
 
 // Config says which analyzers skip which import paths entirely.
 type Config struct {
-	// Exempt maps analyzer name → import-path prefixes it does not run
-	// on. A prefix matches itself and its subpackages.
+	// Exempt maps analyzer name → the packages it does not run on, written
+	// as go list patterns: an import path names that one package, and a
+	// trailing "/..." names the package and every package below it.
 	Exempt map[string][]string
 }
 
 // exempt reports whether analyzer a skips package path under cfg.
 func (c Config) exempt(a, path string) bool {
-	for _, prefix := range c.Exempt[a] {
-		p := strings.TrimSuffix(prefix, "/")
-		if path == p || strings.HasPrefix(path, p+"/") {
+	for _, pattern := range c.Exempt[a] {
+		root, tree := strings.CutSuffix(pattern, "/...")
+		if path == root || tree && strings.HasPrefix(path, root+"/") {
 			return true
 		}
 	}

@@ -98,8 +98,9 @@ func TestRedundantDirectiveUnderExemption(t *testing.T) {
 
 // TestDefaultExemptions stages the same violation under exempt and
 // covered import paths and checks registry.DefaultConfig draws the line
-// where the determinism contract does: serve/eval observe, trace must
-// not.
+// where the determinism contract does: serve/eval and the mains observe;
+// trace and serve's wire encoders must not. A bare entry exempts one
+// package, a "/..." entry its subtree.
 func TestDefaultExemptions(t *testing.T) {
 	cfg := registry.DefaultConfig()
 	for _, tc := range []struct {
@@ -107,8 +108,11 @@ func TestDefaultExemptions(t *testing.T) {
 		want       int
 	}{
 		{"mawilab/internal/serve", 0},
-		{"mawilab/internal/serve/sub", 0},
+		{"mawilab/internal/serve/sub", 1},
+		{"mawilab/internal/serve/v1", 1},
 		{"mawilab/internal/eval", 0},
+		{"mawilab/cmd", 0},
+		{"mawilab/cmd/mawilabd", 0},
 		{"mawilab/internal/trace", 1},
 	} {
 		diags := runOn(t, "testdata/exempt", tc.importPath, registry.Analyzers(), cfg)

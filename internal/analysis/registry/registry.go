@@ -29,15 +29,17 @@ func Analyzers() []*analysis.Analyzer {
 
 // DefaultConfig is the repo's determinism-contract policy.
 //
+// Entries are go list patterns: a bare import path exempts that one
+// package, a trailing "/..." the package and everything below it.
+//
 // wallclock treats the whole module as deterministic by default and
 // exempts the layers whose job is interfacing with the real world: the
 // serving daemon (request timestamps, job latencies), the eval harness
 // (progress timing), and the mains/examples. Everything else — trace,
 // core, detectors, graphx, simgraph, mawigen, heuristics, apriori,
-// sketch, stats, linalg, pcap, ca, parallel and the root pipeline —
-// must be a pure function of its inputs. The wire encoders of
-// internal/serve/v1 sit under the serve exemption; the golden fixtures pin
-// their bytes.
+// sketch, stats, linalg, pcap, ca, parallel, the root pipeline and the wire
+// encoders of internal/serve/v1, whose CSV and ADMD bytes are the labeling
+// users get — must be a pure function of its inputs.
 //
 // baregoroutine exempts only internal/parallel, the package that owns
 // fan-out. ctxflow additionally skips main packages (where root contexts
@@ -48,15 +50,15 @@ func DefaultConfig() driver.Config {
 		"wallclock": {
 			"mawilab/internal/serve",
 			"mawilab/internal/eval",
-			"mawilab/cmd",
-			"mawilab/examples",
+			"mawilab/cmd/...",
+			"mawilab/examples/...",
 		},
 		"baregoroutine": {
 			"mawilab/internal/parallel",
 		},
 		"ctxflow": {
-			"mawilab/cmd",
-			"mawilab/examples",
+			"mawilab/cmd/...",
+			"mawilab/examples/...",
 		},
 	}}
 }

@@ -34,26 +34,29 @@ func TestGenerateBackgroundProperties(t *testing.T) {
 	if !slices.IsSortedFunc(tr.Packets, func(a, b trace.Packet) int { return cmp.Compare(a.TS, b.TS) }) {
 		t.Error("trace must be sorted")
 	}
-	s := tr.ComputeStats()
 	// Rate within 40% of target.
-	rate := float64(s.Packets) / 60
+	rate := float64(tr.Len()) / 60
 	if rate < 240 || rate > 560 {
 		t.Errorf("background rate = %.0f pps, want ≈400", rate)
 	}
-	if s.TCPShare < 0.5 {
-		t.Errorf("tcp share = %f, want majority", s.TCPShare)
+	perProto := map[trace.Proto]int{}
+	for _, p := range tr.Packets {
+		perProto[p.Proto]++
 	}
-	if s.UDPShare <= 0 || s.ICMPShare <= 0 {
+	if tcpShare := float64(perProto[trace.TCP]) / float64(tr.Len()); tcpShare < 0.5 {
+		t.Errorf("tcp share = %f, want majority", tcpShare)
+	}
+	if perProto[trace.UDP] == 0 || perProto[trace.ICMP] == 0 {
 		t.Error("udp and icmp background expected")
 	}
-	if s.Flows < 500 {
-		t.Errorf("flows = %d, want many", s.Flows)
+	if flows := trace.NewIndex(tr).Flows(); flows < 500 {
+		t.Errorf("flows = %d, want many", flows)
 	}
 	if len(res.Truth) != 0 {
 		t.Error("background-only config should have no truth events")
 	}
-	if s.Duration > 60 {
-		t.Errorf("duration = %f, want ≤ 60", s.Duration)
+	if d := tr.Duration(); d > 60 {
+		t.Errorf("duration = %f, want ≤ 60", d)
 	}
 }
 

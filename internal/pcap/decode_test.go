@@ -16,7 +16,8 @@ import (
 	"mawilab/internal/trace"
 )
 
-// pcapBytes encodes the packets as a pcap stream.
+// pcapBytes encodes the packets, in their order, as this package writes a
+// pcap stream: header-only (WriteTrace).
 func pcapBytes(t testing.TB, packets []trace.Packet) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -150,7 +151,7 @@ func TestOrigLenPastInt32Decodes(t *testing.T) {
 }
 
 // checkIndexRoundTrip states what the stored form of an index guarantees.
-// EncodeIndex(ix) is the bytes of the per-packet Writer at the stripped
+// EncodeIndex(ix) is the bytes of the per-packet refWriter at the stripped
 // snaplen, EncodedLen(ix) of them, at most 24 + 70 per packet. Decoding them
 // gives back ix — EqualIndexes, same Digest — when ix is representable: it
 // starts in its first second (the reader rebases to that boundary; true of
@@ -166,7 +167,7 @@ func checkIndexRoundTrip(t testing.TB, ix *trace.Index) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(enc, want.Bytes()) {
-		t.Fatalf("EncodeIndex differs from the per-packet Writer at snaplen %d (%d packets)", strippedSnaplen, ix.Len())
+		t.Fatalf("EncodeIndex differs from the per-packet refWriter at snaplen %d (%d packets)", strippedSnaplen, ix.Len())
 	}
 	if n := EncodedLen(ix); n != len(enc) || n > globalHeaderLen+(recordHeaderLen+strippedSnaplen)*ix.Len() {
 		t.Fatalf("EncodedLen = %d, encoded %d bytes, %d packets", n, len(enc), ix.Len())
@@ -209,6 +210,7 @@ func TestDecodeIndexMatchesReference(t *testing.T) {
 		}
 		tr.Sort()
 		checkDecodeEquivalence(t, pcapBytes(t, tr.Packets))
+		checkDecodeEquivalence(t, fullFrameBytes(t, tr.Packets))
 	}
 }
 
@@ -255,7 +257,7 @@ func fixtureIndexes(t testing.TB) []*trace.Index {
 }
 
 // TestWriteIndexMatchesStrippedWriter: an index encodes, from its columns,
-// to the exact bytes of the per-packet Writer at the stripped snaplen over
+// to the exact bytes of the per-packet refWriter at the stripped snaplen over
 // its rows — and decodes back (checkIndexRoundTrip). WriteIndex is one Write
 // of those bytes.
 func TestWriteIndexMatchesStrippedWriter(t *testing.T) {
@@ -276,7 +278,7 @@ func TestWriteIndexMatchesStrippedWriter(t *testing.T) {
 // files decode to the same index.
 func TestWriteIndexStripsPayload(t *testing.T) {
 	day := mawigen.NewArchive(7).Day(time.Date(2004, 5, 10, 0, 0, 0, 0, time.UTC)).Trace
-	full := pcapBytes(t, day.Packets)
+	full := fullFrameBytes(t, day.Packets)
 	ix, err := DecodeIndex(bytes.NewReader(full))
 	if err != nil {
 		t.Fatal(err)
@@ -308,17 +310,17 @@ func FuzzDecodeIndex(f *testing.F) {
 	}
 	sorted := &trace.Trace{Packets: ps}
 	sorted.Sort()
-	valid := pcapBytes(f, sorted.Packets)
+	valid := fullFrameBytes(f, sorted.Packets)
 	f.Add(valid)
 	f.Add(valid[:len(valid)-3])
 	f.Add(valid[:globalHeaderLen+recordHeaderLen/2])
 	f.Add([]byte{})
 	// Unsorted but individually valid records.
-	f.Add(pcapBytes(f, []trace.Packet{
+	f.Add(fullFrameBytes(f, []trace.Packet{
 		{TS: 9_000_000, Proto: trace.ICMP, Len: ipv4HeaderLen + icmpHeaderLen},
 		{TS: 1_000_000, Proto: trace.ICMP, Len: ipv4HeaderLen + icmpHeaderLen},
 	}))
-	// What the daemon stores: header-only records.
+	// What this package writes and the daemon stores: header-only records.
 	f.Add(EncodeIndex(trace.NewIndex(sorted)))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkDecodeEquivalence(t, data)

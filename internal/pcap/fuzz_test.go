@@ -12,8 +12,8 @@ import (
 // can represent losslessly: a supported transport (the protocol selector
 // picks one of TCP/UDP/ICMP), single-byte ICMP type/code, flags only on
 // TCP, and an IP length at least as large as the headers the writer
-// synthesizes (the format stores no smaller length — WritePacket zero-fills
-// up to the header size).
+// synthesizes (the format stores no smaller length — a shorter packet's
+// record still holds its whole headers).
 func normalizePacket(src, dst uint32, sport, dport uint16, protoSel, flags byte, length uint16, tsMicros uint32) trace.Packet {
 	p := trace.Packet{
 		TS:  int64(tsMicros),

@@ -7,10 +7,10 @@
 // TCP, UDP and ICMP. This matches the MAWI archive contents the paper
 // consumes (anonymized IPv4 headers, payloads stripped).
 //
-// Payload is never parsed, so it is neither kept nor copied: an index encodes
-// to a header-only file (EncodeIndex), and the Reader copies a record's
-// header prefix and skips the rest. WriteTrace alone writes whole frames —
-// what a generated capture looks like on the wire.
+// Payload is never parsed, so it is neither kept nor copied: every file this
+// package writes (EncodeIndex, WriteTrace) is header-only, and the Reader
+// copies a record's header prefix and skips the rest — of a full-frame
+// capture from elsewhere too.
 package pcap
 
 import (
@@ -40,70 +40,27 @@ const (
 	tcpHeaderLen   = 20
 	udpHeaderLen   = 8
 	icmpHeaderLen  = 8
-
-	defaultSnaplen = 65535
 )
 
 // ErrNotPcap is returned when the global header magic is unrecognized.
 var ErrNotPcap = errors.New("pcap: bad magic number")
 
-// Writer serializes packets into a classic pcap stream. Create one with
-// NewWriter, which emits the global header immediately.
-type Writer struct {
-	w io.Writer
-	// buf holds one record — header, then frame — and is reused across
-	// packets, so WritePacket allocates only when a frame outgrows it.
-	buf     []byte
-	snaplen uint32
-}
-
 // putGlobalHeader fills the zeroed hdr[:globalHeaderLen] with the classic
-// pcap file header: microsecond timestamps, little-endian, Ethernet.
-func putGlobalHeader(hdr []byte, snaplen uint32) {
+// pcap file header: microsecond timestamps, little-endian, Ethernet,
+// snaplen strippedSnaplen.
+func putGlobalHeader(hdr []byte) {
 	le := binary.LittleEndian
 	le.PutUint32(hdr[0:], magicMicros)
 	le.PutUint16(hdr[4:], versionMajor)
 	le.PutUint16(hdr[6:], versionMinor)
 	// thiszone, sigfigs = 0
-	le.PutUint32(hdr[16:], snaplen)
+	le.PutUint32(hdr[16:], strippedSnaplen)
 	le.PutUint32(hdr[20:], linkTypeEther)
 }
 
-// NewWriter writes the pcap global header and returns a Writer. snaplen 0
-// selects a conventional 65535.
-func NewWriter(w io.Writer, snaplen uint32) (*Writer, error) {
-	if snaplen == 0 {
-		snaplen = defaultSnaplen
-	}
-	buf := make([]byte, globalHeaderLen, 128)
-	putGlobalHeader(buf, snaplen)
-	if _, err := w.Write(buf); err != nil {
-		return nil, fmt.Errorf("pcap: writing global header: %w", err)
-	}
-	return &Writer{w: w, buf: buf, snaplen: snaplen}, nil
-}
-
-// WritePacket synthesizes an Ethernet/IPv4 frame for p and appends it as one
-// pcap record. Payload bytes beyond the headers are zero-filled up to the
-// packet's IP length (truncated at snaplen), mirroring payload-stripped
-// MAWI data.
-func (w *Writer) WritePacket(p *trace.Packet) error {
-	n := recordHeaderLen + frameLen(p.Proto, p.Len, w.snaplen)
-	if cap(w.buf) < n {
-		w.buf = make([]byte, n)
-	}
-	rec := w.buf[:n]
-	clear(rec)
-	putRecord(rec, p.TS, p.Src, p.Dst, p.SrcPort, p.DstPort, p.Len, p.Proto, p.Flags)
-	if _, err := w.w.Write(rec); err != nil {
-		return fmt.Errorf("pcap: writing record: %w", err)
-	}
-	return nil
-}
-
-// headerDims returns the transport header length the writer synthesizes for
-// a packet of the given protocol, and the IP length its frame declares: the
-// packet's, but at least the headers.
+// headerDims returns the transport header length the encoder synthesizes
+// for a packet of the given protocol, and the IP length its frame declares:
+// the packet's, but at least the headers.
 func headerDims(proto trace.Proto, pktLen uint16) (transportLen, ipLen int) {
 	switch proto {
 	case trace.TCP:
@@ -116,20 +73,28 @@ func headerDims(proto trace.Proto, pktLen uint16) (transportLen, ipLen int) {
 	return transportLen, max(ipv4HeaderLen+transportLen, int(pktLen))
 }
 
-// frameLen returns the captured length of that frame under snaplen.
-func frameLen(proto trace.Proto, pktLen uint16, snaplen uint32) int {
+// strippedSnaplen is the snaplen every file this package writes is captured
+// at: Ethernet, an option-less IPv4 header and the longest transport header
+// the encoder synthesizes — every byte decodeFrame reads of such a frame, and
+// none of the payload.
+const strippedSnaplen = etherHeaderLen + ipv4HeaderLen + tcpHeaderLen
+
+// frameLen returns how much of a packet's synthesized frame its record
+// captures: the frame up to strippedSnaplen bytes.
+func frameLen(proto trace.Proto, pktLen uint16) int {
 	_, ipLen := headerDims(proto, pktLen)
-	return min(etherHeaderLen+ipLen, int(snaplen))
+	return min(etherHeaderLen+ipLen, strippedSnaplen)
 }
 
-// putRecord fills rec — zeroed, recordHeaderLen plus frameLen bytes — with
-// one packet's pcap record: the record header, then the Ethernet, IPv4 and
-// transport headers. Only non-zero bytes are stored: MACs stay zero
-// (anonymized), and so does everything past the headers. It takes the fields
-// rather than a trace.Packet so that the index encoder feeds it straight from
-// the columns.
+// putRecord fills rec — zeroed, recordHeaderLen plus at least frameLen bytes
+// — with one packet's pcap record: the record header, then the Ethernet, IPv4
+// and transport headers. Only non-zero bytes are stored: MACs stay zero
+// (anonymized), and so does everything past the headers. The caplen is what
+// rec holds past the record header, the origlen the wire length. It takes the
+// fields rather than a trace.Packet so that the index encoder feeds it
+// straight from the columns.
 func putRecord(rec []byte, ts int64, src, dst trace.IPv4, srcPort, dstPort, pktLen uint16, proto trace.Proto, flags trace.TCPFlags) {
-	transportLen, ipLen := headerDims(proto, pktLen)
+	_, ipLen := headerDims(proto, pktLen)
 	le := binary.LittleEndian
 	caplen := uint32(len(rec) - recordHeaderLen)
 	le.PutUint32(rec[0:], uint32(ts/1e6))
@@ -147,9 +112,6 @@ func putRecord(rec []byte, ts int64, src, dst trace.IPv4, srcPort, dstPort, pktL
 	ip[9] = byte(proto)
 	be.PutUint32(ip[12:], uint32(src))
 	be.PutUint32(ip[16:], uint32(dst))
-	if len(ip) < ipv4HeaderLen+transportLen {
-		return // snaplen truncated the transport header away
-	}
 	tp := ip[ipv4HeaderLen:]
 	switch proto {
 	case trace.TCP:
@@ -167,25 +129,24 @@ func putRecord(rec []byte, ts int64, src, dst trace.IPv4, srcPort, dstPort, pktL
 	}
 }
 
-// WriteTrace writes every packet of tr to w as a pcap file, full frames.
+// WriteTrace writes tr's packets, in their order, to w as the payload-stripped
+// file EncodeIndex returns, in one Write: for a sorted trace it is
+// EncodeIndex(trace.NewIndex(tr)) byte for byte, and any other row order is
+// written as given.
 func WriteTrace(w io.Writer, tr *trace.Trace) error {
-	pw, err := NewWriter(w, 0)
-	if err != nil {
-		return err
-	}
+	buf := make([]byte, globalHeaderLen, globalHeaderLen+(recordHeaderLen+strippedSnaplen)*tr.Len())
+	putGlobalHeader(buf)
 	for i := range tr.Packets {
-		if err := pw.WritePacket(&tr.Packets[i]); err != nil {
-			return fmt.Errorf("pcap: packet %d: %w", i, err)
-		}
+		p := &tr.Packets[i]
+		off := len(buf)
+		buf = buf[:off+recordHeaderLen+frameLen(p.Proto, p.Len)]
+		putRecord(buf[off:], p.TS, p.Src, p.Dst, p.SrcPort, p.DstPort, p.Len, p.Proto, p.Flags)
+	}
+	if _, err := w.Write(buf); err != nil {
+		return fmt.Errorf("pcap: writing trace: %w", err)
 	}
 	return nil
 }
-
-// strippedSnaplen is the snaplen an index is encoded at: Ethernet, an
-// option-less IPv4 header and the longest transport header the writer
-// synthesizes — every byte decodeFrame reads of such a frame, and none of the
-// payload.
-const strippedSnaplen = etherHeaderLen + ipv4HeaderLen + tcpHeaderLen
 
 // EncodedLen returns the exact length of EncodeIndex(ix): the global header
 // plus, per packet, a record header and the frame captured at
@@ -193,35 +154,33 @@ const strippedSnaplen = etherHeaderLen + ipv4HeaderLen + tcpHeaderLen
 func EncodedLen(ix *trace.Index) int {
 	n := globalHeaderLen + recordHeaderLen*ix.Len()
 	for i, proto := range ix.Proto {
-		n += frameLen(proto, ix.PktLen[i], strippedSnaplen)
+		n += frameLen(proto, ix.PktLen[i])
 	}
 	return n
 }
 
-// EncodeIndex returns ix as a payload-stripped classic pcap file: what a
-// Writer at snaplen strippedSnaplen produces from its packets, each record's
-// caplen capped at the headers and its origlen still the wire length —
-// MAWI's own published form. It is not the bytes WriteTrace writes, but it
-// decodes (DecodeIndex, ReadTrace) to an index equal to ix, with the same
-// Digest, exactly when WriteTrace's would: when ix starts within its first
-// second (the reader rebases to that boundary) and no packet is shorter than
-// the headers synthesized for it (the format stores no smaller length) —
-// true of every index decoded from a pcap this package wrote. The records go
-// straight from the columns into one buffer of EncodedLen(ix) bytes.
+// EncodeIndex returns ix as a payload-stripped classic pcap file: each
+// record's caplen capped at the headers and its origlen still the wire
+// length — MAWI's own published form, and the only form this package writes.
+// It decodes (DecodeIndex, ReadTrace) to an index equal to ix, with the same
+// Digest, when ix starts within its first second (the reader rebases to that
+// boundary) and no packet is shorter than the headers synthesized for it
+// (the format stores no smaller length) — true of every index decoded from a
+// pcap. The records go straight from the columns into one buffer of
+// EncodedLen(ix) bytes.
 func EncodeIndex(ix *trace.Index) []byte {
 	buf := make([]byte, EncodedLen(ix))
-	putGlobalHeader(buf, strippedSnaplen)
+	putGlobalHeader(buf)
 	off := globalHeaderLen
 	for i, proto := range ix.Proto {
-		end := off + recordHeaderLen + frameLen(proto, ix.PktLen[i], strippedSnaplen)
+		end := off + recordHeaderLen + frameLen(proto, ix.PktLen[i])
 		putRecord(buf[off:end], ix.TS[i], ix.Src[i], ix.Dst[i], ix.SrcPort[i], ix.DstPort[i], ix.PktLen[i], proto, ix.Flags[i])
 		off = end
 	}
 	return buf
 }
 
-// WriteIndex writes EncodeIndex(ix) to w in one Write: the payload-stripped
-// file, which decodes to the same index and digest — not WriteTrace's bytes.
+// WriteIndex writes EncodeIndex(ix) to w in one Write.
 func WriteIndex(w io.Writer, ix *trace.Index) error {
 	if _, err := w.Write(EncodeIndex(ix)); err != nil {
 		return fmt.Errorf("pcap: writing index: %w", err)
@@ -425,7 +384,10 @@ func decodeFrame(frame []byte, origlen uint32, p *trace.Packet) error {
 	return nil
 }
 
-// ReadTrace consumes the whole stream into a Trace.
+// ReadTrace consumes the whole stream into a Trace. No command ingests rows
+// any more — cmd/mawilab and mawilabd decode with DecodeIndex — so its last
+// production caller is cmd/mawibench, through mawilab.ReadPcap; it goes when
+// that benchmark moves to DecodeIndex.
 func ReadTrace(r io.Reader) (*trace.Trace, error) {
 	pr, err := NewReader(r)
 	if err != nil {

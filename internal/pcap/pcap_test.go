@@ -169,16 +169,8 @@ func TestBigEndianHeader(t *testing.T) {
 
 	// Build a little-endian writer frame via the normal path to steal the
 	// frame bytes, then wrap with a big-endian record header.
-	var tmp bytes.Buffer
-	w, err := NewWriter(&tmp, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
 	p := trace.Packet{Src: trace.MakeIPv4(1, 2, 3, 4), Dst: trace.MakeIPv4(4, 3, 2, 1), SrcPort: 9, DstPort: 80, Proto: trace.TCP, Len: 40}
-	if err := w.WritePacket(&p); err != nil {
-		t.Fatal(err)
-	}
-	frame := tmp.Bytes()[globalHeaderLen+recordHeaderLen:]
+	frame := pcapBytes(t, []trace.Packet{p})[globalHeaderLen+recordHeaderLen:]
 
 	rec := make([]byte, recordHeaderLen)
 	be.PutUint32(rec[0:], 100) // sec
@@ -230,16 +222,7 @@ func TestEmptyStream(t *testing.T) {
 }
 
 func TestNonIPv4FrameRejected(t *testing.T) {
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := trace.Packet{Proto: trace.TCP, Len: 40}
-	if err := w.WritePacket(&p); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
+	raw := pcapBytes(t, []trace.Packet{{Proto: trace.TCP, Len: 40}})
 	// Corrupt the ethertype of the single record.
 	raw[globalHeaderLen+recordHeaderLen+12] = 0x86
 	raw[globalHeaderLen+recordHeaderLen+13] = 0xdd // IPv6

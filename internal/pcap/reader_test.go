@@ -105,7 +105,7 @@ func TestSkippingReaderMatchesCopying(t *testing.T) {
 		tr.Append(randomPacket(rng, i))
 	}
 	tr.Append(trace.Packet{TS: 70_000, Proto: trace.TCP, SrcPort: 4000, DstPort: 443, Flags: 0x18, Len: 300})
-	full := pcapBytes(t, tr.Packets)
+	full := fullFrameBytes(t, tr.Packets)
 
 	// One full-payload frame per transport to rebuild by hand.
 	frames := map[trace.Proto][]byte{}
@@ -115,7 +115,7 @@ func TestSkippingReaderMatchesCopying(t *testing.T) {
 		{Proto: trace.ICMP, Src: 0x0a000005, Dst: 0x0a000006, SrcPort: 8, DstPort: 0, Len: 84},
 		{Proto: trace.Proto(47), Src: 0x0a000007, Dst: 0x0a000008, Len: 120},
 	} {
-		enc := pcapBytes(t, []trace.Packet{p})
+		enc := fullFrameBytes(t, []trace.Packet{p})
 		frames[p.Proto] = enc[globalHeaderLen+recordHeaderLen:]
 	}
 	header := full[:globalHeaderLen]
@@ -196,7 +196,7 @@ func recordOffsets(data []byte) []int {
 // short of its Content-Length fails with io.ErrUnexpectedEOF, is an error at
 // a record boundary and inside a record header alike.
 func TestTruncatedRecordErrors(t *testing.T) {
-	data := pcapBytes(t, []trace.Packet{{Proto: trace.TCP, Len: 1000}})
+	data := fullFrameBytes(t, []trace.Packet{{Proto: trace.TCP, Len: 1000}})
 	frameStart := globalHeaderLen + recordHeaderLen
 	for _, c := range []struct {
 		cut  int
@@ -238,34 +238,24 @@ func TestTruncatedRecordErrors(t *testing.T) {
 	}
 }
 
-// TestWritersAllocateNothingPerPacket: WritePacket keeps its record buffer
-// in the Writer, and EncodeIndex makes its result and nothing else — one
-// allocation whatever the packet count.
+// TestWritersAllocateNothingPerPacket: WriteTrace and EncodeIndex each make
+// the file and nothing else — one allocation whatever the packet count.
 func TestWritersAllocateNothingPerPacket(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	tr := &trace.Trace{}
 	for i := 0; i < 2000; i++ {
 		tr.Append(randomPacket(rng, i))
 	}
-	w, err := NewWriter(io.Discard, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	big := trace.Packet{Proto: trace.TCP, Len: 0xffff}
-	if err := w.WritePacket(&big); err != nil { // grow the record buffer once
-		t.Fatal(err)
-	}
-	i := 0
-	if n := testing.AllocsPerRun(1000, func() {
-		if err := w.WritePacket(&tr.Packets[i%tr.Len()]); err != nil {
-			t.Fatal(err)
-		}
-		i++
-	}); n != 0 {
-		t.Errorf("WritePacket: %v allocs per packet, want 0", n)
-	}
 	for _, n := range []int{10, 2000} {
-		ix := trace.NewIndex(&trace.Trace{Packets: tr.Packets[:n]})
+		rows := &trace.Trace{Packets: tr.Packets[:n]}
+		if got := testing.AllocsPerRun(20, func() {
+			if err := WriteTrace(io.Discard, rows); err != nil {
+				t.Fatal(err)
+			}
+		}); got != 1 {
+			t.Errorf("WriteTrace of %d packets: %v allocs, want 1 (the file)", n, got)
+		}
+		ix := trace.NewIndex(rows)
 		if got := testing.AllocsPerRun(20, func() { sinkBytes = EncodeIndex(ix) }); got != 1 {
 			t.Errorf("EncodeIndex of %d packets: %v allocs, want 1 (the result)", n, got)
 		}

@@ -1,17 +1,71 @@
 package pcap
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"io"
+	"testing"
 
 	"mawilab/internal/trace"
 )
 
+// fullSnaplen is the snaplen refWriter captures whole frames at.
+const fullSnaplen = 65535
+
+// refWriter is the per-packet writer this package had before every file it
+// wrote was header-only: each packet is one record whose frame is zero-filled
+// up to the packet's IP length and captured up to snaplen. At fullSnaplen it
+// stands in for a capture from elsewhere that keeps its payload — what the
+// Reader's skip path exists for; at strippedSnaplen it is the reference the
+// columnar encoder must match.
+type refWriter struct {
+	w       io.Writer
+	snaplen int
+}
+
+func newRefWriter(w io.Writer, snaplen int) (*refWriter, error) {
+	hdr := make([]byte, globalHeaderLen)
+	putGlobalHeader(hdr)
+	binary.LittleEndian.PutUint32(hdr[16:], uint32(snaplen))
+	if _, err := w.Write(hdr); err != nil {
+		return nil, fmt.Errorf("pcap: writing global header: %w", err)
+	}
+	return &refWriter{w: w, snaplen: snaplen}, nil
+}
+
+func (w *refWriter) WritePacket(p *trace.Packet) error {
+	_, ipLen := headerDims(p.Proto, p.Len)
+	rec := make([]byte, recordHeaderLen+min(etherHeaderLen+ipLen, w.snaplen))
+	putRecord(rec, p.TS, p.Src, p.Dst, p.SrcPort, p.DstPort, p.Len, p.Proto, p.Flags)
+	if _, err := w.w.Write(rec); err != nil {
+		return fmt.Errorf("pcap: writing record: %w", err)
+	}
+	return nil
+}
+
+// fullFrameBytes encodes the packets, in their order, as a full-frame pcap
+// stream: refWriter at fullSnaplen.
+func fullFrameBytes(t testing.TB, packets []trace.Packet) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	w, err := newRefWriter(&buf, fullSnaplen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range packets {
+		if err := w.WritePacket(&packets[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return buf.Bytes()
+}
+
 // refWriteIndex is the per-packet body WriteIndex had before it encoded from
-// the columns — every row through PacketAt and a Writer — at the snaplen the
-// index encoder caps its frames at. EncodeIndex must produce its bytes.
+// the columns — every row through PacketAt and a refWriter — at the snaplen
+// the index encoder caps its frames at. EncodeIndex must produce its bytes.
 func refWriteIndex(w io.Writer, ix *trace.Index) error {
-	pw, err := NewWriter(w, strippedSnaplen)
+	pw, err := newRefWriter(w, strippedSnaplen)
 	if err != nil {
 		return err
 	}

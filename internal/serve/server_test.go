@@ -62,6 +62,28 @@ func pcapBytes(t testing.TB, tr *mawilab.Trace) []byte {
 	return buf.Bytes()
 }
 
+// withPayload returns a header-only pcap — what this module writes — as a
+// capture from elsewhere that keeps its payload: every record captured out to
+// its wire length (origlen, at most snaplen 65535), zeros past the headers.
+// Of WritePcap's bytes it is what the per-packet full-frame writer wrote
+// before the stripped encoding was the module's only one.
+func withPayload(stripped []byte) []byte {
+	const hdrLen, recLen, snaplen = 24, 16, 65535
+	le := binary.LittleEndian
+	full := append([]byte{}, stripped[:hdrLen]...)
+	le.PutUint32(full[16:], snaplen)
+	for off := hdrLen; off < len(stripped); {
+		caplen := int(le.Uint32(stripped[off+8:]))
+		capture := min(int(le.Uint32(stripped[off+12:])), snaplen)
+		rec := len(full)
+		full = append(full, stripped[off:off+recLen+caplen]...)
+		le.PutUint32(full[rec+8:], uint32(capture))
+		full = append(full, make([]byte, capture-caplen)...)
+		off += recLen + caplen
+	}
+	return full
+}
+
 // newTestServer builds a Server over temp dirs and mounts it on httptest.
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()

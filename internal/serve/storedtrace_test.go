@@ -51,7 +51,7 @@ func flowsOf(t *testing.T, ts *httptest.Server, digest string) []byte {
 // TestFlowsAnswerSurvivesEntryDamage covers the reload from trace.pcap).
 func TestStoredTraceIsPayloadStripped(t *testing.T) {
 	s, ts := newTestServer(t, Config{MaxResident: 1, QueueDepth: 4})
-	full := pcapBytes(t, goldenDay(t))
+	full := withPayload(pcapBytes(t, goldenDay(t)))
 	digest := labeled(t, ts, full, "golden")
 	other := labeled(t, ts, pcapBytes(t, tinyTrace(7)), "tiny")
 
@@ -103,15 +103,15 @@ func TestStoredTraceIsPayloadStripped(t *testing.T) {
 }
 
 // TestFullPayloadStoreKeepsServing: a store whose trace.pcap holds whole
-// frames — the bytes of WritePcap, here the upload itself, as a daemon before
-// the stripped encoding wrote them — reopens and answers the flows query
+// frames — here the full-frame upload itself, as a daemon before the stripped
+// encoding wrote them — reopens and answers the flows query
 // exactly as a store written today, and a re-upload is still a cache hit. The
 // entry here keeps today's flows.bin, so the query does not read that pcap;
 // the older store that has none is TestFlowsAnswerSurvivesEntryDamage's
 // "legacy store" case.
 func TestFullPayloadStoreKeepsServing(t *testing.T) {
 	dir := t.TempDir()
-	full := pcapBytes(t, goldenDay(t))
+	full := withPayload(pcapBytes(t, goldenDay(t)))
 	s, ts := newTestServer(t, Config{StoreDir: dir})
 	digest := labeled(t, ts, full, "golden")
 	want := flowsOf(t, ts, digest)
@@ -144,7 +144,7 @@ func TestFullPayloadStoreKeepsServing(t *testing.T) {
 // or out of order, answers byte-identically out of trace.pcap, counts the
 // fallback by reason, and is left as it was found: the read path never writes.
 func TestFlowsAnswerSurvivesEntryDamage(t *testing.T) {
-	full := pcapBytes(t, goldenDay(t))
+	full := withPayload(pcapBytes(t, goldenDay(t)))
 	const header, record = 9, 13
 	reseal := func(data []byte) []byte {
 		body := data[:len(data)-4]

@@ -67,33 +67,6 @@ func TestTraceWindow(t *testing.T) {
 	}
 }
 
-func TestComputeStats(t *testing.T) {
-	tr := &Trace{}
-	tr.Append(Packet{TS: 0, Src: MakeIPv4(1, 0, 0, 1), Dst: MakeIPv4(2, 0, 0, 1), SrcPort: 1000, DstPort: 80, Proto: TCP, Len: 100})
-	tr.Append(Packet{TS: 1e6, Src: MakeIPv4(2, 0, 0, 1), Dst: MakeIPv4(1, 0, 0, 1), SrcPort: 80, DstPort: 1000, Proto: TCP, Len: 200})
-	tr.Append(Packet{TS: 2e6, Src: MakeIPv4(1, 0, 0, 1), Dst: MakeIPv4(2, 0, 0, 1), SrcPort: 1000, DstPort: 53, Proto: UDP, Len: 60})
-	s := tr.ComputeStats()
-	if s.Packets != 3 || s.Bytes != 360 {
-		t.Errorf("packets=%d bytes=%d, want 3/360", s.Packets, s.Bytes)
-	}
-	if s.Flows != 3 {
-		t.Errorf("flows=%d, want 3", s.Flows)
-	}
-	if s.BiFlows != 2 {
-		t.Errorf("biflows=%d, want 2 (the two TCP directions merge)", s.BiFlows)
-	}
-	if s.SrcHosts != 2 || s.DstHosts != 2 {
-		t.Errorf("hosts=%d/%d, want 2/2", s.SrcHosts, s.DstHosts)
-	}
-	if s.Duration != 2 {
-		t.Errorf("duration=%f, want 2", s.Duration)
-	}
-	wantTCP := 2.0 / 3.0
-	if s.TCPShare < wantTCP-1e-9 || s.TCPShare > wantTCP+1e-9 {
-		t.Errorf("tcp share=%f, want %f", s.TCPShare, wantTCP)
-	}
-}
-
 func TestFlowIndexCoversAllPackets(t *testing.T) {
 	tr := buildTrace(500, 42)
 	idx := tr.FlowIndex()
@@ -116,9 +89,8 @@ func TestEmptyTrace(t *testing.T) {
 	if tr.Duration() != 0 {
 		t.Error("empty trace duration should be 0")
 	}
-	s := tr.ComputeStats()
-	if s.Packets != 0 || s.TCPShare != 0 {
-		t.Error("empty trace stats should be zero")
+	if ix := NewIndex(tr); ix.Len() != 0 || ix.Flows() != 0 || ix.Duration() != 0 {
+		t.Error("empty trace should index to no packets, no flows and duration 0")
 	}
 	if !sortedTS(tr) {
 		t.Error("empty trace is vacuously sorted")

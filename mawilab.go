@@ -169,29 +169,34 @@ var (
 // deterministically.
 func NewArchive(seed int64) *Archive { return mawigen.NewArchive(seed) }
 
-// ReadPcap loads a classic pcap stream into a Trace.
+// ReadPcap loads a classic pcap stream into a Trace. cmd/mawilab and the
+// daemon ingest with DecodePcap instead; ReadPcap stays while cmd/mawibench,
+// its last caller in this module, reads rows.
 func ReadPcap(r io.Reader) (*Trace, error) { return pcap.ReadTrace(r) }
 
-// WritePcap serializes a Trace as a classic pcap stream.
+// WritePcap serializes a Trace, rows in their order, as the payload-stripped
+// classic pcap stream EncodePcap writes: for a sorted trace it is the bytes
+// of EncodePcap of the trace's index.
 func WritePcap(w io.Writer, tr *Trace) error { return pcap.WriteTrace(w, tr) }
 
 // DecodePcap decodes a classic pcap stream straight into a columnar Index —
 // the fused single-pass ingest path, with no intermediate Trace and pooled
 // column buffers (call Index.Release when done to recycle them; it is the
-// only constructor whose result Release recycles). It is structurally
-// identical to ReadPcap followed by index construction, and like every other
-// path it rejects streams violating the sorted trace model with
-// ErrUnsorted. The daemon's upload path runs on it; see the README's
-// "Raw speed" section for the ownership rules.
+// only constructor whose result Release recycles). It reads header-only and
+// full-frame captures alike, and its result is structurally identical to
+// ReadPcap followed by index construction; like every other path it rejects
+// streams violating the sorted trace model with ErrUnsorted. The daemon's
+// upload path and cmd/mawilab -in run on it; see the README's "Raw speed"
+// section for the ownership rules.
 func DecodePcap(r io.Reader) (*Index, error) { return pcap.DecodeIndex(r) }
 
-// EncodePcap serializes an Index as a payload-stripped classic pcap stream:
-// every record captures at most the 54 header bytes a decoder reads (≤ 70
-// bytes per packet, 24 per file) and keeps the wire length as its original
-// length, the form MAWI publishes. It is not the bytes WritePcap writes — a
-// full-frame day is about eight times larger — but it decodes (DecodePcap,
-// ReadPcap) to the same index with the same Digest as the pcap ix was
-// decoded from. It is what the daemon stores per labeled trace.
+// EncodePcap serializes an Index as a payload-stripped classic pcap stream,
+// the form MAWI publishes and the only form this module writes: every record
+// captures at most the 54 header bytes a decoder reads (≤ 70 bytes per
+// packet, 24 per file) and keeps the wire length as its original length. It
+// decodes (DecodePcap, ReadPcap) to the same index with the same Digest as
+// the pcap ix was decoded from. It is what the daemon stores per labeled
+// trace.
 func EncodePcap(w io.Writer, ix *Index) error { return pcap.WriteIndex(w, ix) }
 
 // Segments chops an in-order packet stream into sealed trace segments of the

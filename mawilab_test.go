@@ -122,10 +122,32 @@ func TestPcapRoundTripThroughFacade(t *testing.T) {
 	}
 }
 
+// TestWritePcapIsEncodePcapOfIndex: the module writes one pcap form. A
+// generated day's rows through WritePcap are, byte for byte, EncodePcap of
+// the day's index.
+func TestWritePcapIsEncodePcapOfIndex(t *testing.T) {
+	arch := NewArchive(1)
+	arch.Duration = 30
+	for _, date := range []time.Time{Date(2001, 9, 17), Date(2004, 5, 10), Date(2008, 12, 15)} {
+		day := arch.Day(date).Trace
+		var rows, index bytes.Buffer
+		if err := WritePcap(&rows, day); err != nil {
+			t.Fatal(err)
+		}
+		if err := EncodePcap(&index, trace.NewIndex(day)); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(rows.Bytes(), index.Bytes()) {
+			t.Errorf("%s: WritePcap wrote %d bytes, EncodePcap of its index %d; want the same bytes", day.Name, rows.Len(), index.Len())
+		}
+	}
+}
+
 // TestEncodePcapRoundTripCorpora: for every day mawibench's batch_day and
 // serve workloads upload (archive seed 1, their durations and rates), the
-// payload-stripped EncodePcap of the decoded index decodes to the upload's
-// digest and is at most the global header plus 70 bytes per packet.
+// payload-stripped EncodePcap of the decoded index is the upload byte for
+// byte — WritePcap writes that form — at most the global header plus 70
+// bytes per packet, and decodes to the upload's digest.
 func TestEncodePcapRoundTripCorpora(t *testing.T) {
 	type corpus struct {
 		duration, rate float64
@@ -152,7 +174,7 @@ func TestEncodePcapRoundTripCorpora(t *testing.T) {
 			if err := WritePcap(&upload, day); err != nil {
 				t.Fatal(err)
 			}
-			uploaded := upload.Len()
+			uploaded := bytes.Clone(upload.Bytes())
 			ix, err := DecodePcap(&upload)
 			if err != nil {
 				t.Fatal(err)
@@ -163,8 +185,8 @@ func TestEncodePcapRoundTripCorpora(t *testing.T) {
 			}
 			digest, packets := ix.Digest(), ix.Len()
 			ix.Release()
-			if bound := 24 + 70*packets; stored.Len() > bound || stored.Len() >= uploaded {
-				t.Errorf("%s %s: stored %d bytes of a %d-byte upload, bound %d", name, day.Name, stored.Len(), uploaded, bound)
+			if bound := 24 + 70*packets; stored.Len() > bound || !bytes.Equal(stored.Bytes(), uploaded) {
+				t.Errorf("%s %s: stored %d bytes, not the %d-byte upload's, bound %d", name, day.Name, stored.Len(), len(uploaded), bound)
 			}
 			back, err := DecodePcap(&stored)
 			if err != nil {

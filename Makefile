@@ -54,13 +54,18 @@ GO ?= go
 #                       segments (bulk column appends + one Finish)
 #   GenerateDay         the generator: one day in one sequential loop (days
 #                       fan out only in eval.Runner.Days, each slot
-#                       generating its own day)
+#                       generating its own day) and its radix timestamp
+#                       sort, as a 45 s day and, as GenerateDayStream, a
+#                       600 s day of the stream_sliding corpus's shape
+#                       (~0.27 M packets), where a sort worse than linear
+#                       would show
 # PipelineDay, PipelineStream, Extract and SimilarityGraph carry
 # workers={1,4,N} sub-benches (DetectAll and BuildReports workers={1,4}), so
 # each run records the parallel speedup ratios too; the rest are one row each
-# (TraceIndex, WindowIndex, EigenSym, Louvain, Union and GenerateDay because
-# the stages are sequential, DetectAllSegment/Estimate/SCANN/Apriori at
-# workers=1; RadixSort is one row per length, MedianMAD one per series shape).
+# (TraceIndex, WindowIndex, EigenSym, Louvain, Union and the two GenerateDay
+# rows because the stages are sequential, DetectAllSegment/Estimate/SCANN/
+# Apriori at workers=1; RadixSort is one row per length, MedianMAD one per
+# series shape).
 BENCH_PATTERN ?= PipelineDay|PipelineStream|DetectAll|Detectors|Louvain|SimilarityGraph|GenerateDay|TraceIndex|Extract|Ingest|HoughSparse|Estimate|SCANN|Apriori|EigenSym|WindowIndex|EncodeIndex|BuildReports|Union|RadixSort|MedianMAD|FlowTable
 # Total-coverage floor for `make cover`, in percent. Set from the measured
 # coverage at the last raise (85.1% when the golden-fixture and fuzz tests

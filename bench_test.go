@@ -72,12 +72,27 @@ func BenchmarkTable1(b *testing.B) {
 // --- Component benches ---------------------------------------------------
 
 // BenchmarkGenerateDay measures synthetic archive-day generation: one
-// sequential loop over the background windows, then the anomaly injections
-// and the timestamp sort.
+// sequential loop over the background windows into rows sized once for the
+// packet budget, then the anomaly injections and the timestamp sort, a byte
+// radix sort linear in the packets. BenchmarkGenerateDayStream times days
+// thirteen times longer, where a sort worse than linear would show.
 func BenchmarkGenerateDay(b *testing.B) {
+	benchGenerateDays(b, benchArchive())
+}
+
+// BenchmarkGenerateDayStream generates days of the shape cmd/mawibench's
+// stream_sliding corpus labels: 600 s at a base rate of 300 pps, about
+// 0.27 M packets a day.
+func BenchmarkGenerateDayStream(b *testing.B) {
+	arch := benchArchive()
+	arch.Duration, arch.BaseRate = 600, 300
+	benchGenerateDays(b, arch)
+}
+
+// benchGenerateDays generates one archive day per iteration, a day apart.
+func benchGenerateDays(b *testing.B, arch *mawigen.Archive) {
 	b.ReportAllocs()
 	d := time.Date(2004, 5, 10, 0, 0, 0, 0, time.UTC)
-	arch := benchArchive()
 	for i := 0; i < b.N; i++ {
 		res := arch.Day(d.AddDate(0, 0, i%300))
 		if res.Trace.Len() == 0 {

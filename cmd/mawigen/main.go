@@ -5,11 +5,15 @@
 // it decodes to that index and its digest; the stderr summary counts packets,
 // flows and duration from the same index.
 //
+// The -truth table goes to stdout, or to stderr when the pcap does (-out -),
+// so that stdout is always one or the other whole.
+//
 // Usage:
 //
 //	mawigen -date 2004-05-10 -out day.pcap          # archive day (worm era!)
 //	mawigen -seed 7 -duration 120 -rate 500 -out -  # custom trace to stdout
 //	mawigen -date 2003-09-01 -truth                 # print ground truth only
+//	mawigen -date 2003-09-01 -truth -out -          # pcap to stdout, truth to stderr
 package main
 
 import (
@@ -55,8 +59,13 @@ func main() {
 		res.Trace.Name, ix.Len(), ix.Flows(), ix.Duration(), len(res.Truth))
 
 	if *truth {
+		// Stdout carries the pcap under -out -, so the table goes to stderr.
+		tw := os.Stdout
+		if *out == "-" {
+			tw = os.Stderr
+		}
 		for _, ev := range res.Truth {
-			fmt.Printf("%-10s [%6.1f,%6.1f) %6d pkts  %s\n", ev.Kind, ev.Start, ev.End, ev.Packets, ev.Description)
+			fmt.Fprintf(tw, "%-10s [%6.1f,%6.1f) %6d pkts  %s\n", ev.Kind, ev.Start, ev.End, ev.Packets, ev.Description)
 		}
 	}
 

@@ -30,6 +30,16 @@ func TestPublicErrorsMatch(t *testing.T) {
 		t.Errorf("DecodePcap: error = %v, want ErrUnsorted", err)
 	}
 
+	// A negative timestamp has no pcap record; WritePcap refuses it whole.
+	var negPcap bytes.Buffer
+	negative := &mawilab.Trace{Packets: []mawilab.Packet{
+		{TS: -1, Proto: 6, Len: 40},
+		{TS: -1, Proto: 6, Len: 40},
+	}}
+	if err := mawilab.WritePcap(&negPcap, negative); !errors.Is(err, mawilab.ErrUnsorted) || negPcap.Len() != 0 {
+		t.Errorf("WritePcap at TS -1: error = %v after %d bytes, want ErrUnsorted and none", err, negPcap.Len())
+	}
+
 	packets := make(chan mawilab.Packet, len(reversed.Packets))
 	for _, p := range reversed.Packets {
 		packets <- p

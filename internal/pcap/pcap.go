@@ -132,12 +132,18 @@ func putRecord(rec []byte, ts int64, src, dst trace.IPv4, srcPort, dstPort, pktL
 // WriteTrace writes tr's packets, in their order, to w as the payload-stripped
 // file EncodeIndex returns, in one Write: for a sorted trace it is
 // EncodeIndex(trace.NewIndex(tr)) byte for byte, and any other row order is
-// written as given.
+// written as given. A negative timestamp has no record form — its
+// microsecond field would wrap past a second — so it fails with an error
+// wrapping trace.ErrUnsorted, as IndexBuilder.Add does, and nothing is
+// written.
 func WriteTrace(w io.Writer, tr *trace.Trace) error {
 	buf := make([]byte, globalHeaderLen, globalHeaderLen+(recordHeaderLen+strippedSnaplen)*tr.Len())
 	putGlobalHeader(buf)
 	for i := range tr.Packets {
 		p := &tr.Packets[i]
+		if p.TS < 0 {
+			return fmt.Errorf("pcap: packet %d: %w: negative timestamp %d", i, trace.ErrUnsorted, p.TS)
+		}
 		off := len(buf)
 		buf = buf[:off+recordHeaderLen+frameLen(p.Proto, p.Len)]
 		putRecord(buf[off:], p.TS, p.Src, p.Dst, p.SrcPort, p.DstPort, p.Len, p.Proto, p.Flags)
@@ -294,23 +300,18 @@ func (r *Reader) readRecordHeader() error {
 // is genuine signal and survives the round trip, while the absolute epoch
 // does not leak into the relative timeline. A record whose origlen is below
 // its caplen is an error: a capture is never longer than the packet on the
-// wire, and every record this package writes says so.
+// wire, and every record this package writes says so. So is a sub-second
+// field of a whole second or more, which would read as a later second.
 func (r *Reader) Next() (trace.Packet, error) {
 	var p trace.Packet
 	if err := r.readRecordHeader(); err != nil {
 		return p, err
 	}
+	abs, err := r.recordTS()
+	if err != nil {
+		return p, err
+	}
 	hdr := r.hdrBuf[:]
-	sec := int64(r.order.Uint32(hdr[0:]))
-	sub := int64(r.order.Uint32(hdr[4:]))
-	if r.nanos {
-		sub /= 1000
-	}
-	abs := sec*1e6 + sub
-	if !r.haveBase {
-		r.baseTS = sec * 1e6 // second boundary, keeping sub-second offset
-		r.haveBase = true
-	}
 	// Both lengths stay uint32 until bounded: as an int, an origlen of 2³¹
 	// or more would turn negative wherever int is 32 bits wide.
 	caplen, origlen := r.order.Uint32(hdr[8:]), r.order.Uint32(hdr[12:])
@@ -334,6 +335,29 @@ func (r *Reader) Next() (trace.Packet, error) {
 		return p, err
 	}
 	return p, nil
+}
+
+// recordTS returns the absolute timestamp, in microseconds, of the record
+// header in r.hdrBuf, after checking that its sub-second field is below one
+// second, and takes the first record's second as the rebase boundary.
+func (r *Reader) recordTS() (int64, error) {
+	sec := int64(r.order.Uint32(r.hdrBuf[0:]))
+	sub := int64(r.order.Uint32(r.hdrBuf[4:]))
+	perSec := int64(1e6)
+	if r.nanos {
+		perSec = 1e9
+	}
+	if sub >= perSec {
+		return 0, fmt.Errorf("pcap: sub-second field %d is a second or more", sub)
+	}
+	if r.nanos {
+		sub /= 1000
+	}
+	if !r.haveBase {
+		r.baseTS = sec * 1e6 // second boundary, keeping sub-second offset
+		r.haveBase = true
+	}
+	return sec*1e6 + sub, nil
 }
 
 // decodeFrame parses Ethernet/IPv4/transport headers into p.

@@ -238,6 +238,43 @@ func TestTruncatedRecordErrors(t *testing.T) {
 	}
 }
 
+// TestSubSecondFieldRejected: a record whose sub-second field is a whole
+// second or more — 10⁶ under the microsecond magic, 10⁹ under the nanosecond
+// one — fails Next, from memory and through a bufio.Reader alike, instead of
+// reading back as a later second; the largest valid field reads.
+func TestSubSecondFieldRejected(t *testing.T) {
+	frame := fullFrameBytes(t, []trace.Packet{{Proto: trace.UDP, Len: 60}})[globalHeaderLen+recordHeaderLen:]
+	header := func(magic uint32) []byte {
+		h := make([]byte, globalHeaderLen)
+		putGlobalHeader(h)
+		binary.LittleEndian.PutUint32(h, magic)
+		return h
+	}
+	for _, c := range []struct {
+		magic uint32
+		sub   uint32
+		ok    bool
+	}{
+		{magicMicros, 999_999, true},
+		{magicMicros, 1_000_000, false},
+		{magicMicros, 4_294_967_295, false},
+		{0xa1b23c4d, 999_999_999, true},
+		{0xa1b23c4d, 1_000_000_000, false},
+	} {
+		data := append(header(c.magic), rawRecord(7, c.sub, uint32(len(frame)), frame)...)
+		for _, src := range []io.Reader{bytes.NewReader(data), bufio.NewReader(bytes.NewReader(data))} {
+			r, err := NewReader(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = r.Next()
+			if (err == nil) != c.ok {
+				t.Errorf("magic %#x, sub-second field %d (%T): Next error %v, want ok=%v", c.magic, c.sub, src, err, c.ok)
+			}
+		}
+	}
+}
+
 // TestWritersAllocateNothingPerPacket: WriteTrace and EncodeIndex each make
 // the file and nothing else — one allocation whatever the packet count.
 func TestWritersAllocateNothingPerPacket(t *testing.T) {

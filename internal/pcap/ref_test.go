@@ -99,17 +99,11 @@ func (r *copyingReader) Next() (trace.Packet, error) {
 	if err := r.readRecordHeader(); err != nil {
 		return p, err
 	}
+	abs, err := r.recordTS()
+	if err != nil {
+		return p, err
+	}
 	hdr := r.hdrBuf[:]
-	sec := int64(r.order.Uint32(hdr[0:]))
-	sub := int64(r.order.Uint32(hdr[4:]))
-	if r.nanos {
-		sub /= 1000
-	}
-	abs := sec*1e6 + sub
-	if !r.haveBase {
-		r.baseTS = sec * 1e6
-		r.haveBase = true
-	}
 	caplen32, origlen := r.order.Uint32(hdr[8:]), r.order.Uint32(hdr[12:])
 	if caplen32 > 1<<20 {
 		return p, fmt.Errorf("pcap: implausible caplen %d", caplen32)

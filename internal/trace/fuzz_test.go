@@ -92,6 +92,36 @@ func fuzzBytes(ps []Packet) []byte {
 	return buf
 }
 
+// FuzzTraceSort pins Trace.Sort to the stable comparison sort over
+// arbitrary rows: each 9-byte record is a mode byte and eight value bytes,
+// and the mode picks the timestamp from the whole int64 range, from a few
+// small signed values (ties and negatives), or next to math.MinInt64 or
+// math.MaxInt64. Every row carries its arrival position, so a lost tie order
+// shows in the other fields.
+func FuzzTraceSort(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8})
+	f.Add(bytes.Repeat([]byte{1, 0xff, 0, 0, 0, 0, 0, 0, 0, 1, 1, 0, 0, 0, 0, 0, 0, 0}, 10))
+	f.Add([]byte{2, 0, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0x80})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var ts []int64
+		for ; len(data) >= 9; data = data[9:] {
+			v := binary.LittleEndian.Uint64(data[1:])
+			switch data[0] % 4 {
+			case 0:
+				ts = append(ts, int64(v))
+			case 1:
+				ts = append(ts, int64(int8(v)))
+			case 2:
+				ts = append(ts, math.MinInt64+int64(uint8(v)))
+			default:
+				ts = append(ts, math.MaxInt64-int64(uint8(v)))
+			}
+		}
+		checkSort(t, tagged(ts...))
+	})
+}
+
 // FuzzIndexBuilder is the differential that keeps the one production index
 // builder honest now that the map-based build lives only in index_test.go:
 // arbitrary bytes become packets; in arrival order the builder must accept

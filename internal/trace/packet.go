@@ -75,7 +75,7 @@ func (f TCPFlags) String() string {
 }
 
 // Packet is one captured packet header. The layout is deliberately compact
-// (32 bytes) because experiment harnesses hold tens of millions of packets
+// (24 bytes) because experiment harnesses hold tens of millions of packets
 // in memory at once.
 //
 // TS is the capture timestamp in microseconds since the start of the trace.

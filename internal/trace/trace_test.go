@@ -2,6 +2,7 @@ package trace
 
 import (
 	"cmp"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -44,6 +45,107 @@ func TestTraceSortAndSorted(t *testing.T) {
 	}
 	if tr.Packets[0].TS != 100 || tr.Packets[2].TS != 300 {
 		t.Errorf("sort order wrong: %v", tr.Packets)
+	}
+}
+
+// refSort is the comparison sort Trace.Sort replaced: a stable merge sort on
+// the timestamp. Trace.Sort must leave every row where it leaves it.
+func refSort(ps []Packet) {
+	slices.SortStableFunc(ps, func(a, b Packet) int { return cmp.Compare(a.TS, b.TS) })
+}
+
+// tagged returns one row per timestamp, each carrying its arrival position in
+// Src and Len, so that a sort that loses stability moves a visible field.
+func tagged(ts ...int64) []Packet {
+	ps := make([]Packet, len(ts))
+	for i, v := range ts {
+		ps[i] = Packet{TS: v, Src: IPv4(i), Len: uint16(i), Proto: TCP}
+	}
+	return ps
+}
+
+// checkSort sorts a copy of ps with Trace.Sort and one with refSort and
+// requires the same rows, field by field, in the same order.
+func checkSort(t *testing.T, ps []Packet) {
+	t.Helper()
+	want := slices.Clone(ps)
+	refSort(want)
+	tr := &Trace{Packets: slices.Clone(ps)}
+	tr.Sort()
+	if len(tr.Packets) != len(want) {
+		t.Fatalf("Sort left %d rows, want %d", len(tr.Packets), len(want))
+	}
+	for i := range want {
+		if tr.Packets[i] != want[i] {
+			t.Fatalf("row %d of %d = %+v, reference %+v", i, len(want), tr.Packets[i], want[i])
+		}
+	}
+}
+
+// TestTraceSortMatchesReference pins Trace.Sort, a radix sort, to the stable
+// comparison sort on whole rows: ties keep their arrival order, negative
+// timestamps and the int64 extremes order as numbers, and keys that differ
+// in one byte — one radix pass, so the rows end in the scratch slice and are
+// copied back — sort as well as keys that differ in many.
+func TestTraceSortMatchesReference(t *testing.T) {
+	reversed := make([]int64, 1000)
+	for i := range reversed {
+		reversed[i] = int64(len(reversed)-i) * 1000
+	}
+	rng := rand.New(rand.NewSource(1))
+	random := make([]int64, 5000)
+	for i := range random {
+		random[i] = rng.Int63n(600e6) // a 10-minute day, four varying bytes
+	}
+	ties := make([]int64, 3000)
+	for i := range ties {
+		ties[i] = int64(rng.Intn(7))
+	}
+	var oneByte []int64
+	for shift := 0; shift < 64; shift += 8 {
+		for _, b := range []int64{3, 1, 2, 1, 0} {
+			oneByte = append(oneByte, 0x0102030405060708&^(0xff<<shift)|b<<shift)
+		}
+	}
+	cases := []struct {
+		name string
+		ts   []int64
+	}{
+		{"empty", nil},
+		{"one row", []int64{42}},
+		{"equal timestamps", []int64{5, 5, 5, 5, 5}},
+		{"ties among unsorted", []int64{2, 1, 2, 1, 2, 0, 1}},
+		{"negative", []int64{3, -1, 0, -1, -300, 2, -2}},
+		{"int64 extremes", []int64{math.MaxInt64, 0, math.MinInt64, -1, 1, math.MaxInt64, math.MinInt64}},
+		{"sign bit only", []int64{0, math.MinInt64, 0, math.MinInt64}},
+		{"differ in one byte", oneByte},
+		{"reversed", reversed},
+		{"random day", random},
+		{"many ties", ties},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) { checkSort(t, tagged(c.ts...)) })
+	}
+	// Each single byte position on its own: every shift is one pass.
+	for shift := 0; shift < 64; shift += 8 {
+		var ts []int64
+		for _, b := range []uint64{0x80, 0x01, 0xff, 0x00, 0x01} {
+			ts = append(ts, int64(b<<shift))
+		}
+		checkSort(t, tagged(ts...))
+	}
+}
+
+// TestTraceSortSortedAllocatesNothing: rows that are already in order come
+// back from the first read-only pass, with no scratch slice.
+func TestTraceSortSortedAllocatesNothing(t *testing.T) {
+	tr := buildTrace(2000, 3)
+	tr.Packets[10].TS = tr.Packets[11].TS // a tie keeps it sorted
+	if allocs := testing.AllocsPerRun(20, tr.Sort); allocs != 0 {
+		t.Errorf("Sort of sorted rows: %v allocs/op, want 0", allocs)
+	}
+	if !sortedTS(tr) {
+		t.Error("sorted rows left unsorted")
 	}
 }
 

@@ -176,7 +176,8 @@ func ReadPcap(r io.Reader) (*Trace, error) { return pcap.ReadTrace(r) }
 
 // WritePcap serializes a Trace, rows in their order, as the payload-stripped
 // classic pcap stream EncodePcap writes: for a sorted trace it is the bytes
-// of EncodePcap of the trace's index.
+// of EncodePcap of the trace's index. A packet with a negative timestamp
+// fails it with ErrUnsorted before anything is written.
 func WritePcap(w io.Writer, tr *Trace) error { return pcap.WriteTrace(w, tr) }
 
 // DecodePcap decodes a classic pcap stream straight into a columnar Index —
@@ -315,7 +316,7 @@ var (
 var (
 	// ErrUnsorted rejects packets out of timestamp order or with a negative
 	// timestamp, from DecodePcap, SealTrace, the Run entry points and
-	// RunStream.
+	// RunStream; WritePcap rejects a negative timestamp with it.
 	ErrUnsorted = trace.ErrUnsorted
 	// ErrSegmentLength rejects a NaN, infinite or overflowing segment length
 	// passed to Segments.

@@ -860,6 +860,8 @@ func thName(th float64) string {
 // flows query paid on every cache miss until the flow table got a file of
 // its own, and still pays for an entry without one (BenchmarkFlowTable/decode
 // is the miss now); its MB/s is over the smaller file, so compare ns/op.
+// digest is Index.Digest of the decoded day: with the decode, what admission
+// pays for every upload before the label store can say it is known.
 func BenchmarkIngest(b *testing.B) {
 	b.ReportAllocs()
 	day := benchTrace(b)
@@ -894,6 +896,16 @@ func BenchmarkIngest(b *testing.B) {
 	}
 	b.Run("fused", fused(data))
 	b.Run("stored", fused(stripped))
+	b.Run("digest", func(b *testing.B) {
+		b.ReportAllocs()
+		ix := trace.NewIndex(day)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if len(ix.Digest()) != 64 {
+				b.Fatal("bad digest")
+			}
+		}
+	})
 	b.Run("reference", func(b *testing.B) {
 		b.ReportAllocs()
 		b.SetBytes(int64(len(data)))

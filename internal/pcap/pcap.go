@@ -15,11 +15,11 @@ package pcap
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 
 	"mawilab/internal/trace"
 )
@@ -198,98 +198,62 @@ func WriteIndex(w io.Writer, ix *trace.Index) error {
 // longest IPv4 header (IHL 15) and a TCP header.
 const maxHeaderLen = etherHeaderLen + 15*4 + tcpHeaderLen
 
+// minBufferLen is the smallest buffer Next can parse a record in: its header
+// and the longest frame prefix decodeFrame reads.
+const minBufferLen = recordHeaderLen + maxHeaderLen
+
 // Reader decodes a classic pcap stream back into trace packets.
 type Reader struct {
-	r        io.Reader // a *bufio.Reader or a *bytes.Reader: what skip can skip on
-	order    binary.ByteOrder
+	br       *bufio.Reader
+	swapped  bool // the file is big-endian: every header field is byte-swapped
 	nanos    bool
 	baseTS   int64 // second boundary of the first packet, absolute micros
 	haveBase bool
-	hdrBuf   [recordHeaderLen]byte
-	frameBuf [maxHeaderLen]byte
 }
 
 // NewReader validates the global header and returns a Reader. Both byte
-// orders and both microsecond/nanosecond magics are accepted. Unless r is
-// already memory (*bytes.Reader) or buffered (*bufio.Reader) the Reader
-// buffers it — Next issues two small reads and a skip per packet, each a
-// system call on a file or a request body — and so may consume r beyond the
-// records it has returned.
+// orders and both microsecond/nanosecond magics are accepted. The Reader
+// reads through a bufio.Reader — r itself when r is one of at least
+// minBufferLen bytes, else a 64 KiB buffer of its own around r, a
+// *bytes.Reader included — and so may consume r beyond the records it has
+// returned. Next parses each record where the buffer holds it.
 func NewReader(r io.Reader) (*Reader, error) {
-	switch r.(type) {
-	case *bufio.Reader, *bytes.Reader:
-	default:
-		r = bufio.NewReaderSize(r, 64<<10)
+	br, ok := r.(*bufio.Reader)
+	if !ok || br.Size() < minBufferLen {
+		br = bufio.NewReaderSize(r, 64<<10)
 	}
-	hdr := make([]byte, globalHeaderLen)
-	if _, err := io.ReadFull(r, hdr); err != nil {
+	var hdr [globalHeaderLen]byte
+	if _, err := io.ReadFull(br, hdr[:]); err != nil {
 		return nil, fmt.Errorf("pcap: reading global header: %w", err)
 	}
-	var order binary.ByteOrder
-	nanos := false
+	pr := &Reader{br: br}
 	switch binary.LittleEndian.Uint32(hdr[0:]) {
 	case magicMicros:
-		order = binary.LittleEndian
 	case 0xa1b23c4d:
-		order = binary.LittleEndian
-		nanos = true
+		pr.nanos = true
 	default:
 		switch binary.BigEndian.Uint32(hdr[0:]) {
 		case magicMicros:
-			order = binary.BigEndian
 		case 0xa1b23c4d:
-			order = binary.BigEndian
-			nanos = true
+			pr.nanos = true
 		default:
 			return nil, ErrNotPcap
 		}
+		pr.swapped = true
 	}
-	if lt := order.Uint32(hdr[20:]); lt != linkTypeEther {
+	if lt := pr.uint32(hdr[20:]); lt != linkTypeEther {
 		return nil, fmt.Errorf("pcap: unsupported link type %d (want Ethernet)", lt)
 	}
-	return &Reader{r: r, order: order, nanos: nanos}, nil
+	return pr, nil
 }
 
-// skip moves past the next n bytes of the stream without copying them. A
-// stream that ends first is io.ErrUnexpectedEOF: skip only runs after part
-// of the record has been read.
-func (r *Reader) skip(n int) error {
-	switch s := r.r.(type) {
-	case *bufio.Reader:
-		_, err := s.Discard(n)
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return err
-	case *bytes.Reader:
-		if s.Len() < n {
-			return io.ErrUnexpectedEOF
-		}
-		s.Seek(int64(n), io.SeekCurrent) // in bounds: cannot fail
+// uint32 reads a header field in the file's byte order.
+func (r *Reader) uint32(b []byte) uint32 {
+	v := binary.LittleEndian.Uint32(b)
+	if r.swapped {
+		v = bits.ReverseBytes32(v)
 	}
-	return nil
-}
-
-// readRecordHeader fills r.hdrBuf. Only here may the stream end: a source
-// that reports io.EOF, before the header or part way into it (a file cut
-// mid-header), ends it with io.EOF. Any other source error is returned,
-// io.ErrUnexpectedEOF included — it is how a request body that stops short
-// of its Content-Length ends, and the records read so far are not the trace
-// that was sent.
-func (r *Reader) readRecordHeader() error {
-	for n := 0; n < len(r.hdrBuf); {
-		m, err := r.r.Read(r.hdrBuf[n:])
-		if n += m; n == len(r.hdrBuf) {
-			break
-		}
-		if err == io.EOF {
-			return io.EOF
-		}
-		if err != nil {
-			return fmt.Errorf("pcap: reading record header: %w", err)
-		}
-	}
-	return nil
+	return v
 }
 
 // Next returns the next packet, or io.EOF at the end of the stream.
@@ -302,47 +266,81 @@ func (r *Reader) readRecordHeader() error {
 // its caplen is an error: a capture is never longer than the packet on the
 // wire, and every record this package writes says so. So is a sub-second
 // field of a whole second or more, which would read as a later second.
+//
+// The record header and the frame prefix decodeFrame reads are parsed where
+// the buffer holds them (one Peek for both, unless the buffer must first be
+// refilled to hold the prefix), and the whole record is then
+// discarded: nothing is copied, and the payload of a full-frame capture —
+// nine bytes in ten — is never looked at. Only the record header may end the
+// stream: a source that reports io.EOF before or part way into it (a file
+// cut mid-header) ends it with io.EOF. Any other source error is returned,
+// io.ErrUnexpectedEOF included — it is how a request body that stops short
+// of its Content-Length ends, and the records read so far are not the trace
+// that was sent. A frame cut short is an error wrapping io.EOF when none of
+// it arrived and io.ErrUnexpectedEOF when part of it did.
 func (r *Reader) Next() (trace.Packet, error) {
 	var p trace.Packet
-	if err := r.readRecordHeader(); err != nil {
-		return p, err
-	}
-	abs, err := r.recordTS()
-	if err != nil {
-		return p, err
-	}
-	hdr := r.hdrBuf[:]
-	// Both lengths stay uint32 until bounded: as an int, an origlen of 2³¹
-	// or more would turn negative wherever int is 32 bits wide.
-	caplen, origlen := r.order.Uint32(hdr[8:]), r.order.Uint32(hdr[12:])
-	if caplen > 1<<20 {
-		return p, fmt.Errorf("pcap: implausible caplen %d", caplen)
-	}
-	if origlen < caplen {
-		return p, fmt.Errorf("pcap: origlen %d below caplen %d", origlen, caplen)
-	}
-	// Only the headers are parsed, so only they are copied; the payload of a
-	// full-frame capture — nine bytes in ten — is skipped where it lies.
-	frame := r.frameBuf[:min(int(caplen), maxHeaderLen)]
-	if _, err := io.ReadFull(r.r, frame); err != nil {
-		return p, fmt.Errorf("pcap: truncated record: %w", err)
-	}
-	if err := r.skip(int(caplen) - len(frame)); err != nil {
-		return p, fmt.Errorf("pcap: truncated record: %w", err)
-	}
-	p.TS = abs - r.baseTS
-	if err := decodeFrame(frame, origlen, &p); err != nil {
-		return p, err
-	}
-	return p, nil
+	err := r.next(&p)
+	return p, err
 }
 
-// recordTS returns the absolute timestamp, in microseconds, of the record
-// header in r.hdrBuf, after checking that its sub-second field is below one
-// second, and takes the first record's second as the rebase boundary.
-func (r *Reader) recordTS() (int64, error) {
-	sec := int64(r.order.Uint32(r.hdrBuf[0:]))
-	sub := int64(r.order.Uint32(r.hdrBuf[4:]))
+// next is Next into *p, which it overwrites whole: the loops that ingest a
+// stream (DecodeIndex, ReadTrace) reuse one Packet rather than copy each out
+// of a return value.
+func (r *Reader) next(p *trace.Packet) error {
+	// Whatever of the record the buffer already holds, up to the header and
+	// the longest prefix, and at least the header: a Peek that reads the
+	// source only when the header is not all there.
+	rec, err := r.br.Peek(max(recordHeaderLen, min(r.br.Buffered(), minBufferLen)))
+	if err != nil {
+		if err == io.EOF {
+			return io.EOF
+		}
+		return fmt.Errorf("pcap: reading record header: %w", err)
+	}
+	abs, err := r.recordTS(rec)
+	if err != nil {
+		return err
+	}
+	// Both lengths stay uint32 until bounded: as an int, an origlen of 2³¹
+	// or more would turn negative wherever int is 32 bits wide.
+	caplen, origlen := r.uint32(rec[8:]), r.uint32(rec[12:])
+	if caplen > 1<<20 {
+		return fmt.Errorf("pcap: implausible caplen %d", caplen)
+	}
+	if origlen < caplen {
+		return fmt.Errorf("pcap: origlen %d below caplen %d", origlen, caplen)
+	}
+	need := recordHeaderLen + min(int(caplen), maxHeaderLen)
+	if len(rec) < need {
+		if rec, err = r.br.Peek(need); err != nil {
+			return truncated(len(rec) > recordHeaderLen, err)
+		}
+	}
+	*p = trace.Packet{TS: abs - r.baseTS}
+	decodeErr := decodeFrame(rec[recordHeaderLen:need], origlen, p)
+	if n, err := r.br.Discard(recordHeaderLen + int(caplen)); err != nil {
+		return truncated(n > recordHeaderLen, err)
+	}
+	return decodeErr
+}
+
+// truncated is the error of a record whose frame the stream cut short, as
+// io.ReadFull reports it: io.EOF becomes io.ErrUnexpectedEOF once part of the
+// frame has arrived.
+func truncated(partial bool, err error) error {
+	if partial && err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
+	return fmt.Errorf("pcap: truncated record: %w", err)
+}
+
+// recordTS returns the absolute timestamp, in microseconds, of a record
+// header, after checking that its sub-second field is below one second, and
+// takes the first record's second as the rebase boundary.
+func (r *Reader) recordTS(hdr []byte) (int64, error) {
+	sec := int64(r.uint32(hdr[0:]))
+	sub := int64(r.uint32(hdr[4:]))
 	perSec := int64(1e6)
 	if r.nanos {
 		perSec = 1e9
@@ -418,8 +416,9 @@ func ReadTrace(r io.Reader) (*trace.Trace, error) {
 		return nil, err
 	}
 	tr := &trace.Trace{}
+	var p trace.Packet
 	for {
-		p, err := pr.Next()
+		err := pr.next(&p)
 		if err == io.EOF {
 			break
 		}
@@ -450,8 +449,9 @@ func DecodeIndex(r io.Reader) (*trace.Index, error) {
 		return nil, err
 	}
 	b := trace.NewIndexBuilder()
+	var p trace.Packet
 	for {
-		p, err := pr.Next()
+		err := pr.next(&p)
 		if err == io.EOF {
 			break
 		}

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"testing"
@@ -26,30 +27,57 @@ func drain(next func() (trace.Packet, error)) ([]trace.Packet, error) {
 	}
 }
 
+// bufferSizes are the caller bufio.Reader sizes the Reader is fed through:
+// bufio's smallest, around one stripped record (70 bytes), around the largest
+// header plus frame prefix it parses (minBufferLen, 110 bytes: a buffer below
+// it is wrapped in one of the Reader's own, one at or above it is read
+// directly) and bufio's usual 64 KiB.
+var bufferSizes = []int{16, 69, 70, 71, minBufferLen - 1, minBufferLen, minBufferLen + 1, 64 << 10}
+
+// source is one way of handing a stream to NewReader.
+type source struct {
+	name string
+	r    io.Reader
+}
+
+// readerSources returns base's bytes as every kind of source the Reader
+// meets: memory, a reader that yields one byte per Read, and a caller's
+// bufio.Reader of each of bufferSizes — also one of minBufferLen over
+// one-byte reads, which refills mid-record. base must return a fresh reader
+// over the same stream on each call.
+func readerSources(base func() io.Reader) []source {
+	given := base()
+	srcs := []source{
+		{fmt.Sprintf("%T", given), given},
+		{"one byte", iotest.OneByteReader(base())},
+		{fmt.Sprintf("bufio.Reader(%d) over one byte", minBufferLen), bufio.NewReaderSize(iotest.OneByteReader(base()), minBufferLen)},
+	}
+	for _, size := range bufferSizes {
+		srcs = append(srcs, source{fmt.Sprintf("bufio.Reader(%d)", size), bufio.NewReaderSize(base(), size)})
+	}
+	return srcs
+}
+
 // checkReaderEquivalence reads data with the copying reference and with the
-// skipping Reader over each kind of source it distinguishes — memory, a
-// caller's bufio.Reader, and anything else (buffered by NewReader, here fed
-// one byte per Read) — and requires the same packets and the same error: the
-// same text, and the same io.EOF / io.ErrUnexpectedEOF identity.
+// Reader over every source of readerSources, and requires the same packets
+// and the same error: the same text, and the same io.EOF / io.ErrUnexpectedEOF
+// identity.
 func checkReaderEquivalence(t testing.TB, data []byte) {
 	t.Helper()
 	ref, refErr := newCopyingReader(bytes.NewReader(data))
-	sources := map[string]io.Reader{
-		"bytes.Reader": bytes.NewReader(data),
-		"bufio.Reader": bufio.NewReaderSize(bytes.NewReader(data), 16),
-		"io.Reader":    iotest.OneByteReader(bytes.NewReader(data)),
-	}
+	sources := readerSources(func() io.Reader { return bytes.NewReader(data) })
 	if refErr != nil {
-		for name, src := range sources {
-			if _, err := NewReader(src); err == nil || err.Error() != refErr.Error() {
-				t.Fatalf("%s: NewReader = %v, reference %v", name, err, refErr)
+		for _, src := range sources {
+			if _, err := NewReader(src.r); err == nil || err.Error() != refErr.Error() {
+				t.Fatalf("%s: NewReader = %v, reference %v", src.name, err, refErr)
 			}
 		}
 		return
 	}
 	want, wantErr := drain(ref.Next)
-	for name, src := range sources {
-		r, err := NewReader(src)
+	for _, src := range sources {
+		name := src.name
+		r, err := NewReader(src.r)
 		if err != nil {
 			t.Fatalf("%s: NewReader: %v", name, err)
 		}
@@ -194,7 +222,8 @@ func recordOffsets(data []byte) []int {
 // falls in the parsed prefix or in the skipped payload. Only a source that
 // reports io.EOF ends a stream: one that fails instead, as a request body cut
 // short of its Content-Length fails with io.ErrUnexpectedEOF, is an error at
-// a record boundary and inside a record header alike.
+// a record boundary and inside a record header alike. Every source of
+// readerSources must agree.
 func TestTruncatedRecordErrors(t *testing.T) {
 	data := fullFrameBytes(t, []trace.Packet{{Proto: trace.TCP, Len: 1000}})
 	frameStart := globalHeaderLen + recordHeaderLen
@@ -208,31 +237,31 @@ func TestTruncatedRecordErrors(t *testing.T) {
 		{frameStart + maxHeaderLen, io.ErrUnexpectedEOF},
 		{len(data) - 1, io.ErrUnexpectedEOF},
 	} {
-		for _, src := range []io.Reader{
-			bytes.NewReader(data[:c.cut]),
-			bufio.NewReader(bytes.NewReader(data[:c.cut])),
-		} {
-			r, err := NewReader(src)
+		for _, src := range readerSources(func() io.Reader { return bytes.NewReader(data[:c.cut]) }) {
+			r, err := NewReader(src.r)
 			if err != nil {
 				t.Fatal(err)
 			}
 			_, err = r.Next()
 			if !errors.Is(err, c.want) {
-				t.Errorf("cut at %d (%T): got %v, want %v", c.cut, src, err, c.want)
+				t.Errorf("cut at %d (%s): got %v, want %v", c.cut, src.name, err, c.want)
 			}
 			if headerCut := c.cut < frameStart; (err == io.EOF) != headerCut {
-				t.Errorf("cut at %d (%T): bare io.EOF = %v, want %v", c.cut, src, err == io.EOF, headerCut)
+				t.Errorf("cut at %d (%s): bare io.EOF = %v, want %v", c.cut, src.name, err == io.EOF, headerCut)
 			}
 		}
 	}
 	for _, cut := range []int{globalHeaderLen, globalHeaderLen + 5} {
 		for _, srcErr := range []error{io.ErrUnexpectedEOF, errors.New("connection reset")} {
-			r, err := NewReader(io.MultiReader(bytes.NewReader(data[:cut]), iotest.ErrReader(srcErr)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := r.Next(); err == io.EOF || !errors.Is(err, srcErr) {
-				t.Errorf("source failing with %v after %d bytes: got %v, want that error", srcErr, cut, err)
+			failing := func() io.Reader { return io.MultiReader(bytes.NewReader(data[:cut]), iotest.ErrReader(srcErr)) }
+			for _, src := range readerSources(failing) {
+				r, err := NewReader(src.r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := r.Next(); err == io.EOF || !errors.Is(err, srcErr) {
+					t.Errorf("%s failing with %v after %d bytes: got %v, want that error", src.name, srcErr, cut, err)
+				}
 			}
 		}
 	}

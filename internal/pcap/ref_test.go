@@ -78,11 +78,13 @@ func refWriteIndex(w io.Writer, ix *trace.Index) error {
 	return nil
 }
 
-// copyingReader is the Reader as it was before it skipped payloads: Next
-// copies every captured byte of a record into a buffer and parses that. The
-// skipping Reader must return its packets and its errors.
+// copyingReader is the Reader as it was before it parsed records in its
+// buffer: Next fills a record header with reads of its own, then copies every
+// captured byte of the record into a buffer and parses that. The Reader must
+// return its packets and its errors.
 type copyingReader struct {
 	*Reader
+	hdrBuf    [recordHeaderLen]byte
 	recordBuf []byte
 }
 
@@ -94,17 +96,36 @@ func newCopyingReader(r io.Reader) (*copyingReader, error) {
 	return &copyingReader{Reader: pr, recordBuf: make([]byte, 0, 2048)}, nil
 }
 
+// readRecordHeader fills r.hdrBuf. Only here may the stream end: a source
+// that reports io.EOF, before the header or part way into it, ends it with
+// io.EOF. Any other source error is returned, io.ErrUnexpectedEOF included.
+func (r *copyingReader) readRecordHeader() error {
+	for n := 0; n < len(r.hdrBuf); {
+		m, err := r.br.Read(r.hdrBuf[n:])
+		if n += m; n == len(r.hdrBuf) {
+			break
+		}
+		if err == io.EOF {
+			return io.EOF
+		}
+		if err != nil {
+			return fmt.Errorf("pcap: reading record header: %w", err)
+		}
+	}
+	return nil
+}
+
 func (r *copyingReader) Next() (trace.Packet, error) {
 	var p trace.Packet
 	if err := r.readRecordHeader(); err != nil {
 		return p, err
 	}
-	abs, err := r.recordTS()
+	hdr := r.hdrBuf[:]
+	abs, err := r.recordTS(hdr)
 	if err != nil {
 		return p, err
 	}
-	hdr := r.hdrBuf[:]
-	caplen32, origlen := r.order.Uint32(hdr[8:]), r.order.Uint32(hdr[12:])
+	caplen32, origlen := r.uint32(hdr[8:]), r.uint32(hdr[12:])
 	if caplen32 > 1<<20 {
 		return p, fmt.Errorf("pcap: implausible caplen %d", caplen32)
 	}
@@ -116,7 +137,7 @@ func (r *copyingReader) Next() (trace.Packet, error) {
 		r.recordBuf = make([]byte, max(caplen, 2*cap(r.recordBuf), 2048))
 	}
 	frame := r.recordBuf[:caplen]
-	if _, err := io.ReadFull(r.r, frame); err != nil {
+	if _, err := io.ReadFull(r.br, frame); err != nil {
 		return p, fmt.Errorf("pcap: truncated record: %w", err)
 	}
 	p.TS = abs - r.baseTS

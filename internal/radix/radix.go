@@ -39,7 +39,13 @@ const small = 256
 // the other holds leftovers: use only the returned slice. A scratch shorter
 // than a is replaced by a fresh one; pass nil to let Sort allocate. a and
 // scratch must not overlap.
-func Sort[T Word](a, scratch []T) []T {
+func Sort[T Word](a, scratch []T) []T { return SortAbove(a, scratch, 0) }
+
+// SortAbove is Sort for words whose bits below bit from already ascend along
+// a — a posting's key<<32|id words, ids in order, with from 32 — and makes no
+// pass over those bits: every pass is stable, so words that agree above from
+// keep the order they came in, which is Sort's order.
+func SortAbove[T Word](a, scratch []T, from uint) []T {
 	if len(a) < small {
 		slices.Sort(a)
 		return a
@@ -58,7 +64,7 @@ func Sort[T Word](a, scratch []T) []T {
 		scratch = make([]T, len(a))
 	}
 	src, dst := a, scratch[:len(a)]
-	vary := uint64(or ^ and)
+	vary := uint64(or^and) >> from << from
 	for shift := uint(0); vary>>shift != 0; shift += 8 {
 		if vary>>shift&0xff == 0 {
 			continue

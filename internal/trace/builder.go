@@ -29,15 +29,39 @@ func Mix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// flowHash mixes a flow key for the builder's open-addressing table. The
-// hash only steers probe order, and the provisional ids the table hands out
-// — in first-seen order under Add, in the appended index's flow order under
-// AppendIndex — are canonicalized by sorting the distinct keys at Finish, so
-// determinism depends on neither.
-func flowHash(k FlowKey) uint64 {
-	hi := uint64(uint32(k.Src))<<32 | uint64(uint32(k.Dst))
-	lo := uint64(k.SrcPort)<<24 | uint64(k.DstPort)<<8 | uint64(k.Proto)
-	return Mix64(hi) ^ Mix64(lo+0x9e3779b97f4a7c15)
+// packedFlow is a flow key as two words whose numeric order, hi first, is
+// the canonical flow order (flowCompare): hi = Src<<32|Dst and
+// lo = SrcPort<<24|DstPort<<8|Proto. The builder interns, compares and sorts
+// keys in this form and unpacks each distinct one once, at Finish.
+type packedFlow struct{ hi, lo uint64 }
+
+// packFlow packs k.
+func packFlow(k FlowKey) packedFlow {
+	return packedFlow{
+		hi: uint64(k.Src)<<32 | uint64(k.Dst),
+		lo: uint64(k.SrcPort)<<24 | uint64(k.DstPort)<<8 | uint64(k.Proto),
+	}
+}
+
+// key unpacks the flow key.
+func (f packedFlow) key() FlowKey {
+	return FlowKey{
+		Src:     IPv4(f.hi >> 32),
+		Dst:     IPv4(f.hi),
+		SrcPort: uint16(f.lo >> 24),
+		DstPort: uint16(f.lo >> 8),
+		Proto:   Proto(f.lo),
+	}
+}
+
+// hash mixes the key for the builder's open-addressing table: hi·k₁ xor lo,
+// times k₂, whose top bits pick the slot — two multiplies where two Mix64
+// calls were. The hash only steers probe order, and the provisional ids the
+// table hands out — in first-seen order under Add, in the appended index's
+// flow order under AppendIndex — are canonicalized by sorting the distinct
+// keys at Finish, so determinism depends on neither.
+func (f packedFlow) hash() uint64 {
+	return (f.hi*0x9e3779b97f4a7c15 ^ f.lo) * 0xbf58476d1ce4e5b9
 }
 
 // indexArena is the reusable backing storage of one fused index build: the
@@ -59,14 +83,14 @@ type indexArena struct {
 	flags   []TCPFlags
 
 	// Flow table and construction scratch.
-	keys    []FlowKey  // by provisional id
-	slots   []int32    // open-addressing table over keys, -1 empty
-	flowSeq []int32    // per-packet provisional flow id
-	remap   []int32    // AppendIndex: the appended index's flow id → provisional id
-	words   []flowWord // the keys packed for the canonical sort, and its scratch half
-	rank    []int32    // provisional id → canonical id
-	counts  []int32    // per-provisional-id packet counts
-	cursor  []int32    // per-canonical-id write cursor into flowPkts
+	keys    []packedFlow // by provisional id
+	slots   []int32      // open-addressing table over keys, -1 empty
+	flowSeq []int32      // per-packet provisional flow id
+	remap   []int32      // AppendIndex: the appended index's flow id → provisional id
+	words   []flowWord   // the keys packed for the canonical sort, and its scratch half
+	rank    []int32      // provisional id → canonical id
+	counts  []int32      // per-provisional-id packet counts
+	cursor  []int32      // per-canonical-id write cursor into flowPkts
 
 	// Finished index storage.
 	flows    []FlowKey
@@ -84,7 +108,8 @@ type indexArena struct {
 var arenaPool = sync.Pool{New: func() any { return new(indexArena) }}
 
 // reset readies a pooled arena for the next build: every slice an Add appends
-// to keeps its capacity at length zero (Finish resizes the rest).
+// to keeps its capacity at length zero (sizeSlots and Finish resize the
+// rest).
 func (a *indexArena) reset() {
 	a.ts = a.ts[:0]
 	a.seconds = a.seconds[:0]
@@ -96,7 +121,6 @@ func (a *indexArena) reset() {
 	a.proto = a.proto[:0]
 	a.flags = a.flags[:0]
 	a.keys = a.keys[:0]
-	a.slots = a.slots[:0]
 	a.flowSeq = a.flowSeq[:0]
 }
 
@@ -134,17 +158,22 @@ type IndexBuilder struct {
 	a        *indexArena
 	pooled   bool
 	lastTS   int64
+	shift    uint // 64 − log2(len(a.slots)): flowHash's top bits index the table
 	finished bool
 }
 
 // NewIndexBuilder returns a pooled builder: its buffers come from the shared
 // arena pool and return to it when the finished Index is Released. Callers
 // that cannot bound the index's lifetime should leave Release uncalled — the
-// buffers are then ordinarily garbage collected.
+// buffers are then ordinarily garbage collected. Its flow table starts at the
+// size the arena's previous build ended with (len(a.flows)): a server decodes
+// days of like size, and each would otherwise regrow the table from 512 slots.
 func NewIndexBuilder() *IndexBuilder {
 	a := arenaPool.Get().(*indexArena)
 	a.reset()
-	return &IndexBuilder{a: a, pooled: true, lastTS: -1}
+	b := &IndexBuilder{a: a, pooled: true, lastTS: -1}
+	b.sizeSlots(len(a.flows))
+	return b
 }
 
 // newDetachedBuilder returns a builder whose finished index owns its buffers
@@ -153,8 +182,9 @@ func NewIndexBuilder() *IndexBuilder {
 // flow to consumers of unknown lifetime, so recycling would be unsound. n is
 // a capacity hint: feeds that know their packet count up front pass it so the
 // per-packet columns are allocated once instead of grown by doubling (which
-// allocates more bytes than the pre-sized map-based build did); SegmentWriter
-// cannot know and passes 0.
+// allocates more bytes than the pre-sized map-based build did), and the flow
+// table starts at the size n/4 flows need; SegmentWriter cannot know and
+// passes 0.
 func newDetachedBuilder(n int) *IndexBuilder {
 	a := &indexArena{
 		ts:      make([]int64, 0, n),
@@ -168,7 +198,9 @@ func newDetachedBuilder(n int) *IndexBuilder {
 		flags:   make([]TCPFlags, 0, n),
 		flowSeq: make([]int32, 0, n),
 	}
-	return &IndexBuilder{a: a, lastTS: -1}
+	b := &IndexBuilder{a: a, lastTS: -1}
+	b.sizeSlots(n / 4)
+	return b
 }
 
 // Add appends one packet to the index under construction.
@@ -193,7 +225,10 @@ func (b *IndexBuilder) Add(p Packet) error {
 	a.pktLen = append(a.pktLen, p.Len)
 	a.proto = append(a.proto, p.Proto)
 	a.flags = append(a.flags, p.Flags)
-	a.flowSeq = append(a.flowSeq, b.flowID(p.Flow()))
+	a.flowSeq = append(a.flowSeq, b.flowID(packedFlow{
+		hi: uint64(p.Src)<<32 | uint64(p.Dst),
+		lo: uint64(p.SrcPort)<<24 | uint64(p.DstPort)<<8 | uint64(p.Proto),
+	}))
 	return nil
 }
 
@@ -228,7 +263,7 @@ func (b *IndexBuilder) AppendIndex(ix *Index) error {
 	a.flags = append(a.flags, ix.Flags...)
 	pids := resize(&a.remap, len(ix.flows))
 	for fi, k := range ix.flows {
-		pids[fi] = b.flowID(k)
+		pids[fi] = b.flowID(packFlow(k))
 	}
 	for _, fi := range ix.flowOf {
 		a.flowSeq = append(a.flowSeq, pids[fi])
@@ -238,14 +273,13 @@ func (b *IndexBuilder) AppendIndex(ix *Index) error {
 
 // flowID interns k in the open-addressing flow table, assigning provisional
 // ids in first-seen order.
-func (b *IndexBuilder) flowID(k FlowKey) int32 {
+func (b *IndexBuilder) flowID(k packedFlow) int32 {
 	a := b.a
 	if len(a.keys)*4 >= len(a.slots)*3 {
-		b.growSlots()
+		b.sizeSlots(2 * len(a.keys))
 	}
 	mask := uint64(len(a.slots) - 1)
-	i := flowHash(k) & mask
-	for {
+	for i := k.hash() >> b.shift; ; i = (i + 1) & mask {
 		s := a.slots[i]
 		if s < 0 {
 			id := int32(len(a.keys))
@@ -256,25 +290,26 @@ func (b *IndexBuilder) flowID(k FlowKey) int32 {
 		if a.keys[s] == k {
 			return s
 		}
-		i = (i + 1) & mask
 	}
 }
 
-// growSlots doubles the table (power of two, load factor <= 3/4) and
-// rehashes the interned keys.
-func (b *IndexBuilder) growSlots() {
+// sizeSlots resizes the table to the smallest power of two, at least 512,
+// that holds n keys at a load factor of 3/4 or less, and re-inserts the
+// interned keys.
+func (b *IndexBuilder) sizeSlots(n int) {
 	a := b.a
-	n := len(a.slots) * 2
-	if n < 512 {
-		n = 512
+	size, shift := 512, uint(64-9)
+	for size*3 < n*4 {
+		size, shift = size*2, shift-1
 	}
-	a.slots = resize(&a.slots, n)
+	b.shift = shift
+	a.slots = resize(&a.slots, size)
 	for i := range a.slots {
 		a.slots[i] = -1
 	}
-	mask := uint64(n - 1)
+	mask := uint64(size - 1)
 	for id, k := range a.keys {
-		i := flowHash(k) & mask
+		i := k.hash() >> shift
 		for a.slots[i] >= 0 {
 			i = (i + 1) & mask
 		}
@@ -282,80 +317,120 @@ func (b *IndexBuilder) growSlots() {
 	}
 }
 
-// sortedPosting sorts the key<<32|id words — a radix sort over the bytes that
-// vary, so a posting pays for the width of its keys and ids, not of the word —
-// and writes the ids in that order into ids. words holds len(ids) keys in its
-// first half; the second half is the sort's scratch.
+// sortedPosting sorts the key<<32|id words by their keys — ids enter
+// ascending and every radix pass is stable, so each key's ids stay ascending
+// and the id bytes need no pass (radix.SortAbove) — and writes the ids in that
+// order into ids. words holds len(ids) keys in its first half; the second half
+// is the sort's scratch.
 func sortedPosting(ids []int32, words []uint64) {
 	n := len(ids)
-	for i, w := range radix.Sort(words[:n], words[n:]) {
+	for i, w := range radix.SortAbove(words[:n], words[n:], 32) {
 		ids[i] = int32(uint32(w))
 	}
 }
 
-// flowWord is a flow key packed for Finish's sort with the provisional id it
-// rides with: w[1] = Src<<32|Dst and w[0] = SrcPort<<24|DstPort<<8|Proto, so
-// the numeric order of (w[1], w[0]) is the canonical flow order.
+// flowWord is one word of a packed flow key for Finish's sort — hi, or
+// within a run of equal hi the key's lo — with the provisional id it rides
+// with.
 type flowWord struct {
-	w  [2]uint64
-	id int32
+	key uint64
+	id  int32
 }
 
-// packFlow packs key k, interned as provisional id, into its sort words.
-func packFlow(k FlowKey, id int32) flowWord {
-	return flowWord{
-		w: [2]uint64{
-			uint64(k.SrcPort)<<24 | uint64(k.DstPort)<<8 | uint64(k.Proto),
-			uint64(k.Src)<<32 | uint64(k.Dst),
-		},
-		id: id,
-	}
-}
+// insertionRun is the longest run of equal (Src, Dst) that sortFlows orders
+// by insertion; a longer one gets radix passes of its own.
+const insertionRun = 64
 
-// sortFlowWords orders a canonically without comparing keys — a stable byte
-// radix sort, least significant byte first, over the 13 key bytes — and
-// returns the sorted records in a or in scratch (same length, not
-// overlapping), whichever the last pass wrote. Bytes on which every key
-// agrees (one OR/AND pre-pass finds them: the top bytes of one network's
-// addresses, the protocol of an all-TCP segment) are skipped, so a single
-// flow runs no pass at all. The keys are distinct, so any correct sort yields
-// this order; RefFlowOrder in the tests is the comparator sort it replaced.
-func sortFlowWords(a, scratch []flowWord) []flowWord {
-	if len(a) == 0 {
-		return a
+// sortFlows returns the provisional ids of keys (distinct, indexed by
+// provisional id) in canonical flow order, as the ids of a (len(keys) long)
+// or of scratch (as long, not overlapping), whichever holds the result. It
+// compares no keys: a radix sort of the (Src, Dst) words (sortWords), then
+// each run of flows that share them ordered by the port/protocol word —
+// short runs by insertion, long ones (one host scanning another's ports) by
+// radix passes over that word in the free buffer. A table's flows share
+// their (Src, Dst) a few at a time, so the sort runs at most 8 passes, not one
+// per varying byte of all 13. RefFlowOrder in the tests is the comparator
+// sort it replaced.
+func sortFlows(keys []packedFlow, a, scratch []flowWord) []flowWord {
+	for pid, k := range keys {
+		a[pid] = flowWord{key: k.hi, id: int32(pid)}
 	}
-	or, and := a[0].w, a[0].w
-	for i := range a {
-		for j, w := range a[i].w {
-			or[j] |= w
-			and[j] &= w
+	order, free := sortWords(a, scratch)
+	for i := 0; i < len(order); {
+		j := i + 1
+		for j < len(order) && order[j].key == order[i].key {
+			j++
 		}
+		if run := order[i:j]; len(run) > 1 {
+			for r := range run {
+				run[r].key = keys[run[r].id].lo
+			}
+			if len(run) <= insertionRun {
+				insertionSort(run)
+			} else if sorted, _ := sortWords(run, free[:len(run)]); &sorted[0] != &run[0] {
+				copy(run, sorted)
+			}
+		}
+		i = j
 	}
+	return order
+}
+
+// insertionSort orders a short run by key.
+func insertionSort(run []flowWord) {
+	for i := 1; i < len(run); i++ {
+		w, j := run[i], i
+		for ; j > 0 && run[j-1].key > w.key; j-- {
+			run[j] = run[j-1]
+		}
+		run[j] = w
+	}
+}
+
+// sortWords orders a by key — a stable byte radix sort, least significant
+// byte first — and returns the sorted records, in a or in scratch (same
+// length, not overlapping) — whichever the last pass wrote — and the other of
+// the two, free for other use. One pre-pass
+// counts every byte of every key; a byte on which all keys agree (the top
+// bytes of one network's addresses, the protocol of an all-TCP segment) fills
+// one bucket and gets no pass, so a single key runs none.
+func sortWords(a, scratch []flowWord) (sorted, spare []flowWord) {
+	if len(a) < 2 {
+		return a, scratch
+	}
+	var counts [8][256]int32
+	for _, w := range a {
+		k := w.key
+		counts[0][k&0xff]++
+		counts[1][k>>8&0xff]++
+		counts[2][k>>16&0xff]++
+		counts[3][k>>24&0xff]++
+		counts[4][k>>32&0xff]++
+		counts[5][k>>40&0xff]++
+		counts[6][k>>48&0xff]++
+		counts[7][k>>56]++
+	}
+	n := int32(len(a))
 	src, dst := a, scratch
-	for j := range or {
-		vary := or[j] ^ and[j]
-		for shift := uint(0); vary>>shift != 0; shift += 8 {
-			if vary>>shift&0xff == 0 {
-				continue
-			}
-			var next [256]int32
-			for i := range src {
-				next[src[i].w[j]>>shift&0xff]++
-			}
-			pos := int32(0)
-			for b, c := range next {
-				next[b] = pos
-				pos += c
-			}
-			for i := range src {
-				b := src[i].w[j] >> shift & 0xff
-				dst[next[b]] = src[i]
-				next[b]++
-			}
-			src, dst = dst, src
+	for j := range counts {
+		next := &counts[j]
+		if next[src[0].key>>(8*j)&0xff] == n {
+			continue
 		}
+		pos := int32(0)
+		for b, c := range next {
+			next[b] = pos
+			pos += c
+		}
+		shift := uint(8 * j)
+		for _, w := range src {
+			b := w.key >> shift & 0xff
+			dst[next[b]] = w
+			next[b]++
+		}
+		src, dst = dst, src
 	}
-	return src
+	return src, dst
 }
 
 // Discard abandons the build, recycling a pooled builder's arena. The
@@ -374,7 +449,7 @@ func (b *IndexBuilder) Discard() {
 // Finish seals the index: flows are canonicalized into the sorted table, the
 // packet runs are laid out, the flow ids are sorted into the destination and
 // destination-port postings, and the columns become immutable. All three
-// sorts are byte radix sorts over packed words (sortFlowWords, radix.Sort)
+// sorts are byte radix sorts over packed words (sortFlows, radix.SortAbove)
 // whose buffers and scratch live in the arena: no key is compared, and a
 // pooled build allocates nothing here. The builder rejects further use. A
 // pooled builder's Index holds its arena until Index.Release returns it for
@@ -387,15 +462,12 @@ func (b *IndexBuilder) Finish() *Index {
 	// Canonical flow order: sort the packed keys, each carrying its
 	// provisional id; rank maps provisional → canonical.
 	words := resize(&a.words, 2*nf)
-	for pid, k := range a.keys {
-		words[pid] = packFlow(k, int32(pid))
-	}
-	order := sortFlowWords(words[:nf], words[nf:])
+	order := sortFlows(a.keys, words[:nf], words[nf:])
 	rank := resize(&a.rank, nf)
 	a.flows = a.flows[:0]
 	for ci, fw := range order {
 		rank[fw.id] = int32(ci)
-		a.flows = append(a.flows, a.keys[fw.id])
+		a.flows = append(a.flows, a.keys[fw.id].key())
 	}
 
 	// Packet runs: counting sort over the per-packet provisional ids. Each

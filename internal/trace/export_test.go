@@ -15,17 +15,17 @@ func RefFlowOrder(keys []FlowKey) []int32 {
 	return order
 }
 
-// FlowOrder is the production sort over the same input: the keys packed as
-// Finish packs them, through sortFlowWords. It is exported to the external
-// tests, which need mawigen's fixture days and so cannot live in this
-// package.
+// FlowOrder is the production sort over the same input, through sortFlows.
+// It is exported to the external tests, which need mawigen's fixture days and
+// so cannot live in this package.
 func FlowOrder(keys []FlowKey) []int32 {
-	words := make([]flowWord, 2*len(keys))
-	for pid, k := range keys {
-		words[pid] = packFlow(k, int32(pid))
-	}
 	order := make([]int32, len(keys))
-	for ci, fw := range sortFlowWords(words[:len(keys)], words[len(keys):]) {
+	packed := make([]packedFlow, len(keys))
+	for pid, k := range keys {
+		packed[pid] = packFlow(k)
+	}
+	words := make([]flowWord, 2*len(keys))
+	for ci, fw := range sortFlows(packed, words[:len(keys)], words[len(keys):]) {
 		order[ci] = fw.id
 	}
 	return order

@@ -124,23 +124,36 @@ func (ix *Index) PacketAt(i int) Packet {
 // SrcPort, DstPort, Len, Proto, Flags — so two packet sequences share a
 // digest iff they are identical under the trace model. It is the one digest
 // definition: the golden fixtures hash through it, and the serve path keys
-// its label store and dedup on it.
+// its label store and dedup on it. The records are hashed digestBlock at a
+// time, one Write per block.
 func (ix *Index) Digest() string {
 	h := sha256.New()
-	var buf [24]byte
-	for i := range ix.TS {
-		binary.LittleEndian.PutUint64(buf[0:8], uint64(ix.TS[i]))
-		binary.LittleEndian.PutUint32(buf[8:12], uint32(ix.Src[i]))
-		binary.LittleEndian.PutUint32(buf[12:16], uint32(ix.Dst[i]))
-		binary.LittleEndian.PutUint16(buf[16:18], ix.SrcPort[i])
-		binary.LittleEndian.PutUint16(buf[18:20], ix.DstPort[i])
-		binary.LittleEndian.PutUint16(buf[20:22], ix.PktLen[i])
-		buf[22] = byte(ix.Proto[i])
-		buf[23] = byte(ix.Flags[i])
-		h.Write(buf[:])
+	var buf [digestBlock * digestRecordLen]byte
+	for lo := 0; lo < len(ix.TS); lo += digestBlock {
+		hi := min(lo+digestBlock, len(ix.TS))
+		rec := buf[:]
+		for i := lo; i < hi; i++ {
+			binary.LittleEndian.PutUint64(rec[0:8], uint64(ix.TS[i]))
+			binary.LittleEndian.PutUint32(rec[8:12], uint32(ix.Src[i]))
+			binary.LittleEndian.PutUint32(rec[12:16], uint32(ix.Dst[i]))
+			binary.LittleEndian.PutUint16(rec[16:18], ix.SrcPort[i])
+			binary.LittleEndian.PutUint16(rec[18:20], ix.DstPort[i])
+			binary.LittleEndian.PutUint16(rec[20:22], ix.PktLen[i])
+			rec[22] = byte(ix.Proto[i])
+			rec[23] = byte(ix.Flags[i])
+			rec = rec[digestRecordLen:]
+		}
+		h.Write(buf[:(hi-lo)*digestRecordLen])
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }
+
+// digestRecordLen is one packet's record in Digest; digestBlock records make
+// a whole number (48) of sha256 blocks.
+const (
+	digestRecordLen = 24
+	digestBlock     = 128
+)
 
 // FlowPackets returns flow fi's packet indices, ascending. The slice
 // aliases the index and must not be mutated.

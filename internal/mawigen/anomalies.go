@@ -10,19 +10,7 @@ import (
 // inject emits the anomaly described by spec into tr and returns its ground
 // truth event.
 func inject(rng *rand.Rand, tr *trace.Trace, cfg Config, spec Spec) Event {
-	if spec.Duration <= 0 {
-		spec.Duration = cfg.Duration / 4
-	}
-	if spec.Start < 0 {
-		spec.Start = 0
-	}
-	end := spec.Start + spec.Duration
-	if end > cfg.Duration {
-		end = cfg.Duration
-	}
-	if spec.Rate <= 0 {
-		spec.Rate = 80
-	}
+	spec, end := spec.resolve(cfg.Duration)
 	ev := Event{Kind: spec.Kind, Start: spec.Start, End: end}
 	n := int(spec.Rate * (end - spec.Start))
 	if n <= 0 {

@@ -84,7 +84,10 @@ func (a *Archive) daySeed(date time.Time) int64 {
 }
 
 // Day generates the trace for one calendar day with its ground truth.
-func (a *Archive) Day(date time.Time) *Result {
+func (a *Archive) Day(date time.Time) *Result { return Generate(a.dayConfig(date)) }
+
+// dayConfig is the generation config of one archive day.
+func (a *Archive) dayConfig(date time.Time) Config {
 	seed := a.daySeed(date)
 	rng := rand.New(rand.NewSource(seed))
 	cfg := Config{
@@ -145,7 +148,7 @@ func (a *Archive) Day(date time.Time) *Result {
 			})
 		}
 	}
-	return Generate(cfg)
+	return cfg
 }
 
 // EverNDays samples the archive every n days across [start, end) — used to

@@ -3,7 +3,6 @@ package mawigen
 import (
 	"math"
 	"math/rand"
-	"slices"
 
 	"mawilab/internal/trace"
 )
@@ -129,14 +128,9 @@ func windowSessions(seed int64, sessions, windows int) []int {
 // windows emit in order. A session starting near the end of its window may
 // emit packets past the window boundary; that is fine — windows partition
 // session *starts*, not packet timestamps, and the final sort interleaves
-// them.
-//
-// The rows are sized once, for the packet budget: the background lands
-// within about 15 % of it, so its rows grow at most once instead of by
-// doubling from empty; the anomalies append past it.
+// them. Generate has sized the rows for this budget and the anomalies'.
 func genBackground(tr *trace.Trace, cfg Config) {
 	targetPackets := cfg.BackgroundRate * cfg.Duration
-	tr.Packets = slices.Grow(tr.Packets, int(targetPackets))
 	// The session mix averages ≈20 packets (heavy-tailed TCP transfers
 	// dominate the mean).
 	sessions := int(targetPackets / 20)

@@ -114,6 +114,23 @@ type Spec struct {
 	Rate float64
 }
 
+// resolve fills in the defaults of an injection into a trace of the given
+// duration — a quarter of the trace, from its start, at 80 pps — and returns
+// the spec with the end of its active span, cut at the trace's end.
+func (spec Spec) resolve(duration float64) (Spec, float64) {
+	if spec.Duration <= 0 {
+		spec.Duration = duration / 4
+	}
+	if spec.Start < 0 {
+		spec.Start = 0
+	}
+	end := min(spec.Start+spec.Duration, duration)
+	if spec.Rate <= 0 {
+		spec.Rate = 80
+	}
+	return spec, end
+}
+
 // Config parameterizes one generated trace.
 type Config struct {
 	// Seed drives all randomness. Every RNG stream of a generation run —
@@ -181,6 +198,7 @@ func Generate(cfg Config) *Result {
 			tr.Name = fmt.Sprintf("seed-%d", cfg.Seed)
 		}
 	}
+	tr.Packets = make([]trace.Packet, 0, rowBudget(cfg))
 	genBackground(tr, cfg)
 	var truth []Event
 	for i, spec := range cfg.Anomalies {
@@ -190,6 +208,19 @@ func Generate(cfg Config) *Result {
 	}
 	tr.Sort()
 	return &Result{Trace: tr, Truth: truth}
+}
+
+// rowBudget is the row count Generate sizes a trace for: the background's
+// BackgroundRate·Duration and each anomaly's Rate over its active span —
+// the counts the generators draw their packets from. Sessions and replies
+// overshoot them a little, so the rows grow at most once.
+func rowBudget(cfg Config) int {
+	n := cfg.BackgroundRate * cfg.Duration
+	for _, spec := range cfg.Anomalies {
+		spec, end := spec.resolve(cfg.Duration)
+		n += spec.Rate * max(end-spec.Start, 0)
+	}
+	return int(n)
 }
 
 // injectRNG derives the independent RNG for the i-th anomaly spec.

@@ -283,3 +283,37 @@ func TestSpecDefaults(t *testing.T) {
 		t.Error("spec defaults not applied")
 	}
 }
+
+// TestGenerateSizesRowsOnce: Generate sizes a day's rows for its background
+// and every injection (rowBudget), so they grow at most once — on the
+// worm-era day whose rows grew four times from a background-only budget
+// (2004-05-10 at 45 s: 15 750 budgeted, 33 553 generated) and on days across
+// the archive up to the second link upgrade, when the P2P share reaches 0.28.
+// The rows' capacity is replayed append by append from the budget and must
+// match, so the test sees what Generate allocated.
+func TestGenerateSizesRowsOnce(t *testing.T) {
+	arch := NewArchive(1)
+	arch.Duration = 45
+	days := []time.Time{time.Date(2004, 5, 10, 0, 0, 0, 0, time.UTC)}
+	for d := time.Date(2003, 8, 11, 0, 0, 0, 0, time.UTC); d.Before(linkUpgrade2); d = d.AddDate(0, 0, 61) {
+		days = append(days, d)
+	}
+	for _, d := range days {
+		cfg := arch.dayConfig(d)
+		budget := rowBudget(cfg)
+		rows := Generate(cfg).Trace.Packets
+		replay, growths := make([]trace.Packet, 0, budget), 0
+		for range rows {
+			c := cap(replay)
+			if replay = append(replay, trace.Packet{}); cap(replay) != c {
+				growths++
+			}
+		}
+		if cap(rows) != cap(replay) {
+			t.Fatalf("%s: rows have capacity %d, a budget of %d grows to %d", d.Format(time.DateOnly), cap(rows), budget, cap(replay))
+		}
+		if growths > 1 {
+			t.Errorf("%s: %d rows grew %d times from a budget of %d", d.Format(time.DateOnly), len(rows), growths, budget)
+		}
+	}
+}

@@ -5,10 +5,12 @@ import (
 	"encoding/xml"
 	"strings"
 	"testing"
+	"time"
 
 	"mawilab/internal/apriori"
 	"mawilab/internal/core"
 	"mawilab/internal/heuristics"
+	"mawilab/internal/mawigen"
 	"mawilab/internal/trace"
 )
 
@@ -113,5 +115,42 @@ func TestAnomalyWithoutRulesGetsEmptySlice(t *testing.T) {
 	}
 	if len(doc.Anomalies[0].Slices) != 1 || doc.Anomalies[0].Slices[0] != (Slice{}) {
 		t.Error("rule-less anomaly should carry one wildcard slice")
+	}
+}
+
+// TestADMDSpanEndsOnLastPacket: an anomaly's <to> is the last packet's
+// timestamp to the microsecond. On these two archive days the seconds
+// column's fraction, scaled back by 1e6 and truncated, came out one
+// microsecond short (998382 and 998249).
+func TestADMDSpanEndsOnLastPacket(t *testing.T) {
+	arch := mawigen.NewArchive(1)
+	for _, c := range []struct {
+		date string
+		want TimeRef
+	}{
+		{"2004-05-13", TimeRef{Sec: 59, Usec: 998383}},
+		{"2004-05-14", TimeRef{Sec: 59, Usec: 998250}},
+	} {
+		day, err := time.Parse(time.DateOnly, c.date)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ix := trace.NewIndex(arch.Day(day).Trace)
+		if last := ix.TS[ix.Len()-1]; last != c.want.Sec*1e6+c.want.Usec {
+			t.Fatalf("%s: last packet at %d µs, want %d", c.date, last, c.want.Sec*1e6+c.want.Usec)
+		}
+		var buf bytes.Buffer
+		if err := WriteADMD(&buf, c.date, ix, sampleReports()); err != nil {
+			t.Fatal(err)
+		}
+		var doc Document
+		if err := xml.Unmarshal(buf.Bytes(), &doc); err != nil {
+			t.Fatal(err)
+		}
+		for _, a := range doc.Anomalies {
+			if a.From != (TimeRef{}) || a.To != c.want {
+				t.Errorf("%s: anomaly %d spans %+v to %+v, want 0 to %+v", c.date, a.Community, a.From, a.To, c.want)
+			}
+		}
 	}
 }

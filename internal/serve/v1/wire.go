@@ -167,11 +167,15 @@ func WriteADMD(w io.Writer, traceName string, ix *trace.Index, reports []core.Co
 // reports keep no packet indices, so a community's own bounds are not known
 // here. It opens on the first packet's whole second — the capture slot a
 // decoded pcap is rebased to, so a day starts at 0 and a streamed window at
-// its first packet's second — and closes on the last packet.
-func spanOf(ix *trace.Index) (TimeRef, TimeRef) {
-	from := TimeRef{Sec: int64(ix.Start())}
-	dur := ix.Duration()
-	to := TimeRef{Sec: int64(dur), Usec: int64((dur - float64(int64(dur))) * 1e6)}
+// its first packet's second — and closes on the last packet, split from its
+// integer microsecond timestamp: the seconds column's fraction, scaled back
+// by 1e6, can land a microsecond short.
+func spanOf(ix *trace.Index) (from, to TimeRef) {
+	if n := ix.Len(); n > 0 {
+		first, last := ix.TS[0], ix.TS[n-1]
+		from = TimeRef{Sec: first / 1e6}
+		to = TimeRef{Sec: last / 1e6, Usec: last % 1e6}
+	}
 	return from, to
 }
 

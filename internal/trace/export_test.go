@@ -30,3 +30,11 @@ func FlowOrder(keys []FlowKey) []int32 {
 	}
 	return order
 }
+
+// Postings returns the two postings setPostings sorts the ids of flows into.
+func Postings(flows []FlowKey) (byDst, byDstPort []int32) {
+	t := FlowTable{flows: flows}
+	n := len(flows)
+	t.setPostings(make([]int32, n), make([]int32, n), make([]uint64, 2*n))
+	return t.byDst, t.byDstPort
+}

@@ -133,14 +133,11 @@ func (ix *Index) Digest() string {
 		hi := min(lo+digestBlock, len(ix.TS))
 		rec := buf[:]
 		for i := lo; i < hi; i++ {
-			binary.LittleEndian.PutUint64(rec[0:8], uint64(ix.TS[i]))
-			binary.LittleEndian.PutUint32(rec[8:12], uint32(ix.Src[i]))
-			binary.LittleEndian.PutUint32(rec[12:16], uint32(ix.Dst[i]))
-			binary.LittleEndian.PutUint16(rec[16:18], ix.SrcPort[i])
-			binary.LittleEndian.PutUint16(rec[18:20], ix.DstPort[i])
-			binary.LittleEndian.PutUint16(rec[20:22], ix.PktLen[i])
-			rec[22] = byte(ix.Proto[i])
-			rec[23] = byte(ix.Flags[i])
+			le := binary.LittleEndian
+			le.PutUint64(rec[0:8], uint64(ix.TS[i]))
+			le.PutUint64(rec[8:16], uint64(ix.Src[i])|uint64(ix.Dst[i])<<32)
+			le.PutUint64(rec[16:24], uint64(ix.SrcPort[i])|uint64(ix.DstPort[i])<<16|
+				uint64(ix.PktLen[i])<<32|uint64(ix.Proto[i])<<48|uint64(ix.Flags[i])<<56)
 			rec = rec[digestRecordLen:]
 		}
 		h.Write(buf[:(hi-lo)*digestRecordLen])

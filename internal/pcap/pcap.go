@@ -7,10 +7,10 @@
 // TCP, UDP and ICMP. This matches the MAWI archive contents the paper
 // consumes (anonymized IPv4 headers, payloads stripped).
 //
-// Payload is never parsed, so it is neither kept nor copied: every file this
-// package writes (EncodeIndex, WriteTrace) is header-only, and the Reader
-// copies a record's header prefix and skips the rest — of a full-frame
-// capture from elsewhere too.
+// Payload is never parsed, so it is never kept: every file this package
+// writes (EncodeIndex, WriteTrace) is header-only, and the Reader parses a
+// record's header prefix where its buffer holds it and skips the rest — of a
+// full-frame capture from elsewhere too.
 package pcap
 
 import (
@@ -204,7 +204,12 @@ const minBufferLen = recordHeaderLen + maxHeaderLen
 
 // Reader decodes a classic pcap stream back into trace packets.
 type Reader struct {
-	br       *bufio.Reader
+	br *bufio.Reader
+	// win is what br held past the last record Next read from br itself, as
+	// one Peek; the records wholly inside it are parsed there, and used
+	// counts their bytes, which br has yet to discard.
+	win      []byte
+	used     int
 	swapped  bool // the file is big-endian: every header field is byte-swapped
 	nanos    bool
 	baseTS   int64 // second boundary of the first packet, absolute micros
@@ -267,13 +272,15 @@ func (r *Reader) uint32(b []byte) uint32 {
 // wire, and every record this package writes says so. So is a sub-second
 // field of a whole second or more, which would read as a later second.
 //
-// The record header and the frame prefix decodeFrame reads are parsed where
-// the buffer holds them (one Peek for both, unless the buffer must first be
-// refilled to hold the prefix), and the whole record is then
-// discarded: nothing is copied, and the payload of a full-frame capture —
-// nine bytes in ten — is never looked at. Only the record header may end the
-// stream: a source that reports io.EOF before or part way into it (a file
-// cut mid-header) ends it with io.EOF. Any other source error is returned,
+// Records are parsed where the buffer holds them: one Peek takes in every
+// whole record the buffer holds, each record's header and the frame prefix
+// decodeFrame reads are decoded in place, and the buffer discards what was
+// parsed once it must refill. A record the buffer does not hold whole is
+// peeked alone, its header and prefix, and then discarded. Nothing is copied
+// out of the buffer, and the payload of a full-frame capture — nine bytes in
+// ten — is never looked at. Only the record header may end the stream: a
+// source that reports io.EOF before or part way into it (a file cut
+// mid-header) ends it with io.EOF. Any other source error is returned,
 // io.ErrUnexpectedEOF included — it is how a request body that stops short
 // of its Content-Length ends, and the records read so far are not the trace
 // that was sent. A frame cut short is an error wrapping io.EOF when none of
@@ -288,15 +295,22 @@ func (r *Reader) Next() (trace.Packet, error) {
 // stream (DecodeIndex, ReadTrace) reuse one Packet rather than copy each out
 // of a return value.
 func (r *Reader) next(p *trace.Packet) error {
-	// Whatever of the record the buffer already holds, up to the header and
-	// the longest prefix, and at least the header: a Peek that reads the
-	// source only when the header is not all there.
-	rec, err := r.br.Peek(max(recordHeaderLen, min(r.br.Buffered(), minBufferLen)))
-	if err != nil {
-		if err == io.EOF {
-			return io.EOF
+	rec := r.win
+	whole := len(rec) >= recordHeaderLen && int64(r.uint32(rec[8:])) <= int64(len(rec)-recordHeaderLen)
+	if !whole {
+		// The window has run out mid-record: hand back to the buffer what it
+		// parsed, and peek this record — the header and as much of the
+		// longest prefix as the buffer holds, reading the source only when
+		// the header is not all there.
+		r.br.Discard(r.used) // peeked, so all there
+		r.win, r.used = nil, 0
+		var err error
+		if rec, err = r.br.Peek(max(recordHeaderLen, min(r.br.Buffered(), minBufferLen))); err != nil {
+			if err == io.EOF {
+				return io.EOF
+			}
+			return fmt.Errorf("pcap: reading record header: %w", err)
 		}
-		return fmt.Errorf("pcap: reading record header: %w", err)
 	}
 	abs, err := r.recordTS(rec)
 	if err != nil {
@@ -319,9 +333,17 @@ func (r *Reader) next(p *trace.Packet) error {
 	}
 	*p = trace.Packet{TS: abs - r.baseTS}
 	decodeErr := decodeFrame(rec[recordHeaderLen:need], origlen, p)
-	if n, err := r.br.Discard(recordHeaderLen + int(caplen)); err != nil {
+	size := recordHeaderLen + int(caplen)
+	if whole {
+		r.win, r.used = rec[size:], r.used+size
+		return decodeErr
+	}
+	if n, err := r.br.Discard(size); err != nil {
 		return truncated(n > recordHeaderLen, err)
 	}
+	// The records after this one, as far as the buffer holds them: the next
+	// calls parse them in place.
+	r.win, _ = r.br.Peek(r.br.Buffered())
 	return decodeErr
 }
 

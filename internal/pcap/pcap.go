@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"io"
 	"math/bits"
+	"sync"
 
 	"mawilab/internal/trace"
 )
@@ -218,14 +219,39 @@ type Reader struct {
 
 // NewReader validates the global header and returns a Reader. Both byte
 // orders and both microsecond/nanosecond magics are accepted. The Reader
-// reads through a bufio.Reader — r itself when r is one of at least
-// minBufferLen bytes, else a 64 KiB buffer of its own around r, a
-// *bytes.Reader included — and so may consume r beyond the records it has
-// returned. Next parses each record where the buffer holds it.
-func NewReader(r io.Reader) (*Reader, error) {
+// reads through a bufio.Reader — r itself when r is one that holds a record
+// header and the longest frame prefix Next parses (110 bytes), else a 64 KiB
+// buffer of its own around r, a *bytes.Reader included — and so may consume
+// r beyond the records it has returned. Next parses each record where the
+// buffer holds it.
+func NewReader(r io.Reader) (*Reader, error) { return newReader(r, nil) }
+
+// bufferLen is the size of the buffer a Reader reads an unbuffered source
+// through.
+const bufferLen = 64 << 10
+
+// bufPool recycles the buffers of the Readers DecodeIndex and ReadTrace
+// make: they consume their stream whole, so its buffer is free again when
+// they return, and a server decoding upload after upload allocates none.
+var bufPool = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, bufferLen) }}
+
+// putBuffer returns a buffer of bufPool, holding no reference to its source.
+func putBuffer(buf *bufio.Reader) {
+	buf.Reset(nil)
+	bufPool.Put(buf)
+}
+
+// newReader is NewReader, reading through buf — a bufio.Reader of
+// bufferLen bytes, reset to r — where it must buffer r itself; a nil buf is
+// allocated.
+func newReader(r io.Reader, buf *bufio.Reader) (*Reader, error) {
 	br, ok := r.(*bufio.Reader)
 	if !ok || br.Size() < minBufferLen {
-		br = bufio.NewReaderSize(r, 64<<10)
+		if buf == nil {
+			buf = bufio.NewReaderSize(r, bufferLen)
+		}
+		buf.Reset(r)
+		br = buf
 	}
 	var hdr [globalHeaderLen]byte
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
@@ -433,7 +459,9 @@ func decodeFrame(frame []byte, origlen uint32, p *trace.Packet) error {
 // production caller is cmd/mawibench, through mawilab.ReadPcap; it goes when
 // that benchmark moves to DecodeIndex.
 func ReadTrace(r io.Reader) (*trace.Trace, error) {
-	pr, err := NewReader(r)
+	buf := bufPool.Get().(*bufio.Reader)
+	defer putBuffer(buf)
+	pr, err := newReader(r, buf)
 	if err != nil {
 		return nil, err
 	}
@@ -454,9 +482,10 @@ func ReadTrace(r io.Reader) (*trace.Trace, error) {
 
 // DecodeIndex consumes the whole stream straight into a columnar
 // trace.Index — the fused single-pass ingest path. No intermediate
-// []trace.Packet is materialized, and the index's buffers come from the
-// shared arena pool: call Index.Release when done to recycle them, which is
-// what makes steady-state serving allocate ~nothing per upload.
+// []trace.Packet is materialized, the stream is read through a pooled
+// buffer, and the index's buffers come from the shared arena pool: call
+// Index.Release when done to recycle them, which is what makes steady-state
+// serving allocate ~nothing per upload.
 //
 // The result is structurally identical to ReadTrace followed by
 // trace.NewIndex (pinned by differential and fuzz tests) — this is the only
@@ -466,7 +495,9 @@ func ReadTrace(r io.Reader) (*trace.Trace, error) {
 // ReadTrace accepts them as an unsorted Trace, which trace.SealTrace and
 // Pipeline.Run then reject with the same error.
 func DecodeIndex(r io.Reader) (*trace.Index, error) {
-	pr, err := NewReader(r)
+	buf := bufPool.Get().(*bufio.Reader)
+	defer putBuffer(buf)
+	pr, err := newReader(r, buf)
 	if err != nil {
 		return nil, err
 	}

@@ -8,7 +8,9 @@ GO ?= go
 #   EncodeIndex,        steady-state serving cost) of a full-payload capture
 #   FlowTable           from elsewhere and of the same day in the header-only
 #                       form the module writes and the store keeps, against
-#                       ReadTrace+NewIndex; trace.NewIndex alone; the job's
+#                       ReadTrace+NewIndex, and the decoded day's
+#                       Index.Digest (admission's dedup key); trace.NewIndex
+#                       alone; the job's
 #                       re-encode of an index to that payload-stripped pcap
 #                       (one allocation, none per packet); and the flow table's
 #                       own file, encoded (what the job adds beside the pcap)

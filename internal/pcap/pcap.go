@@ -241,9 +241,9 @@ func putBuffer(buf *bufio.Reader) {
 	bufPool.Put(buf)
 }
 
-// newReader is NewReader, reading through buf — a bufio.Reader of
-// bufferLen bytes, reset to r — where it must buffer r itself; a nil buf is
-// allocated.
+// newReader is NewReader with the buffer it wraps an unbuffered r in given:
+// buf, a bufio.Reader of bufferLen bytes, is reset to r; a nil buf allocates
+// one.
 func newReader(r io.Reader, buf *bufio.Reader) (*Reader, error) {
 	br, ok := r.(*bufio.Reader)
 	if !ok || br.Size() < minBufferLen {
@@ -368,7 +368,7 @@ func (r *Reader) next(p *trace.Packet) error {
 		return truncated(n > recordHeaderLen, err)
 	}
 	// The records after this one, as far as the buffer holds them: the next
-	// calls parse them in place.
+	// calls parse them in place. A Peek of what is buffered cannot fail.
 	r.win, _ = r.br.Peek(r.br.Buffered())
 	return decodeErr
 }

@@ -35,11 +35,12 @@ func Mix64(x uint64) uint64 {
 // keys in this form and unpacks each distinct one once, at Finish.
 type packedFlow struct{ hi, lo uint64 }
 
-// packFlow packs k.
-func packFlow(k FlowKey) packedFlow {
+// packFlow packs the key's fields. Callers pass them one by one: a FlowKey
+// built field by field and then copied whole stalls the load that copies it.
+func packFlow(src, dst IPv4, srcPort, dstPort uint16, proto Proto) packedFlow {
 	return packedFlow{
-		hi: uint64(k.Src)<<32 | uint64(k.Dst),
-		lo: uint64(k.SrcPort)<<24 | uint64(k.DstPort)<<8 | uint64(k.Proto),
+		hi: uint64(src)<<32 | uint64(dst),
+		lo: uint64(srcPort)<<24 | uint64(dstPort)<<8 | uint64(proto),
 	}
 }
 
@@ -158,7 +159,7 @@ type IndexBuilder struct {
 	a        *indexArena
 	pooled   bool
 	lastTS   int64
-	shift    uint // 64 − log2(len(a.slots)): flowHash's top bits index the table
+	shift    uint // 64 − log2(len(a.slots)): the hash's top bits index the table
 	finished bool
 }
 
@@ -225,10 +226,7 @@ func (b *IndexBuilder) Add(p Packet) error {
 	a.pktLen = append(a.pktLen, p.Len)
 	a.proto = append(a.proto, p.Proto)
 	a.flags = append(a.flags, p.Flags)
-	a.flowSeq = append(a.flowSeq, b.flowID(packedFlow{
-		hi: uint64(p.Src)<<32 | uint64(p.Dst),
-		lo: uint64(p.SrcPort)<<24 | uint64(p.DstPort)<<8 | uint64(p.Proto),
-	}))
+	a.flowSeq = append(a.flowSeq, b.flowID(packFlow(p.Src, p.Dst, p.SrcPort, p.DstPort, p.Proto)))
 	return nil
 }
 
@@ -263,7 +261,7 @@ func (b *IndexBuilder) AppendIndex(ix *Index) error {
 	a.flags = append(a.flags, ix.Flags...)
 	pids := resize(&a.remap, len(ix.flows))
 	for fi, k := range ix.flows {
-		pids[fi] = b.flowID(packFlow(k))
+		pids[fi] = b.flowID(packFlow(k.Src, k.Dst, k.SrcPort, k.DstPort, k.Proto))
 	}
 	for _, fi := range ix.flowOf {
 		a.flowSeq = append(a.flowSeq, pids[fi])

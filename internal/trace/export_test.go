@@ -22,7 +22,7 @@ func FlowOrder(keys []FlowKey) []int32 {
 	order := make([]int32, len(keys))
 	packed := make([]packedFlow, len(keys))
 	for pid, k := range keys {
-		packed[pid] = packFlow(k)
+		packed[pid] = packFlow(k.Src, k.Dst, k.SrcPort, k.DstPort, k.Proto)
 	}
 	words := make([]flowWord, 2*len(keys))
 	for ci, fw := range sortFlows(packed, words[:len(keys)], words[len(keys):]) {

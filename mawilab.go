@@ -183,12 +183,14 @@ func WritePcap(w io.Writer, tr *Trace) error { return pcap.WriteTrace(w, tr) }
 // DecodePcap decodes a classic pcap stream straight into a columnar Index —
 // the fused single-pass ingest path, with no intermediate Trace and pooled
 // column buffers (call Index.Release when done to recycle them; it is the
-// only constructor whose result Release recycles). It reads header-only and
-// full-frame captures alike, and its result is structurally identical to
-// ReadPcap followed by index construction; like every other path it rejects
-// streams violating the sorted trace model with ErrUnsorted. The daemon's
-// upload path and cmd/mawilab -in run on it; see the README's "Raw speed"
-// section for the ownership rules.
+// only constructor whose result Release recycles). It reads r through a
+// pooled 64 KiB buffer — r itself when r is a bufio.Reader of at least 110
+// bytes — and parses each record where that buffer holds it. It reads
+// header-only and full-frame captures alike, and its result is structurally
+// identical to ReadPcap followed by index construction; like every other
+// path it rejects streams violating the sorted trace model with
+// ErrUnsorted. The daemon's upload path and cmd/mawilab -in run on it; see
+// the README's "Raw speed" section for the ownership rules.
 func DecodePcap(r io.Reader) (*Index, error) { return pcap.DecodeIndex(r) }
 
 // EncodePcap serializes an Index as a payload-stripped classic pcap stream,

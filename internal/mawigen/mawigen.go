@@ -213,7 +213,9 @@ func Generate(cfg Config) *Result {
 // rowBudget is the row count Generate sizes a trace for: the background's
 // BackgroundRate·Duration and each anomaly's Rate over its active span —
 // the counts the generators draw their packets from. Sessions and replies
-// overshoot them a little, so the rows grow at most once.
+// overshoot them by less than one growth step of the rows on every archive
+// day before the second link upgrade (TestGenerateSizesRowsOnce); after it,
+// the P2P share's longer sessions overshoot by up to half.
 func rowBudget(cfg Config) int {
 	n := cfg.BackgroundRate * cfg.Duration
 	for _, spec := range cfg.Anomalies {

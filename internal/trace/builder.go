@@ -346,9 +346,9 @@ const insertionRun = 64
 // each run of flows that share them ordered by the port/protocol word —
 // short runs by insertion, long ones (one host scanning another's ports) by
 // radix passes over that word in the free buffer. A table's flows share
-// their (Src, Dst) a few at a time, so the sort runs at most 8 passes, not one
-// per varying byte of all 13. RefFlowOrder in the tests is the comparator
-// sort it replaced.
+// their (Src, Dst) a few at a time, so the whole table takes at most 8
+// passes, not one per varying byte of all 13. RefFlowOrder in the tests is
+// the comparator sort it replaced.
 func sortFlows(keys []packedFlow, a, scratch []flowWord) []flowWord {
 	for pid, k := range keys {
 		a[pid] = flowWord{key: k.hi, id: int32(pid)}

@@ -75,15 +75,47 @@ func backgroundMix(rng *rand.Rand, p2pShare float64) sessionKind {
 	}
 }
 
+// maxSessionPkts caps heavyTail's draw.
+const maxSessionPkts = 4000
+
 // heavyTail draws a Pareto-ish flow length: most sessions are short, a few
 // are very long, matching backbone traffic's mice/elephants split.
 func heavyTail(rng *rand.Rand, minPkts int, alpha float64) int {
 	u := rng.Float64()
 	n := float64(minPkts) / math.Pow(1-u, 1/alpha)
-	if n > 4000 {
-		n = 4000
+	if n > maxSessionPkts {
+		n = maxSessionPkts
 	}
 	return int(n)
+}
+
+// meanSessionPackets is the mean packet count of a background session drawn
+// by backgroundMix at the given P2P share and emitted by emitSession, from
+// each kind's share and mean length. P2P sessions run about 50 packets and
+// the rest about 21, so the mean climbs with the P2P share.
+func meanSessionPackets(p2pShare float64) float64 {
+	// A TCP session is five control packets and a heavyTail of data; the
+	// draw's mean is that of a Pareto(minPkts, alpha) capped at
+	// maxSessionPkts (its truncation to an int is left out, so this is a
+	// little over).
+	tcp := func(minPkts, alpha float64) float64 {
+		return 5 + minPkts + minPkts/(alpha-1)*(1-math.Pow(minPkts/maxSessionPkts, alpha-1))
+	}
+	other := 0.45*tcp(6, 1.3) + // web
+		0.20*2*2 + // DNS: 1–3 query/reply pairs
+		0.07*tcp(10, 1.2) + // SSH
+		0.06*tcp(8, 1.2) + // FTP
+		0.06*tcp(6, 1.4) + // SMTP
+		0.06*2 + // NTP
+		0.10*2*2.5 // ICMP echo: 1–4 request/reply pairs
+	return p2pShare*tcp(8, 1.1) + (1-p2pShare)*other
+}
+
+// backgroundSessions is the number of sessions genBackground draws: its
+// packet target over the ≈20 packets a session averages when no P2P is in the
+// mix.
+func backgroundSessions(cfg Config) int {
+	return int(cfg.BackgroundRate * cfg.Duration / 20)
 }
 
 // windowRNG derives the independent RNG stream for the w-th background
@@ -128,12 +160,9 @@ func windowSessions(seed int64, sessions, windows int) []int {
 // windows emit in order. A session starting near the end of its window may
 // emit packets past the window boundary; that is fine — windows partition
 // session *starts*, not packet timestamps, and the final sort interleaves
-// them. Generate has sized the rows for this budget and the anomalies'.
+// them. Generate has sized the rows for these sessions and the anomalies.
 func genBackground(tr *trace.Trace, cfg Config) {
-	targetPackets := cfg.BackgroundRate * cfg.Duration
-	// The session mix averages ≈20 packets (heavy-tailed TCP transfers
-	// dominate the mean).
-	sessions := int(targetPackets / 20)
+	sessions := backgroundSessions(cfg)
 	clientPool := 1 << 10
 	extPool := 1 << 16
 	windows := cfg.Windows

@@ -287,15 +287,19 @@ func TestSpecDefaults(t *testing.T) {
 // TestGenerateSizesRowsOnce: Generate sizes a day's rows for its background
 // and every injection (rowBudget), so they grow at most once — on the
 // worm-era day whose rows grew four times from a background-only budget
-// (2004-05-10 at 45 s: 15 750 budgeted, 33 553 generated) and on days across
-// the archive up to the second link upgrade, when the P2P share reaches 0.28.
-// The rows' capacity is replayed append by append from the budget and must
-// match, so the test sees what Generate allocated.
+// (2004-05-10 at 45 s: 15 750 budgeted, 33 553 generated), on a day of the
+// P2P era whose longer sessions made them grow twice from a budget of
+// BackgroundRate·Duration (2010-06-04 at 45 s: 59 599 rows), and on days
+// across the whole archive. The rows' capacity is replayed append by append
+// from the budget and must match, so the test sees what Generate allocated.
 func TestGenerateSizesRowsOnce(t *testing.T) {
 	arch := NewArchive(1)
 	arch.Duration = 45
-	days := []time.Time{time.Date(2004, 5, 10, 0, 0, 0, 0, time.UTC)}
-	for d := time.Date(2003, 8, 11, 0, 0, 0, 0, time.UTC); d.Before(linkUpgrade2); d = d.AddDate(0, 0, 61) {
+	days := []time.Time{
+		time.Date(2004, 5, 10, 0, 0, 0, 0, time.UTC),
+		time.Date(2010, 6, 4, 0, 0, 0, 0, time.UTC),
+	}
+	for d := time.Date(2001, 1, 1, 0, 0, 0, 0, time.UTC); d.Year() < 2011; d = d.AddDate(0, 0, 61) {
 		days = append(days, d)
 	}
 	for _, d := range days {

@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"io"
 	"math/bits"
-	"sync"
 
 	"mawilab/internal/trace"
 )
@@ -203,6 +202,10 @@ const maxHeaderLen = etherHeaderLen + 15*4 + tcpHeaderLen
 // and the longest frame prefix decodeFrame reads.
 const minBufferLen = recordHeaderLen + maxHeaderLen
 
+// bufferLen is the size of the buffer a Reader reads any other source
+// through.
+const bufferLen = 64 << 10
+
 // Reader decodes a classic pcap stream back into trace packets.
 type Reader struct {
 	br *bufio.Reader
@@ -221,37 +224,15 @@ type Reader struct {
 // orders and both microsecond/nanosecond magics are accepted. The Reader
 // reads through a bufio.Reader — r itself when r is one that holds a record
 // header and the longest frame prefix Next parses (110 bytes), else a 64 KiB
-// buffer of its own around r, a *bytes.Reader included — and so may consume
-// r beyond the records it has returned. Next parses each record where the
-// buffer holds it.
-func NewReader(r io.Reader) (*Reader, error) { return newReader(r, nil) }
-
-// bufferLen is the size of the buffer a Reader reads an unbuffered source
-// through.
-const bufferLen = 64 << 10
-
-// bufPool recycles the buffers of the Readers DecodeIndex and ReadTrace
-// make: they consume their stream whole, so its buffer is free again when
-// they return, and a server decoding upload after upload allocates none.
-var bufPool = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, bufferLen) }}
-
-// putBuffer returns a buffer of bufPool, holding no reference to its source.
-func putBuffer(buf *bufio.Reader) {
-	buf.Reset(nil)
-	bufPool.Put(buf)
-}
-
-// newReader is NewReader with the buffer it wraps an unbuffered r in given:
-// buf, a bufio.Reader of bufferLen bytes, is reset to r; a nil buf allocates
-// one.
-func newReader(r io.Reader, buf *bufio.Reader) (*Reader, error) {
+// buffer of its own around r, a *bytes.Reader included. Next parses each
+// record where the buffer holds it. Either way r belongs to the Reader until
+// it is done with it: the Reader reads r beyond the records it has returned,
+// and a bufio.Reader r passed in may still hold, unconsumed, records Next has
+// already returned, so its position is undefined until Next returns io.EOF.
+func NewReader(r io.Reader) (*Reader, error) {
 	br, ok := r.(*bufio.Reader)
 	if !ok || br.Size() < minBufferLen {
-		if buf == nil {
-			buf = bufio.NewReaderSize(r, bufferLen)
-		}
-		buf.Reset(r)
-		br = buf
+		br = bufio.NewReaderSize(r, bufferLen)
 	}
 	var hdr [globalHeaderLen]byte
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
@@ -459,9 +440,7 @@ func decodeFrame(frame []byte, origlen uint32, p *trace.Packet) error {
 // production caller is cmd/mawibench, through mawilab.ReadPcap; it goes when
 // that benchmark moves to DecodeIndex.
 func ReadTrace(r io.Reader) (*trace.Trace, error) {
-	buf := bufPool.Get().(*bufio.Reader)
-	defer putBuffer(buf)
-	pr, err := newReader(r, buf)
+	pr, err := NewReader(r)
 	if err != nil {
 		return nil, err
 	}
@@ -482,10 +461,10 @@ func ReadTrace(r io.Reader) (*trace.Trace, error) {
 
 // DecodeIndex consumes the whole stream straight into a columnar
 // trace.Index — the fused single-pass ingest path. No intermediate
-// []trace.Packet is materialized, the stream is read through a pooled
-// buffer, and the index's buffers come from the shared arena pool: call
+// []trace.Packet is materialized, the stream is read as NewReader reads it,
+// and the index's buffers come from the shared arena pool: call
 // Index.Release when done to recycle them, which is what makes steady-state
-// serving allocate ~nothing per upload.
+// serving allocate ~nothing per upload beyond the read buffer.
 //
 // The result is structurally identical to ReadTrace followed by
 // trace.NewIndex (pinned by differential and fuzz tests) — this is the only
@@ -495,9 +474,7 @@ func ReadTrace(r io.Reader) (*trace.Trace, error) {
 // ReadTrace accepts them as an unsorted Trace, which trace.SealTrace and
 // Pipeline.Run then reject with the same error.
 func DecodeIndex(r io.Reader) (*trace.Index, error) {
-	buf := bufPool.Get().(*bufio.Reader)
-	defer putBuffer(buf)
-	pr, err := newReader(r, buf)
+	pr, err := NewReader(r)
 	if err != nil {
 		return nil, err
 	}

@@ -109,8 +109,8 @@ type indexArena struct {
 var arenaPool = sync.Pool{New: func() any { return new(indexArena) }}
 
 // reset readies a pooled arena for the next build: every slice an Add appends
-// to keeps its capacity at length zero (sizeSlots and Finish resize the
-// rest).
+// to, and the flow table, keeps its capacity at length zero (Finish resizes
+// the rest).
 func (a *indexArena) reset() {
 	a.ts = a.ts[:0]
 	a.seconds = a.seconds[:0]
@@ -122,6 +122,7 @@ func (a *indexArena) reset() {
 	a.proto = a.proto[:0]
 	a.flags = a.flags[:0]
 	a.keys = a.keys[:0]
+	a.slots = a.slots[:0]
 	a.flowSeq = a.flowSeq[:0]
 }
 
@@ -166,15 +167,11 @@ type IndexBuilder struct {
 // NewIndexBuilder returns a pooled builder: its buffers come from the shared
 // arena pool and return to it when the finished Index is Released. Callers
 // that cannot bound the index's lifetime should leave Release uncalled — the
-// buffers are then ordinarily garbage collected. Its flow table starts at the
-// size the arena's previous build ended with (len(a.flows)): a server decodes
-// days of like size, and each would otherwise regrow the table from 512 slots.
+// buffers are then ordinarily garbage collected.
 func NewIndexBuilder() *IndexBuilder {
 	a := arenaPool.Get().(*indexArena)
 	a.reset()
-	b := &IndexBuilder{a: a, pooled: true, lastTS: -1}
-	b.sizeSlots(len(a.flows))
-	return b
+	return &IndexBuilder{a: a, pooled: true, lastTS: -1}
 }
 
 // newDetachedBuilder returns a builder whose finished index owns its buffers
@@ -183,9 +180,8 @@ func NewIndexBuilder() *IndexBuilder {
 // flow to consumers of unknown lifetime, so recycling would be unsound. n is
 // a capacity hint: feeds that know their packet count up front pass it so the
 // per-packet columns are allocated once instead of grown by doubling (which
-// allocates more bytes than the pre-sized map-based build did), and the flow
-// table starts at the size n/4 flows need; SegmentWriter cannot know and
-// passes 0.
+// allocates more bytes than the pre-sized map-based build did); SegmentWriter
+// cannot know and passes 0.
 func newDetachedBuilder(n int) *IndexBuilder {
 	a := &indexArena{
 		ts:      make([]int64, 0, n),
@@ -199,9 +195,7 @@ func newDetachedBuilder(n int) *IndexBuilder {
 		flags:   make([]TCPFlags, 0, n),
 		flowSeq: make([]int32, 0, n),
 	}
-	b := &IndexBuilder{a: a, lastTS: -1}
-	b.sizeSlots(n / 4)
-	return b
+	return &IndexBuilder{a: a, lastTS: -1}
 }
 
 // Add appends one packet to the index under construction.
@@ -274,7 +268,7 @@ func (b *IndexBuilder) AppendIndex(ix *Index) error {
 func (b *IndexBuilder) flowID(k packedFlow) int32 {
 	a := b.a
 	if len(a.keys)*4 >= len(a.slots)*3 {
-		b.sizeSlots(2 * len(a.keys))
+		b.growSlots()
 	}
 	mask := uint64(len(a.slots) - 1)
 	for i := k.hash() >> b.shift; ; i = (i + 1) & mask {
@@ -291,14 +285,13 @@ func (b *IndexBuilder) flowID(k packedFlow) int32 {
 	}
 }
 
-// sizeSlots resizes the table to the smallest power of two, at least 512,
-// that holds n keys at a load factor of 3/4 or less, and re-inserts the
-// interned keys.
-func (b *IndexBuilder) sizeSlots(n int) {
+// growSlots doubles the table (power of two, at least 512 slots, load factor
+// <= 3/4) and re-inserts the interned keys.
+func (b *IndexBuilder) growSlots() {
 	a := b.a
 	size, shift := 512, uint(64-9)
-	for size*3 < n*4 {
-		size, shift = size*2, shift-1
+	if len(a.slots) > 0 {
+		size, shift = 2*len(a.slots), b.shift-1
 	}
 	b.shift = shift
 	a.slots = resize(&a.slots, size)

@@ -184,8 +184,8 @@ func WritePcap(w io.Writer, tr *Trace) error { return pcap.WriteTrace(w, tr) }
 // the fused single-pass ingest path, with no intermediate Trace and pooled
 // column buffers (call Index.Release when done to recycle them; it is the
 // only constructor whose result Release recycles). It reads r through a
-// pooled 64 KiB buffer — r itself when r is a bufio.Reader of at least 110
-// bytes — and parses each record where that buffer holds it. It reads
+// 64 KiB buffer of its own — r itself when r is a bufio.Reader of at least
+// 110 bytes — and parses each record where that buffer holds it. It reads
 // header-only and full-frame captures alike, and its result is structurally
 // identical to ReadPcap followed by index construction; like every other
 // path it rejects streams violating the sorted trace model with

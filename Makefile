@@ -51,9 +51,15 @@ GO ?= go
 #                       its allocs/op follows the communities and their
 #                       rules, never packets or flows
 #   PipelineDay,        a batch day end to end, the segmented streaming path
-#   PipelineStream,     (per-segment seal + detect, sliding-window labeling), and
-#   WindowIndex         the index RunStream builds per stride from four sealed
-#                       segments (bulk column appends + one Finish)
+#   PipelineStream,     (per-segment seal + detect, sliding-window labeling;
+#   WindowIndex,        its window=4,stride=1 row is stream_sliding's shape,
+#   Segments            where each window carries three segments' alarm
+#                       traffic), the index RunStream builds per stride from
+#                       four sealed segments (bulk column appends + one Finish
+#                       + the per-segment flow-id remaps), and stream ingest
+#                       in ns/pkt: trace.Segments over a 64-slot channel from
+#                       a feeder selecting on a cancellable ctx, beside the
+#                       SegmentWriter alone
 #   GenerateDay         the generator: one day in one sequential loop (days
 #                       fan out only in eval.Runner.Days, each slot
 #                       generating its own day) and its radix timestamp
@@ -67,8 +73,9 @@ GO ?= go
 # (TraceIndex, WindowIndex, EigenSym, Louvain, Union and the two GenerateDay
 # rows because the stages are sequential, DetectAllSegment/Estimate/SCANN/
 # Apriori at workers=1; RadixSort is one row per length, MedianMAD one per
-# series shape).
-BENCH_PATTERN ?= PipelineDay|PipelineStream|DetectAll|Detectors|Louvain|SimilarityGraph|GenerateDay|TraceIndex|Extract|Ingest|HoughSparse|Estimate|SCANN|Apriori|EigenSym|WindowIndex|EncodeIndex|BuildReports|Union|RadixSort|MedianMAD|FlowTable
+# series shape, Segments one per feed; PipelineStream adds its sequential
+# window=4,stride=1 row).
+BENCH_PATTERN ?= PipelineDay|PipelineStream|Segments|DetectAll|Detectors|Louvain|SimilarityGraph|GenerateDay|TraceIndex|Extract|Ingest|HoughSparse|Estimate|SCANN|Apriori|EigenSym|WindowIndex|EncodeIndex|BuildReports|Union|RadixSort|MedianMAD|FlowTable
 # Total-coverage floor for `make cover`, in percent. Set from the measured
 # coverage at the last raise (85.1% when the golden-fixture and fuzz tests
 # landed), rounded down; raise it as coverage grows, never lower it to make

@@ -165,13 +165,19 @@ func BenchmarkDetectAll(b *testing.B) {
 	}
 }
 
+// benchStreamDay generates the 2004-05-10 archive day in the shape of
+// cmd/mawibench's stream_sliding corpus (300 pps base rate), seconds long.
+func benchStreamDay(seconds float64) *trace.Trace {
+	arch := mawigen.NewArchive(2010)
+	arch.Duration, arch.BaseRate = seconds, 300
+	return arch.Day(time.Date(2004, 5, 10, 0, 0, 0, 0, time.UTC)).Trace
+}
+
 // benchStreamedSegments seals one 600 s archive day into the 15 s segments
 // RunStream would: 40 of them, each keeping stream time.
 func benchStreamedSegments(b *testing.B) []*trace.Segment {
 	b.Helper()
-	arch := mawigen.NewArchive(2010)
-	arch.Duration, arch.BaseRate = 600, 300
-	day := arch.Day(time.Date(2004, 5, 10, 0, 0, 0, 0, time.UTC))
+	tr := benchStreamDay(600)
 	w := trace.NewSegmentWriter(context.Background(), 15)
 	var segs []*trace.Segment
 	keep := func(seg *trace.Segment, err error) {
@@ -182,7 +188,7 @@ func benchStreamedSegments(b *testing.B) []*trace.Segment {
 			segs = append(segs, seg)
 		}
 	}
-	for _, p := range day.Trace.Packets {
+	for _, p := range tr.Packets {
 		keep(w.Append(p))
 	}
 	keep(w.Close())
@@ -216,15 +222,73 @@ func BenchmarkDetectAllSegment(b *testing.B) {
 	}
 }
 
+// BenchmarkSegments prices stream ingest per packet over one 600 s streamed
+// day, as ns/pkt: chan=64 drains trace.Segments fed through a 64-slot channel
+// by a goroutine that selects on a cancellable context, as cmd/mawibench's
+// stream_sliding feeder does; writer appends the same packets straight to a
+// SegmentWriter, the sealing alone. Their difference is the channel hand-off.
+func BenchmarkSegments(b *testing.B) {
+	b.ReportAllocs()
+	pkts := benchStreamDay(600).Packets
+	perPacket := func(b *testing.B) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(pkts)), "ns/pkt")
+	}
+	b.Run("chan=64", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			ctx, cancel := context.WithCancel(context.Background())
+			ch := make(chan Packet, 64)
+			pool := parallel.NewPool(ctx, 1)
+			pool.Go(func(ctx context.Context) error {
+				defer close(ch)
+				for _, p := range pkts {
+					select {
+					case ch <- p:
+					case <-ctx.Done():
+						return ctx.Err()
+					}
+				}
+				return nil
+			})
+			for _, err := range trace.Segments(ctx, ch, 15) {
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+			cancel()
+			if err := pool.Wait(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		perPacket(b)
+	})
+	b.Run("writer", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			w := trace.NewSegmentWriter(context.Background(), 15)
+			for _, p := range pkts {
+				if _, err := w.Append(p); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if _, err := w.Close(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		perPacket(b)
+	})
+}
+
 // BenchmarkWindowIndex times the index of a four-segment window — what
 // RunStream builds once per stride — over the last four sealed segments of
-// the streamed day: four bulk appends and one Finish.
+// the streamed day: four bulk appends and one Finish, and the remaps that
+// carry each segment's alarm traffic into the window.
 func BenchmarkWindowIndex(b *testing.B) {
 	b.ReportAllocs()
 	segs := benchStreamedSegments(b)[36:]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := trace.WindowIndex(context.Background(), segs); err != nil {
+		if _, _, err := trace.WindowIndex(context.Background(), segs); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -669,33 +733,45 @@ func BenchmarkPipelineDay(b *testing.B) {
 // reference path; the window labelings are byte-identical across sub-benches
 // (see TestStreamDeterminismMatrix), so the ns/op ratio is the pure speedup
 // of the per-segment index builds, detector fan-outs and window labelings.
+// window=4,stride=1 is stream_sliding's shape over the first 120 s of its
+// corpus day, sequentially: eight segments, five windows, each after the
+// first carrying three segments' alarm traffic from the one before.
 func BenchmarkPipelineStream(b *testing.B) {
 	b.ReportAllocs()
-	day := benchArchive().Day(time.Date(2005, 3, 7, 0, 0, 0, 0, time.UTC))
+	day := benchArchive().Day(time.Date(2005, 3, 7, 0, 0, 0, 0, time.UTC)).Trace
 	for _, workers := range benchWorkerCounts() {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			p := NewPipeline().Parallelism(workers)
-			p.Stream = StreamConfig{SegmentSeconds: 15, WindowSegments: 2, WindowStride: 1}
-			for i := 0; i < b.N; i++ {
-				packets := make(chan Packet, day.Trace.Len())
-				for _, pkt := range day.Trace.Packets {
-					packets <- pkt
-				}
-				close(packets)
-				s := p.RunStream(context.Background(), packets)
-				windows := 0
-				for range s.Windows() {
-					windows++
-				}
-				if err := s.Wait(); err != nil {
-					b.Fatal(err)
-				}
-				if windows == 0 {
-					b.Fatal("stream emitted no windows")
-				}
-			}
+			benchStream(b, day, workers, StreamConfig{SegmentSeconds: 15, WindowSegments: 2, WindowStride: 1})
 		})
+	}
+	b.Run("window=4,stride=1", func(b *testing.B) {
+		benchStream(b, benchStreamDay(120), 1, StreamConfig{SegmentSeconds: 15, WindowSegments: 4, WindowStride: 1})
+	})
+}
+
+// benchStream streams tr through RunStream under cfg once per iteration.
+func benchStream(b *testing.B, tr *trace.Trace, workers int, cfg StreamConfig) {
+	b.ReportAllocs()
+	p := NewPipeline().Parallelism(workers)
+	p.Stream = cfg
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		packets := make(chan Packet, tr.Len())
+		for _, pkt := range tr.Packets {
+			packets <- pkt
+		}
+		close(packets)
+		s := p.RunStream(context.Background(), packets)
+		windows := 0
+		for range s.Windows() {
+			windows++
+		}
+		if err := s.Wait(); err != nil {
+			b.Fatal(err)
+		}
+		if windows == 0 {
+			b.Fatal("stream emitted no windows")
+		}
 	}
 }
 

@@ -92,19 +92,38 @@ type Result struct {
 // downstream stages (labeling, heuristics) reuse it instead of rebuilding.
 func (r *Result) Index() *trace.Index { return r.extractor.Index() }
 
-// EstimateContext is the estimation entry point: it runs the similarity
-// estimator (§2.1) over the reported alarms — extract each alarm's traffic,
-// weight alarm pairs by traffic similarity, and cluster the resulting graph
-// into communities — resolving all traffic against the shared trace.Index
-// the caller already holds (a sealed segment's, a streaming window's, or
-// trace.SealTrace's canonical whole-trace index; the same index the
-// detector fan-out consumed, built once per trace). Traffic is identified by
-// that index's own exact ids throughout. The per-alarm traffic extraction,
-// the rows of the similarity graph (internal/simgraph) and the per-community
-// traffic unions fan out across up to `workers` goroutines (<= 1 runs
-// inline); Louvain community mining is sequential. The result is identical at
-// every worker count.
+// EstimateContext is the estimation entry point over one index: it runs the
+// similarity estimator (§2.1) over the reported alarms — extract each alarm's
+// traffic, weight alarm pairs by traffic similarity, and cluster the
+// resulting graph into communities — resolving all traffic against the
+// shared trace.Index the caller already holds (a sealed segment's, or
+// trace.SealTrace's canonical whole-trace index; the same index the detector
+// fan-out consumed, built once per trace). The index is its own one-segment
+// window: SegmentSets resolves the alarms against it and WindowSets, with the
+// identity remap, derives their traffic units, then EstimateSets does the
+// rest. Traffic is identified by that index's own exact ids throughout. The
+// per-alarm traffic extraction, the rows of the similarity graph
+// (internal/simgraph) and the per-community traffic unions fan out across up
+// to `workers` goroutines (<= 1 runs inline); Louvain community mining is
+// sequential. The result is identical at every worker count.
 func EstimateContext(ctx context.Context, ix *trace.Index, alarms []Alarm, cfg EstimatorConfig, workers int) (*Result, error) {
+	segSets, err := SegmentSets(ctx, ix, alarms, cfg.Granularity, workers)
+	if err != nil {
+		return nil, err
+	}
+	sets, err := WindowSets(ctx, ix, cfg.Granularity, []Part{{Sets: segSets}}, workers)
+	if err != nil {
+		return nil, err
+	}
+	return EstimateSets(ctx, ix, alarms, sets, cfg, workers)
+}
+
+// EstimateSets is the estimator past extraction: sets[i] is alarms[i]'s
+// traffic over ix at cfg.Granularity, as WindowSets builds it — for a
+// streamed window, from traffic resolved once per segment. It weighs the
+// alarm pairs, mines the communities and unions each community's traffic,
+// exactly as EstimateContext does after extracting.
+func EstimateSets(ctx context.Context, ix *trace.Index, alarms []Alarm, sets []*TrafficSet, cfg EstimatorConfig, workers int) (*Result, error) {
 	if cfg.MinSimilarity < 0 || cfg.MinSimilarity > 1 {
 		return nil, fmt.Errorf("core: MinSimilarity %f out of [0,1]", cfg.MinSimilarity)
 	}
@@ -114,14 +133,9 @@ func EstimateContext(ctx context.Context, ix *trace.Index, alarms []Alarm, cfg E
 		return nil, fmt.Errorf("core: unknown granularity %d", cfg.Granularity)
 	}
 	ext := NewExtractor(ix, cfg.Granularity)
-	sets := make([]*TrafficSet, len(alarms))
-	ids := make([]simgraph.Set, len(alarms))
-	if err := parallel.ForEach(ctx, len(alarms), workers, func(_ context.Context, i int) error {
-		sets[i] = ext.Extract(&alarms[i])
-		ids[i] = sets[i].IDs
-		return nil
-	}); err != nil {
-		return nil, err
+	ids := make([]simgraph.Set, len(sets))
+	for i, ts := range sets {
+		ids[i] = ts.IDs
 	}
 
 	g, err := simgraph.Build(ctx, ids, simgraph.Config{

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"context"
 	"slices"
 
+	"mawilab/internal/parallel"
 	"mawilab/internal/radix"
 	"mawilab/internal/simgraph"
 	"mawilab/internal/trace"
@@ -56,6 +58,14 @@ func (e *Extractor) Index() *trace.Index { return e.ix }
 // or packet twice; sorting and compacting the collected ids once at the end
 // makes them sets.
 func (e *Extractor) Extract(a *Alarm) *TrafficSet {
+	ts := e.refs(a)
+	e.setIDs(ts)
+	return ts
+}
+
+// refs resolves a's matched flows and, at GranPacket, packets as sets,
+// leaving the traffic units to setIDs.
+func (e *Extractor) refs(a *Alarm) *TrafficSet {
 	ts := &TrafficSet{}
 	for _, f := range a.Filters {
 		cands := e.ix.CandidateFlows(f)
@@ -64,9 +74,16 @@ func (e *Extractor) Extract(a *Alarm) *TrafficSet {
 		}
 	}
 	ts.FlowRefs = sortedSet(ts.FlowRefs, nil)
+	if e.gran == trace.GranPacket {
+		ts.PacketIdx = sortedSet(ts.PacketIdx, nil)
+	}
+	return ts
+}
+
+// setIDs derives the traffic units of a set from its flows and packets.
+func (e *Extractor) setIDs(ts *TrafficSet) {
 	switch e.gran {
 	case trace.GranPacket:
-		ts.PacketIdx = sortedSet(ts.PacketIdx, nil)
 		ts.IDs = ts.PacketIdx
 	case trace.GranUniFlow:
 		ts.IDs = ts.FlowRefs
@@ -80,6 +97,125 @@ func (e *Extractor) Extract(a *Alarm) *TrafficSet {
 		}
 		ts.IDs = sortedSet(ids, nil)
 	}
+}
+
+// touches reports whether some filter of a can match a packet of ix: an
+// untimed filter anywhere, a timed one only when its [From, To) overlaps the
+// seconds of ix's first to last packet.
+func touches(a *Alarm, ix *trace.Index) bool {
+	n := ix.Len()
+	if n == 0 {
+		return false
+	}
+	first, last := ix.Seconds[0], ix.Seconds[n-1]
+	for _, f := range a.Filters {
+		if !f.TimeBounded() || f.From <= last && f.To > first {
+			return true
+		}
+	}
+	return false
+}
+
+// SegmentSets resolves alarms against one sealed segment's index, in that
+// index's own ids: sets[i] holds the flows and, at GranPacket, the packets
+// alarm i matches there, as Extract finds them, with the traffic units left
+// to WindowSets. An alarm that cannot touch the segment — every filter timed,
+// none overlapping the segment's packets — is not matched at all and gets
+// nil. The alarms fan out across up to workers goroutines.
+func SegmentSets(ctx context.Context, ix *trace.Index, alarms []Alarm, g trace.Granularity, workers int) ([]*TrafficSet, error) {
+	ext := NewExtractor(ix, g)
+	sets := make([]*TrafficSet, len(alarms))
+	err := parallel.ForEach(ctx, len(alarms), workers, func(_ context.Context, i int) error {
+		if touches(&alarms[i], ix) {
+			sets[i] = ext.refs(&alarms[i])
+		}
+		return nil
+	})
+	return sets, err
+}
+
+// Part is one sealed segment's share of a window index.
+type Part struct {
+	// Sets[i] is window alarm i's traffic in the segment, as SegmentSets
+	// resolved it (nil when the alarm cannot touch the segment).
+	Sets []*TrafficSet
+	// Remap maps the segment's flow ids to the window's (trace.WindowIndex).
+	// It is nil only for a segment that is its own window, the one part of
+	// a batch labeling.
+	Remap []int32
+	// Offset is the window's id of the segment's first packet.
+	Offset int
+}
+
+// WindowSets builds every window alarm's TrafficSet over the window index ix
+// from its per-segment traffic: each segment's flow ids mapped through the
+// segment's remap and merged, its packet ids shifted by its offset, and the
+// traffic units derived last, against ix (a conversation may span segments).
+// A window flow matches exactly when some segment holding its key has a
+// matching packet, so the result equals Extract of every alarm against ix;
+// the stream tests pin that. Alarms fan out across up to workers goroutines.
+func WindowSets(ctx context.Context, ix *trace.Index, g trace.Granularity, parts []Part, workers int) ([]*TrafficSet, error) {
+	n := 0
+	if len(parts) > 0 {
+		n = len(parts[0].Sets)
+	}
+	ext := NewExtractor(ix, g)
+	sets := make([]*TrafficSet, n)
+	err := parallel.ForEachRange(ctx, n, workers, func(_ context.Context, lo, hi int) error {
+		for i := lo; i < hi; i++ {
+			sets[i] = ext.merge(parts, i)
+		}
+		return nil
+	})
+	return sets, err
+}
+
+// merge builds alarm i's window set from its sets in the window's parts. A
+// remapped list stays ascending — a segment's flow table and the window's
+// share one canonical order — and the segments' packets follow each other,
+// so only flows held by more than one segment need a sort.
+func (e *Extractor) merge(parts []Part, i int) *TrafficSet {
+	ts := &TrafficSet{}
+	if len(parts) == 1 && parts[0].Remap == nil {
+		if s := parts[0].Sets[i]; s != nil {
+			ts.FlowRefs, ts.PacketIdx = s.FlowRefs, s.PacketIdx
+		}
+		e.setIDs(ts)
+		return ts
+	}
+	nf, np, holders := 0, 0, 0
+	for _, p := range parts {
+		if s := p.Sets[i]; s != nil && len(s.FlowRefs) > 0 {
+			nf += len(s.FlowRefs)
+			np += len(s.PacketIdx)
+			holders++
+		}
+	}
+	switch {
+	case holders > 1:
+		ts.FlowRefs = make([]int, 0, 2*nf) // the second half is the sort's scratch
+	case holders == 1:
+		ts.FlowRefs = make([]int, 0, nf)
+	}
+	if np > 0 {
+		ts.PacketIdx = make([]int, 0, np)
+	}
+	for _, p := range parts {
+		s := p.Sets[i]
+		if s == nil {
+			continue
+		}
+		for _, fi := range s.FlowRefs {
+			ts.FlowRefs = append(ts.FlowRefs, int(p.Remap[fi]))
+		}
+		for _, pi := range s.PacketIdx {
+			ts.PacketIdx = append(ts.PacketIdx, pi+p.Offset)
+		}
+	}
+	if holders > 1 {
+		ts.FlowRefs = sortedSet(ts.FlowRefs, ts.FlowRefs[nf:2*nf])
+	}
+	e.setIDs(ts)
 	return ts
 }
 

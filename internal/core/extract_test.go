@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -471,4 +472,80 @@ func TestBiflowIDIsConversation(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestWindowSetsMatchExtract pins the per-segment carry to re-extraction:
+// random 20 s traces are sealed into 1-4 s segments, random multi-filter alarms
+// (timed, untimed and empty-interval) are resolved once per segment with
+// SegmentSets, and WindowSets over trace.WindowIndex's remaps must give, at
+// every granularity, exactly the sets Extract finds against the window index
+// — for every window of up to four consecutive segments and at one and four
+// workers.
+func TestWindowSetsMatchExtract(t *testing.T) {
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(77))
+	for trial := 0; trial < 4; trial++ {
+		tr := randomFilterTrace(int64(100+trial), 2000)
+		var segs []*trace.Segment
+		for seg, err := range trace.Segments(ctx, replayTrace(tr), float64(1+trial)) {
+			if err != nil {
+				t.Fatal(err)
+			}
+			segs = append(segs, seg)
+		}
+		full := trace.NewIndex(tr)
+		alarms := make([]Alarm, 60)
+		for i := range alarms {
+			alarms[i].Filters = []trace.Filter{randomFilter(rng, full)}
+			for rng.Intn(3) == 0 {
+				alarms[i].Filters = append(alarms[i].Filters, randomFilter(rng, full))
+			}
+		}
+		for _, g := range []trace.Granularity{trace.GranPacket, trace.GranUniFlow, trace.GranBiFlow} {
+			for lo := 0; lo < len(segs); lo++ {
+				for hi := lo + 1; hi <= min(lo+4, len(segs)); hi++ {
+					window := segs[lo:hi]
+					ix, remaps, err := trace.WindowIndex(ctx, window)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, workers := range []int{1, 4} {
+						parts := make([]Part, len(window))
+						offset := 0
+						for k, seg := range window {
+							sets, err := SegmentSets(ctx, seg.Index, alarms, g, workers)
+							if err != nil {
+								t.Fatal(err)
+							}
+							parts[k] = Part{Sets: sets, Remap: remaps[k], Offset: offset}
+							offset += seg.Len()
+						}
+						got, err := WindowSets(ctx, ix, g, parts, workers)
+						if err != nil {
+							t.Fatal(err)
+						}
+						ext := NewExtractor(ix, g)
+						for i := range alarms {
+							want := ext.Extract(&alarms[i])
+							if !slices.Equal(got[i].IDs, want.IDs) || !slices.Equal(got[i].FlowRefs, want.FlowRefs) ||
+								!slices.Equal(got[i].PacketIdx, want.PacketIdx) {
+								t.Fatalf("trial %d %v segments [%d,%d) workers=%d alarm %d (%v): carried %+v, re-extracted %+v",
+									trial, g, lo, hi, workers, i, alarms[i].Filters, got[i], want)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// replayTrace fills a buffered channel with the trace's packets and closes it.
+func replayTrace(tr *trace.Trace) <-chan trace.Packet {
+	ch := make(chan trace.Packet, tr.Len())
+	for _, p := range tr.Packets {
+		ch <- p
+	}
+	close(ch)
+	return ch
 }

@@ -87,7 +87,7 @@ type indexArena struct {
 	keys    []packedFlow // by provisional id
 	slots   []int32      // open-addressing table over keys, -1 empty
 	flowSeq []int32      // per-packet provisional flow id
-	remap   []int32      // AppendIndex: the appended index's flow id → provisional id
+	remap   []int32      // AppendIndex: each appended index's flow ids → provisional ids, end to end
 	words   []flowWord   // the keys packed for the canonical sort, and its scratch half
 	rank    []int32      // provisional id → canonical id
 	counts  []int32      // per-provisional-id packet counts
@@ -124,6 +124,7 @@ func (a *indexArena) reset() {
 	a.keys = a.keys[:0]
 	a.slots = a.slots[:0]
 	a.flowSeq = a.flowSeq[:0]
+	a.remap = a.remap[:0]
 }
 
 // resize returns s grown (or shrunk) to length n, reusing capacity.
@@ -228,9 +229,11 @@ func (b *IndexBuilder) Add(p Packet) error {
 // form of Add over ix.PacketAt(0..Len-1), and what WindowIndex feeds a
 // window's sealed segments through. The nine columns are copied whole and
 // each of ix's flows is interned once; the per-packet flow ids go through
-// that remap instead of one table probe per packet. ix's columns already
-// satisfy the sorted trace model, so the only check left is the seam: ix must
-// not start before the builder's last packet (ErrUnsorted).
+// that remap instead of one table probe per packet. The remaps of successive
+// calls are kept end to end, one provisional id per appended flow, so
+// WindowIndex can translate them to canonical ids after Finish. ix's columns
+// already satisfy the sorted trace model, so the only check left is the seam:
+// ix must not start before the builder's last packet (ErrUnsorted).
 func (b *IndexBuilder) AppendIndex(ix *Index) error {
 	if b.finished {
 		return errFinished
@@ -253,10 +256,11 @@ func (b *IndexBuilder) AppendIndex(ix *Index) error {
 	a.pktLen = append(a.pktLen, ix.PktLen...)
 	a.proto = append(a.proto, ix.Proto...)
 	a.flags = append(a.flags, ix.Flags...)
-	pids := resize(&a.remap, len(ix.flows))
-	for fi, k := range ix.flows {
-		pids[fi] = b.flowID(packFlow(k.Src, k.Dst, k.SrcPort, k.DstPort, k.Proto))
+	base := len(a.remap)
+	for _, k := range ix.flows {
+		a.remap = append(a.remap, b.flowID(packFlow(k.Src, k.Dst, k.SrcPort, k.DstPort, k.Proto)))
 	}
+	pids := a.remap[base:]
 	for _, fi := range ix.flowOf {
 		a.flowSeq = append(a.flowSeq, pids[fi])
 	}

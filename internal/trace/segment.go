@@ -188,21 +188,43 @@ func SealTrace(ctx context.Context, tr *Trace) (*Segment, error) {
 // materialized, and the result is structurally identical to indexing the
 // concatenated packets. (A one-segment window needs no build: its index is
 // the segment's.)
-func WindowIndex(ctx context.Context, segs []*Segment) (*Index, error) {
+//
+// remaps[k][fi] is the window flow id of segment k's flow fi: the canonical
+// rank of the provisional id AppendIndex interned that flow under. A
+// segment's flow table and the window's share one canonical order, so each
+// remap is strictly ascending, and segment k's packet i is the window's
+// packet i + o, o the packets of the segments before k. That is what lets the
+// engine resolve an alarm's traffic once per segment and carry it into every
+// window holding the segment (core.WindowSets) instead of resolving it again
+// against each window index.
+func WindowIndex(ctx context.Context, segs []*Segment) (ix *Index, remaps [][]int32, err error) {
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	n := 0
+	n, nf := 0, 0
 	for _, s := range segs {
 		n += s.Len()
+		nf += len(s.Index.flows)
 	}
 	b := newDetachedBuilder(n)
+	a := b.a
+	a.remap = make([]int32, 0, nf)
 	for _, s := range segs {
 		if err := b.AppendIndex(s.Index); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
-	return b.Finish(), nil
+	ix = b.Finish()
+	flat := a.remap
+	for i, pid := range flat {
+		flat[i] = a.rank[pid]
+	}
+	remaps = make([][]int32, len(segs))
+	for k, s := range segs {
+		nf := len(s.Index.flows)
+		remaps[k], flat = flat[:nf:nf], flat[nf:]
+	}
+	return ix, remaps, nil
 }
 
 // Segments chops an in-order packet stream into sealed segments: the
@@ -213,6 +235,12 @@ func WindowIndex(ctx context.Context, segs []*Segment) (*Index, error) {
 // read), a cancelled context, or an out-of-order packet. Like all Go
 // iterators it is single-use and pull-driven: sealing (and the index build
 // it implies) happens on the consumer's goroutine.
+//
+// Each packet costs no two-channel select: the loop first polls ctx.Done()
+// without blocking, then tries a non-blocking receive, and only waits on
+// both channels when the packet channel is empty. A cancelled context
+// therefore ends the stream before the next packet is taken, even from a
+// channel that never runs dry.
 func Segments(ctx context.Context, packets <-chan Packet, seconds float64) iter.Seq2[*Segment, error] {
 	return func(yield func(*Segment, error) bool) {
 		w := NewSegmentWriter(ctx, seconds)
@@ -220,29 +248,44 @@ func Segments(ctx context.Context, packets <-chan Packet, seconds float64) iter.
 			yield(nil, w.err)
 			return
 		}
+		done := ctx.Done()
 		for {
+			var (
+				p  Packet
+				ok bool
+			)
 			select {
-			case <-ctx.Done():
+			case <-done:
 				yield(nil, ctx.Err())
 				return
-			case p, ok := <-packets:
-				if !ok {
-					seg, err := w.Close()
-					if err != nil {
-						yield(nil, err)
-					} else if seg != nil {
-						yield(seg, nil)
-					}
+			default:
+			}
+			select {
+			case p, ok = <-packets:
+			default:
+				select {
+				case <-done:
+					yield(nil, ctx.Err())
 					return
+				case p, ok = <-packets:
 				}
-				seg, err := w.Append(p)
+			}
+			if !ok {
+				seg, err := w.Close()
 				if err != nil {
 					yield(nil, err)
-					return
+				} else if seg != nil {
+					yield(seg, nil)
 				}
-				if seg != nil && !yield(seg, nil) {
-					return
-				}
+				return
+			}
+			seg, err := w.Append(p)
+			if err != nil {
+				yield(nil, err)
+				return
+			}
+			if seg != nil && !yield(seg, nil) {
+				return
 			}
 		}
 	}

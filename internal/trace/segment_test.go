@@ -6,7 +6,9 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
+	"sync/atomic"
 	"testing"
 )
 
@@ -360,7 +362,7 @@ func TestWindowIndexMatchesReference(t *testing.T) {
 		if len(segs) != k {
 			t.Fatalf("trial %d: sealed %d segments, want %d", trial, len(segs), k)
 		}
-		ix, err := WindowIndex(context.Background(), segs)
+		ix, _, err := WindowIndex(context.Background(), segs)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -375,7 +377,7 @@ func TestWindowIndexMatchesReference(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	two := appendAll(t, NewSegmentWriter(context.Background(), 0.1), buildTrace(200, 3))[:2]
-	if _, err := WindowIndex(ctx, two); !errors.Is(err, context.Canceled) {
+	if _, _, err := WindowIndex(ctx, two); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled WindowIndex: %v, want context.Canceled", err)
 	}
 }
@@ -466,6 +468,98 @@ func TestSegmentsIteratorCancellation(t *testing.T) {
 	}
 	if !errors.Is(sawErr, context.Canceled) {
 		t.Fatalf("iterator error = %v, want context.Canceled", sawErr)
+	}
+}
+
+// TestSegmentsIteratorCancelledFullChannel: under an already-cancelled
+// context the iterator ends with context.Canceled before it takes a packet,
+// although a non-blocking receive would find a full channel. A receive path
+// that skipped the Done check would drain the channel instead (the writer
+// only checks the context when a segment seals, so the 0 s length below —
+// one unbounded segment — leaves the check to the iterator alone).
+func TestSegmentsIteratorCancelledFullChannel(t *testing.T) {
+	const n = 1000
+	ch := make(chan Packet, n)
+	for i := 0; i < n; i++ {
+		ch <- Packet{TS: int64(i)}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	var sawErr error
+	for seg, err := range Segments(ctx, ch, 0) {
+		if seg != nil {
+			t.Fatal("segment yielded under a cancelled context")
+		}
+		sawErr = err
+	}
+	if !errors.Is(sawErr, context.Canceled) {
+		t.Fatalf("iterator error = %v, want context.Canceled", sawErr)
+	}
+	if len(ch) != n {
+		t.Fatalf("iterator consumed %d packets under a cancelled context, want 0", n-len(ch))
+	}
+}
+
+// TestSegmentsIteratorCancelMidStream: a producer keeps a 1 024-slot
+// channel full, and the context is cancelled partway, while the channel is
+// full and the consumer is between two segments. Every packet is a second
+// apart, so every packet seals a segment and the consumer's loop body runs
+// once per packet; there it waits for the producer to fill the channel, then
+// cancels. The iterator must end with context.Canceled without taking one
+// more packet — a receive path that skipped the Done check would take one —
+// long before the producer runs out.
+func TestSegmentsIteratorCancelMidStream(t *testing.T) {
+	const (
+		capacity = 1024
+		total    = 100000
+		cancelAt = 100 // segments yielded before the cancel
+	)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	ch := make(chan Packet, capacity)
+	quit := make(chan struct{})
+	var sent atomic.Int64
+	done := make(chan struct{})
+	go func() { //mawilint:allow baregoroutine — test producer, joined through done
+		defer close(done)
+		for i := int64(0); i < total; i++ {
+			select {
+			case ch <- Packet{TS: i * 1e6}:
+				sent.Add(1)
+			case <-quit:
+				return
+			}
+		}
+		close(ch)
+	}()
+	var (
+		sawErr error
+		segs   int
+	)
+	for _, err := range Segments(ctx, ch, 1) {
+		if err != nil {
+			sawErr = err
+			continue
+		}
+		if segs++; segs == cancelAt {
+			for len(ch) < capacity {
+				runtime.Gosched()
+			}
+			cancel()
+		}
+	}
+	close(quit)
+	<-done
+	if !errors.Is(sawErr, context.Canceled) {
+		t.Fatalf("iterator error = %v, want context.Canceled", sawErr)
+	}
+	// Segment k seals when packet k+1 arrives: cancelAt segments took
+	// cancelAt+1 packets.
+	if taken := sent.Load() - int64(len(ch)); taken != cancelAt+1 {
+		t.Fatalf("iterator took %d packets after the cancellation, want 0", taken-(cancelAt+1))
+	}
+	if sent.Load() >= total {
+		t.Fatalf("producer sent all %d packets before the iterator saw the cancellation", total)
 	}
 }
 

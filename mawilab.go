@@ -532,7 +532,7 @@ func (p *Pipeline) RunAlarms(tr *Trace, alarms []Alarm, totals map[string]int) (
 	if err != nil {
 		return nil, err
 	}
-	return e.label(context.Background(), seg.Index, alarms)
+	return e.label(context.Background(), seg.Index, nil, []*segmentRun{{seg: seg, alarms: alarms}})
 }
 
 // WindowLabeling is one streaming output: the labeling of one closed window
@@ -547,8 +547,8 @@ type WindowLabeling struct {
 	// Segments are the window's sealed segments, oldest first.
 	Segments []*Segment
 	// Index holds the window's packets — the segments' packets in stream
-	// order; for a one-segment window it is the segment's own index. It is
-	// what the window's alarms were resolved against: Labeling packet
+	// order; for a one-segment window it is the segment's own index. The
+	// window's alarm traffic is in its ids: Labeling packet and flow
 	// indices point into it (rows via PacketAt), its Digest is the digest
 	// of the window's packets, and it is the Labeling's Result.Index.
 	Index *Index
@@ -587,7 +587,16 @@ func (s *Stream) Wait() error {
 // p.Stream.WindowSegments segments, emitting a WindowLabeling each time the
 // window closes — instead of once per materialized day. The final partial
 // segment and window are sealed and labeled when the channel closes. A bad
-// configuration fails the stream before any packet is read.
+// configuration fails the stream before any packet is read, and a cancelled
+// ctx ends it before the next packet is taken from the channel.
+//
+// A window pays once per segment, not once per window, for its alarms'
+// traffic: each segment's alarms are matched once against each segment of a
+// window holding both (a timed alarm only against the segments its interval
+// overlaps), kept while the segment stays in the window, and carried into
+// each window's index through trace.WindowIndex's flow-id remaps
+// (core.WindowSets) — the sets every alarm would get from extraction
+// against the window index, with the matching done once.
 //
 // Determinism: the same packet stream under the same StreamConfig yields
 // byte-identical window labelings at every worker count, and a stream
@@ -628,7 +637,7 @@ func (e *engine) batch(ctx context.Context, ix *Index) (*Labeling, error) {
 	if err != nil {
 		return nil, err
 	}
-	return e.label(ctx, ix, alarms)
+	return e.label(ctx, ix, nil, []*segmentRun{{seg: &Segment{Index: ix}, alarms: alarms}})
 }
 
 // detect runs the detector ensemble over one sealed segment's index.
@@ -640,10 +649,14 @@ func (e *engine) detect(ctx context.Context, ix *Index) (alarms []Alarm, err err
 	return alarms, err
 }
 
-// segmentRun pairs a sealed segment with its detector-ensemble output.
+// segmentRun pairs a sealed segment with its detector-ensemble output, and
+// carries that output's traffic while the segment is in the window.
 type segmentRun struct {
 	seg    *Segment
 	alarms []Alarm
+	// traffic[seq] is the alarms' traffic in the window segment with that
+	// Seq (core.SegmentSets), resolved by the first window that holds both.
+	traffic map[int][]*core.TrafficSet
 }
 
 // runSegments is the streaming engine: it pulls sealed segments from segs,
@@ -656,7 +669,7 @@ type segmentRun struct {
 // and is returned unchanged.
 func (e *engine) runSegments(ctx context.Context, segs iter.Seq2[*Segment, error], window, stride int, emit func(*WindowLabeling) error) error {
 	var (
-		pending []segmentRun
+		pending []*segmentRun
 		fresh   int // segments not yet covered by an emitted window
 		wi      int
 	)
@@ -676,7 +689,7 @@ func (e *engine) runSegments(ctx context.Context, segs iter.Seq2[*Segment, error
 		if err != nil {
 			return err
 		}
-		pending = append(pending, segmentRun{seg: seg, alarms: alarms})
+		pending = append(pending, &segmentRun{seg: seg, alarms: alarms})
 		fresh++
 		if len(pending) == window {
 			if err := label(); err != nil {
@@ -694,37 +707,46 @@ func (e *engine) runSegments(ctx context.Context, segs iter.Seq2[*Segment, error
 
 // labelWindow runs estimate → combine → label over one window of sealed
 // segments. A one-segment window reuses the segment's index as-is; a
-// multi-segment window gets trace.WindowIndex over its segments.
-func (e *engine) labelWindow(ctx context.Context, wi int, runs []segmentRun) (*WindowLabeling, error) {
+// multi-segment window gets trace.WindowIndex over its segments, and the
+// remaps that carry each segment's alarm traffic into it.
+func (e *engine) labelWindow(ctx context.Context, wi int, runs []*segmentRun) (*WindowLabeling, error) {
 	segs := make([]*Segment, len(runs))
-	var alarms []Alarm
 	for i, r := range runs {
 		segs[i] = r.seg
-		alarms = append(alarms, r.alarms...)
 	}
 	ix := segs[0].Index
+	var remaps [][]int32
 	if len(segs) > 1 {
 		if err := e.observe(StageIngest, func() error {
 			var err error
-			ix, err = trace.WindowIndex(ctx, segs)
+			ix, remaps, err = trace.WindowIndex(ctx, segs)
 			return err
 		}); err != nil {
 			return nil, err
 		}
 	}
-	l, err := e.label(ctx, ix, alarms)
+	l, err := e.label(ctx, ix, remaps, runs)
 	if err != nil {
 		return nil, err
 	}
 	return &WindowLabeling{Window: wi, Start: segs[0].Start, End: segs[len(segs)-1].End, Segments: segs, Index: ix, Labeling: l}, nil
 }
 
-// label runs estimate → combine → label against one shared trace index.
-func (e *engine) label(ctx context.Context, ix *trace.Index, alarms []Alarm) (*Labeling, error) {
+// label runs estimate → combine → label over the alarms of runs, whose
+// segments make up the index ix; remaps are trace.WindowIndex's, nil when ix
+// is the one run's own index.
+func (e *engine) label(ctx context.Context, ix *trace.Index, remaps [][]int32, runs []*segmentRun) (*Labeling, error) {
+	var alarms []Alarm
+	for _, r := range runs {
+		alarms = append(alarms, r.alarms...)
+	}
 	var res *core.Result
 	if err := e.observe(StageEstimate, func() error {
-		var err error
-		res, err = core.EstimateContext(ctx, ix, alarms, e.Estimator, e.workers)
+		sets, err := e.windowSets(ctx, ix, remaps, runs)
+		if err != nil {
+			return err
+		}
+		res, err = core.EstimateSets(ctx, ix, alarms, sets, e.Estimator, e.workers)
 		return err
 	}); err != nil {
 		return nil, err
@@ -745,6 +767,41 @@ func (e *engine) label(ctx context.Context, ix *trace.Index, alarms []Alarm) (*L
 		return nil, err
 	}
 	return &Labeling{Alarms: alarms, Result: res, Decisions: dec, Reports: reports}, nil
+}
+
+// windowSets resolves the traffic of the window's alarms over ix. Each run's
+// alarms are matched once against each segment of the window, and the result
+// is kept in the run while it stays in the window (under stride 1 a window
+// matches the new segment's alarms against every segment, and the older
+// alarms against the new segment only); core.WindowSets then merges the
+// per-segment sets through the remaps.
+func (e *engine) windowSets(ctx context.Context, ix *trace.Index, remaps [][]int32, runs []*segmentRun) ([]*core.TrafficSet, error) {
+	g := e.Estimator.Granularity
+	parts := make([]core.Part, len(runs))
+	offset := 0
+	for k, sr := range runs {
+		var col []*core.TrafficSet
+		for _, ar := range runs {
+			sets, ok := ar.traffic[sr.seg.Seq]
+			if !ok {
+				var err error
+				if sets, err = core.SegmentSets(ctx, sr.seg.Index, ar.alarms, g, e.workers); err != nil {
+					return nil, err
+				}
+				if ar.traffic == nil {
+					ar.traffic = make(map[int][]*core.TrafficSet)
+				}
+				ar.traffic[sr.seg.Seq] = sets
+			}
+			col = append(col, sets...)
+		}
+		parts[k] = core.Part{Sets: col, Offset: offset}
+		if remaps != nil {
+			parts[k].Remap = remaps[k]
+		}
+		offset += sr.seg.Len()
+	}
+	return core.WindowSets(ctx, ix, g, parts, e.workers)
 }
 
 // Anomalies returns the reports labeled Anomalous, the records published in

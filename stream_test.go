@@ -8,11 +8,15 @@ import (
 	"encoding/json"
 	"encoding/xml"
 	"errors"
+	"fmt"
 	"math"
 	"os"
+	"slices"
 	"sync"
 	"testing"
+	"time"
 
+	"mawilab/internal/core"
 	wirev1 "mawilab/internal/serve/v1"
 	"mawilab/internal/trace"
 )
@@ -22,10 +26,7 @@ import (
 // the committed batch fixture.
 func streamTestDay(t *testing.T) *Trace {
 	t.Helper()
-	arch := NewArchive(42)
-	arch.Duration = 30
-	arch.BaseRate = 200
-	return arch.Day(Date(2004, 5, 10)).Trace
+	return streamArchiveDay(Date(2004, 5, 10), 30)
 }
 
 // replay fills a buffered channel with the trace's packets and closes it, so
@@ -117,22 +118,45 @@ func TestStreamMatchesBatch(t *testing.T) {
 }
 
 // TestStreamDeterminismMatrix pins the worker-count invariance of the
-// segmented path: for every segment length, the concatenated window CSVs are
-// byte-identical to the sequential workers=1 reference.
+// segmented path: for every shape, the concatenated window CSVs are
+// byte-identical to the sequential workers=1 reference. The 30 s test day
+// runs 2-segment windows at three segment lengths; a 120 s day of the same
+// archive runs stream_sliding's shape (15 s segments, window 4, stride 1),
+// where every window after the first carries three segments' alarm traffic
+// from the one before.
 func TestStreamDeterminismMatrix(t *testing.T) {
 	day := streamTestDay(t)
-	for _, segSeconds := range []float64{5, 10, 30} {
+	for _, tc := range []struct {
+		tr      *Trace
+		cfg     StreamConfig
+		minFull int // full windows the shape must emit
+	}{
+		{day, StreamConfig{SegmentSeconds: 5, WindowSegments: 2, WindowStride: 1}, 1},
+		{day, StreamConfig{SegmentSeconds: 10, WindowSegments: 2, WindowStride: 1}, 1},
+		{day, StreamConfig{SegmentSeconds: 30, WindowSegments: 2, WindowStride: 1}, 0},
+		{streamArchiveDay(Date(2004, 5, 10), 120), StreamConfig{SegmentSeconds: 15, WindowSegments: 4, WindowStride: 1}, 2},
+	} {
+		name := fmt.Sprintf("segment=%gs window=%d stride=%d", tc.cfg.SegmentSeconds, tc.cfg.WindowSegments, tc.cfg.WindowStride)
 		var ref []byte
 		var refWindows int
 		for _, workers := range []int{1, 2, 4, 8} {
 			p := NewPipeline().Parallelism(workers)
-			p.Stream = StreamConfig{SegmentSeconds: segSeconds, WindowSegments: 2, WindowStride: 1}
-			windows, err := drainStream(p.RunStream(context.Background(), replay(day)))
+			p.Stream = tc.cfg
+			windows, err := drainStream(p.RunStream(context.Background(), replay(tc.tr)))
 			if err != nil {
-				t.Fatalf("segment=%gs workers=%d: %v", segSeconds, workers, err)
+				t.Fatalf("%s workers=%d: %v", name, workers, err)
 			}
 			if len(windows) == 0 {
-				t.Fatalf("segment=%gs workers=%d: no windows emitted", segSeconds, workers)
+				t.Fatalf("%s workers=%d: no windows emitted", name, workers)
+			}
+			full := 0
+			for _, w := range windows {
+				if len(w.Segments) == tc.cfg.WindowSegments {
+					full++
+				}
+			}
+			if full < tc.minFull {
+				t.Fatalf("%s workers=%d: %d full windows, want >= %d", name, workers, full, tc.minFull)
 			}
 			var all bytes.Buffer
 			for _, w := range windows {
@@ -146,13 +170,126 @@ func TestStreamDeterminismMatrix(t *testing.T) {
 				continue
 			}
 			if len(windows) != refWindows {
-				t.Errorf("segment=%gs workers=%d: %d windows, sequential reference emitted %d",
-					segSeconds, workers, len(windows), refWindows)
+				t.Errorf("%s workers=%d: %d windows, sequential reference emitted %d",
+					name, workers, len(windows), refWindows)
 			}
 			if !bytes.Equal(all.Bytes(), ref) {
-				t.Errorf("segment=%gs workers=%d: window CSVs differ from the sequential reference", segSeconds, workers)
+				t.Errorf("%s workers=%d: window CSVs differ from the sequential reference", name, workers)
 			}
 		}
+	}
+}
+
+// streamArchiveDay generates an archive day of the streaming tests' archive
+// (seed 42, 200 pps base rate), seconds long.
+func streamArchiveDay(date time.Time, seconds float64) *Trace {
+	arch := NewArchive(42)
+	arch.Duration = seconds
+	arch.BaseRate = 200
+	return arch.Day(date).Trace
+}
+
+// straddler is a test detector whose alarms cross segment boundaries on
+// purpose, which no standard detector's do: per segment, config 0 reports
+// the half minute around the segment's first packet (reaching back into the
+// segment before) and config 1 the quarter minute from its last packet's
+// last five seconds (reaching into the segment after, which seals later),
+// each as two filters — the first packet's destination, and all of UDP.
+type straddler struct{}
+
+func (straddler) Name() string    { return "straddle" }
+func (straddler) NumConfigs() int { return 2 }
+func (straddler) Detect(ix *Index, config int) ([]Alarm, error) {
+	if ix.Len() == 0 {
+		return nil, nil
+	}
+	from, to := ix.Seconds[0]-15, ix.Seconds[0]+15
+	if config == 1 {
+		last := ix.Seconds[ix.Len()-1]
+		from, to = last-5, last+10
+	}
+	return []Alarm{{Detector: "straddle", Config: config, Filters: []Filter{
+		NewFilter().WithDst(ix.Dst[0]).WithInterval(from, to),
+		NewFilter().WithProto(trace.UDP).WithInterval(from, to),
+	}}}, nil
+}
+
+// TestStreamCarriedTrafficMatchesReextraction is the reference for the
+// per-segment carry: every alarm of every window is extracted again against
+// the window index with Extractor.Extract — what RunStream did per window
+// before it resolved each alarm once per segment — and the window's carried
+// traffic set must equal it (IDs, FlowRefs and PacketIdx). Two archive days
+// stream at stream_sliding's shape and at window 4 / stride 3, whose last
+// window is a partial one, at all three granularities, with the straddler
+// beside the standard ensemble. The test fails unless the carry met untimed
+// Gamma alarms, multi-filter Hough alarms, straddling alarms whose packets
+// span two segments, and a final partial window.
+func TestStreamCarriedTrafficMatchesReextraction(t *testing.T) {
+	var untimedGamma, multiHough, straddling, partial int
+	for _, date := range []time.Time{Date(2004, 5, 10), Date(2006, 10, 16)} {
+		tr := streamArchiveDay(date, 90)
+		for _, cfg := range []StreamConfig{
+			{SegmentSeconds: 15, WindowSegments: 4, WindowStride: 1},
+			{SegmentSeconds: 15, WindowSegments: 4, WindowStride: 3},
+		} {
+			for _, g := range []Granularity{GranPacket, GranUniFlow, GranBiFlow} {
+				p := NewPipeline()
+				p.Detectors = append(StandardDetectors(), straddler{})
+				p.Estimator.Granularity = g
+				p.Stream = cfg
+				windows, err := drainStream(p.RunStream(context.Background(), replay(tr)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, w := range windows {
+					if len(w.Segments) > 1 && len(w.Segments) < cfg.WindowSegments && w == windows[len(windows)-1] {
+						partial++
+					}
+					// bounds[k] is the window id of segment k's first packet.
+					bounds := make([]int, len(w.Segments))
+					for k := 1; k < len(w.Segments); k++ {
+						bounds[k] = bounds[k-1] + w.Segments[k-1].Len()
+					}
+					segOf := func(pi int) int {
+						k, found := slices.BinarySearch(bounds, pi)
+						if !found {
+							k--
+						}
+						return k
+					}
+					ext := core.NewExtractor(w.Index, g)
+					for i := range w.Labeling.Alarms {
+						a := &w.Labeling.Alarms[i]
+						want, got := ext.Extract(a), w.Labeling.Result.Sets[i]
+						if !slices.Equal(got.IDs, want.IDs) || !slices.Equal(got.FlowRefs, want.FlowRefs) ||
+							!slices.Equal(got.PacketIdx, want.PacketIdx) {
+							t.Fatalf("%s %+v %v window %d alarm %d (%s): carried traffic differs from re-extraction:\ncarried   %+v\nextracted %+v",
+								date.Format("2006-01-02"), cfg, g, w.Window, i, a, got, want)
+						}
+						if len(want.IDs) == 0 || len(w.Segments) == 1 {
+							continue
+						}
+						timed := false
+						for _, f := range a.Filters {
+							timed = timed || f.TimeBounded()
+						}
+						switch {
+						case a.Detector == "gamma" && !timed:
+							untimedGamma++
+						case a.Detector == "hough" && len(a.Filters) > 1:
+							multiHough++
+						case a.Detector == "straddle" && g == GranPacket &&
+							segOf(want.PacketIdx[0]) != segOf(want.PacketIdx[len(want.PacketIdx)-1]):
+							straddling++
+						}
+					}
+				}
+			}
+		}
+	}
+	t.Logf("untimed gamma %d, multi-filter hough %d, straddling %d, partial windows %d", untimedGamma, multiHough, straddling, partial)
+	if untimedGamma == 0 || multiHough == 0 || straddling == 0 || partial == 0 {
+		t.Fatal("a case the carry must cover never occurred")
 	}
 }
 

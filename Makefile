@@ -96,7 +96,7 @@ FUZZTIME ?= 10s
 # can't push a benchmark past the threshold.
 BENCHTIME ?= 1x
 
-.PHONY: all build test test-386 race bench bench-gate bench-baseline cover fmt vet fuzz lint fma-check serve-smoke check
+.PHONY: all build test test-386 test-softfloat race bench bench-gate bench-baseline cover fmt vet fuzz lint fma-check serve-smoke check
 
 all: build test
 
@@ -112,6 +112,14 @@ test:
 # Cross-compiled test binaries run natively on an amd64 host.
 test-386:
 	GOARCH=386 $(GO) test ./...
+
+# The golden-pinned packages on 386 with software floating point
+# (GO386=softfloat): every float operation runs as Go code instead of on the
+# FPU, so these goldens — the pipeline's labels and ADMD scores, the
+# generator's digests, the experiments' stdout, the eigensolver and the
+# detectors' references — are executed under a second float implementation.
+test-softfloat:
+	GOARCH=386 GO386=softfloat $(GO) test . ./internal/mawigen ./cmd/experiments ./internal/linalg ./internal/detectors/...
 
 # The race job covers the whole module: the root package (pipeline +
 # benches compile in, including the RunStream engine and its
@@ -239,4 +247,4 @@ fuzz:
 serve-smoke:
 	$(GO) test ./cmd/mawilabd -run '^TestServeSmoke$$' -v -count=1
 
-check: build vet fmt lint fma-check test test-386 fuzz serve-smoke
+check: build vet fmt lint fma-check test test-386 test-softfloat fuzz serve-smoke

@@ -5,7 +5,8 @@
 //
 // Here a naive entropy-based detector is added as a fifth ensemble member;
 // its alarms land in the same similarity graph and vote alongside the four
-// standard detectors.
+// standard detectors. Its time is the index's integer µs: trace.NewTimeAxis
+// takes the bin width in µs and Interval returns Filter.WithInterval's µs.
 //
 // Run with:
 //
@@ -33,7 +34,7 @@ import (
 // reports the bin's top destination, the target the many sources converge
 // on. Two configurations vary the threshold.
 type entropyDetector struct {
-	timeBin    float64
+	timeBin    int64     // µs
 	thresholds []float64 // robust z per config
 }
 
@@ -62,7 +63,7 @@ func (d *entropyDetector) Detect(ix *trace.Index, config int) ([]core.Alarm, err
 		sources[i], dests[i] = map[trace.IPv4]int{}, map[trace.IPv4]int{}
 	}
 	for i := 0; i < ix.Len(); i++ {
-		b := ax.Bin(ix.Seconds[i])
+		b := ax.Bin(ix.TS[i])
 		sources[b][ix.Src[i]]++
 		dests[b][ix.Dst[i]]++
 	}
@@ -149,7 +150,7 @@ func label() (baseline, extended *mawilab.Labeling, err error) {
 	}
 	p := mawilab.NewPipeline()
 	p.Detectors = append(mawilab.StandardDetectors(),
-		&entropyDetector{timeBin: 2, thresholds: []float64{4, 2.5}})
+		&entropyDetector{timeBin: 2_000_000, thresholds: []float64{4, 2.5}})
 	extended, err = p.Run(day.Trace)
 	return baseline, extended, err
 }

@@ -42,12 +42,12 @@ func TestEntropyRiseNamesTheTarget(t *testing.T) {
 	overlapping := 0
 	for _, a := range extended.Alarms {
 		f := a.Filters[0]
-		if a.Detector != "entropy" || f.To <= 43 || f.From >= 52.3 {
+		if a.Detector != "entropy" || f.To <= 43e6 || f.From >= 52_300_000 {
 			continue
 		}
 		overlapping++
 		if f.Src != nil || f.Dst == nil || *f.Dst != target {
-			t.Errorf("entropy alarm over [%g,%g) s names %v, want the target %v", f.From, f.To, f, target)
+			t.Errorf("entropy alarm over [%d,%d) µs names %v, want the target %v", f.From, f.To, f, target)
 		}
 	}
 	if overlapping == 0 {

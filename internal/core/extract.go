@@ -101,13 +101,13 @@ func (e *Extractor) setIDs(ts *TrafficSet) {
 
 // touches reports whether some filter of a can match a packet of ix: an
 // untimed filter anywhere, a timed one only when its [From, To) overlaps the
-// seconds of ix's first to last packet.
+// timestamps of ix's first to last packet.
 func touches(a *Alarm, ix *trace.Index) bool {
 	n := ix.Len()
 	if n == 0 {
 		return false
 	}
-	first, last := ix.Seconds[0], ix.Seconds[n-1]
+	first, last := ix.TS[0], ix.TS[n-1]
 	for _, f := range a.Filters {
 		if !f.TimeBounded() || f.From <= last && f.To > first {
 			return true
@@ -234,7 +234,7 @@ func (e *Extractor) matchFlow(f trace.Filter, fi int, ts *TrafficSet) {
 	matched := len(ts.PacketIdx)
 	for _, pi := range e.ix.FlowPackets(fi) {
 		if f.TimeBounded() {
-			if sec := e.ix.Seconds[pi]; sec < f.From || sec >= f.To {
+			if at := e.ix.TS[pi]; at < f.From || at >= f.To {
 				continue
 			}
 		}
@@ -245,11 +245,10 @@ func (e *Extractor) matchFlow(f trace.Filter, fi int, ts *TrafficSet) {
 	}
 }
 
-// anyPacketIn reports whether flow fi has a packet in [from,to) seconds.
-func (e *Extractor) anyPacketIn(fi int, from, to float64) bool {
+// anyPacketIn reports whether flow fi has a packet in [from,to) µs.
+func (e *Extractor) anyPacketIn(fi int, from, to int64) bool {
 	for _, pi := range e.ix.FlowPackets(fi) {
-		sec := e.ix.Seconds[pi]
-		if sec >= from && sec < to {
+		if ts := e.ix.TS[pi]; ts >= from && ts < to {
 			return true
 		}
 	}

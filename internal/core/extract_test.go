@@ -25,9 +25,9 @@ func fig1Trace() (*trace.Trace, []Alarm) {
 	}
 	base := trace.NewFilter().WithSrc(src).WithDst(dst).WithDstPort(80)
 	alarms := []Alarm{
-		{Detector: "A", Config: 0, Filters: []trace.Filter{base.WithInterval(0, 3)}},  // packets 0-2
-		{Detector: "B", Config: 0, Filters: []trace.Filter{base.WithInterval(4, 8)}},  // packets 4-7
-		{Detector: "C", Config: 0, Filters: []trace.Filter{base.WithInterval(6, 10)}}, // packets 6-9
+		{Detector: "A", Config: 0, Filters: []trace.Filter{base.WithInterval(0, 3e6)}},    // packets 0-2
+		{Detector: "B", Config: 0, Filters: []trace.Filter{base.WithInterval(4e6, 8e6)}},  // packets 4-7
+		{Detector: "C", Config: 0, Filters: []trace.Filter{base.WithInterval(6e6, 10e6)}}, // packets 6-9
 	}
 	return tr, alarms
 }
@@ -130,7 +130,7 @@ func TestExtractTimeBoundExcludesFlow(t *testing.T) {
 	src := trace.MakeIPv4(10, 0, 0, 1)
 	// Window covering no packets: flow must not match at flow granularity.
 	a := Alarm{Detector: "A", Filters: []trace.Filter{
-		trace.NewFilter().WithSrc(src).WithInterval(100, 200),
+		trace.NewFilter().WithSrc(src).WithInterval(100e6, 200e6),
 	}}
 	ext := NewExtractor(trace.NewIndex(tr), trace.GranUniFlow)
 	if ts := ext.Extract(&a); ts.Size() != 0 {
@@ -298,8 +298,8 @@ func randomFilter(rng *rand.Rand, ix *trace.Index) trace.Filter {
 		f = f.WithProto(k.Proto)
 	}
 	if rng.Intn(2) == 0 {
-		from := rng.Float64() * 20
-		f = f.WithInterval(from, from+rng.Float64()*8)
+		from := int64(rng.Float64() * 20e6)
+		f = f.WithInterval(from, from+int64(rng.Float64()*8e6))
 	}
 	return f
 }
@@ -320,7 +320,7 @@ func (e *Extractor) extractScan(a *Alarm) *TrafficSet {
 			}
 			matched := false
 			for _, pi := range e.ix.FlowPackets(fi) {
-				if sec := e.ix.Seconds[pi]; f.TimeBounded() && (sec < f.From || sec >= f.To) {
+				if ts := e.ix.TS[pi]; f.TimeBounded() && (ts < f.From || ts >= f.To) {
 					continue
 				}
 				matched = true

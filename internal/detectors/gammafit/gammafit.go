@@ -35,8 +35,8 @@ const (
 	topHosts    = 3  // hosts reported per anomalous bin, at most
 )
 
-// resolutions are the aggregation scales in seconds, finest first.
-var resolutions = [...]float64{0.5, 1, 2}
+// resolutions are the aggregation scales in µs, finest first.
+var resolutions = [...]int64{500_000, 1_000_000, 2_000_000}
 
 // thresholds holds the per-configuration anomaly threshold on the robust
 // parameter distance; index with detectors.Optimal/Sensitive/Conservative.
@@ -83,11 +83,11 @@ type binScore struct {
 func (d *Detector) Prepare(ix *trace.Index) (detectors.Prepared, error) {
 	ax, err := trace.NewTimeAxis(ix, resolutions[0])
 	if err != nil {
-		return nil, fmt.Errorf("gamma: %v s bins: %w", resolutions[0], err)
+		return nil, fmt.Errorf("gamma: %v s bins: %w", float64(resolutions[0])/1e6, err)
 	}
 	ax.Bins++ // one spare cell past the last packet's, kept for byte identity
 	p := &prepared{d: d}
-	if ix.Len() > 0 && ax.Span >= 4*resolutions[len(resolutions)-1] {
+	if n := ix.Len(); n > 0 && ix.TS[n-1] >= 4*resolutions[len(resolutions)-1] {
 		p.dirs = [2][]binScore{prepareDirection(ix, ax, false), prepareDirection(ix, ax, true)}
 	}
 	return p, nil
@@ -159,14 +159,14 @@ func prepareDirection(ix *trace.Index, ax trace.TimeAxis, dst bool) []binScore {
 	// One bins×cells slab of packet counts at the finest resolution.
 	var factors [len(resolutions)]int
 	for ri, res := range resolutions {
-		factors[ri] = int(math.Round(res / ax.Width))
+		factors[ri] = int(res / ax.Width)
 	}
 	coarsest := factors[len(factors)-1]
 	origin := ax.First() - ax.First()%coarsest
 	cells := ax.Bins - origin
 	counts := make([]float64, sketchWidth*cells)
 	for pi, addr := range addrs {
-		counts[sk.Bin(addr)*cells+ax.Bin(ix.Seconds[pi])-origin]++
+		counts[sk.Bin(addr)*cells+ax.Bin(ix.TS[pi])-origin]++
 	}
 
 	// Per-resolution Gamma fits for every active bin: fits holds nres

@@ -70,12 +70,23 @@ func (g *refGroup) TopHosts(b, k int) []trace.IPv4 {
 	return out
 }
 
-// refDetect is the pre-split Detector.Detect, unchanged.
+// refResolutions are resolutions in seconds: the reference bins float
+// seconds, float64(TS)/1e6, as the detector did before its axis moved to
+// integer µs.
+var refResolutions = func() (sec [len(resolutions)]float64) {
+	for i, res := range resolutions {
+		sec[i] = float64(res) / 1e6
+	}
+	return sec
+}()
+
+// refDetect is the pre-split Detector.Detect, unchanged but for its float
+// seconds, which it computes from TS itself.
 func refDetect(d *Detector, ix *trace.Index, config int) ([]core.Alarm, error) {
 	if err := detectors.CheckConfig(d, config); err != nil {
 		return nil, err
 	}
-	if ix.Len() == 0 || ix.Duration() < 4*resolutions[len(resolutions)-1] {
+	if ix.Len() == 0 || ix.Duration() < 4*refResolutions[len(refResolutions)-1] {
 		return nil, nil
 	}
 	threshold := thresholds[config]
@@ -94,7 +105,7 @@ func refDetectDirection(d *Detector, ix *trace.Index, config int, threshold floa
 	sk := sketch.New(sketchWidth, seed)
 	group := newRefGroup(sk)
 
-	finest := resolutions[0]
+	finest := refResolutions[0]
 	cells := int(math.Ceil(ix.Duration()/finest)) + 1
 	counts := make([][]float64, sketchWidth)
 	for b := range counts {
@@ -106,7 +117,7 @@ func refDetectDirection(d *Detector, ix *trace.Index, config int, threshold floa
 	}
 	for pi := 0; pi < ix.Len(); pi++ {
 		b := group.Observe(addrs[pi])
-		c := int(ix.Seconds[pi] / finest)
+		c := int(float64(ix.TS[pi]) / 1e6 / finest)
 		if c >= cells {
 			c = cells - 1
 		}
@@ -129,7 +140,7 @@ func refDetectDirection(d *Detector, ix *trace.Index, config int, threshold floa
 		}
 		bf := binFit{bin: b}
 		ok := true
-		for ri, res := range resolutions {
+		for ri, res := range refResolutions {
 			sample := refAggregate(counts[b], int(math.Round(res/finest)))
 			g, err := stats.FitGammaMoments(0, sample)
 			if err != nil {
@@ -272,7 +283,7 @@ func streamedSegments(t *testing.T) []*trace.Index {
 		}
 	}
 	keep(w.Close())
-	if len(out) != 4 || out[3].Seconds[0] < 585 {
+	if len(out) != 4 || out[3].Start() < 585 {
 		t.Fatalf("kept %d segments, want seq 0, 1, 20 and 39 of a 600 s day", len(out))
 	}
 	return append(out, trace.NewIndex(sparse))

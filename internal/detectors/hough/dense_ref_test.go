@@ -24,6 +24,10 @@ import (
 	"mawilab/internal/trace"
 )
 
+// refBin is timeBin in seconds: the dense reference bins float seconds,
+// float64(TS)/1e6, as the detector did before its axis moved to integer µs.
+const refBin = timeBin / 1e6
+
 // cellKey addresses one plot cell in the dense reference.
 type cellKey struct{ x, y int }
 
@@ -32,7 +36,7 @@ func denseDetect(d *Detector, ix *trace.Index, config int) ([]core.Alarm, error)
 	if err := detectors.CheckConfig(d, config); err != nil {
 		return nil, err
 	}
-	cols := int(math.Ceil(ix.Duration()/timeBin)) + 1
+	cols := int(math.Ceil(ix.Duration()/refBin)) + 1
 	if ix.Len() == 0 || cols < 6 {
 		return nil, nil
 	}
@@ -53,7 +57,7 @@ func densePlane(d *Detector, ix *trace.Index, config int, tn tuning, cols int, d
 		addrs = ix.Dst
 	}
 	for pi := 0; pi < ix.Len(); pi++ {
-		c := cellKey{x: int(ix.Seconds[pi] / timeBin), y: sk.Bin(addrs[pi])}
+		c := cellKey{x: int(float64(ix.TS[pi]) / 1e6 / refBin), y: sk.Bin(addrs[pi])}
 		counts[c]++
 		m := cellFlows[c]
 		if m == nil {
@@ -177,10 +181,10 @@ func densePlane(d *Detector, ix *trace.Index, config int, tn tuning, cols int, d
 			Score:    float64(ln.votes),
 			Note:     planeName(dstPlane) + " line",
 		}
-		from := float64(minX) * timeBin
-		to := float64(maxX+1) * timeBin
+		from := float64(minX) * refBin
+		to := float64(maxX+1) * refBin
 		for _, host := range denseTopHosts(hostPkts, maxFilters) {
-			f := trace.NewFilter().WithInterval(from, to)
+			f := trace.NewFilter().WithInterval(int64(from*1e6), int64(to*1e6))
 			if dstPlane {
 				f = f.WithDst(host)
 			} else {
@@ -286,7 +290,7 @@ func streamedSegments(t *testing.T) []*trace.Index {
 		keep(w.Append(p))
 	}
 	keep(w.Close())
-	if len(out) != 3 || out[2].Seconds[0] < 585 {
+	if len(out) != 3 || out[2].Start() < 585 {
 		t.Fatalf("kept %d segments, want seq 0, 20 and 39 of a 600 s day", len(out))
 	}
 	return out

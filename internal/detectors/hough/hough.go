@@ -30,10 +30,10 @@ type Detector struct{}
 
 // The detector's parameters, fixed for every tuning.
 const (
-	timeBin    = 0.5 // the plot's time quantum, seconds
-	plotRows   = 128 // address-bucket resolution of the plot
-	numAngles  = 48  // θ quantization of the Hough accumulator
-	maxFilters = 10  // flows reported per detected line, at most
+	timeBin    = 500_000 // the plot's time quantum, µs
+	plotRows   = 128     // address-bucket resolution of the plot
+	numAngles  = 48      // θ quantization of the Hough accumulator
+	maxFilters = 10      // flows reported per detected line, at most
 )
 
 type tuning struct {
@@ -106,7 +106,7 @@ type line struct {
 func (d *Detector) Prepare(ix *trace.Index) (detectors.Prepared, error) {
 	ax, err := trace.NewTimeAxis(ix, timeBin)
 	if err != nil {
-		return nil, fmt.Errorf("hough: %v s bins: %w", timeBin, err)
+		return nil, fmt.Errorf("hough: %v s bins: %w", timeBin/1e6, err)
 	}
 	ax.Bins++ // one spare column past the last packet's, kept for byte identity
 	p := &prepared{d: d, ax: ax}
@@ -135,7 +135,7 @@ func (d *Detector) Prepare(ix *trace.Index) (detectors.Prepared, error) {
 }
 
 // rasterize builds one plane. Timestamps are sorted, so the time coordinate
-// x = ax.Bin(Seconds) is non-decreasing: each x-stripe is one contiguous
+// x = ax.Bin(TS) is non-decreasing: each x-stripe is one contiguous
 // packet range. One plotRows-sized counter array serves every stripe in turn;
 // flushing a stripe emits its cells holding at least cellMin packets —
 // already in (x, y) order — and deals the stripe's packets out to them, so
@@ -172,7 +172,7 @@ func rasterize(ix *trace.Index, ax trace.TimeAxis, cellMin int, dstPlane bool) p
 	}
 	curX := 0
 	for pi, addr := range addrs {
-		if x := ax.Bin(ix.Seconds[pi]); x != curX {
+		if x := ax.Bin(ix.TS[pi]); x != curX {
 			flush(curX, pi)
 			curX = x
 		}

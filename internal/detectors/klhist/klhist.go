@@ -60,9 +60,9 @@ type Detector struct{}
 
 // The detector's parameters, fixed for every tuning.
 const (
-	timeBin        = 5.0  // histogram interval, seconds
-	ruleSupport    = 0.15 // Apriori's minimum support for anomaly extraction
-	maxRulesPerBin = 8    // alarms from one anomalous bin, at most
+	timeBin        = 5_000_000 // histogram interval, µs
+	ruleSupport    = 0.15      // Apriori's minimum support for anomaly extraction
+	maxRulesPerBin = 8         // alarms from one anomalous bin, at most
 )
 
 // thresholds holds the per-configuration robust z threshold on the KL
@@ -101,7 +101,7 @@ type prepared struct {
 // exceeds the smallest configured threshold.
 type changedBin struct {
 	z        float64
-	from, to float64
+	from, to int64
 	rules    []apriori.Rule // maximal, capped at maxRulesPerBin
 }
 
@@ -112,7 +112,7 @@ type changedBin struct {
 func (d *Detector) Prepare(ix *trace.Index) (detectors.Prepared, error) {
 	ax, err := trace.NewTimeAxis(ix, timeBin)
 	if err != nil {
-		return nil, fmt.Errorf("kl: %v s bins: %w", timeBin, err)
+		return nil, fmt.Errorf("kl: %v s bins: %w", timeBin/1e6, err)
 	}
 	p := &prepared{d: d}
 	if ix.Len() == 0 || ax.Bins < 4 {
@@ -218,8 +218,8 @@ func klSeries(ix *trace.Index, ax trace.TimeAxis) [numFeatures][]float64 {
 		curTotal, prevTotal = 0, curTotal
 	}
 	at := 0
-	for pi, sec := range ix.Seconds {
-		for b := ax.Bin(sec); at < b; at++ {
+	for pi, ts := range ix.TS {
+		for b := ax.Bin(ts); at < b; at++ {
 			flush(at)
 		}
 		counters[FeatSrcIP].add(uint32(bucketIP(ix.Src[pi])))
@@ -339,7 +339,7 @@ func bucketPort(p uint16) uint64 {
 
 // ruleToFilter converts a mined 4-tuple rule to a traffic filter bounded to
 // the anomalous interval.
-func ruleToFilter(rule apriori.Rule, from, to float64) trace.Filter {
+func ruleToFilter(rule apriori.Rule, from, to int64) trace.Filter {
 	f := trace.NewFilter().WithInterval(from, to)
 	for _, it := range rule.Items {
 		switch it.Field {

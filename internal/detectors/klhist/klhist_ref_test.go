@@ -69,13 +69,18 @@ func (h *histogram) klDivergence(q *histogram, eps float64) float64 {
 	return d
 }
 
+// refBin is timeBin in seconds: the reference bins float seconds,
+// float64(TS)/1e6, as the detector did before its axis moved to integer µs.
+const refBin = timeBin / 1e6
+
 // refDetect is the pre-split Detector.Detect, unchanged but for its
-// histograms, which are this file's map-backed reference type.
+// histograms, which are this file's map-backed reference type, and its float
+// seconds, which it computes from TS itself.
 func refDetect(d *Detector, ix *trace.Index, config int) ([]core.Alarm, error) {
 	if err := detectors.CheckConfig(d, config); err != nil {
 		return nil, err
 	}
-	bins := int(math.Ceil(ix.Duration() / timeBin))
+	bins := int(math.Ceil(ix.Duration() / refBin))
 	if ix.Len() == 0 || bins < 4 {
 		return nil, nil
 	}
@@ -90,7 +95,7 @@ func refDetect(d *Detector, ix *trace.Index, config int) ([]core.Alarm, error) {
 		}
 	}
 	for pi := 0; pi < ix.Len(); pi++ {
-		b := int(ix.Seconds[pi] / timeBin)
+		b := int(float64(ix.TS[pi]) / 1e6 / refBin)
 		if b >= bins {
 			b = bins - 1
 		}
@@ -134,9 +139,9 @@ func refDetect(d *Detector, ix *trace.Index, config int) ([]core.Alarm, error) {
 
 	var alarms []core.Alarm
 	for _, b := range binIDs {
-		from := float64(b) * timeBin
-		to := from + timeBin
-		lo, hi := ix.Window(from, to)
+		from := float64(b) * refBin
+		to := from + refBin
+		lo, hi := ix.Window(int64(from*1e6), int64(to*1e6))
 		txs := make([]apriori.Transaction, 0, hi-lo)
 		for pi := lo; pi < hi; pi++ {
 			p := ix.PacketAt(pi)
@@ -153,7 +158,7 @@ func refDetect(d *Detector, ix *trace.Index, config int) ([]core.Alarm, error) {
 			alarms = append(alarms, core.Alarm{
 				Detector: d.Name(),
 				Config:   config,
-				Filters:  []trace.Filter{ruleToFilter(rule, from, to)},
+				Filters:  []trace.Filter{ruleToFilter(rule, int64(from*1e6), int64(to*1e6))},
 				Score:    rule.Support,
 				Note:     "kl divergence: " + rule.String(),
 			})
@@ -213,7 +218,7 @@ func streamedSegments(t *testing.T) []*trace.Index {
 		keep(w.Append(p))
 	}
 	keep(w.Close())
-	if len(out) != 3 || out[2].Seconds[0] < 585 {
+	if len(out) != 3 || out[2].Start() < 585 {
 		t.Fatalf("kept %d segments, want seq 0, 20 and 39 of a 600 s day", len(out))
 	}
 	return out

@@ -30,10 +30,10 @@ type Detector struct{}
 
 // The detector's parameters, fixed for every tuning.
 const (
-	timeBin     = 1.0 // aggregation interval, seconds
-	sketchWidth = 32  // buckets per sketch
-	numSketches = 4   // independent sketches
-	minAgree    = 3   // sketches that must implicate a host before it is reported
+	timeBin     = 1_000_000 // aggregation interval, µs
+	sketchWidth = 32        // buckets per sketch
+	numSketches = 4         // independent sketches
+	minAgree    = 3         // sketches that must implicate a host before it is reported
 )
 
 // tuning is one PCA parameter set.
@@ -117,7 +117,7 @@ type cell struct {
 func (d *Detector) Prepare(ix *trace.Index) (detectors.Prepared, error) {
 	ax, err := trace.NewTimeAxis(ix, timeBin)
 	if err != nil {
-		return nil, fmt.Errorf("pca: %v s bins: %w", timeBin, err)
+		return nil, fmt.Errorf("pca: %v s bins: %w", timeBin/1e6, err)
 	}
 	p := &prepared{d: d, ax: ax}
 	if ax.Bins < 8 || ix.Len() == 0 {
@@ -130,7 +130,7 @@ func (d *Detector) Prepare(ix *trace.Index) (detectors.Prepared, error) {
 		for pi, src := range ix.Src {
 			b := sk.Bin(src)
 			s.bins[pi] = uint16(b)
-			s.work.Data[(ax.Bin(ix.Seconds[pi])-s.lead+1)*sketchWidth+b]++
+			s.work.Data[(ax.Bin(ix.TS[pi])-s.lead+1)*sketchWidth+b]++
 		}
 		s.standardize()
 		_, vecs, err := linalg.EigenSym(s.covariance())

@@ -23,14 +23,19 @@ import (
 	"mawilab/internal/trace"
 )
 
-// refDetect is the pre-split Detector.Detect, unchanged.
+// refBin is timeBin in seconds: the reference bins float seconds,
+// float64(TS)/1e6, as the detector did before its axis moved to integer µs.
+const refBin = timeBin / 1e6
+
+// refDetect is the pre-split Detector.Detect, unchanged but for its float
+// seconds, which it computes from TS itself.
 func refDetect(d *Detector, ix *trace.Index, config int) ([]core.Alarm, error) {
 	if err := detectors.CheckConfig(d, config); err != nil {
 		return nil, err
 	}
 	tn := tunings[config]
 	dur := ix.Duration()
-	t := int(math.Ceil(dur / timeBin))
+	t := int(math.Ceil(dur / refBin))
 	if t < 8 || ix.Len() == 0 {
 		return nil, nil // too short for a meaningful subspace
 	}
@@ -46,7 +51,7 @@ func refDetect(d *Detector, ix *trace.Index, config int) ([]core.Alarm, error) {
 		sk := sketch.New(sketchWidth, detectors.Seed+uint64(si)*0x9e37)
 		x := linalg.NewMatrix(t, sketchWidth)
 		for pi := 0; pi < ix.Len(); pi++ {
-			tb := int(ix.Seconds[pi] / timeBin)
+			tb := int(float64(ix.TS[pi]) / 1e6 / refBin)
 			if tb >= t {
 				tb = t - 1
 			}
@@ -57,7 +62,7 @@ func refDetect(d *Detector, ix *trace.Index, config int) ([]core.Alarm, error) {
 		for _, at := range anomalous {
 			// Recover hosts: rescan the window via the index's time
 			// buckets, count per suspicious bin.
-			lo, hi := ix.Window(float64(at.bin)*timeBin, float64(at.bin+1)*timeBin)
+			lo, hi := ix.Window(int64(float64(at.bin)*refBin*1e6), int64(float64(at.bin+1)*refBin*1e6))
 			counts := make(map[trace.IPv4]int)
 			for pi := lo; pi < hi; pi++ {
 				if sk.Bin(ix.Src[pi]) == at.sketchBin {
@@ -93,7 +98,7 @@ func refDetect(d *Detector, ix *trace.Index, config int) ([]core.Alarm, error) {
 				Config:   config,
 				Filters: []trace.Filter{
 					trace.NewFilter().WithSrc(h).
-						WithInterval(float64(iv[0])*timeBin, float64(iv[1]+1)*timeBin),
+						WithInterval(int64(float64(iv[0])*refBin*1e6), int64(float64(iv[1]+1)*refBin*1e6)),
 				},
 				Note: "pca residual",
 			})
@@ -311,7 +316,7 @@ func streamedSegments(t *testing.T) []*trace.Index {
 		}
 	}
 	keep(w.Close())
-	if len(out) != 4 || out[3].Seconds[0] < 585 {
+	if len(out) != 4 || out[3].Start() < 585 {
 		t.Fatalf("kept %d segments, want seq 0, 1, 20 and 39 of a 600 s day", len(out))
 	}
 	return append(out, trace.NewIndex(sparse))
@@ -386,7 +391,6 @@ func TestDecideReadsNoIndex(t *testing.T) {
 			t.Fatal(err)
 		}
 		clear(ix.Src)
-		clear(ix.Seconds)
 		clear(ix.TS)
 		for c := range want {
 			if got, err := p.Decide(c); err != nil || !reflect.DeepEqual(got, want[c]) {

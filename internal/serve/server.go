@@ -311,9 +311,10 @@ func (s *Server) admit(r io.Reader, name string) (*uploadResponse, error) {
 	if err != nil {
 		return nil, fmt.Errorf("decoding pcap: %w", err)
 	}
-	if span := ix.Duration(); span > maxTraceSpan.Seconds() {
+	if n := ix.Len(); n > 0 && ix.TS[n-1] > maxTraceSpan.Microseconds() {
+		err := fmt.Errorf("%w: %.0f s, limit %v", errTraceSpan, ix.Duration(), maxTraceSpan)
 		ix.Release()
-		return nil, fmt.Errorf("%w: %.0f s, limit %v", errTraceSpan, span, maxTraceSpan)
+		return nil, err
 	}
 	s.stageSeconds.With(string(mawilab.StageIngest)).Observe(time.Since(start).Seconds())
 	s.uploads.Inc()

@@ -66,7 +66,7 @@ func (f packedFlow) hash() uint64 {
 }
 
 // indexArena is the reusable backing storage of one fused index build: the
-// nine packet columns, the flow table and its construction scratch, and the
+// eight packet columns, the flow table and its construction scratch, and the
 // two postings — with every buffer the three sorts in Finish move words
 // through, so a pooled build sorts without touching the heap. Arenas cycle
 // through arenaPool so a steady-state server decodes day after day into the
@@ -74,7 +74,6 @@ func (f packedFlow) hash() uint64 {
 type indexArena struct {
 	// Packet columns.
 	ts      []int64
-	seconds []float64
 	src     []IPv4
 	dst     []IPv4
 	srcPort []uint16
@@ -113,7 +112,6 @@ var arenaPool = sync.Pool{New: func() any { return new(indexArena) }}
 // the rest).
 func (a *indexArena) reset() {
 	a.ts = a.ts[:0]
-	a.seconds = a.seconds[:0]
 	a.src = a.src[:0]
 	a.dst = a.dst[:0]
 	a.srcPort = a.srcPort[:0]
@@ -186,7 +184,6 @@ func NewIndexBuilder() *IndexBuilder {
 func newDetachedBuilder(n int) *IndexBuilder {
 	a := &indexArena{
 		ts:      make([]int64, 0, n),
-		seconds: make([]float64, 0, n),
 		src:     make([]IPv4, 0, n),
 		dst:     make([]IPv4, 0, n),
 		srcPort: make([]uint16, 0, n),
@@ -213,7 +210,6 @@ func (b *IndexBuilder) Add(p Packet) error {
 	b.lastTS = p.TS
 	a := b.a
 	a.ts = append(a.ts, p.TS)
-	a.seconds = append(a.seconds, p.Seconds())
 	a.src = append(a.src, p.Src)
 	a.dst = append(a.dst, p.Dst)
 	a.srcPort = append(a.srcPort, p.SrcPort)
@@ -227,7 +223,7 @@ func (b *IndexBuilder) Add(p Packet) error {
 
 // AppendIndex appends every packet of a finished index, in order — the bulk
 // form of Add over ix.PacketAt(0..Len-1), and what WindowIndex feeds a
-// window's sealed segments through. The nine columns are copied whole and
+// window's sealed segments through. The eight columns are copied whole and
 // each of ix's flows is interned once; the per-packet flow ids go through
 // that remap instead of one table probe per packet. The remaps of successive
 // calls are kept end to end, one provisional id per appended flow, so
@@ -248,7 +244,6 @@ func (b *IndexBuilder) AppendIndex(ix *Index) error {
 	b.lastTS = ix.TS[n-1]
 	a := b.a
 	a.ts = append(a.ts, ix.TS...)
-	a.seconds = append(a.seconds, ix.Seconds...)
 	a.src = append(a.src, ix.Src...)
 	a.dst = append(a.dst, ix.Dst...)
 	a.srcPort = append(a.srcPort, ix.SrcPort...)
@@ -493,7 +488,6 @@ func (b *IndexBuilder) Finish() *Index {
 
 	ix := &Index{
 		TS:        a.ts,
-		Seconds:   a.seconds,
 		Src:       a.src,
 		Dst:       a.dst,
 		SrcPort:   a.srcPort,
@@ -531,7 +525,7 @@ func (ix *Index) Release() {
 		return
 	}
 	ix.arena = nil
-	ix.TS, ix.Seconds = nil, nil
+	ix.TS = nil
 	ix.Src, ix.Dst = nil, nil
 	ix.SrcPort, ix.DstPort, ix.PktLen = nil, nil, nil
 	ix.Proto, ix.Flags = nil, nil
@@ -551,7 +545,7 @@ func EqualIndexes(a, b *Index) bool {
 		return false
 	}
 	for i := range a.TS {
-		if a.TS[i] != b.TS[i] || a.Seconds[i] != b.Seconds[i] ||
+		if a.TS[i] != b.TS[i] ||
 			a.Src[i] != b.Src[i] || a.Dst[i] != b.Dst[i] ||
 			a.SrcPort[i] != b.SrcPort[i] || a.DstPort[i] != b.DstPort[i] ||
 			a.PktLen[i] != b.PktLen[i] || a.Proto[i] != b.Proto[i] ||

@@ -18,9 +18,9 @@ type Filter struct {
 	SrcPort *uint16
 	DstPort *uint16
 	Proto   *Proto
-	// From/To bound the match interval in seconds since trace start.
-	// To <= From disables the time bound.
-	From, To float64
+	// From/To bound the match interval in microseconds since trace start,
+	// the unit of Packet.TS. To <= From disables the time bound.
+	From, To int64
 }
 
 // NewFilter returns an empty (match-all) filter. Builders below narrow it.
@@ -41,19 +41,16 @@ func (f Filter) WithDstPort(p uint16) Filter { f.DstPort = &p; return f }
 // WithProto narrows the filter to one transport protocol.
 func (f Filter) WithProto(pr Proto) Filter { f.Proto = &pr; return f }
 
-// WithInterval bounds the filter to [from,to) seconds.
-func (f Filter) WithInterval(from, to float64) Filter { f.From, f.To = from, to; return f }
+// WithInterval bounds the filter to [from,to) microseconds.
+func (f Filter) WithInterval(from, to int64) Filter { f.From, f.To = from, to; return f }
 
 // TimeBounded reports whether the filter restricts the match interval.
 func (f Filter) TimeBounded() bool { return f.To > f.From }
 
 // Match reports whether the packet satisfies every constrained field.
 func (f Filter) Match(p *Packet) bool {
-	if f.TimeBounded() {
-		sec := p.Seconds()
-		if sec < f.From || sec >= f.To {
-			return false
-		}
+	if f.TimeBounded() && (p.TS < f.From || p.TS >= f.To) {
+		return false
 	}
 	if f.Src != nil && p.Src != *f.Src {
 		return false
@@ -95,7 +92,7 @@ func (f Filter) MatchFlow(k FlowKey) bool {
 }
 
 // String renders the filter as a 4-tuple rule in the paper's notation,
-// e.g. "<1.2.3.4, 80, *, *>" with an optional time suffix.
+// e.g. "<1.2.3.4, 80, *, *>" with an optional time suffix in seconds.
 func (f Filter) String() string {
 	var b strings.Builder
 	b.WriteByte('<')
@@ -120,9 +117,9 @@ func (f Filter) String() string {
 	}
 	if f.TimeBounded() {
 		b.WriteString(" @[")
-		b.WriteString(strconv.FormatFloat(f.From, 'f', 1, 64))
+		b.WriteString(strconv.FormatFloat(float64(f.From)/1e6, 'f', 1, 64))
 		b.WriteByte(',')
-		b.WriteString(strconv.FormatFloat(f.To, 'f', 1, 64))
+		b.WriteString(strconv.FormatFloat(float64(f.To)/1e6, 'f', 1, 64))
 		b.WriteByte(')')
 	}
 	return b.String()

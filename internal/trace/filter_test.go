@@ -43,7 +43,7 @@ func TestFilterFields(t *testing.T) {
 }
 
 func TestFilterInterval(t *testing.T) {
-	f := NewFilter().WithInterval(10, 20)
+	f := NewFilter().WithInterval(10e6, 20e6)
 	if !f.TimeBounded() {
 		t.Fatal("filter should be time-bounded")
 	}
@@ -63,7 +63,7 @@ func TestFilterInterval(t *testing.T) {
 
 func TestFilterMatchFlowIgnoresTime(t *testing.T) {
 	src := MakeIPv4(1, 2, 3, 4)
-	f := NewFilter().WithSrc(src).WithInterval(100, 200)
+	f := NewFilter().WithSrc(src).WithInterval(100e6, 200e6)
 	k := FlowKey{Src: src, Dst: MakeIPv4(5, 6, 7, 8), SrcPort: 1, DstPort: 2, Proto: TCP}
 	if !f.MatchFlow(k) {
 		t.Error("MatchFlow should ignore the time bound")
@@ -84,8 +84,8 @@ func TestFilterString(t *testing.T) {
 	if all != "<*, *, *, *>" {
 		t.Errorf("match-all filter String() = %q", all)
 	}
-	tb := NewFilter().WithProto(UDP).WithInterval(1, 2).String()
-	if !strings.Contains(tb, "udp") || !strings.Contains(tb, "@[") {
+	tb := NewFilter().WithProto(UDP).WithInterval(1e6, 2_500_000).String()
+	if tb != "<*, *, *, *>/udp @[1.0,2.5)" {
 		t.Errorf("time-bounded filter String() = %q", tb)
 	}
 }

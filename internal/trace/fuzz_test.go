@@ -171,69 +171,6 @@ func FuzzIndexBuilder(f *testing.F) {
 	})
 }
 
-// FuzzTimeAxis checks the time axis over arbitrary sorted packets and
-// widths: NewTimeAxis fails exactly when the width is not positive and finite,
-// the packets spread from the first one's bin over more than maxTimeBins
-// bins, or the count from 0 s does not fit an int32; otherwise Bins is
-// ceil(Span/Width), Bin is non-decreasing over the packets and stays in
-// [0, Bins), and every packet lies in its bin's Interval — except one the
-// clamp moved into the last bin, which must sit on that bin's end,
-// Bins·Width. Bin divides and Interval multiplies, so at a width not exact in
-// binary (0.34 s) a packet within an ulp of an edge may fall on its other
-// side; the checks allow two ulps, far below the timestamps' microsecond.
-func FuzzTimeAxis(f *testing.F) {
-	edge := fuzzBytes([]Packet{{TS: 0}, {TS: 1_500_000}, {TS: 2_999_999}, {TS: 3_000_000}})
-	f.Add([]byte{}, 1.0)
-	f.Add(edge, 1.0)
-	f.Add(edge, 0.5)
-	f.Add(edge, 0.1)
-	f.Add(edge, 0.0)
-	f.Add(edge, -2.0)
-	f.Add(edge, 1e-300)
-	f.Add(fuzzBytes(indexTestTrace(3, 40).Packets), 0.3)
-	f.Add(fuzzBytes([]Packet{{TS: 0}, {TS: 20_723_000_000}}), 0.34)               // 20723 s bins below its interval's end
-	f.Add(fuzzBytes([]Packet{{TS: 144_000_000_000}, {TS: 144_015_000_000}}), 0.5) // a 15 s segment 40 h in
-	f.Fuzz(func(t *testing.T, data []byte, width float64) {
-		tr := &Trace{Packets: fuzzPackets(data)}
-		tr.Sort()
-		ix := NewIndex(tr)
-		ax, err := NewTimeAxis(ix, width)
-		bins, used := math.Ceil(ix.Duration()/width), 0.0
-		if ix.Len() > 0 {
-			used = bins - math.Floor(ix.Seconds[0]/width)
-		}
-		valid := width > 0 && !math.IsInf(width, 1) && used <= maxTimeBins && bins < math.MaxInt32
-		if (err == nil) != valid {
-			t.Fatalf("width %v over %v s: error %v, want one: %v", width, ix.Duration(), err, !valid)
-		}
-		if err != nil {
-			return
-		}
-		if ax.Width != width || ax.Span != ix.Duration() || float64(ax.Bins) != bins {
-			t.Fatalf("width %v over %v s: axis %+v", width, ix.Duration(), ax)
-		}
-		if ax.Bins == 0 {
-			return // a zero span: every packet at 0 s, nothing to bin
-		}
-		prev := 0
-		for _, sec := range ix.Seconds {
-			b := ax.Bin(sec)
-			if b < prev || b >= ax.Bins {
-				t.Fatalf("width %v: Bin(%v) = %d after %d, want in [%d, %d)", width, sec, b, prev, prev, ax.Bins)
-			}
-			prev = b
-			slack := 2 * (math.Nextafter(sec, math.Inf(1)) - sec)
-			from, to := ax.Interval(b, b)
-			switch clamped := int(sec/width) >= ax.Bins; {
-			case clamped && math.Abs(sec-to) > slack:
-				t.Fatalf("width %v: %v s clamped into bin %d, not on its end %v", width, sec, b, to)
-			case !clamped && (sec < from-slack || sec >= to+slack):
-				t.Fatalf("width %v: %v s in bin %d, outside its interval [%v, %v)", width, sec, b, from, to)
-			}
-		}
-	})
-}
-
 // FuzzFlowTable checks the flow-table file both ways. Arbitrary bytes never
 // panic the decoder, every rejection matches ErrFlowTable, and whatever
 // decodes re-encodes to exactly the input — the format has one spelling per

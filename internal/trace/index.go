@@ -28,7 +28,6 @@ import (
 type Index struct {
 	// Packet columns, in packet (timestamp) order.
 	TS      []int64
-	Seconds []float64
 	Src     []IPv4
 	Dst     []IPv4
 	SrcPort []uint16
@@ -88,19 +87,19 @@ func (ix *Index) Len() int { return len(ix.TS) }
 // Start returns the timestamp of the first packet in seconds (0 when
 // empty).
 func (ix *Index) Start() float64 {
-	if len(ix.Seconds) == 0 {
+	if len(ix.TS) == 0 {
 		return 0
 	}
-	return ix.Seconds[0]
+	return float64(ix.TS[0]) / 1e6
 }
 
 // Duration returns the trace duration in seconds (timestamp of the last
 // packet; 0 when empty), matching Trace.Duration.
 func (ix *Index) Duration() float64 {
-	if len(ix.Seconds) == 0 {
+	if len(ix.TS) == 0 {
 		return 0
 	}
-	return ix.Seconds[len(ix.Seconds)-1]
+	return float64(ix.TS[len(ix.TS)-1]) / 1e6
 }
 
 // PacketAt returns the full packet record at index i, for library callers
@@ -162,9 +161,10 @@ func (ix *Index) FlowPackets(fi int) []int32 {
 func (ix *Index) FlowIDOf(pi int) int32 { return ix.flowOf[pi] }
 
 // Window returns the index range [lo,hi) of packets with timestamps in
-// [from,to) seconds: one binary search per bound over the sorted TS column.
-func (ix *Index) Window(from, to float64) (lo, hi int) {
-	return ix.searchTS(int64(from * 1e6)), ix.searchTS(int64(to * 1e6))
+// [from,to) microseconds: one binary search per bound over the sorted TS
+// column.
+func (ix *Index) Window(from, to int64) (lo, hi int) {
+	return ix.searchTS(from), ix.searchTS(to)
 }
 
 // searchTS returns the first packet index with TS >= ts.

@@ -40,7 +40,6 @@ func BuildIndex(tr *Trace) *Index {
 	n := tr.Len()
 	ix := &Index{
 		TS:      make([]int64, n),
-		Seconds: make([]float64, n),
 		Src:     make([]IPv4, n),
 		Dst:     make([]IPv4, n),
 		SrcPort: make([]uint16, n),
@@ -54,7 +53,6 @@ func BuildIndex(tr *Trace) *Index {
 	for i := range tr.Packets {
 		p := &tr.Packets[i]
 		ix.TS[i] = p.TS
-		ix.Seconds[i] = p.Seconds()
 		ix.Src[i] = p.Src
 		ix.Dst[i] = p.Dst
 		ix.SrcPort[i] = p.SrcPort
@@ -139,11 +137,11 @@ func TestIndexMatchesFlowIndex(t *testing.T) {
 
 // rowWindow is the reference Index.Window is checked against: one
 // sort.Search per bound over the row packets' timestamps.
-func rowWindow(tr *Trace, from, to float64) (lo, hi int) {
+func rowWindow(tr *Trace, from, to int64) (lo, hi int) {
 	search := func(ts int64) int {
 		return sort.Search(len(tr.Packets), func(i int) bool { return tr.Packets[i].TS >= ts })
 	}
-	return search(int64(from * 1e6)), search(int64(to * 1e6))
+	return search(from), search(to)
 }
 
 // TestIndexWindowMatchesTrace: Window must agree with rowWindow and with a
@@ -162,16 +160,16 @@ func TestIndexWindowMatchesTrace(t *testing.T) {
 	}{{"dense", dense}, {"gap", gapped}} {
 		name, tr := tc.name, tc.tr
 		ix := NewIndex(tr)
-		end := tr.Duration()
-		check := func(from, to float64) {
+		end := tr.Packets[tr.Len()-1].TS
+		check := func(from, to int64) {
 			t.Helper()
 			wlo, whi := rowWindow(tr, from, to)
 			slo, shi := 0, 0
 			for _, p := range tr.Packets {
-				if p.TS < int64(from*1e6) {
+				if p.TS < from {
 					slo++
 				}
-				if p.TS < int64(to*1e6) {
+				if p.TS < to {
 					shi++
 				}
 			}
@@ -182,21 +180,21 @@ func TestIndexWindowMatchesTrace(t *testing.T) {
 		}
 		rng := rand.New(rand.NewSource(99))
 		for i := 0; i < 500; i++ {
-			from := rng.Float64()*(end+10) - 5
-			check(from, from+rng.Float64()*10-2)
+			from := rng.Int63n(end+10e6) - 5e6
+			check(from, from+rng.Int63n(10e6)-2e6)
 		}
 		// Whole-second boundaries, below zero and far past the last packet.
-		for _, sec := range []float64{-1e9, -3, -1e-6, 0, 1, 1.5, 29, 30, 31, end, end + 1, 1e7, 2e7, 1e12} {
-			check(sec, sec+1)
-			check(-5, sec)
+		for _, us := range []int64{-1e15, -3e6, -1, 0, 1e6, 1.5e6, 29e6, 30e6, 31e6, end, end + 1e6, 1e13, 2e13, 1e18} {
+			check(us, us+1e6)
+			check(-5e6, us)
 		}
 		// Bounds exactly on packet timestamps, and one microsecond either side.
 		for i := 0; i < 200; i++ {
-			at := ix.Seconds[rng.Intn(ix.Len())]
-			check(at, at+1e-6)
-			check(at-1e-6, at)
+			at := ix.TS[rng.Intn(ix.Len())]
+			check(at, at+1)
+			check(at-1, at)
 			check(0, at)
-			check(at, end+1)
+			check(at, end+1e6)
 		}
 	}
 }
@@ -280,10 +278,10 @@ func TestIndexSpanIndependent(t *testing.T) {
 		if got := after.TotalAlloc - before.TotalAlloc; got > 64<<10 {
 			t.Errorf("span %d s: index allocated %d bytes, want under 64 KB", span, got)
 		}
-		if lo, hi := ix.Window(1, float64(span)); lo != 1 || hi != 1 {
+		if lo, hi := ix.Window(1e6, span*1e6); lo != 1 || hi != 1 {
 			t.Errorf("span %d s: Window between the packets = [%d,%d), want [1,1)", span, lo, hi)
 		}
-		if lo, hi := ix.Window(0, float64(span)+1); lo != 0 || hi != 2 {
+		if lo, hi := ix.Window(0, span*1e6+1e6); lo != 0 || hi != 2 {
 			t.Errorf("span %d s: Window over both = [%d,%d), want [0,2)", span, lo, hi)
 		}
 	}
@@ -295,7 +293,7 @@ func TestIndexEmptyTrace(t *testing.T) {
 	if ix.Len() != 0 || ix.Flows() != 0 || ix.Duration() != 0 {
 		t.Fatalf("empty index: len=%d flows=%d dur=%v", ix.Len(), ix.Flows(), ix.Duration())
 	}
-	if lo, hi := ix.Window(0, 10); lo != 0 || hi != 0 {
+	if lo, hi := ix.Window(0, 10e6); lo != 0 || hi != 0 {
 		t.Fatalf("empty window = [%d,%d)", lo, hi)
 	}
 }

@@ -92,11 +92,8 @@ type Packet struct {
 	Flags   TCPFlags
 }
 
-// Seconds returns the timestamp as floating-point seconds since trace start.
-func (p *Packet) Seconds() float64 { return float64(p.TS) / 1e6 }
-
 // String renders the packet one-line, tcpdump-style.
 func (p *Packet) String() string {
 	return fmt.Sprintf("%.6f %s %s:%d > %s:%d len=%d %s",
-		p.Seconds(), p.Proto, p.Src, p.SrcPort, p.Dst, p.DstPort, p.Len, p.Flags)
+		float64(p.TS)/1e6, p.Proto, p.Src, p.SrcPort, p.Dst, p.DstPort, p.Len, p.Flags)
 }

@@ -29,7 +29,7 @@ func (t *Trace) Duration() float64 {
 	if len(t.Packets) == 0 {
 		return 0
 	}
-	return t.Packets[len(t.Packets)-1].Seconds()
+	return float64(t.Packets[len(t.Packets)-1].TS) / 1e6
 }
 
 // Sort orders packets by timestamp, stably: packets that share a timestamp

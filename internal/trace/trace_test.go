@@ -155,15 +155,15 @@ func TestTraceWindow(t *testing.T) {
 		tr.Append(Packet{TS: int64(i) * 1e6}) // one packet per second
 	}
 	ix := NewIndex(tr)
-	lo, hi := ix.Window(2, 5)
+	lo, hi := ix.Window(2e6, 5e6)
 	if lo != 2 || hi != 5 {
-		t.Errorf("Window(2,5) = [%d,%d), want [2,5)", lo, hi)
+		t.Errorf("Window(2 s, 5 s) = [%d,%d), want [2,5)", lo, hi)
 	}
-	lo, hi = ix.Window(0, 100)
+	lo, hi = ix.Window(0, 100e6)
 	if lo != 0 || hi != 10 {
-		t.Errorf("Window(0,100) = [%d,%d), want [0,10)", lo, hi)
+		t.Errorf("Window(0 s, 100 s) = [%d,%d), want [0,10)", lo, hi)
 	}
-	lo, hi = ix.Window(100, 200)
+	lo, hi = ix.Window(100e6, 200e6)
 	if lo != hi {
 		t.Errorf("empty window should have lo==hi, got [%d,%d)", lo, hi)
 	}

@@ -263,7 +263,7 @@ func TestADMDSpanIsTheLabeledIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	last := windows[len(windows)-1]
-	lo, hi := dayIx.Window(last.Start, last.End)
+	lo, hi := dayIx.Window(int64(last.Start*1e6), int64(last.End*1e6))
 	lastIx := trace.NewIndex(&Trace{Packets: day.Packets[lo:hi]})
 
 	encode := func(ix *Index, reports []CommunityReport) string {

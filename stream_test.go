@@ -203,10 +203,10 @@ func (straddler) Detect(ix *Index, config int) ([]Alarm, error) {
 	if ix.Len() == 0 {
 		return nil, nil
 	}
-	from, to := ix.Seconds[0]-15, ix.Seconds[0]+15
+	from, to := ix.TS[0]-15e6, ix.TS[0]+15e6
 	if config == 1 {
-		last := ix.Seconds[ix.Len()-1]
-		from, to = last-5, last+10
+		last := ix.TS[ix.Len()-1]
+		from, to = last-5e6, last+10e6
 	}
 	return []Alarm{{Detector: "straddle", Config: config, Filters: []Filter{
 		NewFilter().WithDst(ix.Dst[0]).WithInterval(from, to),
@@ -502,7 +502,7 @@ func TestSealedIndexesSurvivePoolChurn(t *testing.T) {
 	}
 	dayIx := trace.NewIndex(day)
 	spanDigest := func(from, to float64) string {
-		lo, hi := dayIx.Window(from, to)
+		lo, hi := dayIx.Window(int64(from*1e6), int64(to*1e6))
 		return trace.NewIndex(&Trace{Packets: day.Packets[lo:hi]}).Digest()
 	}
 	check := func(when string) {

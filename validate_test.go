@@ -197,7 +197,7 @@ func TestConfigErrorsWinOverInputErrors(t *testing.T) {
 	unsorted := &Trace{Packets: []Packet{{TS: 2e6, Proto: trace.TCP, Len: 40}, {TS: 1e6, Proto: trace.TCP, Len: 40}}}
 	// An index cannot be built out of order, so RunIndex gets bare
 	// out-of-order columns: nothing may read them before the check.
-	unsortedIndex := &Index{TS: []int64{2e6, 1e6}, Seconds: []float64{2, 1}}
+	unsortedIndex := &Index{TS: []int64{2e6, 1e6}}
 	runs := []struct {
 		name string
 		run  func(p *Pipeline) error

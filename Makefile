@@ -135,9 +135,14 @@ test-softfloat:
 # serve (the daemon's engine admission/drain paths, lock-free histograms
 # and graceful-shutdown tests) — plus the cmd binaries' black-box tests
 # (mawilabd's serve smoke spawns the real daemon) and examples. ./... so
-# a new package can never silently miss race coverage.
+# a new package can never silently miss race coverage. The second step runs
+# the RunStream tests again with one P and with four: a stream's two stages
+# (seal + detect of the next segment, labeling of the current window) meet
+# at a handoff, and the interleavings they can take differ with the number
+# of Ps the scheduler has.
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -count=1 -cpu 1,4 -run 'TestStream' .
 
 # Benchmark smoke run: one iteration of the tracked benches, converted to
 # BENCH_ci.json for the artifact trail. No pipe: a benchmark failure must

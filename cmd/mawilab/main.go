@@ -19,6 +19,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -38,7 +39,7 @@ func main() {
 		strategy = flag.String("strategy", "SCANN", "combination strategy: SCANN, average, minimum, maximum")
 		gran     = flag.String("granularity", "uniflow", "traffic granularity: packet, uniflow, biflow")
 		format   = flag.String("format", "csv", "output format: csv or admd (MAWILab XML)")
-		workers  = flag.Int("workers", runtime.GOMAXPROCS(0), "pipeline worker-pool size (1 = sequential reference path; output is identical)")
+		workers  = flag.Int("workers", runtime.GOMAXPROCS(0), "worker-pool size of each fan-out (1 = every fan-out inline; -stream overlaps detection and labeling at any value; output is identical)")
 		verbose  = flag.Bool("v", false, "print per-community detail to stderr")
 		stream   = flag.Bool("stream", false, "segmented streaming ingest: label sliding windows as they close instead of the whole trace at once")
 		segment  = flag.Float64("segment", 15, "-stream: sealed-segment length in seconds (<= 0: one unbounded segment)")
@@ -112,16 +113,25 @@ func main() {
 }
 
 // runStream is the -stream mode: feed packets incrementally into
-// Pipeline.RunStream and emit one labeling per closed window.
+// Pipeline.RunStream and emit one labeling per closed window. A read error
+// cancels the stream before the feeder closes the channel, so nothing the
+// error cut short is sealed or labeled, and the read error is what is
+// reported.
 func runStream(p *mawilab.Pipeline, in, dateStr string, seed int64, format, name string, verbose bool) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	packets := make(chan mawilab.Packet, 1024)
 	feedErr := make(chan error, 1)
 	go func() { //mawilint:allow baregoroutine — single feeder goroutine; packet order is preserved by the channel FIFO and the error joined below
-		defer close(packets)
-		feedErr <- feed(packets, in, dateStr, seed)
+		err := feed(packets, in, dateStr, seed)
+		if err != nil {
+			cancel()
+		}
+		close(packets)
+		feedErr <- err
 	}()
 
-	s := p.RunStream(context.Background(), packets)
+	s := p.RunStream(ctx, packets)
 	nwin := 0
 	for w := range s.Windows() {
 		nwin++
@@ -136,11 +146,16 @@ func runStream(p *mawilab.Pipeline, in, dateStr string, seed int64, format, name
 		fmt.Printf("# window %d [%g,%g)\n", w.Window, w.Start, w.End)
 		emit(w.Labeling, format, fmt.Sprintf("%s/window-%d", name, w.Window))
 	}
-	if err := s.Wait(); err != nil {
-		fatal("pipeline: %v", err)
+	err := s.Wait()
+	// Only the feeder cancels ctx, and it has closed packets by then: after a
+	// clean end or a cancellation its result is at hand.
+	if err == nil || errors.Is(err, context.Canceled) {
+		if ferr := <-feedErr; ferr != nil {
+			fatal("reading stream: %v", ferr)
+		}
 	}
-	if err := <-feedErr; err != nil {
-		fatal("reading stream: %v", err)
+	if err != nil {
+		fatal("pipeline: %v", err)
 	}
 	fmt.Fprintf(os.Stderr, "mawilab: stream done, %d windows\n", nwin)
 }

@@ -240,7 +240,9 @@ func WindowIndex(ctx context.Context, segs []*Segment) (ix *Index, remaps [][]in
 // without blocking, then tries a non-blocking receive, and only waits on
 // both channels when the packet channel is empty. A cancelled context
 // therefore ends the stream before the next packet is taken, even from a
-// channel that never runs dry.
+// channel that never runs dry. A channel closed after its context was
+// cancelled ends the stream with the context's error, not a final segment:
+// a feeder that fails cancels, then closes, and nothing it cut short seals.
 func Segments(ctx context.Context, packets <-chan Packet, seconds float64) iter.Seq2[*Segment, error] {
 	return func(yield func(*Segment, error) bool) {
 		w := NewSegmentWriter(ctx, seconds)
@@ -271,6 +273,10 @@ func Segments(ctx context.Context, packets <-chan Packet, seconds float64) iter.
 				}
 			}
 			if !ok {
+				if err := ctx.Err(); err != nil {
+					yield(nil, err)
+					return
+				}
 				seg, err := w.Close()
 				if err != nil {
 					yield(nil, err)

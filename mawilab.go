@@ -57,12 +57,14 @@ import (
 	"iter"
 	"math"
 	"runtime"
+	"sync"
 	"time"
 
 	"mawilab/internal/core"
 	"mawilab/internal/detectors"
 	"mawilab/internal/detectors/suite"
 	"mawilab/internal/mawigen"
+	"mawilab/internal/parallel"
 	"mawilab/internal/pcap"
 	wirev1 "mawilab/internal/serve/v1"
 	"mawilab/internal/trace"
@@ -239,12 +241,13 @@ type Pipeline struct {
 	// RuleSupport is the Apriori minimum support for labeling (default
 	// 0.2, the paper's s = 20%).
 	RuleSupport float64
-	// Workers bounds the goroutines used by the parallel pipeline
-	// stages (the detectors' prepare and decide fan-outs, alarm traffic
-	// extraction, the rows of the
-	// similarity graph and community labeling; index construction and
-	// Louvain community mining are sequential). 0 or 1 runs every stage
-	// inline; any value produces byte-identical output — see Parallelism.
+	// Workers bounds the goroutines of each fan-out inside a stage (the
+	// detectors' prepare and decide fan-outs, alarm traffic extraction, the
+	// rows of the similarity graph and community labeling; index
+	// construction and Louvain community mining are sequential). 0 or 1
+	// runs every fan-out inline; any value produces byte-identical output —
+	// see Parallelism. It does not serialize RunStream's two stages, which
+	// overlap at every value: under 1 a stream runs on two goroutines.
 	Workers int
 	// Stream configures the segmented ingest used by RunStream. The zero
 	// value is the canonical batch boundary — one unbounded segment, one
@@ -260,8 +263,10 @@ type Pipeline struct {
 	// pure telemetry — the hook never influences the labeling, so the
 	// determinism contract is unaffected — and is how mawilabd exports
 	// per-stage latency histograms without wrapping the engine. Within one
-	// run calls are sequential; a Pipeline shared across concurrent runs
-	// needs an Observe that is safe for concurrent use.
+	// run calls are sequential — RunStream's two stages take turns calling
+	// it, so a call may report a stage that overlapped another stage in time;
+	// a Pipeline shared across concurrent runs needs an Observe that is safe
+	// for concurrent use.
 	Observe func(stage Stage, seconds float64)
 }
 
@@ -280,18 +285,6 @@ const (
 	StageLabel Stage = "label"
 )
 
-// observe times one stage when the hook is installed; f's error passes
-// through unchanged.
-func (p *Pipeline) observe(stage Stage, f func() error) error {
-	if p.Observe == nil {
-		return f()
-	}
-	start := time.Now() //mawilint:allow wallclock — observability hook only: the measured latency feeds metrics, never a labeling
-	err := f()
-	p.Observe(stage, time.Since(start).Seconds()) //mawilint:allow wallclock — observability hook only: the measured latency feeds metrics, never a labeling
-	return err
-}
-
 // Typed configuration errors returned by StreamConfig.Validate and
 // Pipeline.Validate, matchable with errors.Is.
 var (
@@ -306,8 +299,8 @@ var (
 	// ErrStrideExceedsWindow rejects a stride larger than the window, which
 	// would silently skip segments between labelings.
 	ErrStrideExceedsWindow = errors.New("mawilab: StreamConfig.WindowStride must not exceed the window")
-	// ErrWorkers rejects a negative Pipeline.Workers (0 means 1, the
-	// sequential reference path; Parallelism normalizes <= 0 to GOMAXPROCS).
+	// ErrWorkers rejects a negative Pipeline.Workers (0 means 1, every
+	// fan-out inline; Parallelism normalizes <= 0 to GOMAXPROCS).
 	ErrWorkers = errors.New("mawilab: Pipeline.Workers must be >= 0")
 	// ErrRuleSupport rejects a Pipeline.RuleSupport that is negative, above
 	// 1 or NaN (0 selects the paper's s = 20% and is valid).
@@ -368,6 +361,23 @@ type engine struct {
 	totals  map[string]int // configurations per detector name
 	workers int            // >= 1
 	support float64        // Apriori's minimum support
+
+	observeMu sync.Mutex // serializes Observe calls from a stream's two stages
+}
+
+// observe times one stage when the hook is installed; f's error passes
+// through unchanged. Only the hook call holds observeMu, not the stage.
+func (e *engine) observe(stage Stage, f func() error) error {
+	if e.Observe == nil {
+		return f()
+	}
+	start := time.Now() //mawilint:allow wallclock — observability hook only: the measured latency feeds metrics, never a labeling
+	err := f()
+	seconds := time.Since(start).Seconds() //mawilint:allow wallclock — observability hook only: the measured latency feeds metrics, never a labeling
+	e.observeMu.Lock()
+	defer e.observeMu.Unlock()
+	e.Observe(stage, seconds)
+	return err
 }
 
 // engine resolves the detector totals (a repeated name fails), then Workers
@@ -432,7 +442,8 @@ func (c StreamConfig) stride() int {
 }
 
 // Parallelism sets the pipeline's worker count and returns p for chaining.
-// n <= 0 selects runtime.GOMAXPROCS(0); n == 1 runs every stage inline. The
+// n <= 0 selects runtime.GOMAXPROCS(0); n == 1 runs every fan-out inline
+// (RunStream still overlaps its two stages, see there). The
 // four detectors' prepares, then their twelve per-configuration decisions,
 // the similarity estimator's traffic extraction and graph rows and the
 // per-community labeling are dispatched across a bounded worker pool, and
@@ -493,7 +504,7 @@ func (p *Pipeline) RunContext(ctx context.Context, tr *Trace) (*Labeling, error)
 		return nil, err
 	}
 	var seg *Segment
-	if err := p.observe(StageIngest, func() error {
+	if err := e.observe(StageIngest, func() error {
 		seg, err = trace.SealTrace(ctx, tr)
 		return err
 	}); err != nil {
@@ -588,7 +599,16 @@ func (s *Stream) Wait() error {
 // window closes — instead of once per materialized day. The final partial
 // segment and window are sealed and labeled when the channel closes. A bad
 // configuration fails the stream before any packet is read, and a cancelled
-// ctx ends it before the next packet is taken from the channel.
+// ctx ends it before the next packet is taken from the channel; so does a
+// channel closed after ctx was cancelled, which seals nothing more.
+//
+// The stream runs in two stages at every Workers value: one seals the next
+// segment and runs the detectors over it while the other labels and emits
+// the current window, joined by an unbuffered handoff, so detection runs at
+// most one segment ahead and a stream holds its window plus two segments.
+// Workers bounds each stage's fan-outs. The first error either stage meets
+// stops both and is returned by Wait unchanged, after the windows before it
+// were emitted.
 //
 // A window pays once per segment, not once per window, for its alarms'
 // traffic: each segment's alarms are matched once against each segment of a
@@ -617,8 +637,7 @@ func (p *Pipeline) RunStream(ctx context.Context, packets <-chan Packet) *Stream
 	go func() { //mawilint:allow baregoroutine — RunStream's single structured producer: window order is fixed by the channel FIFO, lifecycle by s.done and ctx
 		defer close(s.done)
 		defer close(s.windows)
-		segs := trace.Segments(ctx, packets, p.Stream.SegmentSeconds)
-		s.err = e.runSegments(ctx, segs, p.Stream.window(), p.Stream.stride(), func(w *WindowLabeling) error {
+		s.err = e.runSegments(ctx, packets, p.Stream.SegmentSeconds, p.Stream.window(), p.Stream.stride(), func(w *WindowLabeling) error {
 			select {
 			case s.windows <- w:
 				return nil
@@ -659,15 +678,43 @@ type segmentRun struct {
 	traffic map[int][]*core.TrafficSet
 }
 
-// runSegments is the streaming engine: it pulls sealed segments from segs,
-// detects per segment, keeps a sliding window of the last `window` segments,
-// and each time the window fills labels the window's accumulated alarms and
-// emits the labeling, then advances the window by `stride` segments. When
-// the segment stream ends with segments no emitted window has covered, the
-// final partial window is labeled too. The first error — a detector failure,
-// a cancelled context, an out-of-order packet upstream — stops the engine
-// and is returned unchanged.
-func (e *engine) runSegments(ctx context.Context, segs iter.Seq2[*Segment, error], window, stride int, emit func(*WindowLabeling) error) error {
+// runSegments is the streaming engine, two stages joined by an unbuffered
+// handoff. Stage A, one task of a parallel.Pool, seals segments from packets
+// and detects each; stage B, the caller, keeps a sliding window of the last
+// `window` segments, and each time the window fills labels the window's
+// accumulated alarms and emits the labeling, then advances the window by
+// `stride` segments. So the next segment is sealed and detected while the
+// current window is labeled, and detection runs at most one segment ahead.
+// When the segment stream ends with segments no emitted window has covered,
+// the final partial window is labeled too. The first error — a detector
+// failure, a cancelled context, an out-of-order packet upstream — stops both
+// stages and is returned unchanged, after the windows before it.
+func (e *engine) runSegments(ctx context.Context, packets <-chan Packet, seconds float64, window, stride int, emit func(*WindowLabeling) error) error {
+	ctx, cancel := context.WithCancel(ctx)
+	handoff := make(chan *segmentRun)
+	detect := parallel.NewPool(ctx, 1)
+	defer func() {
+		cancel() // stage A stops at its next packet or handoff
+		detect.Wait()
+	}()
+	detect.Go(func(ctx context.Context) error {
+		defer close(handoff)
+		for seg, err := range trace.Segments(ctx, packets, seconds) {
+			if err != nil {
+				return err
+			}
+			alarms, err := e.detect(ctx, seg.Index)
+			if err != nil {
+				return err
+			}
+			select {
+			case handoff <- &segmentRun{seg: seg, alarms: alarms}:
+			case <-ctx.Done():
+				return ctx.Err()
+			}
+		}
+		return nil
+	})
 	var (
 		pending []*segmentRun
 		fresh   int // segments not yet covered by an emitted window
@@ -681,15 +728,21 @@ func (e *engine) runSegments(ctx context.Context, segs iter.Seq2[*Segment, error
 		wi++
 		return emit(w)
 	}
-	for seg, err := range segs {
-		if err != nil {
-			return err
+	for {
+		var (
+			run *segmentRun
+			ok  bool
+		)
+		// ctx.Done() too: a pool under a cancelled context drops the task, and
+		// the handoff never closes.
+		select {
+		case run, ok = <-handoff:
+		case <-ctx.Done():
 		}
-		alarms, err := e.detect(ctx, seg.Index)
-		if err != nil {
-			return err
+		if !ok {
+			break
 		}
-		pending = append(pending, &segmentRun{seg: seg, alarms: alarms})
+		pending = append(pending, run)
 		fresh++
 		if len(pending) == window {
 			if err := label(); err != nil {
@@ -698,6 +751,12 @@ func (e *engine) runSegments(ctx context.Context, segs iter.Seq2[*Segment, error
 			pending = append(pending[:0:0], pending[stride:]...)
 			fresh = 0
 		}
+	}
+	if err := detect.Wait(); err != nil {
+		return err
+	}
+	if err := ctx.Err(); err != nil { // the loop left on ctx.Done()
+		return err
 	}
 	if fresh > 0 && len(pending) > 0 {
 		return label()

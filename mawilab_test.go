@@ -258,7 +258,7 @@ func TestADMDSpanIsTheLabeledIndex(t *testing.T) {
 	}
 	p := NewPipeline()
 	p.Stream = StreamConfig{SegmentSeconds: 5, WindowSegments: 4, WindowStride: 1}
-	windows, err := drainStream(p.RunStream(ctx, replay(day)))
+	windows, err := drainStream(t, p.RunStream(ctx, replay(day)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,8 +11,10 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -40,13 +42,23 @@ func replay(tr *Trace) <-chan Packet {
 	return ch
 }
 
-// drainStream collects every window labeling and the terminal error.
-func drainStream(s *Stream) ([]*WindowLabeling, error) {
+// drainStream collects every window labeling and the terminal error, and
+// fails the test if Windows has not closed within a minute.
+func drainStream(t *testing.T, s *Stream) ([]*WindowLabeling, error) {
+	t.Helper()
+	deadline := time.After(time.Minute)
 	var out []*WindowLabeling
-	for w := range s.Windows() {
-		out = append(out, w)
+	for {
+		select {
+		case w, ok := <-s.Windows():
+			if !ok {
+				return out, s.Wait()
+			}
+			out = append(out, w)
+		case <-deadline:
+			t.Fatalf("Windows still open after a minute, %d windows in", len(out))
+		}
 	}
-	return out, s.Wait()
 }
 
 func csvDigest(t *testing.T, l *Labeling) string {
@@ -82,7 +94,7 @@ func TestStreamMatchesBatch(t *testing.T) {
 
 	for _, workers := range []int{1, 2, 4, 8} {
 		p := NewPipeline().Parallelism(workers) // zero StreamConfig: canonical boundary
-		windows, err := drainStream(p.RunStream(context.Background(), replay(day)))
+		windows, err := drainStream(t, p.RunStream(context.Background(), replay(day)))
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -142,7 +154,7 @@ func TestStreamDeterminismMatrix(t *testing.T) {
 		for _, workers := range []int{1, 2, 4, 8} {
 			p := NewPipeline().Parallelism(workers)
 			p.Stream = tc.cfg
-			windows, err := drainStream(p.RunStream(context.Background(), replay(tc.tr)))
+			windows, err := drainStream(t, p.RunStream(context.Background(), replay(tc.tr)))
 			if err != nil {
 				t.Fatalf("%s workers=%d: %v", name, workers, err)
 			}
@@ -237,7 +249,7 @@ func TestStreamCarriedTrafficMatchesReextraction(t *testing.T) {
 				p.Detectors = append(StandardDetectors(), straddler{})
 				p.Estimator.Granularity = g
 				p.Stream = cfg
-				windows, err := drainStream(p.RunStream(context.Background(), replay(tr)))
+				windows, err := drainStream(t, p.RunStream(context.Background(), replay(tr)))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -318,7 +330,7 @@ func TestStreamWindowSemantics(t *testing.T) {
 	const window = 4 // tumbling: stride defaults to window
 	p := NewPipeline()
 	p.Stream = StreamConfig{SegmentSeconds: 5, WindowSegments: window}
-	windows, err := drainStream(p.RunStream(context.Background(), replay(day)))
+	windows, err := drainStream(t, p.RunStream(context.Background(), replay(day)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,7 +381,7 @@ func TestStreamWindowSemantics(t *testing.T) {
 func TestStreamADMDSpan(t *testing.T) {
 	p := NewPipeline()
 	p.Stream = StreamConfig{SegmentSeconds: 5, WindowSegments: 2, WindowStride: 1}
-	windows, err := drainStream(p.RunStream(context.Background(), replay(streamTestDay(t))))
+	windows, err := drainStream(t, p.RunStream(context.Background(), replay(streamTestDay(t))))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -403,6 +415,7 @@ func TestStreamADMDSpan(t *testing.T) {
 // Wait reports the cancellation.
 func TestStreamCancelMidStream(t *testing.T) {
 	day := streamTestDay(t)
+	base := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
@@ -431,25 +444,181 @@ func TestStreamCancelMidStream(t *testing.T) {
 		t.Fatalf("first window numbered %d", first.Window)
 	}
 	cancel()
-	for range s.Windows() { // drain until the engine notices the cancel
-	}
-	if err := s.Wait(); !errors.Is(err, context.Canceled) {
+	if _, err := drainStream(t, s); !errors.Is(err, context.Canceled) { // until the engine notices the cancel
 		t.Fatalf("Wait = %v, want context.Canceled", err)
 	}
+	settleGoroutines(t, base)
 }
 
 // TestStreamCancelledBeforeStart: a stream started under an already-cancelled
 // context emits nothing and fails with context.Canceled.
 func TestStreamCancelledBeforeStart(t *testing.T) {
+	base := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	s := NewPipeline().RunStream(ctx, make(chan Packet)) // open, empty channel
-	windows, err := drainStream(s)
+	windows, err := drainStream(t, s)
 	if len(windows) != 0 {
 		t.Errorf("cancelled stream emitted %d windows", len(windows))
 	}
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("Wait = %v, want context.Canceled", err)
+	}
+	settleGoroutines(t, base)
+}
+
+// settleGoroutines fails the test unless the goroutine count falls back to
+// base within ten seconds: both stages of every stream the test started, and
+// their fan-outs, have exited.
+func settleGoroutines(t *testing.T, base int) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); runtime.NumGoroutine() > base; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines, %d before the stream:\n%s", runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
+		}
+	}
+}
+
+// segmentFailer is a detector that reports nothing before failFrom (µs) and
+// fails on every segment whose first packet is at or after it.
+type segmentFailer struct{ failFrom int64 }
+
+var errSegment = errors.New("synthetic segment failure")
+
+func (segmentFailer) Name() string    { return "segfail" }
+func (segmentFailer) NumConfigs() int { return 1 }
+func (d segmentFailer) Detect(ix *Index, config int) ([]Alarm, error) {
+	if ix.Len() > 0 && ix.TS[0] >= d.failFrom {
+		return nil, errSegment
+	}
+	return nil, nil
+}
+
+// TestStreamDetectorFailsOnSegment: a detector that fails on segment k stops
+// the stream after the windows that end before k — the same windows, byte
+// for byte, as a stream without the failure — and Wait returns the detector
+// stage's error unchanged. Under window 2 / stride 1 over 5 s segments the
+// labeling of window k−2 overlaps the detection of segment k.
+func TestStreamDetectorFailsOnSegment(t *testing.T) {
+	day := streamTestDay(t)
+	const k = 3
+	for _, workers := range []int{1, 4} {
+		run := func(failFrom int64) ([]*WindowLabeling, error) {
+			p := NewPipeline().Parallelism(workers)
+			p.Detectors = append(StandardDetectors(), segmentFailer{failFrom})
+			p.Stream = StreamConfig{SegmentSeconds: 5, WindowSegments: 2, WindowStride: 1}
+			return drainStream(t, p.RunStream(context.Background(), replay(day)))
+		}
+		clean, err := run(math.MaxInt64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		base := runtime.NumGoroutine()
+		windows, err := run(k * 5e6)
+		if !errors.Is(err, errSegment) || err.Error() != "detectors: segfail/0: synthetic segment failure" {
+			t.Fatalf("workers=%d: Wait = %v, want the detector stage's error", workers, err)
+		}
+		if len(windows) != k-1 {
+			t.Fatalf("workers=%d: %d windows before the failing segment %d, want %d", workers, len(windows), k, k-1)
+		}
+		for i, w := range windows {
+			if last := w.Segments[len(w.Segments)-1].Seq; last >= k {
+				t.Errorf("workers=%d: window %d holds segment %d, at or after the failing one", workers, i, last)
+			}
+			if w.Start != clean[i].Start || w.End != clean[i].End || csvDigest(t, w.Labeling) != csvDigest(t, clean[i].Labeling) {
+				t.Errorf("workers=%d: window %d differs from the same window of the stream without the failure", workers, i)
+			}
+		}
+		settleGoroutines(t, base)
+	}
+}
+
+// windowFailer is a Strategy that fails the window it classifies as its
+// failAt-th call (0-based) and otherwise defers to SCANN.
+type windowFailer struct {
+	Strategy
+	failAt int32
+	calls  atomic.Int32
+}
+
+var errWindow = errors.New("synthetic window failure")
+
+func (s *windowFailer) Classify(r *core.Result, conf []core.DetectorScores) ([]Decision, error) {
+	if s.calls.Add(1)-1 == s.failAt {
+		return nil, errWindow
+	}
+	return s.Strategy.Classify(r, conf)
+}
+
+// TestStreamStrategyFailsOnWindow: a Strategy that fails at window j ends the
+// stream with its error, unchanged, after windows 0..j−1, and stops the
+// detection stage without draining the feeder's channel.
+func TestStreamStrategyFailsOnWindow(t *testing.T) {
+	day := streamTestDay(t)
+	const j = 1
+	for _, workers := range []int{1, 4} {
+		base := runtime.NumGoroutine()
+		ch, stop, fed := make(chan Packet), make(chan struct{}), make(chan int, 1)
+		go func() {
+			n := 0
+			defer func() { fed <- n }()
+			for _, p := range day.Packets {
+				select {
+				case ch <- p:
+					n++
+				case <-stop:
+					return
+				}
+			}
+			close(ch)
+		}()
+		p := NewPipeline().Parallelism(workers)
+		p.Strategy = &windowFailer{Strategy: SCANN(), failAt: j}
+		p.Stream = StreamConfig{SegmentSeconds: 5, WindowSegments: 2, WindowStride: 1}
+		windows, err := drainStream(t, p.RunStream(context.Background(), ch))
+		if err != errWindow {
+			t.Fatalf("workers=%d: Wait = %v, want the Strategy's error unchanged", workers, err)
+		}
+		if len(windows) != j {
+			t.Fatalf("workers=%d: %d windows before the failing window %d", workers, len(windows), j)
+		}
+		close(stop)
+		if n := <-fed; n >= day.Len() {
+			t.Errorf("workers=%d: the feeder sent all %d packets: detection drained the channel after the failure", workers, n)
+		}
+		settleGoroutines(t, base)
+	}
+}
+
+// TestStreamObserveSequential: Observe's calls within one run never overlap,
+// although the next segment is sealed and detected while the current window
+// is labeled. The hook holds each call for a millisecond and counts the calls
+// in flight; -race also reports the unsynchronized counters a concurrent call
+// would touch.
+func TestStreamObserveSequential(t *testing.T) {
+	var (
+		inflight, overlaps atomic.Int32
+		calls              = map[Stage]int{}
+	)
+	p := NewPipeline().Parallelism(2)
+	p.Stream = StreamConfig{SegmentSeconds: 5, WindowSegments: 4, WindowStride: 1}
+	p.Observe = func(stage Stage, _ float64) {
+		if inflight.Add(1) > 1 {
+			overlaps.Add(1)
+		}
+		calls[stage]++
+		time.Sleep(time.Millisecond)
+		inflight.Add(-1)
+	}
+	if _, err := drainStream(t, p.RunStream(context.Background(), replay(streamArchiveDay(Date(2004, 5, 10), 90)))); err != nil {
+		t.Fatal(err)
+	}
+	if n := overlaps.Load(); n > 0 {
+		t.Fatalf("%d Observe calls entered while another was in flight", n)
+	}
+	if calls[StageDetect] != 18 || calls[StageLabel] != 15 {
+		t.Fatalf("Observe saw %d detect and %d label calls, want 18 and 15 (18 segments, 15 windows)", calls[StageDetect], calls[StageLabel])
 	}
 }
 
@@ -462,7 +631,7 @@ func TestUnsortedInputFails(t *testing.T) {
 		"out of order": {Packets: []Packet{{TS: 2_000_000}, {TS: 1_000_000}}},
 		"negative":     {Packets: []Packet{{TS: -1}, {TS: 1_000_000}}},
 	} {
-		windows, err := drainStream(NewPipeline().RunStream(context.Background(), replay(tr)))
+		windows, err := drainStream(t, NewPipeline().RunStream(context.Background(), replay(tr)))
 		if len(windows) != 0 {
 			t.Errorf("%s: stream emitted %d windows", name, len(windows))
 		}
@@ -493,7 +662,7 @@ func TestSealedIndexesSurvivePoolChurn(t *testing.T) {
 	day := streamTestDay(t)
 	p := NewPipeline()
 	p.Stream = StreamConfig{SegmentSeconds: 5, WindowSegments: 3, WindowStride: 1}
-	windows, err := drainStream(p.RunStream(context.Background(), replay(day)))
+	windows, err := drainStream(t, p.RunStream(context.Background(), replay(day)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -565,7 +734,7 @@ func TestStreamEmptyEndsClean(t *testing.T) {
 	ch := make(chan Packet)
 	s := NewPipeline().RunStream(context.Background(), ch)
 	close(ch)
-	if windows, err := drainStream(s); err != nil || len(windows) != 0 {
+	if windows, err := drainStream(t, s); err != nil || len(windows) != 0 {
 		t.Fatalf("empty stream = (%d windows, %v), want (0, nil)", len(windows), err)
 	}
 }

@@ -207,7 +207,7 @@ func TestConfigErrorsWinOverInputErrors(t *testing.T) {
 		{"RunIndex", func(p *Pipeline) error { _, err := p.RunIndex(context.Background(), unsortedIndex); return err }},
 		{"RunAlarms", func(p *Pipeline) error { _, err := p.RunAlarms(unsorted, nil, map[string]int{"pca": 3}); return err }},
 		{"RunStream", func(p *Pipeline) error {
-			_, err := drainStream(p.RunStream(context.Background(), replay(unsorted)))
+			_, err := drainStream(t, p.RunStream(context.Background(), replay(unsorted)))
 			return err
 		}},
 	}
